@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use tempo_lang::ast::{AssertKind, CmpOp, Formula};
+use tempo_lang::ast::{AssertDef, AssertKind, CmpOp, Formula};
 use tempo_lang::machine::MachineSet;
 use tempo_lang::{Json, ParseError};
 use tempo_mdp::Opt;
@@ -179,11 +179,12 @@ fn goal_on_net(
 /// forced engine either matches or is refused as a usage error.
 fn plan(
     idx: usize,
-    kind: &AssertKind,
+    assert: &AssertDef,
     sub: &mut Substrates<'_>,
     args: &CheckArgs,
     explore: &ExploreConfig,
 ) -> Result<Plan, PlanError> {
+    let kind = &assert.kind;
     let set = sub.set;
     let misroute = |want: &str| {
         PlanError::Usage(format!(
@@ -241,6 +242,15 @@ fn plan(
             let net = sub.net()?;
             let phi = goal_on_net(set, &net, phi)?;
             let psi = goal_on_net(set, &net, psi)?;
+            if !(phi.is_discrete() && psi.is_discrete()) {
+                return Err(PlanError::Parse(ParseError {
+                    span: assert.span,
+                    code: "TL103",
+                    message: "the leads-to engine supports only location and data predicates; \
+                              remove the clock constraints from both sides of `-->`"
+                        .to_owned(),
+                }));
+            }
             Ok(Plan {
                 kind: JobKind::LeadsTo { net, phi, psi },
                 rule: Decide::Bool(true),
@@ -556,7 +566,7 @@ pub fn run_check(args: &CheckArgs) -> CheckOutcome {
     for &idx in &selected {
         let a = &model.asserts[idx];
         let query = query_text(&source, a.span.line);
-        match plan(idx, &a.kind, &mut sub, args, &explore) {
+        match plan(idx, a, &mut sub, args, &explore) {
             Ok(p) => plans.push((idx, query, p)),
             Err(PlanError::Parse(e)) => return parse_failure(Status::ParseError, &e),
             Err(PlanError::Usage(msg)) => {

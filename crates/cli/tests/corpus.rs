@@ -267,6 +267,66 @@ fn missing_file_exits_7() {
     assert_eq!(out.status.code(), Some(7), "missing input file");
 }
 
+/// A leads-to over a clock constraint is outside the engine's subset:
+/// it is refused with a `TL103` parse error (exit 2) instead of reaching
+/// the engine. The model is written to a temp dir, not `corpus/`.
+#[test]
+fn clock_constrained_leads_to_exits_2_with_tl103() {
+    let source = std::fs::read_to_string(corpus_dir().join("P200_train_gate.tempo"))
+        .expect("readable corpus file");
+    let last = "assert Train.Near --> Train.Crossing";
+    assert!(source.contains(last), "P200 ends with its leads-to assert");
+    let file = std::env::temp_dir().join(format!(
+        "tempo-corpus-{}-clock-leads-to.tempo",
+        std::process::id()
+    ));
+    std::fs::write(
+        &file,
+        source.replace(last, "assert x >= 1 --> Train.Crossing"),
+    )
+    .expect("writable temp dir");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tempo"))
+        .args([
+            "check",
+            file.to_str().unwrap(),
+            "--assert",
+            "3",
+            "--json",
+            "-",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn tempo binary");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while child.try_wait().expect("poll tempo").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("tempo check did not exit within 20 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect tempo output");
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a subset violation is a parse error"
+    );
+    let text = String::from_utf8(out.stdout).expect("utf8 stdout");
+    let doc = Json::parse(&text[text.find('{').expect("result document")..])
+        .expect("valid result document");
+    assert_eq!(
+        doc.get("status").and_then(Json::as_str),
+        Some("parse-error")
+    );
+    assert_eq!(
+        doc.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str),
+        Some("TL103")
+    );
+}
+
 /// `--help` and `--version` succeed and print something sensible.
 #[test]
 fn help_and_version() {

@@ -7,10 +7,11 @@
 //!   available parallelism;
 //! * [`run_workers`] — a scoped worker pool returning per-worker results in
 //!   worker order, so merges are deterministic;
-//! * [`WorkQueue`] — a shared waiting list with idle-count termination
-//!   detection and cooperative early stop, for fixpoint explorations;
-//! * [`ShardedMap`] — a mutex-striped hash map for passed lists keyed by
-//!   hashable discrete state;
+//! * [`PriorityWorkQueue`] — a bounded job queue with priorities, aging and
+//!   backpressure, for the analysis service's scheduler;
+//! * [`CancelToken`] — a shared flag for cooperative cancellation;
+//! * [`ShardedMap`] — a mutex-striped hash map, the analysis service's
+//!   in-memory verdict cache;
 //! * [`split_budget`] / [`derive_stream_seed`] — deterministic partitioning
 //!   of a trace budget and per-worker RNG stream derivation for reproducible
 //!   parallel simulation.
@@ -29,7 +30,7 @@ mod spill;
 pub use spill::{fnv64, RecordRef, SpillError, StateLog, SPILL_MAGIC};
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,7 +53,7 @@ impl ParallelConfig {
         Self::default()
     }
 
-    /// Pin to the single-threaded reference engine.
+    /// Pin the engines to one worker.
     #[must_use]
     pub fn sequential() -> Self {
         Self::with_threads(1)
@@ -110,14 +111,6 @@ where
             .collect()
     })
 }
-
-/// Fold per-worker results in worker order. This is the deterministic-merge
-/// helper: because [`run_workers`] returns results indexed by worker, the
-/// fold order (and therefore e.g. floating-point rounding) is fixed.
-pub fn merge_ordered<T, A>(parts: Vec<T>, init: A, fold: impl FnMut(A, T) -> A) -> A {
-    parts.into_iter().fold(init, fold)
-}
-
 /// Split a total work budget into `parts` near-equal chunks, largest first.
 /// The split is deterministic and exhaustive: the chunks sum to `total`.
 #[must_use]
@@ -141,161 +134,6 @@ pub fn derive_stream_seed(seed: u64, worker: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Why a [`WorkQueue`] terminated (why `pop` started returning `None`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StopCause {
-    /// Every worker went idle on an empty queue: the exploration reached
-    /// its natural fixpoint.
-    Fixpoint,
-    /// A worker called [`WorkQueue::stop`] — early exit because a
-    /// definitive answer was found (e.g. a goal state).
-    Stopped,
-    /// A worker called [`WorkQueue::stop_exhausted`] — a resource budget
-    /// ran out and the exploration is incomplete.
-    Exhausted,
-}
-
-struct QueueState<T> {
-    queue: VecDeque<T>,
-    idle: usize,
-    stopped: bool,
-    /// Set exactly once, when the queue transitions to stopped.
-    cause: Option<StopCause>,
-    /// True only for the fixpoint transition: the queue is dead for good
-    /// and reusing it is a bug (see [`WorkQueue::push`]).
-    finished: bool,
-    peak: usize,
-}
-
-/// A shared waiting list for N cooperating workers.
-///
-/// [`WorkQueue::pop`] blocks until an item is available and returns `None`
-/// exactly when the exploration is finished: either every worker is idle
-/// with an empty queue (fixpoint reached), or some worker called
-/// [`WorkQueue::stop`] / [`WorkQueue::stop_exhausted`] (cooperative early
-/// exit). [`WorkQueue::stop_cause`] distinguishes the three endings, and
-/// [`WorkQueue::peak_len`] reports the high-water mark of the waiting
-/// list for run reports.
-pub struct WorkQueue<T> {
-    state: Mutex<QueueState<T>>,
-    available: Condvar,
-    workers: usize,
-    stopped: AtomicBool,
-}
-
-impl<T> WorkQueue<T> {
-    /// A queue coordinated among `workers` poppers.
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        WorkQueue {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                idle: 0,
-                stopped: false,
-                cause: None,
-                finished: false,
-                peak: 0,
-            }),
-            available: Condvar::new(),
-            workers: workers.max(1),
-            stopped: AtomicBool::new(false),
-        }
-    }
-
-    /// Enqueue one item and wake a waiting worker.
-    ///
-    /// Pushing onto a queue that already reached its **fixpoint** is a
-    /// bug: the workers have all observed termination and the item can
-    /// never be popped. Debug builds assert on it; release builds drop
-    /// the item. (Pushing after an early [`WorkQueue::stop`] /
-    /// [`WorkQueue::stop_exhausted`] is fine — workers race the stop
-    /// flag by design, and such items are silently discarded.)
-    pub fn push(&self, item: T) {
-        let mut st = self.state.lock().expect("queue poisoned");
-        debug_assert!(
-            !st.finished,
-            "push on a WorkQueue that reached fixpoint: the queue is dead, create a new one"
-        );
-        if st.stopped {
-            return;
-        }
-        st.queue.push_back(item);
-        st.peak = st.peak.max(st.queue.len());
-        drop(st);
-        self.available.notify_one();
-    }
-
-    /// Blocking pop; `None` means the exploration is over (see type docs).
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().expect("queue poisoned");
-        loop {
-            if st.stopped {
-                return None;
-            }
-            if let Some(item) = st.queue.pop_front() {
-                return Some(item);
-            }
-            st.idle += 1;
-            if st.idle == self.workers {
-                // Everyone is waiting on an empty queue: fixpoint reached.
-                st.stopped = true;
-                st.finished = true;
-                st.cause = Some(StopCause::Fixpoint);
-                self.stopped.store(true, Ordering::Release);
-                self.available.notify_all();
-                return None;
-            }
-            st = self.available.wait(st).expect("queue poisoned");
-            st.idle -= 1;
-        }
-    }
-
-    fn stop_with(&self, cause: StopCause) {
-        let mut st = self.state.lock().expect("queue poisoned");
-        st.stopped = true;
-        if st.cause.is_none() {
-            st.cause = Some(cause);
-        }
-        self.stopped.store(true, Ordering::Release);
-        drop(st);
-        self.available.notify_all();
-    }
-
-    /// Request early termination: all current and future `pop`s return
-    /// `None`. Queued items are dropped when the queue is.
-    pub fn stop(&self) {
-        self.stop_with(StopCause::Stopped);
-    }
-
-    /// Budget-aware cooperative stop: like [`WorkQueue::stop`], but
-    /// records that the exploration ended because a resource budget ran
-    /// out, so the caller can report an `Exhausted` outcome instead of a
-    /// definitive verdict.
-    pub fn stop_exhausted(&self) {
-        self.stop_with(StopCause::Exhausted);
-    }
-
-    /// Cheap check for workers to bail out of long successor loops early.
-    #[must_use]
-    pub fn is_stopped(&self) -> bool {
-        self.stopped.load(Ordering::Acquire)
-    }
-
-    /// Why the queue terminated, or `None` while it is still live. The
-    /// first stop wins: a fixpoint observed before an exhaustion signal
-    /// stays `Fixpoint`, and vice versa.
-    #[must_use]
-    pub fn stop_cause(&self) -> Option<StopCause> {
-        self.state.lock().expect("queue poisoned").cause
-    }
-
-    /// High-water mark of the waiting list over the queue's lifetime.
-    #[must_use]
-    pub fn peak_len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").peak
-    }
 }
 
 /// A shared cancellation flag for cooperative early termination.
@@ -370,10 +208,9 @@ struct PrioState<T> {
 
 /// A bounded, long-lived priority queue with aging, for job scheduling.
 ///
-/// Unlike [`WorkQueue`] (a fixpoint-exploration waiting list that
-/// terminates when all workers idle), a `PriorityWorkQueue` is a
-/// *service* queue: it stays alive across an arbitrary job stream and
-/// only terminates through [`PriorityWorkQueue::stop`].
+/// A `PriorityWorkQueue` is a *service* queue: it stays alive across an
+/// arbitrary job stream and only terminates through
+/// [`PriorityWorkQueue::stop`].
 ///
 /// * **Backpressure** — [`PriorityWorkQueue::try_push`] refuses with
 ///   [`PushError::Full`] once `capacity` items wait, instead of growing
@@ -516,8 +353,8 @@ impl<T> PriorityWorkQueue<T> {
 
 /// A mutex-striped hash map: the key space is split across `shards`
 /// independent `Mutex<HashMap>`s so concurrent writers on different shards
-/// never contend. Used as the passed list of parallel explorations, keyed by
-/// the discrete part of a symbolic state.
+/// never contend. The analysis service keeps its in-memory verdict cache in
+/// one.
 pub struct ShardedMap<K, V> {
     shards: Vec<Mutex<HashMap<K, V>>>,
 }
@@ -581,7 +418,6 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn config_resolves_to_at_least_one() {
@@ -623,130 +459,6 @@ mod tests {
         let seeds: std::collections::HashSet<u64> =
             (0..64).map(|w| derive_stream_seed(42, w)).collect();
         assert_eq!(seeds.len(), 64);
-    }
-
-    #[test]
-    fn queue_drains_and_terminates() {
-        let queue = WorkQueue::new(4);
-        for i in 0..1000 {
-            queue.push(i);
-        }
-        let popped = AtomicUsize::new(0);
-        run_workers(4, |_| {
-            while let Some(item) = queue.pop() {
-                popped.fetch_add(1, Ordering::Relaxed);
-                // Simulate work that generates a little more work.
-                if item < 50 {
-                    queue.push(item + 1000);
-                }
-            }
-        });
-        assert_eq!(popped.load(Ordering::Relaxed), 1050);
-    }
-
-    #[test]
-    fn queue_stop_is_observed() {
-        let queue = WorkQueue::new(2);
-        queue.push(1);
-        queue.stop();
-        assert!(queue.is_stopped());
-        assert_eq!(queue.pop(), None);
-        assert_eq!(queue.stop_cause(), Some(StopCause::Stopped));
-    }
-
-    #[test]
-    fn queue_reports_fixpoint_cause_and_peak() {
-        let queue = WorkQueue::new(2);
-        for i in 0..10 {
-            queue.push(i);
-        }
-        run_workers(2, |_| while queue.pop().is_some() {});
-        assert_eq!(queue.stop_cause(), Some(StopCause::Fixpoint));
-        assert_eq!(queue.peak_len(), 10);
-    }
-
-    #[test]
-    fn queue_exhausted_stop_is_distinguished() {
-        let queue = WorkQueue::new(2);
-        queue.push(1);
-        queue.stop_exhausted();
-        assert_eq!(queue.pop(), None);
-        assert_eq!(queue.stop_cause(), Some(StopCause::Exhausted));
-        // The first cause wins; a later plain stop does not overwrite it.
-        queue.stop();
-        assert_eq!(queue.stop_cause(), Some(StopCause::Exhausted));
-    }
-
-    #[test]
-    #[should_panic(expected = "reached fixpoint")]
-    #[cfg(debug_assertions)]
-    fn queue_reuse_after_fixpoint_is_a_debug_error() {
-        let queue = WorkQueue::new(1);
-        queue.push(1);
-        while queue.pop().is_some() {}
-        assert_eq!(queue.stop_cause(), Some(StopCause::Fixpoint));
-        // The queue is dead: this push can never be popped.
-        queue.push(2);
-    }
-
-    /// Stress the `stop()`/`push`/`pop` race: concurrent pushers keep
-    /// feeding the queue while the poppers race a stop signal. The
-    /// invariants: nothing deadlocks (no lost wakeups — the test
-    /// finishes), and once `stop` has returned every subsequent `pop`
-    /// returns `None`.
-    #[test]
-    fn queue_stop_push_pop_race_loses_no_wakeups() {
-        for round in 0..100 {
-            // Sized for one worker more than will ever pop: the pushers
-            // here are *external* producers (engine workers push only
-            // before going idle themselves), so a natural fixpoint could
-            // otherwise be declared mid-push and trip the dead-queue
-            // assertion. With a spare worker slot the queue can only
-            // terminate through `stop()`, which pushes tolerate.
-            let queue = WorkQueue::new(5);
-            let after_stop_pops = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                // Two pushers flood the queue while the race is on.
-                for p in 0..2 {
-                    let queue = &queue;
-                    scope.spawn(move || {
-                        for i in 0..500 {
-                            queue.push(p * 1000 + i);
-                            if queue.is_stopped() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                // One stopper fires mid-flight, then verifies that every
-                // pop *issued after stop() returned* yields None.
-                {
-                    let queue = &queue;
-                    let after_stop_pops = &after_stop_pops;
-                    scope.spawn(move || {
-                        if round % 2 == 0 {
-                            std::thread::yield_now();
-                        }
-                        queue.stop();
-                        for _ in 0..16 {
-                            if queue.pop().is_some() {
-                                after_stop_pops.fetch_add(1, Ordering::SeqCst);
-                            }
-                        }
-                    });
-                }
-                // Four poppers drain until termination. The test
-                // completing at all is the no-lost-wakeup assertion: a
-                // missed notify would leave a popper blocked forever.
-                for _ in 0..4 {
-                    let queue = &queue;
-                    scope.spawn(move || while queue.pop().is_some() {});
-                }
-            });
-            assert_eq!(after_stop_pops.load(Ordering::SeqCst), 0);
-            assert_eq!(queue.stop_cause(), Some(StopCause::Stopped));
-            assert_eq!(queue.pop(), None);
-        }
     }
 
     #[test]
@@ -835,15 +547,5 @@ mod tests {
             }
         }
         assert_eq!(total, 1024);
-    }
-
-    #[test]
-    fn merge_ordered_folds_in_order() {
-        let parts = vec!["a", "b", "c"];
-        let merged = merge_ordered(parts, String::new(), |mut acc, p| {
-            acc.push_str(p);
-            acc
-        });
-        assert_eq!(merged, "abc");
     }
 }

@@ -43,7 +43,6 @@ pub mod flow;
 mod formula;
 mod liveness;
 mod model;
-mod par_reach;
 mod por;
 mod query;
 mod reach;

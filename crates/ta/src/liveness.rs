@@ -27,10 +27,10 @@
 use crate::explore::{Explorer, SymState};
 use crate::formula::StateFormula;
 use crate::model::{LocationId, Network};
-use crate::reach::{exploration_report, Stats, Trace, TraceStep, Verdict};
-use std::collections::{HashMap, HashSet, VecDeque};
+use crate::reach::{exploration_report, explore, Stats, Trace, TraceStep, Verdict};
+use std::collections::HashSet;
 use tempo_expr::Store;
-use tempo_obs::{Budget, Governor, Outcome, SpillMetrics};
+use tempo_obs::{Budget, Governor, Outcome, ResidentStore, SpillMetrics, StateStore};
 
 /// Checks the leads-to property `phi --> psi` over the network.
 ///
@@ -75,70 +75,35 @@ pub fn leads_to_governed(
         net
     };
     let explorer = Explorer::new(net);
-    let mut stats = Stats::default();
-    let mut peak = 0usize;
 
     // Phase 1: collect all reachable states (inclusion-reduced), keeping
     // parent links for diagnostics.
-    let mut states: Vec<SymState> = Vec::new();
-    let mut parents: Vec<Option<usize>> = Vec::new();
-    let mut passed: HashMap<(Vec<LocationId>, Store), Vec<usize>> = HashMap::new();
-    let mut waiting: VecDeque<usize> = VecDeque::new();
-
-    let init = explorer.initial_state();
-    if gov.charge_state() {
-        passed.insert(init.discrete(), vec![0]);
-        states.push(init);
-        parents.push(None);
-        waiting.push_back(0);
-        peak = 1;
-    }
-
-    'explore: while let Some(idx) = waiting.pop_front() {
-        if !gov.check_time() {
-            break;
-        }
-        stats.explored += 1;
-        let state = states[idx].clone();
-        for (_, succ) in explorer.successors(&state) {
-            stats.transitions += 1;
-            let key = succ.discrete();
-            let entry = passed.entry(key).or_default();
-            if entry
-                .iter()
-                .any(|&i| succ.zone.is_subset_of(&states[i].zone))
-            {
-                continue;
-            }
-            if !gov.charge_state() {
-                break 'explore;
-            }
-            entry.retain(|&i| !states[i].zone.is_subset_of(&succ.zone));
-            states.push(succ);
-            parents.push(Some(idx));
-            let new_idx = states.len() - 1;
-            passed
-                .get_mut(&states[new_idx].discrete())
-                .expect("entry exists")
-                .push(new_idx);
-            waiting.push_back(new_idx);
-            peak = peak.max(waiting.len());
-        }
-    }
-    stats.stored = passed.values().map(Vec::len).sum();
+    let mut store = ResidentStore::new();
+    let run = explore(
+        net,
+        &explorer,
+        |_: &SymState| false,
+        None,
+        None,
+        1,
+        &mut store,
+        &gov,
+    )
+    .expect("a resident store never fails");
+    let mut stats = run.stats;
 
     // Phase 2: from every reachable φ ∧ ¬ψ state, search the ψ-avoiding
     // graph for a cycle, a time-divergent stay, or a dead end. Skipped
     // entirely once the budget tripped during phase 1.
-    for start in 0..states.len() {
+    for start in 0..run.nodes {
         if gov.is_exhausted() {
             break;
         }
-        let s = &states[start];
-        if !phi.holds_somewhere(net, s) || psi.holds_somewhere(net, s) {
+        let s = store.load(start).expect("a resident store never fails");
+        if !phi.holds_somewhere(net, &s) || psi.holds_somewhere(net, &s) {
             continue;
         }
-        if let Some(bad) = avoid_search(net, &explorer, s, psi, &mut stats, &gov) {
+        if let Some(bad) = avoid_search(net, &explorer, &s, psi, &mut stats, &gov) {
             // Build a trace: path to `start` via parent links, then the
             // offending suffix.
             let mut prefix = Vec::new();
@@ -146,16 +111,16 @@ pub fn leads_to_governed(
             while let Some(i) = cur {
                 prefix.push(TraceStep {
                     action: None,
-                    state: states[i].clone(),
+                    state: store.load(i).expect("a resident store never fails"),
                 });
-                cur = parents[i];
+                cur = store.meta(i).0.as_ref().map(|(parent, _)| *parent);
             }
             prefix.reverse();
             prefix.extend(bad.steps);
             let report = exploration_report(
                 &gov,
                 &stats,
-                peak,
+                run.peak,
                 net.dim(),
                 model_dim,
                 SpillMetrics::default(),
@@ -167,7 +132,7 @@ pub fn leads_to_governed(
     let report = exploration_report(
         &gov,
         &stats,
-        peak,
+        run.peak,
         net.dim(),
         model_dim,
         SpillMetrics::default(),

@@ -19,13 +19,13 @@
 //!   automaton's transitions commute with every other transition *and*
 //!   with delay (it never touches a clock), so firing them first loses
 //!   no behaviour.
-//! - **C2 (invisibility)**: the goal and prune formulas must not name
-//!   the eligible automaton's locations or variables.
+//! - **C2 (invisibility)**: the goal formula must not name the
+//!   eligible automaton's locations or variables.
 //! - **C3 (cycle proviso)**: enforced by the caller — whenever a state
 //!   whose expansion was reduced has an ample successor that closes a
 //!   cycle in the reduced graph (detected conservatively: the successor
 //!   was subsumed by an already-passed state), the caller re-expands the
-//!   state fully. See `reach.rs`/`par_reach.rs`.
+//!   state fully. See `explore` in `reach.rs`.
 //!
 //! Committed locations restrict which automata may fire at all, so the
 //! reduction additionally falls back to full expansion whenever any
@@ -50,7 +50,7 @@ pub struct Por {
 
 impl Por {
     /// Statically analyzes the network: which automata are safe ample
-    /// candidates for a search driven by `formulas` (goal, prune, …)?
+    /// candidates for a search driven by `formulas` (the goal, …)?
     #[must_use]
     pub fn analyze(net: &Network, formulas: &[&StateFormula]) -> Por {
         let vars: Vec<BTreeSet<VarId>> = net.automata().iter().map(automaton_vars).collect();

@@ -96,7 +96,8 @@ pub fn parse_query(net: &Network, text: &str) -> Result<Query, QueryError> {
 ///
 /// # Errors
 ///
-/// Returns [`QueryError`] if the query does not parse.
+/// Returns [`QueryError`] if the query does not parse or is a leads-to
+/// over clock constraints (see [`check_query_governed`]).
 pub fn check_query(net: &Network, text: &str) -> Result<QueryResult, QueryError> {
     check_query_governed(net, text, &Budget::unlimited()).map(Outcome::into_value)
 }
@@ -110,7 +111,9 @@ pub fn check_query(net: &Network, text: &str) -> Result<QueryResult, QueryError>
 ///
 /// # Errors
 ///
-/// Returns [`QueryError`] if the query does not parse.
+/// Returns [`QueryError`] if the query does not parse, or if it is a
+/// leads-to whose sides are not both discrete (the engine reads no
+/// clock constraints there).
 pub fn check_query_governed(
     net: &Network,
     text: &str,
@@ -127,7 +130,16 @@ pub fn check_query_governed(
                 stats: res.stats,
             }))
         }
-        Query::LeadsTo(phi, psi) => leads_to_governed(net, &phi, &psi, budget),
+        Query::LeadsTo(phi, psi) => {
+            if !(phi.is_discrete() && psi.is_discrete()) {
+                return Err(QueryError {
+                    message: "leads-to supports only location and data predicates, \
+                              not clock constraints"
+                        .to_owned(),
+                });
+            }
+            leads_to_governed(net, &phi, &psi, budget)
+        }
         Query::DeadlockFree => mc.deadlock_free_governed(budget),
     };
     Ok(verdict_outcome.map(|(verdict, stats)| match verdict {
@@ -577,6 +589,8 @@ mod tests {
         let net = lamp();
         assert!(check_query(&net, "A[] not deadlock").unwrap().satisfied);
         assert!(check_query(&net, "Lamp.On --> Lamp.Off").unwrap().satisfied);
+        // Clock constraints are refused as an error, not a panic.
+        assert!(check_query(&net, "x >= 1 --> Lamp.Off").is_err());
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The symbolic model checker: reachability (`E<>`), safety (`A[]`),
 //! deadlock-freedom, and exploration statistics.
+//!
+//! Every query of this crate that walks the zone graph forward — the
+//! three above, reachable-state enumeration and the reachable-set phase
+//! of leads-to — runs the one passed/waiting loop in [`explore`].
 
 use crate::explore::{Action, Explorer, SymState};
 use crate::formula::StateFormula;
-use crate::model::{LocationId, Network};
+use crate::model::Network;
 use crate::por::Por;
 use crate::symmetry::Symmetry;
-use std::collections::{HashMap, VecDeque};
-use tempo_expr::Store;
 use tempo_obs::{
     Budget, ExploreConfig, Governor, Outcome, ResidentStore, RunReport, SpillError, SpillMetrics,
     SpillStore, StateStore,
@@ -60,6 +62,207 @@ pub(crate) fn exploration_report(
         spill_faults: spill.spill_faults,
         ..RunReport::default()
     }
+}
+
+/// Waiting states one exploration round pops per worker. A round's
+/// successor generation is split across the workers, so it must hold
+/// enough states to keep each of them busy; one worker pops one state
+/// per round, which is plain BFS.
+const ROUND_PER_WORKER: usize = 64;
+
+/// Fewest states of a round worth a thread of their own: a round that
+/// finds a narrow BFS frontier expands on fewer workers (down to the
+/// calling thread alone) rather than pay a thread start per state.
+const MIN_STATES_PER_WORKER: usize = 16;
+
+/// The work [`explore`] hands to the workers for one popped state.
+struct Expansion {
+    /// Whether the hit predicate holds (nothing else is computed then).
+    hit: bool,
+    /// Whether partial-order reduction picked an ample set.
+    ample: bool,
+    /// The successors, symmetry-canonical, each with the index of the
+    /// permutation that canonicalized it.
+    succs: Vec<(Action, SymState, usize)>,
+}
+
+/// How an [`explore`] run ended.
+pub(crate) struct Explored {
+    /// The node whose state satisfied the hit predicate, if one was
+    /// popped.
+    pub(crate) hit: Option<usize>,
+    /// Exploration statistics.
+    pub(crate) stats: Stats,
+    /// Waiting-list high-water mark.
+    pub(crate) peak: usize,
+    /// Nodes inserted into the store; their ids are `0..nodes`.
+    pub(crate) nodes: usize,
+}
+
+/// The zone-graph passed/waiting exploration behind every forward
+/// query: BFS over `store` from the initial state until a popped state
+/// satisfies `hit`, the inclusion-reduced fixpoint is reached, or the
+/// governor trips.
+///
+/// `workers` only parallelise successor generation. Each round pops the
+/// next waiting states in FIFO order and expands them on the workers
+/// (hit flag, ample or full successors, symmetry canonical forms). The
+/// calling thread then folds the expansions into the store in pop
+/// order, exactly as a single worker would. Expansion is a pure
+/// function of a state and a stored state never changes, so verdicts,
+/// traces and [`Stats`] are identical at every worker count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn explore<H>(
+    net: &Network,
+    explorer: &Explorer<'_>,
+    hit: H,
+    por: Option<&Por>,
+    sym: Option<&Symmetry>,
+    workers: usize,
+    store: &mut dyn StateStore<SymState, NodeMeta>,
+    gov: &Governor,
+) -> Result<Explored, SpillError>
+where
+    H: Fn(&SymState) -> bool + Sync,
+{
+    let canonical = |state: SymState| match sym {
+        Some(s) => s.canonicalize(net, &state),
+        None => (state, 0),
+    };
+    let canonical_all = |succs: Vec<(Action, SymState)>| -> Vec<_> {
+        succs
+            .into_iter()
+            .map(|(action, succ)| {
+                let (succ, perm) = canonical(succ);
+                (action, succ, perm)
+            })
+            .collect()
+    };
+    let expand = |state: &SymState| {
+        if hit(state) {
+            return Expansion {
+                hit: true,
+                ample: false,
+                succs: Vec::new(),
+            };
+        }
+        let (succs, ample) = match por.and_then(|p| p.ample(explorer, state)) {
+            Some(succs) => (succs, true),
+            None => (explorer.successors(state), false),
+        };
+        Expansion {
+            hit: false,
+            ample,
+            succs: canonical_all(succs),
+        }
+    };
+
+    let mut stats = Stats {
+        sym_orbits: sym.map_or(0, Symmetry::orbit_count),
+        ..Stats::default()
+    };
+    let (mut peak, mut nodes) = (0, 0);
+    let (init, init_perm) = canonical(explorer.initial_state());
+    if gov.charge_state() {
+        store.insert(init, (None, init_perm))?;
+        (peak, nodes) = (1, 1);
+    }
+
+    let workers = workers.max(1);
+    let round = if workers == 1 {
+        1
+    } else {
+        ROUND_PER_WORKER * workers
+    };
+    let mut batch = Vec::with_capacity(round);
+    let mut found = None;
+    'explore: loop {
+        batch.clear();
+        while batch.len() < round {
+            let Some(id) = store.pop_waiting() else { break };
+            batch.push((id, store.load(id)?));
+        }
+        if batch.is_empty() {
+            break;
+        }
+        // Worker `w` expands the `w`-th of `n` consecutive slices of the
+        // round, so the results concatenate back into pop order.
+        let n = workers.min(batch.len() / MIN_STATES_PER_WORKER).max(1);
+        let slice = batch.len().div_ceil(n);
+        let expansions = tempo_conc::run_workers(n, |w| {
+            batch
+                .iter()
+                .skip(w * slice)
+                .take(slice)
+                .map(|(_, state)| expand(state))
+                .collect::<Vec<_>>()
+        });
+        for (j, (&(id, ref state), expansion)) in batch
+            .iter()
+            .zip(expansions.into_iter().flatten())
+            .enumerate()
+        {
+            if !gov.check_time() {
+                break 'explore;
+            }
+            stats.explored += 1;
+            if expansion.hit {
+                found = Some(id);
+                break 'explore;
+            }
+            // The round's later states are still waiting, as far as a
+            // single worker's waiting list is concerned.
+            let later = batch.len() - j - 1;
+            let (mut pending, mut ample) = (expansion.succs, expansion.ample);
+            if por.is_some() {
+                if ample {
+                    stats.por_ample += 1;
+                } else {
+                    stats.por_fallback += 1;
+                }
+            }
+            loop {
+                let mut any_subsumed = false;
+                for (action, succ, perm) in pending {
+                    stats.transitions += 1;
+                    if store.is_subsumed(&succ)? {
+                        any_subsumed = true;
+                        if perm != 0 {
+                            stats.sym_avoided += 1;
+                        }
+                        continue;
+                    }
+                    if !gov.charge_state() {
+                        break 'explore;
+                    }
+                    store.insert(succ, (Some((id, action)), perm))?;
+                    nodes += 1;
+                    peak = peak.max(store.waiting_len() + later);
+                }
+                // C3 cycle proviso: an ample successor was subsumed by an
+                // already-stored state, i.e. the reduced expansion may
+                // close a cycle along which the deferred transitions
+                // would be ignored forever. Re-expand this state fully
+                // (already-inserted ample successors dedup via the
+                // inclusion check).
+                if ample && any_subsumed {
+                    pending = canonical_all(explorer.successors(state));
+                    ample = false;
+                    stats.por_ample -= 1;
+                    stats.por_fallback += 1;
+                    continue;
+                }
+                break;
+            }
+        }
+    }
+    stats.stored = store.stored();
+    Ok(Explored {
+        hit: found,
+        stats,
+        peak,
+        nodes,
+    })
 }
 
 /// A step of a symbolic diagnostic trace.
@@ -210,11 +413,11 @@ pub struct ReachResult {
 
 /// The symbolic model checker for a network of timed automata.
 ///
-/// By default the checker runs its single-threaded reference engine. Call
+/// By default the checker explores with one worker. Call
 /// [`ModelChecker::with_threads`] (or [`ModelChecker::with_parallelism`])
-/// to explore the zone graph with a worker pool instead: verdicts are
-/// identical at any thread count, while witness traces may be any valid
-/// trace rather than the BFS-shortest one.
+/// to generate successors on a worker pool: the exploration itself
+/// stays one BFS, so verdicts, the BFS-shortest witness traces and
+/// [`Stats`] are identical at any thread count.
 ///
 /// ```
 /// use tempo_ta::{NetworkBuilder, ModelChecker, StateFormula};
@@ -239,9 +442,9 @@ pub struct ModelChecker<'n> {
 }
 
 impl<'n> ModelChecker<'n> {
-    /// Creates a checker for the network (single-threaded reference
-    /// engine; active-clock reduction, ample-set partial-order reduction
-    /// and template-symmetry reduction enabled).
+    /// Creates a checker for the network (one worker; active-clock
+    /// reduction, ample-set partial-order reduction and template-symmetry
+    /// reduction enabled).
     #[must_use]
     pub fn new(net: &'n Network) -> Self {
         ModelChecker {
@@ -278,8 +481,12 @@ impl<'n> ModelChecker<'n> {
         self.config.clone()
     }
 
-    /// Use `threads` workers for zone-graph exploration (`<= 1` selects the
-    /// sequential reference engine).
+    /// Use `threads` workers (`0` is treated as `1`) to generate the
+    /// successors of each exploration round. Only wall time depends on
+    /// the count: verdicts, traces, [`Stats`] and every [`RunReport`]
+    /// counter but `spill_faults` are the same as with one worker (a
+    /// round may fault spilled states that a hit or a deadline then
+    /// never reaches).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -351,7 +558,7 @@ impl<'n> ModelChecker<'n> {
         budget: &Budget,
     ) -> Result<Outcome<ReachResult>, SpillError> {
         let gov = budget.governor();
-        let (res, peak, dim, spill) = self.search(goal, None, &gov)?;
+        let (res, peak, dim, spill) = self.search(goal, &gov)?;
         let report = self.last_flow.stamp(exploration_report(
             &gov,
             &res.stats,
@@ -410,7 +617,7 @@ impl<'n> ModelChecker<'n> {
     ) -> Result<Outcome<(Verdict, Stats)>, SpillError> {
         let neg = StateFormula::not(safe.clone());
         let gov = budget.governor();
-        let (res, peak, dim, spill) = self.search(&neg, None, &gov)?;
+        let (res, peak, dim, spill) = self.search(&neg, &gov)?;
         let report = self.last_flow.stamp(exploration_report(
             &gov,
             &res.stats,
@@ -472,21 +679,14 @@ impl<'n> ModelChecker<'n> {
     }
 
     /// BFS over the zone graph with an inclusion-reduced passed list.
-    /// Stops when a state intersecting `goal` is found. `prune`: states
-    /// fully satisfying it are not expanded (used by bounded searches).
-    /// Dispatches to the parallel engine when more than one worker is
-    /// configured.
+    /// Stops when a state intersecting `goal` is found.
     fn search(
         &mut self,
         goal: &StateFormula,
-        prune: Option<&StateFormula>,
         gov: &Governor,
     ) -> Result<(ReachResult, usize, usize, SpillMetrics), SpillError> {
         self.last_flow = crate::flow::FlowMetrics::default();
-        let mut atoms = goal.clock_atoms();
-        if let Some(p) = prune {
-            atoms.extend(p.clock_atoms());
-        }
+        let atoms = goal.clock_atoms();
         // Query-directed slicing: disable edges that provably never fire
         // (empty data guards under the range fixpoint, partnerless
         // synchronizations) before the clock analysis, so that clocks
@@ -511,33 +711,26 @@ impl<'n> ModelChecker<'n> {
         // Graceful fallback: if a property atom's clock was dropped
         // anyway (a mapping bug or a degenerate model), explore the
         // unreduced network instead of panicking — verdicts only.
-        let (net, goal, prune) = match &reduction {
-            Some(r) if r.is_reduced() => {
-                match (r.map_formula(goal), prune.map(|p| r.map_formula(p))) {
-                    (Some(g), None) => (r.network(), g, None),
-                    (Some(g), Some(Some(p))) => (r.network(), g, Some(p)),
-                    _ => (base, goal.clone(), prune.cloned()),
-                }
-            }
-            _ => (base, goal.clone(), prune.cloned()),
+        let (net, goal) = match &reduction {
+            Some(r) if r.is_reduced() => match r.map_formula(goal) {
+                Some(g) => (r.network(), g),
+                None => (base, goal.clone()),
+            },
+            _ => (base, goal.clone()),
         };
-        let (goal, prune) = (&goal, prune.as_ref());
+        let goal = &goal;
         let dim = net.dim();
 
         // State-space reductions, each conservative by construction: the
         // analyses return nothing whenever their soundness conditions
         // are not met by this model + property.
-        let mut formulas: Vec<&StateFormula> = vec![goal];
-        if let Some(p) = prune {
-            formulas.push(p);
-        }
         let por = self
             .config
             .por
-            .then(|| Por::analyze(net, &formulas))
+            .then(|| Por::analyze(net, &[goal]))
             .filter(Por::is_active);
         let sym = if self.config.symmetry {
-            Symmetry::detect(net, &formulas)
+            Symmetry::detect(net, &[goal])
         } else {
             None
         };
@@ -555,155 +748,40 @@ impl<'n> ModelChecker<'n> {
             .then(|| Explorer::with_extra_constants(net, &goal.clock_atoms()));
         let mut explorer = Explorer::with_extra_constants(net, &goal.clock_atoms());
         if self.config.lu {
-            let mut protect = goal.clock_atoms();
-            if let Some(p) = prune {
-                protect.extend(p.clock_atoms());
-            }
-            let lu = crate::flow::NetworkLu::analyze(net, &protect);
+            let lu = crate::flow::NetworkLu::analyze(net, &goal.clock_atoms());
             self.last_flow.lu_tightened = lu.tightened(&net.max_constants());
             explorer = explorer.with_lu(lu);
         }
-        if self.threads > 1 {
-            let (trace, stats, peak, spill) = crate::par_reach::parallel_search(
-                net,
-                &explorer,
-                self.threads,
-                |state: &SymState| goal.holds_somewhere(net, state),
-                prune,
-                por.as_ref(),
-                sym.as_ref(),
-                self.config.spill.as_ref(),
-                gov,
-            )?;
-            let trace = trace.map(|t| renormalize_trace(replay.as_ref(), t));
-            return Ok((
-                ReachResult {
-                    reachable: trace.is_some(),
-                    trace,
-                    stats,
-                },
-                peak,
-                dim,
-                spill,
-            ));
-        }
-        let mut stats = Stats {
-            sym_orbits: sym.as_ref().map_or(0, Symmetry::orbit_count),
-            ..Stats::default()
-        };
-        let mut peak = 0usize;
         let mut store = make_store(&self.config)?;
-
-        let init = explorer.initial_state();
-        let (init, init_perm) = match &sym {
-            Some(s) => s.canonicalize(net, &init),
-            None => (init, 0),
-        };
-        if gov.charge_state() {
-            store.insert(init, (None, init_perm))?;
-            peak = 1;
-        }
-
-        while let Some(idx) = store.pop_waiting() {
-            if !gov.check_time() {
-                break;
-            }
-            let state = store.load(idx)?;
-            stats.explored += 1;
-            if goal.holds_somewhere(net, &state) {
-                stats.stored = store.stored();
-                let trace = build_trace(store.as_mut(), idx, net, sym.as_ref())?;
-                let trace = renormalize_trace(replay.as_ref(), trace);
-                let spill = store.metrics();
-                return Ok((
-                    ReachResult {
-                        reachable: true,
-                        trace: Some(trace),
-                        stats,
-                    },
-                    peak,
-                    dim,
-                    spill,
-                ));
-            }
-            if let Some(p) = prune {
-                if p.holds_everywhere(net, &state) {
-                    continue;
-                }
-            }
-            let (mut pending, mut used_ample) = match &por {
-                Some(p) => match p.ample(&explorer, &state) {
-                    Some(s) => (s, true),
-                    None => (explorer.successors(&state), false),
-                },
-                None => (explorer.successors(&state), false),
-            };
-            if por.is_some() {
-                if used_ample {
-                    stats.por_ample += 1;
-                } else {
-                    stats.por_fallback += 1;
-                }
-            }
-            let mut out_of_states = false;
-            loop {
-                let mut any_subsumed = false;
-                for (action, succ) in pending {
-                    stats.transitions += 1;
-                    let (succ, perm) = match &sym {
-                        Some(s) => s.canonicalize(net, &succ),
-                        None => (succ, 0),
-                    };
-                    if store.is_subsumed(&succ)? {
-                        any_subsumed = true;
-                        if perm != 0 {
-                            stats.sym_avoided += 1;
-                        }
-                        continue;
-                    }
-                    if !gov.charge_state() {
-                        out_of_states = true;
-                        break;
-                    }
-                    store.insert(succ, (Some((idx, action)), perm))?;
-                    peak = peak.max(store.waiting_len());
-                }
-                // C3 cycle proviso: an ample successor was subsumed by an
-                // already-stored state, i.e. the reduced expansion may
-                // close a cycle along which the deferred transitions
-                // would be ignored forever. Re-expand this state fully
-                // (already-inserted ample successors dedup via the
-                // inclusion check).
-                if used_ample && any_subsumed && !out_of_states {
-                    pending = explorer.successors(&state);
-                    used_ample = false;
-                    stats.por_ample -= 1;
-                    stats.por_fallback += 1;
-                    continue;
-                }
-                break;
-            }
-            if out_of_states {
-                break;
-            }
-        }
-        stats.stored = store.stored();
-        let spill = store.metrics();
+        let run = explore(
+            net,
+            &explorer,
+            |state: &SymState| goal.holds_somewhere(net, state),
+            por.as_ref(),
+            sym.as_ref(),
+            self.threads,
+            store.as_mut(),
+            gov,
+        )?;
+        let trace = run
+            .hit
+            .map(|id| build_trace(store.as_mut(), id, net, sym.as_ref()))
+            .transpose()?
+            .map(|t| renormalize_trace(replay.as_ref(), t));
         Ok((
             ReachResult {
-                reachable: false,
-                trace: None,
-                stats,
+                reachable: trace.is_some(),
+                trace,
+                stats: run.stats,
             },
-            peak,
+            run.peak,
             dim,
-            spill,
+            store.metrics(),
         ))
     }
 
     /// Full exploration checking the symbolic deadlock condition on every
-    /// state. Dispatches to the parallel engine when more than one worker
-    /// is configured.
+    /// state.
     fn deadlock_search(
         &mut self,
         gov: &Governor,
@@ -728,79 +806,22 @@ impl<'n> ModelChecker<'n> {
             None
         };
         let explorer = Explorer::new(net);
-        if self.threads > 1 {
-            let (trace, stats, peak, spill) = crate::par_reach::parallel_search(
-                net,
-                &explorer,
-                self.threads,
-                |state: &SymState| !explorer.deadlock_federation(state).is_empty(),
-                None,
-                None,
-                sym.as_ref(),
-                self.config.spill.as_ref(),
-                gov,
-            )?;
-            return Ok(match trace {
-                Some(t) => (Verdict::Violated(t), stats, peak, dim, spill),
-                None => (Verdict::Satisfied, stats, peak, dim, spill),
-            });
-        }
-        let mut stats = Stats {
-            sym_orbits: sym.as_ref().map_or(0, Symmetry::orbit_count),
-            ..Stats::default()
-        };
-        let mut peak = 0usize;
         let mut store = make_store(&self.config)?;
-
-        let init = explorer.initial_state();
-        let (init, init_perm) = match &sym {
-            Some(s) => s.canonicalize(net, &init),
-            None => (init, 0),
+        let run = explore(
+            net,
+            &explorer,
+            |state: &SymState| !explorer.deadlock_federation(state).is_empty(),
+            None,
+            sym.as_ref(),
+            self.threads,
+            store.as_mut(),
+            gov,
+        )?;
+        let verdict = match run.hit {
+            Some(id) => Verdict::Violated(build_trace(store.as_mut(), id, net, sym.as_ref())?),
+            None => Verdict::Satisfied,
         };
-        if gov.charge_state() {
-            store.insert(init, (None, init_perm))?;
-            peak = 1;
-        }
-
-        while let Some(idx) = store.pop_waiting() {
-            if !gov.check_time() {
-                break;
-            }
-            let state = store.load(idx)?;
-            stats.explored += 1;
-            if !explorer.deadlock_federation(&state).is_empty() {
-                stats.stored = store.stored();
-                let trace = build_trace(store.as_mut(), idx, net, sym.as_ref())?;
-                let spill = store.metrics();
-                return Ok((Verdict::Violated(trace), stats, peak, dim, spill));
-            }
-            let mut out_of_states = false;
-            for (action, succ) in explorer.successors(&state) {
-                stats.transitions += 1;
-                let (succ, perm) = match &sym {
-                    Some(s) => s.canonicalize(net, &succ),
-                    None => (succ, 0),
-                };
-                if store.is_subsumed(&succ)? {
-                    if perm != 0 {
-                        stats.sym_avoided += 1;
-                    }
-                    continue;
-                }
-                if !gov.charge_state() {
-                    out_of_states = true;
-                    break;
-                }
-                store.insert(succ, (Some((idx, action)), perm))?;
-                peak = peak.max(store.waiting_len());
-            }
-            if out_of_states {
-                break;
-            }
-        }
-        stats.stored = store.stored();
-        let spill = store.metrics();
-        Ok((Verdict::Satisfied, stats, peak, dim, spill))
+        Ok((verdict, run.stats, run.peak, dim, store.metrics()))
     }
 
     /// Enumerates all reachable symbolic states (inclusion-reduced).
@@ -820,60 +841,30 @@ impl<'n> ModelChecker<'n> {
     ) -> Outcome<(Vec<SymState>, Stats)> {
         let gov = budget.governor();
         let explorer = Explorer::new(self.net);
-        let mut stats = Stats::default();
-        let mut peak = 0usize;
-        let mut states: Vec<SymState> = Vec::new();
-        let mut passed: HashMap<(Vec<LocationId>, Store), Vec<usize>> = HashMap::new();
-        let mut waiting: VecDeque<usize> = VecDeque::new();
-
-        let init = explorer.initial_state();
-        if gov.charge_state() {
-            passed.insert(init.discrete(), vec![0]);
-            states.push(init);
-            waiting.push_back(0);
-            peak = 1;
-        }
-
-        'explore: while let Some(idx) = waiting.pop_front() {
-            if !gov.check_time() {
-                break;
-            }
-            let state = states[idx].clone();
-            stats.explored += 1;
-            for (_, succ) in explorer.successors(&state) {
-                stats.transitions += 1;
-                let key = succ.discrete();
-                let entry = passed.entry(key).or_default();
-                if entry
-                    .iter()
-                    .any(|&i| succ.zone.is_subset_of(&states[i].zone))
-                {
-                    continue;
-                }
-                if !gov.charge_state() {
-                    break 'explore;
-                }
-                entry.retain(|&i| !states[i].zone.is_subset_of(&succ.zone));
-                states.push(succ);
-                let new_idx = states.len() - 1;
-                passed
-                    .get_mut(&states[new_idx].discrete())
-                    .expect("entry exists")
-                    .push(new_idx);
-                waiting.push_back(new_idx);
-                peak = peak.max(waiting.len());
-            }
-        }
-        stats.stored = passed.values().map(Vec::len).sum();
+        let mut store = ResidentStore::new();
+        let run = explore(
+            self.net,
+            &explorer,
+            |_: &SymState| false,
+            None,
+            None,
+            self.threads,
+            &mut store,
+            &gov,
+        )
+        .expect("a resident store never fails");
+        let states = (0..run.nodes)
+            .map(|id| store.load(id).expect("a resident store never fails"))
+            .collect();
         let report = exploration_report(
             &gov,
-            &stats,
-            peak,
+            &run.stats,
+            run.peak,
             self.net.dim(),
             self.net.dim(),
             SpillMetrics::default(),
         );
-        gov.finish((states, stats), report)
+        gov.finish((states, run.stats), report)
     }
 }
 

@@ -25,7 +25,7 @@
 //! 3. Identity *constants* that the model singles out (a literal id
 //!    compared with or assigned into a marked variable, or an id-marked
 //!    variable's initial value) are **pinned**: permutations must fix
-//!    them. The same holds for identities the goal or prune formula
+//!    them. The same holds for identities the goal formula
 //!    distinguishes, detected by checking invariance of the normalized
 //!    formula under each transposition.
 //!
@@ -115,7 +115,7 @@ type Candidate = (usize, Option<i64>, Vec<usize>);
 type ShapeEdge = (usize, usize, Option<(usize, bool)>);
 
 impl Symmetry {
-    /// Detects a usable orbit in `net`, with `formulas` (goal, prune, …)
+    /// Detects a usable orbit in `net`, with `formulas` (the goal, …)
     /// constraining which identities stay permutable. Returns `None`
     /// when no sound non-trivial group exists.
     #[must_use]

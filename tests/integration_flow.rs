@@ -210,7 +210,9 @@ fn flow_verdicts_match_unreduced_across_seeds_and_workers() {
             ExploreConfig::unreduced().with_lu(true).with_slice(true),
             ExploreConfig::default(),
         ];
+        let mut one_worker = Vec::new();
         for workers in 1..=4 {
+            let mut stats = Vec::new();
             for config in &configs {
                 let out = ModelChecker::new(&net)
                     .with_config(config.clone())
@@ -228,6 +230,7 @@ fn flow_verdicts_match_unreduced_across_seeds_and_workers() {
                     res.reachable, oracle.reachable,
                     "seed={seed} workers={workers}: reachability verdict moved"
                 );
+                stats.push(res.stats);
                 if res.reachable {
                     let trace = res.trace.as_ref().expect("reachable verdicts carry traces");
                     let concrete = realize(&net, trace, &goal)
@@ -235,7 +238,7 @@ fn flow_verdicts_match_unreduced_across_seeds_and_workers() {
                     replay(&net, &concrete, Some(&goal)).expect("independent replay accepts");
                 }
             }
-            let (dl, _) = ModelChecker::new(&net)
+            let (dl, dl_stats) = ModelChecker::new(&net)
                 .with_threads(workers)
                 .deadlock_free();
             assert_eq!(
@@ -243,6 +246,15 @@ fn flow_verdicts_match_unreduced_across_seeds_and_workers() {
                 oracle_dl.holds(),
                 "seed={seed} workers={workers}: deadlock verdict moved"
             );
+            stats.push(dl_stats);
+            if workers == 1 {
+                one_worker = stats;
+            } else {
+                assert_eq!(
+                    stats, one_worker,
+                    "seed={seed} workers={workers}: stats differ from the 1-worker run"
+                );
+            }
         }
     }
     assert!(totals.0 > 0, "LU tightening never fired across the sweep");

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use tempo_core::obs::{Budget, ExploreConfig, SpillConfig, SpillStore, StateStore};
+use tempo_core::obs::{Budget, ExploreConfig, RunReport, SpillConfig, SpillStore, StateStore};
 use tempo_core::ta::{Explorer, ModelChecker, SpillError, StateFormula, SymState, Trace};
 use tempo_core::witness::certify::{certified_reachable_with, Certificate};
 use tempo_core::witness::format;
@@ -40,6 +40,17 @@ fn assert_same_trace(a: &Option<Trace>, b: &Option<Trace>) {
             }
         }
         _ => panic!("one run produced a trace, the other did not"),
+    }
+}
+
+/// A report's worker-count-independent part: everything but the wall
+/// time and the spill faults (a parallel round may fault states that a
+/// hit then never reaches).
+fn counters(report: &RunReport) -> RunReport {
+    RunReport {
+        wall_time: std::time::Duration::ZERO,
+        spill_faults: 0,
+        ..report.clone()
     }
 }
 
@@ -230,7 +241,9 @@ proptest! {
     /// Verdict identity across worker counts and resident budgets: for
     /// any thread count 1–4 and any tiny budget, spilled and resident
     /// runs agree on reachability of both satisfiable and unsatisfiable
-    /// goals on the train-gate, and on WCET termination bounds.
+    /// goals on the train-gate, and on WCET termination bounds. The
+    /// spilled run's `Stats`, trace and `RunReport` counters (spilled
+    /// states and bytes included) equal the 1-worker spilled run's.
     #[test]
     fn spill_verdicts_match_resident_at_any_worker_count(
         threads in 1_usize..=4,
@@ -255,6 +268,13 @@ proptest! {
                 ram.value().reachable,
                 "train_gate({}) threads={} budget={}", n, threads, budget
             );
+            let one = ModelChecker::new(&tg.net)
+                .with_config(ExploreConfig::default().with_spill(&dir, budget))
+                .try_reachable_governed(goal, &Budget::unlimited())
+                .expect("1-worker spill run");
+            prop_assert_eq!(spill.value().stats, one.value().stats);
+            assert_same_trace(&spill.value().trace, &one.value().trace);
+            prop_assert_eq!(counters(spill.report()), counters(one.report()));
         }
 
         let prog = wcet_program(3);
@@ -268,6 +288,13 @@ proptest! {
             .try_reachable_governed(&prog.terminated(), &Budget::unlimited())
             .expect("spill run");
         prop_assert_eq!(spill.value().reachable, ram.value().reachable);
+        let one = ModelChecker::new(&prog.net)
+            .with_config(ExploreConfig::default().with_spill(&dir, budget))
+            .try_reachable_governed(&prog.terminated(), &Budget::unlimited())
+            .expect("1-worker spill run");
+        prop_assert_eq!(spill.value().stats, one.value().stats);
+        assert_same_trace(&spill.value().trace, &one.value().trace);
+        prop_assert_eq!(counters(spill.report()), counters(one.report()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,10 +1,12 @@
 //! Integration test: the parallel engines agree with the sequential
-//! reference paths. Parallel zone-graph reachability must return the same
-//! verdict (and a valid witness trace) as the sequential oracle on the
-//! train-gate at several thread counts, and parallel statistical model
-//! checking must be run-to-run deterministic for a fixed seed and thread
-//! count.
+//! reference paths. Zone-graph reachability, safety and deadlock checking
+//! must return the same verdict, the same witness trace and the same
+//! statistics on the train-gate at every worker count, and parallel
+//! statistical model checking must be run-to-run deterministic for a fixed
+//! seed and thread count.
 
+use std::time::Duration;
+use tempo_core::obs::{Budget, RunReport};
 use tempo_core::smc::StatisticalChecker;
 use tempo_core::ta::{Explorer, ModelChecker, Network, StateFormula, Trace};
 use tempo_core::tiga::GameSolver;
@@ -60,6 +62,15 @@ fn parallel_reach_matches_sequential_on_train_gate() {
                 par.reachable, seq.reachable,
                 "N={n}, threads={threads}: verdict must match the oracle"
             );
+            assert_eq!(
+                format!("{:?}", par.trace),
+                format!("{:?}", seq.trace),
+                "N={n}, threads={threads}: the witness must be the 1-worker trace"
+            );
+            assert_eq!(
+                par.stats, seq.stats,
+                "N={n}, threads={threads}: stats must match the 1-worker run"
+            );
             let trace = par.trace.expect("reachable result carries a witness");
             assert_valid_witness(&tg.net, &trace, &goal);
             assert!(par.stats.explored > 0, "stats must count explored states");
@@ -73,7 +84,21 @@ fn parallel_safety_and_deadlock_match_sequential() {
     for n in 2..=3 {
         let tg = train_gate(n);
         let (seq_safe, seq_stats) = ModelChecker::new(&tg.net).always(&tg.safety());
-        let (seq_dl, _) = ModelChecker::new(&tg.net).deadlock_free();
+        let (seq_dl, seq_dl_stats) = ModelChecker::new(&tg.net).deadlock_free();
+        // The safety and deadlock run reports, wall time cleared.
+        let reports = |threads: usize| {
+            let mc = || ModelChecker::new(&tg.net).with_threads(threads);
+            let unlimited = Budget::unlimited();
+            [
+                mc().always_governed(&tg.safety(), &unlimited).report().clone(),
+                mc().deadlock_free_governed(&unlimited).report().clone(),
+            ]
+            .map(|r| RunReport {
+                wall_time: Duration::ZERO,
+                ..r
+            })
+        };
+        let seq_reports = reports(1);
         for threads in [2, 3, 4] {
             let (par_safe, par_stats) = ModelChecker::new(&tg.net)
                 .with_threads(threads)
@@ -90,11 +115,28 @@ fn parallel_safety_and_deadlock_match_sequential() {
                 par_stats.stored, seq_stats.stored,
                 "N={n}, threads={threads}: fixpoint size must match"
             );
+            assert_eq!(par_stats, seq_stats, "N={n}, threads={threads}");
+            assert_eq!(
+                format!("{par_safe:?}"),
+                format!("{seq_safe:?}"),
+                "N={n}, threads={threads}: the safety verdict and trace must match"
+            );
             let (par_dl, dl_stats) = ModelChecker::new(&tg.net)
                 .with_threads(threads)
                 .deadlock_free();
             assert_eq!(par_dl.holds(), seq_dl.holds(), "N={n}, threads={threads}");
             assert!(dl_stats.stored > 0);
+            assert_eq!(dl_stats, seq_dl_stats, "N={n}, threads={threads}");
+            assert_eq!(
+                format!("{par_dl:?}"),
+                format!("{seq_dl:?}"),
+                "N={n}, threads={threads}: the deadlock verdict and trace must match"
+            );
+            assert_eq!(
+                reports(threads),
+                seq_reports,
+                "N={n}, threads={threads}: run reports must match"
+            );
         }
     }
 }

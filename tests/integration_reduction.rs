@@ -181,6 +181,7 @@ fn por_and_symmetry_verdicts_match_unreduced_across_seeds_and_workers() {
         let (oracle_dl, _) = ModelChecker::new(&net)
             .with_config(ExploreConfig::unreduced())
             .deadlock_free();
+        let mut one_worker = None;
         for workers in 1..=4 {
             let res = ModelChecker::new(&net)
                 .with_threads(workers)
@@ -208,6 +209,11 @@ fn por_and_symmetry_verdicts_match_unreduced_across_seeds_and_workers() {
             );
             ample_total += dl_stats.por_ample;
             sym_total += dl_stats.sym_avoided;
+            assert_eq!(
+                (res.stats, dl_stats),
+                *one_worker.get_or_insert((res.stats, dl_stats)),
+                "seed={seed} workers={workers}: stats differ from the 1-worker run"
+            );
         }
     }
     assert!(ample_total > 0, "POR never fired across the whole sweep");

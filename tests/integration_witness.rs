@@ -412,9 +412,9 @@ fn mcpta_scheduler_certificate_on_brp() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every trace produced by the parallel zone-graph engine — at any
-    /// thread count — realizes into a concrete run that the independent
-    /// replay validator accepts.
+    /// Every trace produced by the zone-graph engine — at any thread
+    /// count — is the 1-worker trace and realizes into a concrete run that
+    /// the independent replay validator accepts.
     #[test]
     fn parallel_traces_always_replay(threads in 1usize..=4, train in 0usize..2) {
         let tg = train_gate(2);
@@ -422,6 +422,8 @@ proptest! {
         let mut mc = ModelChecker::new(&tg.net).with_threads(threads);
         let res = mc.reachable(&goal);
         prop_assert!(res.reachable);
+        let one = ModelChecker::new(&tg.net).reachable(&goal);
+        prop_assert_eq!(format!("{:?}", res.trace), format!("{:?}", one.trace));
         let trace = res.trace.expect("reachable verdicts carry traces");
         let concrete = realize(&tg.net, &trace, &goal).expect("realizable");
         replay(&tg.net, &concrete, Some(&goal)).expect("independent replay accepts");
