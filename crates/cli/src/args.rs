@@ -133,7 +133,11 @@ fn parse_budget(spec: &str) -> Result<Budget, String> {
             "iters" => b.max_iterations = Some(num(value)?),
             "runs" => b.max_runs = Some(num(value)?),
             "time" => {
-                let (digits, unit) = value.split_at(value.find(|c: char| !c.is_ascii_digit()).ok_or_else(|| format!("budget time `{value}` needs a unit (s or ms)"))?);
+                let (digits, unit) = value.split_at(
+                    value
+                        .find(|c: char| !c.is_ascii_digit())
+                        .ok_or_else(|| format!("budget time `{value}` needs a unit (s or ms)"))?,
+                );
                 let n = num(digits)?;
                 b.wall = Some(match unit {
                     "s" => Duration::from_secs(n),
@@ -190,8 +194,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, String> {
             }
             "--engine" => {
                 let v = value("--engine")?;
-                args.engine =
-                    Engine::parse(&v).ok_or_else(|| format!("unknown engine `{v}`"))?;
+                args.engine = Engine::parse(&v).ok_or_else(|| format!("unknown engine `{v}`"))?;
             }
             "--threads" => {
                 let v = value("--threads")?;

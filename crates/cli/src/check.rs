@@ -167,11 +167,7 @@ impl From<ParseError> for PlanError {
     }
 }
 
-fn goal_on_net(
-    set: &MachineSet,
-    net: &Network,
-    f: &Formula,
-) -> Result<StateFormula, ParseError> {
+fn goal_on_net(set: &MachineSet, net: &Network, f: &Formula) -> Result<StateFormula, ParseError> {
     tempo_lang::lower_formula_network(set, net, f)
 }
 
@@ -256,7 +252,10 @@ fn plan(
                 rule: Decide::Bool(true),
             })
         }
-        (AssertKind::Pmax(f, cmp, p) | AssertKind::Pmin(f, cmp, p), Engine::Auto | Engine::Mcpta) => {
+        (
+            AssertKind::Pmax(f, cmp, p) | AssertKind::Pmin(f, cmp, p),
+            Engine::Auto | Engine::Mcpta,
+        ) => {
             let pta = sub.pta()?;
             let goal = tempo_lang::lower_formula_pta(set, &pta, f)?;
             let opt = match kind {
@@ -387,10 +386,7 @@ fn assert_json(a: &AssertOutcome) -> Json {
             a.value
                 .map_or(Json::Null, |v| Json::str(&Fingerprint::hex64(v))),
         ),
-        (
-            "source".to_owned(),
-            a.source.map_or(Json::Null, Json::str),
-        ),
+        ("source".to_owned(), a.source.map_or(Json::Null, Json::str)),
         (
             "report".to_owned(),
             a.report.as_ref().map_or(Json::Null, report_json),
@@ -415,10 +411,7 @@ fn result_doc(
     Json::Obj(vec![
         ("schema".to_owned(), Json::str("tempo-result v1")),
         ("file".to_owned(), Json::str(file)),
-        (
-            "input_sha256".to_owned(),
-            sha.map_or(Json::Null, Json::str),
-        ),
+        ("input_sha256".to_owned(), sha.map_or(Json::Null, Json::str)),
         (
             "model_fingerprint".to_owned(),
             fingerprint.map_or(Json::Null, Json::str),
@@ -429,10 +422,7 @@ fn result_doc(
         ),
         ("engine".to_owned(), Json::str(&engine.to_string())),
         ("status".to_owned(), Json::str(status.label())),
-        (
-            "exit_code".to_owned(),
-            Json::int(i64::from(status.code())),
-        ),
+        ("exit_code".to_owned(), Json::int(i64::from(status.code()))),
         (
             "asserts".to_owned(),
             Json::Arr(asserts.iter().map(assert_json).collect()),
@@ -667,11 +657,7 @@ pub fn run_check(args: &CheckArgs) -> CheckOutcome {
 
     let mut human = String::new();
     for o in &outcomes {
-        let detail = o
-            .verdict
-            .as_deref()
-            .or(o.message.as_deref())
-            .unwrap_or("");
+        let detail = o.verdict.as_deref().or(o.message.as_deref()).unwrap_or("");
         let _ = writeln!(
             human,
             "  assert {}: {}  {}  [{}{}]",

@@ -24,7 +24,10 @@ fn corpus_files() -> Vec<PathBuf> {
         .filter(|p| p.extension().is_some_and(|e| e == "tempo"))
         .collect();
     files.sort();
-    assert!(files.len() >= 20, "corpus should hold the graded problem set");
+    assert!(
+        files.len() >= 20,
+        "corpus should hold the graded problem set"
+    );
     files
 }
 
@@ -87,15 +90,27 @@ fn assert_schema(file: &Path, r: &RunResult) {
         Some("tempo-result v1"),
         "{name}: schema tag"
     );
-    assert!(doc.get("file").and_then(Json::as_str).is_some(), "{name}: file field");
+    assert!(
+        doc.get("file").and_then(Json::as_str).is_some(),
+        "{name}: file field"
+    );
     let sha = doc
         .get("input_sha256")
         .and_then(Json::as_str)
         .unwrap_or_else(|| panic!("{name}: input_sha256 missing"));
     assert_eq!(sha.len(), 64, "{name}: sha256 is 64 hex chars");
-    assert!(sha.chars().all(|c| c.is_ascii_hexdigit()), "{name}: sha256 is hex");
-    assert!(doc.get("seed").and_then(Json::as_num).is_some(), "{name}: seed field");
-    assert!(doc.get("engine").and_then(Json::as_str).is_some(), "{name}: engine field");
+    assert!(
+        sha.chars().all(|c| c.is_ascii_hexdigit()),
+        "{name}: sha256 is hex"
+    );
+    assert!(
+        doc.get("seed").and_then(Json::as_num).is_some(),
+        "{name}: seed field"
+    );
+    assert!(
+        doc.get("engine").and_then(Json::as_str).is_some(),
+        "{name}: engine field"
+    );
     let status = doc
         .get("status")
         .and_then(Json::as_str)
@@ -106,7 +121,10 @@ fn assert_schema(file: &Path, r: &RunResult) {
         .unwrap_or_else(|| panic!("{name}: exit_code missing"));
     #[allow(clippy::cast_possible_truncation)]
     let exit_code = exit_code as i32;
-    assert_eq!(exit_code, r.code, "{name}: exit_code field matches process exit");
+    assert_eq!(
+        exit_code, r.code,
+        "{name}: exit_code field matches process exit"
+    );
     assert!(
         doc.get("duration_ms").and_then(Json::as_num).is_some(),
         "{name}: duration_ms field"
@@ -120,7 +138,10 @@ fn assert_schema(file: &Path, r: &RunResult) {
             a.get("index").and_then(Json::as_num).is_some(),
             "{name}: assert {i} index"
         );
-        assert!(a.get("query").and_then(Json::as_str).is_some(), "{name}: assert {i} query");
+        assert!(
+            a.get("query").and_then(Json::as_str).is_some(),
+            "{name}: assert {i} query"
+        );
         assert!(
             a.get("engine").and_then(Json::as_str).is_some(),
             "{name}: assert {i} engine"
@@ -132,7 +153,9 @@ fn assert_schema(file: &Path, r: &RunResult) {
     }
     if status == "pass" || status == "fail" {
         assert!(
-            doc.get("model_fingerprint").and_then(Json::as_str).is_some(),
+            doc.get("model_fingerprint")
+                .and_then(Json::as_str)
+                .is_some(),
             "{name}: model_fingerprint on a checked model"
         );
     }
@@ -140,7 +163,10 @@ fn assert_schema(file: &Path, r: &RunResult) {
         let error = doc
             .get("error")
             .unwrap_or_else(|| panic!("{name}: error object missing"));
-        assert!(error.get("code").and_then(Json::as_str).is_some(), "{name}: error code");
+        assert!(
+            error.get("code").and_then(Json::as_str).is_some(),
+            "{name}: error code"
+        );
         assert!(
             error.get("message").and_then(Json::as_str).is_some(),
             "{name}: error message"
@@ -179,7 +205,10 @@ fn corpus_expected_verdicts() {
             Expectation::Pass => {
                 assert_eq!(r.code, 0, "{name}: expected pass");
                 assert_eq!(status, "pass", "{name}: status");
-                assert!(failing_indices(&r.doc).is_empty(), "{name}: no failing asserts");
+                assert!(
+                    failing_indices(&r.doc).is_empty(),
+                    "{name}: no failing asserts"
+                );
             }
             Expectation::Fail(indices) => {
                 assert_eq!(r.code, 1, "{name}: expected fail");
@@ -212,7 +241,12 @@ fn corpus_deterministic_across_worker_counts() {
         let header = parse_header(&source).expect("graded header");
         let one = run_tempo(&file, header.engine.as_deref(), 1);
         let four = run_tempo(&file, header.engine.as_deref(), 4);
-        assert_eq!(one.code, four.code, "{}: exit code is worker-count independent", file.display());
+        assert_eq!(
+            one.code,
+            four.code,
+            "{}: exit code is worker-count independent",
+            file.display()
+        );
         assert_eq!(
             normalize(&one.doc).render(),
             normalize(&four.doc).render(),
@@ -237,7 +271,11 @@ fn usage_errors_exit_6() {
             .args(*argv)
             .output()
             .expect("spawn tempo binary");
-        assert_eq!(out.status.code(), Some(6), "argv {argv:?} should be a usage error");
+        assert_eq!(
+            out.status.code(),
+            Some(6),
+            "argv {argv:?} should be a usage error"
+        );
     }
 }
 
@@ -247,7 +285,14 @@ fn usage_errors_exit_6() {
 fn out_of_range_assert_index_exits_6() {
     let file = corpus_dir().join("P100_handshake.tempo");
     let out = Command::new(env!("CARGO_BIN_EXE_tempo"))
-        .args(["check", file.to_str().unwrap(), "--assert", "99", "--json", "-"])
+        .args([
+            "check",
+            file.to_str().unwrap(),
+            "--assert",
+            "99",
+            "--json",
+            "-",
+        ])
         .output()
         .expect("spawn tempo binary");
     assert_eq!(out.status.code(), Some(6), "out-of-range assert index");
@@ -336,7 +381,10 @@ fn help_and_version() {
         .expect("spawn tempo binary");
     assert_eq!(help.status.code(), Some(0));
     let text = String::from_utf8(help.stdout).expect("utf8 help");
-    assert!(text.contains("tempo check"), "usage mentions the check subcommand");
+    assert!(
+        text.contains("tempo check"),
+        "usage mentions the check subcommand"
+    );
     assert!(text.contains("--json"), "usage documents --json");
 
     let version = Command::new(env!("CARGO_BIN_EXE_tempo"))
@@ -345,7 +393,10 @@ fn help_and_version() {
         .expect("spawn tempo binary");
     assert_eq!(version.status.code(), Some(0));
     let text = String::from_utf8(version.stdout).expect("utf8 version");
-    assert!(text.starts_with("tempo "), "version line starts with the tool name");
+    assert!(
+        text.starts_with("tempo "),
+        "version line starts with the tool name"
+    );
 }
 
 /// Inside one service, resubmitting a corpus query hits the warm
@@ -378,7 +429,11 @@ fn warm_svc_cache_hit_renders_identically() {
     };
     let cold = submit();
     let warm = submit();
-    assert_eq!(warm.source, tempo_svc::VerdictSource::MemoryHit, "second run is a cache hit");
+    assert_eq!(
+        warm.source,
+        tempo_svc::VerdictSource::MemoryHit,
+        "second run is a cache hit"
+    );
     assert_eq!(
         cold.verdict.render(),
         warm.verdict.render(),

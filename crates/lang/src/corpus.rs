@@ -104,8 +104,10 @@ mod tests {
 
     #[test]
     fn parses_pass_and_engine() {
-        let h = parse_header("-- P101: a tiny model\n-- expect: pass\n-- engine: ta\n\nprocess P = STOP\nsystem P\n")
-            .expect("header");
+        let h = parse_header(
+            "-- P101: a tiny model\n-- expect: pass\n-- engine: ta\n\nprocess P = STOP\nsystem P\n",
+        )
+        .expect("header");
         assert_eq!(h.expect, Expectation::Pass);
         assert_eq!(h.engine.as_deref(), Some("ta"));
     }

@@ -168,8 +168,8 @@ fn rcc_atoms(
     rcc: &Rcc,
     clock: impl Fn(&str) -> Option<Clock>,
 ) -> Result<Vec<ClockAtom>, ParseError> {
-    let x = clock(&rcc.clock)
-        .ok_or_else(|| err("TL102", format!("unknown clock `{}`", rcc.clock)))?;
+    let x =
+        clock(&rcc.clock).ok_or_else(|| err("TL102", format!("unknown clock `{}`", rcc.clock)))?;
     match &rcc.minus {
         None => Ok(match rcc.op {
             CmpOp::Le => vec![ClockAtom::le(x, rcc.bound)],
@@ -180,8 +180,7 @@ fn rcc_atoms(
             CmpOp::Ne => return Err(err("TL006", "`!=` clock constraints are not supported")),
         }),
         Some(yname) => {
-            let y = clock(yname)
-                .ok_or_else(|| err("TL102", format!("unknown clock `{yname}`")))?;
+            let y = clock(yname).ok_or_else(|| err("TL102", format!("unknown clock `{yname}`")))?;
             Ok(match rcc.op {
                 CmpOp::Le => vec![ClockAtom::diff(x, y, Bound::le(rcc.bound))],
                 CmpOp::Lt => vec![ClockAtom::diff(x, y, Bound::lt(rcc.bound))],
@@ -758,7 +757,10 @@ pub fn to_tioa(set: &MachineSet, comp: &str) -> Result<Tioa, ParseError> {
         if s.committed {
             return Err(err(
                 "TL103",
-                format!("committed state `{}` is not supported by the refinement engine", s.name),
+                format!(
+                    "committed state `{}` is not supported by the refinement engine",
+                    s.name
+                ),
             ));
         }
         let mut inv = Vec::new();
@@ -878,7 +880,10 @@ system Sender || {go} Receiver
         let goal = lower_formula_network(
             &set,
             &net,
-            &Formula::AtLoc(crate::ast::Ident::new("Receiver"), crate::ast::Ident::new("Done")),
+            &Formula::AtLoc(
+                crate::ast::Ident::new("Receiver"),
+                crate::ast::Ident::new("Done"),
+            ),
         )
         .expect("goal");
         let mut mc = ModelChecker::new(&net);
@@ -903,14 +908,22 @@ system Sender || {go} Receiver
         let goal = lower_formula_pta(
             &set,
             &pta,
-            &Formula::AtLoc(crate::ast::Ident::new("Receiver"), crate::ast::Ident::new("Done")),
+            &Formula::AtLoc(
+                crate::ast::Ident::new("Receiver"),
+                crate::ast::Ident::new("Done"),
+            ),
         )
         .expect("goal");
         let mcpta = tempo_modest::Mcpta::try_build(&pta, &[], &Budget::unlimited())
             .into_value()
             .expect("built");
-        let p = mcpta.pmax_governed(&goal, &Budget::unlimited()).into_value();
-        assert!((p - 1.0).abs() < 1e-9, "goal reachable with probability 1, got {p}");
+        let p = mcpta
+            .pmax_governed(&goal, &Budget::unlimited())
+            .into_value();
+        assert!(
+            (p - 1.0).abs() < 1e-9,
+            "goal reachable with probability 1, got {p}"
+        );
     }
 
     #[test]

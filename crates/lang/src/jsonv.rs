@@ -271,8 +271,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     while *pos < bytes.len()
-        && (bytes[*pos].is_ascii_digit()
-            || matches!(bytes[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
+        && (bytes[*pos].is_ascii_digit() || matches!(bytes[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
     {
         *pos += 1;
     }

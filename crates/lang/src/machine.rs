@@ -227,7 +227,10 @@ fn fold(
         IntExpr::Index(id, _) => Err(err(
             id.span,
             "TL101",
-            format!("array element `{}[..]` is not a compile-time constant", id.name),
+            format!(
+                "array element `{}[..]` is not a compile-time constant",
+                id.name
+            ),
         )),
         IntExpr::Neg(x) => Ok(fold(x, params, env, span)?.wrapping_neg()),
         IntExpr::Bin(op, a, b) => {
@@ -239,7 +242,11 @@ fn fold(
                 IntOp::Mul => a.wrapping_mul(b),
                 IntOp::Div => {
                     if b == 0 {
-                        return Err(err(span, "TL101", "division by zero in constant expression"));
+                        return Err(err(
+                            span,
+                            "TL101",
+                            "division by zero in constant expression",
+                        ));
                     }
                     a.wrapping_div(b)
                 }
@@ -537,9 +544,13 @@ impl MachineBuilder<'_> {
         // Expansion is deferred to the drain loop in `build` so that
         // long call chains (Count(0) → Count(1) → …) consume worklist
         // entries, not stack frames.
-        self.model
-            .process(&callee.name)
-            .ok_or_else(|| err(callee.span, "TL105", format!("undefined process `{}`", callee.name)))?;
+        self.model.process(&callee.name).ok_or_else(|| {
+            err(
+                callee.span,
+                "TL105",
+                format!("undefined process `{}`", callee.name),
+            )
+        })?;
         self.pending.push((idx, callee.clone(), args.to_vec()));
         Ok(idx)
     }
@@ -548,7 +559,11 @@ impl MachineBuilder<'_> {
     fn drain(&mut self) -> Result<(), ParseError> {
         while let Some((idx, callee, args)) = self.pending.pop() {
             let def = self.model.process(&callee.name).ok_or_else(|| {
-                err(callee.span, "TL105", format!("undefined process `{}`", callee.name))
+                err(
+                    callee.span,
+                    "TL105",
+                    format!("undefined process `{}`", callee.name),
+                )
             })?;
             let env: HashMap<String, i64> = def
                 .params
@@ -736,7 +751,11 @@ impl MachineBuilder<'_> {
                     ));
                 }
                 let def = self.model.process(&callee.name).ok_or_else(|| {
-                    err(callee.span, "TL105", format!("undefined process `{}`", callee.name))
+                    err(
+                        callee.span,
+                        "TL105",
+                        format!("undefined process `{}`", callee.name),
+                    )
                 })?;
                 let callee_env: HashMap<String, i64> = def
                     .params
@@ -759,12 +778,13 @@ impl MachineBuilder<'_> {
         cr: &ClockRef,
         env: &HashMap<String, i64>,
     ) -> Result<String, ParseError> {
-        let size = self
-            .clock_sizes
-            .get(&cr.name.name)
-            .ok_or_else(|| {
-                err(cr.name.span, "TL103", format!("`{}` is not a clock", cr.name.name))
-            })?;
+        let size = self.clock_sizes.get(&cr.name.name).ok_or_else(|| {
+            err(
+                cr.name.span,
+                "TL103",
+                format!("`{}` is not a clock", cr.name.name),
+            )
+        })?;
         match (size, &cr.index) {
             (None, None) => Ok(cr.name.name.clone()),
             (Some(n), Some(e)) => {
@@ -773,7 +793,10 @@ impl MachineBuilder<'_> {
                     return Err(err(
                         cr.name.span,
                         "TL102",
-                        format!("index {i} out of range for clock array `{}[{n}]`", cr.name.name),
+                        format!(
+                            "index {i} out of range for clock array `{}[{n}]`",
+                            cr.name.name
+                        ),
                     ));
                 }
                 Ok(format!("{}[{i}]", cr.name.name))

@@ -34,9 +34,34 @@ use tempo_obs::Diagnostic;
 
 /// Words that cannot be used as declaration or process names.
 const RESERVED: &[&str] = &[
-    "param", "channel", "urgent", "broadcast", "clock", "var", "process", "system", "assert",
-    "when", "inv", "tau", "STOP", "SKIP", "true", "false", "as", "deadlock", "free", "refines",
-    "ioco", "E", "A", "Pmax", "Pmin", "Pr", "runs", "confidence",
+    "param",
+    "channel",
+    "urgent",
+    "broadcast",
+    "clock",
+    "var",
+    "process",
+    "system",
+    "assert",
+    "when",
+    "inv",
+    "tau",
+    "STOP",
+    "SKIP",
+    "true",
+    "false",
+    "as",
+    "deadlock",
+    "free",
+    "refines",
+    "ioco",
+    "E",
+    "A",
+    "Pmax",
+    "Pmin",
+    "Pr",
+    "runs",
+    "confidence",
 ];
 
 /// A frontend error: the first problem the lexer or parser hit.
@@ -213,13 +238,14 @@ impl Parser {
             match self.peek().clone() {
                 Tok::Eof => break,
                 Tok::Ident(kw) => {
-                    let decl_like =
-                        matches!(kw.as_str(), "param" | "channel" | "urgent" | "broadcast" | "clock" | "var");
+                    let decl_like = matches!(
+                        kw.as_str(),
+                        "param" | "channel" | "urgent" | "broadcast" | "clock" | "var"
+                    );
                     if decl_like && seen_process {
-                        return Err(self.err(
-                            "TL002",
-                            "declarations must precede process definitions",
-                        ));
+                        return Err(
+                            self.err("TL002", "declarations must precede process definitions")
+                        );
                     }
                     match kw.as_str() {
                         "param" => m.params.push(self.param_decl()?),
@@ -265,7 +291,11 @@ impl Parser {
         let value = match self.peek().clone() {
             Tok::Int(v) => {
                 self.bump();
-                if neg { -v } else { v }
+                if neg {
+                    -v
+                } else {
+                    v
+                }
             }
             other => return Err(self.err("TL002", format!("expected an integer, found {other}"))),
         };
@@ -451,8 +481,7 @@ impl Parser {
         if self.at_kw("tau") {
             return self.prefix_tail(Vec::new(), formals);
         }
-        if matches!(self.peek(), Tok::Ident(_))
-            && matches!(self.peek2(), Tok::Bang | Tok::Question)
+        if matches!(self.peek(), Tok::Ident(_)) && matches!(self.peek2(), Tok::Bang | Tok::Question)
         {
             return self.prefix_tail(Vec::new(), formals);
         }
@@ -551,7 +580,10 @@ impl Parser {
         Ok(op)
     }
 
-    fn clock_constraint(&mut self, formals: &HashSet<String>) -> Result<ClockConstraint, ParseError> {
+    fn clock_constraint(
+        &mut self,
+        formals: &HashSet<String>,
+    ) -> Result<ClockConstraint, ParseError> {
         let clock = self.clock_ref(formals)?;
         let minus = if self.eat(&Tok::Minus) {
             Some(self.clock_ref(formals)?)
@@ -678,7 +710,9 @@ impl Parser {
                 {
                     return Err(self.err(
                         "TL003",
-                        format!("`{name}` is not a declared variable, parameter or process parameter"),
+                        format!(
+                            "`{name}` is not a declared variable, parameter or process parameter"
+                        ),
                     ));
                 }
                 let id = self.ident()?;

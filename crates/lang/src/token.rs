@@ -370,9 +370,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
             b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
                 let start = i;
                 let start_col = col;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                     col += 1;
                 }
@@ -387,7 +385,10 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
             _ => {
                 return Err(LexError {
                     span: Span { line, col },
-                    message: format!("unexpected character `{}`", source[i..].chars().next().unwrap_or('?')),
+                    message: format!(
+                        "unexpected character `{}`",
+                        source[i..].chars().next().unwrap_or('?')
+                    ),
                 });
             }
         }

@@ -73,7 +73,10 @@ fn gen_case(rng: &mut StdRng) -> Case {
         } else {
             String::new()
         };
-        let _ = writeln!(src, "process {name} = inv {{x <= {d}}} {guard}{ch}! {{x := 0}} -> {next}");
+        let _ = writeln!(
+            src,
+            "process {name} = inv {{x <= {d}}} {guard}{ch}! {{x := 0}} -> {next}"
+        );
     }
     let _ = writeln!(src, "process Done = STOP");
 

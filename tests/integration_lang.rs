@@ -183,10 +183,9 @@ fn gen_formula(rng: &mut StdRng, pools: &Pools, instances: &[String], depth: u32
                     IntExpr::Lit(rng.gen_range(0..=hi)),
                 )
             }
-            _ if !instances.is_empty() => Formula::AtLoc(
-                ident(pick(rng, instances)),
-                ident(pick(rng, &pools.procs)),
-            ),
+            _ if !instances.is_empty() => {
+                Formula::AtLoc(ident(pick(rng, instances)), ident(pick(rng, &pools.procs)))
+            }
             _ => Formula::True,
         };
     }
@@ -245,10 +244,7 @@ fn gen_assert(rng: &mut StdRng, pools: &Pools, instances: &[String]) -> AssertKi
         },
         _ => {
             if rng.gen_bool(0.5) {
-                AssertKind::Refines(
-                    ident(pick(rng, instances)),
-                    ident(pick(rng, instances)),
-                )
+                AssertKind::Refines(ident(pick(rng, instances)), ident(pick(rng, instances)))
             } else {
                 AssertKind::Ioco(ident(pick(rng, instances)), ident(pick(rng, instances)))
             }
@@ -437,8 +433,10 @@ fn corpus_goldens_are_canonical() {
             "{name}: canonical rendering drifted from tests/golden/{name}.tempo \
              (re-bless with TEMPO_BLESS=1 if intentional)"
         );
-        let reparsed =
-            parse(&golden).unwrap_or_else(|e| panic!("{name}: golden must parse: {e}"));
-        assert_eq!(reparsed, model, "{name}: golden parses back to the corpus model");
+        let reparsed = parse(&golden).unwrap_or_else(|e| panic!("{name}: golden must parse: {e}"));
+        assert_eq!(
+            reparsed, model,
+            "{name}: golden parses back to the corpus model"
+        );
     }
 }

@@ -90,7 +90,9 @@ fn parallel_safety_and_deadlock_match_sequential() {
             let mc = || ModelChecker::new(&tg.net).with_threads(threads);
             let unlimited = Budget::unlimited();
             [
-                mc().always_governed(&tg.safety(), &unlimited).report().clone(),
+                mc().always_governed(&tg.safety(), &unlimited)
+                    .report()
+                    .clone(),
                 mc().deadlock_free_governed(&unlimited).report().clone(),
             ]
             .map(|r| RunReport {
