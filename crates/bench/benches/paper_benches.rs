@@ -281,8 +281,9 @@ fn p1_parallel_reach(c: &mut Criterion) {
 fn p2_parallel_smc(c: &mut Criterion) {
     let mut group = c.benchmark_group("p2_parallel_smc");
     group.sample_size(10);
-    // Batch simulation on the 3-train gate with the run budget partitioned
-    // across workers (per-worker RNG streams derived from the seed).
+    // Batch simulation on the 3-train gate with the trials split across
+    // workers in contiguous blocks (each trial seeded by its index, so
+    // the CDF is the same at every worker count).
     let tg = train_gate(3);
     for threads in [1_usize, 2, 4] {
         group.bench_with_input(

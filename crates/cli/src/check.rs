@@ -384,7 +384,7 @@ fn assert_json(a: &AssertOutcome) -> Json {
             // Bit-exact: the numeric value travels as its hex64 bit
             // pattern, like the verdict line's floats.
             a.value
-                .map_or(Json::Null, |v| Json::str(&Fingerprint::hex64(v))),
+                .map_or(Json::Null, |v| Json::str(Fingerprint::hex64(v))),
         ),
         ("source".to_owned(), a.source.map_or(Json::Null, Json::str)),
         (
@@ -420,7 +420,7 @@ fn result_doc(
             "seed".to_owned(),
             Json::int(i64::try_from(seed).unwrap_or(i64::MAX)),
         ),
-        ("engine".to_owned(), Json::str(&engine.to_string())),
+        ("engine".to_owned(), Json::str(engine.to_string())),
         ("status".to_owned(), Json::str(status.label())),
         ("exit_code".to_owned(), Json::int(i64::from(status.code()))),
         (

@@ -12,15 +12,15 @@
 //! * [`CancelToken`] — a shared flag for cooperative cancellation;
 //! * [`ShardedMap`] — a mutex-striped hash map, the analysis service's
 //!   in-memory verdict cache;
-//! * [`split_budget`] / [`derive_stream_seed`] — deterministic partitioning
-//!   of a trace budget and per-worker RNG stream derivation for reproducible
-//!   parallel simulation.
+//! * [`run_blocks`] — the index partitioner: contiguous [`split_budget`]
+//!   blocks of `0..n`, one per worker, joined in index order;
+//! * [`trial_seed`] / [`derive_stream_seed`] — RNG seeds derived from a
+//!   trial's index, never from the worker that runs it.
 //!
-//! Determinism contract: engines built on these helpers merge per-worker
-//! results in worker-index order, so for a fixed seed *and* fixed thread
-//! count the merged outcome is bitwise-reproducible. Exploration engines
-//! (zone graphs, fixpoints) additionally compute exact, order-independent
-//! verdicts, so their verdicts are identical at any thread count.
+//! Determinism contract: work is partitioned by index and joined in index
+//! order, and simulation trials are seeded by index, so an engine built on
+//! these helpers computes the same result at any thread count — the
+//! one-worker path is the same code with one block.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,14 +33,14 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// The worker-pool configuration: how many OS threads an analysis may use.
 ///
 /// `ParallelConfig::default()` resolves to the machine's available
-/// parallelism; `sequential()` pins the engines to their single-threaded
-/// reference path.
+/// parallelism; `sequential()` pins the engines to one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelConfig {
     threads: Option<NonZeroUsize>,
@@ -76,7 +76,7 @@ impl ParallelConfig {
         }
     }
 
-    /// Whether this configuration resolves to the sequential path.
+    /// Whether this configuration resolves to one worker.
     #[must_use]
     pub fn is_sequential(&self) -> bool {
         self.threads() == 1
@@ -111,6 +111,7 @@ where
             .collect()
     })
 }
+
 /// Split a total work budget into `parts` near-equal chunks, largest first.
 /// The split is deterministic and exhaustive: the chunks sum to `total`.
 #[must_use]
@@ -121,19 +122,63 @@ pub fn split_budget(total: usize, parts: usize) -> Vec<usize> {
     (0..parts).map(|i| base + usize::from(i < extra)).collect()
 }
 
-/// Derive the RNG stream seed for worker `worker` from a base seed.
+/// Run `f` over the indices `0..n` on up to `threads` workers and return
+/// the outputs in index order.
 ///
-/// Uses a SplitMix64-style mix so that nearby worker indices produce
+/// `0..n` is cut into contiguous [`split_budget`] blocks, one per worker
+/// (never more workers than indices), and the per-block outputs are
+/// concatenated in block order. At one worker `f` sees all of `0..n` on
+/// the calling thread, so the sequential path is the same code. A block
+/// may stop early (say, at a deadline) and return fewer items than it
+/// holds; its items still land in index order.
+///
+/// # Panics
+///
+/// Propagates a panic from any worker.
+pub fn run_blocks<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>) -> Vec<T> + Sync,
+{
+    let mut start = 0;
+    let blocks: Vec<Range<usize>> = split_budget(n, threads.min(n))
+        .into_iter()
+        .map(|len| {
+            start += len;
+            start - len..start
+        })
+        .collect();
+    run_workers(blocks.len(), |w| f(blocks[w].clone()))
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// Derive the seed of RNG stream `index` from a base seed.
+///
+/// Uses a SplitMix64-style mix so that nearby indices produce
 /// uncorrelated streams; the derivation is pure, so a fixed
-/// `(seed, thread-count)` pair always reproduces the same streams.
+/// `(seed, index)` pair always reproduces the same stream.
 #[must_use]
-pub fn derive_stream_seed(seed: u64, worker: usize) -> u64 {
+pub fn derive_stream_seed(seed: u64, index: usize) -> u64 {
     let mut z = seed
         .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add((worker as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9));
+        .wrapping_add((index as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The RNG seed of trial `trial` in query `epoch` of an experiment seeded
+/// with `seed`.
+///
+/// Simulation engines seed every trial from its index, never from the
+/// worker that runs it, so any split of the trials over workers draws the
+/// same samples, and a certificate can regenerate trial `trial` alone.
+#[must_use]
+pub fn trial_seed(seed: u64, epoch: u64, trial: usize) -> u64 {
+    let epoch_seed = seed.wrapping_add(epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    derive_stream_seed(epoch_seed, trial)
 }
 
 /// A shared cancellation flag for cooperative early termination.
@@ -450,6 +495,33 @@ mod tests {
             assert_eq!(chunks.len(), parts);
             assert!(chunks.iter().max().unwrap() - chunks.iter().min().unwrap() <= 1);
         }
+    }
+
+    #[test]
+    fn blocks_join_in_index_order_at_any_worker_count() {
+        for threads in 1..=5 {
+            assert_eq!(
+                run_blocks(10, threads, |block| block.collect()),
+                (0..10).collect::<Vec<_>>()
+            );
+            assert!(run_blocks(0, threads, |block| block.collect::<Vec<_>>()).is_empty());
+            // A block that stops early keeps its prefix, in order.
+            let stopped = run_blocks(10, threads, |block| {
+                block.take_while(|i| i % 5 != 4).collect::<Vec<_>>()
+            });
+            assert!(stopped.windows(2).all(|w| w[0] < w[1]));
+            assert!(!stopped.contains(&4) && stopped.starts_with(&[0, 1, 2, 3]));
+        }
+        assert_eq!(run_blocks(3, 8, |block| vec![block.len()]), vec![1, 1, 1]);
+    }
+
+    #[test]
+    fn trial_seeds_depend_on_seed_epoch_and_index_only() {
+        assert_eq!(trial_seed(42, 3, 7), trial_seed(42, 3, 7));
+        let seeds: std::collections::HashSet<u64> = (0..4)
+            .flat_map(|epoch| (0..64).map(move |t| trial_seed(42, epoch, t)))
+            .collect();
+        assert_eq!(seeds.len(), 4 * 64);
     }
 
     #[test]

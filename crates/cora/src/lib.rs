@@ -39,7 +39,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use tempo_conc::{run_workers, split_budget, ParallelConfig};
 use tempo_obs::{Budget, Outcome, RunReport};
 use tempo_ta::flow::FlowMetrics;
 use tempo_ta::{
@@ -54,7 +53,6 @@ pub struct PricedNetwork {
     net: Network,
     rates: HashMap<(AutomatonId, LocationId), i64>,
     edge_costs: HashMap<(AutomatonId, usize), i64>,
-    threads: usize,
     flow: bool,
 }
 
@@ -130,7 +128,6 @@ impl PricedNetwork {
             net,
             rates: HashMap::new(),
             edge_costs: HashMap::new(),
-            threads: 1,
             flow: true,
         }
     }
@@ -143,31 +140,6 @@ impl PricedNetwork {
     pub fn without_flow(mut self) -> Self {
         self.flow = false;
         self
-    }
-
-    /// Sets the number of worker threads used by the value-iteration
-    /// sweeps of [`max_cost_reach`](Self::max_cost_reach) (and the
-    /// derived [`max_time_reach`](Self::max_time_reach)).
-    ///
-    /// The cost fixpoint is unique, so the result is identical at any
-    /// thread count. [`min_cost_reach`](Self::min_cost_reach) is
-    /// Dijkstra's algorithm and always runs sequentially.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the thread count from a shared [`ParallelConfig`].
-    #[must_use]
-    pub fn with_parallelism(self, config: ParallelConfig) -> Self {
-        self.with_threads(config.threads())
-    }
-
-    /// The configured number of worker threads.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The underlying network.
@@ -628,51 +600,18 @@ impl PricedNetwork {
                 return gov.finish(None, report);
             }
             sweeps += 1;
-            let changed = if self.threads > 1 {
-                // Jacobi sweep: each worker relaxes a chunk of states
-                // against a snapshot of `value`, and the improvements are
-                // applied afterwards. Paths of k edges are covered after k
-                // sweeps, so the `sweep == n` cycle check below still
-                // proves a positive-cost cycle (Bellman–Ford bound).
-                let ranges = chunk_ranges(n, self.threads);
-                let (value_ref, goal_ref, succs_ref) = (&value, &goal_mask, &succs);
-                let improved: Vec<(usize, i64)> = run_workers(self.threads, |w| {
-                    ranges[w]
-                        .clone()
-                        .filter(|&s| !goal_ref[s])
-                        .filter_map(|s| {
-                            let best = succs_ref[s]
-                                .iter()
-                                .filter(|&&(t, _)| value_ref[t] > NEG_INF)
-                                .map(|&(t, c)| value_ref[t] + c)
-                                .max()?;
-                            (best > value_ref[s]).then_some((s, best))
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-                let changed = !improved.is_empty();
-                for (s, v) in improved {
-                    value[s] = v;
+            let mut changed = false;
+            for s in 0..n {
+                if goal_mask[s] {
+                    continue;
                 }
-                changed
-            } else {
-                let mut changed = false;
-                for s in 0..n {
-                    if goal_mask[s] {
-                        continue;
-                    }
-                    for &(t, c) in &succs[s] {
-                        if value[t] > NEG_INF && value[t] + c > value[s] {
-                            value[s] = value[t] + c;
-                            changed = true;
-                        }
+                for &(t, c) in &succs[s] {
+                    if value[t] > NEG_INF && value[t] + c > value[s] {
+                        value[s] = value[t] + c;
+                        changed = true;
                     }
                 }
-                changed
-            };
+            }
             if !changed {
                 break;
             }
@@ -732,7 +671,6 @@ impl PricedNetwork {
                 .map(|li| ((AutomatonId(0), LocationId(li)), 1_i64))
                 .collect(),
             edge_costs: HashMap::new(),
-            threads: self.threads,
             flow: self.flow,
         };
         timed.max_cost_reach_governed(goal, budget)
@@ -764,7 +702,6 @@ impl PricedNetwork {
                 .map(|li| ((AutomatonId(0), LocationId(li)), 1_i64))
                 .collect(),
             edge_costs: HashMap::new(),
-            threads: self.threads,
             flow: self.flow,
         };
         timed
@@ -777,8 +714,7 @@ impl tempo_obs::StableDigest for PricedNetwork {
     /// Structural fingerprint of the priced model: the underlying
     /// network plus rate and edge-cost annotations. The annotation maps
     /// fold commutatively (they are keyed sets — iteration order of the
-    /// backing `HashMap` is meaningless); the thread count is excluded
-    /// because the minimum cost does not depend on it.
+    /// backing `HashMap` is meaningless).
     fn digest(&self, h: &mut tempo_obs::StableHasher) {
         use tempo_obs::Fingerprint;
         h.write_tag("priced-network");
@@ -796,19 +732,6 @@ impl tempo_obs::StableDigest for PricedNetwork {
                 .map(|(&(a, e), &cost)| Fingerprint::of(&(a.index(), e, cost))),
         );
     }
-}
-
-/// Splits `0..n` into `parts` contiguous index ranges of near-equal size.
-fn chunk_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let mut start = 0;
-    split_budget(n, parts)
-        .into_iter()
-        .map(|len| {
-            let range = start..start + len;
-            start += len;
-            range
-        })
-        .collect()
 }
 
 #[cfg(test)]

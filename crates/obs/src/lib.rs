@@ -964,22 +964,9 @@ impl Governor {
     pub fn report(&self) -> RunReport {
         RunReport {
             states_explored: self.states.load(Ordering::Relaxed),
-            states_stored: 0,
-            peak_waiting: 0,
             sweeps: self.iterations.load(Ordering::Relaxed),
             runs_simulated: self.runs.load(Ordering::Relaxed),
-            dbm_dim: 0,
-            dbm_dim_model: 0,
             wall_time: self.elapsed(),
-            certificate_bytes: 0,
-            certify_time: Duration::ZERO,
-            por_ample_states: 0,
-            por_fallback_states: 0,
-            sym_orbits: 0,
-            sym_states_avoided: 0,
-            spilled_states: 0,
-            spill_bytes: 0,
-            spill_faults: 0,
             ..RunReport::default()
         }
     }

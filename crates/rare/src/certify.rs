@@ -10,8 +10,9 @@
 
 use std::time::Instant;
 
-use crate::priced::{run_cost, trial_seed, PricedChecker};
+use crate::priced::{run_cost, PricedChecker};
 use crate::split::{RareChecker, SplitConfig, SplitEstimate};
+use tempo_conc::trial_seed;
 use tempo_cora::PricedNetwork;
 use tempo_obs::{Budget, Outcome};
 use tempo_smc::{Estimate, RatePolicy, Run, Simulator, DEFAULT_MAX_STEPS};

@@ -16,22 +16,14 @@
 //! ([`tempo_witness::replay_priced_run`]), so a certified run's
 //! re-summed cost matches the simulator's bit for bit.
 
-use tempo_conc::{derive_stream_seed, run_workers, split_budget, ParallelConfig};
+use tempo_conc::ParallelConfig;
 use tempo_cora::PricedNetwork;
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_smc::{
-    estimate, estimate_mean, EmpiricalCdf, Estimate, MeanEstimate, RatePolicy, Run, Simulator,
-    StatsError, DEFAULT_MAX_STEPS,
+    estimate, estimate_mean, EmpiricalCdf, Estimate, MeanEstimate, RatePolicy, Run,
+    StatisticalChecker, StatsError,
 };
 use tempo_ta::{AutomatonId, StateFormula};
-
-/// The seed of trial `trial` in batch `epoch` of a checker created with
-/// `seed` — the reseeding contract shared with the certified wrappers,
-/// which regenerate estimator trials verbatim.
-pub(crate) fn trial_seed(seed: u64, epoch: u64, trial: usize) -> u64 {
-    let epoch_seed = seed.wrapping_add(epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    derive_stream_seed(epoch_seed, trial)
-}
 
 /// Cost-rate sum of a concrete state: `Σ_a rate(a, loc_a)`.
 fn rate_sum(pnet: &PricedNetwork, state: &tempo_smc::ConcreteState) -> i64 {
@@ -140,13 +132,9 @@ fn priced_report(gov: &Governor, completed: usize, dim: usize) -> RunReport {
 #[derive(Debug)]
 pub struct PricedChecker<'n> {
     pnet: &'n PricedNetwork,
-    rates: RatePolicy,
-    seed: u64,
-    threads: usize,
-    /// Batch counter: each query derives a fresh trial-seed stream so
-    /// successive queries stay independent yet reproducible.
-    epoch: u64,
-    max_steps: usize,
+    /// The trial loop: a plain statistical checker over the priced
+    /// network's underlying network.
+    smc: StatisticalChecker<'n>,
 }
 
 impl<'n> PricedChecker<'n> {
@@ -155,11 +143,7 @@ impl<'n> PricedChecker<'n> {
     pub fn new(pnet: &'n PricedNetwork, rates: RatePolicy, seed: u64) -> Self {
         PricedChecker {
             pnet,
-            rates,
-            seed,
-            threads: 1,
-            epoch: 0,
-            max_steps: DEFAULT_MAX_STEPS,
+            smc: StatisticalChecker::new(pnet.network(), rates, seed),
         }
     }
 
@@ -167,7 +151,7 @@ impl<'n> PricedChecker<'n> {
     /// depend on the thread count (trials are seeded by index).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.smc = self.smc.with_threads(threads);
         self
     }
 
@@ -180,7 +164,7 @@ impl<'n> PricedChecker<'n> {
     /// Caps the number of actions per simulated run.
     #[must_use]
     pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps.max(1);
+        self.smc = self.smc.with_max_steps(max_steps.max(1));
         self
     }
 
@@ -197,51 +181,6 @@ impl<'n> PricedChecker<'n> {
         config: &tempo_lint::LintConfig,
     ) -> Result<tempo_lint::LintReport, tempo_lint::LintError> {
         self.pnet.check_first(config)
-    }
-
-    /// Runs one batch of `effective` trials, mapping each simulated run
-    /// through `eval`; results arrive in trial order regardless of the
-    /// worker count.
-    fn batch<T, F>(&mut self, effective: usize, bound: f64, gov: &Governor, eval: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Run) -> T + Sync,
-    {
-        self.epoch += 1;
-        let (seed, epoch) = (self.seed, self.epoch);
-        let chunks = split_budget(effective, self.threads);
-        let mut starts = Vec::with_capacity(chunks.len());
-        let mut acc = 0_usize;
-        for &c in &chunks {
-            starts.push(acc);
-            acc += c;
-        }
-        let net = self.pnet.network();
-        let (rates, max_steps) = (&self.rates, self.max_steps);
-        let per_worker = run_workers(self.threads, |worker| {
-            let mut out = Vec::with_capacity(chunks[worker]);
-            for j in 0..chunks[worker] {
-                if !gov.check_time() {
-                    break;
-                }
-                let trial = starts[worker] + j;
-                let mut sim = Simulator::new(net, rates.clone(), trial_seed(seed, epoch, trial));
-                out.push(eval(&sim.simulate(bound, max_steps)));
-                let _ = gov.charge_run();
-            }
-            out
-        });
-        per_worker.into_iter().flatten().collect()
-    }
-
-    fn effective_runs(runs: usize, gov: &Governor) -> usize {
-        runs.min(usize::try_from(gov.runs_remaining()).unwrap_or(usize::MAX))
-    }
-
-    fn settle_runs(gov: &Governor, completed: usize, requested: usize) {
-        if completed < requested && !gov.is_exhausted() {
-            let _ = gov.charge_run();
-        }
     }
 
     fn check_cancelled(gov: &Governor) -> Result<(), StatsError> {
@@ -307,14 +246,12 @@ impl<'n> PricedChecker<'n> {
             return Err(StatsError::InvalidConfidence(confidence));
         }
         let gov = budget.governor();
-        let effective = Self::effective_runs(runs, &gov);
         let pnet = self.pnet;
-        let hits = self.batch(effective, time_bound, &gov, |run| {
+        let hits = self.smc.trials(time_bound, runs, &gov, |run| {
             first_hit_cost(pnet, run, goal).is_some_and(|(t, c)| t <= time_bound && c <= cost_bound)
         });
         let completed = hits.len();
         let successes = hits.iter().filter(|&&h| h).count();
-        Self::settle_runs(&gov, completed, runs);
         let est = if completed > 0 {
             Some(estimate(successes, completed, confidence)?)
         } else {
@@ -356,11 +293,11 @@ impl<'n> PricedChecker<'n> {
             return Err(StatsError::NoRuns);
         }
         let gov = budget.governor();
-        let effective = Self::effective_runs(runs, &gov);
         let pnet = self.pnet;
-        let costs = self.batch(effective, bound, &gov, |run| run_cost(pnet, run));
+        let costs = self
+            .smc
+            .trials(bound, runs, &gov, |run| run_cost(pnet, run));
         let completed = costs.len();
-        Self::settle_runs(&gov, completed, runs);
         let est = if completed > 0 {
             Some(estimate_mean(&costs)?)
         } else {
@@ -378,7 +315,7 @@ impl<'n> PricedChecker<'n> {
     pub fn cost_cdf(&mut self, goal: &StateFormula, bound: f64, runs: usize) -> EmpiricalCdf {
         let gov = Budget::unlimited().governor();
         let pnet = self.pnet;
-        let hits = self.batch(runs, bound, &gov, |run| {
+        let hits = self.smc.trials(bound, runs, &gov, |run| {
             first_hit_cost(pnet, run, goal).map(|(_, c)| c)
         });
         let mut cdf = EmpiricalCdf::new(runs);

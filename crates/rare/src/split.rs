@@ -30,7 +30,7 @@
 //! therefore byte-identical at any thread count.
 
 use crate::score::GoalScore;
-use tempo_conc::{derive_stream_seed, run_workers, split_budget, ParallelConfig};
+use tempo_conc::{derive_stream_seed, run_blocks, trial_seed, ParallelConfig};
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_smc::{
     estimate, estimate_mean, ConcreteState, RatePolicy, Run, RunStep, Simulator, StatsError,
@@ -299,19 +299,14 @@ impl<'n> RareChecker<'n> {
             _ => {}
         }
         self.epoch += 1;
-        let epoch_seed = self
-            .seed
-            .wrapping_add(self.epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let score = GoalScore::new(self.net, goal);
         let thresholds = score.thresholds(config.max_levels);
         let gov = budget.governor();
         let out = match config.method {
             SplitMethod::FixedEffort => {
-                self.fixed_effort(goal, bound, config, &score, &thresholds, epoch_seed, &gov)
+                self.fixed_effort(goal, bound, config, &score, &thresholds, &gov)
             }
-            SplitMethod::Restart => {
-                self.restart(goal, bound, config, &score, &thresholds, epoch_seed, &gov)
-            }
+            SplitMethod::Restart => self.restart(goal, bound, config, &score, &thresholds, &gov),
         };
         let report = RunReport {
             runs_simulated: out.runs_total,
@@ -354,7 +349,6 @@ impl<'n> RareChecker<'n> {
         config: &SplitConfig,
         score: &GoalScore,
         thresholds: &[i64],
-        epoch_seed: u64,
         gov: &Governor,
     ) -> EngineOutput {
         let net = self.net;
@@ -381,56 +375,40 @@ impl<'n> RareChecker<'n> {
         let mut splits_spawned = 0_u64;
         let z = z_quantile(config.confidence);
         for s in 0..stages {
-            let stage_seed = derive_stream_seed(epoch_seed, s);
-            let chunks = split_budget(n, self.threads);
-            let mut starts = Vec::with_capacity(chunks.len());
-            let mut acc = 0_usize;
-            for &c in &chunks {
-                starts.push(acc);
-                acc += c;
-            }
+            let stage_seed = trial_seed(self.seed, self.epoch, s);
             let pool = &entries;
             let (rates, max_steps) = (&self.rates, self.max_steps);
-            // Each worker owns a contiguous trial range; concatenating
-            // per-worker outputs therefore restores trial order.
-            let per_worker: Vec<Vec<(bool, Option<Entry>, bool)>> =
-                run_workers(self.threads, |w| {
-                    let mut out = Vec::with_capacity(chunks[w]);
-                    for j in 0..chunks[w] {
-                        let trial = starts[w] + j;
-                        let e = &pool[trial % pool.len()];
-                        if crosses(s, &e.state) {
-                            // Entered this stage already past its level
-                            // (or at the goal): a certain crosser, no
-                            // simulation needed.
-                            out.push((false, Some(e.clone()), false));
-                            continue;
-                        }
-                        if !gov.check_time() || !gov.charge_run() {
+            let merged: Vec<(bool, Option<Entry>, bool)> = run_blocks(n, self.threads, |block| {
+                let mut out = Vec::with_capacity(block.len());
+                for trial in block {
+                    let e = &pool[trial % pool.len()];
+                    if crosses(s, &e.state) {
+                        // Entered this stage already past its level (or
+                        // at the goal): a certain crosser, no simulation
+                        // needed.
+                        out.push((false, Some(e.clone()), false));
+                        continue;
+                    }
+                    if !gov.check_time() || !gov.charge_run() {
+                        break;
+                    }
+                    let seed = derive_stream_seed(stage_seed, trial);
+                    let mut sim = Simulator::new(net, rates.clone(), seed);
+                    let run = sim.simulate_from(e.state.clone(), bound, max_steps);
+                    let mut crossed: Option<Entry> = None;
+                    let mut ext = e.prefix.clone();
+                    for step in run.steps {
+                        let state = step.state.clone();
+                        ext.push(step);
+                        if crosses(s, &state) {
+                            crossed = Some(Entry { state, prefix: ext });
                             break;
                         }
-                        let mut sim = Simulator::new(
-                            net,
-                            rates.clone(),
-                            derive_stream_seed(stage_seed, trial),
-                        );
-                        let run = sim.simulate_from(e.state.clone(), bound, max_steps);
-                        let mut crossed: Option<Entry> = None;
-                        let mut ext = e.prefix.clone();
-                        for step in run.steps {
-                            let state = step.state.clone();
-                            ext.push(step);
-                            if crosses(s, &state) {
-                                crossed = Some(Entry { state, prefix: ext });
-                                break;
-                            }
-                        }
-                        out.push((true, crossed, run.deadlocked));
                     }
-                    out
-                });
-            let merged: Vec<(bool, Option<Entry>, bool)> =
-                per_worker.into_iter().flatten().collect();
+                    out.push((true, crossed, run.deadlocked));
+                }
+                out
+            });
             let completed = merged.len();
             for &(simulated, _, _) in &merged {
                 if simulated {
@@ -515,19 +493,12 @@ impl<'n> RareChecker<'n> {
         config: &SplitConfig,
         score: &GoalScore,
         thresholds: &[i64],
-        epoch_seed: u64,
         gov: &Governor,
     ) -> EngineOutput {
         let net = self.net;
         let k = config.branch;
         let r = config.replications;
-        let chunks = split_budget(r, self.threads);
-        let mut starts = Vec::with_capacity(chunks.len());
-        let mut acc = 0_usize;
-        for &c in &chunks {
-            starts.push(acc);
-            acc += c;
-        }
+        let (seed, epoch) = (self.seed, self.epoch);
         let initial = Simulator::new(net, self.rates.clone(), 0).initial_state();
         let (rates, max_steps) = (&self.rates, self.max_steps);
         /// One replication's contribution, with its work accounting.
@@ -538,10 +509,10 @@ impl<'n> RareChecker<'n> {
             crossings: Vec<usize>,
             complete: bool,
         }
-        let per_worker: Vec<Vec<Rep>> = run_workers(self.threads, |w| {
-            let mut out = Vec::with_capacity(chunks[w]);
-            for j in 0..chunks[w] {
-                let rep_seed = derive_stream_seed(epoch_seed, starts[w] + j);
+        let reps: Vec<Rep> = run_blocks(r, self.threads, |block| {
+            let mut out = Vec::with_capacity(block.len());
+            for rep_index in block {
+                let rep_seed = trial_seed(seed, epoch, rep_index);
                 let mut counter = 0_usize;
                 let mut rep = Rep {
                     sum: 0.0,
@@ -608,7 +579,6 @@ impl<'n> RareChecker<'n> {
             }
             out
         });
-        let reps: Vec<Rep> = per_worker.into_iter().flatten().collect();
         let runs_total: u64 = reps.iter().map(|r| r.segments).sum();
         let splits_spawned: u64 = reps.iter().map(|r| r.spawned).sum();
         let mut crossings = vec![0_usize; thresholds.len()];

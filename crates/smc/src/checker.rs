@@ -6,7 +6,7 @@ use crate::sim::{RatePolicy, Run, Simulator};
 use crate::stats::{
     estimate, estimate_mean, EmpiricalCdf, Estimate, MeanEstimate, Sprt, StatsError, TestVerdict,
 };
-use tempo_conc::{derive_stream_seed, run_workers, split_budget, ParallelConfig};
+use tempo_conc::{run_blocks, trial_seed, ParallelConfig};
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_ta::flow::FlowMetrics;
 use tempo_ta::{ClockReduction, Network, StateFormula};
@@ -30,10 +30,7 @@ fn sim_report(gov: &Governor, completed: usize, dim: usize, model_dim: usize) ->
 /// Dead clocks gate no delay bound and no guard, so simulators driven by
 /// the same seeds produce identical discrete trajectories over the
 /// reduced network — estimates are byte-identical while each state
-/// carries fewer clocks. Only the parallel batch path uses this (it
-/// builds fresh per-worker simulators every batch); the sequential path
-/// keeps the checker's persistent simulator, and thus its RNG stream, on
-/// the full network.
+/// carries fewer clocks.
 fn reduced_query<'a>(
     reduction: &'a ClockReduction,
     full: &'a Network,
@@ -58,6 +55,12 @@ pub const DEFAULT_MAX_STEPS: usize = 100_000;
 
 /// A statistical model checker bound to a network and rate policy.
 ///
+/// Every query draws fresh trials: trial `t` of the checker's `epoch`-th
+/// query is simulated from its own seed
+/// [`trial_seed`](tempo_conc::trial_seed)`(seed, epoch, t)`, whichever
+/// worker runs it, so estimates and run reports do not depend on the
+/// worker count.
+///
 /// ```
 /// use tempo_ta::NetworkBuilder;
 /// use tempo_smc::{RatePolicy, StatisticalChecker};
@@ -78,26 +81,23 @@ pub const DEFAULT_MAX_STEPS: usize = 100_000;
 #[derive(Debug)]
 pub struct StatisticalChecker<'n> {
     net: &'n Network,
-    sim: Simulator<'n>,
     rates: RatePolicy,
     seed: u64,
     threads: usize,
-    /// Batch counter: parallel estimators derive fresh per-worker RNG
-    /// streams for every batch so successive queries stay statistically
-    /// independent while remaining reproducible from the base seed.
+    /// Query counter: each query draws its own trial seeds, so successive
+    /// queries stay independent yet reproducible from the base seed.
     epoch: u64,
     max_steps: usize,
     flow: bool,
 }
 
 impl<'n> StatisticalChecker<'n> {
-    /// Creates a checker with the given rate policy and RNG seed
-    /// (single-threaded simulation).
+    /// Creates a checker with the given rate policy and RNG seed,
+    /// simulating on one worker.
     #[must_use]
     pub fn new(net: &'n Network, rates: RatePolicy, seed: u64) -> Self {
         StatisticalChecker {
             net,
-            sim: Simulator::new(net, rates.clone(), seed),
             rates,
             seed,
             threads: 1,
@@ -107,26 +107,24 @@ impl<'n> StatisticalChecker<'n> {
         }
     }
 
-    /// Disables query-directed slicing on the parallel batch path,
-    /// simulating the unsliced network. Estimates are byte-identical
-    /// either way — this switch exists for differential testing.
+    /// Disables query-directed slicing, simulating the unsliced network
+    /// (still reduced to the clocks the model and the query read).
+    /// Estimates are byte-identical either way — this switch exists for
+    /// differential testing.
     #[must_use]
     pub fn without_flow(mut self) -> Self {
         self.flow = false;
         self
     }
 
-    /// Query-directed slicing for the parallel batch path: provably
-    /// disabled edges are never enabled, so per-batch simulators on the
-    /// sliced network enumerate identical enabled-move lists, consume
-    /// identical RNG streams and produce byte-identical trajectories,
-    /// while active-clock reduction gets to remove the clocks those
-    /// edges guarded. The sequential path keeps the checker's
-    /// persistent full-network simulator, exactly as it does for the
-    /// clock reduction itself.
+    /// Query-directed slicing: provably disabled edges are never enabled,
+    /// so simulators on the sliced network enumerate identical
+    /// enabled-move lists, consume identical RNG streams and produce
+    /// byte-identical trajectories, while active-clock reduction gets to
+    /// remove the clocks those edges guarded.
     fn sliced_base(&self) -> (Option<tempo_ta::Slice>, FlowMetrics) {
         let mut metrics = FlowMetrics::default();
-        let sliced = (self.flow && self.threads > 1).then(|| tempo_ta::slice(self.net));
+        let sliced = self.flow.then(|| tempo_ta::slice(self.net));
         if let Some(s) = &sliced {
             metrics.sliced_edges = s.disabled_edges;
             metrics.vars_narrowed = s.vars_narrowed;
@@ -164,14 +162,13 @@ impl<'n> StatisticalChecker<'n> {
         report.into_result(config)
     }
 
-    /// Partition fixed-budget estimators (`probability`, `expected`, `cdf`,
-    /// `compare`, `count_globally`) across `threads` workers with
-    /// per-worker RNG streams derived from the seed.
+    /// Splits each query's trials across `threads` workers, one
+    /// contiguous block of trial indices per worker.
     ///
-    /// Determinism: for a fixed seed, thread count, and query sequence, the
-    /// results are bitwise-reproducible — per-worker streams are derived
-    /// purely from `(seed, batch, worker)` and merged in worker order. The
-    /// sequential SPRT (`hypothesis`) always runs single-threaded.
+    /// Trials are seeded by index, so the estimates and every run report
+    /// counter are identical at any worker count; only the wall time
+    /// changes. The sequential SPRT ([`Self::hypothesis`]) draws one
+    /// trial at a time on the calling thread.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -190,12 +187,21 @@ impl<'n> StatisticalChecker<'n> {
         self.threads
     }
 
-    /// Run `runs` simulations of horizon `bound` split across the worker
-    /// pool, mapping each run through `eval` and collecting per-worker
-    /// outputs in worker order.
-    /// Runs are cut off mid-batch only by the wall-clock deadline; the run
-    /// budget is applied upfront (see [`Self::effective_runs`]) so that a
-    /// fixed `(seed, threads, query)` triple stays bitwise-reproducible.
+    /// Simulates trial `trial` of query `epoch` on `net` up to `bound`.
+    fn trial(&self, net: &Network, epoch: u64, trial: usize, bound: f64) -> Run {
+        let seed = trial_seed(self.seed, epoch, trial);
+        Simulator::new(net, self.rates.clone(), seed).simulate(bound, self.max_steps)
+    }
+
+    /// Simulates trials `0..runs` of the next query on `net` up to horizon
+    /// `bound` and maps each run through `eval`, returning the results in
+    /// trial order.
+    ///
+    /// The run budget caps the batch upfront, so a fixed `(seed, query)`
+    /// pair stays bitwise-reproducible; only the wall-clock deadline or
+    /// cancellation cuts a block short. A batch that completes fewer than
+    /// `runs` trials latches run-budget exhaustion unless another limit
+    /// already tripped.
     fn batch<T, F>(
         &mut self,
         net: &Network,
@@ -203,43 +209,44 @@ impl<'n> StatisticalChecker<'n> {
         runs: usize,
         gov: &Governor,
         eval: F,
-    ) -> Vec<Vec<T>>
+    ) -> Vec<T>
     where
         T: Send,
-        F: Fn(&Run) -> T + std::marker::Sync,
+        F: Fn(&Run) -> T + Sync,
     {
         self.epoch += 1;
-        let epoch_seed = self
-            .seed
-            .wrapping_add(self.epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let chunks = split_budget(runs, self.threads);
-        let (rates, max_steps) = (&self.rates, self.max_steps);
-        run_workers(self.threads, |worker| {
-            let mut sim =
-                Simulator::new(net, rates.clone(), derive_stream_seed(epoch_seed, worker));
-            let mut out = Vec::with_capacity(chunks[worker]);
-            for _ in 0..chunks[worker] {
+        let (this, epoch) = (&*self, self.epoch);
+        let effective = runs.min(usize::try_from(gov.runs_remaining()).unwrap_or(usize::MAX));
+        let out = run_blocks(effective, self.threads, |block| {
+            let mut out = Vec::with_capacity(block.len());
+            for t in block {
                 if !gov.check_time() {
                     break;
                 }
-                out.push(eval(&sim.simulate(bound, max_steps)));
+                out.push(eval(&this.trial(net, epoch, t, bound)));
                 let _ = gov.charge_run();
             }
             out
-        })
-    }
-
-    /// Caps a requested run count by the governor's remaining run budget.
-    fn effective_runs(runs: usize, gov: &Governor) -> usize {
-        runs.min(usize::try_from(gov.runs_remaining()).unwrap_or(usize::MAX))
-    }
-
-    /// Latches run-budget exhaustion when fewer runs completed than were
-    /// requested and no other limit already tripped.
-    fn settle_runs(gov: &Governor, completed: usize, requested: usize) {
-        if completed < requested && !gov.is_exhausted() {
+        });
+        if out.len() < runs && !gov.is_exhausted() {
             let _ = gov.charge_run();
         }
+        out
+    }
+
+    /// The trial loop of the fixed-budget estimators, for estimators
+    /// built on this checker (such as `tempo-rare`'s priced checker):
+    /// simulates trials `0..runs` of the next query on the unsliced,
+    /// unreduced network up to horizon `bound` and maps each run through
+    /// `eval`, returning the results in trial order. The run budget is
+    /// applied as in [`Self::probability_governed`].
+    pub fn trials<T, F>(&mut self, bound: f64, runs: usize, gov: &Governor, eval: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&Run) -> T + Sync,
+    {
+        let net = self.net;
+        self.batch(net, bound, runs, gov, eval)
     }
 
     /// Estimates `Pr[<=bound](<> goal)` from `runs` simulations with a
@@ -289,43 +296,22 @@ impl<'n> StatisticalChecker<'n> {
             return Err(StatsError::InvalidConfidence(confidence));
         }
         let gov = budget.governor();
-        let effective = Self::effective_runs(runs, &gov);
-        let mut successes = 0_usize;
-        let mut completed = 0_usize;
         let (sliced, metrics) = self.sliced_base();
         let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
         let reduction = base.reduced_with(&goal.clock_atoms());
-        let mut dim = self.net.dim();
-        if self.threads > 1 {
-            let (net, goal) = reduced_query(&reduction, base, goal);
-            dim = net.dim();
-            let hits = self.batch(net, bound, effective, &gov, |run| {
-                run.satisfies_eventually(net, &goal, bound)
-            });
-            for chunk in &hits {
-                completed += chunk.len();
-                successes += chunk.iter().filter(|&&hit| hit).count();
-            }
-        } else {
-            for _ in 0..effective {
-                if !gov.check_time() || !gov.charge_run() {
-                    break;
-                }
-                let run = self.sim.simulate(bound, self.max_steps);
-                completed += 1;
-                if run.satisfies_eventually(self.net, goal, bound) {
-                    successes += 1;
-                }
-            }
-        }
-        Self::settle_runs(&gov, completed, runs);
+        let (net, goal) = reduced_query(&reduction, base, goal);
+        let hits = self.batch(net, bound, runs, &gov, |run| {
+            run.satisfies_eventually(net, &goal, bound)
+        });
+        let completed = hits.len();
+        let successes = hits.iter().filter(|&&hit| hit).count();
         let est = if completed > 0 {
             Some(estimate(successes, completed, confidence)?)
         } else {
             Self::check_cancelled(&gov)?;
             None
         };
-        let report = metrics.stamp(sim_report(&gov, completed, dim, self.net.dim()));
+        let report = metrics.stamp(sim_report(&gov, completed, net.dim(), self.net.dim()));
         Ok(gov.finish(est, report))
     }
 
@@ -389,16 +375,26 @@ impl<'n> StatisticalChecker<'n> {
         budget: &Budget,
     ) -> Outcome<(TestVerdict, usize)> {
         let gov = budget.governor();
+        let (sliced, metrics) = self.sliced_base();
+        let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
+        let reduction = base.reduced_with(&goal.clock_atoms());
+        let (net, goal) = reduced_query(&reduction, base, goal);
+        self.epoch += 1;
         let mut sprt = Sprt::new(theta, delta, alpha, beta);
         while sprt.verdict() == TestVerdict::Undecided && sprt.observations() < max_runs {
             if !gov.check_time() || !gov.charge_run() {
                 break;
             }
-            let run = self.sim.simulate(bound, self.max_steps);
-            sprt.observe(run.satisfies_eventually(self.net, goal, bound));
+            let run = self.trial(net, self.epoch, sprt.observations(), bound);
+            sprt.observe(run.satisfies_eventually(net, &goal, bound));
         }
         let verdict = sprt.verdict();
-        let report = sim_report(&gov, sprt.observations(), self.net.dim(), self.net.dim());
+        let report = metrics.stamp(sim_report(
+            &gov,
+            sprt.observations(),
+            net.dim(),
+            self.net.dim(),
+        ));
         if verdict == TestVerdict::Undecided {
             gov.finish((verdict, sprt.observations()), report)
         } else {
@@ -448,25 +444,10 @@ impl<'n> StatisticalChecker<'n> {
             return Err(StatsError::NoRuns);
         }
         let gov = budget.governor();
-        let effective = Self::effective_runs(runs, &gov);
-        // `value` is an arbitrary run observer (it may read any clock),
-        // so expected-value estimation never reduces the network.
-        let samples: Vec<f64> = if self.threads > 1 {
-            self.batch(self.net, bound, effective, &gov, value)
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            let mut out = Vec::with_capacity(effective);
-            for _ in 0..effective {
-                if !gov.check_time() || !gov.charge_run() {
-                    break;
-                }
-                out.push(value(&self.sim.simulate(bound, self.max_steps)));
-            }
-            out
-        };
-        Self::settle_runs(&gov, samples.len(), runs);
+        // `value` is an arbitrary run observer (it may read any clock or
+        // variable), so expected-value estimation neither slices nor
+        // reduces the network.
+        let samples = self.trials(bound, runs, &gov, value);
         let est = if samples.is_empty() {
             Self::check_cancelled(&gov)?;
             None
@@ -496,39 +477,19 @@ impl<'n> StatisticalChecker<'n> {
         budget: &Budget,
     ) -> Outcome<EmpiricalCdf> {
         let gov = budget.governor();
-        let effective = Self::effective_runs(runs, &gov);
         let (sliced, metrics) = self.sliced_base();
         let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
         let reduction = base.reduced_with(&goal.clock_atoms());
-        let mut dim = self.net.dim();
-        let hit_times: Vec<Option<f64>> = if self.threads > 1 {
-            let (net, goal) = reduced_query(&reduction, base, goal);
-            dim = net.dim();
-            self.batch(net, bound, effective, &gov, |run| {
-                run.first_hit(net, &goal).filter(|&t| t <= bound)
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            let net = self.net;
-            let mut out = Vec::with_capacity(effective);
-            for _ in 0..effective {
-                if !gov.check_time() || !gov.charge_run() {
-                    break;
-                }
-                let run = self.sim.simulate(bound, self.max_steps);
-                out.push(run.first_hit(net, goal).filter(|&t| t <= bound));
-            }
-            out
-        };
-        Self::settle_runs(&gov, hit_times.len(), runs);
+        let (net, goal) = reduced_query(&reduction, base, goal);
+        let hit_times = self.batch(net, bound, runs, &gov, |run| {
+            run.first_hit(net, &goal).filter(|&t| t <= bound)
+        });
         let completed = hit_times.len();
         let mut cdf = EmpiricalCdf::new(completed);
         for t in hit_times.into_iter().flatten() {
             cdf.add(t);
         }
-        let report = metrics.stamp(sim_report(&gov, completed, dim, self.net.dim()));
+        let report = metrics.stamp(sim_report(&gov, completed, net.dim(), self.net.dim()));
         gov.finish(cdf, report)
     }
 
@@ -572,50 +533,25 @@ impl<'n> StatisticalChecker<'n> {
         budget: &Budget,
     ) -> Outcome<(std::cmp::Ordering, f64, f64)> {
         let gov = budget.governor();
-        let effective = Self::effective_runs(runs, &gov);
-        let mut hits_a = 0_usize;
-        let mut hits_b = 0_usize;
-        let mut completed = 0_usize;
         let mut atoms = goal_a.clock_atoms();
         atoms.extend(goal_b.clock_atoms());
         let (sliced, metrics) = self.sliced_base();
         let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
         let reduction = base.reduced_with(&atoms);
-        let mut dim = self.net.dim();
-        if self.threads > 1 {
-            let (net, goal_a) = reduced_query(&reduction, base, goal_a);
-            let (_, goal_b) = reduced_query(&reduction, base, goal_b);
-            dim = net.dim();
-            let pairs = self.batch(net, bound, effective, &gov, |run| {
-                (
-                    run.satisfies_eventually(net, &goal_a, bound),
-                    run.satisfies_eventually(net, &goal_b, bound),
-                )
-            });
-            for (a, b) in pairs.into_iter().flatten() {
-                completed += 1;
-                hits_a += usize::from(a);
-                hits_b += usize::from(b);
-            }
-        } else {
-            for _ in 0..effective {
-                if !gov.check_time() || !gov.charge_run() {
-                    break;
-                }
-                let run = self.sim.simulate(bound, self.max_steps);
-                completed += 1;
-                if run.satisfies_eventually(self.net, goal_a, bound) {
-                    hits_a += 1;
-                }
-                if run.satisfies_eventually(self.net, goal_b, bound) {
-                    hits_b += 1;
-                }
-            }
-        }
-        Self::settle_runs(&gov, completed, runs);
+        let (net, goal_a) = reduced_query(&reduction, base, goal_a);
+        let (_, goal_b) = reduced_query(&reduction, base, goal_b);
+        let pairs = self.batch(net, bound, runs, &gov, |run| {
+            (
+                run.satisfies_eventually(net, &goal_a, bound),
+                run.satisfies_eventually(net, &goal_b, bound),
+            )
+        });
+        let completed = pairs.len();
         let (pa, pb) = if completed == 0 {
             (0.0, 0.0)
         } else {
+            let hits_a = pairs.iter().filter(|&&(a, _)| a).count();
+            let hits_b = pairs.iter().filter(|&&(_, b)| b).count();
             (
                 hits_a as f64 / completed as f64,
                 hits_b as f64 / completed as f64,
@@ -628,7 +564,7 @@ impl<'n> StatisticalChecker<'n> {
         } else {
             std::cmp::Ordering::Equal
         };
-        let report = metrics.stamp(sim_report(&gov, completed, dim, self.net.dim()));
+        let report = metrics.stamp(sim_report(&gov, completed, net.dim(), self.net.dim()));
         gov.finish((ord, pa, pb), report)
     }
 
@@ -650,37 +586,15 @@ impl<'n> StatisticalChecker<'n> {
         budget: &Budget,
     ) -> Outcome<usize> {
         let gov = budget.governor();
-        let effective = Self::effective_runs(runs, &gov);
-        let mut safe_count = 0_usize;
-        let mut completed = 0_usize;
         let (sliced, metrics) = self.sliced_base();
         let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
         let reduction = base.reduced_with(&safe.clock_atoms());
-        let mut dim = self.net.dim();
-        if self.threads > 1 {
-            let (net, safe) = reduced_query(&reduction, base, safe);
-            dim = net.dim();
-            let safe_runs = self.batch(net, bound, effective, &gov, |run| {
-                run.satisfies_globally(net, &safe, bound)
-            });
-            for chunk in &safe_runs {
-                completed += chunk.len();
-                safe_count += chunk.iter().filter(|&&ok| ok).count();
-            }
-        } else {
-            for _ in 0..effective {
-                if !gov.check_time() || !gov.charge_run() {
-                    break;
-                }
-                let run = self.sim.simulate(bound, self.max_steps);
-                completed += 1;
-                if run.satisfies_globally(self.net, safe, bound) {
-                    safe_count += 1;
-                }
-            }
-        }
-        Self::settle_runs(&gov, completed, runs);
-        let report = metrics.stamp(sim_report(&gov, completed, dim, self.net.dim()));
+        let (net, safe) = reduced_query(&reduction, base, safe);
+        let safe_runs = self.batch(net, bound, runs, &gov, |run| {
+            run.satisfies_globally(net, &safe, bound)
+        });
+        let safe_count = safe_runs.iter().filter(|&&ok| ok).count();
+        let report = metrics.stamp(sim_report(&gov, safe_runs.len(), net.dim(), self.net.dim()));
         gov.finish(safe_count, report)
     }
 }
@@ -860,7 +774,7 @@ mod tests {
             .expected_governed(10.0, 100, |run| run.steps.len() as f64, &budget)
             .unwrap_err();
         assert_eq!(err, StatsError::Cancelled);
-        // The parallel batch path takes the same typed exit.
+        // Three workers take the same typed exit.
         let mut par = StatisticalChecker::new(&net, RatePolicy::new(), 9).with_threads(3);
         let err = par
             .probability_governed(&goal, 10.0, 100, 0.95, &budget)

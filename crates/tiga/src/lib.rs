@@ -27,7 +27,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use tempo_conc::{run_workers, split_budget, ParallelConfig};
+use tempo_conc::{run_blocks, ParallelConfig};
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_ta::flow::FlowMetrics;
 use tempo_ta::{DigitalError, DigitalExplorer, DigitalMove, DigitalState, Network, StateFormula};
@@ -217,9 +217,10 @@ impl<'n> GameSolver<'n> {
 
     /// Sets the number of worker threads used by the fixpoint sweeps.
     ///
-    /// The winning region is the unique fixpoint of the controllable
-    /// predecessor, so verdict and strategy are identical at any thread
-    /// count; `threads = 1` keeps the original sequential sweep.
+    /// Each sweep tests every state against the previous sweep's winning
+    /// region, one contiguous block of states per worker, so the verdict,
+    /// the strategy and every run report counter are identical at any
+    /// thread count.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -437,24 +438,7 @@ impl<'n> GameSolver<'n> {
             }
             sweeps += 1;
             round += 1;
-            // Each round scans a snapshot of `rank` and applies additions
-            // afterwards, so chunking the scan across workers yields the
-            // same ranks as the sequential sweep.
-            let added: Vec<usize> = if self.threads > 1 {
-                let ranges = chunk_ranges(n, self.threads);
-                let rank_ref = &rank;
-                run_workers(self.threads, |w| {
-                    ranges[w]
-                        .clone()
-                        .filter(|&i| becomes_winning(i, rank_ref))
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            } else {
-                (0..n).filter(|&i| becomes_winning(i, &rank)).collect()
-            };
+            let added = sweep(n, self.threads, |i| becomes_winning(i, &rank));
             if added.is_empty() {
                 break;
             }
@@ -566,49 +550,19 @@ impl<'n> GameSolver<'n> {
                 graph.tick[i].is_none() && graph.moves[i].iter().any(|(m, _)| !m.controllable);
             safe_u && (can_wait || can_act || quiescent || forced)
         };
-        if self.threads > 1 {
-            // Jacobi-style sweeps: remove against a per-sweep snapshot of
-            // W. The greatest fixpoint is unique, so this terminates on
-            // the same winning region as the in-place sequential sweep.
-            loop {
-                if !gov.charge_iteration() || !gov.check_time() {
-                    break;
-                }
-                sweeps += 1;
-                let ranges = chunk_ranges(n, self.threads);
-                let winning_ref = &winning;
-                let removed: Vec<usize> = run_workers(self.threads, |w| {
-                    ranges[w]
-                        .clone()
-                        .filter(|&i| winning_ref[i] && !stays_winning(i, winning_ref))
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-                if removed.is_empty() {
-                    break;
-                }
-                for i in removed {
-                    winning[i] = false;
-                }
+        loop {
+            if !gov.charge_iteration() || !gov.check_time() {
+                break;
             }
-        } else {
-            loop {
-                if !gov.charge_iteration() || !gov.check_time() {
-                    break;
-                }
-                sweeps += 1;
-                let mut changed = false;
-                for i in 0..n {
-                    if winning[i] && !stays_winning(i, &winning) {
-                        winning[i] = false;
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
+            sweeps += 1;
+            let removed = sweep(n, self.threads, |i| {
+                winning[i] && !stays_winning(i, &winning)
+            });
+            if removed.is_empty() {
+                break;
+            }
+            for i in removed {
+                winning[i] = false;
             }
         }
         if gov.is_exhausted() {
@@ -701,17 +655,12 @@ impl<'n> GameSolver<'n> {
     }
 }
 
-/// Splits `0..n` into `parts` contiguous index ranges of near-equal size.
-fn chunk_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let mut start = 0;
-    split_budget(n, parts)
-        .into_iter()
-        .map(|len| {
-            let range = start..start + len;
-            start += len;
-            range
-        })
-        .collect()
+/// One fixpoint sweep: the states of `0..n` passing `test`, in index
+/// order. `test` reads the previous sweep's values only — the caller
+/// applies the result afterwards — so splitting the scan over `threads`
+/// workers finds the same states as scanning it on one.
+fn sweep(n: usize, threads: usize, test: impl Fn(usize) -> bool + Sync) -> Vec<usize> {
+    run_blocks(n, threads, |block| block.filter(|&i| test(i)).collect())
 }
 
 fn intern(

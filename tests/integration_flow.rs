@@ -344,7 +344,7 @@ fn tiga_strategies_survive_slicing() {
 fn smc_estimates_are_bit_identical_under_slicing() {
     let tg = train_gate(2);
     let goal = tg.cross(0);
-    for threads in [2, 4] {
+    for threads in [1, 2, 4] {
         let mut with = StatisticalChecker::new(&tg.net, tg.rates(), 99).with_threads(threads);
         let mut without = StatisticalChecker::new(&tg.net, tg.rates(), 99)
             .with_threads(threads)

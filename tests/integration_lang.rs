@@ -52,7 +52,7 @@ fn gen_cmp(rng: &mut StdRng) -> CmpOp {
 /// A compile-time integer expression over params and literals.
 fn gen_bound(rng: &mut StdRng, pools: &Pools) -> IntExpr {
     match rng.gen_range(0..6u32) {
-        0 | 1 | 2 => IntExpr::Lit(rng.gen_range(0..=9i64)),
+        0..=2 => IntExpr::Lit(rng.gen_range(0..=9i64)),
         3 if !pools.params.is_empty() => IntExpr::Name(ident(pick(rng, &pools.params))),
         4 if !pools.params.is_empty() => IntExpr::Bin(
             *pick(rng, &[IntOp::Add, IntOp::Sub, IntOp::Mul]),
@@ -309,7 +309,7 @@ fn gen_model(rng: &mut StdRng) -> Model {
                 size: None,
                 lo: IntExpr::Lit(0),
                 hi: IntExpr::Lit(hi),
-                init: rng.gen_bool(0.5).then(|| IntExpr::Lit(0)),
+                init: rng.gen_bool(0.5).then_some(IntExpr::Lit(0)),
             });
         }
     }
@@ -358,7 +358,7 @@ fn gen_model(rng: &mut StdRng) -> Model {
                 .channels
                 .iter()
                 .filter(|_| rng.gen_bool(0.5))
-                .map(|c| ident(c))
+                .map(ident)
                 .collect()
         })
         .collect();

@@ -1,9 +1,9 @@
-//! Integration test: the parallel engines agree with the sequential
-//! reference paths. Zone-graph reachability, safety and deadlock checking
-//! must return the same verdict, the same witness trace and the same
-//! statistics on the train-gate at every worker count, and parallel
-//! statistical model checking must be run-to-run deterministic for a fixed
-//! seed and thread count.
+//! Integration test: every engine with a worker-count knob runs one code
+//! path whose result does not depend on the worker count. Zone-graph
+//! reachability, safety and deadlock checking return the same verdict,
+//! witness trace and statistics on the train-gate at every worker count;
+//! the statistical estimators and the game solver return bit-identical
+//! values and equal run reports.
 
 use std::time::Duration;
 use tempo_core::obs::{Budget, RunReport};
@@ -171,8 +171,8 @@ fn parallel_smc_is_run_to_run_deterministic() {
 #[test]
 fn parallel_smc_spreads_work_and_keeps_budget() {
     // The run budget must be preserved exactly under partitioning, and the
-    // merged estimate must stay in agreement with the sequential one at
-    // the statistical level (same model, same number of runs).
+    // merged estimate must equal the one-worker estimate: trials are
+    // seeded by index, not by worker.
     let tg = train_gate(2);
     let runs = 200;
     let mut seq = StatisticalChecker::new(&tg.net, tg.rates(), 7);
@@ -181,29 +181,98 @@ fn parallel_smc_spreads_work_and_keeps_budget() {
     let p_par = par.probability(&tg.cross(0), 100.0, runs, 0.95);
     assert_eq!(p_seq.runs, runs);
     assert_eq!(p_par.runs, runs, "partitioned budget must sum to the total");
-    assert!(
-        (p_seq.mean - p_par.mean).abs() < 0.15,
-        "sequential ({}) and parallel ({}) estimates must agree statistically",
-        p_seq.mean,
-        p_par.mean
+    assert_eq!(
+        p_seq, p_par,
+        "the 4-worker estimate must equal the 1-worker estimate"
     );
     let safe = par.count_globally(&tg.safety(), 150.0, 160);
     assert_eq!(safe, 160, "mutual exclusion holds on every simulated run");
 }
 
+/// A run report with its timing fields cleared: what is left are work
+/// counters, which must not depend on the worker count.
+fn counters(report: &RunReport) -> RunReport {
+    RunReport {
+        wall_time: Duration::ZERO,
+        certify_time: Duration::ZERO,
+        ..report.clone()
+    }
+}
+
+#[test]
+fn smc_estimators_are_identical_at_every_worker_count() {
+    let tg = train_gate(3);
+    let unlimited = Budget::unlimited();
+    // All six estimators, queried in turn on one checker (each query
+    // draws a fresh trial-seed stream), each as its value's `Debug`
+    // rendering — exact for `f64` — plus its run report.
+    let estimators = |threads: usize| -> Vec<(String, RunReport)> {
+        let mut smc = StatisticalChecker::new(&tg.net, tg.rates(), 42).with_threads(threads);
+        let p = smc
+            .probability_governed(&tg.cross(0), 100.0, 120, 0.95, &unlimited)
+            .expect("valid parameters");
+        let h = smc.hypothesis_governed(&tg.cross(1), 60.0, 0.5, 0.1, 0.01, 0.01, 500, &unlimited);
+        let e = smc
+            .expected_governed(100.0, 120, |run| run.duration(), &unlimited)
+            .expect("valid parameters");
+        let c = smc.cdf_governed(&tg.cross(2), 100.0, 120, &unlimited);
+        let cmp = smc.compare_governed(&tg.cross(0), &tg.cross(1), 50.0, 120, 0.05, &unlimited);
+        let g = smc.count_globally_governed(&tg.safety(), 100.0, 120, &unlimited);
+        vec![
+            (format!("{:?}", p.value()), counters(p.report())),
+            (format!("{:?}", h.value()), counters(h.report())),
+            (format!("{:?}", e.value()), counters(e.report())),
+            (format!("{:?}", c.value()), counters(c.report())),
+            (format!("{:?}", cmp.value()), counters(cmp.report())),
+            (format!("{:?}", g.value()), counters(g.report())),
+        ]
+    };
+    let reference = estimators(1);
+    assert_eq!(reference.len(), 6);
+    for (value, report) in &reference {
+        assert!(report.runs_simulated > 0, "{value}: no run was simulated");
+    }
+    for threads in 2..=4 {
+        assert_eq!(
+            estimators(threads),
+            reference,
+            "threads={threads}: values and run reports must equal the 1-worker run"
+        );
+    }
+}
+
 #[test]
 fn parallel_game_solver_matches_sequential() {
     let g = train_gate_game(2);
-    let seq = GameSolver::new(&g.net).solve_safety(&g.collision());
-    for threads in [2, 4] {
-        let par = GameSolver::new(&g.net)
-            .with_threads(threads)
-            .solve_safety(&g.collision());
-        assert_eq!(par.winning, seq.winning, "threads={threads}");
+    let unlimited = Budget::unlimited();
+    // Both games: verdict, graph size, the strategy's sorted rendering
+    // and the run report (sweeps included).
+    let solve = |threads: usize| {
+        let solver = GameSolver::new(&g.net).with_threads(threads);
+        [
+            solver.solve_safety_governed(&g.collision(), &unlimited),
+            solver.solve_reachability_governed(&g.collision(), &unlimited),
+        ]
+        .map(|out| {
+            let r = out.value();
+            (
+                r.winning,
+                r.states,
+                r.strategy.to_string(),
+                counters(out.report()),
+            )
+        })
+    };
+    let reference = solve(1);
+    let [safety, reach] = &reference;
+    assert!(safety.0, "the controller wins the safety game");
+    assert_eq!((safety.1, safety.3.sweeps), (13_035, 10));
+    assert_eq!(reach.3.sweeps, 5);
+    for threads in 2..=4 {
         assert_eq!(
-            par.strategy.size(),
-            seq.strategy.size(),
-            "threads={threads}: the winning region is a unique fixpoint"
+            solve(threads),
+            reference,
+            "threads={threads}: games must equal the 1-worker solve"
         );
     }
 }

@@ -156,7 +156,8 @@ fn splitting_matches_mcpta_exact_probability_on_brp() {
 
 /// Differential test (satellite): on a BRP instance where naive SMC is
 /// viable, the SMC confidence interval brackets mcpta's exact Pmax at
-/// three seeds and every worker count from 1 to 4.
+/// three seeds, and every worker count from 1 to 4 gives the same
+/// estimate.
 #[test]
 fn smc_probability_brackets_mcpta_exact_p1_across_seeds_and_workers() {
     let b = brp_network(2, 1, 1);
@@ -168,15 +169,23 @@ fn smc_probability_brackets_mcpta_exact_p1_across_seeds_and_workers() {
         "mcpta P1 = {mcpta_p1} vs analytic {exact}"
     );
     for seed in [3, 17, 91] {
-        for workers in 1..=4 {
+        let estimate = |workers: usize| {
             let mut smc =
                 StatisticalChecker::new(&b.net, RatePolicy::new(), seed).with_threads(workers);
-            let est = smc.probability(&b.p1_goal(), b.time_bound(1), 5_000, 0.99);
-            assert!(
-                est.lower <= mcpta_p1 && mcpta_p1 <= est.upper,
-                "seed {seed}, {workers} workers: CI [{}, {}] misses {mcpta_p1}",
-                est.lower,
-                est.upper
+            smc.probability(&b.p1_goal(), b.time_bound(1), 5_000, 0.99)
+        };
+        let est = estimate(1);
+        assert!(
+            est.lower <= mcpta_p1 && mcpta_p1 <= est.upper,
+            "seed {seed}: CI [{}, {}] misses {mcpta_p1}",
+            est.lower,
+            est.upper
+        );
+        for workers in 2..=4 {
+            assert_eq!(
+                estimate(workers),
+                est,
+                "seed {seed}: {workers} workers must equal 1 worker"
             );
         }
     }
