@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
 use tempo_expr::{Decls, Expr, Stmt, Store};
-use tempo_obs::{Budget, ExploreConfig, Outcome, RunReport};
+use tempo_obs::{Budget, ExploreConfig, Governor, Outcome, RunReport};
 
 /// Identifier of an interaction (connector) in a [`BipSystem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -237,44 +237,8 @@ impl BipSystem {
     /// states stored so far.
     pub fn reachable_states_governed(&self, budget: &Budget) -> Outcome<Vec<BipState>> {
         let gov = budget.governor();
-        let mut seen: HashSet<BipState> = HashSet::new();
-        let mut queue: VecDeque<BipState> = VecDeque::new();
-        let mut peak = 0_usize;
-        if gov.charge_state() {
-            let init = self.initial_state();
-            seen.insert(init.clone());
-            queue.push_back(init);
-            peak = 1;
-        }
         let mut out = Vec::new();
-        'explore: while let Some(state) = queue.pop_front() {
-            if !gov.check_time() {
-                break;
-            }
-            // Record on pop, so a budget trip mid-expansion still keeps
-            // this (genuinely reachable) state in the partial answer.
-            out.push(state);
-            let state = out.last().expect("just pushed");
-            for i in self.enabled_interactions(state) {
-                if let Some(next) = self.execute(state, i) {
-                    if !seen.contains(&next) {
-                        if !gov.charge_state() {
-                            break 'explore;
-                        }
-                        seen.insert(next.clone());
-                        queue.push_back(next);
-                    }
-                }
-            }
-            peak = peak.max(queue.len());
-        }
-        let report = RunReport {
-            states_explored: out.len() as u64,
-            states_stored: seen.len() as u64,
-            peak_waiting: peak as u64,
-            wall_time: gov.elapsed(),
-            ..RunReport::default()
-        };
+        let (_, report) = self.explore(None, false, &gov, |state| out.push(state));
         gov.finish(out, report)
     }
 
@@ -315,6 +279,26 @@ impl BipSystem {
             .then(|| crate::BipPor::analyze(self))
             .filter(crate::BipPor::is_active);
         let gov = budget.governor();
+        match self.explore(por.as_ref(), true, &gov, drop) {
+            (Some(deadlock), report) => gov.finish_complete(Some(deadlock), report),
+            (None, report) => gov.finish(None, report),
+        }
+    }
+
+    /// The one breadth-first search over the global states, from the
+    /// initial state until the queue empties or `gov` trips. Every
+    /// popped state goes to `popped` once expanded, also when the budget
+    /// trips during its expansion. With `stop_at_deadlock`, the first
+    /// popped state without an enabled interaction ends the search
+    /// instead and is returned. `por` restricts each expansion to a
+    /// persistent set where one exists.
+    fn explore(
+        &self,
+        por: Option<&crate::BipPor>,
+        stop_at_deadlock: bool,
+        gov: &Governor,
+        mut popped: impl FnMut(BipState),
+    ) -> (Option<BipState>, RunReport) {
         let mut seen: HashSet<BipState> = HashSet::new();
         let mut queue: VecDeque<BipState> = VecDeque::new();
         let mut peak = 0_usize;
@@ -327,25 +311,18 @@ impl BipSystem {
             queue.push_back(init);
             peak = 1;
         }
-        'explore: while let Some(state) = queue.pop_front() {
+        let mut deadlock = None;
+        while let Some(state) = queue.pop_front() {
             if !gov.check_time() {
                 break;
             }
             explored += 1;
             let enabled = self.enabled_interactions(&state);
-            if enabled.is_empty() {
-                let report = RunReport {
-                    states_explored: explored as u64,
-                    states_stored: seen.len() as u64,
-                    peak_waiting: peak as u64,
-                    por_ample_states: por_ample as u64,
-                    por_fallback_states: por_fallback as u64,
-                    wall_time: gov.elapsed(),
-                    ..RunReport::default()
-                };
-                return gov.finish_complete(Some(state), report);
+            if stop_at_deadlock && enabled.is_empty() {
+                deadlock = Some(state);
+                break;
             }
-            let expand = match por.as_ref().and_then(|p| p.persistent(&enabled)) {
+            let expand = match por.and_then(|p| p.persistent(&enabled)) {
                 Some(mine) => {
                     por_ample += 1;
                     mine
@@ -357,16 +334,22 @@ impl BipSystem {
                     enabled
                 }
             };
+            let mut tripped = false;
             for i in expand {
                 if let Some(next) = self.execute(&state, i) {
                     if !seen.contains(&next) {
                         if !gov.charge_state() {
-                            break 'explore;
+                            tripped = true;
+                            break;
                         }
                         seen.insert(next.clone());
                         queue.push_back(next);
                     }
                 }
+            }
+            popped(state);
+            if tripped {
+                break;
             }
             peak = peak.max(queue.len());
         }
@@ -379,7 +362,7 @@ impl BipSystem {
             wall_time: gov.elapsed(),
             ..RunReport::default()
         };
-        gov.finish(None, report)
+        (deadlock, report)
     }
 }
 

@@ -3,8 +3,6 @@
 //! Everything here is built on `std::thread::scope` and `std::sync` only —
 //! no external dependencies. The pieces:
 //!
-//! * [`ParallelConfig`] — the thread-count knob, defaulting to the machine's
-//!   available parallelism;
 //! * [`run_workers`] — a scoped worker pool returning per-worker results in
 //!   worker order, so merges are deterministic;
 //! * [`PriorityWorkQueue`] — a bounded job queue with priorities, aging and
@@ -32,56 +30,9 @@ pub use spill::{fnv64, RecordRef, SpillError, StateLog, SPILL_MAGIC};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// The worker-pool configuration: how many OS threads an analysis may use.
-///
-/// `ParallelConfig::default()` resolves to the machine's available
-/// parallelism; `sequential()` pins the engines to one worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ParallelConfig {
-    threads: Option<NonZeroUsize>,
-}
-
-impl ParallelConfig {
-    /// Use the machine's available parallelism (resolved lazily).
-    #[must_use]
-    pub fn auto() -> Self {
-        Self::default()
-    }
-
-    /// Pin the engines to one worker.
-    #[must_use]
-    pub fn sequential() -> Self {
-        Self::with_threads(1)
-    }
-
-    /// Use exactly `threads` workers (`0` is treated as `1`).
-    #[must_use]
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig {
-            threads: Some(NonZeroUsize::new(threads.max(1)).expect("max(1) is non-zero")),
-        }
-    }
-
-    /// The resolved worker count (at least 1).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        match self.threads {
-            Some(n) => n.get(),
-            None => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-        }
-    }
-
-    /// Whether this configuration resolves to one worker.
-    #[must_use]
-    pub fn is_sequential(&self) -> bool {
-        self.threads() == 1
-    }
-}
 
 /// Run `threads` scoped workers and collect their results *in worker order*,
 /// so downstream merges are deterministic regardless of completion order.
@@ -463,15 +414,6 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_resolves_to_at_least_one() {
-        assert_eq!(ParallelConfig::sequential().threads(), 1);
-        assert!(ParallelConfig::sequential().is_sequential());
-        assert_eq!(ParallelConfig::with_threads(0).threads(), 1);
-        assert_eq!(ParallelConfig::with_threads(3).threads(), 3);
-        assert!(ParallelConfig::auto().threads() >= 1);
-    }
 
     #[test]
     fn workers_return_in_worker_order() {

@@ -14,6 +14,10 @@ use crate::pta::{Pta, SyncKind};
 use tempo_obs::{Budget, Outcome};
 use tempo_ta::{ChannelKind, ModelChecker, Network, NetworkBuilder, StateFormula, Verdict};
 
+/// Why the timed-automata engine cannot fail here: `Mctau` never gives
+/// its checker a spill config, so the state store stays in memory.
+const IN_MEMORY: &str = "a checker without a spill config never fails";
+
 /// Bounds `[lower, upper]` on a probability, as reported by `mctau`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbabilityBounds {
@@ -74,7 +78,8 @@ impl Mctau {
     /// violation found in the explored portion".
     pub fn check_invariant_governed(&self, f: &StateFormula, budget: &Budget) -> Outcome<bool> {
         let mut mc = ModelChecker::new(&self.net);
-        mc.always_governed(f, budget)
+        mc.try_always_governed(f, budget)
+            .expect(IN_MEMORY)
             .map(|(verdict, _)| matches!(verdict, Verdict::Satisfied))
     }
 
@@ -95,7 +100,7 @@ impl Mctau {
         budget: &Budget,
     ) -> Outcome<ProbabilityBounds> {
         let mut mc = ModelChecker::new(&self.net);
-        let out = mc.reachable_governed(goal, budget);
+        let out = mc.try_reachable_governed(goal, budget).expect(IN_MEMORY);
         let exhausted = out.is_exhausted();
         out.map(|res| {
             if res.reachable || exhausted {

@@ -467,7 +467,7 @@ pub fn pta_ranges(pta: &Pta) -> RangeAnalysis {
     RangeAnalysis::run(&pta.decls, &commands)
 }
 
-/// The result of slicing a PTA (see [`slice`]).
+/// The result of slicing a PTA (see [`slice()`]).
 #[derive(Debug, Clone)]
 pub struct PtaSlice {
     /// The sliced PTA: disabled edges keep their index but can never

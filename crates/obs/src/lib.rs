@@ -53,10 +53,7 @@ mod fingerprint;
 mod store;
 
 pub use fingerprint::{Fingerprint, StableDigest, StableHasher};
-pub use store::{
-    create_state_log, payload_digest, ResidentStore, SpillMetrics, SpillStore, Spillable,
-    StateStore,
-};
+pub use store::{SpillMetrics, Spillable, StateStore};
 pub use tempo_conc::{RecordRef, SpillError, StateLog};
 
 /// Declarative resource limits for one analysis invocation.

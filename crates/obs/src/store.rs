@@ -1,25 +1,21 @@
-//! The `StateStore` abstraction: where an exploration engine's
-//! passed/waiting lists physically live.
+//! The exploration state store: where an engine's passed/waiting lists
+//! physically live.
 //!
 //! Explicit-state engines keep two collections: an arena of discovered
 //! states (for trace reconstruction) and an inclusion-reduced passed
-//! list partitioned by a discrete key. [`StateStore`] cuts both behind
-//! one trait with two implementations:
+//! list partitioned by a discrete key. [`StateStore`] holds both, plus
+//! the FIFO waiting list. Without a [`SpillConfig`] every state stays in
+//! memory and nothing touches disk. With one the store is out-of-core:
+//! the first `resident_budget` states stay fully in memory, every later
+//! state is serialized into an append-only [`StateLog`] and only a
+//! compact summary (plus its content fingerprint) stays resident.
+//! Inclusion checks probe the summary first and fault the full record
+//! from disk only on a possible-subsumption hit.
 //!
-//! * [`ResidentStore`] — everything in memory, byte-for-byte the
-//!   behaviour the engines had before the abstraction existed;
-//! * [`SpillStore`] — out-of-core: the first `resident_budget` states
-//!   stay fully in memory, every later state is serialized into an
-//!   append-only [`StateLog`] and only a compact summary (plus its
-//!   content fingerprint) stays resident. Inclusion checks probe the
-//!   summary first and fault the full record from disk only on a
-//!   possible-subsumption hit.
-//!
-//! The trait is engine-agnostic on purpose: any state type implementing
-//! [`Spillable`] (timed-automata symbolic states today; MDP and BIP
-//! discrete states are the planned next tenants) can live in either
-//! store, and engines carry arbitrary resident per-node metadata `M`
-//! (parent edges, permutation indices) alongside.
+//! The store is engine-agnostic: any state type implementing
+//! [`Spillable`] (timed-automata symbolic states today) can live in it,
+//! and engines carry arbitrary resident per-node metadata `M` (parent
+//! edges, permutation indices) alongside.
 //!
 //! Correctness contract: spilling must never change verdicts *or*
 //! exploration statistics. The summary prefilter is a sound necessary
@@ -77,8 +73,7 @@ pub trait Spillable: Sized + Clone {
     fn decode(bytes: &[u8]) -> Result<Self, String>;
 }
 
-/// Out-of-core accounting of one store (all zero for a
-/// [`ResidentStore`]).
+/// Out-of-core accounting of one store (all zero without a spill log).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillMetrics {
     /// States whose full representation went to the spill log.
@@ -89,152 +84,23 @@ pub struct SpillMetrics {
     pub spill_faults: u64,
 }
 
-/// Storage behind an exploration engine's passed/waiting lists.
-///
-/// `insert` performs the engine's whole store-side insertion step:
-/// evict stored states covered by the new one, append it to the arena
-/// and the passed partition, and enqueue it on the waiting list. The
-/// engine keeps the probe (`is_subsumed`) separate because budget
-/// charging sits between probe and insert.
-///
-/// Every fallible method reports [`SpillError`] — a [`ResidentStore`]
-/// never fails, a [`SpillStore`] fails loudly on any I/O or corruption.
-pub trait StateStore<S: Spillable, M> {
-    /// Inclusion probe: is `state` covered by a stored state with the
-    /// same key?
-    ///
-    /// # Errors
-    ///
-    /// [`SpillError`] when a possible-subsumption hit faults a record
-    /// that cannot be read back intact.
-    fn is_subsumed(&mut self, state: &S) -> Result<bool, SpillError>;
-
-    /// Evicts stored states covered by `state`, stores it with its
-    /// resident metadata, enqueues it, and returns its node id.
-    ///
-    /// # Errors
-    ///
-    /// [`SpillError`] when spilling the state or faulting an eviction
-    /// candidate fails.
-    fn insert(&mut self, state: S, meta: M) -> Result<usize, SpillError>;
-
-    /// Pops the next waiting node id (FIFO).
-    fn pop_waiting(&mut self) -> Option<usize>;
-
-    /// Current waiting-list length (for high-water tracking).
-    fn waiting_len(&self) -> usize;
-
-    /// Loads the full state of node `id`, faulting from disk if spilled.
-    ///
-    /// # Errors
-    ///
-    /// [`SpillError`] when the record cannot be read back intact.
-    fn load(&mut self, id: usize) -> Result<S, SpillError>;
-
-    /// The resident metadata of node `id`.
-    fn meta(&self, id: usize) -> &M;
-
-    /// States currently retained in the passed list (after inclusion
-    /// eviction).
-    fn stored(&self) -> usize;
-
-    /// Out-of-core accounting so far.
-    fn metrics(&self) -> SpillMetrics;
-}
-
-/// The all-in-memory store: the engines' original data layout
-/// (`Vec` arena + `HashMap` passed list + `VecDeque` waiting list)
-/// behind the [`StateStore`] trait. Never fails.
-pub struct ResidentStore<S: Spillable, M> {
-    nodes: Vec<(S, M)>,
-    passed: HashMap<S::Key, Vec<usize>>,
-    waiting: VecDeque<usize>,
-}
-
-impl<S: Spillable, M> ResidentStore<S, M> {
-    /// An empty store.
-    #[must_use]
-    pub fn new() -> Self {
-        ResidentStore {
-            nodes: Vec::new(),
-            passed: HashMap::new(),
-            waiting: VecDeque::new(),
-        }
-    }
-}
-
-impl<S: Spillable, M> Default for ResidentStore<S, M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<S: Spillable, M> StateStore<S, M> for ResidentStore<S, M> {
-    fn is_subsumed(&mut self, state: &S) -> Result<bool, SpillError> {
-        let Some(entry) = self.passed.get(&state.key()) else {
-            return Ok(false);
-        };
-        Ok(entry.iter().any(|&i| state.covered_by(&self.nodes[i].0)))
-    }
-
-    fn insert(&mut self, state: S, meta: M) -> Result<usize, SpillError> {
-        let id = self.nodes.len();
-        let nodes = &self.nodes;
-        let entry = self.passed.entry(state.key()).or_default();
-        entry.retain(|&i| !nodes[i].0.covered_by(&state));
-        entry.push(id);
-        self.nodes.push((state, meta));
-        self.waiting.push_back(id);
-        Ok(id)
-    }
-
-    fn pop_waiting(&mut self) -> Option<usize> {
-        self.waiting.pop_front()
-    }
-
-    fn waiting_len(&self) -> usize {
-        self.waiting.len()
-    }
-
-    fn load(&mut self, id: usize) -> Result<S, SpillError> {
-        Ok(self.nodes[id].0.clone())
-    }
-
-    fn meta(&self, id: usize) -> &M {
-        &self.nodes[id].1
-    }
-
-    fn stored(&self) -> usize {
-        self.passed.values().map(Vec::len).sum()
-    }
-
-    fn metrics(&self) -> SpillMetrics {
-        SpillMetrics::default()
-    }
-}
-
 /// Content fingerprint of a spill-record payload, the store-level
 /// integrity key: recomputed on every fault and compared against the
 /// value captured at append time, so even a log whose checksum happens
 /// to collide cannot smuggle altered bytes back into the engine.
-#[must_use]
-pub fn payload_digest(payload: &[u8]) -> Fingerprint {
+fn payload_digest(payload: &[u8]) -> Fingerprint {
     let mut h = StableHasher::new();
     h.write_tag("spill-record");
     h.write_bytes(payload);
     h.finish()
 }
 
-/// Where a spill-store node's full state lives.
-enum Place<S: Spillable> {
-    /// Fully in memory (within the resident budget).
-    Resident(S),
-    /// On disk; only the summary and integrity fingerprint are resident.
-    Spilled {
-        summary: S::Summary,
-        rec: RecordRef,
-        digest: Fingerprint,
-    },
+/// A spilled node's resident index entry: its summary for the
+/// inclusion prefilter, and where its record lives in the log.
+struct Spilled<S: Spillable> {
+    summary: S::Summary,
+    rec: RecordRef,
+    digest: Fingerprint,
 }
 
 /// Process-wide sequence for unique spill-log file names, so several
@@ -242,11 +108,7 @@ enum Place<S: Spillable> {
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Creates a fresh uniquely-named state log inside `config.path`.
-///
-/// # Errors
-///
-/// [`SpillError::Io`] when the directory or file cannot be created.
-pub fn create_state_log(config: &SpillConfig) -> Result<StateLog, SpillError> {
+fn create_state_log(config: &SpillConfig) -> Result<StateLog, SpillError> {
     std::fs::create_dir_all(&config.path).map_err(|e| {
         SpillError::io(
             &format!("creating spill directory {}", config.path.display()),
@@ -258,174 +120,249 @@ pub fn create_state_log(config: &SpillConfig) -> Result<StateLog, SpillError> {
     StateLog::create(&config.path.join(name))
 }
 
-/// The disk-backed store: an append-only [`StateLog`] of encoded
-/// states with a resident index of `(offset, len, summary,
-/// fingerprint)` per spilled node. See the module docs for the
-/// correctness contract.
-pub struct SpillStore<S: Spillable, M> {
-    log: StateLog,
+/// The node arena. The resident budget fills first, so the resident
+/// nodes are a prefix of the ids: node `i` is resident exactly when
+/// `i < resident.len()`, and no node carries a tag saying where it
+/// lives.
+struct Nodes<S: Spillable> {
+    /// The spill log; `None` keeps every state resident.
+    log: Option<StateLog>,
+    /// Nodes kept fully in memory before spilling begins (unbounded
+    /// without a log).
     resident_budget: usize,
-    resident: usize,
-    nodes: Vec<(Place<S>, M)>,
-    passed: HashMap<S::Key, Vec<usize>>,
-    waiting: VecDeque<usize>,
+    /// Full states of nodes `0..resident.len()`.
+    resident: Vec<S>,
+    /// Index entries of nodes `resident.len()..`, in id order.
+    spilled: Vec<Spilled<S>>,
     metrics: SpillMetrics,
 }
 
-/// Faults one record back from the log, verifying checksum and content
-/// fingerprint before decoding.
-fn fault<S: Spillable>(
-    log: &StateLog,
-    rec: RecordRef,
-    digest: Fingerprint,
-    metrics: &mut SpillMetrics,
-) -> Result<S, SpillError> {
-    metrics.spill_faults += 1;
-    let payload = log.read(rec)?;
-    if payload_digest(&payload) != digest {
-        return Err(SpillError::Corrupt {
-            offset: rec.offset,
-            detail: "payload fingerprint mismatch".to_owned(),
-        });
+impl<S: Spillable> Nodes<S> {
+    /// Appends a node, spilling it once the resident budget is full,
+    /// and returns its id.
+    fn push(&mut self, state: S) -> Result<usize, SpillError> {
+        let id = self.resident.len() + self.spilled.len();
+        match &self.log {
+            Some(log) if id >= self.resident_budget => {
+                let payload = state.encode();
+                let rec = log.append(&payload)?;
+                self.metrics.spilled_states += 1;
+                self.spilled.push(Spilled {
+                    summary: state.summary(),
+                    rec,
+                    digest: payload_digest(&payload),
+                });
+            }
+            _ => self.resident.push(state),
+        }
+        Ok(id)
     }
-    S::decode(&payload).map_err(|detail| SpillError::Corrupt {
-        offset: rec.offset,
-        detail,
-    })
-}
 
-impl<S: Spillable, M> SpillStore<S, M> {
-    /// Opens a fresh spill store per `config`: creates the directory
-    /// and a uniquely-named log file inside it (removed again on drop).
-    ///
-    /// # Errors
-    ///
-    /// [`SpillError::Io`] when the scratch file cannot be created.
-    pub fn create(config: &SpillConfig) -> Result<Self, SpillError> {
-        Ok(SpillStore {
-            log: create_state_log(config)?,
-            resident_budget: config.resident_budget,
-            resident: 0,
-            nodes: Vec::new(),
-            passed: HashMap::new(),
-            waiting: VecDeque::new(),
-            metrics: SpillMetrics::default(),
+    /// Faults the `k`-th spilled node back from the log, verifying
+    /// checksum and content fingerprint before decoding.
+    fn fault(&mut self, k: usize) -> Result<S, SpillError> {
+        let Spilled { rec, digest, .. } = &self.spilled[k];
+        let log = self.log.as_ref().expect("only a store with a log spills");
+        self.metrics.spill_faults += 1;
+        let payload = log.read(*rec)?;
+        if payload_digest(&payload) != *digest {
+            return Err(SpillError::Corrupt {
+                offset: rec.offset,
+                detail: "payload fingerprint mismatch".to_owned(),
+            });
+        }
+        S::decode(&payload).map_err(|detail| SpillError::Corrupt {
+            offset: rec.offset,
+            detail,
         })
     }
 
-    /// The path of the underlying log file (tests use it to inject
-    /// corruption).
-    #[must_use]
-    pub fn log_path(&self) -> &Path {
-        self.log.path()
-    }
-
-    /// Exact cover check against stored node `i`, faulting if spilled —
-    /// `check` receives (stored, probe) in that order.
-    fn covered(
+    /// Decides the exact cover check `exact(stored)` against node `i`.
+    /// A spilled node is faulted only when `prefilter(summary)` admits
+    /// a possible hit.
+    fn covers(
         &mut self,
         i: usize,
-        state: &S,
-        prefilter: fn(&S::Summary, &S) -> bool,
-        check: fn(&S, &S) -> bool,
+        prefilter: impl FnOnce(&S::Summary) -> bool,
+        exact: impl FnOnce(&S) -> bool,
     ) -> Result<bool, SpillError> {
-        match &self.nodes[i].0 {
-            Place::Resident(stored) => Ok(check(stored, state)),
-            Place::Spilled {
-                summary,
-                rec,
-                digest,
-            } => {
-                if !prefilter(summary, state) {
-                    return Ok(false);
-                }
-                let (rec, digest) = (*rec, *digest);
-                let stored = fault::<S>(&self.log, rec, digest, &mut self.metrics)?;
-                Ok(check(&stored, state))
-            }
+        if let Some(stored) = self.resident.get(i) {
+            return Ok(exact(stored));
+        }
+        let k = i - self.resident.len();
+        if !prefilter(&self.spilled[k].summary) {
+            return Ok(false);
+        }
+        Ok(exact(&self.fault(k)?))
+    }
+
+    /// The full state of node `i`, faulted from disk if spilled.
+    fn load(&mut self, i: usize) -> Result<S, SpillError> {
+        match self.resident.get(i) {
+            Some(state) => Ok(state.clone()),
+            None => self.fault(i - self.resident.len()),
         }
     }
 }
 
-impl<S: Spillable, M> StateStore<S, M> for SpillStore<S, M> {
-    fn is_subsumed(&mut self, state: &S) -> Result<bool, SpillError> {
-        let ids = match self.passed.get(&state.key()) {
-            Some(entry) => entry.clone(),
-            None => return Ok(false),
+/// Storage behind an exploration engine's passed/waiting lists (see the
+/// module docs). Only a store with a spill log can fail: its fallible
+/// methods report any I/O failure or corruption as a [`SpillError`].
+pub struct StateStore<S: Spillable, M> {
+    nodes: Nodes<S>,
+    /// Resident metadata of every node, by id.
+    meta: Vec<M>,
+    passed: HashMap<S::Key, Vec<usize>>,
+    waiting: VecDeque<usize>,
+}
+
+impl<S: Spillable, M> StateStore<S, M> {
+    /// An empty store. Without `spill` it keeps every state in memory;
+    /// with it, it creates the spill directory and a uniquely-named log
+    /// file inside it (removed again on drop), and states past the
+    /// resident budget go to that log.
+    ///
+    /// # Errors
+    ///
+    /// [`SpillError::Io`] when the spill log cannot be created.
+    pub fn create(spill: Option<&SpillConfig>) -> Result<Self, SpillError> {
+        let (log, resident_budget) = match spill {
+            Some(config) => (Some(create_state_log(config)?), config.resident_budget),
+            None => (None, usize::MAX),
         };
-        for i in ids {
+        Ok(StateStore {
+            nodes: Nodes {
+                log,
+                resident_budget,
+                resident: Vec::new(),
+                spilled: Vec::new(),
+                metrics: SpillMetrics::default(),
+            },
+            meta: Vec::new(),
+            passed: HashMap::new(),
+            waiting: VecDeque::new(),
+        })
+    }
+
+    /// The path of the spill log, if the store has one (tests use it to
+    /// inject corruption).
+    #[must_use]
+    pub fn log_path(&self) -> Option<&Path> {
+        self.nodes.log.as_ref().map(StateLog::path)
+    }
+
+    /// Inclusion probe: is `state` covered by a stored state with the
+    /// same key?
+    ///
+    /// # Errors
+    ///
+    /// [`SpillError`] when a possible-subsumption hit faults a record
+    /// that cannot be read back intact.
+    pub fn is_subsumed(&mut self, state: &S) -> Result<bool, SpillError> {
+        let Some(ids) = self.passed.get(&state.key()) else {
+            return Ok(false);
+        };
+        for &i in ids {
             // stored covers state ⟺ state.covered_by(stored)
-            if self.covered(i, state, S::may_cover, |stored, s| s.covered_by(stored))? {
+            let may_cover = |summary: &S::Summary| S::may_cover(summary, state);
+            if self
+                .nodes
+                .covers(i, may_cover, |stored| state.covered_by(stored))?
+            {
                 return Ok(true);
             }
         }
         Ok(false)
     }
 
-    fn insert(&mut self, state: S, meta: M) -> Result<usize, SpillError> {
-        let key = state.key();
-        let ids = self.passed.get(&key).cloned().unwrap_or_default();
-        let mut kept = Vec::with_capacity(ids.len() + 1);
-        for i in ids {
-            // evict ⟺ stored.covered_by(state)
-            let evict = self.covered(i, &state, S::may_be_covered, |stored, s| {
-                stored.covered_by(s)
-            })?;
-            if !evict {
-                kept.push(i);
-            }
-        }
-        let place = if self.resident < self.resident_budget {
-            self.resident += 1;
-            Place::Resident(state)
-        } else {
-            let payload = state.encode();
-            let rec = self.log.append(&payload)?;
-            self.metrics.spilled_states += 1;
-            Place::Spilled {
-                summary: state.summary(),
-                rec,
-                digest: payload_digest(&payload),
-            }
-        };
-        let id = self.nodes.len();
-        kept.push(id);
-        self.nodes.push((place, meta));
-        self.passed.insert(key, kept);
+    /// The engine's whole store-side insertion step: evicts the stored
+    /// states covered by `state`, stores it with its resident metadata
+    /// (spilling it past the resident budget), enqueues it, and returns
+    /// its node id. The engine keeps the probe ([`Self::is_subsumed`])
+    /// separate because budget charging sits between probe and insert.
+    ///
+    /// # Errors
+    ///
+    /// [`SpillError`] when spilling the state or faulting an eviction
+    /// candidate fails.
+    pub fn insert(&mut self, state: S, meta: M) -> Result<usize, SpillError> {
+        let ids = self.passed.entry(state.key()).or_default();
+        // Evict ⟺ stored.covered_by(state); after a failed fault the
+        // remaining ids are kept untouched.
+        let mut faulted = Ok(());
+        ids.retain(|&i| {
+            let may_be_covered = |summary: &S::Summary| S::may_be_covered(summary, &state);
+            let evict = faulted.is_ok()
+                && self
+                    .nodes
+                    .covers(i, may_be_covered, |stored| stored.covered_by(&state))
+                    .unwrap_or_else(|e| {
+                        faulted = Err(e);
+                        false
+                    });
+            !evict
+        });
+        faulted?;
+        let id = self.nodes.push(state)?;
+        ids.push(id);
+        self.meta.push(meta);
         self.waiting.push_back(id);
         Ok(id)
     }
 
-    fn pop_waiting(&mut self) -> Option<usize> {
+    /// Pops the next waiting node id (FIFO).
+    pub fn pop_waiting(&mut self) -> Option<usize> {
         self.waiting.pop_front()
     }
 
-    fn waiting_len(&self) -> usize {
+    /// Current waiting-list length (for high-water tracking).
+    #[must_use]
+    pub fn waiting_len(&self) -> usize {
         self.waiting.len()
     }
 
-    fn load(&mut self, id: usize) -> Result<S, SpillError> {
-        match &self.nodes[id].0 {
-            Place::Resident(s) => Ok(s.clone()),
-            Place::Spilled { rec, digest, .. } => {
-                let (rec, digest) = (*rec, *digest);
-                fault::<S>(&self.log, rec, digest, &mut self.metrics)
-            }
+    /// Loads the full state of node `id`, faulting from disk if spilled.
+    ///
+    /// # Errors
+    ///
+    /// [`SpillError`] when the record cannot be read back intact.
+    pub fn load(&mut self, id: usize) -> Result<S, SpillError> {
+        self.nodes.load(id)
+    }
+
+    /// The resident metadata of node `id`.
+    #[must_use]
+    pub fn meta(&self, id: usize) -> &M {
+        &self.meta[id]
+    }
+
+    /// Every node inserted so far, evicted ones included, in id order
+    /// with its metadata; spilled states are faulted back from disk.
+    ///
+    /// # Errors
+    ///
+    /// [`SpillError`] when a record cannot be read back intact.
+    pub fn into_nodes(mut self) -> Result<Vec<(S, M)>, SpillError> {
+        let mut states = std::mem::take(&mut self.nodes.resident);
+        for k in 0..self.nodes.spilled.len() {
+            states.push(self.nodes.fault(k)?);
         }
+        Ok(states.into_iter().zip(self.meta).collect())
     }
 
-    fn meta(&self, id: usize) -> &M {
-        &self.nodes[id].1
-    }
-
-    fn stored(&self) -> usize {
+    /// States currently retained in the passed list (after inclusion
+    /// eviction).
+    #[must_use]
+    pub fn stored(&self) -> usize {
         self.passed.values().map(Vec::len).sum()
     }
 
-    fn metrics(&self) -> SpillMetrics {
+    /// Out-of-core accounting so far.
+    #[must_use]
+    pub fn metrics(&self) -> SpillMetrics {
         SpillMetrics {
-            spill_bytes: self.log.bytes_written(),
-            ..self.metrics
+            spill_bytes: self.nodes.log.as_ref().map_or(0, StateLog::bytes_written),
+            ..self.nodes.metrics
         }
     }
 }
@@ -477,38 +414,57 @@ mod tests {
         }
     }
 
-    fn exercise(store: &mut dyn StateStore<Toy, u32>) {
-        assert!(!store.is_subsumed(&Toy(4)).unwrap());
-        store.insert(Toy(4), 0).unwrap(); // key 0
-        store.insert(Toy(5), 1).unwrap(); // key 1
-        assert!(store.is_subsumed(&Toy(4)).unwrap(), "4 covered by 4");
-        assert!(!store.is_subsumed(&Toy(8)).unwrap(), "8 beats 4");
-        // Inserting 8 evicts 4 (same key class, covered).
-        store.insert(Toy(8), 2).unwrap();
-        assert_eq!(store.stored(), 2);
-        assert_eq!(store.pop_waiting(), Some(0));
-        assert_eq!(
-            store.load(0).unwrap(),
-            Toy(4),
-            "evicted nodes stay loadable"
-        );
-        assert_eq!(*store.meta(2), 2);
+    /// Every answer a store gives on a fixed Toy sequence — probe
+    /// results with the ids handed out, `stored()`, and the pop order
+    /// with each popped node's state and metadata — and its counters.
+    fn observe(mut store: StateStore<Toy, u32>) -> (Vec<String>, SpillMetrics) {
+        let mut seen = Vec::new();
+        for v in [4, 5, 4, 8, 3, 9, 12, 13, 6, 7, 2, 16] {
+            let subsumed = store.is_subsumed(&Toy(v)).unwrap();
+            let id = (!subsumed).then(|| store.insert(Toy(v), v as u32).unwrap());
+            seen.push(format!("probe {v}: {subsumed} {id:?}"));
+        }
+        seen.push(format!("stored {}", store.stored()));
+        while let Some(id) = store.pop_waiting() {
+            let state = store.load(id).unwrap();
+            seen.push(format!("pop {id}: {state:?} {}", store.meta(id)));
+        }
+        (seen, store.metrics())
+    }
+
+    #[test]
+    fn store_without_spill_config_stays_in_memory() {
+        let mut store: StateStore<Toy, ()> = StateStore::create(None).unwrap();
+        assert!(store.log_path().is_none(), "no log file is created");
+        for v in 0..32 {
+            store.insert(Toy(v), ()).unwrap();
+        }
+        assert!(store.is_subsumed(&Toy(7)).unwrap());
+        store.load(0).unwrap();
+        assert_eq!(store.metrics(), SpillMetrics::default());
     }
 
     #[test]
     fn resident_and_spill_agree() {
-        let mut resident: ResidentStore<Toy, u32> = ResidentStore::new();
-        exercise(&mut resident);
-        assert_eq!(resident.metrics(), SpillMetrics::default());
+        let (resident, metrics) = observe(StateStore::create(None).unwrap());
+        assert_eq!(metrics, SpillMetrics::default());
+        // The second 4 is covered by the first and 2 by 6; every other
+        // value beats its key class and evicts the state stored there.
+        assert_eq!(resident[2], "probe 4: true None");
+        assert_eq!(resident[10], "probe 2: true None");
+        assert_eq!(resident[12], "stored 4");
+        assert_eq!(
+            resident[13], "pop 0: Toy(4) 4",
+            "evicted nodes stay loadable"
+        );
+        assert_eq!(resident.len(), 23, "all 10 inserted nodes are popped");
 
         let cfg = spill_dir("agree");
-        let mut spill: SpillStore<Toy, u32> = SpillStore::create(&cfg).unwrap();
-        exercise(&mut spill);
-        let m = spill.metrics();
-        assert_eq!(m.spilled_states, 3, "budget 0 spills everything");
-        assert!(m.spill_bytes > 0);
-        assert!(m.spill_faults > 0);
-        drop(spill);
+        let (spilled, metrics) = observe(StateStore::create(Some(&cfg)).unwrap());
+        assert_eq!(spilled, resident);
+        assert_eq!(metrics.spilled_states, 10, "budget 0 spills everything");
+        assert!(metrics.spill_bytes > 0);
+        assert!(metrics.spill_faults > 0);
         let _ = std::fs::remove_dir_all(&cfg.path);
     }
 
@@ -518,7 +474,7 @@ mod tests {
             resident_budget: 2,
             ..spill_dir("budget")
         };
-        let mut store: SpillStore<Toy, ()> = SpillStore::create(&cfg).unwrap();
+        let mut store: StateStore<Toy, ()> = StateStore::create(Some(&cfg)).unwrap();
         store.insert(Toy(1), ()).unwrap();
         store.insert(Toy(2), ()).unwrap();
         store.insert(Toy(3), ()).unwrap();
@@ -536,10 +492,10 @@ mod tests {
     #[test]
     fn torn_log_fails_loud_not_wrong() {
         let cfg = spill_dir("torn");
-        let mut store: SpillStore<Toy, ()> = SpillStore::create(&cfg).unwrap();
+        let mut store: StateStore<Toy, ()> = StateStore::create(Some(&cfg)).unwrap();
         store.insert(Toy(7), ()).unwrap();
         // Tear the log mid-record.
-        let path = store.log_path().to_path_buf();
+        let path = store.log_path().unwrap().to_path_buf();
         let len = std::fs::metadata(&path).unwrap().len();
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 3).unwrap();

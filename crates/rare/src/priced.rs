@@ -16,7 +16,6 @@
 //! ([`tempo_witness::replay_priced_run`]), so a certified run's
 //! re-summed cost matches the simulator's bit for bit.
 
-use tempo_conc::ParallelConfig;
 use tempo_cora::PricedNetwork;
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_smc::{
@@ -153,12 +152,6 @@ impl<'n> PricedChecker<'n> {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.smc = self.smc.with_threads(threads);
         self
-    }
-
-    /// Use the worker count resolved from a [`ParallelConfig`].
-    #[must_use]
-    pub fn with_parallelism(self, config: ParallelConfig) -> Self {
-        self.with_threads(config.threads())
     }
 
     /// Caps the number of actions per simulated run.

@@ -30,7 +30,7 @@
 //! therefore byte-identical at any thread count.
 
 use crate::score::GoalScore;
-use tempo_conc::{derive_stream_seed, run_blocks, trial_seed, ParallelConfig};
+use tempo_conc::{derive_stream_seed, run_blocks, trial_seed};
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_smc::{
     estimate, estimate_mean, ConcreteState, RatePolicy, Run, RunStep, Simulator, StatsError,
@@ -192,12 +192,6 @@ impl<'n> RareChecker<'n> {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Use the worker count resolved from a [`ParallelConfig`].
-    #[must_use]
-    pub fn with_parallelism(self, config: ParallelConfig) -> Self {
-        self.with_threads(config.threads())
     }
 
     /// Caps the number of actions per simulated segment.

@@ -6,7 +6,7 @@ use crate::sim::{RatePolicy, Run, Simulator};
 use crate::stats::{
     estimate, estimate_mean, EmpiricalCdf, Estimate, MeanEstimate, Sprt, StatsError, TestVerdict,
 };
-use tempo_conc::{run_blocks, trial_seed, ParallelConfig};
+use tempo_conc::{run_blocks, trial_seed};
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_ta::flow::FlowMetrics;
 use tempo_ta::{ClockReduction, Network, StateFormula};
@@ -173,12 +173,6 @@ impl<'n> StatisticalChecker<'n> {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Use the worker count resolved from a [`ParallelConfig`].
-    #[must_use]
-    pub fn with_parallelism(self, config: ParallelConfig) -> Self {
-        self.with_threads(config.threads())
     }
 
     /// The configured worker count.

@@ -12,8 +12,8 @@ use tempo_ioco::Lts;
 use tempo_mdp::{Mdp, Opt};
 use tempo_modest::{Mcpta, Pta};
 use tempo_obs::{
-    Budget, ExhaustionReason, ExploreConfig, Fingerprint, LintError, Outcome, RunReport,
-    StableDigest, StableHasher,
+    Budget, Diagnostic, ExhaustionReason, ExploreConfig, Fingerprint, LintError, Outcome,
+    RunReport, StableDigest, StableHasher,
 };
 use tempo_rare::{certified_cost_probability, certified_splitting_probability, SplitConfig};
 use tempo_smc::{Estimate, RatePolicy};
@@ -42,7 +42,8 @@ pub enum JobKind {
         /// the same question but report different work.
         explore: ExploreConfig,
     },
-    /// Leads-to / response checking (`phi --> psi`).
+    /// Leads-to / response checking (`phi --> psi`). Both formulas must
+    /// be discrete (no clock atoms); the admission gate refuses others.
     LeadsTo {
         /// The network under analysis.
         net: Arc<Network>,
@@ -216,7 +217,9 @@ impl JobKind {
     ///
     /// Kinds whose model has no lint substrate (an explicit [`Mdp`], a
     /// compiled [`Pta`] whose MODEST source was checked at compile
-    /// time) pass trivially.
+    /// time) pass trivially. A leads-to whose formulas read clocks is
+    /// refused with a `TL103` error, the code `tempo check` gives the
+    /// same query: its engine supports only discrete predicates.
     ///
     /// # Errors
     ///
@@ -225,6 +228,14 @@ impl JobKind {
     pub fn lint_gate(&self) -> Result<(), LintError> {
         let config = tempo_lint::LintConfig::default();
         match self {
+            JobKind::LeadsTo { phi, psi, .. } if !(phi.is_discrete() && psi.is_discrete()) => {
+                Err(LintError::new(vec![Diagnostic::error(
+                    "TL103",
+                    None,
+                    "the leads-to engine supports only location and data predicates; \
+                     remove the clock constraints from both sides of `-->`",
+                )]))
+            }
             JobKind::Reach { net, .. }
             | JobKind::LeadsTo { net, .. }
             | JobKind::DeadlockFree { net, .. } => {

@@ -1,6 +1,6 @@
 //! Deterministic byte codec for symbolic states, and the [`Spillable`]
-//! implementation that lets them live in an out-of-core
-//! [`tempo_obs::SpillStore`].
+//! implementation that lets them spill out of a
+//! [`tempo_obs::StateStore`].
 //!
 //! Record layout (all integers little-endian):
 //!

@@ -27,10 +27,10 @@
 use crate::explore::{Explorer, SymState};
 use crate::formula::StateFormula;
 use crate::model::{LocationId, Network};
-use crate::reach::{exploration_report, explore, Stats, Trace, TraceStep, Verdict};
+use crate::reach::{exploration_report, explore_all, Stats, Trace, TraceStep, Verdict};
 use std::collections::HashSet;
 use tempo_expr::Store;
-use tempo_obs::{Budget, Governor, Outcome, ResidentStore, SpillMetrics, StateStore};
+use tempo_obs::{Budget, Governor, Outcome, SpillMetrics};
 
 /// Checks the leads-to property `phi --> psi` over the network.
 ///
@@ -78,55 +78,37 @@ pub fn leads_to_governed(
 
     // Phase 1: collect all reachable states (inclusion-reduced), keeping
     // parent links for diagnostics.
-    let mut store = ResidentStore::new();
-    let run = explore(
-        net,
-        &explorer,
-        |_: &SymState| false,
-        None,
-        None,
-        1,
-        &mut store,
-        &gov,
-    )
-    .expect("a resident store never fails");
+    let (nodes, run) = explore_all(net, &explorer, 1, &gov);
     let mut stats = run.stats;
 
     // Phase 2: from every reachable φ ∧ ¬ψ state, search the ψ-avoiding
     // graph for a cycle, a time-divergent stay, or a dead end. Skipped
     // entirely once the budget tripped during phase 1.
-    for start in 0..run.nodes {
+    let mut counterexample = None;
+    for (start, (s, _)) in nodes.iter().enumerate() {
         if gov.is_exhausted() {
             break;
         }
-        let s = store.load(start).expect("a resident store never fails");
-        if !phi.holds_somewhere(net, &s) || psi.holds_somewhere(net, &s) {
+        if !phi.holds_somewhere(net, s) || psi.holds_somewhere(net, s) {
             continue;
         }
-        if let Some(bad) = avoid_search(net, &explorer, &s, psi, &mut stats, &gov) {
+        if let Some(bad) = avoid_search(net, &explorer, s, psi, &mut stats, &gov) {
             // Build a trace: path to `start` via parent links, then the
             // offending suffix.
-            let mut prefix = Vec::new();
+            let mut steps = Vec::new();
             let mut cur = Some(start);
             while let Some(i) = cur {
-                prefix.push(TraceStep {
+                let (state, (parent, _)) = &nodes[i];
+                steps.push(TraceStep {
                     action: None,
-                    state: store.load(i).expect("a resident store never fails"),
+                    state: state.clone(),
                 });
-                cur = store.meta(i).0.as_ref().map(|(parent, _)| *parent);
+                cur = parent.as_ref().map(|(parent, _)| *parent);
             }
-            prefix.reverse();
-            prefix.extend(bad.steps);
-            let report = exploration_report(
-                &gov,
-                &stats,
-                run.peak,
-                net.dim(),
-                model_dim,
-                SpillMetrics::default(),
-            );
-            return gov
-                .finish_complete((Verdict::Violated(Trace { steps: prefix }), stats), report);
+            steps.reverse();
+            steps.extend(bad.steps);
+            counterexample = Some(Trace { steps });
+            break;
         }
     }
     let report = exploration_report(
@@ -137,7 +119,10 @@ pub fn leads_to_governed(
         model_dim,
         SpillMetrics::default(),
     );
-    gov.finish((Verdict::Satisfied, stats), report)
+    match counterexample {
+        Some(trace) => gov.finish_complete((Verdict::Violated(trace), stats), report),
+        None => gov.finish((Verdict::Satisfied, stats), report),
+    }
 }
 
 /// Key for cycle detection: discrete part plus the exact zone.

@@ -121,14 +121,16 @@ pub fn check_query_governed(
 ) -> Result<Outcome<QueryResult>, QueryError> {
     let query = parse_query(net, text)?;
     let mut mc = ModelChecker::new(net);
+    const IN_MEMORY: &str = "a checker without a spill config never fails";
     let verdict_outcome = match query {
-        Query::Always(f) => mc.always_governed(&f, budget),
+        Query::Always(f) => mc.try_always_governed(&f, budget).expect(IN_MEMORY),
         Query::Eventually(f) => {
-            return Ok(mc.reachable_governed(&f, budget).map(|res| QueryResult {
+            let out = mc.try_reachable_governed(&f, budget).expect(IN_MEMORY);
+            return Ok(out.map(|res| QueryResult {
                 satisfied: res.reachable,
                 trace: res.trace,
                 stats: res.stats,
-            }))
+            }));
         }
         Query::LeadsTo(phi, psi) => {
             if !(phi.is_discrete() && psi.is_discrete()) {
@@ -140,7 +142,7 @@ pub fn check_query_governed(
             }
             leads_to_governed(net, &phi, &psi, budget)
         }
-        Query::DeadlockFree => mc.deadlock_free_governed(budget),
+        Query::DeadlockFree => mc.try_deadlock_free_governed(budget).expect(IN_MEMORY),
     };
     Ok(verdict_outcome.map(|(verdict, stats)| match verdict {
         Verdict::Satisfied => QueryResult {

@@ -11,26 +11,14 @@ use crate::model::Network;
 use crate::por::Por;
 use crate::symmetry::Symmetry;
 use tempo_obs::{
-    Budget, ExploreConfig, Governor, Outcome, ResidentStore, RunReport, SpillError, SpillMetrics,
-    SpillStore, StateStore,
+    Budget, ExploreConfig, Governor, Outcome, RunReport, SpillError, SpillMetrics, StateStore,
 };
 
-/// Resident per-node metadata kept by the exploration stores: the
+/// Resident per-node metadata kept by the exploration store: the
 /// parent edge (for trace reconstruction) and the index of the
 /// symmetry permutation that canonicalized the state (`0` — the
 /// identity — when symmetry is off).
 pub(crate) type NodeMeta = (Option<(usize, Action)>, usize);
-
-/// The [`StateStore`] behind a zone-graph exploration, chosen by the
-/// spill knob of [`ExploreConfig`].
-fn make_store(
-    config: &ExploreConfig,
-) -> Result<Box<dyn StateStore<SymState, NodeMeta>>, SpillError> {
-    Ok(match &config.spill {
-        Some(spill) => Box::new(SpillStore::create(spill)?),
-        None => Box::new(ResidentStore::new()),
-    })
-}
 
 /// Builds the [`RunReport`] of a zone-graph exploration from its
 /// [`Stats`], the waiting-list high-water mark, the DBM dimensions
@@ -95,8 +83,6 @@ pub(crate) struct Explored {
     pub(crate) stats: Stats,
     /// Waiting-list high-water mark.
     pub(crate) peak: usize,
-    /// Nodes inserted into the store; their ids are `0..nodes`.
-    pub(crate) nodes: usize,
 }
 
 /// The zone-graph passed/waiting exploration behind every forward
@@ -119,7 +105,7 @@ pub(crate) fn explore<H>(
     por: Option<&Por>,
     sym: Option<&Symmetry>,
     workers: usize,
-    store: &mut dyn StateStore<SymState, NodeMeta>,
+    store: &mut StateStore<SymState, NodeMeta>,
     gov: &Governor,
 ) -> Result<Explored, SpillError>
 where
@@ -161,11 +147,11 @@ where
         sym_orbits: sym.map_or(0, Symmetry::orbit_count),
         ..Stats::default()
     };
-    let (mut peak, mut nodes) = (0, 0);
+    let mut peak = 0;
     let (init, init_perm) = canonical(explorer.initial_state());
     if gov.charge_state() {
         store.insert(init, (None, init_perm))?;
-        (peak, nodes) = (1, 1);
+        peak = 1;
     }
 
     let workers = workers.max(1);
@@ -236,7 +222,6 @@ where
                         break 'explore;
                     }
                     store.insert(succ, (Some((id, action)), perm))?;
-                    nodes += 1;
                     peak = peak.max(store.waiting_len() + later);
                 }
                 // C3 cycle proviso: an ample successor was subsumed by an
@@ -261,8 +246,34 @@ where
         hit: found,
         stats,
         peak,
-        nodes,
     })
+}
+
+/// The full forward exploration of `net`'s unreduced zone graph within
+/// `gov`, shared by state enumeration and the first phase of leads-to:
+/// every node inserted (evicted ones included) in id order with its
+/// metadata, and how the run ended. Nothing touches disk.
+pub(crate) fn explore_all(
+    net: &Network,
+    explorer: &Explorer<'_>,
+    workers: usize,
+    gov: &Governor,
+) -> (Vec<(SymState, NodeMeta)>, Explored) {
+    StateStore::create(None)
+        .and_then(|mut store| {
+            let run = explore(
+                net,
+                explorer,
+                |_: &SymState| false,
+                None,
+                None,
+                workers,
+                &mut store,
+                gov,
+            )?;
+            Ok((store.into_nodes()?, run))
+        })
+        .expect("a store without a spill log never fails")
 }
 
 /// A step of a symbolic diagnostic trace.
@@ -414,10 +425,10 @@ pub struct ReachResult {
 /// The symbolic model checker for a network of timed automata.
 ///
 /// By default the checker explores with one worker. Call
-/// [`ModelChecker::with_threads`] (or [`ModelChecker::with_parallelism`])
-/// to generate successors on a worker pool: the exploration itself
-/// stays one BFS, so verdicts, the BFS-shortest witness traces and
-/// [`Stats`] are identical at any thread count.
+/// [`ModelChecker::with_threads`] to generate successors on a worker
+/// pool: the exploration itself stays one BFS, so verdicts, the
+/// BFS-shortest witness traces and [`Stats`] are identical at any
+/// thread count.
 ///
 /// ```
 /// use tempo_ta::{NetworkBuilder, ModelChecker, StateFormula};
@@ -438,7 +449,6 @@ pub struct ModelChecker<'n> {
     threads: usize,
     reduce: bool,
     config: ExploreConfig,
-    last_flow: crate::flow::FlowMetrics,
 }
 
 impl<'n> ModelChecker<'n> {
@@ -452,7 +462,6 @@ impl<'n> ModelChecker<'n> {
             threads: 1,
             reduce: true,
             config: ExploreConfig::default(),
-            last_flow: crate::flow::FlowMetrics::default(),
         }
     }
 
@@ -493,12 +502,6 @@ impl<'n> ModelChecker<'n> {
         self
     }
 
-    /// Use the worker count resolved from a [`tempo_conc::ParallelConfig`].
-    #[must_use]
-    pub fn with_parallelism(self, config: tempo_conc::ParallelConfig) -> Self {
-        self.with_threads(config.threads())
-    }
-
     /// The configured worker count.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -512,9 +515,16 @@ impl<'n> ModelChecker<'n> {
     }
 
     /// `E<> goal`: is some state satisfying `goal` reachable?
+    ///
+    /// # Panics
+    ///
+    /// Panics on a state-store failure, which is only possible when
+    /// [`ExploreConfig::with_spill`] is set — use
+    /// [`ModelChecker::try_reachable_governed`] then.
     #[must_use]
     pub fn reachable(&mut self, goal: &StateFormula) -> ReachResult {
-        self.reachable_governed(goal, &Budget::unlimited())
+        self.try_reachable_governed(goal, &Budget::unlimited())
+            .expect("state store failed; use try_reachable_governed with ExploreConfig::with_spill")
             .into_value()
     }
 
@@ -527,27 +537,9 @@ impl<'n> ModelChecker<'n> {
     /// same step the budget trips is still returned as `Complete`, because
     /// reachability witnesses are sound regardless of coverage.
     ///
-    /// # Panics
-    ///
-    /// Panics on a spill-store failure, which is only possible when
-    /// [`ExploreConfig::with_spill`] is set — use
-    /// [`ModelChecker::try_reachable_governed`] then.
-    pub fn reachable_governed(
-        &mut self,
-        goal: &StateFormula,
-        budget: &Budget,
-    ) -> Outcome<ReachResult> {
-        self.try_reachable_governed(goal, budget)
-            .expect("spill store failed; use try_reachable_governed with ExploreConfig::with_spill")
-    }
-
-    /// `E<> goal` under a resource [`Budget`], surfacing spill-store
-    /// failures as typed errors.
-    ///
-    /// With the default in-memory store this never fails; with
-    /// [`ExploreConfig::with_spill`] any I/O failure or torn/corrupt
-    /// spill record aborts the query with a [`SpillError`] — never a
-    /// wrong verdict.
+    /// Without [`ExploreConfig::with_spill`] this never fails; with it,
+    /// any I/O failure or torn/corrupt spill record aborts the query with
+    /// a [`SpillError`] — never a wrong verdict.
     ///
     /// # Errors
     ///
@@ -557,135 +549,8 @@ impl<'n> ModelChecker<'n> {
         goal: &StateFormula,
         budget: &Budget,
     ) -> Result<Outcome<ReachResult>, SpillError> {
-        let gov = budget.governor();
-        let (res, peak, dim, spill) = self.search(goal, &gov)?;
-        let report = self.last_flow.stamp(exploration_report(
-            &gov,
-            &res.stats,
-            peak,
-            dim,
-            self.net.dim(),
-            spill,
-        ));
-        Ok(if res.reachable {
-            gov.finish_complete(res, report)
-        } else {
-            gov.finish(res, report)
-        })
-    }
-
-    /// `A[] safe`: does `safe` hold in every reachable state (and every
-    /// valuation of its zone)? Equivalent to `not E<> not safe`.
-    #[must_use]
-    pub fn always(&mut self, safe: &StateFormula) -> (Verdict, Stats) {
-        self.always_governed(safe, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// `A[] safe` under a resource [`Budget`].
-    ///
-    /// A violation is definitive (`Complete`) even if found on the last
-    /// budgeted state. On exhaustion the partial verdict is
-    /// `Satisfied`, to be read as "no violation found within the explored
-    /// portion" — never as a proof.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a spill-store failure, which is only possible when
-    /// [`ExploreConfig::with_spill`] is set — use
-    /// [`ModelChecker::try_always_governed`] then.
-    pub fn always_governed(
-        &mut self,
-        safe: &StateFormula,
-        budget: &Budget,
-    ) -> Outcome<(Verdict, Stats)> {
-        self.try_always_governed(safe, budget)
-            .expect("spill store failed; use try_always_governed with ExploreConfig::with_spill")
-    }
-
-    /// `A[] safe` under a resource [`Budget`], surfacing spill-store
-    /// failures as typed errors (see
-    /// [`ModelChecker::try_reachable_governed`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SpillError`] when the disk-backed state store fails.
-    pub fn try_always_governed(
-        &mut self,
-        safe: &StateFormula,
-        budget: &Budget,
-    ) -> Result<Outcome<(Verdict, Stats)>, SpillError> {
-        let neg = StateFormula::not(safe.clone());
-        let gov = budget.governor();
-        let (res, peak, dim, spill) = self.search(&neg, &gov)?;
-        let report = self.last_flow.stamp(exploration_report(
-            &gov,
-            &res.stats,
-            peak,
-            dim,
-            self.net.dim(),
-            spill,
-        ));
-        Ok(if res.reachable {
-            let value = (Verdict::Violated(res.trace.unwrap_or_default()), res.stats);
-            gov.finish_complete(value, report)
-        } else {
-            gov.finish((Verdict::Satisfied, res.stats), report)
-        })
-    }
-
-    /// `A[] not deadlock`: no reachable state contains a valuation from
-    /// which no action transition is possible now or after delay.
-    #[must_use]
-    pub fn deadlock_free(&mut self) -> (Verdict, Stats) {
-        self.deadlock_free_governed(&Budget::unlimited())
-            .into_value()
-    }
-
-    /// `A[] not deadlock` under a resource [`Budget`]. Same partial
-    /// semantics as [`ModelChecker::always_governed`]: a deadlock found is
-    /// definitive, exhaustion means "none found so far".
-    ///
-    /// # Panics
-    ///
-    /// Panics on a spill-store failure, which is only possible when
-    /// [`ExploreConfig::with_spill`] is set — use
-    /// [`ModelChecker::try_deadlock_free_governed`] then.
-    pub fn deadlock_free_governed(&mut self, budget: &Budget) -> Outcome<(Verdict, Stats)> {
-        self.try_deadlock_free_governed(budget).expect(
-            "spill store failed; use try_deadlock_free_governed with ExploreConfig::with_spill",
-        )
-    }
-
-    /// `A[] not deadlock` under a resource [`Budget`], surfacing
-    /// spill-store failures as typed errors (see
-    /// [`ModelChecker::try_reachable_governed`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SpillError`] when the disk-backed state store fails.
-    pub fn try_deadlock_free_governed(
-        &mut self,
-        budget: &Budget,
-    ) -> Result<Outcome<(Verdict, Stats)>, SpillError> {
-        let gov = budget.governor();
-        let (verdict, stats, peak, dim, spill) = self.deadlock_search(&gov)?;
-        let report = exploration_report(&gov, &stats, peak, dim, self.net.dim(), spill);
-        Ok(if verdict.holds() {
-            gov.finish((verdict, stats), report)
-        } else {
-            gov.finish_complete((verdict, stats), report)
-        })
-    }
-
-    /// BFS over the zone graph with an inclusion-reduced passed list.
-    /// Stops when a state intersecting `goal` is found.
-    fn search(
-        &mut self,
-        goal: &StateFormula,
-        gov: &Governor,
-    ) -> Result<(ReachResult, usize, usize, SpillMetrics), SpillError> {
-        self.last_flow = crate::flow::FlowMetrics::default();
+        let gov = &budget.governor();
+        let mut flow = crate::flow::FlowMetrics::default();
         let atoms = goal.clock_atoms();
         // Query-directed slicing: disable edges that provably never fire
         // (empty data guards under the range fixpoint, partnerless
@@ -694,9 +559,9 @@ impl<'n> ModelChecker<'n> {
         let sliced = self.config.slice.then(|| crate::slice::slice(self.net));
         let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
         if let Some(s) = &sliced {
-            self.last_flow.sliced_edges = s.disabled_edges;
-            self.last_flow.vars_narrowed = s.vars_narrowed;
-            self.last_flow.sliced_vars = s.dead_vars.len() as u64;
+            flow.sliced_edges = s.disabled_edges;
+            flow.vars_narrowed = s.vars_narrowed;
+            flow.sliced_vars = s.dead_vars.len() as u64;
         }
         // Active-clock reduction: drop clocks that neither the model nor
         // the query reads, shrinking every DBM of the exploration. The
@@ -705,7 +570,7 @@ impl<'n> ModelChecker<'n> {
         if let (Some(s), Some(r)) = (&sliced, &reduction) {
             if s.disabled_edges > 0 {
                 let plain = self.net.reduced_with(&atoms).removed().len();
-                self.last_flow.sliced_clocks = (r.removed().len().saturating_sub(plain)) as u64;
+                flow.sliced_clocks = (r.removed().len().saturating_sub(plain)) as u64;
             }
         }
         // Graceful fallback: if a property atom's clock was dropped
@@ -719,7 +584,6 @@ impl<'n> ModelChecker<'n> {
             _ => (base, goal.clone()),
         };
         let goal = &goal;
-        let dim = net.dim();
 
         // State-space reductions, each conservative by construction: the
         // analyses return nothing whenever their soundness conditions
@@ -749,10 +613,10 @@ impl<'n> ModelChecker<'n> {
         let mut explorer = Explorer::with_extra_constants(net, &goal.clock_atoms());
         if self.config.lu {
             let lu = crate::flow::NetworkLu::analyze(net, &goal.clock_atoms());
-            self.last_flow.lu_tightened = lu.tightened(&net.max_constants());
+            flow.lu_tightened = lu.tightened(&net.max_constants());
             explorer = explorer.with_lu(lu);
         }
-        let mut store = make_store(&self.config)?;
+        let mut store = StateStore::create(self.config.spill.as_ref())?;
         let run = explore(
             net,
             &explorer,
@@ -760,32 +624,102 @@ impl<'n> ModelChecker<'n> {
             por.as_ref(),
             sym.as_ref(),
             self.threads,
-            store.as_mut(),
+            &mut store,
             gov,
         )?;
         let trace = run
             .hit
-            .map(|id| build_trace(store.as_mut(), id, net, sym.as_ref()))
+            .map(|id| build_trace(&mut store, id, net, sym.as_ref()))
             .transpose()?
             .map(|t| renormalize_trace(replay.as_ref(), t));
-        Ok((
-            ReachResult {
-                reachable: trace.is_some(),
-                trace,
-                stats: run.stats,
-            },
+        let report = flow.stamp(exploration_report(
+            gov,
+            &run.stats,
             run.peak,
-            dim,
+            net.dim(),
+            self.net.dim(),
             store.metrics(),
-        ))
+        ));
+        let res = ReachResult {
+            reachable: trace.is_some(),
+            trace,
+            stats: run.stats,
+        };
+        Ok(if res.reachable {
+            gov.finish_complete(res, report)
+        } else {
+            gov.finish(res, report)
+        })
     }
 
-    /// Full exploration checking the symbolic deadlock condition on every
-    /// state.
-    fn deadlock_search(
+    /// `A[] safe`: does `safe` hold in every reachable state (and every
+    /// valuation of its zone)? Equivalent to `not E<> not safe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a state-store failure, which is only possible when
+    /// [`ExploreConfig::with_spill`] is set — use
+    /// [`ModelChecker::try_always_governed`] then.
+    #[must_use]
+    pub fn always(&mut self, safe: &StateFormula) -> (Verdict, Stats) {
+        self.try_always_governed(safe, &Budget::unlimited())
+            .expect("state store failed; use try_always_governed with ExploreConfig::with_spill")
+            .into_value()
+    }
+
+    /// `A[] safe` under a resource [`Budget`].
+    ///
+    /// A violation is definitive (`Complete`) even if found on the last
+    /// budgeted state. On exhaustion the partial verdict is
+    /// `Satisfied`, to be read as "no violation found within the explored
+    /// portion" — never as a proof. Spill failures surface as in
+    /// [`ModelChecker::try_reachable_governed`].
+    ///
+    /// # Errors
+    ///
+    /// [`SpillError`] when the disk-backed state store fails.
+    pub fn try_always_governed(
         &mut self,
-        gov: &Governor,
-    ) -> Result<(Verdict, Stats, usize, usize, SpillMetrics), SpillError> {
+        safe: &StateFormula,
+        budget: &Budget,
+    ) -> Result<Outcome<(Verdict, Stats)>, SpillError> {
+        let out = self.try_reachable_governed(&StateFormula::not(safe.clone()), budget)?;
+        Ok(out.map(|res| match res.trace {
+            Some(trace) => (Verdict::Violated(trace), res.stats),
+            None => (Verdict::Satisfied, res.stats),
+        }))
+    }
+
+    /// `A[] not deadlock`: no reachable state contains a valuation from
+    /// which no action transition is possible now or after delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a state-store failure, which is only possible when
+    /// [`ExploreConfig::with_spill`] is set — use
+    /// [`ModelChecker::try_deadlock_free_governed`] then.
+    #[must_use]
+    pub fn deadlock_free(&mut self) -> (Verdict, Stats) {
+        self.try_deadlock_free_governed(&Budget::unlimited())
+            .expect(
+                "state store failed; use try_deadlock_free_governed with ExploreConfig::with_spill",
+            )
+            .into_value()
+    }
+
+    /// `A[] not deadlock` under a resource [`Budget`]. Same partial
+    /// semantics as [`ModelChecker::try_always_governed`]: a deadlock
+    /// found is definitive, exhaustion means "none found so far". Spill
+    /// failures surface as in [`ModelChecker::try_reachable_governed`].
+    ///
+    /// # Errors
+    ///
+    /// [`SpillError`] when the disk-backed state store fails.
+    pub fn try_deadlock_free_governed(
+        &mut self,
+        budget: &Budget,
+    ) -> Result<Outcome<(Verdict, Stats)>, SpillError> {
+        let gov = &budget.governor();
         // The deadlock condition only reads guards and invariants, so
         // active-clock reduction preserves it exactly.
         let reduction = self.reduce.then(|| self.net.reduced());
@@ -793,7 +727,6 @@ impl<'n> ModelChecker<'n> {
             Some(r) if r.is_reduced() => r.network(),
             _ => self.net,
         };
-        let dim = net.dim();
         // The deadlock predicate is invariant under template automorphisms
         // (permuting identical components maps enabled transitions to
         // enabled transitions), so symmetry reduction is sound here.
@@ -806,7 +739,7 @@ impl<'n> ModelChecker<'n> {
             None
         };
         let explorer = Explorer::new(net);
-        let mut store = make_store(&self.config)?;
+        let mut store = StateStore::create(self.config.spill.as_ref())?;
         let run = explore(
             net,
             &explorer,
@@ -814,14 +747,26 @@ impl<'n> ModelChecker<'n> {
             None,
             sym.as_ref(),
             self.threads,
-            store.as_mut(),
+            &mut store,
             gov,
         )?;
         let verdict = match run.hit {
-            Some(id) => Verdict::Violated(build_trace(store.as_mut(), id, net, sym.as_ref())?),
+            Some(id) => Verdict::Violated(build_trace(&mut store, id, net, sym.as_ref())?),
             None => Verdict::Satisfied,
         };
-        Ok((verdict, run.stats, run.peak, dim, store.metrics()))
+        let report = exploration_report(
+            gov,
+            &run.stats,
+            run.peak,
+            net.dim(),
+            self.net.dim(),
+            store.metrics(),
+        );
+        Ok(if verdict.holds() {
+            gov.finish((verdict, run.stats), report)
+        } else {
+            gov.finish_complete((verdict, run.stats), report)
+        })
     }
 
     /// Enumerates all reachable symbolic states (inclusion-reduced).
@@ -841,21 +786,8 @@ impl<'n> ModelChecker<'n> {
     ) -> Outcome<(Vec<SymState>, Stats)> {
         let gov = budget.governor();
         let explorer = Explorer::new(self.net);
-        let mut store = ResidentStore::new();
-        let run = explore(
-            self.net,
-            &explorer,
-            |_: &SymState| false,
-            None,
-            None,
-            self.threads,
-            &mut store,
-            &gov,
-        )
-        .expect("a resident store never fails");
-        let states = (0..run.nodes)
-            .map(|id| store.load(id).expect("a resident store never fails"))
-            .collect();
+        let (nodes, run) = explore_all(self.net, &explorer, self.threads, &gov);
+        let states = nodes.into_iter().map(|(state, _)| state).collect();
         let report = exploration_report(
             &gov,
             &run.stats,
@@ -915,7 +847,7 @@ fn renormalize_trace(replay: Option<&Explorer>, trace: Trace) -> Trace {
 /// maps every step back into one concrete execution of the original
 /// network.
 fn build_trace(
-    store: &mut dyn StateStore<SymState, NodeMeta>,
+    store: &mut StateStore<SymState, NodeMeta>,
     mut idx: usize,
     net: &Network,
     sym: Option<&Symmetry>,

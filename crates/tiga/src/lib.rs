@@ -27,7 +27,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use tempo_conc::{run_blocks, ParallelConfig};
+use tempo_conc::run_blocks;
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_ta::flow::FlowMetrics;
 use tempo_ta::{DigitalError, DigitalExplorer, DigitalMove, DigitalState, Network, StateFormula};
@@ -225,12 +225,6 @@ impl<'n> GameSolver<'n> {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Sets the thread count from a shared [`ParallelConfig`].
-    #[must_use]
-    pub fn with_parallelism(self, config: ParallelConfig) -> Self {
-        self.with_threads(config.threads())
     }
 
     /// The configured number of worker threads.

@@ -18,7 +18,7 @@
 //! The `certified_*` functions wrap the engines' governed entry points:
 //! they run the analysis, build the certificate, validate it, and stamp
 //! the certificate's serialized size and validation time into the
-//! returned [`RunReport`].
+//! returned [`RunReport`](tempo_obs::RunReport).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

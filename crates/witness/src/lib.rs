@@ -22,7 +22,7 @@
 //!    costs sum to the reported minimum, a closed-loop strategy table, or a
 //!    memoryless scheduler whose induced Markov chain reproduces the
 //!    reported probability.
-//! 4. **Serialization** ([`format`]) renders certificates in a line-oriented
+//! 4. **Serialization** ([`format`](mod@format)) renders certificates in a line-oriented
 //!    std-only text format and parses them back, so certificates can be
 //!    stored as golden files and checked by third parties.
 //!

@@ -110,10 +110,10 @@ pub(crate) fn replay_internal<'n>(
 
 /// Replays a stochastic run sampled by [`tempo_smc::Simulator`]. The
 /// discrete parts (locations, variables, move labels) are validated
-/// exactly; clock values and delays within [`F64_TOL`]. The stochastic
-/// race itself is not re-derived (any legal resolution is accepted),
-/// but every step must be a legal timed transition of the network that
-/// reproduces the recorded successor.
+/// exactly; clock values and delays within an absolute tolerance of
+/// `1e-9`. The stochastic race itself is not re-derived (any legal
+/// resolution is accepted), but every step must be a legal timed
+/// transition of the network that reproduces the recorded successor.
 ///
 /// # Errors
 ///

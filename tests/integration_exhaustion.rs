@@ -44,7 +44,9 @@ fn ta_reachability_exhausts_gracefully() {
     let (net, aid, on) = lamp();
     let goal = StateFormula::at(aid, on);
     let mut mc = ModelChecker::new(&net);
-    let out = mc.reachable_governed(&goal, &Budget::unlimited().with_max_states(1));
+    let out = mc
+        .try_reachable_governed(&goal, &Budget::unlimited().with_max_states(1))
+        .unwrap();
     assert_eq!(out.exhaustion(), Some(ExhaustionReason::States));
     assert!(
         !out.value().reachable,
@@ -58,7 +60,9 @@ fn ta_always_exhausted_is_not_a_proof() {
     let (net, aid, on) = lamp();
     let mut mc = ModelChecker::new(&net);
     let safe = StateFormula::not(StateFormula::at(aid, on));
-    let out = mc.always_governed(&safe, &Budget::unlimited().with_max_states(1));
+    let out = mc
+        .try_always_governed(&safe, &Budget::unlimited().with_max_states(1))
+        .unwrap();
     assert!(out.is_exhausted());
     // The partial verdict reads "no violation found so far" — the
     // exhaustion marker is what prevents it being read as a proof.
@@ -69,10 +73,12 @@ fn ta_always_exhausted_is_not_a_proof() {
 fn ta_zero_wall_clock_deadline_expires() {
     let (net, aid, on) = lamp();
     let mut mc = ModelChecker::new(&net);
-    let out = mc.reachable_governed(
-        &StateFormula::at(aid, on),
-        &Budget::unlimited().with_wall_time(Duration::ZERO),
-    );
+    let out = mc
+        .try_reachable_governed(
+            &StateFormula::at(aid, on),
+            &Budget::unlimited().with_wall_time(Duration::ZERO),
+        )
+        .unwrap();
     assert!(out.is_exhausted());
     assert!(!out.value().reachable);
 }
@@ -91,7 +97,7 @@ fn ta_liveness_and_deadlock_respect_budgets() {
     assert_well_formed(out.report(), Some(1));
 
     let mut mc = ModelChecker::new(&net);
-    let out = mc.deadlock_free_governed(&budget);
+    let out = mc.try_deadlock_free_governed(&budget).unwrap();
     assert!(out.is_exhausted());
     let (verdict, _) = out.value();
     assert!(
@@ -365,7 +371,9 @@ fn modest_backends_exhaust_gracefully() {
 fn unlimited_budgets_always_complete() {
     let (net, aid, on) = lamp();
     let mut mc = ModelChecker::new(&net);
-    let out = mc.reachable_governed(&StateFormula::at(aid, on), &Budget::unlimited());
+    let out = mc
+        .try_reachable_governed(&StateFormula::at(aid, on), &Budget::unlimited())
+        .unwrap();
     assert!(matches!(out, Outcome::Complete { .. }));
     assert!(out.value().reachable);
     assert!(out.report().states_stored > 0);

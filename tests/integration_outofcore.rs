@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use tempo_core::obs::{Budget, ExploreConfig, RunReport, SpillConfig, SpillStore, StateStore};
+use tempo_core::obs::{Budget, ExploreConfig, RunReport, SpillConfig, StateStore};
 use tempo_core::ta::{Explorer, ModelChecker, SpillError, StateFormula, SymState, Trace};
 use tempo_core::witness::certify::{certified_reachable_with, Certificate};
 use tempo_core::witness::format;
@@ -192,7 +192,7 @@ fn torn_and_corrupt_records_fail_loudly_on_engine_states() {
         path: dir.clone(),
         resident_budget: 0,
     };
-    let mut store: SpillStore<SymState, usize> = SpillStore::create(&cfg).unwrap();
+    let mut store: StateStore<SymState, usize> = StateStore::create(Some(&cfg)).unwrap();
     let first = store.insert(init.clone(), 0).unwrap();
     for (i, s) in succ.iter().enumerate() {
         store.insert(s.clone(), i + 1).unwrap();
@@ -202,7 +202,7 @@ fn torn_and_corrupt_records_fail_loudly_on_engine_states() {
 
     // Tear the tail off the last record: its fault must report Torn
     // with the offsets, while earlier intact records still load.
-    let log = store.log_path().to_path_buf();
+    let log = store.log_path().unwrap().to_path_buf();
     let len = std::fs::metadata(&log).unwrap().len();
     let f = std::fs::OpenOptions::new().write(true).open(&log).unwrap();
     f.set_len(len - 3).unwrap();

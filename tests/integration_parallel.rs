@@ -90,10 +90,14 @@ fn parallel_safety_and_deadlock_match_sequential() {
             let mc = || ModelChecker::new(&tg.net).with_threads(threads);
             let unlimited = Budget::unlimited();
             [
-                mc().always_governed(&tg.safety(), &unlimited)
+                mc().try_always_governed(&tg.safety(), &unlimited)
+                    .unwrap()
                     .report()
                     .clone(),
-                mc().deadlock_free_governed(&unlimited).report().clone(),
+                mc().try_deadlock_free_governed(&unlimited)
+                    .unwrap()
+                    .report()
+                    .clone(),
             ]
             .map(|r| RunReport {
                 wall_time: Duration::ZERO,

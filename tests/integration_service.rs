@@ -7,12 +7,12 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use tempo_core::mdp::Opt;
-use tempo_core::obs::{Budget, ExploreConfig};
+use tempo_core::obs::{Budget, ExploreConfig, Severity};
 use tempo_core::svc::{
     AnalysisService, JobError, JobKind, JobRequest, JobVerdict, Rejected, ServiceConfig,
     VerdictSource,
@@ -471,6 +471,54 @@ fn admission_lint_gate_rejects_broken_models_with_diagnostics() {
     ));
     let stats = svc.shutdown();
     assert_eq!(stats.rejected, 2);
+    assert_eq!(stats.misses, 0, "nothing was queued");
+}
+
+/// A leads-to whose formulas read clocks is refused at admission with a
+/// `TL103` error, as `tempo check` refuses it, instead of reaching a
+/// worker whose engine cannot check it. The watchdog turns a job that
+/// never resolves into a failure rather than a hung suite.
+#[test]
+fn clock_constrained_leads_to_is_rejected_at_admission() {
+    let mut b = NetworkBuilder::new();
+    let x = b.clock("x");
+    let mut a = b.automaton("A");
+    let l0 = a.location_with_invariant("L0", vec![ClockAtom::le(x, 3)]);
+    let l1 = a.location("L1");
+    a.edge(l0, l1).guard_clock(ClockAtom::ge(x, 1)).done();
+    a.edge(l1, l0).reset(x, 0).done();
+    let aid = a.done();
+    let kind = JobKind::LeadsTo {
+        net: Arc::new(b.build()),
+        phi: StateFormula::and(vec![
+            StateFormula::at(aid, l0),
+            StateFormula::clock(ClockAtom::le(x, 2)),
+        ]),
+        psi: StateFormula::at(aid, l1),
+    };
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let svc = AnalysisService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let outcome = svc.submit(request("t", kind)).map(|handle| handle.wait());
+        let _ = tx.send((outcome, svc.shutdown()));
+    });
+    let (outcome, stats) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("watchdog: the leads-to job never resolved");
+    match outcome {
+        Err(Rejected::Lint(e)) => assert!(
+            e.diagnostics
+                .iter()
+                .any(|d| d.code == "TL103" && d.severity == Severity::Error),
+            "{e}"
+        ),
+        other => panic!("expected Rejected::Lint, got {other:?}"),
+    }
+    assert_eq!(stats.rejected, 1);
     assert_eq!(stats.misses, 0, "nothing was queued");
 }
 
