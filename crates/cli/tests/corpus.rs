@@ -372,6 +372,51 @@ fn clock_constrained_leads_to_exits_2_with_tl103() {
     );
 }
 
+/// An engine that panics, here on an initial invariant no clock
+/// valuation satisfies, makes `tempo check` exit 8 with status
+/// `engine-error` instead of waiting forever on the job the panicking
+/// worker never resolved.
+#[test]
+fn engine_panic_exits_8_with_engine_error() {
+    let file = std::env::temp_dir().join(format!(
+        "tempo-corpus-{}-engine-panic.tempo",
+        std::process::id()
+    ));
+    std::fs::write(
+        &file,
+        "clock x\nprocess P = inv {x < 0} STOP\nsystem P\nassert deadlock free\n",
+    )
+    .expect("writable temp dir");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tempo"))
+        .args(["check", file.to_str().unwrap(), "--json", "-"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn tempo binary");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while child.try_wait().expect("poll tempo").is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("tempo check did not exit within 20 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect tempo output");
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(
+        out.status.code(),
+        Some(8),
+        "an engine panic is an engine error"
+    );
+    let text = String::from_utf8(out.stdout).expect("utf8 stdout");
+    let doc = Json::parse(&text[text.find('{').expect("result document")..])
+        .expect("valid result document");
+    assert_eq!(
+        doc.get("status").and_then(Json::as_str),
+        Some("engine-error")
+    );
+}
+
 /// `--help` and `--version` succeed and print something sensible.
 #[test]
 fn help_and_version() {

@@ -1008,6 +1008,7 @@ pub struct ServiceStats {
     coalesced: AtomicU64,
     rejected: AtomicU64,
     cancelled: AtomicU64,
+    engine_panics: AtomicU64,
     queue_peak: AtomicU64,
 }
 
@@ -1062,6 +1063,12 @@ impl ServiceStats {
         self.cancelled.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts an engine run that panicked (the service resolved its job
+    /// with an error and kept the worker).
+    pub fn record_engine_panic(&self) {
+        self.engine_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Raises the queue-depth high-water mark to `depth` if larger.
     pub fn observe_queue_depth(&self, depth: u64) {
         self.queue_peak.fetch_max(depth, Ordering::Relaxed);
@@ -1079,6 +1086,7 @@ impl ServiceStats {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
+            engine_panics: self.engine_panics.load(Ordering::Relaxed),
             queue_peak: self.queue_peak.load(Ordering::Relaxed),
         }
     }
@@ -1103,6 +1111,8 @@ pub struct ServiceCounters {
     pub rejected: u64,
     /// Jobs cancelled.
     pub cancelled: u64,
+    /// Engine runs that panicked.
+    pub engine_panics: u64,
     /// Queue-depth high-water mark.
     pub queue_peak: u64,
 }
@@ -1111,7 +1121,7 @@ impl fmt::Display for ServiceCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "hits {} (disk {}, rejected {}, evicted {}), misses {}, coalesced {}, rejected {}, cancelled {}, queue peak {}",
+            "hits {} (disk {}, rejected {}, evicted {}), misses {}, coalesced {}, rejected {}, cancelled {}, engine panics {}, queue peak {}",
             self.hits,
             self.disk_hits,
             self.disk_rejected,
@@ -1120,6 +1130,7 @@ impl fmt::Display for ServiceCounters {
             self.coalesced,
             self.rejected,
             self.cancelled,
+            self.engine_panics,
             self.queue_peak
         )
     }
@@ -1443,6 +1454,7 @@ mod tests {
         stats.record_coalesced();
         stats.record_rejected();
         stats.record_cancelled();
+        stats.record_engine_panic();
         stats.observe_queue_depth(7);
         stats.observe_queue_depth(3); // does not lower the peak
         let snap = stats.snapshot();
@@ -1453,6 +1465,7 @@ mod tests {
         assert_eq!(snap.coalesced, 1);
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.cancelled, 1);
+        assert_eq!(snap.engine_panics, 1);
         assert_eq!(snap.queue_peak, 7);
         assert!(format!("{snap}").contains("queue peak 7"));
     }

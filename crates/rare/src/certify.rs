@@ -61,9 +61,9 @@ pub fn certified_cost_probability(
         .map_err(|e| WitnessError::Malformed(e.to_string()))?;
     let started = Instant::now();
     let net = pnet.network();
-    // The estimator's one and only batch ran at epoch 1; trial `i` of
-    // that batch is reproduced verbatim by reseeding from the same
-    // `(seed, epoch, trial)` triple.
+    // The estimator's one and only batch ran at epoch 1. Reseeding from
+    // the same `(seed, epoch, trial)` triple reproduces trial `i`, which
+    // ended at its first goal state, and continues it to the horizon.
     let exported: Vec<Run> = (0..witness_runs.min(runs))
         .map(|i| {
             let mut sim = Simulator::new(net, rates.clone(), trial_seed(seed, 1, i));

@@ -106,7 +106,10 @@ fn priced_report(gov: &Governor, completed: usize, dim: usize) -> RunReport {
 ///
 /// Trials are seeded individually from `(seed, epoch, trial index)` —
 /// never from the worker that happens to run them — so every estimate is
-/// bitwise identical at any thread count.
+/// bitwise identical at any thread count. Cost-bounded probabilities and
+/// cost distributions end each trial at its first goal state, since
+/// [`first_hit_cost`] reads nothing after it; expected costs simulate to
+/// the horizon.
 ///
 /// ```
 /// use tempo_cora::PricedNetwork;
@@ -240,7 +243,7 @@ impl<'n> PricedChecker<'n> {
         }
         let gov = budget.governor();
         let pnet = self.pnet;
-        let hits = self.smc.trials(time_bound, runs, &gov, |run| {
+        let hits = self.smc.trials(time_bound, runs, &gov, goal, |run| {
             first_hit_cost(pnet, run, goal).is_some_and(|(t, c)| t <= time_bound && c <= cost_bound)
         });
         let completed = hits.len();
@@ -289,7 +292,9 @@ impl<'n> PricedChecker<'n> {
         let pnet = self.pnet;
         let costs = self
             .smc
-            .trials(bound, runs, &gov, |run| run_cost(pnet, run));
+            .trials(bound, runs, &gov, &StateFormula::False, |run| {
+                run_cost(pnet, run)
+            });
         let completed = costs.len();
         let est = if completed > 0 {
             Some(estimate_mean(&costs)?)
@@ -308,7 +313,7 @@ impl<'n> PricedChecker<'n> {
     pub fn cost_cdf(&mut self, goal: &StateFormula, bound: f64, runs: usize) -> EmpiricalCdf {
         let gov = Budget::unlimited().governor();
         let pnet = self.pnet;
-        let hits = self.smc.trials(bound, runs, &gov, |run| {
+        let hits = self.smc.trials(bound, runs, &gov, goal, |run| {
             first_hit_cost(pnet, run, goal).map(|(_, c)| c)
         });
         let mut cdf = EmpiricalCdf::new(runs);

@@ -372,7 +372,7 @@ impl<'n> RareChecker<'n> {
             let stage_seed = trial_seed(self.seed, self.epoch, s);
             let pool = &entries;
             let (rates, max_steps) = (&self.rates, self.max_steps);
-            let merged: Vec<(bool, Option<Entry>, bool)> = run_blocks(n, self.threads, |block| {
+            let merged: Vec<(bool, Option<Entry>)> = run_blocks(n, self.threads, |block| {
                 let mut out = Vec::with_capacity(block.len());
                 for trial in block {
                     let e = &pool[trial % pool.len()];
@@ -380,7 +380,7 @@ impl<'n> RareChecker<'n> {
                         // Entered this stage already past its level (or
                         // at the goal): a certain crosser, no simulation
                         // needed.
-                        out.push((false, Some(e.clone()), false));
+                        out.push((false, Some(e.clone())));
                         continue;
                     }
                     if !gov.check_time() || !gov.charge_run() {
@@ -388,23 +388,24 @@ impl<'n> RareChecker<'n> {
                     }
                     let seed = derive_stream_seed(stage_seed, trial);
                     let mut sim = Simulator::new(net, rates.clone(), seed);
-                    let run = sim.simulate_from(e.state.clone(), bound, max_steps);
-                    let mut crossed: Option<Entry> = None;
-                    let mut ext = e.prefix.clone();
-                    for step in run.steps {
-                        let state = step.state.clone();
-                        ext.push(step);
-                        if crosses(s, &state) {
-                            crossed = Some(Entry { state, prefix: ext });
-                            break;
+                    // The segment ends at its first crossing, if any.
+                    let run =
+                        sim.simulate_until(e.state.clone(), bound, max_steps, |st| crosses(s, st));
+                    let crossed = match run.steps.last() {
+                        Some(last) if crosses(s, &last.state) => {
+                            let state = last.state.clone();
+                            let mut prefix = e.prefix.clone();
+                            prefix.extend(run.steps);
+                            Some(Entry { state, prefix })
                         }
-                    }
-                    out.push((true, crossed, run.deadlocked));
+                        _ => None,
+                    };
+                    out.push((true, crossed));
                 }
                 out
             });
             let completed = merged.len();
-            for &(simulated, _, _) in &merged {
+            for &(simulated, _) in &merged {
                 if simulated {
                     runs_total += 1;
                     if s > 0 {
@@ -423,7 +424,7 @@ impl<'n> RareChecker<'n> {
                     stages_run: s + 1,
                 };
             }
-            let crossers: Vec<Entry> = merged.into_iter().filter_map(|(_, e, _)| e).collect();
+            let crossers: Vec<Entry> = merged.into_iter().filter_map(|(_, e)| e).collect();
             let c = crossers.len();
             levels.push(LevelStats {
                 threshold: thresholds.get(s).copied(),
@@ -544,7 +545,10 @@ impl<'n> RareChecker<'n> {
                     let mut sim =
                         Simulator::new(net, rates.clone(), derive_stream_seed(rep_seed, counter));
                     counter += 1;
-                    let run = sim.simulate_from(state, bound, max_steps);
+                    // The segment ends at the goal; threshold crossings on
+                    // the way still spawn particles.
+                    let run =
+                        sim.simulate_until(state, bound, max_steps, |st| st.satisfies(net, goal));
                     rep.segments += 1;
                     for step in run.steps {
                         if step.state.satisfies(net, goal) {

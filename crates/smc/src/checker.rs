@@ -61,6 +61,13 @@ pub const DEFAULT_MAX_STEPS: usize = 100_000;
 /// worker runs it, so estimates and run reports do not depend on the
 /// worker count.
 ///
+/// A trial ends at its decisive state: the first goal state for
+/// [`Self::probability`], [`Self::hypothesis`] and [`Self::cdf`], the
+/// first unsafe state for [`Self::count_globally`]. Its seed fixes the
+/// run up to that state and none of these estimators reads past it, so
+/// stopping there changes no estimate. [`Self::expected`] and
+/// [`Self::compare`] simulate every trial to the horizon.
+///
 /// ```
 /// use tempo_ta::NetworkBuilder;
 /// use tempo_smc::{RatePolicy, StatisticalChecker};
@@ -181,15 +188,24 @@ impl<'n> StatisticalChecker<'n> {
         self.threads
     }
 
-    /// Simulates trial `trial` of query `epoch` on `net` up to `bound`.
-    fn trial(&self, net: &Network, epoch: u64, trial: usize, bound: f64) -> Run {
-        let seed = trial_seed(self.seed, epoch, trial);
-        Simulator::new(net, self.rates.clone(), seed).simulate(bound, self.max_steps)
+    /// Simulates trial `trial` of query `epoch` on `net` up to `bound`,
+    /// ending the run at its first state satisfying `stop`.
+    fn trial(
+        &self,
+        net: &Network,
+        epoch: u64,
+        trial: usize,
+        bound: f64,
+        stop: &StateFormula,
+    ) -> Run {
+        let mut sim = Simulator::new(net, self.rates.clone(), trial_seed(self.seed, epoch, trial));
+        let start = sim.initial_state();
+        sim.simulate_until(start, bound, self.max_steps, |s| s.satisfies(net, stop))
     }
 
     /// Simulates trials `0..runs` of the next query on `net` up to horizon
-    /// `bound` and maps each run through `eval`, returning the results in
-    /// trial order.
+    /// `bound`, each ending at its first `stop` state, and maps each run
+    /// through `eval`, returning the results in trial order.
     ///
     /// The run budget caps the batch upfront, so a fixed `(seed, query)`
     /// pair stays bitwise-reproducible; only the wall-clock deadline or
@@ -202,6 +218,7 @@ impl<'n> StatisticalChecker<'n> {
         bound: f64,
         runs: usize,
         gov: &Governor,
+        stop: &StateFormula,
         eval: F,
     ) -> Vec<T>
     where
@@ -217,7 +234,7 @@ impl<'n> StatisticalChecker<'n> {
                 if !gov.check_time() {
                     break;
                 }
-                out.push(eval(&this.trial(net, epoch, t, bound)));
+                out.push(eval(&this.trial(net, epoch, t, bound, stop)));
                 let _ = gov.charge_run();
             }
             out
@@ -234,13 +251,25 @@ impl<'n> StatisticalChecker<'n> {
     /// unreduced network up to horizon `bound` and maps each run through
     /// `eval`, returning the results in trial order. The run budget is
     /// applied as in [`Self::probability_governed`].
-    pub fn trials<T, F>(&mut self, bound: f64, runs: usize, gov: &Governor, eval: F) -> Vec<T>
+    ///
+    /// The run a trial hands to `eval` ends at its first state satisfying
+    /// `stop` (see [`Simulator::simulate_until`]), so `eval` must read
+    /// nothing after that state. Pass [`StateFormula::False`] for full
+    /// runs up to the horizon.
+    pub fn trials<T, F>(
+        &mut self,
+        bound: f64,
+        runs: usize,
+        gov: &Governor,
+        stop: &StateFormula,
+        eval: F,
+    ) -> Vec<T>
     where
         T: Send,
         F: Fn(&Run) -> T + Sync,
     {
         let net = self.net;
-        self.batch(net, bound, runs, gov, eval)
+        self.batch(net, bound, runs, gov, stop, eval)
     }
 
     /// Estimates `Pr[<=bound](<> goal)` from `runs` simulations with a
@@ -294,7 +323,7 @@ impl<'n> StatisticalChecker<'n> {
         let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
         let reduction = base.reduced_with(&goal.clock_atoms());
         let (net, goal) = reduced_query(&reduction, base, goal);
-        let hits = self.batch(net, bound, runs, &gov, |run| {
+        let hits = self.batch(net, bound, runs, &gov, &goal, |run| {
             run.satisfies_eventually(net, &goal, bound)
         });
         let completed = hits.len();
@@ -379,7 +408,7 @@ impl<'n> StatisticalChecker<'n> {
             if !gov.check_time() || !gov.charge_run() {
                 break;
             }
-            let run = self.trial(net, self.epoch, sprt.observations(), bound);
+            let run = self.trial(net, self.epoch, sprt.observations(), bound, &goal);
             sprt.observe(run.satisfies_eventually(net, &goal, bound));
         }
         let verdict = sprt.verdict();
@@ -439,9 +468,9 @@ impl<'n> StatisticalChecker<'n> {
         }
         let gov = budget.governor();
         // `value` is an arbitrary run observer (it may read any clock or
-        // variable), so expected-value estimation neither slices nor
-        // reduces the network.
-        let samples = self.trials(bound, runs, &gov, value);
+        // variable at any time), so expected-value estimation neither
+        // slices nor reduces the network, and simulates full runs.
+        let samples = self.trials(bound, runs, &gov, &StateFormula::False, value);
         let est = if samples.is_empty() {
             Self::check_cancelled(&gov)?;
             None
@@ -475,7 +504,7 @@ impl<'n> StatisticalChecker<'n> {
         let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
         let reduction = base.reduced_with(&goal.clock_atoms());
         let (net, goal) = reduced_query(&reduction, base, goal);
-        let hit_times = self.batch(net, bound, runs, &gov, |run| {
+        let hit_times = self.batch(net, bound, runs, &gov, &goal, |run| {
             run.first_hit(net, &goal).filter(|&t| t <= bound)
         });
         let completed = hit_times.len();
@@ -534,7 +563,9 @@ impl<'n> StatisticalChecker<'n> {
         let reduction = base.reduced_with(&atoms);
         let (net, goal_a) = reduced_query(&reduction, base, goal_a);
         let (_, goal_b) = reduced_query(&reduction, base, goal_b);
-        let pairs = self.batch(net, bound, runs, &gov, |run| {
+        // Full runs: a run must go on past the first goal it reaches to
+        // decide the other one.
+        let pairs = self.batch(net, bound, runs, &gov, &StateFormula::False, |run| {
             (
                 run.satisfies_eventually(net, &goal_a, bound),
                 run.satisfies_eventually(net, &goal_b, bound),
@@ -584,7 +615,8 @@ impl<'n> StatisticalChecker<'n> {
         let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
         let reduction = base.reduced_with(&safe.clock_atoms());
         let (net, safe) = reduced_query(&reduction, base, safe);
-        let safe_runs = self.batch(net, bound, runs, &gov, |run| {
+        let unsafe_state = StateFormula::not(safe.clone());
+        let safe_runs = self.batch(net, bound, runs, &gov, &unsafe_state, |run| {
             run.satisfies_globally(net, &safe, bound)
         });
         let safe_count = safe_runs.iter().filter(|&&ok| ok).count();

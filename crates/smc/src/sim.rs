@@ -268,20 +268,50 @@ impl<'n> Simulator<'n> {
     /// Simulates one run starting from an arbitrary concrete state,
     /// continuing until the *absolute* horizon `time_bound` (compared
     /// against `start.time`, which need not be zero) or `max_steps`
-    /// actions. The importance-splitting engine uses this to continue
-    /// trajectories from stored level-entry states; appending the
-    /// returned steps to the prefix that produced `start` yields a legal
-    /// run of the network from its initial state.
+    /// actions: [`Self::simulate_until`] with a `stop` that never holds.
     pub fn simulate_from(
         &mut self,
         start: ConcreteState,
         time_bound: f64,
         max_steps: usize,
     ) -> Run {
+        self.simulate_until(start, time_bound, max_steps, |_| false)
+    }
+
+    /// The run loop: simulates from `start` until the *absolute* horizon
+    /// `time_bound` or `max_steps` actions, and ends the run right after
+    /// the first state for which `stop` holds. If `start` itself
+    /// satisfies `stop`, the run has no steps.
+    ///
+    /// The returned run is exactly the prefix of the
+    /// [`Self::simulate_from`] run from the same seed, up to and
+    /// including that state: the stop only decides when to quit drawing
+    /// random numbers, never which ones are drawn. So a reader that looks
+    /// at nothing after the first `stop` state, such as
+    /// [`Run::first_hit`] with the same formula, gets the same answer
+    /// from either run. The statistical checkers use this to end each
+    /// trial at its decisive state. The importance-splitting engine uses
+    /// it to continue trajectories from stored level-entry states;
+    /// appending the returned steps to the prefix that produced `start`
+    /// yields a legal run of the network from its initial state.
+    pub fn simulate_until(
+        &mut self,
+        start: ConcreteState,
+        time_bound: f64,
+        max_steps: usize,
+        mut stop: impl FnMut(&ConcreteState) -> bool,
+    ) -> Run {
         let initial = start;
-        let mut state = initial.clone();
         let mut steps = Vec::new();
         let mut deadlocked = false;
+        if stop(&initial) {
+            return Run {
+                initial,
+                steps,
+                deadlocked,
+            };
+        }
+        let mut state = initial.clone();
         for _ in 0..max_steps {
             if state.time >= time_bound {
                 break;
@@ -306,12 +336,16 @@ impl<'n> Simulator<'n> {
                         });
                         break;
                     }
+                    let done = stop(&next);
                     steps.push(RunStep {
                         delay,
                         label,
                         participants,
                         state: next.clone(),
                     });
+                    if done {
+                        break;
+                    }
                     state = next;
                 }
                 StepOutcome::Quiet { next } => {
@@ -738,8 +772,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn first_hit_and_eventually() {
+    /// One move from `L0` to the dead end `L1` within one time unit.
+    fn one_shot() -> (Network, AutomatonId, LocationId) {
         let mut b = NetworkBuilder::new();
         let x = b.clock("x");
         let mut a = b.automaton("A");
@@ -747,7 +781,12 @@ mod tests {
         let l1 = a.location("L1");
         a.edge(l0, l1).guard_clock(ClockAtom::ge(x, 0)).done();
         let aid = a.done();
-        let net = b.build();
+        (b.build(), aid, l1)
+    }
+
+    #[test]
+    fn first_hit_and_eventually() {
+        let (net, aid, l1) = one_shot();
         let mut sim = Simulator::new(&net, RatePolicy::new(), 1);
         let run = sim.simulate(10.0, 100);
         let goal = StateFormula::at(aid, l1);
@@ -759,10 +798,9 @@ mod tests {
         assert!(run.satisfies_globally(&net, &StateFormula::True, 10.0));
     }
 
-    #[test]
-    fn exponential_rates_affect_race() {
-        // Two automata race to a flag; the one with the much higher rate
-        // should win most of the time.
+    /// Two automata race to set the flag `winner` to their id; `Fast`
+    /// has rate 50 and `Slow` rate 0.5.
+    fn race() -> (Network, RatePolicy, tempo_expr::VarId) {
         let mut b = NetworkBuilder::new();
         let winner = b.decls_mut().int("winner", 0, 2);
         let mk = |b: &mut NetworkBuilder, name: &str, id: i64| {
@@ -784,6 +822,14 @@ mod tests {
         let mut rates = RatePolicy::new();
         rates.set(fast, fast_l0, 50.0);
         rates.set(slow, slow_l0, 0.5);
+        (net, rates, winner)
+    }
+
+    #[test]
+    fn exponential_rates_affect_race() {
+        // The component with the much higher rate should win most of the
+        // time.
+        let (net, rates, winner) = race();
         let mut sim = Simulator::new(&net, rates, 99);
         let mut fast_wins = 0;
         for _ in 0..100 {
@@ -799,5 +845,87 @@ mod tests {
             fast_wins > 80,
             "fast component won only {fast_wins}/100 races"
         );
+    }
+
+    /// Asserts that two states are equal, comparing `f64`s bit for bit.
+    fn assert_same_state(a: &ConcreteState, b: &ConcreteState) {
+        assert_eq!(a.locs, b.locs);
+        assert_eq!(a.store, b.store);
+        let bits = |s: &ConcreteState| s.clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.time.to_bits(), b.time.to_bits());
+    }
+
+    /// For 16 seeds, checks that `simulate_until` returns exactly the
+    /// prefix of the `simulate_from` run up to and including its first
+    /// `stop` state. Returns on how many seeds that state came before
+    /// the end of the full run.
+    fn assert_stops_at_first_stop_state(
+        net: &Network,
+        rates: &RatePolicy,
+        horizon: f64,
+        stop: impl Fn(&ConcreteState) -> bool,
+    ) -> usize {
+        let mut cut_short = 0;
+        for seed in 0..16 {
+            let sim = || Simulator::new(net, rates.clone(), seed);
+            let start = sim().initial_state();
+            let full = sim().simulate_from(start.clone(), horizon, 1_000);
+            let run = sim().simulate_until(start, horizon, 1_000, &stop);
+            let first = std::iter::once(&full.initial)
+                .chain(full.steps.iter().map(|s| &s.state))
+                .position(&stop);
+            let len = first.unwrap_or(full.steps.len());
+            assert_eq!(run.steps.len(), len, "seed {seed}");
+            assert_same_state(&run.initial, &full.initial);
+            for (a, b) in run.steps.iter().zip(&full.steps) {
+                assert_eq!(a.delay.to_bits(), b.delay.to_bits(), "seed {seed}");
+                assert_eq!(a.label, b.label, "seed {seed}");
+                assert_eq!(a.participants, b.participants, "seed {seed}");
+                assert_same_state(&a.state, &b.state);
+            }
+            assert_eq!(run.deadlocked, full.deadlocked && first.is_none());
+            if len < full.steps.len() {
+                cut_short += 1;
+            }
+        }
+        cut_short
+    }
+
+    #[test]
+    fn simulate_until_is_the_prefix_up_to_the_first_stop_state() {
+        let rates = RatePolicy::new();
+        let pp = ping_pong();
+        let at_p1 = |s: &ConcreteState| s.locs[0] == LocationId(1);
+        assert!(assert_stops_at_first_stop_state(&pp, &rates, 20.0, at_p1) > 0);
+        let late = |s: &ConcreteState| s.time > 7.5;
+        assert!(assert_stops_at_first_stop_state(&pp, &rates, 20.0, late) > 0);
+        let x_high = |s: &ConcreteState| s.clocks[1] > 1.5;
+        assert!(assert_stops_at_first_stop_state(&pp, &rates, 20.0, x_high) > 0);
+        let (shot, aid, l1) = one_shot();
+        let goal = StateFormula::at(aid, l1);
+        let hit = |s: &ConcreteState| s.satisfies(&shot, &goal);
+        assert_eq!(
+            assert_stops_at_first_stop_state(&shot, &rates, 10.0, hit),
+            16
+        );
+        let (race, race_rates, winner) = race();
+        let won = |s: &ConcreteState| s.store.get(winner) != 0;
+        assert_eq!(
+            assert_stops_at_first_stop_state(&race, &race_rates, 1000.0, won),
+            16
+        );
+        // A never-true stop returns the full run; one that holds at the
+        // start returns no steps.
+        for net in [&pp, &shot, &race] {
+            assert_eq!(
+                assert_stops_at_first_stop_state(net, &rates, 20.0, |_| false),
+                0
+            );
+            let start = Simulator::new(net, rates.clone(), 3).initial_state();
+            let run =
+                Simulator::new(net, rates.clone(), 3).simulate_until(start, 20.0, 1_000, |_| true);
+            assert!(run.steps.is_empty() && !run.deadlocked);
+        }
     }
 }

@@ -1015,6 +1015,10 @@ pub enum JobError {
     Exhausted(ExhaustionReason),
     /// The engine (or its certificate pipeline) failed.
     Engine(String),
+    /// The engine panicked; carries the panic message. The service
+    /// contains the panic: the job resolves with this error and the
+    /// worker stays in the pool.
+    EnginePanic(String),
 }
 
 impl fmt::Display for JobError {
@@ -1023,6 +1027,7 @@ impl fmt::Display for JobError {
             JobError::Cancelled => f.write_str("job cancelled"),
             JobError::Exhausted(r) => write!(f, "budget exhausted: {r}"),
             JobError::Engine(e) => write!(f, "engine error: {e}"),
+            JobError::EnginePanic(e) => write!(f, "engine panicked: {e}"),
         }
     }
 }

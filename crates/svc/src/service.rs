@@ -4,7 +4,9 @@
 //! [`tempo_obs::Governor`] stop mechanism, and the two-tier verdict
 //! cache in front of every engine.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -255,7 +257,14 @@ impl Inner {
             DiskLookup::Absent => {}
         }
         self.stats.record_miss();
-        match work.kind.execute(&budget) {
+        // A panicking engine resolves its job like any other engine
+        // failure, and the worker goes on to the next job.
+        let executed = catch_unwind(AssertUnwindSafe(|| work.kind.execute(&budget)))
+            .unwrap_or_else(|payload| {
+                self.stats.record_engine_panic();
+                Err(JobError::EnginePanic(panic_message(payload.as_ref())))
+            });
+        match executed {
             Ok(exec) => {
                 let cert_text = exec
                     .certificate
@@ -279,6 +288,15 @@ impl Inner {
             Err(e) => self.complete(work.key, &Err(e)),
         }
     }
+}
+
+/// The message a panic was raised with, when it has one.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panic with a non-string payload".to_owned())
 }
 
 /// A handle on one submitted job: wait for the verdict or cancel it.
@@ -314,7 +332,7 @@ impl JobHandle {
     /// # Errors
     ///
     /// [`JobError`] if the job was cancelled, ran out of budget, or the
-    /// engine failed.
+    /// engine failed or panicked.
     pub fn wait(&self) -> Result<JobResult, JobError> {
         self.slot.wait()
     }

@@ -10,7 +10,7 @@ use tempo_core::obs::{Budget, RunReport};
 use tempo_core::smc::StatisticalChecker;
 use tempo_core::ta::{Explorer, ModelChecker, Network, StateFormula, Trace};
 use tempo_core::tiga::GameSolver;
-use tempo_models::{train_gate, train_gate_game};
+use tempo_models::{train_gate, train_gate_game, TrainGate};
 
 /// Replays a witness trace against the explorer: it must start in the
 /// initial symbolic state, follow real transitions, and end in a state
@@ -203,34 +203,36 @@ fn counters(report: &RunReport) -> RunReport {
     }
 }
 
+/// All six estimators, queried in turn on one train-gate(3) checker
+/// (each query draws a fresh trial-seed stream), each as its value's
+/// `Debug` rendering — exact for `f64` — plus its run report.
+fn smc_estimators(tg: &TrainGate, threads: usize) -> Vec<(String, RunReport)> {
+    let unlimited = Budget::unlimited();
+    let mut smc = StatisticalChecker::new(&tg.net, tg.rates(), 42).with_threads(threads);
+    let p = smc
+        .probability_governed(&tg.cross(0), 100.0, 120, 0.95, &unlimited)
+        .expect("valid parameters");
+    let h = smc.hypothesis_governed(&tg.cross(1), 60.0, 0.5, 0.1, 0.01, 0.01, 500, &unlimited);
+    let e = smc
+        .expected_governed(100.0, 120, |run| run.duration(), &unlimited)
+        .expect("valid parameters");
+    let c = smc.cdf_governed(&tg.cross(2), 100.0, 120, &unlimited);
+    let cmp = smc.compare_governed(&tg.cross(0), &tg.cross(1), 50.0, 120, 0.05, &unlimited);
+    let g = smc.count_globally_governed(&tg.safety(), 100.0, 120, &unlimited);
+    vec![
+        (format!("{:?}", p.value()), counters(p.report())),
+        (format!("{:?}", h.value()), counters(h.report())),
+        (format!("{:?}", e.value()), counters(e.report())),
+        (format!("{:?}", c.value()), counters(c.report())),
+        (format!("{:?}", cmp.value()), counters(cmp.report())),
+        (format!("{:?}", g.value()), counters(g.report())),
+    ]
+}
+
 #[test]
 fn smc_estimators_are_identical_at_every_worker_count() {
     let tg = train_gate(3);
-    let unlimited = Budget::unlimited();
-    // All six estimators, queried in turn on one checker (each query
-    // draws a fresh trial-seed stream), each as its value's `Debug`
-    // rendering — exact for `f64` — plus its run report.
-    let estimators = |threads: usize| -> Vec<(String, RunReport)> {
-        let mut smc = StatisticalChecker::new(&tg.net, tg.rates(), 42).with_threads(threads);
-        let p = smc
-            .probability_governed(&tg.cross(0), 100.0, 120, 0.95, &unlimited)
-            .expect("valid parameters");
-        let h = smc.hypothesis_governed(&tg.cross(1), 60.0, 0.5, 0.1, 0.01, 0.01, 500, &unlimited);
-        let e = smc
-            .expected_governed(100.0, 120, |run| run.duration(), &unlimited)
-            .expect("valid parameters");
-        let c = smc.cdf_governed(&tg.cross(2), 100.0, 120, &unlimited);
-        let cmp = smc.compare_governed(&tg.cross(0), &tg.cross(1), 50.0, 120, 0.05, &unlimited);
-        let g = smc.count_globally_governed(&tg.safety(), 100.0, 120, &unlimited);
-        vec![
-            (format!("{:?}", p.value()), counters(p.report())),
-            (format!("{:?}", h.value()), counters(h.report())),
-            (format!("{:?}", e.value()), counters(e.report())),
-            (format!("{:?}", c.value()), counters(c.report())),
-            (format!("{:?}", cmp.value()), counters(cmp.report())),
-            (format!("{:?}", g.value()), counters(g.report())),
-        ]
-    };
+    let estimators = |threads: usize| smc_estimators(&tg, threads);
     let reference = estimators(1);
     assert_eq!(reference.len(), 6);
     for (value, report) in &reference {
@@ -243,6 +245,48 @@ fn smc_estimators_are_identical_at_every_worker_count() {
             "threads={threads}: values and run reports must equal the 1-worker run"
         );
     }
+}
+
+/// The 1-worker values and run counts of [`smc_estimators`] as computed
+/// before each trial stopped at its decisive state (the first goal
+/// state, or the first unsafe one). Ending a run there cannot change an
+/// answer: the run up to that state is drawn from the trial's own seed
+/// either way, and no estimator reads what comes after it.
+const SMC_PINS: [(&str, u64); 6] = [
+    // probability
+    ("Some(Estimate { mean: 1.0, lower: 0.9689808335328319, upper: 0.9999999999999999, runs: 120, successes: 120, confidence: 0.95 })", 120),
+    // hypothesis
+    ("(AcceptH0, 12)", 12),
+    // expected
+    ("Some(MeanEstimate { mean: 100.0, std_dev: 7.59602135964384e-15, runs: 120 })", 120),
+    // cdf
+    ("EmpiricalCdf { samples: [31.59732643039041, 10.320839854505973, 32.73087315073699, 20.957045853734535, 21.27283308600499, 20.78943379501056, 10.332354518614045, 10.323600654504006, 31.96082686979239, 21.10173895744101, 21.017206585971678, 21.681421593717303, 10.57144522990961, 24.04827776568593, 20.970874120605824, 10.214669473116075, 21.330311910271128, 32.26392228476868, 21.47625047376977, 10.358160901251999, 32.6523566785612, 10.249332526495786, 10.04471767434622, 21.751075693325596, 21.821999319974676, 10.317037590880904, 10.685481076537284, 32.258968239781204, 10.398581979080273, 20.650940579738087, 21.440662412040822, 21.010117122361915, 21.173625753750635, 10.561389816312795, 10.607375787847607, 10.281826957667285, 32.348486036374794, 10.745023633693453, 20.89340535638095, 21.467249029100984, 10.803693603130505, 32.084800530979535, 10.665333417785217, 20.68139206828741, 10.49372540726893, 10.6695804646316, 10.400692102572412, 21.355227178989956, 10.60579171901373, 32.85896603059357, 10.269390406907949, 21.28012270212275, 10.545830531146418, 10.362490458918568, 20.37455049956076, 10.30572381029147, 20.754297695861542, 31.432509206249154, 11.047227228672202, 21.15070955322131, 11.433236099998688, 10.548186048926137, 21.306755638798283, 11.137660623303114, 10.095598260301868, 20.66517386720834, 11.240671768425889, 11.054113111918024, 20.50551329425438, 21.785318586029117, 21.51987509257131, 10.584143293694304, 32.860280230817274, 10.61938271331023, 21.1973608199663, 32.562053750575835, 10.084335973859147, 34.225642956000996, 10.19114324830534, 10.031644701138376, 10.170061099997339, 10.353999918183696, 10.310677744024732, 31.442222011446454, 31.81976684801407, 10.856984292914884, 32.70198217984214, 31.56611593893524, 31.544258083402248, 10.210738432366764, 33.09023396908238, 10.282075583367753, 10.937682033562208, 10.0922896633556, 10.768902264857298, 10.286582347924611, 20.963330782365958, 32.87814821795293, 10.49480325086671, 21.13877868776563, 11.3915418504179, 10.777980407513011, 10.073075882240639, 21.52841085446279, 10.14314665880481, 22.231737046097393, 20.3303974480295, 20.678096835089022, 22.102256262972276, 32.17019867252738, 10.771307612178305, 32.23394649763719, 10.310692599845328, 32.827592365005216, 11.496695867724913, 10.24041911022512, 32.324760062578186, 10.23954140809603, 21.09998278221916, 20.5469765492146], population: 120 }", 120),
+    // compare
+    ("(Equal, 1.0, 1.0)", 120),
+    // count_globally
+    ("120", 120),
+];
+
+#[test]
+fn smc_estimates_match_pinned_values() {
+    let tg = train_gate(3);
+    let got: Vec<(String, u64)> = smc_estimators(&tg, 1)
+        .into_iter()
+        .map(|(value, report)| (value, report.runs_simulated))
+        .collect();
+    let pinned: Vec<(String, u64)> = SMC_PINS
+        .iter()
+        .map(|&(value, runs)| (value.to_owned(), runs))
+        .collect();
+    assert_eq!(got, pinned);
+    // Every run above is safe; here some runs reach the unsafe state
+    // (train 0 crossing before t = 30) and end there.
+    let safe = StatisticalChecker::new(&tg.net, tg.rates(), 42).count_globally(
+        &StateFormula::not(tg.cross(0)),
+        30.0,
+        120,
+    );
+    assert_eq!(safe, 68);
 }
 
 #[test]

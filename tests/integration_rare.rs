@@ -246,6 +246,73 @@ fn priced_checker_is_byte_identical_across_worker_counts() {
     }
 }
 
+/// One priced (cost-bounded probability and cost CDF) and one
+/// splitting query per estimator, each as its value's `Debug`
+/// rendering — exact for `f64`, and for splitting including the level
+/// counts, `runs_total` and `splits_spawned`.
+fn rare_estimates() -> Vec<String> {
+    let c = chain(3);
+    let mut pnet = PricedNetwork::new(c.net.clone());
+    let aut = c.aut;
+    for (li, _) in c.net.automata()[aut.index()].locations.iter().enumerate() {
+        pnet.set_rate(aut, tempo_core::ta::LocationId(li), 1);
+    }
+    for ei in 0..c.net.automata()[aut.index()].edges.len() {
+        pnet.set_edge_cost(aut, ei, 1);
+    }
+    let mut chk = PricedChecker::new(&pnet, RatePolicy::new(), 29);
+    let cost_p = chk.cost_probability(&c.goal(), 4.5, c.time_bound(), 400, 0.95);
+    let cost_cdf = chk.cost_cdf(&c.goal(), c.time_bound(), 400);
+    let fixed = SplitConfig {
+        effort: 64,
+        ..SplitConfig::default()
+    };
+    let restart = SplitConfig {
+        method: SplitMethod::Restart,
+        branch: 2,
+        replications: 128,
+        ..SplitConfig::default()
+    };
+    let c12 = chain(12);
+    let c10 = chain(10);
+    let fe = RareChecker::new(&c12.net, RatePolicy::new(), 7).probability(
+        &c12.goal(),
+        c12.time_bound(),
+        &fixed,
+    );
+    let rs = RareChecker::new(&c10.net, RatePolicy::new(), 23).probability(
+        &c10.goal(),
+        c10.time_bound(),
+        &restart,
+    );
+    vec![
+        format!("{cost_p:?}"),
+        format!("{cost_cdf:?}"),
+        format!("{fe:?}"),
+        format!("{rs:?}"),
+    ]
+}
+
+/// The values of [`rare_estimates`] as computed before each trial and
+/// splitting segment stopped at its decisive state (the first goal
+/// state or level crossing). Stopping there cannot change an estimate
+/// or a work counter.
+const RARE_PINS: [&str; 4] = [
+    // cost_probability
+    "Estimate { mean: 0.0475, lower: 0.030617076951969073, upper: 0.07299154943431793, runs: 400, successes: 19, confidence: 0.95 }",
+    // cost_cdf
+    "EmpiricalCdf { samples: [4.38287979146097, 4.914535387091764, 4.240507182491193, 3.9583005070478072, 3.9676335361180644, 4.990825813832187, 3.449709612650302, 5.239386780684235, 3.9001711255326716, 4.676391377035374, 4.703767740161108, 5.130767229906638, 5.048582791966308, 4.724629839284793, 4.7405135120853235, 4.731436511142194, 4.456994076078688, 4.597539684742683, 4.2705863694983845, 3.970035278598192, 4.973915578753366, 3.8227094824473316, 4.827225563920333, 4.534501170234746, 4.326990921371047, 3.6255622498838487, 4.520413766096263, 4.590527130612989, 4.05435059533635, 4.357308578342019, 4.954871407282356, 5.175268648611897, 3.5971289789270946, 3.9201845685494185, 4.497552531700406, 4.527285267788386, 3.988632386102689, 4.73222862520554, 5.0616389513579785, 4.088841448597037, 4.9030161006187, 4.433152436516727, 4.9783143882283625, 4.118072831003362, 4.321821407623364, 4.917931949312249, 5.403223322561052, 4.646003014162291, 4.823492044360163, 4.482317123506422], population: 400 }",
+    // fixed effort
+    "SplitEstimate { p_hat: 0.0002680861291509684, lower: 0.00011497418418094198, upper: 0.0006250983484261404, confidence: 0.95, levels: [LevelStats { threshold: Some(1), trials: 64, crossers: 29 }, LevelStats { threshold: Some(2), trials: 64, crossers: 37 }, LevelStats { threshold: Some(3), trials: 64, crossers: 26 }, LevelStats { threshold: Some(4), trials: 64, crossers: 36 }, LevelStats { threshold: Some(5), trials: 64, crossers: 30 }, LevelStats { threshold: Some(6), trials: 64, crossers: 32 }, LevelStats { threshold: Some(7), trials: 64, crossers: 36 }, LevelStats { threshold: Some(8), trials: 64, crossers: 32 }, LevelStats { threshold: Some(9), trials: 64, crossers: 29 }, LevelStats { threshold: Some(10), trials: 64, crossers: 34 }, LevelStats { threshold: Some(11), trials: 64, crossers: 34 }, LevelStats { threshold: Some(12), trials: 64, crossers: 34 }, LevelStats { threshold: None, trials: 64, crossers: 64 }], runs_total: 768, splits_spawned: 704 }",
+    // RESTART
+    "SplitEstimate { p_hat: 0.001251220703125, lower: 0.0006617450492756911, upper: 0.0018406963569743088, confidence: 0.95, levels: [LevelStats { threshold: Some(1), trials: 0, crossers: 70 }, LevelStats { threshold: Some(2), trials: 0, crossers: 73 }, LevelStats { threshold: Some(3), trials: 0, crossers: 77 }, LevelStats { threshold: Some(4), trials: 0, crossers: 76 }, LevelStats { threshold: Some(5), trials: 0, crossers: 69 }, LevelStats { threshold: Some(6), trials: 0, crossers: 65 }, LevelStats { threshold: Some(7), trials: 0, crossers: 69 }, LevelStats { threshold: Some(8), trials: 0, crossers: 72 }, LevelStats { threshold: Some(9), trials: 0, crossers: 75 }, LevelStats { threshold: Some(10), trials: 0, crossers: 0 }], runs_total: 774, splits_spawned: 646 }",
+];
+
+#[test]
+fn rare_estimates_match_pinned_values() {
+    assert_eq!(rare_estimates(), RARE_PINS);
+}
+
 /// Certified priced estimation: exported runs replay through the
 /// independent validator with costs re-summed bit-exactly, and the
 /// certificate round-trips through the text format.

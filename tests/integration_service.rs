@@ -522,6 +522,68 @@ fn clock_constrained_leads_to_is_rejected_at_admission() {
     assert_eq!(stats.misses, 0, "nothing was queued");
 }
 
+/// A panicking engine resolves its job with `EnginePanic` instead of
+/// killing its worker and leaving the job unresolved. On a one-worker
+/// service the panicking job resolves, the same job resubmitted
+/// resolves again (the first one left no in-flight entry behind), and a
+/// normal job still completes on the surviving worker. The watchdog
+/// turns a job that never resolves into a failure rather than a hung
+/// suite.
+#[test]
+fn engine_panic_resolves_the_job_and_keeps_the_worker() {
+    // No clock valuation satisfies the initial invariant, so the zone
+    // engine panics building the initial state.
+    let mut b = NetworkBuilder::new();
+    let x = b.clock("x");
+    let mut p = b.automaton("P");
+    p.location_with_invariant("L", vec![ClockAtom::lt(x, 0)]);
+    p.done();
+    let broken = Arc::new(b.build());
+    let tg = train_gate(2);
+    let normal = JobKind::Reach {
+        net: Arc::new(tg.net.clone()),
+        goal: tg.cross(0),
+        explore: ExploreConfig::default(),
+    };
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let svc = AnalysisService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let panicking = || {
+            request(
+                "t",
+                JobKind::DeadlockFree {
+                    net: Arc::clone(&broken),
+                    explore: ExploreConfig::default(),
+                },
+            )
+        };
+        let first = svc.submit(panicking()).expect("admitted").wait();
+        let again = svc.submit(panicking()).expect("admitted").wait();
+        let after = svc.submit(request("t", normal)).expect("admitted").wait();
+        let _ = tx.send((first, again, after, svc.shutdown()));
+    });
+    let (first, again, after, stats) = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("watchdog: a job never resolved");
+    for outcome in [first, again] {
+        match outcome {
+            Err(JobError::EnginePanic(message)) => assert!(
+                message.contains("initial state violates invariants"),
+                "{message}"
+            ),
+            other => panic!("expected JobError::EnginePanic, got {other:?}"),
+        }
+    }
+    let after = after.expect("the surviving worker runs the next job");
+    assert_eq!(after.verdict.render(), "reachable true");
+    assert_eq!(stats.engine_panics, 2);
+    assert_eq!(stats.misses, 3, "each panicking job ran its engine");
+}
+
 /// Backpressure is typed: a full queue refuses with `QueueFull`, a
 /// saturated tenant with `TenantQuotaExceeded` (while other tenants are
 /// still admitted), and cancellation frees the tenant's slot.
