@@ -8,7 +8,7 @@
 //! * `e5_bip_engine`              — §IV: DALA exploration/D-Finder/synthesis;
 //! * `e6_ioco_generation`         — §V: test generation and campaigns;
 //! * `a1_ablation_extrapolation`  — zone extrapolation on/off;
-//! * `a2_ablation_mdp`            — value iteration vs step-bounded unrolling;
+//! * `a2_ablation_mdp`            — SCC-order vs interval vs bounded solves;
 //! * `a3_ablation_smc`            — estimation cost vs run budget.
 
 // `criterion_group!` expands to undocumented plumbing functions.
@@ -308,7 +308,7 @@ fn a2_ablation_mdp(c: &mut Criterion) {
     let model = brp(4, 2, 1);
     let mc = model.mcpta(0, 5_000_000);
     let goal = mc.goal_mask(&model.p1_goal());
-    group.bench_function("unbounded_vi", |b| {
+    group.bench_function("unbounded_scc", |b| {
         b.iter(|| {
             let res = reachability(mc.mdp(), Opt::Max, &goal);
             assert!(res.initial_value > 0.0);

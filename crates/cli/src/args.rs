@@ -26,7 +26,7 @@ pub enum Engine {
     Mctau,
     /// Untimed BIP interaction model (deadlock search).
     Bip,
-    /// Digital-clocks MDP value iteration (`Pmax`/`Pmin`).
+    /// Digital-clocks MDP probabilities (`Pmax`/`Pmin`).
     Mcpta,
     /// Statistical model checking (`Pr[..]`).
     Smc,

@@ -75,7 +75,7 @@ pub use tempo_lang as lang;
 /// Static model analysis: lint rules over TA networks, BIP systems and
 /// MODEST models, plus the `check_*_first` gates used by the engines.
 pub use tempo_lint as lint;
-/// Markov decision processes and value iteration (PRISM-style backend).
+/// Markov decision processes solved one SCC at a time (PRISM-style backend).
 pub use tempo_mdp as mdp;
 /// The MODEST process language and its three analysis backends.
 pub use tempo_modest as modest;

@@ -1,14 +1,21 @@
 //! Probabilistic reachability and expected rewards by graph
-//! precomputation plus value iteration — the algorithmic core of
-//! PRISM-style probabilistic model checking, used by the `mcpta` tool of
-//! the MODEST toolset (Bozga et al., DATE 2012, §III).
+//! precomputation plus one value pass in SCC order — the algorithmic
+//! core of PRISM-style probabilistic model checking, used by the `mcpta`
+//! tool of the MODEST toolset (Bozga et al., DATE 2012, §III).
+//!
+//! Every query builds one `Index` of the MDP's graph and its strongly
+//! connected components (SCCs), and does all of its graph and numeric
+//! work in the index's reverse topological order: a component is decided
+//! once every component it can reach is. A one-state component is solved
+//! in closed form; only components of more than one state iterate, on
+//! their own states.
 
 use crate::model::{Mdp, StateId};
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 
-/// [`RunReport`] for a value-iteration engine: every state is stored up
-/// front, so the state counters mirror the model size and `sweeps`
-/// counts Bellman sweeps.
+/// [`RunReport`] for a value engine: every state is stored up front, so
+/// the state counters mirror the model size and `sweeps` counts the
+/// sweeps charged to the budget.
 fn vi_report(gov: &Governor, states: usize, sweeps: usize) -> RunReport {
     RunReport {
         states_explored: states as u64,
@@ -29,6 +36,16 @@ pub enum Opt {
     Min,
 }
 
+impl Opt {
+    /// Whether `v` improves on `best` in this direction.
+    fn improves(self, v: f64, best: f64) -> bool {
+        match self {
+            Opt::Max => v > best,
+            Opt::Min => v < best,
+        }
+    }
+}
+
 /// Result of a quantitative query: per-state values, the value of the
 /// initial state, a memoryless scheduler realizing it, and iteration
 /// statistics.
@@ -40,12 +57,15 @@ pub struct Quantitative {
     pub initial_value: f64,
     /// Chosen action index per state (`None` for absorbing states).
     pub scheduler: Vec<Option<usize>>,
-    /// Number of value-iteration sweeps performed.
+    /// Sweeps charged to the budget. For unbounded queries: one for the
+    /// pass over the SCCs, plus one per Gauss–Seidel sweep inside an SCC
+    /// of more than one state (an MDP without such SCCs reports 1). For
+    /// bounded reachability: one per backup step.
     pub iterations: usize,
 }
 
 impl Quantitative {
-    /// The memoryless policy extracted from value iteration: for each state,
+    /// The memoryless policy extracted from the values: for each state,
     /// the index of the optimal action (`None` on absorbing states). Fixing
     /// these choices turns the MDP into a Markov chain whose reachability
     /// probability equals [`Quantitative::values`] — the basis for
@@ -56,121 +76,287 @@ impl Quantitative {
     }
 }
 
-/// Convergence threshold for value iteration (absolute).
+/// Stopping threshold (absolute) of the Gauss–Seidel iteration inside an
+/// SCC of more than one state: the iteration ends after the first sweep
+/// that moves no value by this much. One-state SCCs are solved in closed
+/// form and never iterate.
 pub const EPSILON: f64 = 1e-10;
 
-/// Maximum number of value-iteration sweeps.
+/// Maximum number of sweeps per unbounded query: [`reachability_governed`]
+/// and [`expected_reward_governed`] cap their budget's sweep limit here,
+/// so an iteration that stalls ends as
+/// [`ExhaustionReason::Iterations`](tempo_obs::ExhaustionReason::Iterations).
 pub const MAX_ITERATIONS: usize = 1_000_000;
 
-/// States from which the goal set is reachable by *some* scheduler with
-/// positive probability (the complement is the `Pmax = 0` set).
-#[must_use]
-pub fn reach_exists(mdp: &Mdp, goal: &[bool]) -> Vec<bool> {
-    assert_eq!(goal.len(), mdp.num_states(), "goal mask length mismatch");
-    // Backward BFS over the underlying graph.
-    let n = mdp.num_states();
-    let mut pre: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for s in mdp.states() {
-        for a in mdp.actions(s) {
-            for &(t, p) in &a.transitions {
-                if p > 0.0 {
-                    pre[t.0].push(s.0);
-                }
-            }
-        }
-    }
-    let mut seen = goal.to_vec();
-    let mut stack: Vec<usize> = (0..n).filter(|&i| goal[i]).collect();
-    while let Some(v) = stack.pop() {
-        for &u in &pre[v] {
-            if !seen[u] {
-                seen[u] = true;
-                stack.push(u);
-            }
-        }
-    }
-    seen
+/// The graph of one query: CSR successor and predecessor lists over the
+/// positive-probability edges, with goal states made sinks, and the
+/// strongly connected components of that graph in reverse topological
+/// order (every SCC comes after all SCCs it can reach).
+struct Index {
+    succ_start: Vec<usize>,
+    succ: Vec<usize>,
+    pred_start: Vec<usize>,
+    pred: Vec<usize>,
+    /// States grouped by SCC: SCC `k` is `members[scc_start[k]..scc_start[k + 1]]`.
+    scc_start: Vec<usize>,
+    members: Vec<usize>,
 }
 
-/// States from which *every* scheduler reaches the goal with positive
-/// probability (the complement is the `Pmin = 0` set): the classic
-/// `Prob0A` fixpoint, computed as a greatest fixpoint of "can avoid".
-#[must_use]
-pub fn reach_forall_positive(mdp: &Mdp, goal: &[bool]) -> Vec<bool> {
-    assert_eq!(goal.len(), mdp.num_states(), "goal mask length mismatch");
-    let n = mdp.num_states();
-    // avoid[s]: some scheduler keeps the probability of reaching goal at 0.
-    // Fixpoint: s ∈ avoid iff !goal[s] and some action has all successors
-    // in avoid (absorbing non-goal states avoid trivially).
-    let mut avoid: Vec<bool> = (0..n).map(|i| !goal[i]).collect();
-    loop {
-        let mut changed = false;
-        for s in mdp.states() {
-            if !avoid[s.0] || goal[s.0] {
-                continue;
+impl Index {
+    fn new(mdp: &Mdp, goal: &[bool]) -> Self {
+        assert_eq!(goal.len(), mdp.num_states(), "goal mask length mismatch");
+        let n = mdp.num_states();
+        // `last[t] == s` marks `t` as already listed among `s`'s successors.
+        let mut last = vec![usize::MAX; n];
+        let mut succ_start = Vec::with_capacity(n + 1);
+        let mut succ = Vec::new();
+        succ_start.push(0);
+        for (s, (actions, &is_goal)) in mdp.actions.iter().zip(goal).enumerate() {
+            if !is_goal {
+                for a in actions {
+                    for &(t, p) in &a.transitions {
+                        if p > 0.0 && last[t.0] != s {
+                            last[t.0] = s;
+                            succ.push(t.0);
+                        }
+                    }
+                }
             }
-            let stays = if mdp.is_absorbing(s) {
-                true
-            } else {
-                mdp.actions(s)
-                    .iter()
-                    .any(|a| a.transitions.iter().all(|&(t, p)| p == 0.0 || avoid[t.0]))
-            };
-            if !stays {
-                avoid[s.0] = false;
-                changed = true;
+            succ_start.push(succ.len());
+        }
+        let mut pred_start = vec![0; n + 1];
+        for &t in &succ {
+            pred_start[t + 1] += 1;
+        }
+        for i in 0..n {
+            pred_start[i + 1] += pred_start[i];
+        }
+        let mut fill = pred_start.clone();
+        let mut pred = vec![0; succ.len()];
+        for s in 0..n {
+            for &t in &succ[succ_start[s]..succ_start[s + 1]] {
+                pred[fill[t]] = s;
+                fill[t] += 1;
             }
         }
-        if !changed {
-            break;
+        let (scc_start, members) = tarjan(&succ_start, &succ);
+        Index {
+            succ_start,
+            succ,
+            pred_start,
+            pred,
+            scc_start,
+            members,
+        }
+    }
+
+    fn successors(&self, s: usize) -> &[usize] {
+        &self.succ[self.succ_start[s]..self.succ_start[s + 1]]
+    }
+
+    fn predecessors(&self, t: usize) -> &[usize] {
+        &self.pred[self.pred_start[t]..self.pred_start[t + 1]]
+    }
+
+    /// The SCCs in reverse topological order.
+    fn sccs(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        self.scc_start.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
+}
+
+/// Tarjan's SCC algorithm over a CSR graph, with an explicit stack:
+/// digital-clocks MDPs are chains thousands of states deep, too deep for
+/// recursion. Tarjan completes an SCC only after every SCC it reaches, so
+/// the SCCs come out in reverse topological order, as
+/// `(scc_start, members)` (see [`Index`]).
+fn tarjan(succ_start: &[usize], succ: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    const UNSEEN: usize = usize::MAX;
+    let n = succ_start.len() - 1;
+    let mut num = vec![UNSEEN; n];
+    let mut low = vec![0; n];
+    // A visited state is on Tarjan's stack until its SCC is complete.
+    let mut done = vec![false; n];
+    let mut stack = Vec::new();
+    // DFS frames: (state, position of its next successor in `succ`).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    let mut scc_start = vec![0];
+    let mut members = Vec::with_capacity(n);
+    let mut next = 0;
+    for root in 0..n {
+        if num[root] != UNSEEN {
+            continue;
+        }
+        num[root] = next;
+        low[root] = next;
+        next += 1;
+        stack.push(root);
+        frames.push((root, succ_start[root]));
+        while let Some(frame) = frames.last_mut() {
+            let v = frame.0;
+            if frame.1 < succ_start[v + 1] {
+                let w = succ[frame.1];
+                frame.1 += 1;
+                if num[w] == UNSEEN {
+                    num[w] = next;
+                    low[w] = next;
+                    next += 1;
+                    stack.push(w);
+                    frames.push((w, succ_start[w]));
+                } else if !done[w] {
+                    low[v] = low[v].min(num[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(u, _)) = frames.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == num[v] {
+                loop {
+                    let w = stack.pop().expect("an SCC's root is on the stack");
+                    done[w] = true;
+                    members.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                scc_start.push(members.len());
+            }
+        }
+    }
+    (scc_start, members)
+}
+
+/// States with an index path to a `target` state (never through a goal
+/// state, which is a sink of the index): an SCC reaches the target iff
+/// one of its states is a target or has an edge to a state that reaches
+/// it.
+fn reaches(index: &Index, target: &[bool]) -> Vec<bool> {
+    let mut can = target.to_vec();
+    for scc in index.sccs() {
+        if scc
+            .iter()
+            .any(|&s| can[s] || index.successors(s).iter().any(|&t| can[t]))
+        {
+            for &s in scc {
+                can[s] = true;
+            }
+        }
+    }
+    can
+}
+
+/// [`reach_forall_positive`] over a built index: the greatest fixpoint of
+/// "can avoid the goal" decided one SCC at a time.
+fn forall_positive(mdp: &Mdp, index: &Index, goal: &[bool]) -> Vec<bool> {
+    // avoid[s]: some scheduler keeps the probability of reaching the goal
+    // at 0. Within an SCC, s stays in avoid iff it is absorbing or some
+    // action keeps all mass in avoid; later SCCs are already final.
+    let mut avoid: Vec<bool> = goal.iter().map(|&g| !g).collect();
+    let stays = |s: usize, avoid: &[bool]| {
+        mdp.actions[s].is_empty()
+            || mdp.actions[s]
+                .iter()
+                .any(|a| a.transitions.iter().all(|&(t, p)| p == 0.0 || avoid[t.0]))
+    };
+    for scc in index.sccs() {
+        loop {
+            let mut changed = false;
+            for &s in scc {
+                if avoid[s] && !stays(s, &avoid) {
+                    avoid[s] = false;
+                    changed = true;
+                }
+            }
+            // One scan settles a one-state SCC.
+            if !changed || scc.len() == 1 {
+                break;
+            }
         }
     }
     avoid.iter().map(|&a| !a).collect()
 }
 
-/// States where `Pmax(reach goal) = 1`: the classic `Prob1E` double
-/// fixpoint.
-#[must_use]
-pub fn prob1_exists(mdp: &Mdp, goal: &[bool]) -> Vec<bool> {
-    assert_eq!(goal.len(), mdp.num_states(), "goal mask length mismatch");
-    let n = mdp.num_states();
-    let mut candidate: Vec<bool> = vec![true; n];
-    loop {
-        // Inner fixpoint: states that can reach goal while staying in
-        // `candidate`, using only actions that keep all mass in candidate.
-        let mut reach: Vec<bool> = goal.to_vec();
+/// [`prob1_exists`] over a built index: the `Prob1E` double fixpoint,
+/// local to each SCC.
+fn prob1e(mdp: &Mdp, index: &Index, goal: &[bool]) -> Vec<bool> {
+    // Within the SCC being decided, `x` is the outer candidate set and
+    // `y` the inner set of states that reach the goal using only actions
+    // that keep all mass in `x`; in decided SCCs both hold the final set.
+    let mut x = vec![false; mdp.num_states()];
+    let mut y = goal.to_vec();
+    let progress = |s: usize, x: &[bool], y: &[bool]| {
+        mdp.actions[s].iter().any(|a| {
+            a.transitions.iter().all(|&(t, p)| p == 0.0 || x[t.0])
+                && a.transitions.iter().any(|&(t, p)| p > 0.0 && y[t.0])
+        })
+    };
+    for scc in index.sccs() {
+        if let [s] = *scc {
+            // With `s` itself a candidate, an action qualifies when every
+            // successor other than `s` is decided in and there is one.
+            x[s] = true;
+            y[s] = goal[s] || progress(s, &x, &y);
+            x[s] = y[s];
+            continue;
+        }
+        for &s in scc {
+            x[s] = true;
+        }
         loop {
-            let mut changed = false;
-            for s in mdp.states() {
-                if reach[s.0] || !candidate[s.0] {
-                    continue;
+            loop {
+                let mut changed = false;
+                for &s in scc {
+                    if x[s] && !y[s] && progress(s, &x, &y) {
+                        y[s] = true;
+                        changed = true;
+                    }
                 }
-                let ok = mdp.actions(s).iter().any(|a| {
-                    a.transitions
-                        .iter()
-                        .all(|&(t, p)| p == 0.0 || candidate[t.0])
-                        && a.transitions.iter().any(|&(t, p)| p > 0.0 && reach[t.0])
-                });
-                if ok {
-                    reach[s.0] = true;
-                    changed = true;
+                if !changed {
+                    break;
                 }
             }
-            if !changed {
+            if scc.iter().all(|&s| x[s] == y[s]) {
                 break;
             }
+            for &s in scc {
+                x[s] = y[s];
+                y[s] = goal[s];
+            }
         }
-        if reach == candidate {
-            return candidate;
-        }
-        candidate = reach;
     }
+    y
+}
+
+/// States from which the goal set is reachable by *some* scheduler with
+/// positive probability (the complement is the `Pmax = 0` set).
+#[must_use]
+pub fn reach_exists(mdp: &Mdp, goal: &[bool]) -> Vec<bool> {
+    reaches(&Index::new(mdp, goal), goal)
+}
+
+/// States from which *every* scheduler reaches the goal with positive
+/// probability (the complement is the `Pmin = 0` set): the classic
+/// `Prob0A` greatest fixpoint of "can avoid", decided one SCC at a time.
+#[must_use]
+pub fn reach_forall_positive(mdp: &Mdp, goal: &[bool]) -> Vec<bool> {
+    forall_positive(mdp, &Index::new(mdp, goal), goal)
+}
+
+/// States where `Pmax(reach goal) = 1`: the classic `Prob1E` double
+/// fixpoint, run locally inside each SCC once every later SCC is decided
+/// (a one-state SCC is decided by one look at its actions).
+#[must_use]
+pub fn prob1_exists(mdp: &Mdp, goal: &[bool]) -> Vec<bool> {
+    prob1e(mdp, &Index::new(mdp, goal), goal)
 }
 
 /// Unbounded probabilistic reachability `P{max,min}(◇ goal)`.
 ///
-/// Performs qualitative precomputation (exact `0`/`1` states) followed by
-/// Gauss–Seidel value iteration on the remaining states.
+/// Performs qualitative precomputation (exact `0`/`1` states), then
+/// solves the remaining states one SCC at a time in reverse topological
+/// order: a one-state SCC in closed form, a larger one by Gauss–Seidel
+/// iteration over its own states.
 ///
 /// # Panics
 ///
@@ -182,11 +368,14 @@ pub fn reachability(mdp: &Mdp, opt: Opt, goal: &[bool]) -> Quantitative {
 
 /// Unbounded probabilistic reachability under a resource [`Budget`].
 ///
-/// The iteration budget bounds the number of Bellman sweeps and the
-/// wall-clock deadline is checked once per sweep. On exhaustion the
-/// partial [`Quantitative`] holds the value vector reached so far (for
-/// `Max` a lower bound on the true probabilities, the qualitative 0/1
-/// states being already exact).
+/// A sweep is the unit the budget's iteration limit counts: the pass
+/// over the SCCs charges one, and each Gauss–Seidel sweep inside an SCC
+/// of more than one state one more. The sweep limit is capped at
+/// [`MAX_ITERATIONS`], and the wall-clock deadline is checked once per
+/// sweep. Hitting either ends the query as [`Outcome::Exhausted`]; the
+/// partial [`Quantitative`] holds the values reached so far (for `Max` a
+/// lower bound on the true probabilities, the qualitative 0/1 states
+/// being already exact).
 ///
 /// # Panics
 ///
@@ -197,54 +386,54 @@ pub fn reachability_governed(
     goal: &[bool],
     budget: &Budget,
 ) -> Outcome<Quantitative> {
-    let gov = budget.governor();
-    let result = reachability_with(mdp, opt, goal, &gov);
-    let report = vi_report(&gov, mdp.num_states(), result.iterations);
-    gov.finish(result, report)
-}
-
-fn reachability_with(mdp: &Mdp, opt: Opt, goal: &[bool], gov: &Governor) -> Quantitative {
-    assert_eq!(goal.len(), mdp.num_states(), "goal mask length mismatch");
+    let gov = capped_governor(budget);
+    let index = Index::new(mdp, goal);
     let n = mdp.num_states();
     let mut values = vec![0.0_f64; n];
-    let mut fixed = vec![false; n];
-
-    match opt {
+    let fixed: Vec<bool> = match opt {
         Opt::Max => {
-            let can = reach_exists(mdp, goal);
-            let one = prob1_exists(mdp, goal);
+            let can = reaches(&index, goal);
+            let one = prob1e(mdp, &index, goal);
             for i in 0..n {
-                if !can[i] {
-                    values[i] = 0.0;
-                    fixed[i] = true;
-                } else if one[i] {
+                if one[i] {
                     values[i] = 1.0;
-                    fixed[i] = true;
                 }
             }
+            (0..n).map(|i| !can[i] || one[i]).collect()
         }
         Opt::Min => {
-            let positive = reach_forall_positive(mdp, goal);
+            let positive = forall_positive(mdp, &index, goal);
             for i in 0..n {
                 if goal[i] {
                     values[i] = 1.0;
-                    fixed[i] = true;
-                } else if !positive[i] {
-                    values[i] = 0.0;
-                    fixed[i] = true;
                 }
             }
+            (0..n).map(|i| goal[i] || !positive[i]).collect()
         }
-    }
+    };
+    let iterations = solve(mdp, &index, opt, &mut values, &fixed, false, &gov);
+    let scheduler = extract_scheduler(mdp, &index, opt, &values, false, goal);
+    let report = vi_report(&gov, n, iterations);
+    gov.finish(
+        Quantitative {
+            initial_value: values[mdp.initial().0],
+            values,
+            scheduler,
+            iterations,
+        },
+        report,
+    )
+}
 
-    let iterations = iterate(mdp, opt, &mut values, &fixed, None, MAX_ITERATIONS, gov);
-    let scheduler = extract_scheduler(mdp, opt, &values, None, goal);
-    Quantitative {
-        initial_value: values[mdp.initial().0],
-        values,
-        scheduler,
-        iterations,
+/// The governor of an unbounded query: `budget` with its sweep limit
+/// capped at [`MAX_ITERATIONS`].
+fn capped_governor(budget: &Budget) -> Governor {
+    let cap = MAX_ITERATIONS as u64;
+    Budget {
+        max_iterations: Some(budget.max_iterations.map_or(cap, |m| m.min(cap))),
+        ..budget.clone()
     }
+    .governor()
 }
 
 /// Step-bounded probabilistic reachability `P{max,min}(◇≤k goal)`.
@@ -286,10 +475,10 @@ pub fn bounded_reachability_governed(
             if goal[s.0] {
                 continue;
             }
-            values[s.0] = combine(mdp, s, opt, &prev, None).0;
+            values[s.0] = combine(mdp, s, opt, &prev, false).0;
         }
     }
-    let scheduler = extract_scheduler(mdp, opt, &values, None, goal);
+    let scheduler = extract_scheduler(mdp, &Index::new(mdp, goal), opt, &values, false, goal);
     let report = vi_report(&gov, mdp.num_states(), done);
     gov.finish(
         Quantitative {
@@ -307,7 +496,14 @@ pub fn bounded_reachability_governed(
 ///
 /// Returns `f64::INFINITY` for states that may avoid the goal forever
 /// (for `Max`: where `Pmin(◇ goal) < 1`; for `Min`: where
-/// `Pmax(◇ goal) < 1`).
+/// `Pmax(◇ goal) < 1`). Both sets come from graph algorithms, not from
+/// computed probabilities.
+///
+/// A state that forms an SCC of its own skips any action that only loops
+/// on it, since that action never reaches the goal. Other zero-reward end
+/// components (spanning several states, or inside a larger SCC) are not
+/// handled yet: there, `Emin` may read low (a scheduler that stays in the
+/// component forever collects no reward).
 ///
 /// # Panics
 ///
@@ -317,10 +513,10 @@ pub fn expected_reward(mdp: &Mdp, opt: Opt, goal: &[bool]) -> Quantitative {
     expected_reward_governed(mdp, opt, goal, &Budget::unlimited()).into_value()
 }
 
-/// Expected total reward under a resource [`Budget`]. The budget is
-/// shared between the embedded qualitative reachability analysis and the
-/// reward iteration; on exhaustion the partial values are the current
-/// (under-approximate for `Max`) reward vector.
+/// Expected total reward under a resource [`Budget`], with sweeps
+/// counted and capped as in [`reachability_governed`]. On exhaustion the
+/// partial values are the current (under-approximate for `Max`) reward
+/// vector.
 ///
 /// # Panics
 ///
@@ -331,43 +527,36 @@ pub fn expected_reward_governed(
     goal: &[bool],
     budget: &Budget,
 ) -> Outcome<Quantitative> {
-    assert_eq!(goal.len(), mdp.num_states(), "goal mask length mismatch");
-    let gov = budget.governor();
+    let gov = capped_governor(budget);
+    let index = Index::new(mdp, goal);
     let n = mdp.num_states();
     // States where the relevant scheduler class reaches the goal a.s.
     let sure: Vec<bool> = match opt {
+        // Emax is finite iff every scheduler reaches the goal a.s.
+        // (`Pmin = 1`): iff no `Pmin = 0` state is reachable while
+        // avoiding the goal.
         Opt::Max => {
-            // Emax is finite iff *every* scheduler reaches goal a.s.;
-            // approximate with Pmin = 1 via value iteration on Pmin.
-            let pmin = reachability_with(mdp, Opt::Min, goal, &gov);
-            pmin.values.iter().map(|&v| v > 1.0 - 1e-9).collect()
+            let zero: Vec<bool> = forall_positive(mdp, &index, goal)
+                .iter()
+                .map(|&p| !p)
+                .collect();
+            reaches(&index, &zero).iter().map(|&r| !r).collect()
         }
-        Opt::Min => {
-            let pmax = reachability_with(mdp, Opt::Max, goal, &gov);
-            pmax.values.iter().map(|&v| v > 1.0 - 1e-9).collect()
-        }
+        // Emin is finite iff some scheduler reaches the goal a.s.
+        Opt::Min => prob1e(mdp, &index, goal),
     };
     let mut values = vec![0.0_f64; n];
     let mut fixed = vec![false; n];
     for i in 0..n {
         if goal[i] {
-            values[i] = 0.0;
             fixed[i] = true;
         } else if !sure[i] {
             values[i] = f64::INFINITY;
             fixed[i] = true;
         }
     }
-    let iterations = iterate(
-        mdp,
-        opt,
-        &mut values,
-        &fixed,
-        Some(goal),
-        MAX_ITERATIONS,
-        &gov,
-    );
-    let scheduler = extract_scheduler(mdp, opt, &values, Some(goal), goal);
+    let iterations = solve(mdp, &index, opt, &mut values, &fixed, true, &gov);
+    let scheduler = extract_scheduler(mdp, &index, opt, &values, true, goal);
     let report = vi_report(&gov, n, iterations);
     gov.finish(
         Quantitative {
@@ -429,8 +618,8 @@ pub fn interval_reachability_governed(
     precision: f64,
     budget: &Budget,
 ) -> Outcome<IntervalResult> {
-    assert_eq!(goal.len(), mdp.num_states(), "goal mask length mismatch");
     assert!(precision > 0.0, "precision must be positive");
+    let index = Index::new(mdp, goal);
     let n = mdp.num_states();
     // Qualitative precomputation pins the exact 0/1 states; interval
     // iteration converges on the rest (the precomputation removes the
@@ -440,8 +629,8 @@ pub fn interval_reachability_governed(
     let mut fixed = vec![false; n];
     match opt {
         Opt::Max => {
-            let can = reach_exists(mdp, goal);
-            let one = prob1_exists(mdp, goal);
+            let can = reaches(&index, goal);
+            let one = prob1e(mdp, &index, goal);
             for i in 0..n {
                 if !can[i] {
                     lower[i] = 0.0;
@@ -455,7 +644,7 @@ pub fn interval_reachability_governed(
             }
         }
         Opt::Min => {
-            let positive = reach_forall_positive(mdp, goal);
+            let positive = forall_positive(mdp, &index, goal);
             for i in 0..n {
                 if goal[i] {
                     lower[i] = 1.0;
@@ -491,8 +680,8 @@ pub fn interval_reachability_governed(
             if fixed[s.0] {
                 continue;
             }
-            let (lo, _) = combine(mdp, s, opt, &lower, None);
-            let (hi, _) = combine(mdp, s, opt, &upper, None);
+            let (lo, _) = combine(mdp, s, opt, &lower, false);
+            let (hi, _) = combine(mdp, s, opt, &upper, false);
             lower[s.0] = lo;
             upper[s.0] = hi;
             gap = gap.max(hi - lo);
@@ -526,16 +715,10 @@ pub fn interval_reachability_governed(
     )
 }
 
-/// One Bellman backup at state `s`. With `rewards = Some(goal)`, the
-/// action reward is added (expected-reward form); goal states contribute
-/// their (zero) value.
-fn combine(
-    mdp: &Mdp,
-    s: StateId,
-    opt: Opt,
-    values: &[f64],
-    rewards: Option<&[bool]>,
-) -> (f64, Option<usize>) {
+/// One Bellman backup at state `s`. With `rewards`, the action reward is
+/// added (expected-reward form); goal states contribute their (zero)
+/// value.
+fn combine(mdp: &Mdp, s: StateId, opt: Opt, values: &[f64], rewards: bool) -> (f64, Option<usize>) {
     let acts = mdp.actions(s);
     if acts.is_empty() {
         // Absorbing: implicit self-loop. Reachability value stays; the
@@ -545,18 +728,13 @@ fn combine(
     }
     let mut best: Option<(f64, usize)> = None;
     for (ai, a) in acts.iter().enumerate() {
-        let mut v = if rewards.is_some() { a.reward } else { 0.0 };
+        let mut v = if rewards { a.reward } else { 0.0 };
         for &(t, p) in &a.transitions {
             if p > 0.0 {
                 v += p * values[t.0];
             }
         }
-        let better = match (&best, opt) {
-            (None, _) => true,
-            (Some((b, _)), Opt::Max) => v > *b,
-            (Some((b, _)), Opt::Min) => v < *b,
-        };
-        if better {
+        if best.is_none_or(|(b, _)| opt.improves(v, b)) {
             best = Some((v, ai));
         }
     }
@@ -564,39 +742,86 @@ fn combine(
     (v, Some(ai))
 }
 
-/// Gauss–Seidel value iteration over non-fixed states. Each sweep
-/// charges one iteration against the governor; on a tripped budget the
-/// loop stops early with the values computed so far.
-fn iterate(
+/// The value of `s` when it forms an SCC on its own, so that every other
+/// successor's value is final: the best over actions of
+/// `(r + Σ_{t≠s} p·v(t)) / Σ_{t≠s} p(t)`. Dividing by the exit mass
+/// rather than by `1 − p(s,s)` keeps the quotient exact when the loop
+/// probability is close to 1. An action that only loops on `s` never
+/// reaches the goal: it is worth 0 for reachability and is skipped for
+/// rewards.
+fn exit_value(mdp: &Mdp, s: usize, opt: Opt, values: &[f64], rewards: bool) -> f64 {
+    let mut best: Option<f64> = None;
+    for a in &mdp.actions[s] {
+        let (mut sum, mut exit) = (0.0_f64, 0.0_f64);
+        for &(t, p) in &a.transitions {
+            if p > 0.0 && t.0 != s {
+                sum += p * values[t.0];
+                exit += p;
+            }
+        }
+        let v = if exit > 0.0 {
+            (if rewards { a.reward + sum } else { sum }) / exit
+        } else if rewards {
+            continue;
+        } else {
+            0.0
+        };
+        if best.is_none_or(|b| opt.improves(v, b)) {
+            best = Some(v);
+        }
+    }
+    best.unwrap_or(values[s])
+}
+
+/// Solves the non-`fixed` states in the index's SCC order: a one-state
+/// SCC by [`exit_value`], a larger one by Gauss–Seidel sweeps over its
+/// own states until one moves no value by [`EPSILON`]. The pass charges
+/// one sweep to the governor and every Gauss–Seidel sweep one more; on a
+/// tripped budget it stops with the values computed so far. Returns the
+/// sweeps charged.
+fn solve(
     mdp: &Mdp,
+    index: &Index,
     opt: Opt,
     values: &mut [f64],
     fixed: &[bool],
-    rewards: Option<&[bool]>,
-    max_iter: usize,
+    rewards: bool,
     gov: &Governor,
 ) -> usize {
-    for it in 0..max_iter {
-        if !gov.charge_iteration() || !gov.check_time() {
-            return it;
-        }
-        let mut delta = 0.0_f64;
-        for s in mdp.states() {
-            if fixed[s.0] {
-                continue;
+    if !gov.charge_iteration() || !gov.check_time() {
+        return 0;
+    }
+    let mut sweeps = 1;
+    for scc in index.sccs() {
+        if let [s] = *scc {
+            if !fixed[s] {
+                values[s] = exit_value(mdp, s, opt, values, rewards);
             }
-            let (v, _) = combine(mdp, s, opt, values, rewards);
-            let d = (v - values[s.0]).abs();
-            if d > delta {
-                delta = d;
-            }
-            values[s.0] = v;
+            continue;
         }
-        if delta < EPSILON {
-            return it + 1;
+        if scc.iter().all(|&s| fixed[s]) {
+            continue;
+        }
+        loop {
+            if !gov.charge_iteration() || !gov.check_time() {
+                return sweeps;
+            }
+            sweeps += 1;
+            let mut delta = 0.0_f64;
+            for &s in scc {
+                if fixed[s] {
+                    continue;
+                }
+                let (v, _) = combine(mdp, StateId(s), opt, values, rewards);
+                delta = delta.max((v - values[s]).abs());
+                values[s] = v;
+            }
+            if delta < EPSILON {
+                break;
+            }
         }
     }
-    max_iter
+    sweeps
 }
 
 /// Extracts a memoryless scheduler realizing the computed values.
@@ -606,24 +831,27 @@ fn iterate(
 /// never actually reach the goal (the textbook `Pmax` pitfall). Optimal
 /// actions are therefore ranked by progress: a state prefers a
 /// value-optimal action with a successor strictly closer (in admissible
-/// steps) to the goal.
+/// steps) to the goal. The ranks grow by a backward breadth-first search
+/// from the goal over the index's predecessor lists: a state is examined
+/// whenever one of its successors gets ranked.
 fn extract_scheduler(
     mdp: &Mdp,
+    index: &Index,
     opt: Opt,
     values: &[f64],
-    rewards: Option<&[bool]>,
+    rewards: bool,
     goal: &[bool],
 ) -> Vec<Option<usize>> {
     let n = mdp.num_states();
-    let admissible = |s: StateId, ai: usize| -> bool {
-        let a = &mdp.actions(s)[ai];
-        let mut q = if rewards.is_some() { a.reward } else { 0.0 };
+    let admissible = |s: usize, ai: usize| -> bool {
+        let a = &mdp.actions[s][ai];
+        let mut q = if rewards { a.reward } else { 0.0 };
         for &(t, p) in &a.transitions {
             if p > 0.0 {
                 q += p * values[t.0];
             }
         }
-        let v = values[s.0];
+        let v = values[s];
         if v.is_infinite() {
             return q.is_infinite();
         }
@@ -631,27 +859,26 @@ fn extract_scheduler(
     };
     let mut scheduler: Vec<Option<usize>> = vec![None; n];
     let mut ranked: Vec<bool> = goal.to_vec();
-    loop {
-        let mut changed = false;
-        for s in mdp.states() {
-            if ranked[s.0] || scheduler[s.0].is_some() {
+    let mut queue: Vec<usize> = (0..n).filter(|&s| goal[s]).collect();
+    let mut head = 0;
+    while let Some(&t) = queue.get(head) {
+        head += 1;
+        for &s in index.predecessors(t) {
+            if ranked[s] {
                 continue;
             }
-            let progress = (0..mdp.actions(s).len()).find(|&ai| {
+            let progress = (0..mdp.actions[s].len()).find(|&ai| {
                 admissible(s, ai)
-                    && mdp.actions(s)[ai]
+                    && mdp.actions[s][ai]
                         .transitions
                         .iter()
-                        .any(|&(t, p)| p > 0.0 && ranked[t.0])
+                        .any(|&(u, p)| p > 0.0 && ranked[u.0])
             });
             if let Some(ai) = progress {
-                scheduler[s.0] = Some(ai);
-                ranked[s.0] = true;
-                changed = true;
+                scheduler[s] = Some(ai);
+                ranked[s] = true;
+                queue.push(s);
             }
-        }
-        if !changed {
-            break;
         }
     }
     // States that cannot make progress toward the goal (value 0 for Pmax,
@@ -886,5 +1113,120 @@ mod tests {
         let goal = mask(13, &[states[7]]);
         let p = reachability(&mdp, Opt::Max, &goal);
         assert!((p.initial_value - 1.0 / 6.0).abs() < 1e-9);
+    }
+
+    /// `s0` retries with probability `1 − 1e-6` and reaches `ok` with
+    /// `1e-6`, earning `reward` per attempt.
+    fn slow_retry(reward: f64) -> (Mdp, Vec<bool>) {
+        let mut b = MdpBuilder::new();
+        let s0 = b.add_state();
+        let ok = b.add_state();
+        b.add_action(s0, None, reward, vec![(s0, 1.0 - 1e-6), (ok, 1e-6)])
+            .unwrap();
+        (b.build(s0).unwrap(), mask(2, &[ok]))
+    }
+
+    #[test]
+    fn slow_geometric_retry_is_solved_exactly() {
+        // Plain value iteration stopped here after 1 000 000 sweeps at
+        // 1 − 1/e; the closed form of the one-state SCC is exact.
+        let (mdp, goal) = slow_retry(0.0);
+        for opt in [Opt::Min, Opt::Max] {
+            let res = reachability(&mdp, opt, &goal);
+            assert_eq!(res.initial_value, 1.0, "{opt:?}");
+            assert_eq!(res.iterations, 1, "{opt:?}");
+        }
+    }
+
+    #[test]
+    fn slow_geometric_retry_expected_reward_is_exact() {
+        // One attempt costs 1, so the expected cost is 1 / 1e-6.
+        let (mdp, goal) = slow_retry(1.0);
+        for opt in [Opt::Max, Opt::Min] {
+            let e = expected_reward(&mdp, opt, &goal).initial_value;
+            assert!(((e - 1e6) / 1e6).abs() < 1e-9, "{opt:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn idle_zero_reward_loop_is_not_a_way_to_the_goal() {
+        // Idling costs nothing but never reaches the goal, so Emin is the
+        // cost of leaving.
+        let mut b = MdpBuilder::new();
+        let s0 = b.add_state();
+        let g = b.add_state();
+        b.add_action(s0, Some("idle"), 0.0, vec![(s0, 1.0)])
+            .unwrap();
+        b.add_action(s0, Some("go"), 1.0, vec![(g, 1.0)]).unwrap();
+        let mdp = b.build(s0).unwrap();
+        let emin = expected_reward(&mdp, Opt::Min, &mask(2, &[g]));
+        assert_eq!(emin.initial_value, 1.0);
+        assert_eq!(emin.scheduler[s0.0], Some(1), "the scheduler leaves");
+    }
+
+    #[test]
+    fn stalled_iteration_ends_exhausted_at_the_sweep_cap() {
+        // The retry loop spans two states, so it is iterated, and one
+        // sweep gains only 1e-6 of the remaining gap: the stopping rule
+        // is still far off after MAX_ITERATIONS sweeps.
+        let mut b = MdpBuilder::new();
+        let s0 = b.add_state();
+        let s1 = b.add_state();
+        let g = b.add_state();
+        b.add_action(s0, None, 0.0, vec![(s1, 1.0)]).unwrap();
+        b.add_action(s1, None, 0.0, vec![(s0, 1.0 - 1e-6), (g, 1e-6)])
+            .unwrap();
+        let mdp = b.build(s0).unwrap();
+        let out = reachability_governed(&mdp, Opt::Min, &mask(3, &[g]), &Budget::unlimited());
+        assert_eq!(
+            out.exhaustion(),
+            Some(tempo_obs::ExhaustionReason::Iterations)
+        );
+        assert_eq!(out.report().sweeps, MAX_ITERATIONS as u64);
+        let v = out.value().initial_value;
+        assert!(v > 0.0 && v < 1.0, "partial value {v} is a lower bound");
+    }
+
+    #[test]
+    fn sccs_come_in_reverse_topological_order() {
+        // 0 → 1 ⇄ 2 → 3, plus 4 → 4 and 4 → 0.
+        let succ_start = [0, 1, 2, 4, 4, 6];
+        let succ = [1, 2, 1, 3, 4, 0];
+        let (start, members) = tarjan(&succ_start, &succ);
+        let sccs: Vec<Vec<usize>> = start
+            .windows(2)
+            .map(|w| {
+                let mut c = members[w[0]..w[1]].to_vec();
+                c.sort_unstable();
+                c
+            })
+            .collect();
+        assert_eq!(sccs, vec![vec![3], vec![1, 2], vec![0], vec![4]]);
+    }
+
+    #[test]
+    fn deep_chain_is_solved_in_one_pass() {
+        // 50 000 states in a row: each moves on w.p. 0.9999 or is lost.
+        // Recursion this deep would overflow the stack.
+        let len = 50_000;
+        let mut b = MdpBuilder::new();
+        let states: Vec<StateId> = (0..=len).map(|_| b.add_state()).collect();
+        let lose = b.add_state();
+        for i in 0..len {
+            b.add_action(
+                states[i],
+                None,
+                0.0,
+                vec![(states[i + 1], 0.9999), (lose, 0.0001)],
+            )
+            .unwrap();
+        }
+        let mdp = b.build(states[0]).unwrap();
+        let goal = mask(mdp.num_states(), &[states[len]]);
+        let res = reachability(&mdp, Opt::Max, &goal);
+        let exact = 0.9999_f64.powi(len as i32);
+        assert!(((res.initial_value - exact) / exact).abs() < 1e-9);
+        assert_eq!(res.iterations, 1);
+        assert!(res.scheduler[..len].iter().all(|&c| c == Some(0)));
     }
 }

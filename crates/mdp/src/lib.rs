@@ -2,10 +2,15 @@
 //!
 //! The PRISM-like substrate of the workspace: finite [`Mdp`] models with
 //! nondeterministic actions, probabilistic transitions and action rewards,
-//! analysed by qualitative graph precomputation (`Prob0`/`Prob1`) and
-//! Gauss–Seidel value iteration. The `mcpta` analogue in `tempo-modest`
-//! translates probabilistic timed automata to these MDPs with the digital
-//! clocks construction (Bozga et al., DATE 2012, §III).
+//! analysed by qualitative graph precomputation (`Prob0`/`Prob1`) and a
+//! value computation, both done one strongly connected component (SCC)
+//! at a time in reverse topological order. A one-state SCC — every SCC of
+//! an acyclic or self-loop-only model, such as the digital-clocks MDPs of
+//! the BRP — is solved exactly in closed form; only an SCC of more than
+//! one state runs Gauss–Seidel value iteration, on its own states. The
+//! `mcpta` analogue in `tempo-modest` translates probabilistic timed
+//! automata to these MDPs with the digital clocks construction (Bozga et
+//! al., DATE 2012, §III).
 //!
 //! Supported queries:
 //!

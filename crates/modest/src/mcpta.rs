@@ -349,7 +349,7 @@ impl Mcpta {
     /// Full quantitative reachability result — per-state values plus the
     /// memoryless scheduler realizing them — for certification: the
     /// scheduler induces a Markov chain whose reach probability can be
-    /// recomputed independently of value iteration.
+    /// recomputed independently of the solver.
     pub fn reach_quantitative(
         &self,
         opt: Opt,

@@ -131,7 +131,8 @@ pub enum JobKind {
         /// different effort or method is a different experiment).
         config: SplitConfig,
     },
-    /// Quantitative reachability on an explicit MDP (value iteration).
+    /// Quantitative reachability on an explicit MDP (solved one SCC at a
+    /// time).
     MdpReach {
         /// The MDP under analysis.
         mdp: Arc<Mdp>,

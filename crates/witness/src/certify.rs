@@ -11,7 +11,7 @@
 //! * [`StrategyCertificate`] — the full closed loop of a synthesized
 //!   TIGA strategy, certified exhaustively (every environment branch).
 //! * [`SchedulerCertificate`] — a memoryless scheduler whose induced
-//!   Markov chain reproduces the value reported by MDP value iteration.
+//!   Markov chain reproduces the value reported by the MDP solver.
 //! * [`RunCertificate`] — simulated SMC runs, each replayed as a legal
 //!   timed run of the network.
 //!
@@ -488,8 +488,8 @@ impl StrategyCertificate {
 
 /// A memoryless scheduler with the value it claims to achieve: fixing
 /// the per-state action choices turns the MDP into a Markov chain whose
-/// reachability probability the validator recomputes by power iteration
-/// — independently of the engine's value iteration over all schedulers.
+/// reachability probability the validator recomputes — independently of
+/// the engine's solver over all schedulers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerCertificate {
     /// Optimization direction the engine ran.
@@ -531,9 +531,11 @@ impl SchedulerCertificate {
     /// Validates the certificate against the MDP: the choices must be
     /// legal action indices, and the induced chain's reach probability
     /// from the initial state must match the claimed value within
-    /// epsilon. The recomputation is a least-fixpoint power iteration
-    /// starting from zero, so cycles in the chain converge to the true
-    /// reach probability.
+    /// epsilon. The recomputation solves the chain one strongly connected
+    /// component at a time, in reverse topological order: a one-state
+    /// component in closed form, a larger one by a least-fixpoint power
+    /// iteration from zero over its own states, so cycles converge to the
+    /// true reach probability.
     ///
     /// # Errors
     ///
@@ -566,30 +568,7 @@ impl SchedulerCertificate {
                 }
             }
         }
-        let mut p: Vec<f64> = self.goal.iter().map(|&g| f64::from(u8::from(g))).collect();
-        let tol = (self.epsilon * 1e-3).max(1e-12);
-        for _ in 0..1_000_000 {
-            let mut delta = 0.0_f64;
-            for s in 0..n {
-                if self.goal[s] {
-                    continue;
-                }
-                let next = match self.choices[s] {
-                    None => 0.0,
-                    Some(c) => mdp.actions(tempo_mdp::StateId(s))[c]
-                        .transitions
-                        .iter()
-                        .map(|&(t, pr)| pr * p[t.0])
-                        .sum(),
-                };
-                delta = delta.max((next - p[s]).abs());
-                p[s] = next;
-            }
-            if delta < tol {
-                break;
-            }
-        }
-        let recomputed = p[mdp.initial().0];
+        let recomputed = self.chain_values(mdp)[mdp.initial().0];
         if (recomputed - self.value).abs() > self.epsilon {
             return Err(WitnessError::ValueMismatch {
                 reported: self.value,
@@ -598,6 +577,116 @@ impl SchedulerCertificate {
             });
         }
         Ok(())
+    }
+
+    /// The induced chain's reach probability per state. Goal states and
+    /// states without a choice are sinks; the others follow their chosen
+    /// action.
+    fn chain_values(&self, mdp: &Mdp) -> Vec<f64> {
+        let step = |s: usize| -> &[(tempo_mdp::StateId, f64)] {
+            match self.choices[s] {
+                Some(c) if !self.goal[s] => &mdp.actions(tempo_mdp::StateId(s))[c].transitions,
+                _ => &[],
+            }
+        };
+        let mut p: Vec<f64> = self.goal.iter().map(|&g| f64::from(u8::from(g))).collect();
+        let tol = (self.epsilon * 1e-3).max(1e-12);
+        for_each_scc(self.goal.len(), &step, |scc| {
+            if let [s] = *scc {
+                // Every successor other than `s` is final: the chain
+                // leaves `s` with its exit mass, so the value is the
+                // exit-weighted mean (0 when it never leaves).
+                let (mut sum, mut exit) = (0.0_f64, 0.0_f64);
+                for &(t, pr) in step(s) {
+                    if pr > 0.0 && t.0 != s {
+                        sum += pr * p[t.0];
+                        exit += pr;
+                    }
+                }
+                if exit > 0.0 {
+                    p[s] = sum / exit;
+                }
+                return;
+            }
+            for _ in 0..1_000_000 {
+                let mut delta = 0.0_f64;
+                for &s in scc {
+                    let next: f64 = step(s).iter().map(|&(t, pr)| pr * p[t.0]).sum();
+                    delta = delta.max((next - p[s]).abs());
+                    p[s] = next;
+                }
+                if delta < tol {
+                    break;
+                }
+            }
+        });
+        p
+    }
+}
+
+/// Calls `visit` on each strongly connected component of a chain over
+/// states `0..n` whose positive-probability successors `step` lists, in
+/// reverse topological order (every component after all those it
+/// reaches). Tarjan's algorithm with an explicit stack, since
+/// digital-clocks chains are far too deep for recursion.
+fn for_each_scc<'a>(
+    n: usize,
+    step: &impl Fn(usize) -> &'a [(tempo_mdp::StateId, f64)],
+    mut visit: impl FnMut(&[usize]),
+) {
+    const UNSEEN: usize = usize::MAX;
+    let mut num = vec![UNSEEN; n];
+    let mut low = vec![0; n];
+    let mut done = vec![false; n];
+    let mut stack = Vec::new();
+    // DFS frames: (state, index of its next successor in `step(state)`).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    let mut next = 0;
+    for root in 0..n {
+        if num[root] != UNSEEN {
+            continue;
+        }
+        num[root] = next;
+        low[root] = next;
+        next += 1;
+        stack.push(root);
+        frames.push((root, 0));
+        while let Some(frame) = frames.last_mut() {
+            let v = frame.0;
+            if let Some(&(t, pr)) = step(v).get(frame.1) {
+                frame.1 += 1;
+                let w = t.0;
+                if pr <= 0.0 {
+                    continue;
+                }
+                if num[w] == UNSEEN {
+                    num[w] = next;
+                    low[w] = next;
+                    next += 1;
+                    stack.push(w);
+                    frames.push((w, 0));
+                } else if !done[w] {
+                    low[v] = low[v].min(num[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(u, _)) = frames.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == num[v] {
+                // The component is the top of the stack, down to `v`.
+                let at = stack
+                    .iter()
+                    .rposition(|&w| w == v)
+                    .expect("a component's root is on the stack");
+                for &w in &stack[at..] {
+                    done[w] = true;
+                }
+                visit(&stack[at..]);
+                stack.truncate(at);
+            }
+        }
     }
 }
 
@@ -888,9 +977,9 @@ pub fn certified_probability(
     Ok((out, cert))
 }
 
-/// MDP reachability with a certified scheduler: value iteration's argmax
-/// policy is exported and its induced Markov chain's probability
-/// recomputed within `epsilon` of the reported value.
+/// MDP reachability with a certified scheduler: the solver's
+/// progress-ranked optimal policy is exported and its induced Markov
+/// chain's probability recomputed within `epsilon` of the reported value.
 ///
 /// # Errors
 ///
@@ -930,4 +1019,146 @@ pub fn certified_mcpta_reach(
     cert.validate(m.mdp())?;
     stamp(&mut out, &Certificate::Scheduler(cert.clone()), started);
     Ok((out, cert))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tempo_mdp::MdpBuilder;
+
+    /// `s0 → s1`, `s1 → s0 | s2` and `s2 → s1 | goal | lose`, so under its
+    /// first action `s0` sits in a three-state cycle worth ½; its second
+    /// action idles on `s0` forever.
+    fn lossy_cycle() -> (Mdp, Vec<bool>) {
+        let mut b = MdpBuilder::new();
+        let s: Vec<_> = (0..5).map(|_| b.add_state()).collect();
+        let (goal, lose) = (s[3], s[4]);
+        b.add_action(s[0], Some("on"), 0.0, vec![(s[1], 1.0)])
+            .unwrap();
+        b.add_action(s[0], Some("idle"), 0.0, vec![(s[0], 1.0)])
+            .unwrap();
+        b.add_action(s[1], None, 0.0, vec![(s[0], 0.5), (s[2], 0.5)])
+            .unwrap();
+        b.add_action(
+            s[2],
+            None,
+            0.0,
+            vec![(s[1], 0.5), (goal, 0.25), (lose, 0.25)],
+        )
+        .unwrap();
+        let mut mask = vec![false; 5];
+        mask[goal.0] = true;
+        (b.build(s[0]).unwrap(), mask)
+    }
+
+    #[test]
+    fn scheduler_validation_solves_multi_state_components() {
+        let (mdp, goal) = lossy_cycle();
+        let q = tempo_mdp::reachability(&mdp, Opt::Max, &goal);
+        assert!((q.initial_value - 0.5).abs() < 1e-9);
+        assert_eq!(q.scheduler[0], Some(0), "the engine moves on");
+        let cert = SchedulerCertificate::build_with_opt(&q, Opt::Max, goal, 1e-9);
+        cert.validate(&mdp)
+            .expect("the engine's scheduler validates");
+
+        // Idling on s0 turns it into a one-state component that never
+        // leaves: its chain value is 0, not the claimed ½.
+        let mut idle = cert;
+        idle.choices[0] = Some(1);
+        match idle.validate(&mdp) {
+            Err(WitnessError::ValueMismatch { recomputed, .. }) => assert_eq!(recomputed, 0.0),
+            other => panic!("expected a value mismatch, got {other:?}"),
+        }
+    }
+
+    /// Reference: power iteration over the whole induced chain, from 0
+    /// off the goal, until a sweep moves no state by 1e-14. `None` if it
+    /// does not get there.
+    fn whole_chain_power_iteration(cert: &SchedulerCertificate, mdp: &Mdp) -> Option<Vec<f64>> {
+        let mut p: Vec<f64> = cert.goal.iter().map(|&g| f64::from(u8::from(g))).collect();
+        for _ in 0..1_000_000 {
+            let mut delta = 0.0_f64;
+            for s in 0..p.len() {
+                let Some(c) = cert.choices[s].filter(|_| !cert.goal[s]) else {
+                    continue;
+                };
+                let next: f64 = mdp.actions(tempo_mdp::StateId(s))[c]
+                    .transitions
+                    .iter()
+                    .map(|&(t, pr)| pr * p[t.0])
+                    .sum();
+                delta = delta.max((next - p[s]).abs());
+                p[s] = next;
+            }
+            if delta < 1e-14 {
+                return Some(p);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn chain_values_match_whole_chain_power_iteration() {
+        // Random chains of 5–30 states: each state moves on, loops on
+        // itself, jumps back or anywhere, so both one-state and larger
+        // components occur.
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            usize::try_from(seed % bound as u64).expect("below a usize bound")
+        };
+        let mut compared = 0;
+        for _ in 0..300 {
+            let n = 5 + next(26);
+            let mut b = MdpBuilder::new();
+            let states: Vec<_> = (0..n).map(|_| b.add_state()).collect();
+            let mut goal = vec![false; n];
+            let mut choices = vec![None; n];
+            for s in 0..n {
+                goal[s] = next(8) == 0;
+                if next(10) == 0 {
+                    continue;
+                }
+                let targets: Vec<usize> = (0..1 + next(3))
+                    .map(|_| match next(6) {
+                        0..=2 => (s + 1) % n,
+                        3 => s,
+                        4 => next(s + 1),
+                        _ => next(n),
+                    })
+                    .collect();
+                let w: Vec<f64> = targets.iter().map(|_| (1 + next(9)) as f64).collect();
+                let total: f64 = w.iter().sum();
+                let mut dist: Vec<_> = targets
+                    .iter()
+                    .zip(&w)
+                    .map(|(&t, &wt)| (states[t], wt / total))
+                    .collect();
+                let sum: f64 = dist.iter().map(|&(_, pr)| pr).sum();
+                dist.last_mut().expect("non-empty").1 += 1.0 - sum;
+                b.add_action(states[s], None, 0.0, dist).unwrap();
+                choices[s] = Some(0);
+            }
+            let mdp = b.build(states[0]).unwrap();
+            let cert = SchedulerCertificate {
+                opt: Opt::Max,
+                value: 0.0,
+                epsilon: 1e-9,
+                choices,
+                goal,
+            };
+            if let Some(reference) = whole_chain_power_iteration(&cert, &mdp) {
+                compared += 1;
+                for (s, (v, r)) in cert.chain_values(&mdp).iter().zip(&reference).enumerate() {
+                    assert!((v - r).abs() < 1e-9, "state {s}: {v} vs reference {r}");
+                }
+            }
+        }
+        assert!(
+            compared > 250,
+            "the reference converged on {compared} chains"
+        );
+    }
 }

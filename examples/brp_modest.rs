@@ -6,7 +6,7 @@
 //!   timed-automata engine (exact for the invariants TA1/TA2; `0` for
 //!   unreachable events; trivial `[0, 1]` bounds otherwise);
 //! * `mcpta` — exact probabilistic model checking via digital clocks and
-//!   value iteration;
+//!   an MDP solved one SCC at a time;
 //! * `modes` — discrete-event simulation with 10 000 runs (rare events
 //!   typically go unobserved, exactly as the paper shows).
 //!

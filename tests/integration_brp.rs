@@ -39,6 +39,28 @@ fn table1_shape_on_small_instance() {
     }
 }
 
+/// Every SCC of the BRP's digital-clocks MDP is a single state, so
+/// mcpta's values are exact up to rounding. With per-try loss
+/// `q = 1 − 0.98²` and chunk-abort probability `c = q^(MAX+1)`:
+/// `P1 = 1 − (1 − c)^N` and `P2 = c·(1 − c)^(N−1)`.
+#[test]
+fn mcpta_matches_the_closed_form() {
+    let (n, max) = (16, 2);
+    let model = brp(n, max, 1);
+    let mc = model.mcpta(0, 5_000_000);
+    let q: f64 = 1.0 - 0.98 * 0.98;
+    let c = q.powi(max as i32 + 1);
+    let p1 = 1.0 - (1.0 - c).powi(n as i32);
+    let p2 = c * (1.0 - c).powi(n as i32 - 1);
+    for (name, goal, exact) in [("P1", model.p1_goal(), p1), ("P2", model.p2_goal(), p2)] {
+        let value = mc.pmax(&goal);
+        assert!(
+            ((value - exact) / exact).abs() < 1e-9,
+            "{name} = {value} vs closed form {exact}"
+        );
+    }
+}
+
 #[test]
 fn modes_rare_events_and_expectation() {
     let model = brp(4, 2, 1);
