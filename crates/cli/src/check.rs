@@ -9,7 +9,7 @@ use tempo_lang::ast::{AssertDef, AssertKind, CmpOp, Formula};
 use tempo_lang::machine::MachineSet;
 use tempo_lang::{Json, ParseError};
 use tempo_mdp::Opt;
-use tempo_obs::{ExploreConfig, Fingerprint, RunReport};
+use tempo_obs::{CounterKind, ExploreConfig, Fingerprint, RunReport};
 use tempo_smc::RatePolicy;
 use tempo_svc::{
     AnalysisService, JobError, JobKind, JobRequest, JobVerdict, Rejected, ServiceConfig,
@@ -356,16 +356,19 @@ fn error_json(code: &str, message: &str, span: Option<tempo_lang::Span>) -> Json
     Json::Obj(fields)
 }
 
+/// Every work counter, in declaration order. Timings and
+/// worker-dependent counters stay out, so the document is
+/// byte-identical across `--threads` and warm reruns.
 fn report_json(r: &RunReport) -> Json {
-    let n = |v: u64| Json::int(i64::try_from(v).unwrap_or(i64::MAX));
-    Json::Obj(vec![
-        ("states_explored".to_owned(), n(r.states_explored)),
-        ("states_stored".to_owned(), n(r.states_stored)),
-        ("sweeps".to_owned(), n(r.sweeps)),
-        ("runs_simulated".to_owned(), n(r.runs_simulated)),
-        ("dbm_dim".to_owned(), n(r.dbm_dim)),
-        ("spilled_states".to_owned(), n(r.spilled_states)),
-    ])
+    Json::Obj(
+        r.counters()
+            .filter(|&(_, _, kind)| kind == CounterKind::Work)
+            .map(|(name, v, _)| {
+                let v = Json::int(i64::try_from(v).unwrap_or(i64::MAX));
+                (name.to_owned(), v)
+            })
+            .collect(),
+    )
 }
 
 fn assert_json(a: &AssertOutcome) -> Json {

@@ -10,6 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use tempo_lang::{parse_header, Expectation, Json};
+use tempo_obs::{CounterKind, RunReport};
 
 /// The repository's corpus directory, resolved from this crate.
 fn corpus_dir() -> PathBuf {
@@ -81,7 +82,10 @@ fn normalize(doc: &Json) -> Json {
     }
 }
 
-/// Checks the fixed scaffolding of a `tempo-result v1` document.
+/// Checks the fixed scaffolding of a `tempo-result v1` document,
+/// including that each assert's `report` holds exactly the run report's
+/// work counters, in declaration order, and none that differ between
+/// runs.
 fn assert_schema(file: &Path, r: &RunResult) {
     let name = file.display();
     let doc = &r.doc;
@@ -133,11 +137,26 @@ fn assert_schema(file: &Path, r: &RunResult) {
         .get("asserts")
         .and_then(Json::as_arr)
         .unwrap_or_else(|| panic!("{name}: asserts array missing"));
+    let work: Vec<&str> = RunReport::default()
+        .counters()
+        .filter(|&(_, _, kind)| kind == CounterKind::Work)
+        .map(|(counter, _, _)| counter)
+        .collect();
+    for varies in ["wall_time", "certify_time", "spill_faults"] {
+        assert!(!work.contains(&varies), "{varies} differs between runs");
+    }
     for (i, a) in asserts.iter().enumerate() {
         assert!(
             a.get("index").and_then(Json::as_num).is_some(),
             "{name}: assert {i} index"
         );
+        if let Some(Json::Obj(report)) = a.get("report") {
+            let keys: Vec<&str> = report.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys, work,
+                "{name}: assert {i} report holds every work counter, in order"
+            );
+        }
         assert!(
             a.get("query").and_then(Json::as_str).is_some(),
             "{name}: assert {i} query"

@@ -292,282 +292,189 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// How much work an analysis performed, regardless of how it ended.
-///
-/// Engines fill in the fields that make sense for them and leave the
-/// rest at zero (an SMC run has no waiting list; a fixpoint solver
-/// simulates no runs).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RunReport {
-    /// States popped/expanded during exploration.
-    pub states_explored: u64,
-    /// States retained in the passed list / graph / value vector.
-    pub states_stored: u64,
-    /// Peak length of the waiting list (sequential or shared queue).
-    pub peak_waiting: u64,
-    /// Fixpoint sweeps / value-iteration rounds performed.
-    pub sweeps: u64,
-    /// Simulation runs completed.
-    pub runs_simulated: u64,
-    /// DBM dimension actually used by the analysis, after active-clock
-    /// reduction (`0` for engines that track no clocks).
-    pub dbm_dim: u64,
-    /// DBM dimension of the model as written, before reduction. Equal to
-    /// [`RunReport::dbm_dim`] when no clock was removed.
-    pub dbm_dim_model: u64,
-    /// Wall-clock time spent inside the call.
-    pub wall_time: Duration,
-    /// Size of the certificate produced for this verdict, in bytes of
-    /// its serialized text form (`0` when no certificate was produced).
-    pub certificate_bytes: u64,
-    /// Time spent producing and validating the certificate (zero when no
-    /// certificate was produced).
-    pub certify_time: Duration,
-    /// States expanded with a reduced (ample) successor set by
-    /// partial-order reduction.
-    pub por_ample_states: u64,
-    /// States where an ample candidate existed but the cycle proviso
-    /// forced a fall-back to full expansion.
-    pub por_fallback_states: u64,
-    /// Symmetry orbits of structurally identical components detected
-    /// (`0` when symmetry reduction was off or found nothing).
-    pub sym_orbits: u64,
-    /// Successor states folded onto an already-known orbit
-    /// representative by symmetry canonicalization.
-    pub sym_states_avoided: u64,
-    /// States whose full representation was written to the spill log
-    /// instead of staying resident (`0` when spilling was off).
-    pub spilled_states: u64,
-    /// Bytes appended to the spill log, record headers included.
-    pub spill_bytes: u64,
-    /// Full records faulted back in from the spill log (each fault is a
-    /// disk read that the resident zone summary could not rule out).
-    pub spill_faults: u64,
-    /// `(location, clock)` pairs whose LU extrapolation bound is
-    /// strictly tighter than the clock's global maximal constant (`0`
-    /// when LU extrapolation was off or found nothing to tighten).
-    pub lu_tightened: u64,
-    /// Variables whose range-analysis fixpoint interval is strictly
-    /// tighter than their declared range.
-    pub vars_narrowed: u64,
-    /// Clocks removed by query-directed slicing beyond what plain
-    /// active-clock reduction removes.
-    pub sliced_clocks: u64,
-    /// Variables frozen (write-only, outside the query's cone of
-    /// influence) by slicing.
-    pub sliced_vars: u64,
-    /// Edges disabled by slicing (synchronization-dead or with a guard
-    /// proven empty by range analysis).
-    pub sliced_edges: u64,
-    /// Importance-splitting levels between the initial state and the
-    /// goal (`0` for engines that do not split).
-    pub splitting_levels: u64,
-    /// Split trajectories spawned from stored level-entry states
-    /// (fixed-effort restarts beyond the first stage, RESTART clones).
-    pub splits_spawned: u64,
-    /// Total trajectory segments simulated across all splitting stages,
-    /// including the naive-MC case where it equals `runs_simulated`.
-    pub runs_total: u64,
+/// Whether a [`RunReport`] counter is fixed by the input or can differ
+/// between runs of the same input.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CounterKind {
+    /// Work performed: the same input gives the same value at any worker
+    /// count and on a warm rerun.
+    Work,
+    /// Work whose amount also depends on the worker count: a parallel
+    /// round may do work that a hit or a deadline then never needs.
+    WorkerDependent,
+    /// Elapsed wall-clock time, which differs from run to run.
+    Timing,
 }
 
-impl RunReport {
-    /// Folds `other` into `self`, so the analysis service can aggregate
-    /// per-job reports into a tenant- or service-level rollup.
+/// Declares [`RunReport`] from its counter table, one row per counter:
+/// docs, `name: type` (`u64` or `Duration`), merge rule (`sum` or `max`)
+/// and [`CounterKind`]. The struct, [`RunReport::merge`],
+/// [`RunReport::counters`] and [`RunReport::parse_line`] are generated
+/// from the rows, and `Display` walks [`RunReport::counters`].
+macro_rules! run_report {
+    (@merge sum, $a:expr, $b:expr) => { $a += $b };
+    (@merge max, $a:expr, $b:expr) => { $a = $a.max($b) };
+    // Text-form values are integers, durations in nanoseconds.
+    (@to_u64 u64, $v:expr) => { $v };
+    (@to_u64 Duration, $v:expr) => { u64::try_from($v.as_nanos()).unwrap_or(u64::MAX) };
+    (@from_u64 u64, $v:expr) => { $v };
+    (@from_u64 Duration, $v:expr) => { Duration::from_nanos($v) };
+    (
+        $(#[$attr:meta])*
+        pub struct RunReport {
+            $( $(#[doc = $doc:literal])* $name:ident: $ty:ident, $merge:ident, $kind:ident; )*
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct RunReport {
+            $( $(#[doc = $doc])* pub $name: $ty, )*
+        }
+
+        impl RunReport {
+            /// Folds `other` into `self`, so the analysis service can
+            /// aggregate per-job reports into a tenant- or service-level
+            /// rollup. Each counter merges by the rule in its row: work
+            /// is summed, so the rollup answers "how much work did these
+            /// jobs perform in total"; peaks, dimensions and per-model
+            /// facts take the maximum, so a rollup's peak is the worst
+            /// single peak, not their sum.
+            pub fn merge(&mut self, other: &RunReport) {
+                $( run_report!(@merge $merge, self.$name, other.$name); )*
+            }
+
+            /// Every counter as `(name, value, kind)`, in declaration
+            /// order, with durations in integer nanoseconds.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64, CounterKind)> {
+                [$( (stringify!($name), run_report!(@to_u64 $ty, self.$name), CounterKind::$kind) ),*]
+                    .into_iter()
+            }
+
+            /// Parses the text form that `Display` writes: every counter
+            /// once, as `name=value`, in declaration order, separated by
+            /// single spaces. `None` on anything else (a missing,
+            /// repeated, reordered or unknown name, a value that is not a
+            /// `u64`, stray whitespace); the caller treats the line as
+            /// absent, never as a partial report.
+            #[must_use]
+            pub fn parse_line(line: &str) -> Option<RunReport> {
+                let mut values = line
+                    .split(' ')
+                    .map(|pair| pair.split_once('=')?.1.parse::<u64>().ok());
+                let report = RunReport {
+                    $( $name: run_report!(@from_u64 $ty, values.next()??), )*
+                };
+                // Rendering back checks the names, their order, the
+                // separators and the digits in one comparison.
+                (report.to_string() == line).then_some(report)
+            }
+        }
+    };
+}
+
+run_report! {
+    /// How much work an analysis performed, regardless of how it ended.
     ///
-    /// Additive work counters (`states_explored`, `states_stored`,
-    /// `sweeps`, `runs_simulated`, `wall_time`, `certificate_bytes`,
-    /// `certify_time`) are summed — the merged report answers "how much
-    /// work did these jobs perform in total". High-water marks
-    /// (`peak_waiting`) and model dimensions (`dbm_dim`,
-    /// `dbm_dim_model`) are maxed: a rollup's peak is the worst
-    /// individual peak, not their sum.
-    pub fn merge(&mut self, other: &RunReport) {
-        self.states_explored += other.states_explored;
-        self.states_stored += other.states_stored;
-        self.peak_waiting = self.peak_waiting.max(other.peak_waiting);
-        self.sweeps += other.sweeps;
-        self.runs_simulated += other.runs_simulated;
-        self.dbm_dim = self.dbm_dim.max(other.dbm_dim);
-        self.dbm_dim_model = self.dbm_dim_model.max(other.dbm_dim_model);
-        self.wall_time += other.wall_time;
-        self.certificate_bytes += other.certificate_bytes;
-        self.certify_time += other.certify_time;
-        self.por_ample_states += other.por_ample_states;
-        self.por_fallback_states += other.por_fallback_states;
-        self.sym_orbits = self.sym_orbits.max(other.sym_orbits);
-        self.sym_states_avoided += other.sym_states_avoided;
-        self.spilled_states += other.spilled_states;
-        self.spill_bytes += other.spill_bytes;
-        self.spill_faults += other.spill_faults;
-        self.lu_tightened = self.lu_tightened.max(other.lu_tightened);
-        self.vars_narrowed = self.vars_narrowed.max(other.vars_narrowed);
-        self.sliced_clocks = self.sliced_clocks.max(other.sliced_clocks);
-        self.sliced_vars = self.sliced_vars.max(other.sliced_vars);
-        self.sliced_edges = self.sliced_edges.max(other.sliced_edges);
-        self.splitting_levels = self.splitting_levels.max(other.splitting_levels);
-        self.splits_spawned += other.splits_spawned;
-        self.runs_total += other.runs_total;
-    }
-
-    /// Renders the report as one machine-readable line for persistence
-    /// (the disk cache stores it next to the verdict so a disk hit can
-    /// restore the producing run's work counters). Durations are
-    /// serialized as integer nanoseconds; the leading version tag lets
-    /// [`RunReport::parse_line`] reject lines from a future layout.
-    #[must_use]
-    pub fn render_line(&self) -> String {
-        format!(
-            "v3 {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            self.states_explored,
-            self.states_stored,
-            self.peak_waiting,
-            self.sweeps,
-            self.runs_simulated,
-            self.dbm_dim,
-            self.dbm_dim_model,
-            self.wall_time.as_nanos(),
-            self.certificate_bytes,
-            self.certify_time.as_nanos(),
-            self.por_ample_states,
-            self.por_fallback_states,
-            self.sym_orbits,
-            self.sym_states_avoided,
-            self.spilled_states,
-            self.spill_bytes,
-            self.spill_faults,
-            self.lu_tightened,
-            self.vars_narrowed,
-            self.sliced_clocks,
-            self.sliced_vars,
-            self.sliced_edges,
-            self.splitting_levels,
-            self.splits_spawned,
-            self.runs_total,
-        )
-    }
-
-    /// Parses a line produced by [`RunReport::render_line`]. `None` on
-    /// any defect (wrong version, missing or non-numeric field) — the
-    /// caller treats the line as absent, never as a partial report.
-    /// Accepts the legacy `v1` layout (written before the dataflow-pass
-    /// counters existed) with the five flow fields read as zero, and the
-    /// legacy `v2` layout (before the splitting counters) with the three
-    /// splitting fields read as zero, so old disk-cache entries keep
-    /// validating.
-    #[must_use]
-    pub fn parse_line(line: &str) -> Option<RunReport> {
-        let mut parts = line.split_ascii_whitespace();
-        let version = parts.next()?;
-        let (has_flow, has_splitting) = match version {
-            "v1" => (false, false),
-            "v2" => (true, false),
-            "v3" => (true, true),
-            _ => return None,
-        };
-        let mut next_u64 = || parts.next()?.parse::<u64>().ok();
-        let mut report = RunReport {
-            states_explored: next_u64()?,
-            states_stored: next_u64()?,
-            peak_waiting: next_u64()?,
-            sweeps: next_u64()?,
-            runs_simulated: next_u64()?,
-            dbm_dim: next_u64()?,
-            dbm_dim_model: next_u64()?,
-            wall_time: Duration::from_nanos(next_u64()?),
-            certificate_bytes: next_u64()?,
-            certify_time: Duration::from_nanos(next_u64()?),
-            por_ample_states: next_u64()?,
-            por_fallback_states: next_u64()?,
-            sym_orbits: next_u64()?,
-            sym_states_avoided: next_u64()?,
-            spilled_states: next_u64()?,
-            spill_bytes: next_u64()?,
-            spill_faults: next_u64()?,
-            ..RunReport::default()
-        };
-        if has_flow {
-            report.lu_tightened = next_u64()?;
-            report.vars_narrowed = next_u64()?;
-            report.sliced_clocks = next_u64()?;
-            report.sliced_vars = next_u64()?;
-            report.sliced_edges = next_u64()?;
-        }
-        if has_splitting {
-            report.splitting_levels = next_u64()?;
-            report.splits_spawned = next_u64()?;
-            report.runs_total = next_u64()?;
-        }
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(report)
+    /// Engines fill in the fields that make sense for them and leave the
+    /// rest at zero (an SMC run has no waiting list; a fixpoint solver
+    /// simulates no runs).
+    ///
+    /// Each counter is declared once, in one table: its type, how
+    /// [`RunReport::merge`] combines it and its [`CounterKind`]. The
+    /// text form writes every counter as `name=value` in declaration
+    /// order, durations in integer nanoseconds, and
+    /// [`RunReport::parse_line`] reads it back:
+    ///
+    /// ```
+    /// use tempo_obs::RunReport;
+    ///
+    /// let report = RunReport { states_explored: 12, ..RunReport::default() };
+    /// let line = report.to_string();
+    /// assert!(line.starts_with("states_explored=12 states_stored=0 "));
+    /// assert_eq!(RunReport::parse_line(&line), Some(report));
+    /// ```
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct RunReport {
+        /// States popped/expanded during exploration.
+        states_explored: u64, sum, Work;
+        /// States retained in the passed list / graph / value vector.
+        states_stored: u64, sum, Work;
+        /// Peak length of the waiting list (sequential or shared queue).
+        peak_waiting: u64, max, Work;
+        /// Fixpoint sweeps / value-iteration rounds performed.
+        sweeps: u64, sum, Work;
+        /// Simulation runs completed.
+        runs_simulated: u64, sum, Work;
+        /// DBM dimension actually used by the analysis, after active-clock
+        /// reduction (`0` for engines that track no clocks).
+        dbm_dim: u64, max, Work;
+        /// DBM dimension of the model as written, before reduction. Equal to
+        /// [`RunReport::dbm_dim`] when no clock was removed.
+        dbm_dim_model: u64, max, Work;
+        /// Wall-clock time spent inside the call.
+        wall_time: Duration, sum, Timing;
+        /// Size of the certificate produced for this verdict, in bytes of
+        /// its serialized text form (`0` when no certificate was produced).
+        certificate_bytes: u64, sum, Work;
+        /// Time spent producing and validating the certificate (zero when no
+        /// certificate was produced).
+        certify_time: Duration, sum, Timing;
+        /// States expanded with a reduced (ample) successor set by
+        /// partial-order reduction.
+        por_ample_states: u64, sum, Work;
+        /// States where an ample candidate existed but the cycle proviso
+        /// forced a fall-back to full expansion.
+        por_fallback_states: u64, sum, Work;
+        /// Symmetry orbits of structurally identical components detected
+        /// (`0` when symmetry reduction was off or found nothing).
+        sym_orbits: u64, max, Work;
+        /// Successor states folded onto an already-known orbit
+        /// representative by symmetry canonicalization.
+        sym_states_avoided: u64, sum, Work;
+        /// States whose full representation was written to the spill log
+        /// instead of staying resident (`0` when spilling was off).
+        spilled_states: u64, sum, Work;
+        /// Bytes appended to the spill log, record headers included.
+        spill_bytes: u64, sum, Work;
+        /// Full records faulted back in from the spill log (each fault is a
+        /// disk read that the resident zone summary could not rule out).
+        spill_faults: u64, sum, WorkerDependent;
+        /// `(location, clock)` pairs whose LU extrapolation bound is
+        /// strictly tighter than the clock's global maximal constant (`0`
+        /// when LU extrapolation was off or found nothing to tighten).
+        lu_tightened: u64, max, Work;
+        /// Variables whose range-analysis fixpoint interval is strictly
+        /// tighter than their declared range.
+        vars_narrowed: u64, max, Work;
+        /// Clocks removed by query-directed slicing beyond what plain
+        /// active-clock reduction removes.
+        sliced_clocks: u64, max, Work;
+        /// Variables frozen (write-only, outside the query's cone of
+        /// influence) by slicing.
+        sliced_vars: u64, max, Work;
+        /// Edges disabled by slicing (synchronization-dead or with a guard
+        /// proven empty by range analysis).
+        sliced_edges: u64, max, Work;
+        /// Importance-splitting levels between the initial state and the
+        /// goal (`0` for engines that do not split).
+        splitting_levels: u64, max, Work;
+        /// Split trajectories spawned from stored level-entry states
+        /// (fixed-effort restarts beyond the first stage, RESTART clones).
+        splits_spawned: u64, sum, Work;
+        /// Total trajectory segments simulated across all splitting stages,
+        /// including the naive-MC case where it equals `runs_simulated`.
+        runs_total: u64, sum, Work;
     }
 }
 
+/// The text form: every counter as `name=value`, in declaration order,
+/// separated by single spaces, durations in integer nanoseconds.
 impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "explored {} states (stored {}, peak waiting {}), {} sweeps, {} runs, {:.3}s",
-            self.states_explored,
-            self.states_stored,
-            self.peak_waiting,
-            self.sweeps,
-            self.runs_simulated,
-            self.wall_time.as_secs_f64()
-        )?;
-        if self.dbm_dim_model > 0 {
-            write!(f, ", dbm dim {}/{}", self.dbm_dim, self.dbm_dim_model)?;
-        }
-        if self.certificate_bytes > 0 {
-            write!(
-                f,
-                ", certificate {} bytes ({:.3}s)",
-                self.certificate_bytes,
-                self.certify_time.as_secs_f64()
-            )?;
-        }
-        if self.por_ample_states > 0 || self.por_fallback_states > 0 {
-            write!(
-                f,
-                ", por {} ample / {} fallback",
-                self.por_ample_states, self.por_fallback_states
-            )?;
-        }
-        if self.sym_orbits > 0 {
-            write!(
-                f,
-                ", symmetry {} orbit(s), {} states avoided",
-                self.sym_orbits, self.sym_states_avoided
-            )?;
-        }
-        if self.spilled_states > 0 || self.spill_faults > 0 {
-            write!(
-                f,
-                ", spilled {} states ({} bytes, {} faults)",
-                self.spilled_states, self.spill_bytes, self.spill_faults
-            )?;
-        }
-        if self.lu_tightened > 0 || self.vars_narrowed > 0 {
-            write!(
-                f,
-                ", flow {} lu bound(s) tightened, {} var(s) narrowed",
-                self.lu_tightened, self.vars_narrowed
-            )?;
-        }
-        if self.sliced_clocks > 0 || self.sliced_vars > 0 || self.sliced_edges > 0 {
-            write!(
-                f,
-                ", sliced {} clock(s) / {} var(s) / {} edge(s)",
-                self.sliced_clocks, self.sliced_vars, self.sliced_edges
-            )?;
-        }
-        if self.splitting_levels > 0 || self.splits_spawned > 0 {
-            write!(
-                f,
-                ", splitting {} level(s), {} split(s), {} segment(s)",
-                self.splitting_levels, self.splits_spawned, self.runs_total
-            )?;
+        for (i, (name, value, _)) in self.counters().enumerate() {
+            if i > 0 {
+                f.write_str(" ")?;
+            }
+            write!(f, "{name}={value}")?;
         }
         Ok(())
     }
@@ -1139,6 +1046,7 @@ impl fmt::Display for ServiceCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn unlimited_budget_never_trips() {
@@ -1381,45 +1289,65 @@ mod tests {
         assert_eq!(same, a);
     }
 
+    /// Counter values that reach both ends of the `u64` range.
+    fn arb_counter_values() -> impl Strategy<Value = Vec<u64>> {
+        let n = RunReport::default().counters().count();
+        prop::collection::vec(
+            prop_oneof![Just(0), Just(u64::MAX), 0..1_000_u64, 0..u64::MAX],
+            n,
+        )
+    }
+
+    proptest! {
+        /// Any report's text form reads back as the same report, and a
+        /// line with one pair dropped, repeated, moved, renamed or made
+        /// non-numeric is refused.
+        #[test]
+        fn run_report_text_form_round_trips_and_refuses_anything_else(
+            values in arb_counter_values(),
+            at in 0..64_usize,
+            defect in 0..5_u8,
+        ) {
+            let names: Vec<&str> = RunReport::default().counters().map(|(n, _, _)| n).collect();
+            let mut pairs: Vec<String> = names
+                .iter()
+                .zip(&values)
+                .map(|(n, v)| format!("{n}={v}"))
+                .collect();
+            let line = pairs.join(" ");
+            let report = RunReport::parse_line(&line).expect("the text form parses");
+            let read: Vec<u64> = report.counters().map(|(_, v, _)| v).collect();
+            prop_assert_eq!(&read, &values);
+            prop_assert_eq!(report.to_string(), line);
+            prop_assert_eq!(RunReport::parse_line(&report.to_string()), Some(report));
+
+            let at = at % (pairs.len() - 1);
+            let (name, value) = (names[at], values[at]);
+            match defect {
+                0 => drop(pairs.remove(at)),
+                1 => pairs.insert(at, pairs[at].clone()),
+                2 => pairs.swap(at, at + 1),
+                3 => pairs[at] = format!("{name}_={value}"),
+                _ => pairs[at] = format!("{name}=x{value}"),
+            }
+            prop_assert_eq!(RunReport::parse_line(&pairs.join(" ")), None);
+        }
+    }
+
     #[test]
-    fn run_report_line_round_trips_and_accepts_legacy_versions() {
-        let report = RunReport {
-            states_explored: 11,
-            states_stored: 7,
-            wall_time: Duration::from_nanos(12_345),
-            lu_tightened: 4,
-            vars_narrowed: 3,
-            sliced_clocks: 2,
-            sliced_vars: 1,
-            sliced_edges: 9,
-            splitting_levels: 6,
-            splits_spawned: 120,
-            runs_total: 240,
-            ..RunReport::default()
-        };
-        let line = report.render_line();
-        assert!(line.starts_with("v3 "));
-        assert_eq!(RunReport::parse_line(&line), Some(report));
-        // Legacy v1 lines (17 fields, no flow counters) still parse,
-        // with the flow counters read as zero.
-        let legacy = "v1 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17";
-        let parsed = RunReport::parse_line(legacy).expect("v1 parses");
-        assert_eq!(parsed.states_explored, 1);
-        assert_eq!(parsed.spill_faults, 17);
-        assert_eq!(parsed.lu_tightened, 0);
-        assert_eq!(parsed.sliced_edges, 0);
-        // Legacy v2 lines (22 fields, no splitting counters) parse with
-        // the splitting counters read as zero.
-        let legacy = "v2 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22";
-        let parsed = RunReport::parse_line(legacy).expect("v2 parses");
-        assert_eq!(parsed.sliced_edges, 22);
-        assert_eq!(parsed.splitting_levels, 0);
-        assert_eq!(parsed.runs_total, 0);
-        // Defects: unknown version, truncated v3, trailing garbage.
-        assert_eq!(RunReport::parse_line("v4 1 2"), None);
-        let truncated = line.rsplit_once(' ').expect("fields").0;
-        assert_eq!(RunReport::parse_line(truncated), None);
-        assert_eq!(RunReport::parse_line(&format!("{line} 99")), None);
+    fn run_report_parse_line_refuses_positional_and_padded_lines() {
+        let line = RunReport::default().to_string();
+        for bad in [
+            String::new(),
+            "v3 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0".to_owned(),
+            format!(" {line}"),
+            format!("{line} "),
+            format!("{line} runs_total=0"),
+            line.replacen("=0", "=00", 1),
+            line.replacen("=0", "=+0", 1),
+        ] {
+            assert_eq!(RunReport::parse_line(&bad), None, "{bad:?}");
+        }
     }
 
     #[test]
@@ -1476,7 +1404,7 @@ mod tests {
             states_explored: 5,
             ..RunReport::default()
         };
-        assert!(format!("{r}").contains("explored 5 states"));
+        assert!(format!("{r}").starts_with("states_explored=5 states_stored=0 "));
         assert!(format!("{}", ExhaustionReason::WallClock).contains("deadline"));
     }
 }

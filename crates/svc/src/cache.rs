@@ -6,7 +6,8 @@
 //!   a memory hit is served without re-validation.
 //! * **Disk tier** (optional) — one text file per certified verdict in
 //!   the `tempo-witness` v1 format, preceded by a small header carrying
-//!   the canonical verdict line. Disk entries outlive the process and
+//!   the canonical verdict line and the producing run's [`RunReport`]
+//!   in its `name=value` text form. Disk entries outlive the process and
 //!   are therefore *not* trusted: on every hit the certificate is
 //!   parsed and replayed against the live model through the independent
 //!   validator, and any mismatch (truncation, bit-flips, a stale file
@@ -26,7 +27,7 @@ use tempo_witness::format;
 use crate::job::{JobKind, JobVerdict};
 
 /// Header line of a disk-tier cache file.
-const DISK_MAGIC: &str = "tempo-svc-cache v1";
+const DISK_MAGIC: &str = "tempo-svc-cache v2";
 
 /// A cached verdict: the canonical answer, the work of the run that
 /// produced it, and the rendered certificate (when the verdict admits
@@ -106,7 +107,7 @@ impl VerdictCache {
         let body = format!(
             "{DISK_MAGIC}\nverdict {}\nreport {}\n\n{cert}",
             cached.verdict.render(),
-            cached.report.render_line()
+            cached.report
         );
         // Best-effort persistence: an IO error only costs future warm
         // starts, never correctness. sync_all before the rename so a
@@ -154,23 +155,15 @@ impl VerdictCache {
     /// Parses and fully re-validates one disk entry. `None` on any
     /// defect — the entry is treated as corrupted.
     fn revalidate(text: &str, kind: &JobKind, budget: &Budget) -> Option<CachedVerdict> {
-        let mut lines = text.lines().peekable();
+        let mut lines = text.lines();
         if lines.next()?.trim() != DISK_MAGIC {
             return None;
         }
-        let verdict_line = lines.next()?.trim().strip_prefix("verdict ")?.to_owned();
-        let verdict = JobVerdict::parse(&verdict_line)?;
+        let verdict = JobVerdict::parse(lines.next()?.trim().strip_prefix("verdict ")?)?;
         // The persisted work report of the run that produced the entry,
         // so a disk hit keeps its true states_explored/wall_time in the
-        // per-tenant rollups. Absent on legacy files (fall back below);
-        // present but unparseable means the header is corrupt.
-        let stored_report = match lines.peek() {
-            Some(l) if l.trim().starts_with("report ") => {
-                let line = lines.next()?.trim().strip_prefix("report ")?.to_owned();
-                Some(RunReport::parse_line(&line)?)
-            }
-            _ => None,
-        };
+        // per-tenant rollups.
+        let report = RunReport::parse_line(lines.next()?.trim().strip_prefix("report ")?)?;
         let cert_text: String = {
             let rest: Vec<&str> = lines.collect();
             rest.join("\n")
@@ -180,10 +173,6 @@ impl VerdictCache {
         // (validation always runs against the live model).
         let cert = format::parse_standalone(&cert_text).ok()?;
         kind.validate_cached(&verdict, &cert, budget).ok()?;
-        let report = stored_report.unwrap_or(RunReport {
-            certificate_bytes: cert_text.len() as u64,
-            ..RunReport::default()
-        });
         Some(CachedVerdict {
             verdict,
             report,
@@ -278,7 +267,7 @@ mod tests {
         let expected = format!(
             "{DISK_MAGIC}\nverdict {}\nreport {}\n\n{cert}",
             cached.verdict.render(),
-            cached.report.render_line()
+            cached.report
         );
         let on_disk = fs::read_to_string(cache.disk_path(&key).unwrap()).unwrap();
         assert_eq!(on_disk, expected, "published entry must be complete");

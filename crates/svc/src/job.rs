@@ -588,7 +588,7 @@ impl JobKind {
                 goal,
                 epsilon,
             } => {
-                let (built, mut report) = split(Mcpta::try_build(pta, &[], budget))?;
+                let (built, mut report) = split(build_mcpta(pta, goal, budget))?;
                 let m = built.ok_or_else(|| {
                     JobError::Engine("digital-clocks MDP construction produced no model".to_owned())
                 })?;
@@ -723,7 +723,7 @@ impl JobKind {
                 if c.opt != *opt || c.value.to_bits() != v.to_bits() {
                     return Err("scheduler certificate does not pin the cached value".to_owned());
                 }
-                let m = match Mcpta::try_build(pta, &[], budget) {
+                let m = match build_mcpta(pta, goal, budget) {
                     Outcome::Complete { value: Some(m), .. } => m,
                     _ => return Err("could not rebuild the MDP within budget".to_owned()),
                 };
@@ -790,6 +790,13 @@ fn digest_budget_class(budget: &Budget, h: &mut StableHasher) {
     h.write_u64(class(budget.max_states));
     h.write_u64(class(budget.max_iterations));
     h.write_u64(class(budget.max_runs));
+}
+
+/// Builds a `McptaReach` job's MDP with the goal's clock atoms kept
+/// exact: the clock clamp and active-clock reduction only keep the atoms
+/// they are given.
+fn build_mcpta(pta: &Pta, goal: &StateFormula, budget: &Budget) -> Outcome<Option<Mcpta>> {
+    Mcpta::try_build(pta, &goal.clock_atoms(), budget)
 }
 
 fn engine_err(e: tempo_witness::WitnessError) -> JobError {

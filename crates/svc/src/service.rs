@@ -234,7 +234,7 @@ impl Inner {
             );
             return;
         }
-        let budget = work.budget.clone().with_cancel(comp);
+        let budget = work.budget.clone().with_cancel(comp.clone());
         match self.cache.lookup_disk(&work.key, &work.kind, &budget) {
             DiskLookup::Hit(hit) => {
                 self.stats.record_disk_hit();
@@ -284,6 +284,12 @@ impl Inner {
                         source: VerdictSource::Computed,
                     }),
                 );
+            }
+            // Cancellation can stop an engine before it has any result
+            // (an estimate with no completed run), which it reports as
+            // an engine error: the job was cancelled, not faulty.
+            Err(JobError::Engine(_)) if comp.is_cancelled() => {
+                self.complete(work.key, &Err(JobError::Cancelled));
             }
             Err(e) => self.complete(work.key, &Err(e)),
         }

@@ -11,7 +11,9 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use tempo_core::dbm::Clock;
 use tempo_core::mdp::Opt;
+use tempo_core::modest::{compile, parse_modest};
 use tempo_core::obs::{Budget, ExploreConfig, Severity};
 use tempo_core::svc::{
     AnalysisService, JobError, JobKind, JobRequest, JobVerdict, Rejected, ServiceConfig,
@@ -356,6 +358,129 @@ fn disk_hit_preserves_the_original_run_report() {
     let rollup = svc.tenant_report("t").expect("tenant rollup");
     assert_eq!(rollup.states_explored, original.report.states_explored);
     svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An entry the disk tier cannot read is recomputed, never served:
+/// the previous layout (`tempo-svc-cache v1` with a positional `report
+/// v3` line), a positional report line under the current magic, and a
+/// header with no report line. Each is rejected and evicted once, and
+/// the recompute writes an entry the next service serves as a disk hit
+/// carrying the recomputed report.
+#[test]
+fn old_disk_entries_are_recomputed_not_served() {
+    let dir = unique_dir("old-entries");
+    let model = train_gate(2);
+    let kind = JobKind::Reach {
+        net: Arc::new(model.net.clone()),
+        goal: model.cross(0),
+        explore: ExploreConfig::default(),
+    };
+    let config = || ServiceConfig {
+        workers: 1,
+        disk_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
+
+    let svc = AnalysisService::new(config());
+    let handle = svc.submit(request("t", kind.clone())).expect("admitted");
+    let original = handle.wait().expect("computed");
+    let path = svc
+        .disk_entry_path(&handle.cache_key())
+        .expect("disk tier configured");
+    svc.shutdown();
+    let entry = std::fs::read_to_string(&path).expect("entry persisted");
+    let (header, cert) = entry
+        .split_once("\n\n")
+        .expect("header, blank line, certificate");
+    let mut header = header.lines();
+    let (magic, verdict) = (header.next().unwrap(), header.next().unwrap());
+    // The previous positional layout: a version tag, then 25 counters.
+    let positional = format!("report v3{}", " 0".repeat(25));
+
+    for old in [
+        format!("tempo-svc-cache v1\n{verdict}\n{positional}\n\n{cert}"),
+        format!("{magic}\n{verdict}\n{positional}\n\n{cert}"),
+        format!("{magic}\n{verdict}\n\n{cert}"),
+    ] {
+        std::fs::write(&path, &old).expect("rewrite the entry");
+        let svc = AnalysisService::new(config());
+        let recomputed = svc.run(request("t", kind.clone())).expect("recomputed");
+        assert_eq!(recomputed.source, VerdictSource::Computed, "{old:.60}");
+        assert_eq!(recomputed.verdict.render(), original.verdict.render());
+        let stats = svc.shutdown();
+        assert_eq!(stats.disk_rejected, 1);
+        assert_eq!(stats.disk_evicted, 1);
+
+        let svc = AnalysisService::new(config());
+        let served = svc.run(request("t", kind.clone())).expect("disk hit");
+        assert_eq!(served.source, VerdictSource::DiskHit);
+        assert_eq!(served.report, recomputed.report);
+        svc.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: a `McptaReach` job built its MDP without the goal's
+/// clock atoms. `Pmax(<> x >= 5)` then came out 0, because the clock
+/// clamp hid `x >= 5`, and `Pmax(<> y >= 5)` panicked, because the
+/// unread clock `y` was reduced away. Both are 1, computed and then
+/// served from disk. Disk replay runs outside the engine's panic guard,
+/// so the watchdog turns a panic there into a failure, not a hang.
+#[test]
+fn mcpta_goals_that_read_clocks_are_exact_and_served_from_disk() {
+    let model = parse_modest(
+        "clock x; clock y; action go; int [0, 1] n;
+         process P() { when(x >= 1) go {= n = 1, x = 0 =}; P() }
+         system P();",
+    )
+    .expect("the model parses");
+    let pta = Arc::new(compile(&model));
+    // Clock 1 is `x`, clock 2 is `y`. No invariant bounds either, so
+    // both goals are reached with probability 1.
+    let kinds: Vec<JobKind> = [Clock(1), Clock(2)]
+        .into_iter()
+        .map(|c| JobKind::McptaReach {
+            pta: Arc::clone(&pta),
+            opt: Opt::Max,
+            goal: StateFormula::clock(ClockAtom::ge(c, 5)),
+            epsilon: 1e-9,
+        })
+        .collect();
+    let dir = unique_dir("mcpta-clock-goal");
+    let config = ServiceConfig {
+        workers: 1,
+        disk_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let run_all = || {
+            let svc = AnalysisService::new(config.clone());
+            let results: Vec<_> = kinds
+                .iter()
+                .map(|k| svc.run(request("t", k.clone())))
+                .collect();
+            svc.shutdown();
+            results
+        };
+        let computed = run_all();
+        let _ = tx.send((computed, run_all()));
+    });
+    let (computed, reopened) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("watchdog: a job never resolved");
+    for (source, results) in [
+        (VerdictSource::Computed, computed),
+        (VerdictSource::DiskHit, reopened),
+    ] {
+        for r in results {
+            let r = r.expect("the job resolves with a value");
+            assert_eq!(r.source, source);
+            assert_eq!(r.verdict, JobVerdict::McptaValue(1.0));
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
