@@ -30,7 +30,7 @@
 use crate::component::ComponentId;
 use crate::system::{BipSystem, InteractionId};
 use std::collections::BTreeSet;
-use tempo_expr::{Expr, Stmt, VarId};
+use tempo_expr::{expr_vars, stmt_vars, VarId};
 
 /// The statically computed persistent-set oracle for one system.
 #[derive(Debug, Clone)]
@@ -154,52 +154,5 @@ impl BipPor {
             }
         }
         None
-    }
-}
-
-fn expr_vars(e: &Expr, out: &mut BTreeSet<VarId>) {
-    match e {
-        Expr::Const(_) | Expr::Select(_) => {}
-        Expr::Var(v) => {
-            out.insert(*v);
-        }
-        Expr::Index(v, i) => {
-            out.insert(*v);
-            expr_vars(i, out);
-        }
-        Expr::Unary(_, a) => expr_vars(a, out),
-        Expr::Binary(_, a, b) => {
-            expr_vars(a, out);
-            expr_vars(b, out);
-        }
-    }
-}
-
-fn stmt_vars(s: &Stmt, out: &mut BTreeSet<VarId>) {
-    match s {
-        Stmt::Skip => {}
-        Stmt::Assign(v, e) => {
-            out.insert(*v);
-            expr_vars(e, out);
-        }
-        Stmt::AssignIndex(v, i, e) => {
-            out.insert(*v);
-            expr_vars(i, out);
-            expr_vars(e, out);
-        }
-        Stmt::Seq(ss) => {
-            for s in ss {
-                stmt_vars(s, out);
-            }
-        }
-        Stmt::If(c, t, e) => {
-            expr_vars(c, out);
-            stmt_vars(t, out);
-            stmt_vars(e, out);
-        }
-        Stmt::While(c, b) => {
-            expr_vars(c, out);
-            stmt_vars(b, out);
-        }
     }
 }

@@ -331,34 +331,20 @@ fn missing_file_exits_7() {
     assert_eq!(out.status.code(), Some(7), "missing input file");
 }
 
-/// A leads-to over a clock constraint is outside the engine's subset:
-/// it is refused with a `TL103` parse error (exit 2) instead of reaching
-/// the engine. The model is written to a temp dir, not `corpus/`.
-#[test]
-fn clock_constrained_leads_to_exits_2_with_tl103() {
-    let source = std::fs::read_to_string(corpus_dir().join("P200_train_gate.tempo"))
-        .expect("readable corpus file");
-    let last = "assert Train.Near --> Train.Crossing";
-    assert!(source.contains(last), "P200 ends with its leads-to assert");
-    let file = std::env::temp_dir().join(format!(
-        "tempo-corpus-{}-clock-leads-to.tempo",
-        std::process::id()
-    ));
-    std::fs::write(
-        &file,
-        source.replace(last, "assert x >= 1 --> Train.Crossing"),
-    )
-    .expect("writable temp dir");
+/// Writes `source` to a temp file (not `corpus/`), runs
+/// `tempo check <file> <args> --json -` under a 20 s watchdog, and
+/// returns the exit code and the result document.
+fn check_source(tag: &str, source: &str, args: &[&str]) -> (Option<i32>, Json) {
+    let file =
+        std::env::temp_dir().join(format!("tempo-corpus-{}-{tag}.tempo", std::process::id()));
+    std::fs::write(&file, source).expect("writable temp dir");
     let mut child = Command::new(env!("CARGO_BIN_EXE_tempo"))
-        .args([
-            "check",
-            file.to_str().unwrap(),
-            "--assert",
-            "3",
-            "--json",
-            "-",
-        ])
+        .arg("check")
+        .arg(&file)
+        .args(args)
+        .args(["--json", "-"])
         .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
         .spawn()
         .expect("spawn tempo binary");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
@@ -371,14 +357,27 @@ fn clock_constrained_leads_to_exits_2_with_tl103() {
     }
     let out = child.wait_with_output().expect("collect tempo output");
     let _ = std::fs::remove_file(&file);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "a subset violation is a parse error"
-    );
     let text = String::from_utf8(out.stdout).expect("utf8 stdout");
     let doc = Json::parse(&text[text.find('{').expect("result document")..])
         .expect("valid result document");
+    (out.status.code(), doc)
+}
+
+/// A leads-to over a clock constraint is outside the engine's subset:
+/// it is refused with a `TL103` parse error (exit 2) instead of reaching
+/// the engine.
+#[test]
+fn clock_constrained_leads_to_exits_2_with_tl103() {
+    let source = std::fs::read_to_string(corpus_dir().join("P200_train_gate.tempo"))
+        .expect("readable corpus file");
+    let last = "assert Train.Near --> Train.Crossing";
+    assert!(source.contains(last), "P200 ends with its leads-to assert");
+    let (code, doc) = check_source(
+        "clock-leads-to",
+        &source.replace(last, "assert x >= 1 --> Train.Crossing"),
+        &["--assert", "3"],
+    );
+    assert_eq!(code, Some(2), "a subset violation is a parse error");
     assert_eq!(
         doc.get("status").and_then(Json::as_str),
         Some("parse-error")
@@ -397,39 +396,32 @@ fn clock_constrained_leads_to_exits_2_with_tl103() {
 /// worker never resolved.
 #[test]
 fn engine_panic_exits_8_with_engine_error() {
-    let file = std::env::temp_dir().join(format!(
-        "tempo-corpus-{}-engine-panic.tempo",
-        std::process::id()
-    ));
-    std::fs::write(
-        &file,
+    let (code, doc) = check_source(
+        "engine-panic",
         "clock x\nprocess P = inv {x < 0} STOP\nsystem P\nassert deadlock free\n",
-    )
-    .expect("writable temp dir");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_tempo"))
-        .args(["check", file.to_str().unwrap(), "--json", "-"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn tempo binary");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-    while child.try_wait().expect("poll tempo").is_none() {
-        if std::time::Instant::now() > deadline {
-            let _ = child.kill();
-            panic!("tempo check did not exit within 20 s");
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    let out = child.wait_with_output().expect("collect tempo output");
-    let _ = std::fs::remove_file(&file);
-    assert_eq!(
-        out.status.code(),
-        Some(8),
-        "an engine panic is an engine error"
+        &[],
     );
-    let text = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let doc = Json::parse(&text[text.find('{').expect("result document")..])
-        .expect("valid result document");
+    assert_eq!(code, Some(8), "an engine panic is an engine error");
+    assert_eq!(
+        doc.get("status").and_then(Json::as_str),
+        Some("engine-error")
+    );
+}
+
+/// A model whose initial valuation violates an invariant has no initial
+/// state. mcpta then builds no MDP, so a `Pmax` assert is an engine
+/// error (exit 8), as it is for the other engines, not a pass computed
+/// from a state the model never enters.
+#[test]
+fn mcpta_without_an_initial_state_exits_8_with_engine_error() {
+    let (code, doc) = check_source(
+        "no-initial-state",
+        "channel c\nclock x\nprocess P = inv { x >= 1 } c! -> STOP\n\
+         process Q = c? -> Done\nprocess Done = STOP\nsystem P || {c} Q\n\
+         assert Pmax[<> Q.Done] >= 0.5\n",
+        &["--assert", "0"],
+    );
+    assert_eq!(code, Some(8), "no initial state is an engine error");
     assert_eq!(
         doc.get("status").and_then(Json::as_str),
         Some("engine-error")

@@ -1,6 +1,7 @@
 //! Side-effect-free integer expressions.
 
 use crate::{Decls, EvalError, Store, VarId};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::{Add, BitAnd, BitOr, Mul, Neg, Not, Sub};
 
@@ -225,6 +226,26 @@ impl Expr {
         selects: &[i64],
     ) -> Result<bool, EvalError> {
         Ok(self.eval(decls, store, selects)? != 0)
+    }
+}
+
+/// Collects every variable read by `e` into `out` (array reads count
+/// both the element and the index expression's variables).
+pub fn expr_vars(e: &Expr, out: &mut BTreeSet<VarId>) {
+    match e {
+        Expr::Const(_) | Expr::Select(_) => {}
+        Expr::Var(id) => {
+            out.insert(*id);
+        }
+        Expr::Index(id, index) => {
+            out.insert(*id);
+            expr_vars(index, out);
+        }
+        Expr::Unary(_, inner) => expr_vars(inner, out),
+        Expr::Binary(_, l, r) => {
+            expr_vars(l, out);
+            expr_vars(r, out);
+        }
     }
 }
 

@@ -11,7 +11,9 @@
 //! * [`Expr`] — side-effect-free integer/boolean expressions;
 //! * [`Stmt`] — imperative updates (assignment, `if`, `while`, blocks),
 //!   sufficient to express the FIFO-queue functions `enqueue`, `dequeue`,
-//!   `front` and `tail` used by the paper's train-gate controller.
+//!   `front` and `tail` used by the paper's train-gate controller;
+//! * [`expr_vars`] / [`stmt_vars`] — the variables an expression reads
+//!   or a statement mentions, for the reduction and slicing passes.
 //!
 //! ## Example: the paper's `enqueue`
 //!
@@ -46,8 +48,8 @@ mod stmt;
 
 pub use decls::{Decls, Store, VarId, VarInfo};
 pub use error::EvalError;
-pub use expr::{BinOp, Expr, UnOp};
-pub use stmt::Stmt;
+pub use expr::{expr_vars, BinOp, Expr, UnOp};
+pub use stmt::{stmt_vars, Stmt};
 
 /// Maximum number of statement steps a single update may execute before
 /// being aborted with [`EvalError::FuelExhausted`]; guards against

@@ -1,6 +1,7 @@
 //! Imperative update statements.
 
-use crate::{Decls, EvalError, Expr, Store, VarId, DEFAULT_FUEL};
+use crate::{expr_vars, Decls, EvalError, Expr, Store, VarId, DEFAULT_FUEL};
+use std::collections::BTreeSet;
 
 /// An imperative update statement, as attached to timed-automaton edges
 /// (UPPAAL's update expressions and user-defined functions).
@@ -131,6 +132,36 @@ impl Stmt {
                 }
                 Ok(())
             }
+        }
+    }
+}
+
+/// Collects every variable mentioned anywhere in `s` — read or written.
+pub fn stmt_vars(s: &Stmt, out: &mut BTreeSet<VarId>) {
+    match s {
+        Stmt::Skip => {}
+        Stmt::Assign(id, e) => {
+            out.insert(*id);
+            expr_vars(e, out);
+        }
+        Stmt::AssignIndex(id, index, e) => {
+            out.insert(*id);
+            expr_vars(index, out);
+            expr_vars(e, out);
+        }
+        Stmt::Seq(parts) => {
+            for p in parts {
+                stmt_vars(p, out);
+            }
+        }
+        Stmt::If(cond, a, b) => {
+            expr_vars(cond, out);
+            stmt_vars(a, out);
+            stmt_vars(b, out);
+        }
+        Stmt::While(cond, body) => {
+            expr_vars(cond, out);
+            stmt_vars(body, out);
         }
     }
 }

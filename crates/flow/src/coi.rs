@@ -1,29 +1,10 @@
-//! Read/write collectors over [`Expr`]/[`Stmt`] and the
-//! cone-of-influence closure used for query-directed slicing and the
-//! `dead_variable` lint.
+//! Assignment collectors over [`Stmt`] and the cone-of-influence
+//! closure used for query-directed slicing and the `dead_variable`
+//! lint. The plain read/write collectors are [`tempo_expr::expr_vars`]
+//! and [`tempo_expr::stmt_vars`].
 
 use std::collections::BTreeSet;
-use tempo_expr::{BinOp, Expr, Stmt, VarId};
-
-/// Collects every variable read by `e` into `out` (array reads count
-/// both the element and the index expression's variables).
-pub fn expr_vars(e: &Expr, out: &mut BTreeSet<VarId>) {
-    match e {
-        Expr::Const(_) | Expr::Select(_) => {}
-        Expr::Var(id) => {
-            out.insert(*id);
-        }
-        Expr::Index(id, index) => {
-            out.insert(*id);
-            expr_vars(index, out);
-        }
-        Expr::Unary(_, inner) => expr_vars(inner, out),
-        Expr::Binary(_, l, r) => {
-            expr_vars(l, out);
-            expr_vars(r, out);
-        }
-    }
-}
+use tempo_expr::{expr_vars, BinOp, Expr, Stmt, VarId};
 
 /// Whether evaluating `e` can raise a runtime error (division/remainder
 /// by zero, out-of-bounds array index). Removing an assignment whose
@@ -100,36 +81,6 @@ fn collect_assigns(s: &Stmt, control: &BTreeSet<VarId>, out: &mut Vec<Assign>) {
             let mut inner = control.clone();
             expr_vars(cond, &mut inner);
             collect_assigns(body, &inner, out);
-        }
-    }
-}
-
-/// Collects every variable mentioned anywhere in `s` — read or written.
-pub fn stmt_vars(s: &Stmt, out: &mut BTreeSet<VarId>) {
-    match s {
-        Stmt::Skip => {}
-        Stmt::Assign(id, e) => {
-            out.insert(*id);
-            expr_vars(e, out);
-        }
-        Stmt::AssignIndex(id, index, e) => {
-            out.insert(*id);
-            expr_vars(index, out);
-            expr_vars(e, out);
-        }
-        Stmt::Seq(parts) => {
-            for p in parts {
-                stmt_vars(p, out);
-            }
-        }
-        Stmt::If(cond, a, b) => {
-            expr_vars(cond, out);
-            stmt_vars(a, out);
-            stmt_vars(b, out);
-        }
-        Stmt::While(cond, body) => {
-            expr_vars(cond, out);
-            stmt_vars(body, out);
         }
     }
 }

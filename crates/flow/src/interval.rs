@@ -147,6 +147,33 @@ impl Interval {
         Interval { lo, hi }
     }
 
+    /// Truncated division. On each side of 0 the quotient is monotone
+    /// in both operands, so its extremes lie at the dividend's
+    /// endpoints over the divisor's non-zero endpoints and `±1`. A
+    /// divisor that is always 0 traps, so no value results (⊥).
+    fn div(self, d: Interval) -> Interval {
+        [d.lo, d.hi, -1, 1]
+            .into_iter()
+            .filter(|&y| y != 0 && d.lo <= y && y <= d.hi)
+            .fold(Interval::bottom(), |acc, y| {
+                acc.join(self.map2(Interval::exact(y), |x, y| x / y))
+            })
+    }
+
+    /// Remainder: `|x % y| < |y|` and `|x % y| <= |x|`, with the sign of
+    /// the dividend. `|y|` is taken in `i128`, so a divisor range that
+    /// contains `i64::MIN` is handled; a divisor that is always 0 traps.
+    fn rem(self, d: Interval) -> Interval {
+        if self.is_empty() || d.is_empty() || (d.lo == 0 && d.hi == 0) {
+            return Interval::bottom();
+        }
+        let m = clamp(i128::from(d.lo).abs().max(i128::from(d.hi).abs()) - 1);
+        Interval {
+            lo: if self.lo < 0 { self.lo.max(-m) } else { 0 },
+            hi: if self.hi > 0 { self.hi.min(m) } else { 0 },
+        }
+    }
+
     fn boolean() -> Interval {
         Interval { lo: 0, hi: 1 }
     }
@@ -167,7 +194,9 @@ pub fn var_interval(decls: &Decls, env: &Env, id: VarId) -> Interval {
 
 /// Abstractly evaluates `e` under `env`; `selects[k]` is the interval of
 /// the `k`-th `select` binding of the enclosing edge (out-of-range
-/// select indices evaluate to ⊤).
+/// select indices evaluate to ⊤). Every value [`Expr::eval`] can return
+/// for a store in `env` lies in the result, so an expression that
+/// always traps (a divisor that is always 0) evaluates to ⊥.
 #[must_use]
 pub fn eval(e: &Expr, decls: &Decls, env: &Env, selects: &[Interval]) -> Interval {
     match e {
@@ -194,16 +223,8 @@ pub fn eval(e: &Expr, decls: &Decls, env: &Env, selects: &[Interval]) -> Interva
                 BinOp::Mul => a.map2(b, |x, y| x * y),
                 BinOp::Min => a.map2(b, std::cmp::min),
                 BinOp::Max => a.map2(b, std::cmp::max),
-                BinOp::Div | BinOp::Rem => {
-                    // A zero divisor is a runtime error, not a value;
-                    // stay conservative without modelling the trap.
-                    if a.is_empty() || b.is_empty() {
-                        Interval::bottom()
-                    } else {
-                        let m = a.lo.saturating_abs().max(a.hi.saturating_abs());
-                        Interval::new(-m, m)
-                    }
-                }
+                BinOp::Div => a.div(b),
+                BinOp::Rem => a.rem(b),
                 _ => match truth(e, decls, env, selects) {
                     Truth::True => Interval::exact(1),
                     Truth::False => Interval::exact(0),
@@ -300,14 +321,18 @@ fn arithmetic_truth(e: &Expr, decls: &Decls, env: &Env, selects: &[Interval]) ->
 }
 
 /// Narrows `env` with the comparisons of `guard` (conjunctions and
-/// `var ⋈ const` / `const ⋈ var` atoms; everything else is ignored —
-/// refinement only ever shrinks intervals, so it is always sound to
-/// skip).
+/// `var ⋈ const` / `const ⋈ var` atoms on scalars; everything else is
+/// ignored — refinement only ever shrinks intervals, so it is always
+/// sound to skip). An array name reads only element 0, so it cannot
+/// narrow the interval that stands for every element.
 pub fn refine(env: &mut Env, guard: &Expr, decls: &Decls) {
     let Expr::Binary(op, l, r) = guard else {
         return;
     };
     let narrow = |env: &mut Env, id: VarId, op: BinOp, c: i64| {
+        if decls.info(id).len != 1 {
+            return;
+        }
         let cur = var_interval(decls, env, id);
         let bound = match op {
             BinOp::Lt => Interval::new(i64::MIN, c.saturating_sub(1)),
@@ -633,6 +658,106 @@ mod tests {
         );
         let g = Expr::var(last).eq(Expr::konst(1));
         assert_ne!(truth(&g, &d, &ra.env(&d), &[]), Truth::False);
+    }
+
+    fn eval0(e: &Expr, d: &Decls) -> Interval {
+        eval(e, d, &Env::new(), &[])
+    }
+
+    #[test]
+    fn add_and_mul_track_declared_ranges() {
+        let mut d = Decls::new();
+        let a = d.int("a", 0, 10);
+        let e = Expr::var(a) * Expr::konst(3) + Expr::konst(1);
+        assert_eq!(eval0(&e, &d), Interval::new(1, 31));
+        let huge = d.int("huge", 0, 4_000_000_000);
+        let e = Expr::var(huge) * Expr::var(huge);
+        assert_eq!(eval0(&e, &d), Interval::new(0, i64::MAX));
+    }
+
+    #[test]
+    fn subtraction_overflow_saturates_in_the_right_direction() {
+        let mut d = Decls::new();
+        let big = d.int("big", i64::MIN, -4_000_000_000);
+        // 5 - big overflows *upward* at big = i64::MIN: the result range
+        // must be [4e9 + 5, i64::MAX], not include spurious negatives.
+        let e = Expr::konst(5) - Expr::var(big);
+        assert_eq!(eval0(&e, &d), Interval::new(4_000_000_005, i64::MAX));
+    }
+
+    #[test]
+    fn division_takes_quotients_at_endpoints_and_unit_divisors() {
+        let mut d = Decls::new();
+        let a = d.int("a", 0, 5);
+        let x = d.int("x", -7, 9);
+        let y = d.int("y", -2, 3);
+        let z = d.int("z", 0, 0);
+        let div = |l: Expr, r: Expr| l.bin(BinOp::Div, r);
+        // The zero divisor traps, so 10 / a is one of 10, 5, 3, 2.
+        assert_eq!(
+            eval0(&div(Expr::konst(10), Expr::var(a)), &d),
+            Interval::new(2, 10)
+        );
+        assert_eq!(
+            eval0(&div(Expr::konst(10), Expr::konst(2)), &d),
+            Interval::exact(5)
+        );
+        // -7 / -1 and 9 / -1 are the extremes, at neither endpoint of y.
+        assert_eq!(
+            eval0(&div(Expr::var(x), Expr::var(y)), &d),
+            Interval::new(-9, 9)
+        );
+        assert!(eval0(&div(Expr::konst(7), Expr::var(z)), &d).is_empty());
+        let min_by_minus_one = div(Expr::konst(i64::MIN), Expr::konst(-1));
+        assert_eq!(eval0(&min_by_minus_one, &d), Interval::exact(i64::MAX));
+    }
+
+    #[test]
+    fn remainder_is_below_divisor_and_dividend_with_the_dividends_sign() {
+        let mut d = Decls::new();
+        let small = d.int("small", 5, 7);
+        let wide = d.int("wide", -100, 100);
+        let neg = d.int("neg", -7, -5);
+        let divisor = d.int("divisor", -4, 3);
+        let near_min = d.int("near_min", i64::MIN, i64::MIN + 2);
+        let z = d.int("z", 0, 0);
+        let rem = |l: VarId, r: Expr| Expr::var(l).bin(BinOp::Rem, r);
+        assert_eq!(eval0(&rem(small, Expr::konst(20)), &d), Interval::new(0, 7));
+        assert_eq!(
+            eval0(&rem(wide, Expr::var(divisor)), &d),
+            Interval::new(-3, 3)
+        );
+        assert_eq!(eval0(&rem(neg, Expr::konst(3)), &d), Interval::new(-2, 0));
+        assert!(eval0(&rem(wide, Expr::var(z)), &d).is_empty());
+        // i64::MAX % i64::MIN is i64::MAX: |i64::MIN| - 1 needs i128.
+        let e = Expr::konst(i64::MAX).bin(BinOp::Rem, Expr::var(near_min));
+        assert_eq!(eval0(&e, &d), Interval::new(0, i64::MAX));
+    }
+
+    #[test]
+    fn guard_refinement_narrows() {
+        let mut d = Decls::new();
+        let a = d.int("a", 0, 100);
+        let mut env = Env::new();
+        refine(
+            &mut env,
+            &(Expr::var(a).lt(Expr::konst(10)) & Expr::var(a).ge(Expr::konst(2))),
+            &d,
+        );
+        assert_eq!(env[&a], Interval::new(2, 9));
+        let e = Expr::var(a) + Expr::konst(1);
+        assert_eq!(eval(&e, &d, &env, &[]), Interval::new(3, 10));
+    }
+
+    #[test]
+    fn refinement_leaves_arrays_alone() {
+        let mut d = Decls::new();
+        let arr = d.array("arr", 3, 0, 10);
+        // `arr < 3` constrains element 0 only; arr[1] can still be 10.
+        let mut env = Env::new();
+        refine(&mut env, &Expr::var(arr).lt(Expr::konst(3)), &d);
+        let e = Expr::index(arr, Expr::konst(1));
+        assert_eq!(eval(&e, &d, &env, &[]), Interval::new(0, 10));
     }
 
     #[test]

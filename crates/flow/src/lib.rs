@@ -12,11 +12,15 @@
 //! - [`interval`] — a saturating interval domain with abstract
 //!   evaluation of [`tempo_expr::Expr`], transfer of
 //!   [`tempo_expr::Stmt`], guard refinement, and a widening global
-//!   range fixpoint ([`interval::RangeAnalysis`]).
+//!   range fixpoint ([`interval::RangeAnalysis`]). It is the one answer
+//!   to "which values can this expression take?": slicing, range
+//!   narrowing, mcpta's variable freezing and the `tempo-lint` rules
+//!   MOD002 (overflow, zero divisors, out-of-range assignments) and
+//!   MOD003 (provably false guards) all read it.
 //! - [`lu`] — the per-clock, per-location lower/upper bound solver
 //!   (Behrmann–Bouyer–Larsen–Pelánek LU bounds) computed by backward
 //!   propagation through guards, invariants and resets.
-//! - [`coi`] — read/write collectors and the cone-of-influence closure
+//! - [`coi`] — assignment collectors and the cone-of-influence closure
 //!   used for query-directed slicing and the `dead_variable` lint.
 //!
 //! Every analysis result is a plain, deterministic value; the adapters
@@ -27,7 +31,7 @@ pub mod coi;
 pub mod interval;
 pub mod lu;
 
-pub use coi::{expr_can_trap, expr_vars, relevant_vars, stmt_assignments, stmt_vars, Assign};
+pub use coi::{expr_can_trap, relevant_vars, stmt_assignments, Assign};
 pub use interval::{
     eval, refine, truth, var_interval, Command, Env, Interval, RangeAnalysis, Truth,
 };

@@ -22,7 +22,7 @@
 //! | BIP001 | warning  | port bound to no interaction |
 //! | BIP002 | warning  | component state unreachable in the transition graph |
 //! | MOD001 | mixed    | duplicate/shadowed identifier (warning), call of an undefined process (error) |
-//! | MOD002 | mixed    | 64-bit-overflow-prone expression (warning), assignment definitely out of range (error) |
+//! | MOD002 | mixed    | 64-bit-overflow-prone expression or possible zero divisor (warning), assignment definitely out of range (error) |
 //! | MOD003 | warning  | `when` guard provably false under range analysis (unreachable branch) |
 //! | CORA001 | error   | negative location cost rate or edge cost on a priced network |
 //!
@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 
 mod bip;
-mod interval;
 mod modest;
 mod ta;
 

@@ -1,10 +1,9 @@
 //! Lint rules over MODEST models (`MOD001`–`MOD003`).
 
-use crate::interval::{self, Env};
 use crate::LintReport;
 use std::collections::HashMap;
-use tempo_expr::{Decls, Expr};
-use tempo_flow::Truth;
+use tempo_expr::{BinOp, Decls, Expr, UnOp};
+use tempo_flow::{Env, Interval, Truth};
 use tempo_modest::{Assignment, ModestModel, Process};
 use tempo_obs::Diagnostic;
 
@@ -104,13 +103,13 @@ fn walk_calls(p: &Process, visit: &mut impl FnMut(&str)) {
     }
 }
 
-/// MOD002: interval arithmetic over the declared `int [lo, hi]` ranges,
-/// refined by enclosing `when` guards. Flags expressions that can
-/// overflow 64-bit arithmetic or divide by zero (warnings) and
-/// assignments or indices that are *always* outside their declared range
-/// (errors — "may exceed" alone is deliberately not reported: bounded
-/// protocols routinely guard increments by means invisible to a static
-/// range analysis).
+/// MOD002: `tempo_flow`'s interval domain over the declared
+/// `int [lo, hi]` ranges, refined by enclosing `when` guards. Flags
+/// expressions that can overflow 64-bit arithmetic or divide by zero
+/// (warnings) and assignments or indices that are *always* outside their
+/// declared range (errors — "may exceed" alone is deliberately not
+/// reported: bounded protocols routinely guard increments by means
+/// invisible to a static range analysis).
 fn overflow_prone(model: &ModestModel, out: &mut Vec<Diagnostic>) {
     for (name, body) in model.processes() {
         walk_ranges(body, model.decls(), &Env::new(), name, out);
@@ -146,7 +145,7 @@ fn walk_ranges(p: &Process, decls: &Decls, env: &Env, proc_name: &str, out: &mut
             // N = 1) and the slicing pass exploits them as dead edges,
             // so they must not block admission by default (matching
             // TA008 dead-variable).
-            if guard_truth(guard, decls, env) == Truth::False {
+            if tempo_flow::truth(guard, decls, env, &[]) == Truth::False {
                 out.push(Diagnostic::warning(
                     "MOD003",
                     Some(proc_name),
@@ -156,24 +155,13 @@ fn walk_ranges(p: &Process, decls: &Decls, env: &Env, proc_name: &str, out: &mut
                 return;
             }
             let mut refined = env.clone();
-            interval::refine(&mut refined, guard, decls);
+            tempo_flow::refine(&mut refined, guard, decls);
             walk_ranges(p, decls, &refined, proc_name, out);
         }
         Process::WhenClock(_, p) | Process::Invariant(_, p) => {
             walk_ranges(p, decls, env, proc_name, out);
         }
     }
-}
-
-/// Three-valued truth of `guard` under the lint refinement environment,
-/// via the semantic interval domain of `tempo-flow` (which, unlike the
-/// overflow-tracking domain above, decides comparisons).
-fn guard_truth(guard: &Expr, decls: &Decls, env: &Env) -> Truth {
-    let fenv: tempo_flow::Env = env
-        .iter()
-        .map(|(&id, &(lo, hi))| (id, tempo_flow::Interval::new(lo, hi)))
-        .collect();
-    tempo_flow::truth(guard, decls, &fenv, &[])
 }
 
 /// Checks one assignment block and returns the environment for the
@@ -192,9 +180,9 @@ fn check_assignments(
             Assignment::Clock(_, _) => {}
             Assignment::Var(id, e) => {
                 check_expr(e, decls, &next, proc_name, "assignment", out);
-                let iv = interval::eval(e, decls, &next);
+                let iv = tempo_flow::eval(e, decls, &next, &[]);
                 let info = decls.info(*id);
-                if iv.hi < info.lo || iv.lo > info.hi {
+                if always_outside(iv, info.lo, info.hi) {
                     out.push(Diagnostic::error(
                         "MOD002",
                         Some(proc_name),
@@ -210,10 +198,10 @@ fn check_assignments(
             Assignment::ArrayElem(id, index, e) => {
                 check_expr(index, decls, &next, proc_name, "array index", out);
                 check_expr(e, decls, &next, proc_name, "assignment", out);
-                let ix = interval::eval(index, decls, &next);
+                let ix = tempo_flow::eval(index, decls, &next, &[]);
                 let info = decls.info(*id);
                 let len = info.len as i64;
-                if ix.hi < 0 || ix.lo >= len {
+                if always_outside(ix, 0, len - 1) {
                     out.push(Diagnostic::error(
                         "MOD002",
                         Some(proc_name),
@@ -224,8 +212,8 @@ fn check_assignments(
                         ),
                     ));
                 }
-                let iv = interval::eval(e, decls, &next);
-                if iv.hi < info.lo || iv.lo > info.hi {
+                let iv = tempo_flow::eval(e, decls, &next, &[]);
+                if always_outside(iv, info.lo, info.hi) {
                     out.push(Diagnostic::error(
                         "MOD002",
                         Some(proc_name),
@@ -243,6 +231,13 @@ fn check_assignments(
     next
 }
 
+/// Whether every value of `iv` lies outside `[lo, hi]`. An empty
+/// interval has no value: the expression always traps, which its
+/// zero-divisor warning already reports.
+fn always_outside(iv: Interval, lo: i64, hi: i64) -> bool {
+    !iv.is_empty() && (iv.hi < lo || iv.lo > hi)
+}
+
 fn check_expr(
     e: &Expr,
     decls: &Decls,
@@ -251,15 +246,16 @@ fn check_expr(
     what: &str,
     out: &mut Vec<Diagnostic>,
 ) {
-    let iv = interval::eval(e, decls, env);
-    if iv.overflow {
+    let mut h = Hazards::default();
+    hazards(e, decls, env, &mut h);
+    if h.overflow {
         out.push(Diagnostic::warning(
             "MOD002",
             Some(proc_name),
             format!("{what} expression may overflow 64-bit integer arithmetic"),
         ));
     }
-    if iv.div_by_zero {
+    if h.div_by_zero {
         out.push(Diagnostic::warning(
             "MOD002",
             Some(proc_name),
@@ -268,9 +264,61 @@ fn check_expr(
     }
 }
 
+/// The runtime errors of [`Expr::eval`] that MOD002 warns about.
+#[derive(Default)]
+struct Hazards {
+    overflow: bool,
+    div_by_zero: bool,
+}
+
+/// Walks every operator of `e` and reads its operand intervals from
+/// `tempo_flow::eval`. `+ - *` can overflow iff some corner of the
+/// operand intervals leaves `i64`, unary `-` iff its operand can be
+/// `i64::MIN`, and `/` and `%` iff the dividend can be `i64::MIN` and
+/// the divisor `-1`; `/` and `%` can divide by zero iff the divisor
+/// interval contains 0. An operator with an empty operand never runs,
+/// so it adds no hazard.
+fn hazards(e: &Expr, decls: &Decls, env: &Env, h: &mut Hazards) {
+    let iv = |e: &Expr| tempo_flow::eval(e, decls, env, &[]);
+    match e {
+        Expr::Const(_) | Expr::Var(_) | Expr::Select(_) => {}
+        Expr::Index(_, index) => hazards(index, decls, env, h),
+        Expr::Unary(op, inner) => {
+            hazards(inner, decls, env, h);
+            let a = iv(inner);
+            h.overflow |= *op == UnOp::Neg && !a.is_empty() && a.lo == i64::MIN;
+        }
+        Expr::Binary(op, l, r) => {
+            hazards(l, decls, env, h);
+            hazards(r, decls, env, h);
+            let (a, b) = (iv(l), iv(r));
+            if a.is_empty() || b.is_empty() {
+                return;
+            }
+            let corner_fails = |f: fn(i64, i64) -> Option<i64>| {
+                [a.lo, a.hi]
+                    .into_iter()
+                    .any(|x| [b.lo, b.hi].into_iter().any(|y| f(x, y).is_none()))
+            };
+            match op {
+                BinOp::Add => h.overflow |= corner_fails(i64::checked_add),
+                BinOp::Sub => h.overflow |= corner_fails(i64::checked_sub),
+                BinOp::Mul => h.overflow |= corner_fails(i64::checked_mul),
+                BinOp::Div | BinOp::Rem => {
+                    h.overflow |= a.lo == i64::MIN && b.lo <= -1 && -1 <= b.hi;
+                    h.div_by_zero |= b.lo <= 0 && 0 <= b.hi;
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use tempo_expr::VarId;
     use tempo_obs::Severity;
 
     fn codes(report: &LintReport) -> Vec<(&str, Severity)> {
@@ -279,6 +327,135 @@ mod tests {
             .iter()
             .map(|d| (d.code.as_str(), d.severity))
             .collect()
+    }
+
+    fn walk(e: &Expr, decls: &Decls) -> Hazards {
+        let mut h = Hazards::default();
+        hazards(e, decls, &Env::new(), &mut h);
+        h
+    }
+
+    /// One process `P` doing a single action with `assignment`; `vars`
+    /// are declared first, in order.
+    fn one_assignment(
+        vars: &[(&str, i64, i64)],
+        assignment: impl FnOnce(&[VarId]) -> Assignment,
+    ) -> LintReport {
+        let mut m = ModestModel::new();
+        let a = m.action("a");
+        let ids: Vec<VarId> = vars
+            .iter()
+            .map(|&(name, lo, hi)| m.decls_mut().int(name, lo, hi))
+            .collect();
+        m.define(
+            "P",
+            Process::act_with(a, vec![assignment(&ids)], Process::stop()),
+        );
+        m.system(&["P"]);
+        check_modest(&m)
+    }
+
+    fn messages(report: &LintReport) -> Vec<&str> {
+        report
+            .diagnostics
+            .iter()
+            .map(|d| d.message.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn add_and_mul_within_declared_ranges_have_no_hazard() {
+        let mut d = Decls::new();
+        let a = d.int("a", 0, 10);
+        let h = walk(&(Expr::var(a) * Expr::konst(3) + Expr::konst(1)), &d);
+        assert!(!h.overflow && !h.div_by_zero);
+    }
+
+    #[test]
+    fn multiplication_of_huge_ranges_flags_overflow() {
+        let mut d = Decls::new();
+        let a = d.int("a", 0, 4_000_000_000);
+        assert!(walk(&(Expr::var(a) * Expr::var(a)), &d).overflow);
+    }
+
+    #[test]
+    fn subtraction_leaving_i64_upward_flags_overflow() {
+        let mut d = Decls::new();
+        let big = d.int("big", i64::MIN, -4_000_000_000);
+        assert!(walk(&(Expr::konst(5) - Expr::var(big)), &d).overflow);
+    }
+
+    #[test]
+    fn division_by_possibly_zero_is_flagged() {
+        let mut d = Decls::new();
+        let a = d.int("a", 0, 5);
+        assert!(walk(&Expr::konst(10).bin(BinOp::Div, Expr::var(a)), &d).div_by_zero);
+        let h = walk(&Expr::konst(10).bin(BinOp::Div, Expr::konst(2)), &d);
+        assert!(!h.div_by_zero && !h.overflow);
+    }
+
+    #[test]
+    fn min_remainder_minus_one_warns_about_overflow() {
+        // `Expr::eval` reports `Overflow` for i64::MIN % -1.
+        let report = one_assignment(
+            &[
+                ("v", i64::MIN, i64::MIN),
+                ("w", -1, -1),
+                ("y", i64::MIN, i64::MAX),
+            ],
+            |ids| Assignment::Var(ids[2], Expr::var(ids[0]).bin(BinOp::Rem, Expr::var(ids[1]))),
+        );
+        assert_eq!(
+            messages(&report),
+            vec!["assignment expression may overflow 64-bit integer arithmetic"]
+        );
+    }
+
+    #[test]
+    fn remainder_by_a_range_holding_min_keeps_the_dividend() {
+        // i64::MAX % i64::MIN is i64::MAX: the value fits `out`.
+        let report = one_assignment(
+            &[("v", i64::MIN, i64::MIN + 2), ("out", i64::MAX, i64::MAX)],
+            |ids| {
+                Assignment::Var(
+                    ids[1],
+                    Expr::konst(i64::MAX).bin(BinOp::Rem, Expr::var(ids[0])),
+                )
+            },
+        );
+        assert!(report.is_clean(), "{:?}", report.diagnostics);
+    }
+
+    #[test]
+    fn always_trapping_division_warns_without_a_range_error() {
+        let report = one_assignment(&[("z", 0, 0), ("x", 2, 5)], |ids| {
+            Assignment::Var(ids[1], Expr::konst(7).bin(BinOp::Div, Expr::var(ids[0])))
+        });
+        assert_eq!(
+            messages(&report),
+            vec!["assignment expression may divide by zero"]
+        );
+    }
+
+    #[test]
+    fn decided_comparisons_are_values_not_booleans() {
+        // The divisor `x > 5` is 1 for every x in [6, 10], and
+        // `!(x == 0)` is 1: neither can divide by zero.
+        let divisors: [fn(VarId) -> Expr; 2] = [
+            |x| Expr::var(x).gt(Expr::konst(5)),
+            |x| !Expr::var(x).eq(Expr::konst(0)),
+        ];
+        for divisor in divisors {
+            let report = one_assignment(&[("x", 6, 10), ("y", 0, 10)], |ids| {
+                Assignment::Var(ids[1], Expr::konst(10).bin(BinOp::Div, divisor(ids[0])))
+            });
+            assert!(report.is_clean(), "{:?}", report.diagnostics);
+        }
+        // `x > 5` is 0 for every x in [0, 3]: disjoint from [1, 1].
+        let report = one_assignment(&[("x", 0, 3), ("y", 1, 1)], |ids| {
+            Assignment::Var(ids[1], Expr::var(ids[0]).gt(Expr::konst(5)))
+        });
+        assert_eq!(codes(&report), vec![("MOD002", Severity::Error)]);
     }
 
     #[test]
@@ -435,5 +612,129 @@ mod tests {
         m.system(&["P"]);
         let report = check_modest(&m);
         assert_eq!(codes(&report), vec![("MOD002", Severity::Warning)]);
+    }
+
+    /// Values that sit on or next to the edges where `i64` arithmetic
+    /// traps, plus a few small ones.
+    const EDGES: [i64; 9] = [
+        i64::MIN,
+        i64::MIN + 1,
+        -2,
+        -1,
+        0,
+        1,
+        2,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+
+    /// Three scalars and one three-element array, declared in this order
+    /// with the given ranges.
+    fn soundness_decls(ranges: &[(i64, i64); 4]) -> (Decls, [VarId; 4]) {
+        let mut d = Decls::new();
+        let ids = [
+            d.int("a", ranges[0].0, ranges[0].1),
+            d.int("b", ranges[1].0, ranges[1].1),
+            d.int("c", ranges[2].0, ranges[2].1),
+            d.array("arr", 3, ranges[3].0, ranges[3].1),
+        ];
+        (d, ids)
+    }
+
+    fn arb_range() -> impl Strategy<Value = (i64, i64)> {
+        (0..EDGES.len(), 0..EDGES.len()).prop_map(|(i, j)| {
+            let (x, y) = (EDGES[i], EDGES[j]);
+            (x.min(y), x.max(y))
+        })
+    }
+
+    const BINOPS: [BinOp; 15] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::Min,
+        BinOp::Max,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::And,
+        BinOp::Or,
+    ];
+
+    /// Expressions over the constants in [`EDGES`], the three scalars
+    /// and elements of the array, using every operator.
+    fn arb_expr(ids: [VarId; 4]) -> impl Strategy<Value = Expr> {
+        let constant = (0..EDGES.len()).prop_map(|i| Expr::konst(EDGES[i]));
+        let var = (0..3_usize).prop_map(move |k| Expr::var(ids[k]));
+        prop_oneof![constant, var].prop_recursive(4, 32, 2, move |inner| {
+            prop_oneof![
+                (0..BINOPS.len(), inner.clone(), inner.clone())
+                    .prop_map(|(i, l, r)| l.bin(BINOPS[i], r)),
+                (0..2_usize, inner.clone()).prop_map(|(k, e)| if k == 0 { -e } else { !e }),
+                inner.prop_map(move |e| Expr::index(ids[3], e)),
+            ]
+        })
+    }
+
+    fn reference_ids() -> [VarId; 4] {
+        soundness_decls(&[(0, 0); 4]).1
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// The one interval domain is sound against the concrete
+        /// evaluator: every value `Expr::eval` returns lies in
+        /// `tempo_flow::eval`, and every overflow or zero divisor it
+        /// reports is a MOD002 hazard.
+        #[test]
+        fn flow_eval_and_hazards_cover_expr_eval(
+            ranges in (arb_range(), arb_range(), arb_range(), arb_range()),
+            e in arb_expr(reference_ids()),
+            picks in prop::collection::vec((0..4_u8, 0..u64::MAX), 36..37),
+        ) {
+            let ranges = [ranges.0, ranges.1, ranges.2, ranges.3];
+            let (d, ids) = soundness_decls(&ranges);
+            prop_assert_eq!(ids, reference_ids());
+            let iv = tempo_flow::eval(&e, &d, &Env::new(), &[]);
+            let h = walk(&e, &d);
+            // Six stores. Each sets the three scalars and the three array
+            // elements to an endpoint of their range, the value next to
+            // the lower one, or a uniform draw.
+            for store_picks in picks.chunks(6) {
+                let mut store = d.initial_store();
+                for (slot, &(kind, r)) in store_picks.iter().enumerate() {
+                    let (k, index) = if slot < 3 { (slot, 0) } else { (3, slot as i64 - 3) };
+                    let (lo, hi) = ranges[k];
+                    let width = (i128::from(hi) - i128::from(lo) + 1) as u128;
+                    let v = match kind {
+                        0 => lo,
+                        1 => hi,
+                        2 => if lo < hi { lo + 1 } else { lo },
+                        _ => (i128::from(lo) + (u128::from(r) % width) as i128) as i64,
+                    };
+                    store.set_index(&d, ids[k], index, v).expect("value in range");
+                }
+                match e.eval(&d, &store, &[]) {
+                    Ok(v) => prop_assert!(
+                        iv.lo <= v && v <= iv.hi,
+                        "{e} = {v} outside {iv:?} under {ranges:?}"
+                    ),
+                    Err(tempo_expr::EvalError::Overflow) => {
+                        prop_assert!(h.overflow, "{e} overflows unflagged under {ranges:?}");
+                    }
+                    Err(tempo_expr::EvalError::DivisionByZero) => prop_assert!(
+                        h.div_by_zero,
+                        "{e} divides by zero unflagged under {ranges:?}"
+                    ),
+                    Err(_) => {}
+                }
+            }
+        }
     }
 }

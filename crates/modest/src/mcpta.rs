@@ -83,9 +83,9 @@ impl Mcpta {
     ///
     /// # Panics
     ///
-    /// Panics if the PTA is not closed (strict bounds) or the state space
-    /// exceeds `max_states`; [`Mcpta::try_build`] reports the latter
-    /// gracefully.
+    /// Panics if the PTA is not closed (strict bounds), has no initial
+    /// state, or its state space exceeds `max_states`;
+    /// [`Mcpta::try_build`] reports the last two gracefully.
     #[must_use]
     pub fn build(pta: &Pta, extra_atoms: &[tempo_ta::ClockAtom], max_states: usize) -> Self {
         Self::try_build(
@@ -94,14 +94,18 @@ impl Mcpta {
             &Budget::unlimited().with_max_states(max_states as u64),
         )
         .into_value()
-        .unwrap_or_else(|| panic!("digital-clocks MDP exceeds {max_states} states"))
+        .unwrap_or_else(|| {
+            panic!("digital-clocks MDP has no initial state or exceeds {max_states} states")
+        })
     }
 
     /// Builds the digital-clocks MDP under a resource [`Budget`].
     ///
     /// A truncated MDP would silently distort every probability computed
     /// from it, so on exhaustion the partial answer is `None` — the
-    /// report still records how far the exploration got.
+    /// report still records how far the exploration got. A model whose
+    /// initial valuation violates an invariant has no initial state, so
+    /// its build completes with `None` too.
     ///
     /// # Panics
     ///
@@ -194,8 +198,8 @@ impl Mcpta {
         let mut explored = 0_usize;
         let mut s0 = StateId(0);
 
-        if gov.charge_state() {
-            let init = exp.initial_state();
+        let init = exp.initial_state();
+        if exp.invariants_hold(&init.locs, &init.clocks) && gov.charge_state() {
             s0 = builder.add_state();
             index.insert(init.clone(), s0);
             states.push(init);
@@ -551,6 +555,23 @@ mod tests {
             (emin - 1.0).abs() < 1e-9,
             "move as soon as the guard allows: {emin}"
         );
+    }
+
+    #[test]
+    fn initial_invariant_violation_builds_no_model() {
+        // x = 0 violates `inv { x >= 1 }`, so the model has no initial
+        // state, even though P could otherwise hand over to Q.
+        let mut m = ModestModel::new();
+        let x = m.clock("x");
+        let c = m.action("c");
+        m.define(
+            "P",
+            Process::invariant(vec![ClockAtom::ge(x, 1)], Process::act(c, Process::stop())),
+        );
+        m.define("Q", Process::act(c, Process::stop()));
+        m.system(&["P", "Q"]);
+        let out = Mcpta::try_build(&compile(&m), &[], &Budget::unlimited());
+        assert!(matches!(out, Outcome::Complete { value: None, .. }));
     }
 
     #[test]

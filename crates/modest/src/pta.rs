@@ -5,11 +5,12 @@
 use crate::ast::ActionId;
 use std::collections::BTreeSet;
 use tempo_dbm::Clock;
-use tempo_expr::{Decls, Expr, Stmt, Store, VarId};
+use tempo_expr::{expr_vars, Decls, Expr, Stmt, Store, VarId};
 use tempo_flow::{
-    eval, expr_can_trap, expr_vars, relevant_vars, stmt_assignments, truth, Command, Env,
-    LuAutomaton, LuBounds, LuEdge, RangeAnalysis, Truth, NO_BOUND,
+    eval, expr_can_trap, relevant_vars, stmt_assignments, truth, Command, Env, LuAutomaton,
+    LuBounds, LuEdge, RangeAnalysis, Truth, NO_BOUND,
 };
+use tempo_ta::flow::atom_bounds;
 use tempo_ta::{ClockAtom, StateFormula};
 
 /// One probabilistic branch of a PTA edge.
@@ -298,29 +299,6 @@ impl Pta {
     }
 }
 
-/// Splits one clock constraint into LU solver atoms, mirroring the
-/// network adapter in `tempo_ta::flow`: diagonal constraints fold `|c|`
-/// into both polarities of both clocks, matching the conservative
-/// treatment of [`Pta::max_constants`].
-fn atom_lu(atom: &ClockAtom, lower: &mut Vec<(usize, i64)>, upper: &mut Vec<(usize, i64)>) {
-    if atom.bound.is_inf() {
-        return;
-    }
-    let c = atom.bound.constant();
-    match (atom.i.is_ref(), atom.j.is_ref()) {
-        (false, true) => upper.push((atom.i.index(), c)),
-        (true, false) => lower.push((atom.j.index(), -c)),
-        (false, false) => {
-            let m = c.saturating_abs();
-            for x in [atom.i.index(), atom.j.index()] {
-                lower.push((x, m));
-                upper.push((x, m));
-            }
-        }
-        (true, true) => {}
-    }
-}
-
 /// Per-location LU clock-bound tables of a PTA: one solved table per
 /// component automaton, combined per state by pointwise maximum (see
 /// `tempo_ta::flow::NetworkLu` for the soundness argument — component
@@ -353,7 +331,7 @@ impl PtaLu {
                             let mut lower = Vec::new();
                             let mut upper = Vec::new();
                             for atom in &e.guard_clocks {
-                                atom_lu(atom, &mut lower, &mut upper);
+                                atom_bounds(atom, &mut lower, &mut upper);
                             }
                             e.branches
                                 .iter()
@@ -374,7 +352,7 @@ impl PtaLu {
                             let mut lower = Vec::new();
                             let mut upper = Vec::new();
                             for atom in &l.invariant {
-                                atom_lu(atom, &mut lower, &mut upper);
+                                atom_bounds(atom, &mut lower, &mut upper);
                             }
                             (lower, upper)
                         })
@@ -387,7 +365,7 @@ impl PtaLu {
             let mut lower = Vec::new();
             let mut upper = Vec::new();
             for atom in protect {
-                atom_lu(atom, &mut lower, &mut upper);
+                atom_bounds(atom, &mut lower, &mut upper);
             }
             for (x, c) in lower.into_iter().chain(upper) {
                 first.protect(x, c);
@@ -728,7 +706,8 @@ impl<'p> PtaExplorer<'p> {
         self.pta
     }
 
-    /// The initial state.
+    /// The initial locations and valuation. It is a state of the model
+    /// only if the initial locations' invariants hold at it.
     #[must_use]
     pub fn initial_state(&self) -> PtaState {
         PtaState {
@@ -738,7 +717,7 @@ impl<'p> PtaExplorer<'p> {
         }
     }
 
-    fn invariants_hold(&self, locs: &[usize], clocks: &[i64]) -> bool {
+    pub(crate) fn invariants_hold(&self, locs: &[usize], clocks: &[i64]) -> bool {
         self.pta.automata.iter().zip(locs).all(|(a, &l)| {
             a.locations[l].invariant.iter().all(|atom| {
                 atom.bound

@@ -20,10 +20,10 @@
 use std::collections::BTreeSet;
 
 use tempo_dbm::Clock;
-use tempo_expr::VarId;
+use tempo_expr::{expr_vars, VarId};
 use tempo_flow::{
-    expr_vars, relevant_vars, stmt_assignments, Command, LuAutomaton, LuBounds, LuEdge,
-    RangeAnalysis, NO_BOUND,
+    relevant_vars, stmt_assignments, Command, LuAutomaton, LuBounds, LuEdge, RangeAnalysis,
+    NO_BOUND,
 };
 
 use crate::model::{ClockAtom, LocationId, Network};
@@ -62,10 +62,15 @@ impl FlowMetrics {
     }
 }
 
-/// Splits one clock constraint into LU solver atoms. Diagonal
-/// constraints fold `|c|` into both polarities of both clocks, matching
-/// the conservative treatment of `Network::max_constants`.
-fn atom_bounds(atom: &ClockAtom, lower: &mut Vec<(usize, i64)>, upper: &mut Vec<(usize, i64)>) {
+/// Splits one clock constraint into LU solver atoms, for networks and
+/// PTAs alike. Diagonal constraints fold `|c|` into both polarities of
+/// both clocks, matching the conservative treatment of
+/// `Network::max_constants`; an unbounded atom (`≺ ∞`) constrains
+/// nothing and adds no bound.
+pub fn atom_bounds(atom: &ClockAtom, lower: &mut Vec<(usize, i64)>, upper: &mut Vec<(usize, i64)>) {
+    if atom.bound.is_inf() {
+        return;
+    }
     let c = atom.bound.constant();
     match (atom.i == Clock::REF, atom.j == Clock::REF) {
         (false, true) => upper.push((atom.i.index(), c)),
@@ -271,8 +276,9 @@ pub fn dead_variables(net: &Network) -> Vec<VarId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::NetworkBuilder;
+    use crate::model::{AutomatonId, NetworkBuilder};
     use crate::StateFormula;
+    use tempo_dbm::Bound;
     use tempo_expr::{Expr, Stmt};
 
     /// L0 --(x ≥ 4, reset x)--> L1 --(x ≤ 2)--> L2, plus a second clock
@@ -325,6 +331,33 @@ mod tests {
         lu.state_bounds(&[LocationId(2)], &mut lo, &mut up);
         assert_eq!(lo[x.index()], 7);
         assert_eq!(up[x.index()], 7);
+    }
+
+    #[test]
+    fn unbounded_guard_atoms_add_no_bound() {
+        let mut b = NetworkBuilder::new();
+        let x = b.clock("x");
+        let mut a = b.automaton("A");
+        let l0 = a.location("L0");
+        let l1 = a.location("L1");
+        a.edge(l0, l1)
+            .guard_clock(ClockAtom {
+                i: x,
+                j: Clock::REF,
+                bound: Bound::INF,
+            })
+            .done();
+        a.done();
+        let net = b.build();
+        let (mut lower, mut upper) = (Vec::new(), Vec::new());
+        atom_bounds(
+            &net.automata()[0].edges[0].guard_clocks[0],
+            &mut lower,
+            &mut upper,
+        );
+        assert!(lower.is_empty() && upper.is_empty());
+        let goal = StateFormula::at(AutomatonId(0), l1);
+        assert!(crate::ModelChecker::new(&net).reachable(&goal).reachable);
     }
 
     #[test]

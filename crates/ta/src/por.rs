@@ -38,7 +38,7 @@ use crate::explore::{Action, Explorer, SymState};
 use crate::formula::StateFormula;
 use crate::model::{AutomatonId, LocationKind, Network};
 use std::collections::BTreeSet;
-use tempo_expr::{Expr, Stmt, VarId};
+use tempo_expr::{expr_vars, stmt_vars, VarId};
 
 /// The statically computed ample-set oracle for one network + property.
 #[derive(Debug, Clone)]
@@ -134,53 +134,6 @@ fn automaton_vars(a: &crate::model::Automaton) -> BTreeSet<VarId> {
     out
 }
 
-fn expr_vars(e: &Expr, out: &mut BTreeSet<VarId>) {
-    match e {
-        Expr::Const(_) | Expr::Select(_) => {}
-        Expr::Var(v) => {
-            out.insert(*v);
-        }
-        Expr::Index(v, i) => {
-            out.insert(*v);
-            expr_vars(i, out);
-        }
-        Expr::Unary(_, a) => expr_vars(a, out),
-        Expr::Binary(_, a, b) => {
-            expr_vars(a, out);
-            expr_vars(b, out);
-        }
-    }
-}
-
-fn stmt_vars(s: &Stmt, out: &mut BTreeSet<VarId>) {
-    match s {
-        Stmt::Skip => {}
-        Stmt::Assign(v, e) => {
-            out.insert(*v);
-            expr_vars(e, out);
-        }
-        Stmt::AssignIndex(v, i, e) => {
-            out.insert(*v);
-            expr_vars(i, out);
-            expr_vars(e, out);
-        }
-        Stmt::Seq(ss) => {
-            for s in ss {
-                stmt_vars(s, out);
-            }
-        }
-        Stmt::If(c, t, e) => {
-            expr_vars(c, out);
-            stmt_vars(t, out);
-            stmt_vars(e, out);
-        }
-        Stmt::While(c, b) => {
-            expr_vars(c, out);
-            stmt_vars(b, out);
-        }
-    }
-}
-
 fn formula_data_vars(f: &StateFormula) -> BTreeSet<VarId> {
     let mut out = BTreeSet::new();
     collect_formula_vars(f, &mut out);
@@ -219,6 +172,7 @@ fn formula_mentions_automaton(f: &StateFormula, a: AutomatonId) -> bool {
 mod tests {
     use super::*;
     use crate::model::{ClockAtom, NetworkBuilder};
+    use tempo_expr::{Expr, Stmt};
 
     /// A network with one timed automaton and two independent counters
     /// (internal, clock-free, variable-disjoint).
