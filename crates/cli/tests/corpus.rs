@@ -428,6 +428,29 @@ fn mcpta_without_an_initial_state_exits_8_with_engine_error() {
     );
 }
 
+/// P102 with `leave` made a broadcast channel deadlocks once `x > D`:
+/// the waiting train must take part in the gate's `leave!`, and its
+/// target invariant `x <= D` refuses it. The deadlock check counts the
+/// receivers of a broadcast, so `deadlock free` fails (exit 1).
+#[test]
+fn broadcast_twin_of_p102_fails_deadlock_free() {
+    let source = std::fs::read_to_string(corpus_dir().join("P102_timelock.tempo"))
+        .expect("readable corpus file");
+    let line = "channel approach, leave";
+    assert!(
+        source.contains(line),
+        "P102 declares both channels on one line"
+    );
+    let (code, doc) = check_source(
+        "broadcast-timelock",
+        &source.replace(line, "channel approach\nbroadcast channel leave"),
+        &[],
+    );
+    assert_eq!(code, Some(1), "a failed assert exits 1");
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("fail"));
+    assert_eq!(failing_indices(&doc), vec![0]);
+}
+
 /// `--help` and `--version` succeed and print something sensible.
 #[test]
 fn help_and_version() {

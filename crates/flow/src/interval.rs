@@ -494,14 +494,14 @@ pub fn transfer(
 ) {
     match s {
         Stmt::Skip => {}
-        Stmt::Assign(id, e) => {
-            let iv = eval(e, decls, env, selects);
-            env.insert(*id, iv);
-            out.push((*id, iv));
-        }
-        Stmt::AssignIndex(id, _, e) => {
-            // Weak update: the other elements keep their old interval.
-            let iv = eval(e, decls, env, selects).join(var_interval(decls, env, *id));
+        Stmt::Assign(id, e) | Stmt::AssignIndex(id, _, e) => {
+            let mut iv = eval(e, decls, env, selects);
+            // Writing one element of an array, by index or as element 0
+            // through the array's name, is a weak update: the other
+            // elements keep their old interval.
+            if matches!(s, Stmt::AssignIndex(..)) || decls.info(*id).is_array {
+                iv = iv.join(var_interval(decls, env, *id));
+            }
             env.insert(*id, iv);
             out.push((*id, iv));
         }
@@ -758,6 +758,25 @@ mod tests {
         refine(&mut env, &Expr::var(arr).lt(Expr::konst(3)), &d);
         let e = Expr::index(arr, Expr::konst(1));
         assert_eq!(eval(&e, &d, &env, &[]), Interval::new(0, 10));
+    }
+
+    #[test]
+    fn whole_array_assignment_is_a_weak_update() {
+        let mut d = Decls::new();
+        let a = d.array("a", 2, 0, 9);
+        let mut env = Env::new();
+        env.insert(a, Interval::new(0, 0));
+        let mut out = Vec::new();
+        // `a := 7` writes element 0 only; element 1 stays 0.
+        transfer(
+            &Stmt::assign(a, Expr::konst(7)),
+            &d,
+            &mut env,
+            &[],
+            &mut out,
+        );
+        assert_eq!(env[&a], Interval::new(0, 7));
+        assert_eq!(out, vec![(a, Interval::new(0, 7))]);
     }
 
     #[test]

@@ -7,11 +7,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use tempo_dbm::Clock;
 use tempo_expr::Store;
-use tempo_ta::{
-    AutomatonId, ChannelKind, Edge, LocationId, LocationKind, Network, StateFormula, SyncDir,
-};
+use tempo_ta::moves::{self, Participant};
+use tempo_ta::{AutomatonId, ChannelId, Edge, LocationId, LocationKind, Network, StateFormula};
 
 /// A concrete state of a network: locations, variable store and
 /// real-valued clock valuations (index 0 is the reference clock, always
@@ -374,23 +374,35 @@ impl<'n> Simulator<'n> {
     }
 
     /// Samples one stochastic step: the racing delays, the winning
-    /// component, and a uniformly chosen enabled move. When the race
-    /// winner lands at an instant with no enabled action, the delay is
-    /// kept and the race is re-run (UPPAAL-SMC re-samples). Re-racing
-    /// stops at `budget` elapsed time ([`StepOutcome::Quiet`]);
-    /// [`StepOutcome::Timelock`] signals that time is blocked with no
-    /// action enabled.
+    /// component, and a uniformly chosen enabled move, drawn by its
+    /// position in the order of [`moves::for_each_move`]. Every delay is
+    /// zero while an urgent or committed location is occupied or a move
+    /// on an urgent channel is enabled, as in the zone and digital
+    /// engines. When the race winner lands at an instant with no enabled
+    /// action, the delay is kept and the race is re-run (UPPAAL-SMC
+    /// re-samples). Re-racing stops at `budget` elapsed time
+    /// ([`StepOutcome::Quiet`]); [`StepOutcome::Timelock`] signals that
+    /// time is blocked with no action enabled.
     fn step(&mut self, state: &ConcreteState, budget: f64) -> StepOutcome {
         let mut current = state.clone();
         let mut total_delay = 0.0_f64;
         let mut stalled = 0_u32;
         loop {
-            // Urgency: if any automaton is urgent/committed, force delay 0.
+            // Urgency: an urgent or committed location, or an enabled
+            // move on an urgent channel, forces delay 0.
             let urgent = current
                 .locs
                 .iter()
                 .zip(self.net.automata())
-                .any(|(&l, a)| a.locations[l.index()].kind != LocationKind::Normal);
+                .any(|(&l, a)| a.locations[l.index()].kind != LocationKind::Normal)
+                || moves::for_each_urgent_move(
+                    self.net,
+                    &current.locs,
+                    &current.store,
+                    |e, sel| self.edge_enabled(&current, e, sel),
+                    |_| ControlFlow::Break(()),
+                )
+                .is_break();
             // Sample each automaton's intended delay.
             let mut best: Option<(usize, f64)> = None;
             for (ai, _) in self.net.automata().iter().enumerate() {
@@ -426,19 +438,13 @@ impl<'n> Simulator<'n> {
             // The race winner initiates the next action (the paper: "the
             // train picking the shortest delay moves"); if it has nothing
             // to initiate, any enabled component may move instead.
-            let all = self.enabled_moves(&advanced);
-            let winners: Vec<Move> = all
-                .iter()
-                .filter(|m| {
-                    m.participants
-                        .first()
-                        .is_some_and(|(ai, _, _)| *ai == winner)
-                })
-                .cloned()
-                .collect();
-            let moves = if winners.is_empty() { all } else { winners };
-            if !moves.is_empty() {
-                if let Some((label, participants, next)) = self.pick(&moves, &advanced) {
+            let mut enabled = self.enabled_moves(&advanced);
+            let initiated_by_winner = |m: &Enabled| m.participants[0].0 == winner;
+            if enabled.iter().any(initiated_by_winner) {
+                enabled.retain(initiated_by_winner);
+            }
+            if !enabled.is_empty() {
+                if let Some((label, participants, next)) = self.pick(&enabled, &advanced) {
                     return StepOutcome::Action {
                         delay: total_delay + delay,
                         label,
@@ -461,15 +467,18 @@ impl<'n> Simulator<'n> {
         }
     }
 
-    #[allow(clippy::type_complexity)]
     fn pick(
         &mut self,
-        moves: &[Move],
+        enabled: &[Enabled],
         state: &ConcreteState,
-    ) -> Option<(String, Vec<(usize, usize, Vec<i64>)>, ConcreteState)> {
-        let mv = &moves[self.rng.gen_range(0..moves.len())];
-        let next = self.apply(state, mv)?;
-        Some((mv.label.clone(), mv.participants.clone(), next))
+    ) -> Option<(String, Vec<Participant>, ConcreteState)> {
+        let mv = &enabled[self.rng.gen_range(0..enabled.len())];
+        let next = self.apply(state, &mv.participants)?;
+        Some((
+            moves::label(self.net, mv.sync),
+            mv.participants.clone(),
+            next,
+        ))
     }
 
     /// The maximum delay automaton `ai` may take before violating its own
@@ -491,118 +500,23 @@ impl<'n> Simulator<'n> {
         ub.map(|u| u.max(0.0))
     }
 
-    /// All action moves enabled at the given concrete state.
-    fn enabled_moves(&self, state: &ConcreteState) -> Vec<Move> {
-        let mut moves = Vec::new();
-        let committed: Vec<bool> = state
-            .locs
-            .iter()
-            .zip(self.net.automata())
-            .map(|(&l, a)| a.locations[l.index()].kind == LocationKind::Committed)
-            .collect();
-        let any_committed = committed.iter().any(|&c| c);
-        for (ai, a) in self.net.automata().iter().enumerate() {
-            for (ei, e) in a.edges.iter().enumerate() {
-                if e.from != state.locs[ai] {
-                    continue;
-                }
-                for sel in select_values(&e.selects) {
-                    if !self.edge_enabled(state, e, &sel) {
-                        continue;
-                    }
-                    match &e.sync {
-                        None => {
-                            if any_committed && !committed[ai] {
-                                continue;
-                            }
-                            moves.push(Move {
-                                label: "tau".to_owned(),
-                                participants: vec![(ai, ei, sel.clone())],
-                            });
-                        }
-                        Some(sync) if sync.dir == SyncDir::Send => {
-                            let Ok(idx) = sync.index.eval(self.net.decls(), &state.store, &sel)
-                            else {
-                                continue;
-                            };
-                            let ch = &self.net.channels()[sync.channel.index()];
-                            match ch.kind {
-                                ChannelKind::Binary => {
-                                    for (bi, ri, rsel) in
-                                        self.matching_receivers(state, ai, sync.channel, idx)
-                                    {
-                                        if any_committed && !committed[ai] && !committed[bi] {
-                                            continue;
-                                        }
-                                        moves.push(Move {
-                                            label: format!("{}[{}]", ch.name, idx),
-                                            participants: vec![
-                                                (ai, ei, sel.clone()),
-                                                (bi, ri, rsel),
-                                            ],
-                                        });
-                                    }
-                                }
-                                ChannelKind::Broadcast => {
-                                    if any_committed && !committed[ai] {
-                                        continue;
-                                    }
-                                    let mut participants = vec![(ai, ei, sel.clone())];
-                                    for (bi, ri, rsel) in
-                                        self.matching_receivers(state, ai, sync.channel, idx)
-                                    {
-                                        // One receiver edge per automaton
-                                        // (first enabled wins; duplicates
-                                        // would need combinatorics rarely
-                                        // used in SMC models).
-                                        if participants.iter().all(|(pi, _, _)| *pi != bi) {
-                                            participants.push((bi, ri, rsel));
-                                        }
-                                    }
-                                    moves.push(Move {
-                                        label: format!("{}[{}]!!", ch.name, idx),
-                                        participants,
-                                    });
-                                }
-                            }
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-        }
-        moves
-    }
-
-    fn matching_receivers(
-        &self,
-        state: &ConcreteState,
-        sender: usize,
-        channel: tempo_ta::ChannelId,
-        idx: i64,
-    ) -> Vec<(usize, usize, Vec<i64>)> {
+    /// All action moves of [`moves::for_each_move`] whose guards hold at
+    /// the given concrete state, in the rule's order.
+    fn enabled_moves(&self, state: &ConcreteState) -> Vec<Enabled> {
         let mut out = Vec::new();
-        for (bi, b) in self.net.automata().iter().enumerate() {
-            if bi == sender {
-                continue;
-            }
-            for (ri, r) in b.edges.iter().enumerate() {
-                if r.from != state.locs[bi] {
-                    continue;
-                }
-                let Some(rs) = &r.sync else { continue };
-                if rs.dir != SyncDir::Recv || rs.channel != channel {
-                    continue;
-                }
-                for rsel in select_values(&r.selects) {
-                    if rs.index.eval(self.net.decls(), &state.store, &rsel) == Ok(idx)
-                        && self.edge_enabled(state, r, &rsel)
-                    {
-                        out.push((bi, ri, rsel));
-                    }
-                }
-            }
-        }
+        let _ = moves::for_each_move(
+            self.net,
+            &state.locs,
+            &state.store,
+            |e, sel| self.edge_enabled(state, e, sel),
+            |mv| {
+                out.push(Enabled {
+                    sync: mv.sync,
+                    participants: mv.participants.to_vec(),
+                });
+                ControlFlow::Continue(())
+            },
+        );
         out
     }
 
@@ -628,9 +542,9 @@ impl<'n> Simulator<'n> {
 
     /// Applies a joint move, returning the successor state (or `None` if
     /// an update fails, which disables the move).
-    fn apply(&self, state: &ConcreteState, mv: &Move) -> Option<ConcreteState> {
+    fn apply(&self, state: &ConcreteState, participants: &[Participant]) -> Option<ConcreteState> {
         let mut next = state.clone();
-        for (ai, ei, sel) in &mv.participants {
+        for (ai, ei, sel) in participants {
             let e = &self.net.automata()[*ai].edges[*ei];
             for (clock, value) in &e.resets {
                 let v = value.eval(self.net.decls(), &next.store, sel).ok()?;
@@ -677,12 +591,11 @@ enum StepOutcome {
     Timelock,
 }
 
-/// A joint move: the participating `(automaton, edge, selects)` triples
-/// (sender first for synchronizations).
-#[derive(Debug, Clone)]
-struct Move {
-    label: String,
-    participants: Vec<(usize, usize, Vec<i64>)>,
+/// An enabled joint move, kept until the race picks one.
+#[derive(Debug)]
+struct Enabled {
+    sync: Option<(ChannelId, i64)>,
+    participants: Vec<Participant>,
 }
 
 fn advance(state: &mut ConcreteState, d: f64) {
@@ -692,22 +605,6 @@ fn advance(state: &mut ConcreteState, d: f64) {
         }
     }
     state.time += d;
-}
-
-fn select_values(ranges: &[(i64, i64)]) -> Vec<Vec<i64>> {
-    let mut out = vec![Vec::new()];
-    for &(lo, hi) in ranges {
-        let mut next = Vec::new();
-        for prefix in &out {
-            for v in lo..=hi {
-                let mut p = prefix.clone();
-                p.push(v);
-                next.push(p);
-            }
-        }
-        out = next;
-    }
-    out
 }
 
 #[cfg(test)]

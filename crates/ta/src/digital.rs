@@ -4,13 +4,22 @@
 //! reachability, cost-optimal reachability and game winning-ness
 //! (Henzinger–Manna–Pnueli / Kwiatkowska et al.). This module provides a
 //! concrete-state explorer with unit-delay ticks and joint action moves,
-//! used by `tempo-cora` (minimum-cost reachability) and `tempo-tiga`
-//! (timed-game strategy synthesis); clocks are clamped one above the
-//! model's maximal constants so the state space is finite.
+//! used by `tempo-cora` (minimum-cost reachability), `tempo-tiga`
+//! (timed-game strategy synthesis) and `tempo-ioco` (rtioco); clocks are
+//! clamped one above the model's maximal constants so the state space is
+//! finite.
+//!
+//! Which edges fire together is decided by [`crate::moves`], the same
+//! rule the zone explorer and the simulator use; this module supplies
+//! the integer-clock guard test, applies the moves and forbids a tick
+//! while an urgent location is occupied or a move on an urgent channel
+//! is enabled and applies.
 
 use crate::explore::SymState;
-use crate::model::{ChannelKind, Edge, LocationId, LocationKind, Network, SyncDir};
+use crate::model::{Edge, LocationId, LocationKind, Network};
+use crate::moves::{self, Participant};
 use std::fmt;
+use std::ops::ControlFlow;
 use tempo_expr::Store;
 use tempo_obs::{Diagnostic, LintError};
 
@@ -196,11 +205,26 @@ impl<'n> DigitalExplorer<'n> {
             .iter()
             .zip(self.net.automata())
             .any(|(&l, a)| a.locations[l.index()].kind != LocationKind::Normal);
-        if urgent || self.urgent_sync_enabled(state) {
+        if urgent || self.urgent_move_enabled(state) {
             return false;
         }
         let ticked = self.ticked_clocks(state);
         self.invariants_hold(&state.locs, &ticked)
+    }
+
+    /// Whether a move on an urgent channel is enabled and applies.
+    fn urgent_move_enabled(&self, state: &DigitalState) -> bool {
+        moves::for_each_urgent_move(
+            self.net,
+            &state.locs,
+            &state.store,
+            |e, sel| self.edge_enabled(state, e, sel),
+            |mv| match self.apply(state, mv.participants) {
+                Some(_) => ControlFlow::Break(()),
+                None => ControlFlow::Continue(()),
+            },
+        )
+        .is_break()
     }
 
     fn ticked_clocks(&self, state: &DigitalState) -> Vec<i64> {
@@ -236,16 +260,6 @@ impl<'n> DigitalExplorer<'n> {
         })
     }
 
-    fn urgent_sync_enabled(&self, state: &DigitalState) -> bool {
-        self.moves(state).iter().any(|(m, _)| {
-            let (ai, ei, _) = m.participants[0];
-            let e = &self.net.automata()[ai].edges[ei];
-            e.sync
-                .as_ref()
-                .is_some_and(|s| self.net.channels()[s.channel.index()].urgent)
-        })
-    }
-
     fn edge_enabled(&self, state: &DigitalState, e: &Edge, sel: &[i64]) -> bool {
         if !e
             .guard_data
@@ -261,146 +275,38 @@ impl<'n> DigitalExplorer<'n> {
     }
 
     /// All joint action moves enabled in the state, with their successor
-    /// states.
+    /// states: the moves of [`moves::for_each_move`] whose guards hold at
+    /// the integer clocks and whose updates, resets and target
+    /// invariants succeed.
     #[must_use]
     pub fn moves(&self, state: &DigitalState) -> Vec<(DigitalMove, DigitalState)> {
-        let committed: Vec<bool> = state
-            .locs
-            .iter()
-            .zip(self.net.automata())
-            .map(|(&l, a)| a.locations[l.index()].kind == LocationKind::Committed)
-            .collect();
-        let any_committed = committed.iter().any(|&c| c);
         let mut out = Vec::new();
-        for (ai, a) in self.net.automata().iter().enumerate() {
-            for (ei, e) in a.edges.iter().enumerate() {
-                if e.from != state.locs[ai] {
-                    continue;
+        let _ = moves::for_each_move(
+            self.net,
+            &state.locs,
+            &state.store,
+            |e, sel| self.edge_enabled(state, e, sel),
+            |mv| {
+                if let Some(next) = self.apply(state, mv.participants) {
+                    let edge = |&(ai, ei, _): &Participant| &self.net.automata()[ai].edges[ei];
+                    let digital = DigitalMove {
+                        label: moves::label(self.net, mv.sync),
+                        participants: mv.participants.to_vec(),
+                        controllable: mv.participants.iter().all(|p| edge(p).controllable),
+                    };
+                    out.push((digital, next));
                 }
-                for sel in select_values(&e.selects) {
-                    if !self.edge_enabled(state, e, &sel) {
-                        continue;
-                    }
-                    match &e.sync {
-                        None => {
-                            if any_committed && !committed[ai] {
-                                continue;
-                            }
-                            let mv = DigitalMove {
-                                label: "tau".to_owned(),
-                                participants: vec![(ai, ei, sel.clone())],
-                                controllable: e.controllable,
-                            };
-                            if let Some(next) = self.apply(state, &mv) {
-                                out.push((mv, next));
-                            }
-                        }
-                        Some(sync) if sync.dir == SyncDir::Send => {
-                            let Ok(idx) = sync.index.eval(self.net.decls(), &state.store, &sel)
-                            else {
-                                continue;
-                            };
-                            let ch = &self.net.channels()[sync.channel.index()];
-                            match ch.kind {
-                                ChannelKind::Binary => {
-                                    for (bi, b) in self.net.automata().iter().enumerate() {
-                                        if bi == ai
-                                            || (any_committed && !committed[ai] && !committed[bi])
-                                        {
-                                            continue;
-                                        }
-                                        for (ri, r) in b.edges.iter().enumerate() {
-                                            if r.from != state.locs[bi] {
-                                                continue;
-                                            }
-                                            let Some(rs) = &r.sync else { continue };
-                                            if rs.dir != SyncDir::Recv || rs.channel != sync.channel
-                                            {
-                                                continue;
-                                            }
-                                            for rsel in select_values(&r.selects) {
-                                                if rs.index.eval(
-                                                    self.net.decls(),
-                                                    &state.store,
-                                                    &rsel,
-                                                ) != Ok(idx)
-                                                    || !self.edge_enabled(state, r, &rsel)
-                                                {
-                                                    continue;
-                                                }
-                                                let mv = DigitalMove {
-                                                    label: format!("{}[{}]", ch.name, idx),
-                                                    participants: vec![
-                                                        (ai, ei, sel.clone()),
-                                                        (bi, ri, rsel),
-                                                    ],
-                                                    controllable: e.controllable && r.controllable,
-                                                };
-                                                if let Some(next) = self.apply(state, &mv) {
-                                                    out.push((mv, next));
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                ChannelKind::Broadcast => {
-                                    if any_committed && !committed[ai] {
-                                        continue;
-                                    }
-                                    let mut participants = vec![(ai, ei, sel.clone())];
-                                    let mut ctrl = e.controllable;
-                                    for (bi, b) in self.net.automata().iter().enumerate() {
-                                        if bi == ai {
-                                            continue;
-                                        }
-                                        'edges: for (ri, r) in b.edges.iter().enumerate() {
-                                            if r.from != state.locs[bi] {
-                                                continue;
-                                            }
-                                            let Some(rs) = &r.sync else { continue };
-                                            if rs.dir != SyncDir::Recv || rs.channel != sync.channel
-                                            {
-                                                continue;
-                                            }
-                                            for rsel in select_values(&r.selects) {
-                                                if rs.index.eval(
-                                                    self.net.decls(),
-                                                    &state.store,
-                                                    &rsel,
-                                                ) == Ok(idx)
-                                                    && self.edge_enabled(state, r, &rsel)
-                                                {
-                                                    participants.push((bi, ri, rsel));
-                                                    ctrl &= r.controllable;
-                                                    break 'edges;
-                                                }
-                                            }
-                                        }
-                                    }
-                                    let mv = DigitalMove {
-                                        label: format!("{}[{}]!!", ch.name, idx),
-                                        participants,
-                                        controllable: ctrl,
-                                    };
-                                    if let Some(next) = self.apply(state, &mv) {
-                                        out.push((mv, next));
-                                    }
-                                }
-                            }
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-        }
+                ControlFlow::Continue(())
+            },
+        );
         out
     }
 
     /// Applies a joint move (participants in order), returning the
     /// successor or `None` if an update or target invariant fails.
-    fn apply(&self, state: &DigitalState, mv: &DigitalMove) -> Option<DigitalState> {
+    fn apply(&self, state: &DigitalState, participants: &[Participant]) -> Option<DigitalState> {
         let mut next = state.clone();
-        for (ai, ei, sel) in &mv.participants {
+        for (ai, ei, sel) in participants {
             let e = &self.net.automata()[*ai].edges[*ei];
             for (clock, value) in &e.resets {
                 let v = value.eval(self.net.decls(), &next.store, sel).ok()?;
@@ -455,22 +361,6 @@ impl DigitalState {
             zone,
         }
     }
-}
-
-fn select_values(ranges: &[(i64, i64)]) -> Vec<Vec<i64>> {
-    let mut out = vec![Vec::new()];
-    for &(lo, hi) in ranges {
-        let mut next = Vec::new();
-        for prefix in &out {
-            for v in lo..=hi {
-                let mut p = prefix.clone();
-                p.push(v);
-                next.push(p);
-            }
-        }
-        out = next;
-    }
-    out
 }
 
 #[cfg(test)]

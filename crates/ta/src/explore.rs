@@ -1,15 +1,17 @@
 //! Symbolic (zone-based) semantics of networks of timed automata.
 //!
 //! States pair a discrete part (location vector + variable store) with a
-//! zone; successor computation implements UPPAAL's semantics for binary
-//! and broadcast channels, urgent channels, and urgent/committed
-//! locations. Explored zones are kept delay-closed (`up ∧ invariant`) and
-//! extrapolated with per-clock maximal constants so the zone graph is
-//! finite.
+//! zone. Which edges fire together is decided by [`crate::moves`], the
+//! network's one joint-move rule (binary, broadcast and urgent channels,
+//! committed locations); this module adds the zone semantics: clock
+//! guards, resets and invariants on DBMs, and urgent locations. Explored
+//! zones are kept delay-closed (`up ∧ invariant`) and extrapolated with
+//! per-clock maximal constants so the zone graph is finite.
 
-use crate::model::{
-    AutomatonId, ChannelKind, ClockAtom, Edge, LocationId, LocationKind, Network, Sync, SyncDir,
-};
+use std::ops::ControlFlow;
+
+use crate::model::{AutomatonId, ClockAtom, Edge, LocationId, LocationKind, Network};
+use crate::moves::{self, Move, Participant, SelectIter};
 use tempo_dbm::{Dbm, Federation};
 use tempo_expr::Store;
 
@@ -71,11 +73,9 @@ impl std::fmt::Display for Action {
     }
 }
 
-/// Per receiving automaton: the enabled receiving edges as
-/// (edge index, selected binding) pairs.
-type ReceiverChoices = Vec<(usize, Vec<i64>)>;
-
-/// The symbolic successor generator for a network.
+/// The symbolic successor generator for a network: the joint moves of
+/// [`crate::moves::for_each_move`] under a data-guard test, fired on
+/// zones.
 ///
 /// ```
 /// use tempo_ta::{NetworkBuilder, Explorer};
@@ -207,68 +207,29 @@ impl<'n> Explorer<'n> {
     }
 
     /// Whether delay is permitted in this discrete configuration: no
-    /// automaton is in an urgent or committed location and no urgent
-    /// synchronization is enabled.
+    /// automaton is in an urgent or committed location and no move on an
+    /// urgent channel is enabled ([`moves::for_each_urgent_move`]; such
+    /// edges carry no clock guards, so the test is data-only).
     #[must_use]
     pub fn delay_allowed(&self, state: &SymState) -> bool {
-        for (a, &l) in self.net.automata.iter().zip(&state.locs) {
-            if a.locations[l.index()].kind != LocationKind::Normal {
-                return false;
-            }
-        }
-        !self.urgent_sync_enabled(state)
+        self.net
+            .automata
+            .iter()
+            .zip(&state.locs)
+            .all(|(a, &l)| a.locations[l.index()].kind == LocationKind::Normal)
+            && moves::for_each_urgent_move(
+                self.net,
+                &state.locs,
+                &state.store,
+                |e, sel| self.data_guard_holds(e, &state.store, sel),
+                |_| ControlFlow::Break(()),
+            )
+            .is_continue()
     }
 
-    /// Whether some urgent-channel synchronization is enabled (urgent
-    /// edges carry no clock guards, so enabledness is data-only).
-    fn urgent_sync_enabled(&self, state: &SymState) -> bool {
-        for (ai, a) in self.net.automata.iter().enumerate() {
-            for e in a.edges.iter().filter(|e| e.from == state.locs[ai]) {
-                let Some(sync) = &e.sync else { continue };
-                if sync.dir != SyncDir::Send || !self.net.channels[sync.channel.index()].urgent {
-                    continue;
-                }
-                for sel in SelectIter::new(&e.selects) {
-                    let Some(idx) = self.resolve_index(sync, state, &sel) else {
-                        continue;
-                    };
-                    if !self.data_guard_holds(e, state, &sel) {
-                        continue;
-                    }
-                    // Find a matching enabled receiver.
-                    for (bi, b) in self.net.automata.iter().enumerate() {
-                        if bi == ai {
-                            continue;
-                        }
-                        for r in b.edges.iter().filter(|r| r.from == state.locs[bi]) {
-                            let Some(rs) = &r.sync else { continue };
-                            if rs.dir != SyncDir::Recv || rs.channel != sync.channel {
-                                continue;
-                            }
-                            for rsel in SelectIter::new(&r.selects) {
-                                if self.resolve_index(rs, state, &rsel) == Some(idx)
-                                    && self.data_guard_holds(r, state, &rsel)
-                                {
-                                    return true;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    fn resolve_index(&self, sync: &Sync, state: &SymState, sel: &[i64]) -> Option<i64> {
-        let idx = sync.index.eval(&self.net.decls, &state.store, sel).ok()?;
-        let size = self.net.channels[sync.channel.index()].size as i64;
-        (0..size).contains(&idx).then_some(idx)
-    }
-
-    fn data_guard_holds(&self, e: &Edge, state: &SymState, sel: &[i64]) -> bool {
+    fn data_guard_holds(&self, e: &Edge, store: &Store, sel: &[i64]) -> bool {
         e.guard_data
-            .eval_bool(&self.net.decls, &state.store, sel)
+            .eval_bool(&self.net.decls, store, sel)
             .unwrap_or(false)
     }
 
@@ -291,22 +252,15 @@ impl<'n> Explorer<'n> {
         }
     }
 
-    /// When any automaton is in a committed location, only transitions
-    /// involving a committed automaton may fire.
-    fn committed_set(&self, state: &SymState) -> Vec<bool> {
-        self.net
-            .automata
-            .iter()
-            .zip(&state.locs)
-            .map(|(a, &l)| a.locations[l.index()].kind == LocationKind::Committed)
-            .collect()
-    }
-
     /// Whether any automaton currently occupies a committed location
     /// (used by partial-order reduction to fall back to full expansion:
     /// committed semantics restricts which automata may fire).
     pub(crate) fn any_committed(&self, state: &SymState) -> bool {
-        self.committed_set(state).iter().any(|&c| c)
+        self.net
+            .automata
+            .iter()
+            .zip(&state.locs)
+            .any(|(a, &l)| a.locations[l.index()].kind == LocationKind::Committed)
     }
 
     /// Successors produced by the internal (unsynchronized) edges of a
@@ -324,10 +278,14 @@ impl<'n> Explorer<'n> {
                 continue;
             }
             for sel in SelectIter::new(&e.selects) {
-                if let Some(next) = self.fire(state, &[(AutomatonId(ai), e, sel.clone())]) {
+                if !self.data_guard_holds(e, &state.store, &sel) {
+                    continue;
+                }
+                if let Some(next) = self.fire(state, &[(ai, ei, sel)]) {
+                    let automaton = AutomatonId(ai);
                     out.push((
                         Action::Internal {
-                            automaton: AutomatonId(ai),
+                            automaton,
                             edge: ei,
                         },
                         next,
@@ -338,245 +296,82 @@ impl<'n> Explorer<'n> {
         out
     }
 
-    /// Computes all symbolic successors with their actions. Successor
+    /// Computes all symbolic successors with their actions, one per joint
+    /// move of [`moves::for_each_move`] whose data guards hold. Successor
     /// zones are delay-closed and extrapolated; empty successors are
     /// dropped.
     #[must_use]
     pub fn successors(&self, state: &SymState) -> Vec<(Action, SymState)> {
-        let committed = self.committed_set(state);
-        let any_committed = committed.iter().any(|&c| c);
         let mut out = Vec::new();
-
-        for (ai, a) in self.net.automata.iter().enumerate() {
-            for (ei, e) in a.edges.iter().enumerate() {
-                if e.from != state.locs[ai] {
-                    continue;
-                }
-                match &e.sync {
-                    None => {
-                        if any_committed && !committed[ai] {
-                            continue;
-                        }
-                        for sel in SelectIter::new(&e.selects) {
-                            if let Some(next) =
-                                self.fire(state, &[(AutomatonId(ai), e, sel.clone())])
-                            {
-                                out.push((
-                                    Action::Internal {
-                                        automaton: AutomatonId(ai),
-                                        edge: ei,
-                                    },
-                                    next,
-                                ));
-                            }
-                        }
-                    }
-                    Some(sync) if sync.dir == SyncDir::Send => {
-                        for sel in SelectIter::new(&e.selects) {
-                            let Some(idx) = self.resolve_index(sync, state, &sel) else {
-                                continue;
-                            };
-                            match self.net.channels[sync.channel.index()].kind {
-                                ChannelKind::Binary => self.binary_syncs(
-                                    state,
-                                    &committed,
-                                    any_committed,
-                                    (ai, ei, e, &sel),
-                                    sync,
-                                    idx,
-                                    &mut out,
-                                ),
-                                ChannelKind::Broadcast => self.broadcast_syncs(
-                                    state,
-                                    &committed,
-                                    any_committed,
-                                    (ai, ei, e, &sel),
-                                    sync,
-                                    idx,
-                                    &mut out,
-                                ),
-                            }
-                        }
-                    }
-                    Some(_) => {} // receivers are matched from the sender side
-                }
+        self.for_each_move(state, |mv| {
+            if let Some(next) = self.fire(state, mv.participants) {
+                out.push((self.action(&mv), next));
             }
-        }
+        });
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn binary_syncs(
-        &self,
-        state: &SymState,
-        committed: &[bool],
-        any_committed: bool,
-        sender: (usize, usize, &Edge, &Vec<i64>),
-        sync: &Sync,
-        idx: i64,
-        out: &mut Vec<(Action, SymState)>,
-    ) {
-        let (ai, ei, e, sel) = sender;
-        for (bi, b) in self.net.automata.iter().enumerate() {
-            if bi == ai {
-                continue;
-            }
-            if any_committed && !committed[ai] && !committed[bi] {
-                continue;
-            }
-            for (ri, r) in b.edges.iter().enumerate() {
-                if r.from != state.locs[bi] {
-                    continue;
-                }
-                let Some(rs) = &r.sync else { continue };
-                if rs.dir != SyncDir::Recv || rs.channel != sync.channel {
-                    continue;
-                }
-                for rsel in SelectIter::new(&r.selects) {
-                    if self.resolve_index(rs, state, &rsel) != Some(idx) {
-                        continue;
-                    }
-                    let participants = [
-                        (AutomatonId(ai), e, sel.clone()),
-                        (AutomatonId(bi), r, rsel.clone()),
-                    ];
-                    if let Some(next) = self.fire(state, &participants) {
-                        out.push((
-                            Action::Sync {
-                                label: format!(
-                                    "{}[{}]",
-                                    self.net.channels[sync.channel.index()].name,
-                                    idx
-                                ),
-                                sender: (AutomatonId(ai), ei),
-                                receivers: vec![(AutomatonId(bi), ri)],
-                            },
-                            next,
-                        ));
-                    }
-                }
-            }
+    /// The joint moves of the state's discrete part whose data guards
+    /// hold; clock guards are left to the zone.
+    fn for_each_move(&self, state: &SymState, mut f: impl FnMut(Move<'_>)) {
+        let _ = moves::for_each_move(
+            self.net,
+            &state.locs,
+            &state.store,
+            |e, sel| self.data_guard_holds(e, &state.store, sel),
+            |mv| {
+                f(mv);
+                ControlFlow::Continue(())
+            },
+        );
+    }
+
+    fn action(&self, mv: &Move<'_>) -> Action {
+        let (ai, ei, _) = mv.participants[0];
+        match mv.sync {
+            None => Action::Internal {
+                automaton: AutomatonId(ai),
+                edge: ei,
+            },
+            Some(_) => Action::Sync {
+                label: moves::label(self.net, mv.sync),
+                sender: (AutomatonId(ai), ei),
+                receivers: mv.participants[1..]
+                    .iter()
+                    .map(|&(bi, ri, _)| (AutomatonId(bi), ri))
+                    .collect(),
+            },
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn broadcast_syncs(
-        &self,
-        state: &SymState,
-        committed: &[bool],
-        any_committed: bool,
-        sender: (usize, usize, &Edge, &Vec<i64>),
-        sync: &Sync,
-        idx: i64,
-        out: &mut Vec<(Action, SymState)>,
-    ) {
-        let (ai, ei, e, sel) = sender;
-        // For each other automaton, collect its enabled receiving edges
-        // (data guards only; validated at build time).
-        let mut choices: Vec<(usize, ReceiverChoices)> = Vec::new();
-        for (bi, b) in self.net.automata.iter().enumerate() {
-            if bi == ai {
-                continue;
-            }
-            let mut enabled = Vec::new();
-            for (ri, r) in b.edges.iter().enumerate() {
-                if r.from != state.locs[bi] {
-                    continue;
-                }
-                let Some(rs) = &r.sync else { continue };
-                if rs.dir != SyncDir::Recv || rs.channel != sync.channel {
-                    continue;
-                }
-                for rsel in SelectIter::new(&r.selects) {
-                    if self.resolve_index(rs, state, &rsel) == Some(idx)
-                        && self.data_guard_holds(r, state, &rsel)
-                    {
-                        enabled.push((ri, rsel));
-                    }
-                }
-            }
-            if !enabled.is_empty() {
-                choices.push((bi, enabled));
-            }
-        }
-        if any_committed && !committed[ai] && !choices.iter().any(|(bi, _)| committed[*bi]) {
-            return;
-        }
-        // Every automaton with an enabled receiver participates with one
-        // nondeterministically chosen edge: enumerate the combinations.
-        let mut combo = vec![0_usize; choices.len()];
-        loop {
-            let mut participants: Vec<(AutomatonId, &Edge, Vec<i64>)> =
-                vec![(AutomatonId(ai), e, sel.clone())];
-            let mut receivers = Vec::new();
-            for (ci, (bi, enabled)) in choices.iter().enumerate() {
-                let (ri, rsel) = &enabled[combo[ci]];
-                participants.push((
-                    AutomatonId(*bi),
-                    &self.net.automata[*bi].edges[*ri],
-                    rsel.clone(),
-                ));
-                receivers.push((AutomatonId(*bi), *ri));
-            }
-            if let Some(next) = self.fire(state, &participants) {
-                out.push((
-                    Action::Sync {
-                        label: format!(
-                            "{}[{}]!!",
-                            self.net.channels[sync.channel.index()].name,
-                            idx
-                        ),
-                        sender: (AutomatonId(ai), ei),
-                        receivers,
-                    },
-                    next,
-                ));
-            }
-            // Advance the combination counter.
-            let mut pos = 0;
-            loop {
-                if pos == choices.len() {
-                    return;
-                }
-                combo[pos] += 1;
-                if combo[pos] < choices[pos].1.len() {
-                    break;
-                }
-                combo[pos] = 0;
-                pos += 1;
-            }
-        }
+    fn edge(&self, (ai, ei, _): &Participant) -> &Edge {
+        &self.net.automata[*ai].edges[*ei]
     }
 
-    /// Fires a joint transition of the given participants (in order:
-    /// sender first). Returns the delay-closed successor, or `None` if any
-    /// guard, update or invariant fails.
-    fn fire(
-        &self,
-        state: &SymState,
-        participants: &[(AutomatonId, &Edge, Vec<i64>)],
-    ) -> Option<SymState> {
-        // 1. Data guards (on the pre-store).
-        for (_, e, sel) in participants {
-            if !self.data_guard_holds(e, state, sel) {
+    /// Conjoins the participants' clock guards onto a copy of the zone
+    /// (their data guards have passed the move rule).
+    fn guard_zone(&self, state: &SymState, participants: &[Participant]) -> Option<Dbm> {
+        let mut zone = state.zone.clone();
+        for atom in participants.iter().flat_map(|p| &self.edge(p).guard_clocks) {
+            if !zone.constrain(atom.i, atom.j, atom.bound) {
                 return None;
             }
         }
-        // 2. Clock guards.
-        let mut zone = state.zone.clone();
-        for (_, e, _) in participants {
-            for atom in &e.guard_clocks {
-                if !zone.constrain(atom.i, atom.j, atom.bound) {
-                    return None;
-                }
-            }
-        }
-        // 3. Updates (sender first, as in UPPAAL); reset values are
-        //    evaluated over the evolving store at each participant's turn.
+        Some(zone)
+    }
+
+    /// Fires a joint move (participants in order: sender first). Returns
+    /// the delay-closed successor, or `None` if a clock guard, update or
+    /// invariant fails.
+    fn fire(&self, state: &SymState, participants: &[Participant]) -> Option<SymState> {
+        let mut zone = self.guard_zone(state, participants)?;
+        // Updates (sender first, as in UPPAAL); reset values are
+        // evaluated over the evolving store at each participant's turn.
         let mut store = state.store.clone();
         let mut locs = state.locs.clone();
         let mut resets: Vec<(tempo_dbm::Clock, i64)> = Vec::new();
-        for (aid, e, sel) in participants {
+        for p in participants {
+            let (e, sel) = (self.edge(p), &p.2);
             for (clock, value) in &e.resets {
                 let v = value.eval(&self.net.decls, &store, sel).ok()?;
                 if v < 0 {
@@ -585,12 +380,12 @@ impl<'n> Explorer<'n> {
                 resets.push((*clock, v));
             }
             e.update.execute(&self.net.decls, &mut store, sel).ok()?;
-            locs[aid.index()] = e.to;
+            locs[p.0] = e.to;
         }
         for (clock, v) in resets {
             zone.reset(clock, v);
         }
-        // 4. Target invariants.
+        // Target invariants.
         if !self.apply_invariants(&locs, &mut zone) {
             return None;
         }
@@ -604,7 +399,9 @@ impl<'n> Explorer<'n> {
 
     /// The federation of valuations in `state.zone` from which **no**
     /// action transition is possible now or after any legal delay: the
-    /// symbolic deadlock check of `A[] not deadlock`.
+    /// symbolic deadlock check of `A[] not deadlock`. Every joint move
+    /// of the rule contributes the source zone from which it can fire,
+    /// receivers' resets and target invariants included.
     ///
     /// The returned federation is empty iff the state is deadlock-free.
     #[must_use]
@@ -612,100 +409,18 @@ impl<'n> Explorer<'n> {
         let dim = self.net.dim();
         let mut escape = Federation::empty(dim);
         let delay = self.delay_allowed(state);
-        for zone in self.enabled_guard_zones(state) {
-            let mut fed = Federation::from_zones(dim, vec![zone]);
-            if delay {
-                // Points that can delay (within the state's delay-closed
-                // zone) into the guard.
-                fed.down();
-            }
-            fed = fed.intersection_zone(&state.zone);
-            escape.union_with(&fed);
-        }
-        Federation::from_zones(dim, vec![state.zone.clone()]).subtract(&escape)
-    }
-
-    /// The guard zones (within `state.zone`) of every action transition
-    /// enabled from the state's discrete part, with target-invariant
-    /// feasibility folded in.
-    fn enabled_guard_zones(&self, state: &SymState) -> Vec<Dbm> {
-        let mut zones = Vec::new();
-        let committed = self.committed_set(state);
-        let any_committed = committed.iter().any(|&c| c);
-        for (ai, a) in self.net.automata.iter().enumerate() {
-            for e in a.edges.iter().filter(|e| e.from == state.locs[ai]) {
-                match &e.sync {
-                    None => {
-                        if any_committed && !committed[ai] {
-                            continue;
-                        }
-                        for sel in SelectIter::new(&e.selects) {
-                            if let Some(z) =
-                                self.edge_source_zone(state, &[(AutomatonId(ai), e, sel)])
-                            {
-                                zones.push(z);
-                            }
-                        }
-                    }
-                    Some(sync) if sync.dir == SyncDir::Send => {
-                        for sel in SelectIter::new(&e.selects) {
-                            let Some(idx) = self.resolve_index(sync, state, &sel) else {
-                                continue;
-                            };
-                            match self.net.channels[sync.channel.index()].kind {
-                                ChannelKind::Binary => {
-                                    for (bi, b) in self.net.automata.iter().enumerate() {
-                                        if bi == ai
-                                            || (any_committed && !committed[ai] && !committed[bi])
-                                        {
-                                            continue;
-                                        }
-                                        for r in b.edges.iter().filter(|r| r.from == state.locs[bi])
-                                        {
-                                            let Some(rs) = &r.sync else { continue };
-                                            if rs.dir != SyncDir::Recv || rs.channel != sync.channel
-                                            {
-                                                continue;
-                                            }
-                                            for rsel in SelectIter::new(&r.selects) {
-                                                if self.resolve_index(rs, state, &rsel) != Some(idx)
-                                                {
-                                                    continue;
-                                                }
-                                                if let Some(z) = self.edge_source_zone(
-                                                    state,
-                                                    &[
-                                                        (AutomatonId(ai), e, sel.clone()),
-                                                        (AutomatonId(bi), r, rsel),
-                                                    ],
-                                                ) {
-                                                    zones.push(z);
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                ChannelKind::Broadcast => {
-                                    // A broadcast sender is never blocked;
-                                    // receivers join dynamically.
-                                    if any_committed && !committed[ai] {
-                                        continue;
-                                    }
-                                    if let Some(z) = self.edge_source_zone(
-                                        state,
-                                        &[(AutomatonId(ai), e, sel.clone())],
-                                    ) {
-                                        zones.push(z);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Some(_) => {}
+        self.for_each_move(state, |mv| {
+            if let Some(zone) = self.edge_source_zone(state, mv.participants) {
+                let mut fed = Federation::from_zones(dim, vec![zone]);
+                if delay {
+                    // Points that can delay (within the state's
+                    // delay-closed zone) into the guard.
+                    fed.down();
                 }
+                escape.union_with(&fed.intersection_zone(&state.zone));
             }
-        }
-        zones
+        });
+        Federation::from_zones(dim, vec![state.zone.clone()]).subtract(&escape)
     }
 
     /// The subset of `state.zone` from which the joint edge can be taken:
@@ -713,34 +428,19 @@ impl<'n> Explorer<'n> {
     /// onto the source valuations (resets are to constants, so invariant
     /// atoms over reset clocks become constant checks and atoms over
     /// unreset clocks remain source constraints).
-    fn edge_source_zone(
-        &self,
-        state: &SymState,
-        participants: &[(AutomatonId, &Edge, Vec<i64>)],
-    ) -> Option<Dbm> {
-        for (_, e, sel) in participants {
-            if !self.data_guard_holds(e, state, sel) {
-                return None;
-            }
-        }
-        let mut zone = state.zone.clone();
-        for (_, e, _) in participants {
-            for atom in &e.guard_clocks {
-                if !zone.constrain(atom.i, atom.j, atom.bound) {
-                    return None;
-                }
-            }
-        }
+    fn edge_source_zone(&self, state: &SymState, participants: &[Participant]) -> Option<Dbm> {
+        let mut zone = self.guard_zone(state, participants)?;
         // Collect reset values (pre-store approximation for the data part;
         // exact for constant resets, which is all our models use).
         let mut reset_to: std::collections::HashMap<usize, i64> = std::collections::HashMap::new();
         let mut locs = state.locs.clone();
-        for (aid, e, sel) in participants {
+        for p in participants {
+            let e = self.edge(p);
             for (clock, value) in &e.resets {
-                let v = value.eval(&self.net.decls, &state.store, sel).ok()?;
+                let v = value.eval(&self.net.decls, &state.store, &p.2).ok()?;
                 reset_to.insert(clock.index(), v);
             }
-            locs[aid.index()] = e.to;
+            locs[p.0] = e.to;
         }
         for (a, &l) in self.net.automata.iter().zip(&locs) {
             for atom in &a.locations[l.index()].invariant {
@@ -778,60 +478,11 @@ impl<'n> Explorer<'n> {
     }
 }
 
-/// Iterator over the cartesian product of `select` ranges.
-struct SelectIter {
-    ranges: Vec<(i64, i64)>,
-    current: Option<Vec<i64>>,
-}
-
-impl SelectIter {
-    fn new(ranges: &[(i64, i64)]) -> Self {
-        let ok = ranges.iter().all(|(lo, hi)| lo <= hi);
-        SelectIter {
-            ranges: ranges.to_vec(),
-            current: ok.then(|| ranges.iter().map(|(lo, _)| *lo).collect()),
-        }
-    }
-}
-
-impl Iterator for SelectIter {
-    type Item = Vec<i64>;
-
-    fn next(&mut self) -> Option<Vec<i64>> {
-        let current = self.current.clone()?;
-        // Advance.
-        let mut next = current.clone();
-        let mut pos = 0;
-        loop {
-            if pos == self.ranges.len() {
-                self.current = None;
-                break;
-            }
-            next[pos] += 1;
-            if next[pos] <= self.ranges[pos].1 {
-                self.current = Some(next);
-                break;
-            }
-            next[pos] = self.ranges[pos].0;
-            pos += 1;
-        }
-        Some(current)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::NetworkBuilder;
     use tempo_expr::Expr;
-
-    #[test]
-    fn select_iter_enumerates_product() {
-        let items: Vec<_> = SelectIter::new(&[(0, 1), (5, 6)]).collect();
-        assert_eq!(items, vec![vec![0, 5], vec![1, 5], vec![0, 6], vec![1, 6]]);
-        let empty: Vec<_> = SelectIter::new(&[]).collect();
-        assert_eq!(empty, vec![Vec::<i64>::new()]);
-    }
 
     #[test]
     fn internal_edge_with_guard_and_reset() {

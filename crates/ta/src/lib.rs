@@ -43,6 +43,7 @@ pub mod flow;
 mod formula;
 mod liveness;
 mod model;
+pub mod moves;
 mod por;
 mod query;
 mod reach;

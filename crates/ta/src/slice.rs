@@ -8,14 +8,15 @@
 //!   global range fixpoint is [`Truth::False`] (or a `select` range is
 //!   empty). The fixpoint over-approximates every reachable store, so
 //!   the concrete guard fails in every reachable state: the edge never
-//!   fires and never witnesses an urgent synchronization
-//!   (`urgent_sync_enabled` re-checks the same data guard).
+//!   fires and never witnesses an urgent synchronization (the urgency
+//!   test of [`crate::moves`] checks the same data guard).
 //! * **Synchronization-dead edges** — a binary sender or any receiver
 //!   whose channel has no live opposite-direction edge in a *different*
-//!   automaton. Binary pairs, broadcast receiver sets and the urgent
-//!   delay-block check all require a partner with `bi != ai`, so such an
-//!   edge can neither fire nor block delay. Broadcast senders fire
-//!   alone and are never synchronization-dead. Disabling is iterated to
+//!   automaton. Binary pairs, broadcast receiver sets and the urgency
+//!   test of a binary send all require a partner with `bi != ai`, so
+//!   such an edge can neither fire nor block delay. Broadcast senders
+//!   fire (and, on an urgent channel, block delay) alone and are never
+//!   synchronization-dead. Disabling is iterated to
 //!   a fixpoint: removing the last receiver of a channel kills its
 //!   senders too.
 //!

@@ -1,10 +1,13 @@
 //! An independent re-implementation of the concrete network semantics,
 //! built only from the public model data of [`tempo_ta::Network`] (and
 //! the [`tempo_expr`] data language). It shares *no* code with the
-//! exploration engines (`Explorer`, `DigitalExplorer`, the zone
-//! algebra): guards, invariants, synchronization discipline, urgency,
-//! committed priority, resets and updates are all re-derived from the
-//! raw edges, so it can serve as a semantic oracle for their outputs.
+//! exploration engines (`Explorer`, `DigitalExplorer`, the simulator,
+//! their common move rule `tempo_ta::moves`, the zone algebra): guards,
+//! invariants, synchronization discipline, urgency, committed priority,
+//! resets and updates are all re-derived from the raw edges, so it can
+//! serve as a semantic oracle for their outputs. Both trace semantics
+//! use the same move and urgency rule; they differ only in time scale
+//! and in the digital clock clamp.
 //!
 //! Clock values are integers scaled by a common denominator, which makes
 //! every comparison exact: a symbolic trace realized with denominator
@@ -24,11 +27,10 @@ pub(crate) struct RState {
     pub clocks: Vec<i64>,
 }
 
-/// The independent replayer: network + semantics mode + scale.
+/// The independent replayer: network + scale (+ the digital clamp).
 #[derive(Debug)]
 pub(crate) struct Replayer<'n> {
     pub net: &'n Network,
-    pub mode: TraceSemantics,
     pub denom: i64,
     /// Scaled clamp values (digital mode only): one above the model's
     /// maximal constants, the documented [`tempo_ta::DigitalState`]
@@ -106,7 +108,6 @@ impl<'n> Replayer<'n> {
         });
         Replayer {
             net,
-            mode,
             denom,
             clamp,
             clockless: false,
@@ -118,7 +119,6 @@ impl<'n> Replayer<'n> {
     pub fn data_only(net: &'n Network) -> Self {
         Replayer {
             net,
-            mode: TraceSemantics::Symbolic,
             denom: 1,
             clamp: None,
             clockless: true,
@@ -286,7 +286,10 @@ impl<'n> Replayer<'n> {
     }
 
     /// Whether time may elapse: no urgent or committed location, and no
-    /// enabled urgent synchronization (rule per semantics mode).
+    /// enabled move on an urgent channel. An urgent broadcast sender
+    /// counts without receivers (it never blocks); a binary one needs a
+    /// matching receiver. Urgent edges carry no clock guards, so the
+    /// test is data-only.
     pub fn can_delay(&self, state: &RState) -> bool {
         let urgent_loc = state
             .locs
@@ -322,13 +325,9 @@ impl<'n> Replayer<'n> {
                     if idx < 0 || idx as usize >= ch.size {
                         continue;
                     }
-                    // Digital semantics: an urgent broadcast sender
-                    // blocks time even with no receiver; otherwise a
-                    // matching receiver is required.
-                    if self.mode == TraceSemantics::Digital && ch.kind == ChannelKind::Broadcast {
-                        return true;
-                    }
-                    if self.matching_receiver(state, ai, sync.channel.index(), idx) {
+                    if ch.kind == ChannelKind::Broadcast
+                        || self.matching_receiver(state, ai, sync.channel.index(), idx)
+                    {
                         return true;
                     }
                 }
@@ -511,9 +510,14 @@ impl<'n> Replayer<'n> {
 
     /// Enumerates every joint move enabled in the state, with its
     /// controllability (for game certification and realization search).
-    /// Broadcast receiver choices follow the mode: digital semantics
-    /// commits to the first matching edge per automaton, the symbolic
-    /// semantics branches over all of them.
+    /// This is UPPAAL's rule, derived here independently of
+    /// `tempo_ta::moves`, which the engines use: an edge per `select`
+    /// valuation from the current location; a channel index inside the
+    /// array; a binary send with one matching receive of another
+    /// automaton; a broadcast send with every other automaton that has a
+    /// matching enabled receive, one move per combination of their
+    /// receiving edges; and, while any automaton is committed, a
+    /// committed participant (sender or receiver) in every move.
     pub fn enumerate_moves(&self, state: &RState) -> Vec<(JointAction, bool)> {
         let autos = self.net.automata();
         let decls = self.net.decls();
@@ -582,27 +586,15 @@ impl<'n> Replayer<'n> {
                                     }
                                 }
                                 ChannelKind::Broadcast => {
-                                    if any_committed
-                                        && self.mode == TraceSemantics::Digital
-                                        && !committed[ai]
-                                    {
-                                        continue;
-                                    }
                                     let mut combos: Vec<Vec<(usize, usize, Vec<i64>)>> =
                                         vec![vec![(ai, ei, sel.clone())]];
                                     for (bi, o) in opts.iter().enumerate() {
                                         if o.is_empty() {
                                             continue;
                                         }
-                                        let choices: &[(usize, Vec<i64>)] =
-                                            if self.mode == TraceSemantics::Digital {
-                                                &o[..1]
-                                            } else {
-                                                o
-                                            };
                                         let mut next = Vec::new();
                                         for combo in &combos {
-                                            for (ri, rsel) in choices {
+                                            for (ri, rsel) in o {
                                                 let mut c = combo.clone();
                                                 c.push((bi, *ri, rsel.clone()));
                                                 next.push(c);
@@ -612,7 +604,6 @@ impl<'n> Replayer<'n> {
                                     }
                                     for participants in combos {
                                         if any_committed
-                                            && self.mode == TraceSemantics::Symbolic
                                             && !participants.iter().any(|&(pi, _, _)| committed[pi])
                                         {
                                             continue;

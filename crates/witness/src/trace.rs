@@ -12,19 +12,18 @@
 use std::fmt;
 use tempo_ta::Network;
 
-/// Which concrete semantics the trace claims to follow. The two differ
-/// only in the urgency rule used to decide whether time may elapse and
-/// in clock clamping (see `validate`); both are replayed exactly.
+/// Which concrete semantics the trace claims to follow. Both use one
+/// move and urgency rule (the engines share it through
+/// `tempo_ta::moves`; the replayer re-derives it); the two differ only
+/// in time scale and clock clamping, and both are replayed exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceSemantics {
     /// The symbolic engines' semantics (`tempo_ta::Explorer`): rational
-    /// time, no clamping; an urgent synchronization blocks delay only if
-    /// a matching receiver is enabled.
+    /// time over the trace's denominator, no clamping.
     Symbolic,
     /// The digital-clocks semantics (`tempo_ta::DigitalExplorer`):
-    /// integer time, clocks clamped one above the model's maximal
-    /// constants; an urgent *broadcast* sender blocks delay even without
-    /// receivers.
+    /// integer time (denominator 1), clocks clamped one above the
+    /// model's maximal constants.
     Digital,
 }
 
@@ -67,7 +66,8 @@ pub struct ConcreteStep {
 /// A concrete timed run of a network.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConcreteTrace {
-    /// Claimed semantics (decides the urgency rule during replay).
+    /// Claimed semantics (decides the time scale and the clock clamp
+    /// during replay).
     pub semantics: TraceSemantics,
     /// Common denominator of all clock values and delays (`>= 1`;
     /// digital traces use `1`).

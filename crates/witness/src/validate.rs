@@ -16,7 +16,7 @@ use crate::semantics::{RState, Replayer};
 use crate::trace::{ConcreteTrace, TraceSemantics};
 use tempo_cora::PricedNetwork;
 use tempo_smc::Run;
-use tempo_ta::{AutomatonId, ClockAtom, LocationKind, Network, StateFormula};
+use tempo_ta::{AutomatonId, ClockAtom, Network, StateFormula};
 
 /// Tolerance for comparing `f64` clock values during stochastic replay.
 const F64_TOL: f64 = 1e-9;
@@ -113,54 +113,19 @@ pub(crate) fn replay_internal<'n>(
 /// exactly; clock values and delays within an absolute tolerance of
 /// `1e-9`. The stochastic race itself is not re-derived (any legal
 /// resolution is accepted), but every step must be a legal timed
-/// transition of the network that reproduces the recorded successor.
+/// transition of the network that reproduces the recorded successor: in
+/// particular no step may delay while an urgent or committed location
+/// is occupied or a move on an urgent channel is enabled.
 ///
 /// # Errors
 ///
 /// Typed [`WitnessError`]s as for [`replay`].
 pub fn replay_run(net: &Network, run: &Run) -> Result<(), WitnessError> {
     let r = Replayer::data_only(net);
-    let initial = &run.initial;
-    let init_ok = initial.locs.len() == net.automata().len()
-        && initial
-            .locs
-            .iter()
-            .zip(net.automata())
-            .all(|(&l, a)| l == a.initial)
-        && initial.store.as_slice() == net.decls().initial_store().as_slice()
-        && initial.clocks.len() == net.dim()
-        && initial.clocks.iter().all(|&c| c.abs() <= F64_TOL)
-        && initial.time.abs() <= F64_TOL;
-    if !init_ok {
-        return Err(WitnessError::WrongInitialState);
-    }
-    let mut cur = initial.clone();
+    check_run_start(net, run)?;
+    let mut cur = &run.initial;
     for (i, step) in run.steps.iter().enumerate() {
-        if step.delay < -F64_TOL || !step.delay.is_finite() {
-            return Err(WitnessError::WrongDelay { step: i });
-        }
-        // The simulator forces zero delay in urgent/committed locations.
-        let urgent = cur
-            .locs
-            .iter()
-            .zip(net.automata())
-            .any(|(&l, a)| a.locations[l.index()].kind != LocationKind::Normal);
-        if urgent && step.delay > F64_TOL {
-            return Err(WitnessError::DelayForbidden { step: i });
-        }
-        let mut mid = cur.clone();
-        for (k, c) in mid.clocks.iter_mut().enumerate() {
-            if k != 0 {
-                *c += step.delay;
-            }
-        }
-        mid.time += step.delay;
-        if let Some(a) = invariant_violation_f64(net, &mid) {
-            return Err(WitnessError::InvariantViolated {
-                step: i,
-                automaton: a,
-            });
-        }
+        let mid = run_delay(net, &r, cur, step, i)?;
         let next = if step.label == "delay" {
             mid
         } else {
@@ -169,7 +134,7 @@ pub fn replay_run(net: &Network, run: &Run) -> Result<(), WitnessError> {
         if !states_close(&next, &step.state) {
             return Err(WitnessError::StateMismatch { step: i });
         }
-        cur = step.state.clone();
+        cur = &step.state;
     }
     Ok(())
 }
@@ -193,34 +158,11 @@ pub fn replay_run(net: &Network, run: &Run) -> Result<(), WitnessError> {
 pub fn replay_priced_run(pnet: &PricedNetwork, run: &Run) -> Result<f64, WitnessError> {
     let net = pnet.network();
     let r = Replayer::data_only(net);
-    let initial = &run.initial;
-    let init_ok = initial.locs.len() == net.automata().len()
-        && initial
-            .locs
-            .iter()
-            .zip(net.automata())
-            .all(|(&l, a)| l == a.initial)
-        && initial.store.as_slice() == net.decls().initial_store().as_slice()
-        && initial.clocks.len() == net.dim()
-        && initial.clocks.iter().all(|&c| c.abs() <= F64_TOL)
-        && initial.time.abs() <= F64_TOL;
-    if !init_ok {
-        return Err(WitnessError::WrongInitialState);
-    }
-    let mut cur = initial.clone();
+    check_run_start(net, run)?;
+    let mut cur = &run.initial;
     let mut cost = 0.0_f64;
     for (i, step) in run.steps.iter().enumerate() {
-        if step.delay < -F64_TOL || !step.delay.is_finite() {
-            return Err(WitnessError::WrongDelay { step: i });
-        }
-        let urgent = cur
-            .locs
-            .iter()
-            .zip(net.automata())
-            .any(|(&l, a)| a.locations[l.index()].kind != LocationKind::Normal);
-        if urgent && step.delay > F64_TOL {
-            return Err(WitnessError::DelayForbidden { step: i });
-        }
+        let mid = run_delay(net, &r, cur, step, i)?;
         // Locations are fixed during the delay, so the whole delay is
         // priced at the pre-state's rate sum.
         let rate_sum: i64 = cur
@@ -230,19 +172,6 @@ pub fn replay_priced_run(pnet: &PricedNetwork, run: &Run) -> Result<f64, Witness
             .map(|(ai, &l)| pnet.rate(AutomatonId(ai), l))
             .sum();
         cost += step.delay * rate_sum as f64;
-        let mut mid = cur.clone();
-        for (k, c) in mid.clocks.iter_mut().enumerate() {
-            if k != 0 {
-                *c += step.delay;
-            }
-        }
-        mid.time += step.delay;
-        if let Some(a) = invariant_violation_f64(net, &mid) {
-            return Err(WitnessError::InvariantViolated {
-                step: i,
-                automaton: a,
-            });
-        }
         let next = if step.label == "delay" {
             mid
         } else {
@@ -263,9 +192,70 @@ pub fn replay_priced_run(pnet: &PricedNetwork, run: &Run) -> Result<f64, Witness
         if !states_close(&next, &step.state) {
             return Err(WitnessError::StateMismatch { step: i });
         }
-        cur = step.state.clone();
+        cur = &step.state;
     }
     Ok(cost)
+}
+
+/// Checks that a stochastic run starts in the network's initial state.
+fn check_run_start(net: &Network, run: &Run) -> Result<(), WitnessError> {
+    let initial = &run.initial;
+    let init_ok = initial.locs.len() == net.automata().len()
+        && initial
+            .locs
+            .iter()
+            .zip(net.automata())
+            .all(|(&l, a)| l == a.initial)
+        && initial.store.as_slice() == net.decls().initial_store().as_slice()
+        && initial.clocks.len() == net.dim()
+        && initial.clocks.iter().all(|&c| c.abs() <= F64_TOL)
+        && initial.time.abs() <= F64_TOL;
+    if init_ok {
+        Ok(())
+    } else {
+        Err(WitnessError::WrongInitialState)
+    }
+}
+
+/// The state after step `i`'s delay from `cur`. The delay must be finite
+/// and non-negative, may be positive only when the replayer lets time
+/// pass in `cur`, and must keep every invariant.
+fn run_delay(
+    net: &Network,
+    r: &Replayer<'_>,
+    cur: &tempo_smc::ConcreteState,
+    step: &tempo_smc::RunStep,
+    i: usize,
+) -> Result<tempo_smc::ConcreteState, WitnessError> {
+    if step.delay < -F64_TOL || !step.delay.is_finite() {
+        return Err(WitnessError::WrongDelay { step: i });
+    }
+    if step.delay > F64_TOL && !r.can_delay(&probe(net, cur)) {
+        return Err(WitnessError::DelayForbidden { step: i });
+    }
+    let mut mid = cur.clone();
+    for (k, c) in mid.clocks.iter_mut().enumerate() {
+        if k != 0 {
+            *c += step.delay;
+        }
+    }
+    mid.time += step.delay;
+    if let Some(a) = invariant_violation_f64(net, &mid) {
+        return Err(WitnessError::InvariantViolated {
+            step: i,
+            automaton: a,
+        });
+    }
+    Ok(mid)
+}
+
+/// The discrete part of an `f64` state, for the clockless replayer.
+fn probe(net: &Network, s: &tempo_smc::ConcreteState) -> RState {
+    RState {
+        locs: s.locs.clone(),
+        store: s.store.clone(),
+        clocks: vec![0; net.dim()],
+    }
 }
 
 fn atom_holds_f64(atom: &ClockAtom, clocks: &[f64]) -> bool {
@@ -305,13 +295,8 @@ fn find_matching_move(
 ) -> Result<tempo_smc::ConcreteState, WitnessError> {
     // Enumerate candidates at the data level (the clockless replayer
     // ignores clock guards; they are re-checked here in f64).
-    let probe = RState {
-        locs: mid.locs.clone(),
-        store: mid.store.clone(),
-        clocks: vec![0; net.dim()],
-    };
     let mut label_seen = false;
-    for (action, _) in r.enumerate_moves(&probe) {
+    for (action, _) in r.enumerate_moves(&probe(net, mid)) {
         if action.label != step.label {
             continue;
         }
@@ -392,4 +377,183 @@ fn states_close(a: &tempo_smc::ConcreteState, b: &tempo_smc::ConcreteState) -> b
             .zip(&b.clocks)
             .all(|(x, y)| (x - y).abs() <= F64_TOL)
         && (a.time - b.time).abs() <= F64_TOL
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::{BTreeSet, HashSet, VecDeque};
+    use std::ops::ControlFlow;
+    use tempo_expr::{Expr, Stmt};
+    use tempo_ta::{
+        moves, ChannelKind, DigitalExplorer, DigitalState, Edge, LocationId, NetworkBuilder,
+    };
+
+    /// A xorshift stream for model shapes.
+    struct Shapes(u64);
+
+    impl Shapes {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            usize::try_from(self.0 % n as u64).expect("below a usize bound")
+        }
+
+        fn int(&mut self, n: usize) -> i64 {
+            i64::try_from(self.below(n)).expect("a small bound")
+        }
+    }
+
+    /// A random closed network over one clock `x` and one variable `v`
+    /// in `0..=3`, with a binary and a broadcast channel array of size 2
+    /// and scalar urgent binary and broadcast channels. Locations may be
+    /// committed or urgent; edges carry zero, one or two selects, and a
+    /// channel index is a constant, a select or `v`, so it may fall
+    /// outside its array. With up to seven edges per automaton, one
+    /// automaton often has several receiving edges on one channel.
+    fn random_network(rng: &mut Shapes) -> Network {
+        let mut b = NetworkBuilder::new();
+        let x = b.clock("x");
+        let v = b.decls_mut().int("v", 0, 3);
+        let channels = [
+            (b.channel_array("c", 2, ChannelKind::Binary, false), false),
+            (b.channel_array("b", 2, ChannelKind::Broadcast, false), true),
+            (b.channel_array("u", 1, ChannelKind::Binary, true), false),
+            (b.channel_array("ub", 1, ChannelKind::Broadcast, true), true),
+        ];
+        for ai in 0..2 + rng.below(3) {
+            let mut a = b.automaton(&format!("A{ai}"));
+            let locs: Vec<LocationId> = (0..2 + rng.below(2))
+                .map(|li| {
+                    let name = format!("L{li}");
+                    match rng.below(8) {
+                        0 => a.committed_location(&name),
+                        1 => a.urgent_location(&name),
+                        2 => a.location_with_invariant(&name, vec![ClockAtom::le(x, 2)]),
+                        _ => a.location(&name),
+                    }
+                })
+                .collect();
+            for _ in 0..3 + rng.below(5) {
+                let from = locs[rng.below(locs.len())];
+                let to = locs[rng.below(locs.len())];
+                let mut e = a.edge(from, to);
+                let selects = rng.below(3);
+                for _ in 0..selects {
+                    e = e.select(0, 1 + rng.int(2));
+                }
+                let index = match rng.below(4) {
+                    0 if selects > 0 => Expr::select(0),
+                    1 => Expr::var(v),
+                    _ => Expr::konst(rng.int(3)),
+                };
+                let (ch, broadcast) = channels[rng.below(channels.len())];
+                let urgent = ch.index() >= 2;
+                // Urgent edges and broadcast receivers take no clock guard.
+                let clockless;
+                (e, clockless) = match rng.below(5) {
+                    0 => (e, false),
+                    1 | 2 => (e.send_indexed(ch, index), urgent),
+                    _ => (e.recv_indexed(ch, index), urgent || broadcast),
+                };
+                if !clockless && rng.below(3) == 0 {
+                    let k = rng.int(3);
+                    e = e.guard_clock(if rng.below(2) == 0 {
+                        ClockAtom::ge(x, k)
+                    } else {
+                        ClockAtom::le(x, k)
+                    });
+                }
+                match rng.below(4) {
+                    0 => e = e.guard_data(Expr::var(v).eq(Expr::konst(rng.int(4)))),
+                    1 if selects == 2 => e = e.guard_data(Expr::select(1).le(Expr::var(v))),
+                    _ => {}
+                }
+                if rng.below(3) == 0 {
+                    e = e.update(Stmt::assign(v, Expr::konst(rng.int(4))));
+                }
+                if rng.below(3) == 0 {
+                    e = e.reset(x, 0);
+                }
+                e.done();
+            }
+            a.done();
+        }
+        b.build()
+    }
+
+    /// The digital explorer's guard test: data guard and clock guards at
+    /// the integer clocks.
+    fn digital_guard(net: &Network, s: &DigitalState, e: &Edge, sel: &[i64]) -> bool {
+        e.guard_data
+            .eval_bool(net.decls(), &s.store, sel)
+            .unwrap_or(false)
+            && e.guard_clocks.iter().all(|atom| {
+                atom.bound
+                    .satisfied_by(s.clocks[atom.i.index()] - s.clocks[atom.j.index()])
+            })
+    }
+
+    type Moves = BTreeSet<(String, Vec<(usize, usize, Vec<i64>)>)>;
+
+    /// The moves the engines enumerate and those the replayer derives
+    /// on its own, at one digital state.
+    fn both_rules(net: &Network, s: &DigitalState) -> (Moves, Moves) {
+        let mut engine = Moves::new();
+        let _ = moves::for_each_move(
+            net,
+            &s.locs,
+            &s.store,
+            |e, sel| digital_guard(net, s, e, sel),
+            |mv| {
+                engine.insert((moves::label(net, mv.sync), mv.participants.to_vec()));
+                ControlFlow::Continue(())
+            },
+        );
+        let r = Replayer::new(net, TraceSemantics::Digital, 1);
+        let state = RState {
+            locs: s.locs.clone(),
+            store: s.store.clone(),
+            clocks: s.clocks.clone(),
+        };
+        let replayed = r
+            .enumerate_moves(&state)
+            .into_iter()
+            .map(|(a, _)| (a.label, a.participants))
+            .collect();
+        (engine, replayed)
+    }
+
+    /// On random networks with broadcast and urgent channels, committed
+    /// locations, out-of-range channel indices, two-select edges and
+    /// several receiving edges per automaton, the engines' move rule
+    /// (`tempo_ta::moves` under the digital guard test) and the
+    /// replayer's independent one give the same moves at every state of
+    /// a bounded digital exploration.
+    #[test]
+    fn engine_moves_match_the_replayers_moves() {
+        let mut rng = Shapes(0x2545_f491_4f6c_dd1d);
+        let mut states = 0;
+        let mut synchronised = 0;
+        for n in 0..500 {
+            let net = random_network(&mut rng);
+            let exp = DigitalExplorer::new(&net);
+            let mut seen = HashSet::new();
+            let mut queue = VecDeque::from([exp.initial_state()]);
+            while let Some(s) = queue.pop_front() {
+                if seen.len() >= 40 || !seen.insert(s.clone()) {
+                    continue;
+                }
+                let (engine, replayed) = both_rules(&net, &s);
+                assert_eq!(engine, replayed, "network {n} at {s:?}");
+                states += 1;
+                synchronised += engine.iter().filter(|(_, p)| p.len() > 1).count();
+                queue.extend(exp.moves(&s).into_iter().map(|(_, next)| next));
+                queue.extend(exp.tick(&s));
+            }
+        }
+        assert!(states > 2_000, "{states} states compared");
+        assert!(synchronised > 3_000, "{synchronised} synchronisations");
+    }
 }
