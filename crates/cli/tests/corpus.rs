@@ -451,6 +451,45 @@ fn broadcast_twin_of_p102_fails_deadlock_free() {
     assert_eq!(failing_indices(&doc), vec![0]);
 }
 
+/// `P`'s only edge runs `v := v + 2` on `v: 0..1`. The update leaves
+/// the range, so the move is refused and `P` is stuck (`Q` is never
+/// reached). The deadlock check fires a move before counting it as an
+/// escape, so `deadlock free` fails (exit 1).
+#[test]
+fn a_move_whose_update_fails_is_no_escape_from_deadlock() {
+    let source = "var v: 0..1 = 0\n\
+                  process P = tau {v := v + 2} -> Q\n\
+                  process Q = tau -> Q\n\
+                  system P\n\
+                  assert deadlock free\n";
+    let (code, doc) = check_source("update-refuses", source, &[]);
+    assert_eq!(code, Some(1), "a failed assert exits 1");
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("fail"));
+    assert_eq!(failing_indices(&doc), vec![0]);
+}
+
+/// The receiver's reset `x := v` reads the sender's update `v := 5`, so
+/// `x = 5` breaks `W`'s invariant `x <= 2`: the handshake never fires
+/// and the network deadlocks at once. The deadlock check evaluates the
+/// reset where the move does, after the sender's update, so `deadlock
+/// free` fails (exit 1).
+#[test]
+fn a_receivers_reset_after_the_senders_update_deadlocks() {
+    let source = "channel c\n\
+                  clock x\n\
+                  var v: 0..9 = 0\n\
+                  process S = c! {v := 5} -> T\n\
+                  process T = tau -> T\n\
+                  process R = c? {x := v} -> W\n\
+                  process W = inv {x <= 2} tau -> W\n\
+                  system S || {c} R\n\
+                  assert deadlock free\n";
+    let (code, doc) = check_source("reset-reads-update", source, &[]);
+    assert_eq!(code, Some(1), "a failed assert exits 1");
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("fail"));
+    assert_eq!(failing_indices(&doc), vec![0]);
+}
+
 /// `--help` and `--version` succeed and print something sensible.
 #[test]
 fn help_and_version() {

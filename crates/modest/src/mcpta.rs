@@ -419,11 +419,9 @@ impl Mcpta {
 /// and variables are tick-invariant, and queries read clocks only
 /// through protected atoms.
 fn atoms_agree(atoms: &[tempo_ta::ClockAtom], a: &PtaState, b: &PtaState) -> bool {
-    let sat = |s: &PtaState, atom: &tempo_ta::ClockAtom| {
-        atom.bound
-            .satisfied_by(s.clocks[atom.i.index()] - s.clocks[atom.j.index()])
-    };
-    atoms.iter().all(|atom| sat(a, atom) == sat(b, atom))
+    atoms
+        .iter()
+        .all(|atom| atom.holds_at(&a.clocks) == atom.holds_at(&b.clocks))
 }
 
 fn intern(

@@ -719,10 +719,10 @@ impl<'p> PtaExplorer<'p> {
 
     pub(crate) fn invariants_hold(&self, locs: &[usize], clocks: &[i64]) -> bool {
         self.pta.automata.iter().zip(locs).all(|(a, &l)| {
-            a.locations[l].invariant.iter().all(|atom| {
-                atom.bound
-                    .satisfied_by(clocks[atom.i.index()] - clocks[atom.j.index()])
-            })
+            a.locations[l]
+                .invariant
+                .iter()
+                .all(|atom| atom.holds_at(clocks))
         })
     }
 
@@ -753,10 +753,9 @@ impl<'p> PtaExplorer<'p> {
         e.guard_data
             .eval_bool(&self.pta.decls, &state.store, &[])
             .unwrap_or(false)
-            && e.guard_clocks.iter().all(|atom| {
-                atom.bound
-                    .satisfied_by(state.clocks[atom.i.index()] - state.clocks[atom.j.index()])
-            })
+            && e.guard_clocks
+                .iter()
+                .all(|atom| atom.holds_at(&state.clocks))
     }
 
     /// Applies one branch of a component's edge.
@@ -916,9 +915,7 @@ impl<'p> PtaExplorer<'p> {
             StateFormula::Data(e) => e
                 .eval_bool(&self.pta.decls, &state.store, &[])
                 .unwrap_or(false),
-            StateFormula::Clock(atom) => atom
-                .bound
-                .satisfied_by(state.clocks[atom.i.index()] - state.clocks[atom.j.index()]),
+            StateFormula::Clock(atom) => atom.holds_at(&state.clocks),
             StateFormula::Not(g) => !self.satisfies(state, g),
             StateFormula::And(gs) => gs.iter().all(|g| self.satisfies(state, g)),
             StateFormula::Or(gs) => gs.iter().any(|g| self.satisfies(state, g)),

@@ -11,7 +11,9 @@ use std::ops::ControlFlow;
 use tempo_dbm::Clock;
 use tempo_expr::Store;
 use tempo_ta::moves::{self, Participant};
-use tempo_ta::{AutomatonId, ChannelId, Edge, LocationId, LocationKind, Network, StateFormula};
+use tempo_ta::{
+    AutomatonId, ChannelId, ClockAtom, Edge, LocationId, LocationKind, Network, StateFormula,
+};
 
 /// A concrete state of a network: locations, variable store and
 /// real-valued clock valuations (index 0 is the reference clock, always
@@ -399,7 +401,7 @@ impl<'n> Simulator<'n> {
                     self.net,
                     &current.locs,
                     &current.store,
-                    |e, sel| self.edge_enabled(&current, e, sel),
+                    |e, _| clock_guards_hold(e, &current.clocks),
                     |_| ControlFlow::Break(()),
                 )
                 .is_break();
@@ -437,10 +439,12 @@ impl<'n> Simulator<'n> {
             advance(&mut advanced, delay);
             // The race winner initiates the next action (the paper: "the
             // train picking the shortest delay moves"); if it has nothing
-            // to initiate, any enabled component may move instead.
+            // to initiate, any enabled component may move instead. While
+            // time cannot pass every component draws 0, so the race has
+            // no winner and every enabled move stays a candidate.
             let mut enabled = self.enabled_moves(&advanced);
             let initiated_by_winner = |m: &Enabled| m.participants[0].0 == winner;
-            if enabled.iter().any(initiated_by_winner) {
+            if !urgent && enabled.iter().any(initiated_by_winner) {
                 enabled.retain(initiated_by_winner);
             }
             if !enabled.is_empty() {
@@ -500,15 +504,15 @@ impl<'n> Simulator<'n> {
         ub.map(|u| u.max(0.0))
     }
 
-    /// All action moves of [`moves::for_each_move`] whose guards hold at
-    /// the given concrete state, in the rule's order.
+    /// All action moves of [`moves::for_each_move`] whose clock guards
+    /// hold at the given concrete state, in the rule's order.
     fn enabled_moves(&self, state: &ConcreteState) -> Vec<Enabled> {
         let mut out = Vec::new();
         let _ = moves::for_each_move(
             self.net,
             &state.locs,
             &state.store,
-            |e, sel| self.edge_enabled(state, e, sel),
+            |e, _| clock_guards_hold(e, &state.clocks),
             |mv| {
                 out.push(Enabled {
                     sync: mv.sync,
@@ -520,58 +524,44 @@ impl<'n> Simulator<'n> {
         out
     }
 
-    fn edge_enabled(&self, state: &ConcreteState, e: &Edge, sel: &[i64]) -> bool {
-        if !e
-            .guard_data
-            .eval_bool(self.net.decls(), &state.store, sel)
-            .unwrap_or(false)
-        {
-            return false;
+    /// Applies a joint move, returning the successor state, or `None` if
+    /// [`moves::jump`] refuses it or a target invariant fails.
+    fn apply(&self, state: &ConcreteState, participants: &[Participant]) -> Option<ConcreteState> {
+        let jump = moves::jump(self.net, &state.locs, &state.store, participants)?;
+        let mut clocks = state.clocks.clone();
+        for (clock, v) in jump.resets {
+            clocks[clock.index()] = v as f64;
         }
-        e.guard_clocks.iter().all(|atom| {
-            let d = state.clocks[atom.i.index()] - state.clocks[atom.j.index()];
-            if atom.bound.is_inf() {
-                true
-            } else if atom.bound.is_strict() {
-                d < atom.bound.constant() as f64
-            } else {
-                d <= atom.bound.constant() as f64 + 1e-12
-            }
+        let invariants_hold = self.net.automata().iter().zip(&jump.locs).all(|(a, &l)| {
+            a.locations[l.index()]
+                .invariant
+                .iter()
+                .all(|atom| atom_holds(atom, &clocks))
+        });
+        invariants_hold.then_some(ConcreteState {
+            locs: jump.locs,
+            store: jump.store,
+            clocks,
+            time: state.time,
         })
     }
+}
 
-    /// Applies a joint move, returning the successor state (or `None` if
-    /// an update fails, which disables the move).
-    fn apply(&self, state: &ConcreteState, participants: &[Participant]) -> Option<ConcreteState> {
-        let mut next = state.clone();
-        for (ai, ei, sel) in participants {
-            let e = &self.net.automata()[*ai].edges[*ei];
-            for (clock, value) in &e.resets {
-                let v = value.eval(self.net.decls(), &next.store, sel).ok()?;
-                next.clocks[clock.index()] = v as f64;
-            }
-            e.update
-                .execute(self.net.decls(), &mut next.store, sel)
-                .ok()?;
-            next.locs[*ai] = e.to;
-        }
-        // Reject moves that violate target invariants.
-        for (a, &l) in self.net.automata().iter().zip(&next.locs) {
-            for atom in &a.locations[l.index()].invariant {
-                let d = next.clocks[atom.i.index()] - next.clocks[atom.j.index()];
-                let ok = if atom.bound.is_inf() {
-                    true
-                } else if atom.bound.is_strict() {
-                    d < atom.bound.constant() as f64
-                } else {
-                    d <= atom.bound.constant() as f64 + 1e-12
-                };
-                if !ok {
-                    return None;
-                }
-            }
-        }
-        Some(next)
+/// Whether every clock guard of `e` holds at the real-valued clocks.
+fn clock_guards_hold(e: &Edge, clocks: &[f64]) -> bool {
+    e.guard_clocks.iter().all(|atom| atom_holds(atom, clocks))
+}
+
+/// Whether a guard or invariant atom holds at real-valued clocks, with
+/// `1e-12` of slack on a non-strict bound against rounding.
+fn atom_holds(atom: &ClockAtom, clocks: &[f64]) -> bool {
+    let d = clocks[atom.i.index()] - clocks[atom.j.index()];
+    if atom.bound.is_inf() {
+        true
+    } else if atom.bound.is_strict() {
+        d < atom.bound.constant() as f64
+    } else {
+        d <= atom.bound.constant() as f64 + 1e-12
     }
 }
 
@@ -610,7 +600,7 @@ fn advance(state: &mut ConcreteState, d: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempo_ta::{ClockAtom, NetworkBuilder};
+    use tempo_ta::NetworkBuilder;
 
     fn ping_pong() -> Network {
         let mut b = NetworkBuilder::new();

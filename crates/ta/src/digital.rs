@@ -9,11 +9,11 @@
 //! clamped one above the model's maximal constants so the state space is
 //! finite.
 //!
-//! Which edges fire together is decided by [`crate::moves`], the same
-//! rule the zone explorer and the simulator use; this module supplies
-//! the integer-clock guard test, applies the moves and forbids a tick
-//! while an urgent location is occupied or a move on an urgent channel
-//! is enabled and applies.
+//! Which edges fire together, and what they do to locations and
+//! variables, is decided by [`crate::moves`], the rule the zone explorer
+//! and the simulator use; this module adds integer clocks to guards,
+//! resets and invariants, and forbids a tick while an urgent location
+//! is occupied or a move on an urgent channel is enabled and applies.
 
 use crate::explore::SymState;
 use crate::model::{Edge, LocationId, LocationKind, Network};
@@ -189,10 +189,10 @@ impl<'n> DigitalExplorer<'n> {
 
     fn invariants_hold(&self, locs: &[LocationId], clocks: &[i64]) -> bool {
         self.net.automata().iter().zip(locs).all(|(a, &l)| {
-            a.locations[l.index()].invariant.iter().all(|atom| {
-                atom.bound
-                    .satisfied_by(clocks[atom.i.index()] - clocks[atom.j.index()])
-            })
+            a.locations[l.index()]
+                .invariant
+                .iter()
+                .all(|atom| atom.holds_at(clocks))
         })
     }
 
@@ -218,7 +218,7 @@ impl<'n> DigitalExplorer<'n> {
             self.net,
             &state.locs,
             &state.store,
-            |e, sel| self.edge_enabled(state, e, sel),
+            |e, _| clock_guards_hold(e, &state.clocks),
             |mv| match self.apply(state, mv.participants) {
                 Some(_) => ControlFlow::Break(()),
                 None => ControlFlow::Continue(()),
@@ -260,24 +260,10 @@ impl<'n> DigitalExplorer<'n> {
         })
     }
 
-    fn edge_enabled(&self, state: &DigitalState, e: &Edge, sel: &[i64]) -> bool {
-        if !e
-            .guard_data
-            .eval_bool(self.net.decls(), &state.store, sel)
-            .unwrap_or(false)
-        {
-            return false;
-        }
-        e.guard_clocks.iter().all(|atom| {
-            atom.bound
-                .satisfied_by(state.clocks[atom.i.index()] - state.clocks[atom.j.index()])
-        })
-    }
-
     /// All joint action moves enabled in the state, with their successor
-    /// states: the moves of [`moves::for_each_move`] whose guards hold at
-    /// the integer clocks and whose updates, resets and target
-    /// invariants succeed.
+    /// states: the moves of [`moves::for_each_move`] whose clock guards
+    /// hold at the integer clocks, which [`moves::jump`] fires and whose
+    /// target invariants hold.
     #[must_use]
     pub fn moves(&self, state: &DigitalState) -> Vec<(DigitalMove, DigitalState)> {
         let mut out = Vec::new();
@@ -285,7 +271,7 @@ impl<'n> DigitalExplorer<'n> {
             self.net,
             &state.locs,
             &state.store,
-            |e, sel| self.edge_enabled(state, e, sel),
+            |e, _| clock_guards_hold(e, &state.clocks),
             |mv| {
                 if let Some(next) = self.apply(state, mv.participants) {
                     let edge = |&(ai, ei, _): &Participant| &self.net.automata()[ai].edges[ei];
@@ -303,25 +289,20 @@ impl<'n> DigitalExplorer<'n> {
     }
 
     /// Applies a joint move (participants in order), returning the
-    /// successor or `None` if an update or target invariant fails.
+    /// successor or `None` if [`moves::jump`] refuses it or a target
+    /// invariant fails. Reset clocks are clamped like ticked ones.
     fn apply(&self, state: &DigitalState, participants: &[Participant]) -> Option<DigitalState> {
-        let mut next = state.clone();
-        for (ai, ei, sel) in participants {
-            let e = &self.net.automata()[*ai].edges[*ei];
-            for (clock, value) in &e.resets {
-                let v = value.eval(self.net.decls(), &next.store, sel).ok()?;
-                if v < 0 {
-                    return None;
-                }
-                next.clocks[clock.index()] = v.min(self.clamp[clock.index()]);
-            }
-            e.update
-                .execute(self.net.decls(), &mut next.store, sel)
-                .ok()?;
-            next.locs[*ai] = e.to;
+        let jump = moves::jump(self.net, &state.locs, &state.store, participants)?;
+        let mut clocks = state.clocks.clone();
+        for (clock, v) in jump.resets {
+            clocks[clock.index()] = v.min(self.clamp[clock.index()]);
         }
-        self.invariants_hold(&next.locs, &next.clocks)
-            .then_some(next)
+        self.invariants_hold(&jump.locs, &clocks)
+            .then_some(DigitalState {
+                locs: jump.locs,
+                store: jump.store,
+                clocks,
+            })
     }
 
     /// Lifts a digital state to a (point) symbolic state, for reuse of
@@ -335,14 +316,17 @@ impl<'n> DigitalExplorer<'n> {
             crate::StateFormula::Data(e) => e
                 .eval_bool(self.net.decls(), &state.store, &[])
                 .unwrap_or(false),
-            crate::StateFormula::Clock(atom) => atom
-                .bound
-                .satisfied_by(state.clocks[atom.i.index()] - state.clocks[atom.j.index()]),
+            crate::StateFormula::Clock(atom) => atom.holds_at(&state.clocks),
             crate::StateFormula::Not(g) => !self.satisfies(state, g),
             crate::StateFormula::And(gs) => gs.iter().all(|g| self.satisfies(state, g)),
             crate::StateFormula::Or(gs) => gs.iter().any(|g| self.satisfies(state, g)),
         }
     }
+}
+
+/// Whether every clock guard of `e` holds at the integer clocks.
+fn clock_guards_hold(e: &Edge, clocks: &[i64]) -> bool {
+    e.guard_clocks.iter().all(|atom| atom.holds_at(clocks))
 }
 
 impl DigitalState {

@@ -1,18 +1,18 @@
 //! Symbolic (zone-based) semantics of networks of timed automata.
 //!
 //! States pair a discrete part (location vector + variable store) with a
-//! zone. Which edges fire together is decided by [`crate::moves`], the
-//! network's one joint-move rule (binary, broadcast and urgent channels,
-//! committed locations); this module adds the zone semantics: clock
-//! guards, resets and invariants on DBMs, and urgent locations. Explored
+//! zone. Which edges fire together, and what they do to the discrete
+//! part, is decided by [`crate::moves`], the network's one move rule;
+//! this module adds the zone semantics: clock guards, resets and
+//! invariants on DBMs, and urgent locations. Explored
 //! zones are kept delay-closed (`up ∧ invariant`) and extrapolated with
 //! per-clock maximal constants so the zone graph is finite.
 
 use std::ops::ControlFlow;
 
-use crate::model::{AutomatonId, ClockAtom, Edge, LocationId, LocationKind, Network};
+use crate::model::{AutomatonId, ClockAtom, LocationId, LocationKind, Network};
 use crate::moves::{self, Move, Participant, SelectIter};
-use tempo_dbm::{Dbm, Federation};
+use tempo_dbm::{Bound, Clock, Dbm, Federation};
 use tempo_expr::Store;
 
 /// A symbolic state of a network: one location per automaton, a variable
@@ -74,8 +74,8 @@ impl std::fmt::Display for Action {
 }
 
 /// The symbolic successor generator for a network: the joint moves of
-/// [`crate::moves::for_each_move`] under a data-guard test, fired on
-/// zones.
+/// [`crate::moves::for_each_move`], fired by [`crate::moves::jump`] and
+/// on zones.
 ///
 /// ```
 /// use tempo_ta::{NetworkBuilder, Explorer};
@@ -221,16 +221,10 @@ impl<'n> Explorer<'n> {
                 self.net,
                 &state.locs,
                 &state.store,
-                |e, sel| self.data_guard_holds(e, &state.store, sel),
+                |_, _| true,
                 |_| ControlFlow::Break(()),
             )
             .is_continue()
-    }
-
-    fn data_guard_holds(&self, e: &Edge, store: &Store, sel: &[i64]) -> bool {
-        e.guard_data
-            .eval_bool(&self.net.decls, store, sel)
-            .unwrap_or(false)
     }
 
     /// Applies `up ∧ invariant` (if delay is allowed) and extrapolation.
@@ -278,7 +272,7 @@ impl<'n> Explorer<'n> {
                 continue;
             }
             for sel in SelectIter::new(&e.selects) {
-                if !self.data_guard_holds(e, &state.store, &sel) {
+                if !moves::data_guard_holds(self.net, &state.store, e, &sel) {
                     continue;
                 }
                 if let Some(next) = self.fire(state, &[(ai, ei, sel)]) {
@@ -297,9 +291,8 @@ impl<'n> Explorer<'n> {
     }
 
     /// Computes all symbolic successors with their actions, one per joint
-    /// move of [`moves::for_each_move`] whose data guards hold. Successor
-    /// zones are delay-closed and extrapolated; empty successors are
-    /// dropped.
+    /// move of [`moves::for_each_move`] that fires. Successor zones are
+    /// delay-closed and extrapolated; empty successors are dropped.
     #[must_use]
     pub fn successors(&self, state: &SymState) -> Vec<(Action, SymState)> {
         let mut out = Vec::new();
@@ -311,14 +304,14 @@ impl<'n> Explorer<'n> {
         out
     }
 
-    /// The joint moves of the state's discrete part whose data guards
-    /// hold; clock guards are left to the zone.
+    /// The joint moves of the state's discrete part; clock guards are
+    /// left to the zone.
     fn for_each_move(&self, state: &SymState, mut f: impl FnMut(Move<'_>)) {
         let _ = moves::for_each_move(
             self.net,
             &state.locs,
             &state.store,
-            |e, sel| self.data_guard_holds(e, &state.store, sel),
+            |_, _| true,
             |mv| {
                 f(mv);
                 ControlFlow::Continue(())
@@ -344,15 +337,14 @@ impl<'n> Explorer<'n> {
         }
     }
 
-    fn edge(&self, (ai, ei, _): &Participant) -> &Edge {
-        &self.net.automata[*ai].edges[*ei]
-    }
-
     /// Conjoins the participants' clock guards onto a copy of the zone
     /// (their data guards have passed the move rule).
     fn guard_zone(&self, state: &SymState, participants: &[Participant]) -> Option<Dbm> {
         let mut zone = state.zone.clone();
-        for atom in participants.iter().flat_map(|p| &self.edge(p).guard_clocks) {
+        let edges = participants
+            .iter()
+            .map(|&(ai, ei, _)| &self.net.automata[ai].edges[ei]);
+        for atom in edges.flat_map(|e| &e.guard_clocks) {
             if !zone.constrain(atom.i, atom.j, atom.bound) {
                 return None;
             }
@@ -361,31 +353,18 @@ impl<'n> Explorer<'n> {
     }
 
     /// Fires a joint move (participants in order: sender first). Returns
-    /// the delay-closed successor, or `None` if a clock guard, update or
-    /// invariant fails.
+    /// the delay-closed successor, or `None` if a clock guard or target
+    /// invariant fails or [`moves::jump`] refuses the move.
     fn fire(&self, state: &SymState, participants: &[Participant]) -> Option<SymState> {
         let mut zone = self.guard_zone(state, participants)?;
-        // Updates (sender first, as in UPPAAL); reset values are
-        // evaluated over the evolving store at each participant's turn.
-        let mut store = state.store.clone();
-        let mut locs = state.locs.clone();
-        let mut resets: Vec<(tempo_dbm::Clock, i64)> = Vec::new();
-        for p in participants {
-            let (e, sel) = (self.edge(p), &p.2);
-            for (clock, value) in &e.resets {
-                let v = value.eval(&self.net.decls, &store, sel).ok()?;
-                if v < 0 {
-                    return None;
-                }
-                resets.push((*clock, v));
-            }
-            e.update.execute(&self.net.decls, &mut store, sel).ok()?;
-            locs[p.0] = e.to;
-        }
+        let moves::Jump {
+            locs,
+            store,
+            resets,
+        } = moves::jump(self.net, &state.locs, &state.store, participants)?;
         for (clock, v) in resets {
             zone.reset(clock, v);
         }
-        // Target invariants.
         if !self.apply_invariants(&locs, &mut zone) {
             return None;
         }
@@ -423,54 +402,23 @@ impl<'n> Explorer<'n> {
         Federation::from_zones(dim, vec![state.zone.clone()]).subtract(&escape)
     }
 
-    /// The subset of `state.zone` from which the joint edge can be taken:
-    /// guards conjoined and target-invariant satisfiability reflected back
-    /// onto the source valuations (resets are to constants, so invariant
-    /// atoms over reset clocks become constant checks and atoms over
-    /// unreset clocks remain source constraints).
+    /// The subset of `state.zone` from which the joint move can be taken:
+    /// guards conjoined and target invariants reflected back onto the
+    /// source valuations, each reset clock replaced by the last value
+    /// [`moves::jump`] gives it. `None` when the jump refuses the move.
     fn edge_source_zone(&self, state: &SymState, participants: &[Participant]) -> Option<Dbm> {
         let mut zone = self.guard_zone(state, participants)?;
-        // Collect reset values (pre-store approximation for the data part;
-        // exact for constant resets, which is all our models use).
-        let mut reset_to: std::collections::HashMap<usize, i64> = std::collections::HashMap::new();
-        let mut locs = state.locs.clone();
-        for p in participants {
-            let e = self.edge(p);
-            for (clock, value) in &e.resets {
-                let v = value.eval(&self.net.decls, &state.store, &p.2).ok()?;
-                reset_to.insert(clock.index(), v);
-            }
-            locs[p.0] = e.to;
-        }
-        for (a, &l) in self.net.automata.iter().zip(&locs) {
+        let jump = moves::jump(self.net, &state.locs, &state.store, participants)?;
+        let reset_to = |c: Clock| jump.resets.iter().rev().find(|r| r.0 == c).map(|r| r.1);
+        for (a, &l) in self.net.automata.iter().zip(&jump.locs) {
             for atom in &a.locations[l.index()].invariant {
-                let vi = reset_to.get(&atom.i.index()).copied();
-                let vj = reset_to.get(&atom.j.index()).copied();
-                match (vi, vj) {
-                    (Some(vi), Some(vj)) => {
-                        if !atom.bound.satisfied_by(vi - vj) {
-                            return None;
-                        }
-                    }
-                    (Some(vi), None) => {
-                        // vi - x_j ≺ c  ⇒  0 - x_j ≺ c - vi
-                        let b = atom.bound + tempo_dbm::Bound::le(-vi);
-                        if !zone.constrain(tempo_dbm::Clock::REF, atom.j, b) {
-                            return None;
-                        }
-                    }
-                    (None, Some(vj)) => {
-                        // x_i - vj ≺ c  ⇒  x_i - 0 ≺ c + vj
-                        let b = atom.bound + tempo_dbm::Bound::le(vj);
-                        if !zone.constrain(atom.i, tempo_dbm::Clock::REF, b) {
-                            return None;
-                        }
-                    }
-                    (None, None) => {
-                        if !zone.constrain(atom.i, atom.j, atom.bound) {
-                            return None;
-                        }
-                    }
+                // `xᵢ - xⱼ ≺ c` with `xᵢ := vᵢ` becomes `0 - xⱼ ≺ c - vᵢ`,
+                // with `xⱼ := vⱼ` becomes `xᵢ - 0 ≺ c + vⱼ`, and with both
+                // a check on the reference clock alone.
+                let (i, vi) = reset_to(atom.i).map_or((atom.i, 0), |v| (Clock::REF, v));
+                let (j, vj) = reset_to(atom.j).map_or((atom.j, 0), |v| (Clock::REF, v));
+                if !zone.constrain(i, j, atom.bound + Bound::le(vj - vi)) {
+                    return None;
                 }
             }
         }

@@ -140,6 +140,13 @@ impl ClockAtom {
         ClockAtom { i, j, bound }
     }
 
+    /// Whether the atom holds at integer clock values (`clocks[0] == 0`).
+    #[must_use]
+    pub fn holds_at(&self, clocks: &[i64]) -> bool {
+        self.bound
+            .satisfied_by(clocks[self.i.index()] - clocks[self.j.index()])
+    }
+
     /// The negation of this atom (`¬(xᵢ - xⱼ ≺ c)` = `xⱼ - xᵢ ≺' -c`).
     #[must_use]
     pub fn negated(self) -> Self {

@@ -1,13 +1,15 @@
 //! The joint-move rule of a network of timed automata: which edges fire
-//! together. It is UPPAAL's rule, and the one place in the workspace
-//! that enumerates moves: the zone explorer ([`crate::Explorer`]), the
-//! digital-clocks explorer ([`crate::DigitalExplorer`]) and the
-//! stochastic simulator (`tempo_smc::Simulator`) all call it and keep
-//! only their own clock semantics, passed in as the guard test.
+//! together ([`for_each_move`]) and what firing them does to the
+//! discrete state ([`jump`]). It is UPPAAL's rule, and the one place in
+//! the workspace that enumerates and fires moves: the zone explorer
+//! ([`crate::Explorer`]), the digital-clocks explorer
+//! ([`crate::DigitalExplorer`]) and the stochastic simulator
+//! (`tempo_smc::Simulator`) all call it and keep only their own clock
+//! semantics: clock guards, reset clocks and invariants.
 //!
 //! * An edge takes part only from its automaton's current location,
-//!   once per `select` valuation, and only when the caller's guard test
-//!   holds for it.
+//!   once per `select` valuation, and only when its data guard and the
+//!   caller's clock-guard test hold.
 //! * A channel index must evaluate inside `0..size`.
 //! * A binary send pairs with one matching receive of another
 //!   automaton.
@@ -25,6 +27,7 @@
 
 use std::ops::ControlFlow;
 
+use tempo_dbm::Clock;
 use tempo_expr::Store;
 
 use crate::model::{
@@ -65,12 +68,12 @@ pub fn label(net: &Network, sync: Option<(ChannelId, i64)>) -> String {
 }
 
 /// Calls `f` on every joint move of the discrete configuration
-/// `(locs, store)` whose participants all pass `enabled`, in the
-/// module's order, and stops as soon as `f` breaks.
+/// `(locs, store)` whose participants' data guards hold and which pass
+/// `enabled`, in the module's order, and stops as soon as `f` breaks.
 ///
-/// `enabled(edge, select)` is the caller's guard test for one
-/// participant, already known to leave the current location. Moves are
-/// not applied: updates, resets and target invariants are the caller's.
+/// `enabled(edge, select)` is the caller's clock-guard test for one
+/// participant, already known to leave the current location and to
+/// pass its data guard. [`jump`] fires a move.
 pub fn for_each_move(
     net: &Network,
     locs: &[LocationId],
@@ -98,6 +101,50 @@ pub fn for_each_urgent_move(
     walk(net, locs, store, true, enabled, f)
 }
 
+/// The discrete part of a fired joint move (see [`jump`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Jump {
+    /// The location of every automaton after the move.
+    pub locs: Vec<LocationId>,
+    /// The store after every participant's update.
+    pub store: Store,
+    /// The reset clocks and their values, in firing order (a clock
+    /// reset twice ends at the later value).
+    pub resets: Vec<(Clock, i64)>,
+}
+
+/// Fires the discrete part of the joint move `participants` from
+/// `(locs, store)`. Per participant in order (sender first), its edge's
+/// resets are evaluated over the store the participants before it left,
+/// then its update runs and its automaton moves. `None` refuses the
+/// move: a reset failed to evaluate or was negative, or an update
+/// failed. Guards and target invariants are the caller's.
+#[must_use]
+pub fn jump(
+    net: &Network,
+    locs: &[LocationId],
+    store: &Store,
+    participants: &[Participant],
+) -> Option<Jump> {
+    let mut next = Jump {
+        locs: locs.to_vec(),
+        store: store.clone(),
+        resets: Vec::new(),
+    };
+    for (ai, ei, sel) in participants {
+        let e = &net.automata[*ai].edges[*ei];
+        for (clock, value) in &e.resets {
+            let Ok(v @ 0..) = value.eval(&net.decls, &next.store, sel) else {
+                return None;
+            };
+            next.resets.push((*clock, v));
+        }
+        e.update.execute(&net.decls, &mut next.store, sel).ok()?;
+        next.locs[*ai] = e.to;
+    }
+    Some(next)
+}
+
 fn walk(
     net: &Network,
     locs: &[LocationId],
@@ -123,7 +170,7 @@ fn walk(
                 continue;
             }
             for sel in SelectIter::new(&e.selects) {
-                if !enabled(e, &sel) {
+                if !data_guard_holds(net, store, e, &sel) || !enabled(e, &sel) {
                     continue;
                 }
                 let Some(sync) = sync else {
@@ -168,6 +215,13 @@ fn walk(
     ControlFlow::Continue(())
 }
 
+/// Whether an edge's data guard evaluates to true at `(store, sel)`.
+pub(crate) fn data_guard_holds(net: &Network, store: &Store, e: &Edge, sel: &[i64]) -> bool {
+    e.guard_data
+        .eval_bool(&net.decls, store, sel)
+        .unwrap_or(false)
+}
+
 /// The value of a synchronisation's channel index, if it evaluates
 /// inside the channel array.
 fn channel_index(net: &Network, sync: &Sync, store: &Store, sel: &[i64]) -> Option<i64> {
@@ -198,7 +252,10 @@ fn receivers(
                 continue;
             }
             for rsel in SelectIter::new(&r.selects) {
-                if channel_index(net, rs, store, &rsel) == Some(idx) && enabled(r, &rsel) {
+                if channel_index(net, rs, store, &rsel) == Some(idx)
+                    && data_guard_holds(net, store, r, &rsel)
+                    && enabled(r, &rsel)
+                {
                     out.push((bi, ri, rsel));
                 }
             }
@@ -303,15 +360,16 @@ mod tests {
         let locs: Vec<LocationId> = net.automata.iter().map(|a| a.initial).collect();
         let store = net.decls.initial_store();
         let mut out = Vec::new();
-        let guard = |e: &Edge, sel: &[i64]| {
-            e.guard_data
-                .eval_bool(&net.decls, &store, sel)
-                .unwrap_or(false)
-        };
-        let _ = for_each_move(net, &locs, &store, guard, |mv| {
-            out.push((label(net, mv.sync), mv.participants.to_vec()));
-            ControlFlow::Continue(())
-        });
+        let _ = for_each_move(
+            net,
+            &locs,
+            &store,
+            |_, _| true,
+            |mv| {
+                out.push((label(net, mv.sync), mv.participants.to_vec()));
+                ControlFlow::Continue(())
+            },
+        );
         out
     }
 

@@ -11,15 +11,17 @@
 //!   (`live(l) = reads(inv(l)) ∪ ⋃_{e: l→l'} reads(guard(e)) ∪
 //!   (live(l') ∖ resets(e))`);
 //! * [`Network::reduced`] / [`Network::reduced_with`] — a *globally*
-//!   dead clock (live in no location, read by no property atom) is
-//!   removed from the network outright, shrinking every DBM the
-//!   engines manipulate. Removal only drops clocks whose value can
-//!   never be observed, so every verdict is identical by construction;
+//!   dead clock (live in no location, read by no property atom) whose
+//!   resets are all non-negative constants is removed from the network
+//!   outright, shrinking every DBM the engines manipulate. Its value is
+//!   never observed and its resets never refuse a move (`x := v - 1`
+//!   would at `v = 0`), so every verdict is identical by construction;
 //!   only the zone dimension (and thus time/memory per state) changes.
 
 use crate::formula::StateFormula;
 use crate::model::{Automaton, ClockAtom, Edge, Location, Network};
 use tempo_dbm::Clock;
+use tempo_expr::Expr;
 
 /// Marks the clocks read by one constraint atom.
 fn feed_atom(read: &mut [bool], atom: &ClockAtom) {
@@ -200,7 +202,8 @@ impl Network {
     /// channels and variables; only dead clocks (and their resets) are
     /// gone. Every reachability/safety/liveness/game verdict over the
     /// reduced network equals the verdict over the original, because a
-    /// removed clock is read by no constraint anywhere.
+    /// removed clock is read by no constraint anywhere and is reset only
+    /// to non-negative constants, which never refuse a move.
     #[must_use]
     pub fn reduced_with(&self, extra: &[ClockAtom]) -> ClockReduction {
         let dim = self.dim();
@@ -215,6 +218,11 @@ impl Network {
             for e in &a.edges {
                 for atom in &e.guard_clocks {
                     feed_atom(&mut read, atom);
+                }
+                for (clock, value) in &e.resets {
+                    if !matches!(value, Expr::Const(v) if *v >= 0) {
+                        read[clock.index()] = true;
+                    }
                 }
             }
         }

@@ -351,6 +351,9 @@ fn apply_f64(
         }
         for (clock, value) in &e.resets {
             let v = value.eval(decls, &next.store, sel).ok()?;
+            if v < 0 {
+                return None;
+            }
             next.clocks[clock.index()] = v as f64;
         }
         e.update.execute(decls, &mut next.store, sel).ok()?;
@@ -384,9 +387,11 @@ mod tests {
     use super::*;
     use std::collections::{BTreeSet, HashSet, VecDeque};
     use std::ops::ControlFlow;
+    use tempo_dbm::Federation;
     use tempo_expr::{Expr, Stmt};
+    use tempo_smc::{RatePolicy, Simulator};
     use tempo_ta::{
-        moves, ChannelKind, DigitalExplorer, DigitalState, Edge, LocationId, NetworkBuilder,
+        moves, ChannelKind, DigitalExplorer, DigitalState, Explorer, LocationId, NetworkBuilder,
     };
 
     /// A xorshift stream for model shapes.
@@ -412,6 +417,9 @@ mod tests {
     /// channel index is a constant, a select or `v`, so it may fall
     /// outside its array. With up to seven edges per automaton, one
     /// automaton often has several receiving edges on one channel.
+    /// Some moves are refused when fired: an update `v := v + 1` fails
+    /// at `v = 3` and a reset `x := v - 1` is negative at `v = 0`; a
+    /// receiver's reset reads the sender's update.
     fn random_network(rng: &mut Shapes) -> Network {
         let mut b = NetworkBuilder::new();
         let x = b.clock("x");
@@ -470,11 +478,15 @@ mod tests {
                     1 if selects == 2 => e = e.guard_data(Expr::select(1).le(Expr::var(v))),
                     _ => {}
                 }
-                if rng.below(3) == 0 {
-                    e = e.update(Stmt::assign(v, Expr::konst(rng.int(4))));
+                match rng.below(6) {
+                    0 | 1 => e = e.update(Stmt::assign(v, Expr::konst(rng.int(4)))),
+                    2 => e = e.update(Stmt::assign(v, Expr::var(v) + Expr::konst(1))),
+                    _ => {}
                 }
-                if rng.below(3) == 0 {
-                    e = e.reset(x, 0);
+                match rng.below(6) {
+                    0 | 1 => e = e.reset(x, 0),
+                    2 => e = e.reset_expr(x, Expr::var(v) - Expr::konst(1)),
+                    _ => {}
                 }
                 e.done();
             }
@@ -483,59 +495,95 @@ mod tests {
         b.build()
     }
 
-    /// The digital explorer's guard test: data guard and clock guards at
-    /// the integer clocks.
-    fn digital_guard(net: &Network, s: &DigitalState, e: &Edge, sel: &[i64]) -> bool {
-        e.guard_data
-            .eval_bool(net.decls(), &s.store, sel)
-            .unwrap_or(false)
-            && e.guard_clocks.iter().all(|atom| {
-                atom.bound
-                    .satisfied_by(s.clocks[atom.i.index()] - s.clocks[atom.j.index()])
-            })
-    }
-
     type Moves = BTreeSet<(String, Vec<(usize, usize, Vec<i64>)>)>;
+    type Successors = BTreeSet<(String, Vec<(usize, usize, Vec<i64>)>, DigitalState)>;
 
-    /// The moves the engines enumerate and those the replayer derives
-    /// on its own, at one digital state.
-    fn both_rules(net: &Network, s: &DigitalState) -> (Moves, Moves) {
+    /// The moves the engines' rule enumerates at one digital state, with
+    /// the digital explorer's clock-guard test at the integer clocks.
+    fn engine_moves(net: &Network, s: &DigitalState) -> Moves {
         let mut engine = Moves::new();
         let _ = moves::for_each_move(
             net,
             &s.locs,
             &s.store,
-            |e, sel| digital_guard(net, s, e, sel),
+            |e, _| e.guard_clocks.iter().all(|atom| atom.holds_at(&s.clocks)),
             |mv| {
                 engine.insert((moves::label(net, mv.sync), mv.participants.to_vec()));
                 ControlFlow::Continue(())
             },
         );
+        engine
+    }
+
+    /// The moves the replayer derives on its own at one digital state,
+    /// and those of them its `apply_action` accepts, with successors.
+    fn replayed_moves(net: &Network, s: &DigitalState) -> (Moves, Successors) {
         let r = Replayer::new(net, TraceSemantics::Digital, 1);
         let state = RState {
             locs: s.locs.clone(),
             store: s.store.clone(),
             clocks: s.clocks.clone(),
         };
-        let replayed = r
-            .enumerate_moves(&state)
-            .into_iter()
-            .map(|(a, _)| (a.label, a.participants))
-            .collect();
-        (engine, replayed)
+        let mut moves = Moves::new();
+        let mut accepted = Successors::new();
+        for (action, _) in r.enumerate_moves(&state) {
+            if let Ok(next) = r.apply_action(&state, &action, 0) {
+                let next = DigitalState {
+                    locs: next.locs,
+                    store: next.store,
+                    clocks: next.clocks,
+                };
+                accepted.insert((action.label.clone(), action.participants.clone(), next));
+            }
+            moves.insert((action.label, action.participants));
+        }
+        (moves, accepted)
+    }
+
+    /// Whether every state of a bounded zone exploration of `net` has
+    /// successors exactly when its deadlock federation is not its whole
+    /// zone. Returns the number of states without successors.
+    fn assert_deadlocks_have_no_escape(net: &Network, n: usize) -> usize {
+        let exp = Explorer::new(net);
+        let mut stuck = 0;
+        let mut seen = Vec::new();
+        let mut queue = VecDeque::from([exp.initial_state()]);
+        while let Some(s) = queue.pop_front() {
+            if seen.len() >= 40 || seen.contains(&s) {
+                continue;
+            }
+            let succs = exp.successors(&s);
+            let zone = Federation::from_zones(net.dim(), vec![s.zone.clone()]);
+            let dead = exp.deadlock_federation(&s);
+            assert_eq!(
+                succs.is_empty(),
+                dead.same_set(&zone),
+                "network {n} at {s:?}"
+            );
+            stuck += usize::from(succs.is_empty());
+            queue.extend(succs.into_iter().map(|(_, next)| next));
+            seen.push(s);
+        }
+        stuck
     }
 
     /// On random networks with broadcast and urgent channels, committed
-    /// locations, out-of-range channel indices, two-select edges and
-    /// several receiving edges per automaton, the engines' move rule
-    /// (`tempo_ta::moves` under the digital guard test) and the
-    /// replayer's independent one give the same moves at every state of
-    /// a bounded digital exploration.
+    /// locations, out-of-range channel indices, two-select edges,
+    /// several receiving edges per automaton, failing updates and
+    /// negative resets, the engines agree with the replayer at every
+    /// state of a bounded digital exploration: the move rule
+    /// (`tempo_ta::moves` under the digital guard test) gives the
+    /// replayer's moves, and `DigitalExplorer::moves` fires exactly the
+    /// ones the replayer's `apply_action` accepts, to the same
+    /// successors. The simulator's runs replay, and the zone deadlock
+    /// check calls a state stuck exactly when it has no successor.
     #[test]
     fn engine_moves_match_the_replayers_moves() {
         let mut rng = Shapes(0x2545_f491_4f6c_dd1d);
         let mut states = 0;
         let mut synchronised = 0;
+        let mut refused = 0;
+        let mut stuck = 0;
         for n in 0..500 {
             let net = random_network(&mut rng);
             let exp = DigitalExplorer::new(&net);
@@ -545,15 +593,33 @@ mod tests {
                 if seen.len() >= 40 || !seen.insert(s.clone()) {
                     continue;
                 }
-                let (engine, replayed) = both_rules(&net, &s);
+                let engine = engine_moves(&net, &s);
+                let (replayed, accepted) = replayed_moves(&net, &s);
                 assert_eq!(engine, replayed, "network {n} at {s:?}");
+                let fired = exp.moves(&s);
+                let fired_set: Successors = fired
+                    .iter()
+                    .map(|(mv, next)| (mv.label.clone(), mv.participants.clone(), next.clone()))
+                    .collect();
+                assert_eq!(fired_set, accepted, "network {n} at {s:?}");
                 states += 1;
                 synchronised += engine.iter().filter(|(_, p)| p.len() > 1).count();
-                queue.extend(exp.moves(&s).into_iter().map(|(_, next)| next));
+                refused += engine
+                    .iter()
+                    .filter(|(_, p)| moves::jump(&net, &s.locs, &s.store, p).is_none())
+                    .count();
+                queue.extend(fired.into_iter().map(|(_, next)| next));
                 queue.extend(exp.tick(&s));
             }
+            for seed in 0..3 {
+                let run = Simulator::new(&net, RatePolicy::new(), seed).simulate(10.0, 50);
+                assert_eq!(replay_run(&net, &run), Ok(()), "network {n}, seed {seed}");
+            }
+            stuck += assert_deadlocks_have_no_escape(&net, n);
         }
         assert!(states > 2_000, "{states} states compared");
         assert!(synchronised > 3_000, "{synchronised} synchronisations");
+        assert!(refused > 1_000, "{refused} moves refused by the jump");
+        assert!(stuck > 200, "{stuck} states without successors");
     }
 }

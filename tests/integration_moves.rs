@@ -1,15 +1,16 @@
 //! One joint-move rule for every timed-automata engine.
 //!
 //! The zone explorer, the digital-clocks explorer (CORA, TIGA) and the
-//! simulator (SMC) all enumerate moves through `tempo_ta::moves`. Each
-//! model below exercises one corner of that rule: the receivers of a
-//! broadcast in the deadlock check, a committed receiver of an
-//! uncommitted sender, a second receiving edge on one broadcast, a
-//! channel index past the end of its array, and urgent channels. Every
-//! engine must give the same answer.
+//! simulator (SMC) all enumerate moves through `tempo_ta::moves` and
+//! fire them through `tempo_ta::moves::jump`. Each model below exercises
+//! one corner of that rule: the receivers of a broadcast in the deadlock
+//! check, a committed receiver of an uncommitted sender, a second
+//! receiving edge on one broadcast, a channel index past the end of its
+//! array, urgent channels, a reset that refuses its move, and a tie
+//! between urgent automata. Every engine must give the same answer.
 
 use tempo_core::cora::PricedNetwork;
-use tempo_core::expr::Expr;
+use tempo_core::expr::{Expr, Stmt};
 use tempo_core::lang::{build, parse, to_network};
 use tempo_core::obs::Budget;
 use tempo_core::smc::{ConcreteState, RatePolicy, Run, RunStep, StatisticalChecker};
@@ -255,4 +256,150 @@ fn replay_rejects_a_run_that_delays_before_an_urgent_move() {
         replay_run(&net, &run_after(0.5)),
         Err(WitnessError::DelayForbidden { step: 0 })
     );
+}
+
+/// `A: L0 -{x := v - 1}-> L1` with `v = 0`, so the reset is `-1` and
+/// the move is refused. With `read_x`, `L1` has the invariant `x <= 5`;
+/// without it, nothing reads `x`. `L1` loops, so only `L0` can be a
+/// deadlock.
+fn negative_reset(read_x: bool) -> (Network, StateFormula) {
+    let mut b = NetworkBuilder::new();
+    let x = b.clock("x");
+    let v = b.decls_mut().int("v", 0, 3);
+    let mut a = b.automaton("A");
+    let l0 = a.location("L0");
+    let l1 = if read_x {
+        a.location_with_invariant("L1", vec![ClockAtom::le(x, 5)])
+    } else {
+        a.location("L1")
+    };
+    a.edge(l0, l1)
+        .reset_expr(x, Expr::var(v) - Expr::konst(1))
+        .done();
+    a.edge(l1, l1).done();
+    let aid = a.done();
+    (b.build(), StateFormula::at(aid, l1))
+}
+
+/// A reset to `-1` refuses its move in every engine: the zone engine,
+/// its deadlock check, CORA, TIGA and the simulator all share
+/// `moves::jump`, which refuses it, and the replayer refuses a run that
+/// takes the move.
+#[test]
+fn a_negative_reset_refuses_the_move_in_every_engine() {
+    let (net, goal) = negative_reset(true);
+    let v = verdicts(&net, &goal, 200, 11);
+    assert!(!v.zone);
+    assert_eq!(v.cost, None);
+    assert!(!v.winning);
+    assert_eq!(v.pr, 0.0, "the simulator refuses the reset too");
+    let (verdict, _) = ModelChecker::new(&net).deadlock_free();
+    assert!(!verdict.holds(), "L0 has no move that fires");
+    let initial = ConcreteState {
+        locs: net.automata().iter().map(|a| a.initial).collect(),
+        store: net.decls().initial_store(),
+        clocks: vec![0.0; net.dim()],
+        time: 0.0,
+    };
+    let mut state = initial.clone();
+    state.locs[0] = LocationId(1);
+    state.clocks[1] = -1.0;
+    let run = Run {
+        initial,
+        steps: vec![RunStep {
+            delay: 0.0,
+            label: "tau".to_owned(),
+            participants: vec![(0, 0, vec![])],
+            state,
+        }],
+        deadlocked: false,
+    };
+    assert!(matches!(
+        replay_run(&net, &run),
+        Err(WitnessError::StateMismatch { step: 0 })
+    ));
+}
+
+/// Active-clock reduction may drop a clock that nothing reads only if
+/// its resets cannot refuse a move: here `x` is unread, but its reset
+/// `x := v - 1` refuses the only move, so the reduced engines must not
+/// reach `L1` either.
+#[test]
+fn reduction_keeps_a_clock_whose_reset_can_refuse_a_move() {
+    let (net, goal) = negative_reset(false);
+    let mut unreduced = ModelChecker::new(&net).without_reduction();
+    assert!(!unreduced.reachable(&goal).reachable);
+    let v = verdicts(&net, &goal, 200, 13);
+    assert!(!v.zone, "the reduced zone engine agrees");
+    assert_eq!(v.cost, None);
+    assert!(!v.winning);
+    assert_eq!(v.pr, 0.0);
+    assert_eq!(net.reduced().dim(), net.dim(), "x is kept");
+}
+
+/// `A` and `B` each start in an urgent `U` with an internal edge to
+/// `D`, where they loop. Either may move first, so the zone engine
+/// reaches `B.D && A.U`. In an urgent state every automaton draws delay
+/// 0 and the race has no winner: the simulator draws among all enabled
+/// moves, so `B` moves first in about half the runs and `A`'s loop in
+/// `D` cannot starve it.
+#[test]
+fn urgent_automata_move_first_with_equal_chance() {
+    let mut b = NetworkBuilder::new();
+    let mut ids = Vec::new();
+    for name in ["A", "B"] {
+        let mut a = b.automaton(name);
+        let u = a.urgent_location("U");
+        let d = a.location("D");
+        a.edge(u, d).done();
+        a.edge(d, d).done();
+        ids.push((a.done(), u, d));
+    }
+    let net = b.build();
+    let ((a, a_u, _), (bid, _, b_d)) = (ids[0], ids[1]);
+    let goal = StateFormula::and(vec![StateFormula::at(bid, b_d), StateFormula::at(a, a_u)]);
+    assert!(ModelChecker::new(&net).reachable(&goal).reachable);
+    let est = StatisticalChecker::new(&net, RatePolicy::new(), 17)
+        .with_max_steps(1_000)
+        .probability(&goal, 10.0, 400, 0.95);
+    assert!(
+        est.mean > 0.4 && est.mean < 0.6,
+        "B moves first in about half the runs: {est}"
+    );
+}
+
+/// A receiver's reset reads the sender's update: `S` sends `c` with
+/// `v := 5`, `R` receives with `x := v` into `W`, whose invariant is
+/// `x <= 2`. The jump evaluates `R`'s reset after `S`'s update, so
+/// `x = 5` breaks the invariant and the handshake never fires; the
+/// deadlock check sees the same jump.
+#[test]
+fn a_receivers_reset_reads_the_senders_update() {
+    let mut b = NetworkBuilder::new();
+    let c = b.channel("c");
+    let x = b.clock("x");
+    let v = b.decls_mut().int("v", 0, 9);
+    let mut s = b.automaton("S");
+    let s0 = s.location("S0");
+    let t = s.location("T");
+    s.edge(s0, t)
+        .send(c)
+        .update(Stmt::assign(v, Expr::konst(5)))
+        .done();
+    s.edge(t, t).done();
+    s.done();
+    let mut r = b.automaton("R");
+    let r0 = r.location("R0");
+    let w = r.location_with_invariant("W", vec![ClockAtom::le(x, 2)]);
+    r.edge(r0, w).recv(c).reset_expr(x, Expr::var(v)).done();
+    r.edge(w, w).done();
+    let rid = r.done();
+    let net = b.build();
+    let (verdict, _) = ModelChecker::new(&net).deadlock_free();
+    assert!(!verdict.holds(), "nothing can move");
+    let v = verdicts(&net, &StateFormula::at(rid, w), 200, 19);
+    assert!(!v.zone);
+    assert_eq!(v.cost, None);
+    assert!(!v.winning);
+    assert_eq!(v.pr, 0.0);
 }
