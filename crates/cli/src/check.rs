@@ -62,8 +62,6 @@ pub struct CheckOutcome {
 struct Substrates<'a> {
     set: &'a MachineSet,
     net: Option<Result<Arc<Network>, ParseError>>,
-    pta: Option<Result<Arc<tempo_modest::Pta>, ParseError>>,
-    mctau_net: Option<Result<Arc<Network>, ParseError>>,
     bip: Option<Result<Arc<tempo_bip::BipSystem>, ParseError>>,
 }
 
@@ -72,8 +70,6 @@ impl<'a> Substrates<'a> {
         Substrates {
             set,
             net: None,
-            pta: None,
-            mctau_net: None,
             bip: None,
         }
     }
@@ -81,21 +77,6 @@ impl<'a> Substrates<'a> {
     fn net(&mut self) -> Result<Arc<Network>, ParseError> {
         self.net
             .get_or_insert_with(|| tempo_lang::to_network(self.set).map(Arc::new))
-            .clone()
-    }
-
-    fn pta(&mut self) -> Result<Arc<tempo_modest::Pta>, ParseError> {
-        self.pta
-            .get_or_insert_with(|| {
-                tempo_lang::to_modest(self.set).map(|m| Arc::new(tempo_modest::compile(&m)))
-            })
-            .clone()
-    }
-
-    fn mctau_net(&mut self) -> Result<Arc<Network>, ParseError> {
-        let pta = self.pta()?;
-        self.mctau_net
-            .get_or_insert_with(|| Ok(Arc::new(tempo_modest::Mctau::new(&pta).network().clone())))
             .clone()
     }
 
@@ -201,26 +182,14 @@ fn plan(
             // BIP reports deadlock *existence*; the assert wants absence.
             rule: Decide::Bool(false),
         }),
-        (AssertKind::Reach(f) | AssertKind::Always(f), Engine::Auto | Engine::Ta) => {
+        // `mctau` is the zone engine on the same network: a model here
+        // has no probabilistic choice to over-approximate.
+        (
+            AssertKind::Reach(f) | AssertKind::Always(f),
+            Engine::Auto | Engine::Ta | Engine::Mctau,
+        ) => {
             let net = sub.net()?;
             let goal = goal_on_net(set, &net, f)?;
-            let (goal, want) = match kind {
-                AssertKind::Reach(_) => (goal, true),
-                _ => (StateFormula::Not(Box::new(goal)), false),
-            };
-            Ok(Plan {
-                kind: JobKind::Reach {
-                    net,
-                    goal,
-                    explore: explore.clone(),
-                },
-                rule: Decide::Bool(want),
-            })
-        }
-        (AssertKind::Reach(f) | AssertKind::Always(f), Engine::Mctau) => {
-            let pta = sub.pta()?;
-            let net = sub.mctau_net()?;
-            let goal = tempo_lang::lower_formula_pta(set, &pta, f)?;
             let (goal, want) = match kind {
                 AssertKind::Reach(_) => (goal, true),
                 _ => (StateFormula::Not(Box::new(goal)), false),
@@ -256,15 +225,15 @@ fn plan(
             AssertKind::Pmax(f, cmp, p) | AssertKind::Pmin(f, cmp, p),
             Engine::Auto | Engine::Mcpta,
         ) => {
-            let pta = sub.pta()?;
-            let goal = tempo_lang::lower_formula_pta(set, &pta, f)?;
+            let net = sub.net()?;
+            let goal = goal_on_net(set, &net, f)?;
             let opt = match kind {
                 AssertKind::Pmax(..) => Opt::Max,
                 _ => Opt::Min,
             };
             Ok(Plan {
                 kind: JobKind::McptaReach {
-                    pta,
+                    pta: net,
                     opt,
                     goal,
                     epsilon: MCPTA_EPSILON,

@@ -490,6 +490,145 @@ fn a_receivers_reset_after_the_senders_update_deadlocks() {
     assert_eq!(failing_indices(&doc), vec![0]);
 }
 
+/// The handshake every `Pmax` test below varies: `P` reaches `Done`
+/// once `Q` takes its `go`.
+const HANDSHAKE: &str = "channel go\n\
+                         process P = go! -> Done\n\
+                         process Done = STOP\n\
+                         process Q = go? -> STOP\n\
+                         system P || {go} Q\n";
+
+/// The statuses of a result document's asserts, in order.
+fn statuses(doc: &Json) -> Vec<&str> {
+    doc.get("asserts")
+        .and_then(Json::as_arr)
+        .unwrap_or(&[])
+        .iter()
+        .map(|a| a.get("status").and_then(Json::as_str).expect("status"))
+        .collect()
+}
+
+/// Checks `Pmax[<> goal] >= 0.5` and the zone engine's `E<> goal` on
+/// `source`: mcpta reads the same network lowering as the zone engine,
+/// so both pass.
+fn pmax_agrees_with_zone(tag: &str, source: &str, goal: &str) {
+    let source = format!("{source}assert Pmax[<> {goal}] >= 0.5\nassert E<> {goal}\n");
+    let (code, doc) = check_source(tag, &source, &[]);
+    assert_eq!(statuses(&doc), vec!["pass", "pass"], "{source}");
+    assert_eq!(code, Some(0), "{source}");
+}
+
+/// A broadcast channel is planned for mcpta (it was a `TL103`).
+#[test]
+fn pmax_on_a_broadcast_channel() {
+    let source = HANDSHAKE.replace("channel go", "broadcast channel go");
+    pmax_agrees_with_zone("pmax-broadcast", &source, "P.Done");
+}
+
+/// An urgent channel is planned for mcpta (it was a `TL103`).
+#[test]
+fn pmax_on_an_urgent_channel() {
+    let source = HANDSHAKE.replace("channel go", "urgent channel go");
+    pmax_agrees_with_zone("pmax-urgent", &source, "P.Done");
+}
+
+/// A channel with two receivers is planned for mcpta (it was a `TL103`,
+/// "used by 3").
+#[test]
+fn pmax_on_a_channel_with_two_receivers() {
+    let source = HANDSHAKE.replace(
+        "system P || {go} Q",
+        "process R = go? -> STOP\nsystem P || {go} Q || {go} R",
+    );
+    pmax_agrees_with_zone("pmax-two-receivers", &source, "P.Done");
+}
+
+/// An internal choice (a committed state) is planned for mcpta (it was
+/// a `TL103`): the scheduler picks `Left`.
+#[test]
+fn pmax_through_an_internal_choice() {
+    let source = HANDSHAKE.replace(
+        "process P = go! -> Done",
+        "process P = (tau -> Left |~| tau -> Right)\n\
+         process Left = go! -> Done\n\
+         process Right = STOP",
+    );
+    pmax_agrees_with_zone("pmax-internal-choice", &source, "P.Done");
+}
+
+/// A clock reset to a variable is planned for mcpta (it was a `TL103`).
+#[test]
+fn pmax_after_a_non_constant_reset() {
+    let source = HANDSHAKE.replace(
+        "process P = go! -> Done",
+        "clock x\n\
+         var v: 0..3 = 1\n\
+         process P = inv {x <= 3} tau {x := v} -> W\n\
+         process W = when {x >= 1} go! -> Done",
+    );
+    pmax_agrees_with_zone("pmax-variable-reset", &source, "P.Done");
+}
+
+/// A goal that reads a clock is planned for mcpta (it was a `TL103`).
+#[test]
+fn pmax_of_a_goal_that_reads_a_clock() {
+    let source = HANDSHAKE.replace(
+        "process P = go! -> Done",
+        "clock x\nprocess P = inv {x <= 3} when {x >= 2} go! -> Done",
+    );
+    pmax_agrees_with_zone("pmax-clock-goal", &source, "P.Done && x >= 2");
+}
+
+/// A strict guard is refused at admission with a `DIGITAL` lint error
+/// (exit 3); it was a worker panic (exit 8). The zone engine, which
+/// handles strict bounds, still answers `E<>`.
+#[test]
+fn pmax_on_a_strict_guard_is_a_lint_error() {
+    let source = HANDSHAKE.replace(
+        "process P = go! -> Done",
+        "clock x\nprocess P = when {x < 2} go! -> Done",
+    );
+    let source = format!("{source}assert Pmax[<> P.Done] >= 0.5\nassert E<> P.Done\n");
+    let (code, doc) = check_source("pmax-strict-guard", &source, &[]);
+    assert_eq!(code, Some(3), "a lint refusal exits 3");
+    assert_eq!(statuses(&doc), vec!["lint-error", "pass"]);
+    let message = doc.get("asserts").and_then(Json::as_arr).expect("asserts")[0]
+        .get("message")
+        .and_then(Json::as_str)
+        .expect("message");
+    assert!(message.contains("DIGITAL"), "{message}");
+}
+
+/// A goal that is open in the clocks is refused at admission with a
+/// `DIGITAL` lint error (exit 3), for `Pmax` and `Pmin`. Integer time
+/// never enters `1 < x < 2`, so mcpta would compute 0 where the dense
+/// maximum is 1: `Done` absorbs, and time passes through the interval.
+/// The zone engine answers `E<>` on the same goal. A strict bound under a
+/// negation is closed, and passes.
+#[test]
+fn pmax_of_an_open_clock_goal_is_a_lint_error() {
+    let source = format!("clock x\n{HANDSHAKE}");
+    for (tag, goal) in [
+        ("pmax-open-goal", "P.Done && x > 1 && x < 2"),
+        ("pmax-negated-goal", "P.Done && !(x <= 1) && !(x >= 2)"),
+    ] {
+        let source = format!(
+            "{source}assert Pmax[<> {goal}] <= 0.5\n\
+             assert Pmin[<> {goal}] <= 0.5\n\
+             assert E<> {goal}\n"
+        );
+        let (code, doc) = check_source(tag, &source, &[]);
+        assert_eq!(code, Some(3), "a lint refusal exits 3: {source}");
+        assert_eq!(statuses(&doc), vec!["lint-error", "lint-error", "pass"]);
+        let message = doc.get("asserts").and_then(Json::as_arr).expect("asserts")[0]
+            .get("message")
+            .and_then(Json::as_str)
+            .expect("message");
+        assert!(message.contains("DIGITAL"), "{message}");
+    }
+    pmax_agrees_with_zone("pmax-closed-negation", &source, "P.Done && !(x < 2)");
+}
+
 /// `--help` and `--version` succeed and print something sensible.
 #[test]
 fn help_and_version() {

@@ -300,7 +300,10 @@ impl PricedNetwork {
         } else {
             (base, goal.clone())
         };
-        let mut exp = DigitalExplorer::new(net);
+        // The clamp keeps the goal's clock constants observable, with
+        // or without the LU tables.
+        let mut exp =
+            DigitalExplorer::for_query(net, &goal.clock_atoms()).unwrap_or_else(|e| panic!("{e}"));
         if self.flow {
             // Per-location LU tick clamp: sound for the cost search
             // because clamp-merged states share their location vector
@@ -501,7 +504,10 @@ impl PricedNetwork {
         } else {
             (base, goal.clone())
         };
-        let mut exp = DigitalExplorer::new(net);
+        // The clamp keeps the goal's clock constants observable, with
+        // or without the LU tables.
+        let mut exp =
+            DigitalExplorer::for_query(net, &goal.clock_atoms()).unwrap_or_else(|e| panic!("{e}"));
         if self.flow {
             let lu = NetworkLu::analyze(net, &goal.clock_atoms());
             metrics.lu_tightened = lu.tightened(&net.max_constants());

@@ -1,9 +1,9 @@
 //! Lowering of the machine IR onto the analysis substrates:
 //!
 //! * [`to_network`] — full-featured `tempo-ta` network (every model).
-//! * [`to_modest`] — MODEST model for the probabilistic engines
-//!   (`mcpta` digital clocks, `mctau` over-approximation, `smc`
-//!   simulation); gated to the pair-handshake subset.
+//!   Every timed engine reads it: the zone engine (`mctau` included),
+//!   SMC simulation, and `mcpta`'s digital-clocks MDP, so a model has
+//!   one timed-automata translation.
 //! * [`to_bip`] — untimed BIP system for interaction-level deadlock
 //!   search.
 //! * [`to_tioa`] — one component as a timed I/O automaton for ECDAR
@@ -13,8 +13,7 @@
 //! Each lowering either succeeds or reports a `TL103` subset violation
 //! naming the construct and the engine that refuses it; nothing is
 //! silently dropped. The TA network is the reference semantics — every
-//! other lowering preserves it on the subset it accepts, which is what
-//! the differential-fuzz harness checks.
+//! other lowering preserves it on the subset it accepts.
 
 use crate::ast::{ChannelKind, CmpOp, Formula, IntExpr, IntOp};
 use crate::machine::{self, MEvent, MachineSet, Rcc};
@@ -26,10 +25,7 @@ use tempo_dbm::{Bound, Clock};
 use tempo_ecdar::{Tioa, TioaAtom, TioaBuilder};
 use tempo_expr::{BinOp, Decls, Expr, Stmt, VarId};
 use tempo_ioco::{Label, Lts};
-use tempo_modest::{Assignment, ModestModel, Process, Pta};
-use tempo_ta::{
-    AutomatonId, ClockAtom, LocationId, LocationKind, Network, NetworkBuilder, StateFormula,
-};
+use tempo_ta::{ClockAtom, LocationKind, Network, NetworkBuilder, StateFormula};
 
 fn err(code: &'static str, message: impl Into<String>) -> ParseError {
     ParseError {
@@ -333,282 +329,6 @@ fn lower_formula_net_inner(
     }
 }
 
-// -------------------------------------------------------------- MODEST
-
-/// Name of the MODEST process that models state `k` of machine `m`.
-/// State 0 is the system process and carries the machine's own name;
-/// other states get a derived name whose compiled entry location is
-/// `"{name}_0"` (the `tempo-modest` compiler's convention).
-fn modest_proc_name(machine: &str, state_idx: usize, state_name: &str) -> String {
-    if state_idx == 0 {
-        machine.to_owned()
-    } else {
-        format!("{machine}__{state_name}")
-    }
-}
-
-/// Lowers the machine set onto a MODEST model for the probabilistic
-/// engines. The accepted subset: handshake channels connecting exactly
-/// one sender component to one receiver component, no committed states
-/// (internal choice), and constant clock resets. Everything else is a
-/// `TL103` violation naming the construct.
-pub fn to_modest(set: &MachineSet) -> Result<ModestModel, ParseError> {
-    // channel → machine → (sends, receives)
-    let mut users: BTreeMap<&str, BTreeMap<&str, (bool, bool)>> = BTreeMap::new();
-    for m in &set.machines {
-        for s in &m.states {
-            if s.committed {
-                return Err(err(
-                    "TL103",
-                    format!(
-                        "internal choice (committed state `{}` of `{}`) is not supported by \
-                         the probabilistic engines",
-                        s.name, m.name
-                    ),
-                ));
-            }
-        }
-        for e in &m.edges {
-            match &e.event {
-                MEvent::Send(c) => {
-                    users
-                        .entry(c.as_str())
-                        .or_default()
-                        .entry(m.name.as_str())
-                        .or_default()
-                        .0 = true;
-                }
-                MEvent::Recv(c) => {
-                    users
-                        .entry(c.as_str())
-                        .or_default()
-                        .entry(m.name.as_str())
-                        .or_default()
-                        .1 = true;
-                }
-                MEvent::Tau => {}
-            }
-            for (clock, rhs) in &e.resets {
-                if !matches!(rhs, IntExpr::Lit(_)) {
-                    return Err(err(
-                        "TL103",
-                        format!(
-                            "reset of clock `{clock}` to a non-constant expression is not \
-                             supported by the probabilistic engines"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    for (c, kind) in &set.channels {
-        if !set.synced.contains(c) {
-            continue;
-        }
-        let Some(u) = users.get(c.as_str()) else {
-            continue; // declared and synced but never used: no edges to pair
-        };
-        if *kind != ChannelKind::Handshake {
-            return Err(err(
-                "TL103",
-                format!(
-                    "the probabilistic engines support only plain handshake channels; \
-                     `{c}` is urgent or broadcast"
-                ),
-            ));
-        }
-        if u.len() != 2 {
-            return Err(err(
-                "TL103",
-                format!(
-                    "channel `{c}` must connect exactly two components for the probabilistic \
-                     engines (used by {})",
-                    u.len()
-                ),
-            ));
-        }
-        let dirs: Vec<(bool, bool)> = u.values().copied().collect();
-        for (name, (snd, rcv)) in u {
-            if *snd && *rcv {
-                return Err(err(
-                    "TL103",
-                    format!(
-                        "component `{name}` both sends and receives on `{c}`; the \
-                         probabilistic engines need one sender and one receiver"
-                    ),
-                ));
-            }
-        }
-        if !((dirs[0].0 && dirs[1].1) || (dirs[0].1 && dirs[1].0)) {
-            return Err(err(
-                "TL103",
-                format!("channel `{c}` needs exactly one sending and one receiving component"),
-            ));
-        }
-    }
-
-    let mut mm = ModestModel::new();
-    let vars = install_vars(set, mm.decls_mut());
-    let mut clock_ids = HashMap::new();
-    for c in &set.clocks {
-        clock_ids.insert(c.clone(), mm.clock(c));
-    }
-    let mut chan_actions = HashMap::new();
-    for (c, _) in &set.channels {
-        if set.synced.contains(c) && users.contains_key(c.as_str()) {
-            chan_actions.insert(c.clone(), mm.action(c));
-        }
-    }
-    for m in &set.machines {
-        for (k, s) in m.states.iter().enumerate() {
-            let mut branches = Vec::new();
-            for (ei, e) in m.edges.iter().enumerate() {
-                if e.from != k {
-                    continue;
-                }
-                let action = match &e.event {
-                    MEvent::Tau => mm.action(&format!("tau__{}__{ei}", m.name)),
-                    MEvent::Send(c) | MEvent::Recv(c) => chan_actions[c.as_str()],
-                };
-                let mut assigns = Vec::new();
-                for u in &e.updates {
-                    let var = *vars
-                        .get(&u.var)
-                        .ok_or_else(|| err("TL107", format!("unknown variable `{}`", u.var)))?;
-                    let rhs = lower_int(&u.rhs, &vars, &set.params)?;
-                    assigns.push(match &u.index {
-                        None => Assignment::Var(var, rhs),
-                        Some(i) => {
-                            Assignment::ArrayElem(var, lower_int(i, &vars, &set.params)?, rhs)
-                        }
-                    });
-                }
-                for (clock, rhs) in &e.resets {
-                    let IntExpr::Lit(v) = rhs else {
-                        unreachable!("gated above");
-                    };
-                    assigns.push(Assignment::Clock(clock_ids[clock.as_str()], *v));
-                }
-                let target = modest_proc_name(&m.name, e.to, &m.states[e.to].name);
-                let mut p = Process::act_with(action, assigns, Process::call(&target));
-                if !e.guard_data.is_empty() {
-                    p = Process::when(lower_guard_data(&e.guard_data, &vars, &set.params)?, p);
-                }
-                for rcc in &e.guard_clocks {
-                    for atom in rcc_atoms(rcc, |n| clock_ids.get(n).copied())? {
-                        p = Process::when_clock(atom, p);
-                    }
-                }
-                branches.push(p);
-            }
-            let mut body = match branches.len() {
-                0 => Process::stop(),
-                1 => branches.pop().expect("nonempty"),
-                _ => Process::alt(branches),
-            };
-            let mut inv = Vec::new();
-            for rcc in &s.invariant {
-                inv.extend(rcc_atoms(rcc, |n| clock_ids.get(n).copied())?);
-            }
-            if !inv.is_empty() {
-                body = Process::invariant(inv, body);
-            }
-            mm.define(&modest_proc_name(&m.name, k, &s.name), body);
-        }
-    }
-    let names: Vec<&str> = set.machines.iter().map(|m| m.name.as_str()).collect();
-    mm.system(&names);
-    Ok(mm)
-}
-
-/// Lowers an assert formula onto a compiled PTA's location space. The
-/// returned formula addresses components and locations by index, so it
-/// works unchanged on the `mctau` network (which preserves indices).
-/// Clock atoms are rejected: probabilistic goals must be discrete.
-pub fn lower_formula_pta(
-    set: &MachineSet,
-    pta: &Pta,
-    f: &Formula,
-) -> Result<StateFormula, ParseError> {
-    let vars = var_map_of(set, &pta.decls);
-    lower_formula_pta_inner(set, pta, &vars, f)
-}
-
-fn lower_formula_pta_inner(
-    set: &MachineSet,
-    pta: &Pta,
-    vars: &VarMap,
-    f: &Formula,
-) -> Result<StateFormula, ParseError> {
-    match f {
-        Formula::True => Ok(StateFormula::data(Expr::truth())),
-        Formula::False => Ok(StateFormula::data(Expr::konst(0))),
-        Formula::AtLoc(c, l) => {
-            let (ai, aut) = pta
-                .automata
-                .iter()
-                .enumerate()
-                .find(|(_, a)| a.name == c.name)
-                .ok_or_else(|| err("TL106", format!("unknown component `{}`", c.name)))?;
-            let m = set
-                .machine(&c.name)
-                .ok_or_else(|| err("TL106", format!("unknown component `{}`", c.name)))?;
-            let k = m.state_by_name(&l.name).ok_or_else(|| {
-                err(
-                    "TL106",
-                    format!("component `{}` has no state `{}`", c.name, l.name),
-                )
-            })?;
-            let li = if k == 0 {
-                aut.initial
-            } else {
-                let loc_name = format!("{}_0", modest_proc_name(&c.name, k, &l.name));
-                aut.locations
-                    .iter()
-                    .position(|loc| loc.name == loc_name)
-                    .ok_or_else(|| {
-                        err(
-                            "TL103",
-                            format!(
-                                "state `{}` of `{}` is unreachable in the probabilistic \
-                                 compilation and cannot appear in a goal",
-                                l.name, c.name
-                            ),
-                        )
-                    })?
-            };
-            Ok(StateFormula::at(AutomatonId(ai), LocationId(li)))
-        }
-        Formula::Clock(_) => Err(err(
-            "TL103",
-            "probabilistic goals must be clock-free; rephrase the query over locations \
-             and variables",
-        )),
-        Formula::Data(a, op, b) => {
-            let ea = lower_int(a, vars, &set.params)?;
-            let eb = lower_int(b, vars, &set.params)?;
-            Ok(StateFormula::data(lower_cmp(ea, *op, eb)))
-        }
-        Formula::Not(g) => Ok(StateFormula::not(lower_formula_pta_inner(
-            set, pta, vars, g,
-        )?)),
-        Formula::And(gs) => {
-            let fs: Result<Vec<_>, _> = gs
-                .iter()
-                .map(|g| lower_formula_pta_inner(set, pta, vars, g))
-                .collect();
-            Ok(StateFormula::and(fs?))
-        }
-        Formula::Or(gs) => {
-            let fs: Result<Vec<_>, _> = gs
-                .iter()
-                .map(|g| lower_formula_pta_inner(set, pta, vars, g))
-                .collect();
-            Ok(StateFormula::or(fs?))
-        }
-    }
-}
-
 // ----------------------------------------------------------------- BIP
 
 /// Lowers an untimed machine set onto a BIP system for interaction-level
@@ -888,53 +608,6 @@ system Sender || {go} Receiver
         .expect("goal");
         let mut mc = ModelChecker::new(&net);
         assert!(mc.reachable(&goal).reachable);
-    }
-
-    #[test]
-    fn modest_lowering_agrees_with_network_on_reachability() {
-        let src = "
-channel go
-clock x
-
-process Sender = inv { x <= 3 } go! -> STOP
-process Receiver = go? -> Done
-process Done = STOP
-
-system Sender || {go} Receiver
-";
-        let set = set_of(src);
-        let mm = to_modest(&set).expect("modest");
-        let pta = tempo_modest::compile(&mm);
-        let goal = lower_formula_pta(
-            &set,
-            &pta,
-            &Formula::AtLoc(
-                crate::ast::Ident::new("Receiver"),
-                crate::ast::Ident::new("Done"),
-            ),
-        )
-        .expect("goal");
-        let mcpta = tempo_modest::Mcpta::try_build(&pta, &[], &Budget::unlimited())
-            .into_value()
-            .expect("built");
-        let p = mcpta
-            .pmax_governed(&goal, &Budget::unlimited())
-            .into_value();
-        assert!(
-            (p - 1.0).abs() < 1e-9,
-            "goal reachable with probability 1, got {p}"
-        );
-    }
-
-    #[test]
-    fn modest_rejects_internal_choice() {
-        let src = "
-process P = tau -> STOP |~| tau -> P
-system P
-";
-        let set = set_of(src);
-        let e = to_modest(&set).expect_err("committed states must be rejected");
-        assert_eq!(e.code, "TL103");
     }
 
     #[test]

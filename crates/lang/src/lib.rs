@@ -13,10 +13,11 @@
 //! ```text
 //! source ─ lex/parse ─→ ast::Model ─ machine::build ─→ MachineSet
 //!                                                        │
-//!                 ┌──────────────┬──────────┬────────────┼───────────┐
-//!                 ▼              ▼          ▼            ▼           ▼
-//!          elaborate::     to_modest     to_bip      to_tioa      to_lts
-//!          to_network      (mcpta/smc)   (deadlock)  (refinement) (ioco)
+//!                    ┌────────────────┬──────────┴──┬─────────────┐
+//!                    ▼                ▼             ▼             ▼
+//!              elaborate::         to_bip        to_tioa       to_lts
+//!              to_network          (deadlock)    (refinement)  (ioco)
+//!              (ta/mctau/mcpta/smc)
 //! ```
 //!
 //! * [`parse`] turns source text into an [`ast::Model`] or a
@@ -50,9 +51,7 @@ pub mod token;
 
 pub use ast::Model;
 pub use corpus::{parse_header, CorpusHeader, Expectation};
-pub use elaborate::{
-    lower_formula_network, lower_formula_pta, to_bip, to_lts, to_modest, to_network, to_tioa,
-};
+pub use elaborate::{lower_formula_network, to_bip, to_lts, to_network, to_tioa};
 pub use jsonv::Json;
 pub use machine::{build, MachineSet};
 pub use parser::{parse, ParseError};

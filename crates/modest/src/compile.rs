@@ -1,23 +1,32 @@
-//! Compilation of MODEST process expressions to probabilistic timed
-//! automata (the formal semantics of MODEST is in terms of stochastic
-//! timed automata; for the decidable PTA fragment used by `mcpta`, each
-//! process becomes one component automaton).
+//! Compilation of MODEST process expressions to a network of timed
+//! automata whose `palt` choices are runs of weighted sibling edges (the
+//! formal semantics of MODEST is in terms of stochastic timed automata;
+//! for the decidable PTA fragment used by `mcpta`, each process becomes
+//! one component automaton).
+//!
+//! An action shared by two system processes becomes a binary channel
+//! that the first of them sends on; any other action is an internal
+//! move. Each non-zero `palt` branch is one edge carrying its weight
+//! (see [`tempo_ta::Edge::continues_choice`]), so the probabilistic
+//! engines draw a branch by weight while the zone engine reads the
+//! branches as nondeterministic alternatives.
 
 use crate::ast::{Assignment, ModestModel, PaltBranch, Process};
-use crate::pta::{compute_sync, AssignTarget, Pta, PtaAutomaton, PtaBranch, PtaEdge, PtaLocation};
 use std::collections::HashMap;
-use tempo_expr::Expr;
-use tempo_ta::ClockAtom;
+use tempo_dbm::Clock;
+use tempo_expr::{Expr, Stmt};
+use tempo_ta::{ClockAtom, Network, NetworkBuilder};
 
-/// Compiles the model's system composition into a PTA network.
+/// Compiles the model's system composition into a network (the `Pta`
+/// the MODEST backends analyse).
 ///
 /// # Panics
 ///
 /// Panics if a system process is undefined, a `Call` targets an unknown
 /// process, or an action is shared by more than two system processes.
 #[must_use]
-pub fn compile(model: &ModestModel) -> Pta {
-    let automata: Vec<PtaAutomaton> = model
+pub fn compile(model: &ModestModel) -> Network {
+    let components: Vec<Component> = model
         .system
         .iter()
         .map(|name| {
@@ -27,20 +36,98 @@ pub fn compile(model: &ModestModel) -> Pta {
             compile_process(model, name, body)
         })
         .collect();
-    let sync = compute_sync(&model.actions, &automata);
-    Pta {
-        decls: model.decls.clone(),
-        dim: model.dim(),
-        actions: model.actions.clone(),
-        automata,
-        sync,
+    // The components using each action, in system order.
+    let mut users: Vec<Vec<usize>> = vec![Vec::new(); model.actions.len()];
+    for (ci, c) in components.iter().enumerate() {
+        for choice in &c.choices {
+            if !users[choice.action].contains(&ci) {
+                users[choice.action].push(ci);
+            }
+        }
     }
+    let mut b = NetworkBuilder::new();
+    *b.decls_mut() = model.decls.clone();
+    for name in &model.clock_names {
+        b.clock(name);
+    }
+    // A handshake action: its channel and the component that sends.
+    let channels: Vec<Option<(tempo_ta::ChannelId, usize)>> = users
+        .iter()
+        .zip(&model.actions)
+        .map(|(u, name)| match u.as_slice() {
+            [] | [_] => None,
+            [first, _] => Some((b.channel(name), *first)),
+            _ => panic!(
+                "action {name} used by {} components; only 2-party synchronization is supported",
+                u.len()
+            ),
+        })
+        .collect();
+    for (ci, c) in components.iter().enumerate() {
+        let mut ab = b.automaton(&c.name);
+        let locs: Vec<tempo_ta::LocationId> = c
+            .locations
+            .iter()
+            .map(|(name, inv)| ab.location_with_invariant(name, inv.clone()))
+            .collect();
+        ab.set_initial(locs[c.initial]);
+        for choice in &c.choices {
+            for (k, br) in choice.branches.iter().filter(|b| b.weight > 0).enumerate() {
+                let mut eb = ab
+                    .edge(locs[choice.from], locs[br.to])
+                    .guard_data(choice.guard_data.clone())
+                    .branch(br.weight, k > 0)
+                    .update(br.update.clone());
+                for atom in &choice.guard_clocks {
+                    eb = eb.guard_clock(*atom);
+                }
+                for &(clock, v) in &br.resets {
+                    eb = eb.reset(clock, v);
+                }
+                if let Some((ch, sender)) = channels[choice.action] {
+                    eb = if sender == ci {
+                        eb.send(ch)
+                    } else {
+                        eb.recv(ch)
+                    };
+                }
+                eb.done();
+            }
+        }
+        ab.done();
+    }
+    b.build()
+}
+
+/// One compiled component before it becomes an automaton.
+struct Component {
+    name: String,
+    /// Location names and invariants.
+    locations: Vec<(String, Vec<ClockAtom>)>,
+    choices: Vec<Choice>,
+    initial: usize,
+}
+
+/// An action with its guard and its weighted branches.
+struct Choice {
+    from: usize,
+    guard_clocks: Vec<ClockAtom>,
+    guard_data: Expr,
+    action: usize,
+    branches: Vec<Branch>,
+}
+
+struct Branch {
+    weight: u64,
+    update: Stmt,
+    resets: Vec<(Clock, i64)>,
+    to: usize,
 }
 
 struct Compiler<'m> {
     model: &'m ModestModel,
-    locations: Vec<PtaLocation>,
-    edges: Vec<PtaEdge>,
+    locations: Vec<(String, Vec<ClockAtom>)>,
+    choices: Vec<Choice>,
     /// Entry location of each called process (compiled on demand).
     process_entries: HashMap<String, usize>,
     /// Processes whose bodies still need compiling at their entry.
@@ -56,11 +143,11 @@ struct Ctx {
     invariant: Vec<ClockAtom>,
 }
 
-fn compile_process(model: &ModestModel, name: &str, body: &Process) -> PtaAutomaton {
+fn compile_process(model: &ModestModel, name: &str, body: &Process) -> Component {
     let mut c = Compiler {
         model,
         locations: Vec::new(),
-        edges: Vec::new(),
+        choices: Vec::new(),
         process_entries: HashMap::new(),
         pending: Vec::new(),
     };
@@ -75,20 +162,17 @@ fn compile_process(model: &ModestModel, name: &str, body: &Process) -> PtaAutoma
             .clone();
         c.compile_at(&pbody, ploc, Ctx::default());
     }
-    PtaAutomaton {
+    Component {
         name: name.to_owned(),
         locations: c.locations,
-        edges: c.edges,
+        choices: c.choices,
         initial: entry,
     }
 }
 
 impl Compiler<'_> {
     fn fresh_location(&mut self, name: &str) -> usize {
-        self.locations.push(PtaLocation {
-            name: name.to_owned(),
-            invariant: Vec::new(),
-        });
+        self.locations.push((name.to_owned(), Vec::new()));
         self.locations.len() - 1
     }
 
@@ -111,50 +195,16 @@ impl Compiler<'_> {
             Process::Stop | Process::Skip => {
                 // No outgoing behaviour. (A Skip that matters has been
                 // rewritten away by `Process::then`.)
-                self.locations[entry].invariant.extend(ctx.invariant);
+                self.locations[entry].1.extend(ctx.invariant);
             }
             Process::Act(a, assignments, then) => {
-                self.locations[entry]
-                    .invariant
-                    .extend(ctx.invariant.iter().copied());
-                let target = self.continuation_target(then);
-                let branch = PtaBranch {
-                    weight: 1,
-                    assignments: data_assignments(assignments),
-                    resets: clock_resets(assignments),
-                    to: target,
-                };
-                self.edges.push(PtaEdge {
-                    from: entry,
-                    guard_clocks: ctx.guard_clocks,
-                    guard_data: ctx.guard_data.unwrap_or_else(Expr::truth),
-                    action: Some(*a),
-                    branches: vec![branch],
-                });
+                self.choice(entry, ctx, a.0, [(1, assignments.as_slice(), &**then)]);
             }
             Process::Palt(a, branches) => {
-                self.locations[entry]
-                    .invariant
-                    .extend(ctx.invariant.iter().copied());
-                let compiled: Vec<PtaBranch> = branches
+                let branches = branches
                     .iter()
-                    .map(|b: &PaltBranch| {
-                        let target = self.continuation_target(&b.then);
-                        PtaBranch {
-                            weight: b.weight,
-                            assignments: data_assignments(&b.assignments),
-                            resets: clock_resets(&b.assignments),
-                            to: target,
-                        }
-                    })
-                    .collect();
-                self.edges.push(PtaEdge {
-                    from: entry,
-                    guard_clocks: ctx.guard_clocks,
-                    guard_data: ctx.guard_data.unwrap_or_else(Expr::truth),
-                    action: Some(*a),
-                    branches: compiled,
-                });
+                    .map(|b: &PaltBranch| (b.weight, b.assignments.as_slice(), &b.then));
+                self.choice(entry, ctx, a.0, branches);
             }
             Process::Alt(choices) => {
                 for choice in choices {
@@ -194,6 +244,42 @@ impl Compiler<'_> {
         }
     }
 
+    /// Adds the action `action` at `entry` with its branches, each a
+    /// weight, assignments and a continuation.
+    fn choice<'p>(
+        &mut self,
+        entry: usize,
+        ctx: Ctx,
+        action: usize,
+        branches: impl IntoIterator<Item = (u64, &'p [Assignment], &'p Process)>,
+    ) {
+        self.locations[entry]
+            .1
+            .extend(ctx.invariant.iter().copied());
+        let branches = branches
+            .into_iter()
+            .map(|(weight, assignments, then)| Branch {
+                weight,
+                update: update(assignments),
+                resets: assignments
+                    .iter()
+                    .filter_map(|a| match a {
+                        Assignment::Clock(c, v) => Some((*c, *v)),
+                        _ => None,
+                    })
+                    .collect(),
+                to: self.continuation_target(then),
+            })
+            .collect();
+        self.choices.push(Choice {
+            from: entry,
+            guard_clocks: ctx.guard_clocks,
+            guard_data: ctx.guard_data.unwrap_or_else(Expr::truth),
+            action,
+            branches,
+        });
+    }
+
     /// The location where a continuation process starts: a shared entry
     /// for tail calls, a fresh location otherwise.
     fn continuation_target(&mut self, then: &Process) -> usize {
@@ -208,33 +294,27 @@ impl Compiler<'_> {
     }
 }
 
-fn data_assignments(assignments: &[Assignment]) -> Vec<(AssignTarget, Expr)> {
-    assignments
+/// The data assignments of a branch as one update, in order.
+fn update(assignments: &[Assignment]) -> Stmt {
+    let mut stmts: Vec<Stmt> = assignments
         .iter()
         .filter_map(|a| match a {
-            Assignment::Var(v, e) => Some((AssignTarget::Var(*v), e.clone())),
-            Assignment::ArrayElem(v, i, e) => {
-                Some((AssignTarget::ArrayElem(*v, i.clone()), e.clone()))
-            }
+            Assignment::Var(v, e) => Some(Stmt::assign(*v, e.clone())),
+            Assignment::ArrayElem(v, i, e) => Some(Stmt::assign_index(*v, i.clone(), e.clone())),
             Assignment::Clock(_, _) => None,
         })
-        .collect()
-}
-
-fn clock_resets(assignments: &[Assignment]) -> Vec<(tempo_dbm::Clock, i64)> {
-    assignments
-        .iter()
-        .filter_map(|a| match a {
-            Assignment::Clock(c, v) => Some((*c, *v)),
-            _ => None,
-        })
-        .collect()
+        .collect();
+    match stmts.len() {
+        0 => Stmt::skip(),
+        1 => stmts.pop().expect("one statement"),
+        _ => Stmt::seq(stmts),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pta::PtaExplorer;
+    use tempo_ta::{DigitalExplorer, LocationId, SyncDir};
 
     #[test]
     fn fig5_channel_compiles_to_three_locations() {
@@ -264,18 +344,34 @@ mod tests {
         .then(Process::call("Channel"));
         m.define("Channel", body);
         m.system(&["Channel"]);
-        let pta = compile(&m);
-        assert_eq!(pta.automata.len(), 1);
-        let a = &pta.automata[0];
-        // Continuations compile before their edge, so locate by action.
-        let put_edge = a.edges.iter().find(|e| e.action == Some(put)).unwrap();
-        assert_eq!(put_edge.branches.len(), 2);
-        assert_eq!(put_edge.branches[1].to, a.initial, "lost → restart");
-        let transit = put_edge.branches[0].to;
-        assert_eq!(a.locations[transit].invariant, vec![ClockAtom::le(c, 1)]);
-        // The get edge returns to the entry (tail call).
-        let get_edge = a.edges.iter().find(|e| e.action == Some(get)).unwrap();
-        assert_eq!(get_edge.branches[0].to, a.initial);
+        let _ = (put, get);
+        let net = compile(&m);
+        assert_eq!(net.automata().len(), 1);
+        let a = &net.automata()[0];
+        // Continuations compile before their edges: the `get` edge comes
+        // first, then the two branches of `put`, the second continuing
+        // the first's choice.
+        assert_eq!(a.edges.len(), 3);
+        let (get_edge, put_edges) = (&a.edges[0], &a.edges[1..]);
+        assert_eq!(
+            get_edge.to, a.initial,
+            "get returns to the entry (tail call)"
+        );
+        assert_eq!(
+            put_edges
+                .iter()
+                .map(|e| (e.weight, e.continues_choice))
+                .collect::<Vec<_>>(),
+            vec![(98, false), (2, true)]
+        );
+        assert_eq!(put_edges[1].to, a.initial, "lost → restart");
+        let transit = put_edges[0].to;
+        assert_eq!(
+            a.locations[transit.index()].invariant,
+            vec![ClockAtom::le(c, 1)]
+        );
+        // Used by one component only: internal moves.
+        assert!(a.edges.iter().all(|e| e.sync.is_none()));
     }
 
     #[test]
@@ -302,13 +398,17 @@ mod tests {
             ),
         );
         m.system(&["Coin"]);
-        let pta = compile(&m);
-        let exp = PtaExplorer::new(&pta, &[]);
+        let net = compile(&m);
+        let exp = DigitalExplorer::new(&net);
         let ts = exp.transitions(&exp.initial_state());
         assert_eq!(ts.len(), 1);
-        let probs: Vec<f64> = ts[0].successors.iter().map(|(p, _)| *p).collect();
-        assert!((probs[0] - 0.25).abs() < 1e-12);
-        assert!((probs[1] - 0.75).abs() < 1e-12);
+        let probs: Vec<f64> = ts[0].iter().map(|(p, _)| *p).collect();
+        assert_eq!(probs, vec![0.25, 0.75]);
+        assert_eq!(
+            exp.moves(&exp.initial_state()).len(),
+            2,
+            "one move per branch"
+        );
     }
 
     #[test]
@@ -333,14 +433,101 @@ mod tests {
             ),
         );
         m.system(&["P", "Q"]);
-        let pta = compile(&m);
-        assert_eq!(pta.sync[a.0], crate::pta::SyncKind::Pair(0, 1));
-        let exp = PtaExplorer::new(&pta, &[]);
+        let _ = a;
+        let net = compile(&m);
+        let dirs: Vec<Option<SyncDir>> = net
+            .automata()
+            .iter()
+            .map(|a| a.edges[0].sync.as_ref().map(|s| s.dir))
+            .collect();
+        assert_eq!(
+            dirs,
+            vec![Some(SyncDir::Send), Some(SyncDir::Recv)],
+            "the first user sends"
+        );
+        let exp = DigitalExplorer::new(&net);
         let ts = exp.transitions(&exp.initial_state());
         assert_eq!(ts.len(), 1, "one joint handshake");
-        let (p, next) = &ts[0].successors[0];
-        assert!((p - 1.0).abs() < 1e-12);
+        let (p, next) = &ts[0][0];
+        assert_eq!(*p, 1.0);
         assert_eq!(next.store.get(done), 2, "both updates applied");
+    }
+
+    #[test]
+    fn a_handshake_multiplies_both_choices_sender_outermost() {
+        let mut m = ModestModel::new();
+        let a = m.action("a");
+        let (s, r) = (m.decls_mut().int("s", 0, 2), m.decls_mut().int("r", 0, 2));
+        let coin = |v, w1, w2| {
+            Process::palt(
+                a,
+                vec![
+                    PaltBranch {
+                        weight: w1,
+                        assignments: vec![Assignment::Var(v, Expr::konst(1))],
+                        then: Process::stop(),
+                    },
+                    PaltBranch {
+                        weight: w2,
+                        assignments: vec![Assignment::Var(v, Expr::konst(2))],
+                        then: Process::stop(),
+                    },
+                ],
+            )
+        };
+        m.define("P", coin(s, 1, 3));
+        m.define("Q", coin(r, 1, 1));
+        m.system(&["P", "Q"]);
+        let net = compile(&m);
+        let exp = DigitalExplorer::new(&net);
+        let ts = exp.transitions(&exp.initial_state());
+        assert_eq!(ts.len(), 1);
+        let got: Vec<(f64, i64, i64)> = ts[0]
+            .iter()
+            .map(|(p, n)| (*p, n.store.get(s), n.store.get(r)))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(0.125, 1, 1), (0.125, 1, 2), (0.375, 2, 1), (0.375, 2, 2)]
+        );
+    }
+
+    #[test]
+    fn a_refused_branch_drops_the_whole_transition() {
+        // The heavy branch overflows `v`, so the transition is gone,
+        // not renormalised onto the light branch.
+        let mut m = ModestModel::new();
+        let toss = m.action("toss");
+        let v = m.decls_mut().int("v", 0, 1);
+        m.define(
+            "P",
+            Process::palt(
+                toss,
+                vec![
+                    PaltBranch {
+                        weight: 1,
+                        assignments: vec![],
+                        then: Process::stop(),
+                    },
+                    PaltBranch {
+                        weight: 9,
+                        assignments: vec![Assignment::Var(v, Expr::konst(5))],
+                        then: Process::stop(),
+                    },
+                ],
+            ),
+        );
+        m.system(&["P"]);
+        let net = compile(&m);
+        let exp = DigitalExplorer::new(&net);
+        let s0 = exp.initial_state();
+        assert!(exp.transitions(&s0).is_empty());
+        assert_eq!(
+            exp.moves(&s0).len(),
+            1,
+            "the light branch alone still moves"
+        );
+        assert_eq!(exp.moves(&s0)[0].1.locs[0], LocationId(1));
     }
 
     #[test]
@@ -356,8 +543,8 @@ mod tests {
             ),
         );
         m.system(&["P"]);
-        let pta = compile(&m);
-        let exp = PtaExplorer::new(&pta, &[]);
+        let net = compile(&m);
+        let exp = DigitalExplorer::new(&net);
         assert!(
             exp.transitions(&exp.initial_state()).is_empty(),
             "flag == 0 blocks go"
@@ -374,8 +561,8 @@ mod tests {
             Process::when_clock(ClockAtom::ge(x, 2), Process::act(go, Process::stop())),
         );
         m.system(&["P"]);
-        let pta = compile(&m);
-        let exp = PtaExplorer::new(&pta, &[]);
+        let net = compile(&m);
+        let exp = DigitalExplorer::new(&net);
         let s0 = exp.initial_state();
         assert!(exp.transitions(&s0).is_empty());
         let s1 = exp.tick(&s0).unwrap();

@@ -15,7 +15,10 @@
 //!
 //! Models are written in an AST mirroring MODEST's syntax ([`Process`],
 //! [`ModestModel`]); [`compile`] translates the system composition into a
-//! probabilistic timed automata network ([`Pta`]).
+//! network of timed automata ([`Pta`]) whose `palt` choices are runs of
+//! weighted sibling edges. All three backends read that one network and
+//! tempo-ta's one move rule: `Mctau` runs the zone engine on it, `Mcpta`
+//! and `Modes` walk [`tempo_ta::DigitalExplorer`]'s grouped transitions.
 //!
 //! ## Example: a biased coin, three ways
 //!
@@ -53,12 +56,10 @@
 
 mod ast;
 mod compile;
-mod digest;
 mod mcpta;
 mod mctau;
 mod modes;
 mod parser;
-mod pta;
 
 pub use ast::{ActionId, Assignment, ModestModel, PaltBranch, Process};
 pub use compile::compile;
@@ -66,7 +67,8 @@ pub use mcpta::{Mcpta, McptaConfig, McptaStats};
 pub use mctau::{Mctau, ProbabilityBounds};
 pub use modes::{Modes, ModesObservation, ModesRun, Scheduler};
 pub use parser::{parse_modest, ParseError};
-pub use pta::{
-    compute_sync, pta_ranges, slice, AssignTarget, Pta, PtaAutomaton, PtaBranch, PtaEdge,
-    PtaExplorer, PtaLocation, PtaLu, PtaReduction, PtaSlice, PtaState, PtaTransition, SyncKind,
-};
+
+/// A compiled MODEST model: a network of timed automata whose `palt`
+/// choices are runs of weighted sibling edges (see
+/// [`tempo_ta::Edge::continues_choice`]).
+pub type Pta = tempo_ta::Network;

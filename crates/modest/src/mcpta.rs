@@ -1,17 +1,19 @@
 //! `mcpta`: probabilistic model checking of MODEST PTA models via the
 //! digital-clocks translation to an MDP, solved by the PRISM-like engine
-//! in [`tempo_mdp`] (Bozga et al., DATE 2012, §III).
+//! in [`tempo_mdp`] (Bozga et al., DATE 2012, §III). The MDP is built
+//! from [`DigitalExplorer`]'s grouped transitions on the compiled
+//! network, after tempo-ta's slicing, active-clock reduction and LU
+//! tick clamp.
 
-use crate::pta::{Pta, PtaExplorer, PtaLu, PtaReduction, PtaState};
-use std::collections::{BTreeSet, HashMap};
-use tempo_expr::VarId;
+use crate::Pta;
+use std::collections::HashMap;
 use tempo_mdp::{
     bounded_reachability, expected_reward, expected_reward_governed, reachability,
     reachability_governed, Mdp, MdpBuilder, Opt, StateId,
 };
 use tempo_obs::{Budget, Outcome, RunReport};
-use tempo_ta::flow::FlowMetrics;
-use tempo_ta::StateFormula;
+use tempo_ta::flow::{FlowMetrics, NetworkLu};
+use tempo_ta::{ClockAtom, ClockReduction, DigitalExplorer, DigitalState, StateFormula};
 
 /// The `mcpta` analyzer: explores the digital-clocks semantics of a PTA
 /// once and answers `Pmax` / `Pmin` / `Emax` / `Emin` queries against the
@@ -23,12 +25,10 @@ use tempo_ta::StateFormula;
 pub struct Mcpta {
     mdp: Mdp,
     /// Explored states, in the reduced clock space.
-    states: Vec<PtaState>,
+    states: Vec<DigitalState>,
     /// The active-clock reduction applied before exploration; queries are
     /// mapped through it.
-    reduction: PtaReduction,
-    /// Protected property atoms, already mapped into the reduced space.
-    extra_atoms: Vec<tempo_ta::ClockAtom>,
+    reduction: ClockReduction,
 }
 
 /// Exploration statistics of the digital-clocks MDP.
@@ -87,7 +87,7 @@ impl Mcpta {
     /// state, or its state space exceeds `max_states`;
     /// [`Mcpta::try_build`] reports the last two gracefully.
     #[must_use]
-    pub fn build(pta: &Pta, extra_atoms: &[tempo_ta::ClockAtom], max_states: usize) -> Self {
+    pub fn build(pta: &Pta, extra_atoms: &[ClockAtom], max_states: usize) -> Self {
         Self::try_build(
             pta,
             extra_atoms,
@@ -112,7 +112,7 @@ impl Mcpta {
     /// Panics if the PTA is not closed (strict bounds).
     pub fn try_build(
         pta: &Pta,
-        extra_atoms: &[tempo_ta::ClockAtom],
+        extra_atoms: &[ClockAtom],
         budget: &Budget,
     ) -> Outcome<Option<Self>> {
         Self::try_build_with(pta, extra_atoms, McptaConfig::default(), budget)
@@ -126,36 +126,18 @@ impl Mcpta {
     /// Panics if the PTA is not closed (strict bounds).
     pub fn try_build_with(
         pta: &Pta,
-        extra_atoms: &[tempo_ta::ClockAtom],
-        config: McptaConfig,
-        budget: &Budget,
-    ) -> Outcome<Option<Self>> {
-        Self::try_build_frozen(pta, extra_atoms, None, config, budget)
-    }
-
-    /// [`Mcpta::try_build_with`] with variable freezing: `freeze` lists
-    /// every variable later queries read in `Data` atoms, and slicing
-    /// may then remove assignments to write-only variables outside the
-    /// cone of influence of all guards — merging digital states that
-    /// differ only in values nothing observable depends on. The same
-    /// caller contract as `extra_atoms`, extended to variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the PTA is not closed (strict bounds).
-    pub fn try_build_frozen(
-        pta: &Pta,
-        extra_atoms: &[tempo_ta::ClockAtom],
-        freeze: Option<&BTreeSet<VarId>>,
+        extra_atoms: &[ClockAtom],
         config: McptaConfig,
         budget: &Budget,
     ) -> Outcome<Option<Self>> {
         let gov = budget.governor();
         let mut metrics = FlowMetrics::default();
         // Query-directed slicing first: provably dead edges cannot carry
-        // probability mass, and stranded pair partners die with them.
-        let sliced = config.flow.then(|| crate::pta::slice(pta, freeze));
-        let base: &Pta = sliced.as_ref().map_or(pta, |s| &s.pta);
+        // probability mass, and stranded handshake partners die with
+        // them. The branches of one choice share guard and channel, so
+        // they die together.
+        let sliced = config.flow.then(|| tempo_ta::slice(pta));
+        let base: &Pta = sliced.as_ref().map_or(pta, |s| &s.net);
         if let Some(s) = &sliced {
             metrics.sliced_edges = s.disabled_edges;
             metrics.vars_narrowed = s.vars_narrowed;
@@ -172,7 +154,8 @@ impl Mcpta {
                 metrics.sliced_clocks = (plain as u64).saturating_sub(reduction.dim() as u64);
             }
         }
-        let extra_mapped: Vec<tempo_ta::ClockAtom> = extra_atoms
+        let net = reduction.network();
+        let extra_mapped: Vec<ClockAtom> = extra_atoms
             .iter()
             .map(|a| {
                 reduction
@@ -180,19 +163,20 @@ impl Mcpta {
                     .expect("protected atoms are kept alive by reduced_with")
             })
             .collect();
-        let mut exp = PtaExplorer::new(reduction.pta(), &extra_mapped);
+        let mut exp =
+            DigitalExplorer::for_query(net, &extra_mapped).unwrap_or_else(|e| panic!("{e}"));
         if config.flow {
             // Per-location LU tick clamp: clamp-merged states share
             // locations, stores and the truth of every still-observable
             // clock constraint, so the quotient MDP is probabilistically
             // bisimilar to the globally-clamped one.
-            let lu = PtaLu::analyze(reduction.pta(), &extra_mapped);
-            metrics.lu_tightened = lu.tightened(&reduction.pta().max_constants());
+            let lu = NetworkLu::analyze(net, &extra_mapped);
+            metrics.lu_tightened = lu.tightened(&net.max_constants());
             exp = exp.with_lu(lu);
         }
         let mut builder = MdpBuilder::new();
-        let mut index: HashMap<PtaState, StateId> = HashMap::new();
-        let mut states: Vec<PtaState> = Vec::new();
+        let mut index: HashMap<DigitalState, StateId> = HashMap::new();
+        let mut states: Vec<DigitalState> = Vec::new();
         let mut frontier: Vec<StateId> = Vec::new();
         let mut peak = 0_usize;
         let mut explored = 0_usize;
@@ -215,8 +199,8 @@ impl Mcpta {
             let state = states[sid.index()].clone();
             // Action transitions (reward 0).
             for t in exp.transitions(&state) {
-                let mut dist: Vec<(StateId, f64)> = Vec::with_capacity(t.successors.len());
-                for (p, next) in &t.successors {
+                let mut dist: Vec<(StateId, f64)> = Vec::with_capacity(t.len());
+                for (p, next) in t {
                     let Some(id) = intern(
                         &mut builder,
                         &mut index,
@@ -227,10 +211,10 @@ impl Mcpta {
                     ) else {
                         break 'build;
                     };
-                    dist.push((id, *p));
+                    dist.push((id, p));
                 }
                 builder
-                    .add_action(sid, Some(&t.label), 0.0, dist)
+                    .add_action(sid, None, 0.0, dist)
                     .expect("explorer produces valid distributions");
             }
             // Tick (reward 1 = one time unit).
@@ -260,13 +244,13 @@ impl Mcpta {
                     &mut index,
                     &mut states,
                     &mut frontier,
-                    &next,
+                    next,
                     &gov,
                 ) else {
                     break 'build;
                 };
                 builder
-                    .add_action(sid, Some("tick"), waited, vec![(id, 1.0)])
+                    .add_action(sid, None, waited, vec![(id, 1.0)])
                     .expect("tick distribution is valid");
             }
             peak = peak.max(frontier.len());
@@ -288,7 +272,6 @@ impl Mcpta {
                 mdp: builder.build(s0).expect("initial state exists"),
                 states,
                 reduction,
-                extra_atoms: extra_mapped,
             }),
             report,
         )
@@ -297,7 +280,7 @@ impl Mcpta {
     /// The active-clock reduction applied at build time (reduced and
     /// original clock-space dimensions, clock map).
     #[must_use]
-    pub fn reduction(&self) -> &PtaReduction {
+    pub fn reduction(&self) -> &ClockReduction {
         &self.reduction
     }
 
@@ -324,7 +307,7 @@ impl Mcpta {
         let goal = self.reduction.map_formula(goal).expect(
             "query reads a clock that was reduced away; list its atoms in `extra_atoms` at build time",
         );
-        let exp = PtaExplorer::new(self.reduction.pta(), &self.extra_atoms);
+        let exp = DigitalExplorer::new(self.reduction.network());
         self.states
             .iter()
             .map(|s| exp.satisfies(s, &goal))
@@ -409,7 +392,7 @@ impl Mcpta {
         let invariant = self.reduction.map_formula(invariant).expect(
             "query reads a clock that was reduced away; list its atoms in `extra_atoms` at build time",
         );
-        let exp = PtaExplorer::new(self.reduction.pta(), &self.extra_atoms);
+        let exp = DigitalExplorer::new(self.reduction.network());
         self.states.iter().all(|s| exp.satisfies(s, &invariant))
     }
 }
@@ -418,7 +401,7 @@ impl Mcpta {
 /// Along a tick chain this is the whole observable difference: locations
 /// and variables are tick-invariant, and queries read clocks only
 /// through protected atoms.
-fn atoms_agree(atoms: &[tempo_ta::ClockAtom], a: &PtaState, b: &PtaState) -> bool {
+fn atoms_agree(atoms: &[ClockAtom], a: &DigitalState, b: &DigitalState) -> bool {
     atoms
         .iter()
         .all(|atom| atom.holds_at(&a.clocks) == atom.holds_at(&b.clocks))
@@ -426,13 +409,13 @@ fn atoms_agree(atoms: &[tempo_ta::ClockAtom], a: &PtaState, b: &PtaState) -> boo
 
 fn intern(
     builder: &mut MdpBuilder,
-    index: &mut HashMap<PtaState, StateId>,
-    states: &mut Vec<PtaState>,
+    index: &mut HashMap<DigitalState, StateId>,
+    states: &mut Vec<DigitalState>,
     frontier: &mut Vec<StateId>,
-    state: &PtaState,
+    state: DigitalState,
     gov: &tempo_obs::Governor,
 ) -> Option<StateId> {
-    if let Some(&id) = index.get(state) {
+    if let Some(&id) = index.get(&state) {
         return Some(id);
     }
     if !gov.charge_state() {
@@ -440,7 +423,7 @@ fn intern(
     }
     let id = builder.add_state();
     index.insert(state.clone(), id);
-    states.push(state.clone());
+    states.push(state);
     frontier.push(id);
     Some(id)
 }
@@ -608,7 +591,7 @@ mod tests {
     fn invariant_check_on_states() {
         let (pta, ok) = retry_model();
         let mc = Mcpta::build(&pta, &[], 100_000);
-        let tries = pta.decls.lookup("tries").unwrap();
+        let tries = pta.decls().lookup("tries").unwrap();
         assert!(mc.check_invariant(&StateFormula::data(Expr::var(tries).le(Expr::konst(3)))));
         assert!(!mc.check_invariant(&StateFormula::data(Expr::var(tries).le(Expr::konst(2)))));
         let _ = ok;

@@ -2,17 +2,18 @@
 //! (Bozga et al., DATE 2012, §III).
 //!
 //! Probabilistic decisions, which the timed-automata engine cannot
-//! handle, are *over-approximated by nondeterministic decisions*: every
-//! `palt` branch becomes a separate edge. Invariant (`A[]`) properties
+//! handle, are *over-approximated by nondeterministic decisions*: the
+//! zone engine runs on the compiled network as it is, and reads each
+//! `palt` branch (a weighted sibling edge) as an ordinary edge. Invariant (`A[]`) properties
 //! checked on the over-approximation are exact when they hold;
 //! probabilistic queries collapse to the trivial bounds `[0, 1]` unless
 //! the goal is unreachable even nondeterministically, in which case the
 //! probability is exactly `0` (the paper's Table I rows PA/PB vs
 //! P1/P2/Dmax).
 
-use crate::pta::{Pta, SyncKind};
+use crate::Pta;
 use tempo_obs::{Budget, Outcome};
-use tempo_ta::{ChannelKind, ModelChecker, Network, NetworkBuilder, StateFormula, Verdict};
+use tempo_ta::{ModelChecker, Network, StateFormula, Verdict};
 
 /// Why the timed-automata engine cannot fail here: `Mctau` never gives
 /// its checker a spill config, so the state store stays in memory.
@@ -37,29 +38,25 @@ impl std::fmt::Display for ProbabilityBounds {
     }
 }
 
-/// The `mctau` analyzer: owns the over-approximating TA network.
+/// The `mctau` analyzer: the timed-automata engine on a compiled PTA.
 #[derive(Debug)]
-pub struct Mctau {
-    net: Network,
+pub struct Mctau<'n> {
+    net: &'n Network,
 }
 
-impl Mctau {
-    /// Builds the nondeterministic over-approximation of a PTA.
-    ///
-    /// Component and location indices are preserved, so
-    /// [`StateFormula`] atoms written against the PTA work unchanged.
+impl<'n> Mctau<'n> {
+    /// The nondeterministic over-approximation of a PTA: the PTA itself,
+    /// read by the zone engine.
     #[must_use]
-    pub fn new(pta: &Pta) -> Self {
-        Mctau {
-            net: over_approximate(pta),
-        }
+    pub fn new(pta: &'n Pta) -> Self {
+        Mctau { net: pta }
     }
 
     /// The exported UPPAAL-style network (the paper's "export to UPPAAL
     /// XML" becomes an in-memory network here).
     #[must_use]
     pub fn network(&self) -> &Network {
-        &self.net
+        self.net
     }
 
     /// Checks an invariant (`A[] f`) on the over-approximation. `true`
@@ -67,7 +64,7 @@ impl Mctau {
     /// spurious for properties that depend on probabilities.
     #[must_use]
     pub fn check_invariant(&self, f: &StateFormula) -> bool {
-        let mut mc = ModelChecker::new(&self.net);
+        let mut mc = ModelChecker::new(self.net);
         let (verdict, _) = mc.always(f);
         matches!(verdict, Verdict::Satisfied)
     }
@@ -77,7 +74,7 @@ impl Mctau {
     /// budget is definitive; on exhaustion the partial `true` means "no
     /// violation found in the explored portion".
     pub fn check_invariant_governed(&self, f: &StateFormula, budget: &Budget) -> Outcome<bool> {
-        let mut mc = ModelChecker::new(&self.net);
+        let mut mc = ModelChecker::new(self.net);
         mc.try_always_governed(f, budget)
             .expect(IN_MEMORY)
             .map(|(verdict, _)| matches!(verdict, Verdict::Satisfied))
@@ -99,7 +96,7 @@ impl Mctau {
         goal: &StateFormula,
         budget: &Budget,
     ) -> Outcome<ProbabilityBounds> {
-        let mut mc = ModelChecker::new(&self.net);
+        let mut mc = ModelChecker::new(self.net);
         let out = mc.try_reachable_governed(goal, budget).expect(IN_MEMORY);
         let exhausted = out.is_exhausted();
         out.map(|res| {
@@ -116,76 +113,6 @@ impl Mctau {
             }
         })
     }
-}
-
-/// Translates a PTA into a [`tempo_ta::Network`], dropping probabilities.
-fn over_approximate(pta: &Pta) -> Network {
-    let mut b = NetworkBuilder::new();
-    *b.decls_mut() = pta.decls.clone();
-    // Recreate the clocks (indices must match the PTA's).
-    for i in 1..pta.dim {
-        b.clock(&format!("x{i}"));
-    }
-    // One binary channel per paired action; local actions become internal.
-    let channels: Vec<Option<tempo_ta::ChannelId>> = pta
-        .actions
-        .iter()
-        .enumerate()
-        .map(|(k, name)| match pta.sync[k] {
-            SyncKind::Pair(_, _) => Some(b.channel_array(name, 1, ChannelKind::Binary, false)),
-            SyncKind::Local => None,
-        })
-        .collect();
-    for (ai, a) in pta.automata.iter().enumerate() {
-        let mut ab = b.automaton(&a.name);
-        let locs: Vec<tempo_ta::LocationId> = a
-            .locations
-            .iter()
-            .map(|l| ab.location_with_invariant(&l.name, l.invariant.clone()))
-            .collect();
-        ab.set_initial(locs[a.initial]);
-        for e in &a.edges {
-            for branch in &e.branches {
-                if branch.weight == 0 {
-                    continue;
-                }
-                let mut eb = ab
-                    .edge(locs[e.from], locs[branch.to])
-                    .guard_data(e.guard_data.clone());
-                for atom in &e.guard_clocks {
-                    eb = eb.guard_clock(*atom);
-                }
-                for (clock, v) in &branch.resets {
-                    eb = eb.reset(*clock, *v);
-                }
-                // Assignments become an update statement.
-                let stmts: Vec<tempo_expr::Stmt> = branch
-                    .assignments
-                    .iter()
-                    .map(|(target, expr)| match target {
-                        crate::pta::AssignTarget::Var(v) => {
-                            tempo_expr::Stmt::assign(*v, expr.clone())
-                        }
-                        crate::pta::AssignTarget::ArrayElem(v, i) => {
-                            tempo_expr::Stmt::assign_index(*v, i.clone(), expr.clone())
-                        }
-                    })
-                    .collect();
-                eb = eb.update(tempo_expr::Stmt::seq(stmts));
-                if let Some(act) = e.action {
-                    if let Some(ch) = channels[act.0] {
-                        // Direction: the first user sends.
-                        let sends =
-                            matches!(pta.sync[act.0], SyncKind::Pair(first, _) if first == ai);
-                        eb = if sends { eb.send(ch) } else { eb.recv(ch) };
-                    }
-                }
-                eb.done();
-            }
-        }
-        ab.done();
-    }
-    b.build()
 }
 
 #[cfg(test)]
@@ -263,8 +190,9 @@ mod tests {
         let mctau = Mctau::new(&pta);
         let net = mctau.network();
         assert_eq!(net.automata().len(), 2);
-        // P's palt with 2 branches becomes 2 nondeterministic edges.
+        // P's palt with 2 branches is 2 edges, which the zone engine
+        // reads as nondeterministic alternatives.
         assert_eq!(net.automata()[0].edges.len(), 2);
-        assert_eq!(net.dim(), pta.dim);
+        assert_eq!(net.dim(), pta.dim());
     }
 }

@@ -3,13 +3,14 @@
 //! between enabled actions — is resolved by an explicit [`Scheduler`],
 //! matching the paper's remark that "we explicitly specified a scheduler
 //! to resolve nondeterminism"; probabilistic (`palt`) choices are
-//! resolved by their weights.
+//! resolved by their weights. Runs walk [`DigitalExplorer`]'s grouped
+//! transitions on the unreduced network with the global clamp.
 
-use crate::pta::{Pta, PtaExplorer, PtaState};
+use crate::Pta;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
-use tempo_ta::StateFormula;
+use tempo_ta::{ClockAtom, DigitalExplorer, DigitalState, StateFormula};
 
 /// [`RunReport`] for the simulator: only runs and wall time apply.
 fn modes_report(gov: &Governor, completed: usize) -> RunReport {
@@ -38,7 +39,7 @@ pub enum Scheduler {
 #[derive(Debug, Clone)]
 pub struct ModesRun {
     /// Visited states, starting with the initial state.
-    pub states: Vec<PtaState>,
+    pub states: Vec<DigitalState>,
     /// Elapsed integer time at each visited state.
     pub times: Vec<i64>,
     /// Whether the run ended with no enabled move (deadlock/termination).
@@ -54,7 +55,7 @@ impl ModesRun {
 
     /// The earliest time at which `goal` holds, if observed.
     #[must_use]
-    pub fn first_hit(&self, exp: &PtaExplorer<'_>, goal: &StateFormula) -> Option<i64> {
+    pub fn first_hit(&self, exp: &DigitalExplorer<'_>, goal: &StateFormula) -> Option<i64> {
         self.states
             .iter()
             .zip(&self.times)
@@ -64,7 +65,7 @@ impl ModesRun {
 
     /// Whether `safe` holds in every visited state.
     #[must_use]
-    pub fn globally(&self, exp: &PtaExplorer<'_>, safe: &StateFormula) -> bool {
+    pub fn globally(&self, exp: &DigitalExplorer<'_>, safe: &StateFormula) -> bool {
         self.states.iter().all(|s| exp.satisfies(s, safe))
     }
 }
@@ -98,7 +99,7 @@ impl std::fmt::Display for ModesObservation {
 /// The `modes` discrete-event simulator.
 #[derive(Debug)]
 pub struct Modes<'p> {
-    exp: PtaExplorer<'p>,
+    exp: DigitalExplorer<'p>,
     scheduler: Scheduler,
     rng: StdRng,
 }
@@ -106,15 +107,14 @@ pub struct Modes<'p> {
 impl<'p> Modes<'p> {
     /// Creates a simulator with the given scheduler and seed.
     /// `extra_atoms` must cover property clock constants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the PTA is not closed (strict bounds).
     #[must_use]
-    pub fn new(
-        pta: &'p Pta,
-        extra_atoms: &[tempo_ta::ClockAtom],
-        scheduler: Scheduler,
-        seed: u64,
-    ) -> Self {
+    pub fn new(pta: &'p Pta, extra_atoms: &[ClockAtom], scheduler: Scheduler, seed: u64) -> Self {
         Modes {
-            exp: PtaExplorer::new(pta, extra_atoms),
+            exp: DigitalExplorer::for_query(pta, extra_atoms).unwrap_or_else(|e| panic!("{e}")),
             scheduler,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -122,7 +122,7 @@ impl<'p> Modes<'p> {
 
     /// The explorer (for evaluating properties over runs).
     #[must_use]
-    pub fn explorer(&self) -> &PtaExplorer<'p> {
+    pub fn explorer(&self) -> &DigitalExplorer<'p> {
         &self.exp
     }
 
@@ -161,8 +161,8 @@ impl<'p> Modes<'p> {
                 // Sample the probabilistic branch.
                 let u: f64 = self.rng.gen_range(0.0..1.0);
                 let mut acc = 0.0;
-                let mut chosen = &t.successors[t.successors.len() - 1].1;
-                for (p, next) in &t.successors {
+                let mut chosen = &t[t.len() - 1].1;
+                for (p, next) in t {
                     acc += p;
                     if u < acc {
                         chosen = next;
@@ -187,7 +187,7 @@ impl<'p> Modes<'p> {
         property: F,
     ) -> ModesObservation
     where
-        F: FnMut(&PtaExplorer<'p>, &ModesRun) -> bool,
+        F: FnMut(&DigitalExplorer<'p>, &ModesRun) -> bool,
     {
         self.observe_governed(runs, time_bound, max_steps, property, &Budget::unlimited())
             .into_value()
@@ -205,7 +205,7 @@ impl<'p> Modes<'p> {
         budget: &Budget,
     ) -> Outcome<ModesObservation>
     where
-        F: FnMut(&PtaExplorer<'p>, &ModesRun) -> bool,
+        F: FnMut(&DigitalExplorer<'p>, &ModesRun) -> bool,
     {
         let gov = budget.governor();
         let mut hits = 0_usize;
@@ -248,7 +248,7 @@ impl<'p> Modes<'p> {
         value: F,
     ) -> ModesObservation
     where
-        F: FnMut(&PtaExplorer<'p>, &ModesRun) -> f64,
+        F: FnMut(&DigitalExplorer<'p>, &ModesRun) -> f64,
     {
         self.expected_governed(runs, time_bound, max_steps, value, &Budget::unlimited())
             .into_value()
@@ -266,7 +266,7 @@ impl<'p> Modes<'p> {
         budget: &Budget,
     ) -> Outcome<ModesObservation>
     where
-        F: FnMut(&PtaExplorer<'p>, &ModesRun) -> f64,
+        F: FnMut(&DigitalExplorer<'p>, &ModesRun) -> f64,
     {
         let gov = budget.governor();
         let mut samples: Vec<f64> = Vec::with_capacity(runs.min(1024));

@@ -826,20 +826,19 @@ mod tests {
     fn fig5_parses_and_compiles() {
         let model = parse_modest(FIG5).expect("Fig. 5 parses");
         assert_eq!(model.actions().len(), 2);
-        let pta = compile(&model);
-        assert_eq!(pta.automata.len(), 1);
-        let put_edge = pta.automata[0]
-            .edges
-            .iter()
-            .find(|e| e.action.map(|a| a.0) == Some(0))
-            .expect("put edge");
-        assert_eq!(put_edge.branches.len(), 2);
-        assert_eq!(put_edge.branches[0].weight, 98);
-        assert_eq!(put_edge.branches[1].weight, 2);
+        let net = compile(&model);
+        assert_eq!(net.automata().len(), 1);
+        let a = &net.automata()[0];
+        // The continuation's `get` edge compiles before the two `put`
+        // branches.
+        let put = &a.edges[1..];
         assert_eq!(
-            put_edge.branches[1].to, pta.automata[0].initial,
-            "lost → restart"
+            put.iter()
+                .map(|e| (e.weight, e.continues_choice))
+                .collect::<Vec<_>>(),
+            vec![(98, false), (2, true)]
         );
+        assert_eq!(put[1].to, a.initial, "lost → restart");
     }
 
     #[test]
@@ -878,24 +877,16 @@ mod tests {
             system P();
         ";
         let model = parse_modest(src).expect("parses");
-        let pta = compile(&model);
-        // Two edges out of the entry location.
-        let entry = pta.automata[0].initial;
-        let out = pta.automata[0]
-            .edges
-            .iter()
-            .filter(|e| e.from == entry)
-            .count();
-        assert_eq!(out, 2);
+        let net = compile(&model);
+        let a = &net.automata()[0];
+        // Two edges out of the entry location, `go` first.
+        assert!(a.edges.iter().all(|e| e.from == a.initial));
+        assert_eq!(a.edges.len(), 2);
         // The go edge carries both the clock guard and the data guard.
-        let go = pta.automata[0]
-            .edges
-            .iter()
-            .find(|e| e.action.map(|a| a.0) == Some(0))
-            .unwrap();
+        let go = &a.edges[0];
         assert_eq!(go.guard_clocks.len(), 1);
         assert_ne!(go.guard_data, Expr::truth());
-        assert_eq!(go.branches[0].resets, vec![(Clock(1), 0)]);
+        assert_eq!(go.resets, vec![(Clock(1), Expr::konst(0))]);
     }
 
     #[test]
@@ -908,8 +899,17 @@ mod tests {
         ";
         let model = parse_modest(src).expect("parses");
         assert_eq!(model.system_processes().len(), 2);
-        let pta = compile(&model);
-        assert!(matches!(pta.sync[0], crate::pta::SyncKind::Pair(0, 1)));
+        let net = compile(&model);
+        assert_eq!(net.channels().len(), 1, "a shared action is a channel");
+        let dirs: Vec<_> = net
+            .automata()
+            .iter()
+            .map(|a| a.edges[0].sync.as_ref().map(|s| s.dir))
+            .collect();
+        assert_eq!(
+            dirs,
+            vec![Some(tempo_ta::SyncDir::Send), Some(tempo_ta::SyncDir::Recv)]
+        );
     }
 
     #[test]
@@ -925,8 +925,8 @@ mod tests {
             system P();
         ";
         let model = parse_modest(src).expect("parses");
-        let pta = compile(&model);
-        assert_eq!(pta.automata.len(), 1);
+        let net = compile(&model);
+        assert_eq!(net.automata().len(), 1);
     }
 
     #[test]

@@ -149,8 +149,11 @@ impl<'n> StatisticalChecker<'n> {
 
     /// Statically checks a network before simulating it: the lint rules
     /// of `tempo-lint` plus the digital-clocks closedness requirements
-    /// of the simulator. On success returns the non-blocking findings
-    /// (warnings) for display.
+    /// of the simulator, and no weighted choice (an edge with
+    /// [`continues_choice`](tempo_ta::Edge::continues_choice)): the
+    /// simulator draws among enabled moves uniformly, so it would weigh
+    /// the branches equally. On success returns the non-blocking
+    /// findings (warnings) for display.
     ///
     /// # Errors
     ///
@@ -165,6 +168,19 @@ impl<'n> StatisticalChecker<'n> {
         if let Err(e) = tempo_ta::DigitalExplorer::try_new(net) {
             let lint: tempo_lint::LintError = e.into();
             report.diagnostics.extend(lint.diagnostics);
+        }
+        for a in net.automata() {
+            if a.edges.iter().any(|e| e.continues_choice) {
+                report.diagnostics.push(tempo_obs::Diagnostic::error(
+                    "SMC",
+                    Some(&a.name),
+                    format!(
+                        "weighted choice in {}: the simulator draws moves uniformly and \
+                         would ignore the branch weights",
+                        a.name
+                    ),
+                ));
+            }
         }
         report.into_result(config)
     }

@@ -17,7 +17,7 @@ use tempo_obs::{
 };
 use tempo_rare::{certified_cost_probability, certified_splitting_probability, SplitConfig};
 use tempo_smc::{Estimate, RatePolicy};
-use tempo_ta::{Network, StateFormula};
+use tempo_ta::{DigitalExplorer, Network, StateFormula};
 use tempo_witness::certify::{self, Certificate, GameObjective};
 
 /// How many runs a probability job exports into its certificate: enough
@@ -143,11 +143,13 @@ pub enum JobKind {
         /// Accepted absolute deviation for certificate validation.
         epsilon: f64,
     },
-    /// Probabilistic reachability on a compiled MODEST model via the
-    /// digital-clocks MDP (mcpta). The expensive MDP construction runs
-    /// on every miss — which is exactly what a warm cache hit skips.
+    /// Probabilistic reachability on a network whose weighted choices
+    /// are probabilistic (a compiled MODEST model, or any network from
+    /// the `tempo-lang` frontend) via the digital-clocks MDP (mcpta).
+    /// The expensive MDP construction runs on every miss — which is
+    /// exactly what a warm cache hit skips.
     McptaReach {
-        /// The compiled PTA network.
+        /// The network: its digest is the model part of the cache key.
         pta: Arc<Pta>,
         /// Optimization direction.
         opt: Opt,
@@ -216,11 +218,15 @@ impl JobKind {
     /// the same `check_first` entry point a direct caller of the engine
     /// would use — under the default (errors-block) configuration.
     ///
-    /// Kinds whose model has no lint substrate (an explicit [`Mdp`], a
-    /// compiled [`Pta`] whose MODEST source was checked at compile
-    /// time) pass trivially. A leads-to whose formulas read clocks is
-    /// refused with a `TL103` error, the code `tempo check` gives the
-    /// same query: its engine supports only discrete predicates.
+    /// Kinds whose model has no lint substrate (an explicit [`Mdp`])
+    /// pass trivially. A [`Pta`] and its goal are only checked for
+    /// closedness, which its digital-clocks engine needs: a strict bound
+    /// in a guard or invariant, or a goal that is open in the clocks, is
+    /// a `DIGITAL` error. The network lint is not run there, since most
+    /// requests for a PTA are cache hits whose cost is this gate. A
+    /// leads-to whose formulas read clocks is refused with a `TL103`
+    /// error, the code `tempo check` gives the same query: its engine
+    /// supports only discrete predicates.
     ///
     /// # Errors
     ///
@@ -251,10 +257,10 @@ impl JobKind {
             JobKind::Probability { net, .. } | JobKind::RareEvent { net, .. } => {
                 tempo_smc::StatisticalChecker::check_first(net, &config).map(drop)
             }
-            JobKind::MdpReach { .. }
-            | JobKind::McptaReach { .. }
-            | JobKind::Refines { .. }
-            | JobKind::Ioco { .. } => Ok(()),
+            JobKind::McptaReach { pta, goal, .. } => DigitalExplorer::try_new(pta)
+                .and_then(|_| DigitalExplorer::check_goal(goal))
+                .map_err(LintError::from),
+            JobKind::MdpReach { .. } | JobKind::Refines { .. } | JobKind::Ioco { .. } => Ok(()),
             JobKind::BipDeadlock { sys } => tempo_lint::check_bip_first(sys, &config).map(drop),
         }
     }

@@ -60,6 +60,12 @@ impl StableDigest for Edge {
         }
         self.update.digest(h);
         h.write_bool(self.controllable);
+        // A Dirac edge digests as it did before edges carried weights.
+        if self.weight != 1 || self.continues_choice {
+            h.write_tag("branch");
+            h.write_u64(self.weight);
+            h.write_bool(self.continues_choice);
+        }
     }
 }
 
@@ -219,5 +225,32 @@ mod tests {
             StateFormula::clock(ClockAtom::ge(x, 2)),
         ]);
         assert_ne!(Fingerprint::of(&f1), Fingerprint::of(&g));
+    }
+
+    #[test]
+    fn dirac_edges_digest_as_before_and_weights_are_structure() {
+        let coin = |w: [(u64, bool); 2]| {
+            let mut b = NetworkBuilder::new();
+            let mut a = b.automaton("Coin");
+            let toss = a.location("Toss");
+            let heads = a.location("Heads");
+            a.edge(toss, heads).branch(w[0].0, w[0].1).done();
+            a.edge(toss, toss).branch(w[1].0, w[1].1).done();
+            a.done();
+            Fingerprint::of(&b.build())
+        };
+        let plain = {
+            let mut b = NetworkBuilder::new();
+            let mut a = b.automaton("Coin");
+            let toss = a.location("Toss");
+            let heads = a.location("Heads");
+            a.edge(toss, heads).done();
+            a.edge(toss, toss).done();
+            a.done();
+            Fingerprint::of(&b.build())
+        };
+        assert_eq!(coin([(1, false), (1, false)]), plain);
+        assert_ne!(coin([(1, false), (1, true)]), plain);
+        assert_ne!(coin([(1, false), (1, true)]), coin([(1, false), (2, true)]));
     }
 }

@@ -1,46 +1,52 @@
 //! Digital-clocks (integer-time) semantics of networks of timed automata.
 //!
 //! For *closed* models (no strict clock bounds), integer delays preserve
-//! reachability, cost-optimal reachability and game winning-ness
+//! reachability, cost-optimal reachability, game winning-ness and the
+//! probabilities of probabilistic timed automata
 //! (Henzinger–Manna–Pnueli / Kwiatkowska et al.). This module provides a
 //! concrete-state explorer with unit-delay ticks and joint action moves,
 //! used by `tempo-cora` (minimum-cost reachability), `tempo-tiga`
-//! (timed-game strategy synthesis) and `tempo-ioco` (rtioco); clocks are
-//! clamped one above the model's maximal constants so the state space is
-//! finite.
+//! (timed-game strategy synthesis), `tempo-ioco` (rtioco) and
+//! `tempo-modest` (the `mcpta` MDP and the `modes` simulator). Clocks are
+//! clamped one above the largest constant the model or the query
+//! compares them with, so the state space is finite.
 //!
 //! Which edges fire together, and what they do to locations and
 //! variables, is decided by [`crate::moves`], the rule the zone explorer
 //! and the simulator use; this module adds integer clocks to guards,
 //! resets and invariants, and forbids a tick while an urgent location
-//! is occupied or a move on an urgent channel is enabled and applies.
+//! is occupied or a move on an urgent channel passes its guards.
+//!
+//! [`DigitalExplorer::moves`] lists every edge as its own move, the
+//! branches of a probabilistic choice included.
+//! [`DigitalExplorer::transitions`] groups them: one transition per
+//! joint move of first branches, a distribution over every combination
+//! of the participants' branches.
 
 use crate::explore::SymState;
-use crate::model::{Edge, LocationId, LocationKind, Network};
+use crate::model::{raise_max_constants, ClockAtom, Edge, LocationId, LocationKind, Network};
 use crate::moves::{self, Participant};
 use std::fmt;
 use std::ops::ControlFlow;
 use tempo_expr::Store;
 use tempo_obs::{Diagnostic, LintError};
 
-/// Typed rejection of a non-closed model by the digital-clocks engines:
-/// one [`Diagnostic`] per strict clock bound found.
+/// Typed rejection of a non-closed model or goal by the digital-clocks
+/// engines: one [`Diagnostic`] per strict clock bound found.
 ///
 /// Convertible into [`LintError`] so `check_first` entry points can
 /// surface closedness violations through the same channel as lint
 /// findings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigitalError {
-    /// One error-level diagnostic (code `DIGITAL`) per strict bound.
+    /// One error-level diagnostic (code `DIGITAL`) per strict bound
+    /// (per open constraint of a goal).
     pub diagnostics: Vec<Diagnostic>,
 }
 
 impl fmt::Display for DigitalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "model is not closed (digital clocks require closed bounds):"
-        )?;
+        write!(f, "not closed (digital clocks require closed bounds):")?;
         for d in &self.diagnostics {
             write!(f, "\n  {d}")?;
         }
@@ -121,9 +127,24 @@ impl<'n> DigitalExplorer<'n> {
     /// strict bound (`<`/`>`), for which the digital semantics is not
     /// exact.
     pub fn try_new(net: &'n Network) -> Result<Self, DigitalError> {
+        Self::for_query(net, &[])
+    }
+
+    /// [`DigitalExplorer::try_new`] for a query that reads the clock
+    /// constraints `atoms`: the clamp rises so that each clock stops one
+    /// above the largest constant the model *or* the query compares it
+    /// with, and every atom keeps its truth value along the exploration.
+    ///
+    /// # Errors
+    ///
+    /// As [`DigitalExplorer::try_new`].
+    pub fn for_query(net: &'n Network, atoms: &[ClockAtom]) -> Result<Self, DigitalError> {
         let mut diagnostics = Vec::new();
+        let mut consts = vec![0; net.dim()];
+        raise_max_constants(&mut consts, atoms);
         for a in net.automata() {
             for l in &a.locations {
+                raise_max_constants(&mut consts, &l.invariant);
                 for atom in &l.invariant {
                     if !atom.bound.is_inf() && atom.bound.is_strict() {
                         diagnostics.push(Diagnostic::error(
@@ -138,6 +159,7 @@ impl<'n> DigitalExplorer<'n> {
                 }
             }
             for e in &a.edges {
+                raise_max_constants(&mut consts, &e.guard_clocks);
                 for atom in &e.guard_clocks {
                     if !atom.bound.is_inf() && atom.bound.is_strict() {
                         diagnostics.push(Diagnostic::error(
@@ -152,19 +174,63 @@ impl<'n> DigitalExplorer<'n> {
         if !diagnostics.is_empty() {
             return Err(DigitalError { diagnostics });
         }
-        let clamp = net.max_constants().into_iter().map(|c| c + 1).collect();
         Ok(DigitalExplorer {
             net,
-            clamp,
+            clamp: consts.into_iter().map(|c| c + 1).collect(),
             lu: None,
         })
     }
 
+    /// Checks that a query's goal is closed in the clocks, as the model
+    /// must be: integer time samples a delay only at its integer points,
+    /// which meet every dense-time goal state only when the goal's clock
+    /// constraints are non-strict. A strict constraint under an odd
+    /// number of negations is closed (`!(x < 2)` is `x >= 2`); a
+    /// non-strict one there is not. `x > 1 && x < 2` holds only between
+    /// integer points, so its digital probability would be 0.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DigitalError`] with one `DIGITAL` diagnostic per clock
+    /// constraint at which the goal is open.
+    pub fn check_goal(goal: &crate::StateFormula) -> Result<(), DigitalError> {
+        fn walk(f: &crate::StateFormula, negated: bool, out: &mut Vec<Diagnostic>) {
+            match f {
+                crate::StateFormula::Clock(atom)
+                    if !atom.bound.is_inf() && atom.bound.is_strict() != negated =>
+                {
+                    out.push(Diagnostic::error(
+                        "DIGITAL",
+                        Some("goal"),
+                        "digital clocks require a closed goal: integer time can miss \
+                         where a strict clock bound, or a non-strict one under a \
+                         negation, holds",
+                    ));
+                }
+                crate::StateFormula::Not(g) => walk(g, !negated, out),
+                crate::StateFormula::And(gs) | crate::StateFormula::Or(gs) => {
+                    for g in gs {
+                        walk(g, negated, out);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut diagnostics = Vec::new();
+        walk(goal, false, &mut diagnostics);
+        if diagnostics.is_empty() {
+            Ok(())
+        } else {
+            Err(DigitalError { diagnostics })
+        }
+    }
+
     /// Switches tick clamping to the per-location LU tables. Used by
     /// engines whose certificates replay recorded *move lists* (cost
-    /// traces); engines that publish state-indexed artifacts (game
-    /// strategies) must keep the global clamp so that replayed states
-    /// match the solved domain.
+    /// traces) or that publish no states (the `mcpta` MDP); engines that
+    /// publish state-indexed artifacts (game strategies) must keep the
+    /// global clamp so that replayed states match the solved domain.
+    /// Solve the tables with the query's atoms protected.
     #[must_use]
     pub fn with_lu(mut self, lu: crate::flow::NetworkLu) -> Self {
         self.lu = Some(lu);
@@ -177,7 +243,8 @@ impl<'n> DigitalExplorer<'n> {
         self.net
     }
 
-    /// The initial digital state.
+    /// The initial digital state. It is a state of the model only if
+    /// the initial locations' invariants hold at it.
     #[must_use]
     pub fn initial_state(&self) -> DigitalState {
         DigitalState {
@@ -187,7 +254,10 @@ impl<'n> DigitalExplorer<'n> {
         }
     }
 
-    fn invariants_hold(&self, locs: &[LocationId], clocks: &[i64]) -> bool {
+    /// Whether the invariants of the locations `locs` hold at the
+    /// integer clocks `clocks` (for the initial state, say).
+    #[must_use]
+    pub fn invariants_hold(&self, locs: &[LocationId], clocks: &[i64]) -> bool {
         self.net.automata().iter().zip(locs).all(|(a, &l)| {
             a.locations[l.index()]
                 .invariant
@@ -196,74 +266,54 @@ impl<'n> DigitalExplorer<'n> {
         })
     }
 
-    /// Whether a unit delay is permitted (no urgency, invariants hold
-    /// after the tick).
-    #[must_use]
-    pub fn can_tick(&self, state: &DigitalState) -> bool {
-        let urgent = state
+    /// Whether time is stopped: an automaton is in an urgent or
+    /// committed location, or a move on an urgent channel passes its
+    /// guards (whether or not [`moves::jump`] would fire it, as in the
+    /// zone engine, the simulator and the replayer).
+    fn urgent(&self, state: &DigitalState) -> bool {
+        state
             .locs
             .iter()
             .zip(self.net.automata())
-            .any(|(&l, a)| a.locations[l.index()].kind != LocationKind::Normal);
-        if urgent || self.urgent_move_enabled(state) {
-            return false;
-        }
-        let ticked = self.ticked_clocks(state);
-        self.invariants_hold(&state.locs, &ticked)
+            .any(|(&l, a)| a.locations[l.index()].kind != LocationKind::Normal)
+            || moves::for_each_urgent_move(
+                self.net,
+                &state.locs,
+                &state.store,
+                |e, _| clock_guards_hold(e, &state.clocks),
+                |_| ControlFlow::Break(()),
+            )
+            .is_break()
     }
 
-    /// Whether a move on an urgent channel is enabled and applies.
-    fn urgent_move_enabled(&self, state: &DigitalState) -> bool {
-        moves::for_each_urgent_move(
-            self.net,
-            &state.locs,
-            &state.store,
-            |e, _| clock_guards_hold(e, &state.clocks),
-            |mv| match self.apply(state, mv.participants) {
-                Some(_) => ControlFlow::Break(()),
-                None => ControlFlow::Continue(()),
-            },
-        )
-        .is_break()
-    }
-
-    fn ticked_clocks(&self, state: &DigitalState) -> Vec<i64> {
-        let local = self.lu.as_ref().map(|lu| {
-            let mut lower = Vec::new();
-            let mut upper = Vec::new();
-            lu.state_bounds(&state.locs, &mut lower, &mut upper);
-            lower
-                .iter()
-                .zip(&upper)
-                .map(|(&l, &u)| l.max(u).max(0) + 1)
-                .collect::<Vec<i64>>()
-        });
-        let clamp = local.as_deref().unwrap_or(&self.clamp);
-        state
-            .clocks
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| if i == 0 { 0 } else { (c + 1).min(clamp[i]) })
-            .collect()
-    }
-
-    /// The unit-delay successor, if delay is permitted.
+    /// The unit-delay successor, if delay is permitted: no urgency, and
+    /// the invariants hold after the tick.
     #[must_use]
     pub fn tick(&self, state: &DigitalState) -> Option<DigitalState> {
-        if !self.can_tick(state) {
+        if self.urgent(state) {
             return None;
         }
-        Some(DigitalState {
-            locs: state.locs.clone(),
-            store: state.store.clone(),
-            clocks: self.ticked_clocks(state),
-        })
+        let mut clocks = state.clocks.clone();
+        for (x, c) in clocks.iter_mut().enumerate().skip(1) {
+            let clamp = match &self.lu {
+                Some(lu) => lu.tick_clamp(&state.locs, x),
+                None => self.clamp[x],
+            };
+            *c = (*c + 1).min(clamp);
+        }
+        self.invariants_hold(&state.locs, &clocks)
+            .then(|| DigitalState {
+                locs: state.locs.clone(),
+                store: state.store.clone(),
+                clocks,
+            })
     }
 
     /// All joint action moves enabled in the state, with their successor
     /// states: the moves of [`moves::for_each_move`] whose clock guards
     /// hold at the integer clocks, which [`moves::jump`] fires and whose
-    /// target invariants hold.
+    /// target invariants hold. Each branch of a probabilistic choice is
+    /// its own move.
     #[must_use]
     pub fn moves(&self, state: &DigitalState) -> Vec<(DigitalMove, DigitalState)> {
         let mut out = Vec::new();
@@ -286,6 +336,86 @@ impl<'n> DigitalExplorer<'n> {
             },
         );
         out
+    }
+
+    /// All probabilistic transitions enabled in the state, each a
+    /// distribution over successors (the tick is
+    /// [`DigitalExplorer::tick`]): one per joint move of first branches
+    /// (see [`Edge::continues_choice`]) of [`moves::for_each_move`], in
+    /// its order. A transition fires every combination of the
+    /// participants' branches, the sender's varying slowest, and
+    /// reaches each combination's successor with the product of the
+    /// participants' normalised branch weights. It is dropped whole
+    /// when [`moves::jump`] refuses one combination or a target
+    /// invariant fails after it.
+    #[must_use]
+    pub fn transitions(&self, state: &DigitalState) -> Vec<Vec<(f64, DigitalState)>> {
+        let mut out = Vec::new();
+        let _ = moves::for_each_move(
+            self.net,
+            &state.locs,
+            &state.store,
+            |e, _| !e.continues_choice && clock_guards_hold(e, &state.clocks),
+            |mv| {
+                out.extend(self.distribution(state, mv.participants));
+                ControlFlow::Continue(())
+            },
+        );
+        out
+    }
+
+    /// The distribution of the transition whose participants fire
+    /// their first branches `firsts` (see [`DigitalExplorer::transitions`]).
+    fn distribution(
+        &self,
+        state: &DigitalState,
+        firsts: &[Participant],
+    ) -> Option<Vec<(f64, DigitalState)>> {
+        let edges = |ai: usize| &self.net.automata()[ai].edges;
+        let has_siblings =
+            |&(ai, ei, _): &Participant| edges(ai).get(ei + 1).is_some_and(|e| e.continues_choice);
+        if !firsts.iter().any(has_siblings) {
+            return Some(vec![(1.0, self.apply(state, firsts)?)]);
+        }
+        // Per participant: one past its last branch, and the choice's
+        // total weight.
+        let choices: Vec<(usize, u64)> = firsts
+            .iter()
+            .map(|&(ai, ei, _)| {
+                let es = edges(ai);
+                let end = ei
+                    + 1
+                    + es[ei + 1..]
+                        .iter()
+                        .take_while(|e| e.continues_choice)
+                        .count();
+                (end, es[ei..end].iter().map(|e| e.weight).sum())
+            })
+            .collect();
+        let mut pick = firsts.to_vec();
+        let mut out = Vec::new();
+        loop {
+            let p = pick
+                .iter()
+                .zip(&choices)
+                .fold(1.0, |p, (&(ai, ei, _), &(_, total))| {
+                    p * (edges(ai)[ei].weight as f64 / total as f64)
+                });
+            out.push((p, self.apply(state, &pick)?));
+            // The last participant's branch varies fastest.
+            let mut k = pick.len();
+            loop {
+                if k == 0 {
+                    return Some(out);
+                }
+                k -= 1;
+                pick[k].1 += 1;
+                if pick[k].1 < choices[k].0 {
+                    break;
+                }
+                pick[k].1 = firsts[k].1;
+            }
+        }
     }
 
     /// Applies a joint move (participants in order), returning the
@@ -464,5 +594,60 @@ mod tests {
         let sym = s.to_sym_state();
         assert!(sym.zone.contains(&[0, 1]));
         assert!(!sym.zone.contains(&[0, 2]));
+    }
+
+    #[test]
+    fn the_query_raises_the_clamp() {
+        let mut b = NetworkBuilder::new();
+        let x = b.clock("x");
+        let mut a = b.automaton("A");
+        a.location("L0");
+        a.done();
+        let net = b.build();
+        let run = |exp: DigitalExplorer<'_>| {
+            let mut s = exp.initial_state();
+            for _ in 0..10 {
+                s = exp.tick(&s).expect("nothing stops time");
+            }
+            s.clocks[1]
+        };
+        assert_eq!(run(DigitalExplorer::new(&net)), 1, "no constant: clamp 1");
+        let exp = DigitalExplorer::for_query(&net, &[ClockAtom::ge(x, 5)]).expect("closed");
+        assert_eq!(run(exp), 6, "one above the query's 5");
+    }
+
+    #[test]
+    fn a_goal_must_be_closed() {
+        let x = tempo_dbm::Clock(1);
+        let clock = StateFormula::clock;
+        let closed = [
+            clock(ClockAtom::ge(x, 2)),
+            StateFormula::not(clock(ClockAtom::lt(x, 2))),
+            StateFormula::not(StateFormula::not(clock(ClockAtom::le(x, 2)))),
+            StateFormula::or(vec![clock(ClockAtom::le(x, 1)), clock(ClockAtom::ge(x, 2))]),
+        ];
+        for goal in &closed {
+            assert_eq!(DigitalExplorer::check_goal(goal), Ok(()), "{goal:?}");
+        }
+        let open = [
+            (clock(ClockAtom::gt(x, 1)), 1),
+            (
+                StateFormula::and(vec![clock(ClockAtom::gt(x, 1)), clock(ClockAtom::lt(x, 2))]),
+                2,
+            ),
+            (StateFormula::not(clock(ClockAtom::le(x, 1))), 1),
+            (
+                StateFormula::not(StateFormula::and(vec![
+                    clock(ClockAtom::ge(x, 1)),
+                    clock(ClockAtom::le(x, 2)),
+                ])),
+                2,
+            ),
+        ];
+        for (goal, n) in &open {
+            let err = DigitalExplorer::check_goal(goal).unwrap_err();
+            assert_eq!(err.diagnostics.len(), *n, "{goal:?}");
+            assert!(err.diagnostics.iter().all(|d| d.code == "DIGITAL"));
+        }
     }
 }

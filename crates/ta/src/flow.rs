@@ -190,6 +190,19 @@ impl NetworkLu {
         }
     }
 
+    /// The digital tick clamp of clock `x` in the configuration `locs`:
+    /// one above the largest lower or upper bound any automaton still
+    /// observes there (`1` when none does).
+    pub(crate) fn tick_clamp(&self, locs: &[LocationId], x: usize) -> i64 {
+        self.per_automaton
+            .iter()
+            .zip(locs)
+            .map(|(b, l)| b.lower[l.index()][x].max(b.upper[l.index()][x]))
+            .fold(NO_BOUND, i64::max)
+            .max(0)
+            + 1
+    }
+
     /// How many `(location, clock)` pairs have an LU bound strictly
     /// tighter than the clock's global maximal constant — the
     /// `lu_tightened` run-report metric.

@@ -203,6 +203,17 @@ pub struct Edge {
     /// Whether the edge belongs to the controller in a timed game
     /// (UPPAAL-TIGA solid edges). Ignored by plain model checking.
     pub controllable: bool,
+    /// Relative weight of this edge among the branches of its
+    /// probabilistic choice (`1` for an ordinary edge).
+    pub weight: u64,
+    /// Whether this edge is a further branch of the previous edge's
+    /// choice. A choice is a run of sibling edges: the first carries
+    /// `false`, the others `true`, and all share source, selects,
+    /// guards, synchronisation and controllability. The probabilistic
+    /// engines draw one branch by weight; every other engine reads each
+    /// branch as an ordinary edge, which over-approximates the choice by
+    /// nondeterminism.
+    pub continues_choice: bool,
 }
 
 /// A location of a timed automaton.
@@ -327,28 +338,12 @@ impl Network {
     #[must_use]
     pub fn max_constants(&self) -> Vec<i64> {
         let mut m = vec![0_i64; self.dim()];
-        let mut feed = |atom: &ClockAtom| {
-            if atom.bound.is_inf() {
-                return;
-            }
-            let c = atom.bound.constant().abs();
-            if !atom.i.is_ref() {
-                m[atom.i.index()] = m[atom.i.index()].max(c);
-            }
-            if !atom.j.is_ref() {
-                m[atom.j.index()] = m[atom.j.index()].max(c);
-            }
-        };
         for a in &self.automata {
             for l in &a.locations {
-                for atom in &l.invariant {
-                    feed(atom);
-                }
+                raise_max_constants(&mut m, &l.invariant);
             }
             for e in &a.edges {
-                for atom in &e.guard_clocks {
-                    feed(atom);
-                }
+                raise_max_constants(&mut m, &e.guard_clocks);
             }
         }
         m
@@ -358,6 +353,17 @@ impl Network {
     #[must_use]
     pub fn max_constant(&self) -> i64 {
         self.max_constants().into_iter().max().unwrap_or(0)
+    }
+}
+
+/// Raises each clock's entry of `m` to the largest `|c|` the `atoms`
+/// compare it with.
+pub(crate) fn raise_max_constants(m: &mut [i64], atoms: &[ClockAtom]) {
+    for atom in atoms.iter().filter(|a| !a.bound.is_inf()) {
+        let c = atom.bound.constant().abs();
+        for x in [atom.i, atom.j].into_iter().filter(|x| !x.is_ref()) {
+            m[x.index()] = m[x.index()].max(c);
+        }
     }
 }
 
@@ -475,8 +481,11 @@ impl NetworkBuilder {
     /// # Panics
     ///
     /// Panics if an edge references an out-of-range location or channel,
-    /// or if an urgent-channel edge or broadcast-receiver edge carries
-    /// clock guards (both unsupported, as in UPPAAL).
+    /// if an urgent-channel edge or broadcast-receiver edge carries
+    /// clock guards (both unsupported, as in UPPAAL), if an edge has
+    /// weight `0`, or if a branch of a choice differs from the previous
+    /// edge in source, selects, guards, synchronisation or
+    /// controllability.
     #[must_use]
     pub fn build(self) -> Network {
         let net = Network {
@@ -499,12 +508,29 @@ impl Network {
                 "automaton {} has out-of-range initial location",
                 a.name
             );
-            for e in &a.edges {
+            for (ei, e) in a.edges.iter().enumerate() {
                 assert!(
                     e.from.0 < a.locations.len() && e.to.0 < a.locations.len(),
                     "automaton {} has an edge with out-of-range locations",
                     a.name
                 );
+                assert!(e.weight > 0, "automaton {} has an edge of weight 0", a.name);
+                if e.continues_choice {
+                    let sibling = ei.checked_sub(1).map(|p| &a.edges[p]).is_some_and(|p| {
+                        p.from == e.from
+                            && p.selects == e.selects
+                            && p.guard_clocks == e.guard_clocks
+                            && p.guard_data == e.guard_data
+                            && p.sync == e.sync
+                            && p.controllable == e.controllable
+                    });
+                    assert!(
+                        sibling,
+                        "automaton {} has a branch whose source, selects, guards, \
+                         synchronisation or controllability differ from the previous edge",
+                        a.name
+                    );
+                }
                 if let Some(sync) = &e.sync {
                     let ch = &self.channels[sync.channel.0];
                     if ch.urgent {
@@ -621,6 +647,8 @@ impl AutomatonBuilder<'_> {
                 resets: Vec::new(),
                 update: Stmt::skip(),
                 controllable: true,
+                weight: 1,
+                continues_choice: false,
             },
         }
     }
@@ -733,6 +761,18 @@ impl EdgeBuilder<'_> {
         self
     }
 
+    /// Makes the edge a branch of weight `weight` of a probabilistic
+    /// choice: the first branch with `continues_choice == false`, each
+    /// further one, added right after the previous branch with the same
+    /// source, selects, guards and synchronisation, with `true` (see
+    /// [`Edge::continues_choice`]).
+    #[must_use]
+    pub fn branch(mut self, weight: u64, continues_choice: bool) -> Self {
+        self.edge.weight = weight;
+        self.edge.continues_choice = continues_choice;
+        self
+    }
+
     /// Commits the edge to the automaton.
     pub fn done(self) {
         self.edges.push(self.edge);
@@ -812,5 +852,33 @@ mod tests {
         let net = b.build();
         assert_eq!(net.max_constants(), vec![0, 20, 7]);
         assert_eq!(net.max_constant(), 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ from the previous edge")]
+    fn a_branch_must_share_its_choices_guard() {
+        let mut b = NetworkBuilder::new();
+        let x = b.clock("x");
+        let mut a = b.automaton("A");
+        let l0 = a.location("L0");
+        let l1 = a.location("L1");
+        a.edge(l0, l1).branch(1, false).done();
+        a.edge(l0, l0)
+            .guard_clock(ClockAtom::ge(x, 1))
+            .branch(1, true)
+            .done();
+        a.done();
+        let _ = b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "weight 0")]
+    fn an_edge_needs_a_positive_weight() {
+        let mut b = NetworkBuilder::new();
+        let mut a = b.automaton("A");
+        let l0 = a.location("L0");
+        a.edge(l0, l0).branch(0, false).done();
+        a.done();
+        let _ = b.build();
     }
 }

@@ -85,9 +85,9 @@ pub fn for_each_move(
 }
 
 /// [`for_each_move`] restricted to moves on urgent channels. Time may
-/// not pass while one of them is enabled, so an engine's urgency test
-/// is whether this breaks on the first move it is given (or on the
-/// first one that also applies).
+/// not pass while one of them passes its guards, whether or not [`jump`]
+/// would fire it, so an engine's urgency test is whether this breaks on
+/// the first move it is given.
 pub fn for_each_urgent_move(
     net: &Network,
     locs: &[LocationId],
@@ -175,11 +175,9 @@ fn walk(
                 }
                 let Some(sync) = sync else {
                     if !any_committed || committed(ai) {
-                        parts.clear();
-                        parts.push((ai, ei, sel));
                         f(Move {
                             sync: None,
-                            participants: &parts,
+                            participants: &[(ai, ei, sel)],
                         })?;
                     }
                     continue;
@@ -193,11 +191,9 @@ fn walk(
                 if net.channels[sync.channel.index()].kind == ChannelKind::Binary {
                     for r in &recvs {
                         if !any_committed || committed(ai) || committed(r.0) {
-                            parts.clear();
-                            parts.extend([sender.clone(), r.clone()]);
                             f(Move {
                                 sync: joint,
-                                participants: &parts,
+                                participants: &[sender.clone(), r.clone()],
                             })?;
                         }
                     }

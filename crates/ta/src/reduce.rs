@@ -279,6 +279,8 @@ impl Network {
                             .collect(),
                         update: e.update.clone(),
                         controllable: e.controllable,
+                        weight: e.weight,
+                        continues_choice: e.continues_choice,
                     })
                     .collect(),
                 initial: a.initial,

@@ -374,7 +374,9 @@ impl<'n> GameSolver<'n> {
     ) -> Outcome<GameResult> {
         let gov = budget.governor();
         let (reduction, goal, proj, metrics) = self.reduced_for(goal);
-        let exp = DigitalExplorer::new(reduction.network());
+        // The clamp keeps the query's clock constants observable.
+        let exp = DigitalExplorer::for_query(reduction.network(), &goal.clock_atoms())
+            .expect("closed: the solver was built from a closed network");
         let dim = reduction.network().dim();
         let (graph, peak) = Self::build_graph(&exp, &gov);
         let n = graph.states.len();
@@ -502,7 +504,9 @@ impl<'n> GameSolver<'n> {
     ) -> Outcome<GameResult> {
         let gov = budget.governor();
         let (reduction, bad, proj, metrics) = self.reduced_for(bad);
-        let exp = DigitalExplorer::new(reduction.network());
+        // The clamp keeps the query's clock constants observable.
+        let exp = DigitalExplorer::for_query(reduction.network(), &bad.clock_atoms())
+            .expect("closed: the solver was built from a closed network");
         let dim = reduction.network().dim();
         let (graph, peak) = Self::build_graph(&exp, &gov);
         let n = graph.states.len();

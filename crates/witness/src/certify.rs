@@ -97,14 +97,23 @@ pub struct CostCertificate {
 
 impl CostCertificate {
     /// Builds the certificate by re-executing the engine's structured
-    /// step list on the full (unreduced) network.
+    /// step list for `goal` on the full (unreduced) network.
     ///
     /// # Errors
     ///
     /// [`WitnessError`] if the recorded steps do not execute — which
     /// would indicate an engine bug, not a caller error.
-    pub fn build(pnet: &PricedNetwork, res: &MinCostResult) -> Result<Self, WitnessError> {
-        let r = Replayer::new(pnet.network(), TraceSemantics::Digital, 1);
+    pub fn build(
+        pnet: &PricedNetwork,
+        res: &MinCostResult,
+        goal: &StateFormula,
+    ) -> Result<Self, WitnessError> {
+        let r = Replayer::new(
+            pnet.network(),
+            TraceSemantics::Digital,
+            1,
+            &goal.clock_atoms(),
+        );
         let mut state = r.initial();
         let mut steps = Vec::with_capacity(res.steps.len());
         let mut step_costs = Vec::with_capacity(res.steps.len());
@@ -168,7 +177,7 @@ impl CostCertificate {
             )));
         }
         let net = pnet.network();
-        let (r, states) = replay_internal(net, &self.trace)?;
+        let (r, states) = replay_internal(net, &self.trace, &goal.clock_atoms())?;
         let last = states.last().expect("at least the initial state");
         if !r.eval_formula(last, goal) {
             return Err(WitnessError::GoalNotSatisfied);
@@ -341,7 +350,7 @@ impl StrategyCertificate {
         formula: &StateFormula,
         strategy: &Strategy,
     ) -> Result<Self, WitnessError> {
-        let r = Replayer::new(net, TraceSemantics::Digital, 1);
+        let r = Replayer::new(net, TraceSemantics::Digital, 1, &formula.clock_atoms());
         let mut prescriptions = Vec::new();
         let mut seen: HashMap<ConcreteState, usize> = HashMap::new();
         let mut queue = vec![r.initial()];
@@ -404,7 +413,7 @@ impl StrategyCertificate {
     ///
     /// The typed [`WitnessError`]s listed above.
     pub fn validate(&self, net: &Network, formula: &StateFormula) -> Result<(), WitnessError> {
-        let r = Replayer::new(net, TraceSemantics::Digital, 1);
+        let r = Replayer::new(net, TraceSemantics::Digital, 1, &formula.clock_atoms());
         let table: HashMap<&ConcreteState, &Option<JointAction>> =
             self.prescriptions.iter().map(|(s, p)| (s, p)).collect();
         match self.objective {
@@ -870,7 +879,7 @@ pub fn certified_min_cost(
     let started = Instant::now();
     let cert = match out.value() {
         Some(res) => {
-            let cert = CostCertificate::build(pnet, res)?;
+            let cert = CostCertificate::build(pnet, res, goal)?;
             cert.validate(pnet, goal)?;
             Some(cert)
         }

@@ -34,6 +34,8 @@
 #![warn(missing_docs)]
 
 mod error;
+#[cfg(test)]
+mod oracle;
 mod realize;
 mod semantics;
 mod trace;

@@ -32,9 +32,9 @@ pub(crate) struct RState {
 pub(crate) struct Replayer<'n> {
     pub net: &'n Network,
     pub denom: i64,
-    /// Scaled clamp values (digital mode only): one above the model's
-    /// maximal constants, the documented [`tempo_ta::DigitalState`]
-    /// contract.
+    /// Scaled clamp values (digital mode only): one above the maximal
+    /// constants of the model and the checked formula, the documented
+    /// [`tempo_ta::DigitalState`] contract.
     clamp: Option<Vec<i64>>,
     /// When set, clock guards are ignored during enumeration (the f64
     /// replay re-checks them at its own valuation).
@@ -99,12 +99,19 @@ pub(crate) fn store_from_values(net: &Network, values: &[i64]) -> Result<Store, 
 }
 
 impl<'n> Replayer<'n> {
-    pub fn new(net: &'n Network, mode: TraceSemantics, denom: i64) -> Self {
+    /// A replayer in `mode`. In digital mode each clock stops one above
+    /// the largest constant the model or one of `atoms` (the clock
+    /// constraints of the formula being checked) compares it with, as
+    /// the digital engines clamp for that query.
+    pub fn new(net: &'n Network, mode: TraceSemantics, denom: i64, atoms: &[ClockAtom]) -> Self {
         let clamp = (mode == TraceSemantics::Digital).then(|| {
-            net.max_constants()
-                .into_iter()
-                .map(|c| (c + 1) * denom)
-                .collect()
+            let mut consts = net.max_constants();
+            for atom in atoms.iter().filter(|a| !a.bound.is_inf()) {
+                for x in [atom.i, atom.j].into_iter().filter(|x| !x.is_ref()) {
+                    consts[x.index()] = consts[x.index()].max(atom.bound.constant().abs());
+                }
+            }
+            consts.into_iter().map(|c| (c + 1) * denom).collect()
         });
         Replayer {
             net,

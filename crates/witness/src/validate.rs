@@ -34,7 +34,8 @@ pub fn replay(
     trace: &ConcreteTrace,
     goal: Option<&StateFormula>,
 ) -> Result<(), WitnessError> {
-    let (r, states) = replay_internal(net, trace)?;
+    let atoms = goal.map(StateFormula::clock_atoms).unwrap_or_default();
+    let (r, states) = replay_internal(net, trace, &atoms)?;
     if let Some(g) = goal {
         let last = states
             .last()
@@ -49,9 +50,12 @@ pub fn replay(
 /// Replays a trace and returns the replayer plus the state sequence
 /// (initial state first, then one state per step). Used by the
 /// certificate checkers to recompute per-step quantities (e.g. costs).
+/// `atoms` are the checked formula's clock constraints, which widen the
+/// digital clamp.
 pub(crate) fn replay_internal<'n>(
     net: &'n Network,
     trace: &ConcreteTrace,
+    atoms: &[ClockAtom],
 ) -> Result<(Replayer<'n>, Vec<RState>), WitnessError> {
     if trace.denom < 1 {
         return Err(WitnessError::Malformed(format!(
@@ -64,7 +68,7 @@ pub(crate) fn replay_internal<'n>(
             "digital traces must use denominator 1".to_owned(),
         ));
     }
-    let r = Replayer::new(net, trace.semantics, trace.denom);
+    let r = Replayer::new(net, trace.semantics, trace.denom, atoms);
     let init = r.decode(&trace.initial)?;
     if init != r.initial() {
         return Err(WitnessError::WrongInitialState);
@@ -385,115 +389,12 @@ fn states_close(a: &tempo_smc::ConcreteState, b: &tempo_smc::ConcreteState) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{random_network, Shapes};
     use std::collections::{BTreeSet, HashSet, VecDeque};
     use std::ops::ControlFlow;
     use tempo_dbm::Federation;
-    use tempo_expr::{Expr, Stmt};
     use tempo_smc::{RatePolicy, Simulator};
-    use tempo_ta::{
-        moves, ChannelKind, DigitalExplorer, DigitalState, Explorer, LocationId, NetworkBuilder,
-    };
-
-    /// A xorshift stream for model shapes.
-    struct Shapes(u64);
-
-    impl Shapes {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            usize::try_from(self.0 % n as u64).expect("below a usize bound")
-        }
-
-        fn int(&mut self, n: usize) -> i64 {
-            i64::try_from(self.below(n)).expect("a small bound")
-        }
-    }
-
-    /// A random closed network over one clock `x` and one variable `v`
-    /// in `0..=3`, with a binary and a broadcast channel array of size 2
-    /// and scalar urgent binary and broadcast channels. Locations may be
-    /// committed or urgent; edges carry zero, one or two selects, and a
-    /// channel index is a constant, a select or `v`, so it may fall
-    /// outside its array. With up to seven edges per automaton, one
-    /// automaton often has several receiving edges on one channel.
-    /// Some moves are refused when fired: an update `v := v + 1` fails
-    /// at `v = 3` and a reset `x := v - 1` is negative at `v = 0`; a
-    /// receiver's reset reads the sender's update.
-    fn random_network(rng: &mut Shapes) -> Network {
-        let mut b = NetworkBuilder::new();
-        let x = b.clock("x");
-        let v = b.decls_mut().int("v", 0, 3);
-        let channels = [
-            (b.channel_array("c", 2, ChannelKind::Binary, false), false),
-            (b.channel_array("b", 2, ChannelKind::Broadcast, false), true),
-            (b.channel_array("u", 1, ChannelKind::Binary, true), false),
-            (b.channel_array("ub", 1, ChannelKind::Broadcast, true), true),
-        ];
-        for ai in 0..2 + rng.below(3) {
-            let mut a = b.automaton(&format!("A{ai}"));
-            let locs: Vec<LocationId> = (0..2 + rng.below(2))
-                .map(|li| {
-                    let name = format!("L{li}");
-                    match rng.below(8) {
-                        0 => a.committed_location(&name),
-                        1 => a.urgent_location(&name),
-                        2 => a.location_with_invariant(&name, vec![ClockAtom::le(x, 2)]),
-                        _ => a.location(&name),
-                    }
-                })
-                .collect();
-            for _ in 0..3 + rng.below(5) {
-                let from = locs[rng.below(locs.len())];
-                let to = locs[rng.below(locs.len())];
-                let mut e = a.edge(from, to);
-                let selects = rng.below(3);
-                for _ in 0..selects {
-                    e = e.select(0, 1 + rng.int(2));
-                }
-                let index = match rng.below(4) {
-                    0 if selects > 0 => Expr::select(0),
-                    1 => Expr::var(v),
-                    _ => Expr::konst(rng.int(3)),
-                };
-                let (ch, broadcast) = channels[rng.below(channels.len())];
-                let urgent = ch.index() >= 2;
-                // Urgent edges and broadcast receivers take no clock guard.
-                let clockless;
-                (e, clockless) = match rng.below(5) {
-                    0 => (e, false),
-                    1 | 2 => (e.send_indexed(ch, index), urgent),
-                    _ => (e.recv_indexed(ch, index), urgent || broadcast),
-                };
-                if !clockless && rng.below(3) == 0 {
-                    let k = rng.int(3);
-                    e = e.guard_clock(if rng.below(2) == 0 {
-                        ClockAtom::ge(x, k)
-                    } else {
-                        ClockAtom::le(x, k)
-                    });
-                }
-                match rng.below(4) {
-                    0 => e = e.guard_data(Expr::var(v).eq(Expr::konst(rng.int(4)))),
-                    1 if selects == 2 => e = e.guard_data(Expr::select(1).le(Expr::var(v))),
-                    _ => {}
-                }
-                match rng.below(6) {
-                    0 | 1 => e = e.update(Stmt::assign(v, Expr::konst(rng.int(4)))),
-                    2 => e = e.update(Stmt::assign(v, Expr::var(v) + Expr::konst(1))),
-                    _ => {}
-                }
-                match rng.below(6) {
-                    0 | 1 => e = e.reset(x, 0),
-                    2 => e = e.reset_expr(x, Expr::var(v) - Expr::konst(1)),
-                    _ => {}
-                }
-                e.done();
-            }
-            a.done();
-        }
-        b.build()
-    }
+    use tempo_ta::{moves, DigitalExplorer, DigitalState, Explorer};
 
     type Moves = BTreeSet<(String, Vec<(usize, usize, Vec<i64>)>)>;
     type Successors = BTreeSet<(String, Vec<(usize, usize, Vec<i64>)>, DigitalState)>;
@@ -518,7 +419,7 @@ mod tests {
     /// The moves the replayer derives on its own at one digital state,
     /// and those of them its `apply_action` accepts, with successors.
     fn replayed_moves(net: &Network, s: &DigitalState) -> (Moves, Successors) {
-        let r = Replayer::new(net, TraceSemantics::Digital, 1);
+        let r = Replayer::new(net, TraceSemantics::Digital, 1, &[]);
         let state = RState {
             locs: s.locs.clone(),
             store: s.store.clone(),
@@ -584,7 +485,7 @@ mod tests {
         let mut synchronised = 0;
         let mut refused = 0;
         let mut stuck = 0;
-        for n in 0..500 {
+        for n in 0..550 {
             let net = random_network(&mut rng);
             let exp = DigitalExplorer::new(&net);
             let mut seen = HashSet::new();

@@ -83,7 +83,7 @@ fn main() {
     let mut counts = [0_usize; 7]; // ta1, ta2, pa, pb, p1, p2, dmax
     let mut durations = Vec::with_capacity(runs);
     {
-        let exp = tempo_core::modest::PtaExplorer::new(&model.pta, &[]);
+        let exp = tempo_core::ta::DigitalExplorer::new(&model.pta);
         let mut sim = Modes::new(&model.pta, &[], Scheduler::Alap, 2026);
         for _ in 0..runs {
             let run = sim.simulate(horizon, 1_000_000);

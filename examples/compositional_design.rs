@@ -127,7 +127,7 @@ fn modest_flow() {
         "parsed: {} actions, {} processes, {} PTA components",
         model.actions().len(),
         2,
-        pta.automata.len()
+        pta.automata().len()
     );
     let mc = Mcpta::build(&pta, &[], 100_000);
     let delivered = model.decls().lookup("delivered").unwrap();

@@ -39,6 +39,68 @@ fn table1_shape_on_small_instance() {
     }
 }
 
+/// The digital-clocks MDP of the compiled BRP network, pinned: its size
+/// and the bits of `Pmax(P1)` and `Pmax(P2)` were captured when mcpta
+/// still explored a separate PTA implementation, and building the MDP
+/// from the timed-automata network reproduces them exactly.
+#[test]
+fn mcpta_mdp_is_pinned_on_table1_and_benchmark_sizes() {
+    // (N, MAX, TD), (states, actions, transitions), (P1 bits, P2 bits).
+    type Pin = ((i64, i64, i64), (usize, usize, usize), (u64, u64));
+    let pins: [Pin; 6] = [
+        (
+            (16, 2, 1),
+            (1231, 1612, 1912),
+            (0x3f50_4576_4bca_fc4d, 0x3f10_4385_b401_8cd1),
+        ),
+        (
+            (44, 2, 2),
+            (5408, 7603, 8828),
+            (0x3f66_5a88_d556_8827, 0x3f10_3c49_f622_042e),
+        ),
+        (
+            (45, 2, 2),
+            (5531, 7776, 9029),
+            (0x3f66_dc69_146f_d6e8, 0x3f10_3c07_e329_d830),
+        ),
+        (
+            (46, 2, 2),
+            (5654, 7949, 9230),
+            (0x3f67_5e47_42f9_cb84, 0x3f10_3bc5_d13e_9389),
+        ),
+        (
+            (47, 2, 2),
+            (5777, 8122, 9431),
+            (0x3f67_e023_60fc_cd14, 0x3f10_3b83_c060_31f3),
+        ),
+        (
+            (48, 2, 2),
+            (5900, 8295, 9632),
+            (0x3f68_61fd_6e81_428d, 0x3f10_3b41_b08e_af28),
+        ),
+    ];
+    for ((n, max, td), (states, actions, transitions), (p1, p2)) in pins {
+        let model = brp(n, max, td);
+        let mc = model.mcpta(0, 1_000_000);
+        let stats = mc.stats();
+        assert_eq!(
+            (stats.states, stats.actions, stats.transitions),
+            (states, actions, transitions),
+            "brp({n},{max},{td})"
+        );
+        assert_eq!(
+            mc.pmax(&model.p1_goal()).to_bits(),
+            p1,
+            "brp({n},{max},{td}) P1"
+        );
+        assert_eq!(
+            mc.pmax(&model.p2_goal()).to_bits(),
+            p2,
+            "brp({n},{max},{td}) P2"
+        );
+    }
+}
+
 /// Every SCC of the BRP's digital-clocks MDP is a single state, so
 /// mcpta's values are exact up to rounding. With per-try loss
 /// `q = 1 − 0.98²` and chunk-abort probability `c = q^(MAX+1)`:

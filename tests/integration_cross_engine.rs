@@ -5,11 +5,15 @@
 
 use tempo_core::cora::PricedNetwork;
 use tempo_core::expr::Expr;
+use tempo_core::lint::LintConfig;
 use tempo_core::modest::{
     compile, Assignment, Mcpta, Mctau, Modes, ModestModel, PaltBranch, Process, Scheduler,
 };
+use tempo_core::obs::Budget;
 use tempo_core::smc::{RatePolicy, StatisticalChecker};
 use tempo_core::ta::{ClockAtom, DigitalExplorer, ModelChecker, NetworkBuilder, StateFormula};
+use tempo_core::tiga::GameSolver;
+use tempo_core::witness::certify::certified_min_cost;
 
 /// A two-automata handshake model used across engines.
 fn handshake() -> (tempo_core::ta::Network, StateFormula) {
@@ -147,4 +151,67 @@ fn deadlock_checks_agree_between_engines() {
         s = exp.tick(&s).expect("no invariant stops time");
     }
     assert!(exp.moves(&s).is_empty());
+}
+
+/// One automaton with one location, no edges and a clock `x`, with the
+/// goal `x >= 5`: time passes freely, so the zone engine reaches it.
+/// The model compares `x` with nothing, so only a digital clamp that
+/// covers the query's constant lets a digital engine see `x` reach 5.
+fn idle_clock() -> (tempo_core::ta::Network, StateFormula) {
+    let mut b = NetworkBuilder::new();
+    let x = b.clock("x");
+    let mut a = b.automaton("A");
+    a.location("L0");
+    a.done();
+    let goal = StateFormula::clock(ClockAtom::ge(x, 5));
+    (b.build(), goal)
+}
+
+#[test]
+fn tiga_clamp_covers_the_goal_constant() {
+    let (net, goal) = idle_clock();
+    assert!(ModelChecker::new(&net).reachable(&goal).reachable);
+    assert!(GameSolver::new(&net).solve_reachability(&goal).winning);
+}
+
+#[test]
+fn cora_without_flow_clamp_covers_the_goal_constant() {
+    let (net, goal) = idle_clock();
+    let with_flow = PricedNetwork::new(net.clone()).min_cost_reach(&goal);
+    let without = PricedNetwork::new(net).without_flow().min_cost_reach(&goal);
+    assert_eq!(with_flow.map(|r| r.cost), Some(0));
+    assert_eq!(without.map(|r| r.cost), Some(0));
+}
+
+#[test]
+fn cost_certificate_replays_past_the_models_constants() {
+    let (net, goal) = idle_clock();
+    let (out, cert) = certified_min_cost(&PricedNetwork::new(net), &goal, &Budget::unlimited())
+        .expect("the certificate validates");
+    assert_eq!(out.value().as_ref().map(|r| r.cost), Some(0));
+    assert!(cert.is_some());
+}
+
+/// The simulator draws among enabled moves uniformly, so it would weigh
+/// the branches of a weighted choice equally: SMC refuses such a network
+/// at its gate, while the same network without weights passes.
+#[test]
+fn smc_refuses_a_weighted_choice() {
+    let weighted = |weights: bool| {
+        let mut b = NetworkBuilder::new();
+        let mut a = b.automaton("Coin");
+        let toss = a.location("Toss");
+        let heads = a.location("Heads");
+        let tails = a.location("Tails");
+        let heavy = if weights { 3 } else { 1 };
+        a.edge(toss, heads).branch(heavy, false).done();
+        a.edge(toss, tails).branch(1, weights).done();
+        a.done();
+        b.build()
+    };
+    let config = LintConfig::default();
+    let err = StatisticalChecker::check_first(&weighted(true), &config)
+        .expect_err("a weighted choice is refused");
+    assert!(err.diagnostics.iter().any(|d| d.code == "SMC"), "{err}");
+    assert!(StatisticalChecker::check_first(&weighted(false), &config).is_ok());
 }

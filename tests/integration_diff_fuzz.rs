@@ -6,12 +6,12 @@
 //! or the service — the point of the paper's "single formalism,
 //! multiple solutions" philosophy as a fuzzing oracle.
 //!
-//! Cross-checks per generated model:
-//! * reachability: symbolic TA on `to_network` vs symbolic TA on the
-//!   `mctau` translation of `to_modest`, vs the generator's own ground
-//!   truth;
-//! * probability: `mcpta` (digital-clocks MDP, exact) `Pmax` vs the
-//!   statistical checker's Wilson interval, which must contain it;
+//! Cross-checks per generated model, every engine on the one
+//! `to_network` lowering:
+//! * reachability: symbolic TA vs the generator's own ground truth;
+//! * probability: `mcpta` (digital-clocks MDP, exact) `Pmax` vs
+//!   reachability and vs the statistical checker's Wilson interval,
+//!   which must contain it;
 //! * service determinism: both worker counts must render bit-identical
 //!   verdicts.
 
@@ -21,11 +21,8 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tempo_core::lang::ast::Formula;
-use tempo_core::lang::{
-    build, lower_formula_network, lower_formula_pta, parse, to_modest, to_network,
-};
+use tempo_core::lang::{build, lower_formula_network, parse, to_network};
 use tempo_core::mdp::Opt;
-use tempo_core::modest::{compile, Mctau};
 use tempo_core::obs::{Budget, ExploreConfig};
 use tempo_core::smc::RatePolicy;
 use tempo_core::svc::{AnalysisService, JobKind, JobRequest, JobVerdict, ServiceConfig};
@@ -81,9 +78,8 @@ fn gen_case(rng: &mut StdRng) -> Case {
     let _ = writeln!(src, "process Done = STOP");
 
     // Receiver: Q -> T1 -> ... -> STOP. The broken variant crosses the
-    // last two receives (every channel keeps both endpoints, which the
-    // probabilistic engines require, but the crossed order deadlocks
-    // the chain before the sender's final step).
+    // last two receives (every channel keeps both endpoints, but the
+    // crossed order deadlocks the chain before the sender's final step).
     let mut order: Vec<&str> = channels.to_vec();
     if broken {
         order.swap(k - 2, k - 1);
@@ -146,9 +142,6 @@ proptest! {
         // Substrates, exactly as the CLI builds them.
         let net = Arc::new(to_network(&set).expect("network substrate"));
         let net_goal = lower_formula_network(&set, &net, &goal).expect("network goal");
-        let pta = Arc::new(compile(&to_modest(&set).expect("modest substrate")));
-        let pta_goal = lower_formula_pta(&set, &pta, &goal).expect("pta goal");
-        let mctau_net = Arc::new(Mctau::new(&pta).network().clone());
 
         // Two services with different worker counts; verdicts must be
         // bit-identical across them.
@@ -165,20 +158,14 @@ proptest! {
                 goal: net_goal.clone(),
                 explore: ExploreConfig::default(),
             });
-            // 2. Symbolic TA reachability on the mctau translation.
-            let mctau = submit(svc, JobKind::Reach {
-                net: Arc::clone(&mctau_net),
-                goal: pta_goal.clone(),
-                explore: ExploreConfig::default(),
-            });
-            // 3. Exact Pmax on the digital-clocks MDP.
+            // 2. Exact Pmax on the digital-clocks MDP.
             let mcpta = submit(svc, JobKind::McptaReach {
-                pta: Arc::clone(&pta),
+                pta: Arc::clone(&net),
                 opt: Opt::Max,
-                goal: pta_goal.clone(),
+                goal: net_goal.clone(),
                 epsilon: 1e-9,
             });
-            // 4. Statistical estimation under the stochastic semantics.
+            // 3. Statistical estimation under the stochastic semantics.
             let smc = submit(svc, JobKind::Probability {
                 net: Arc::clone(&net),
                 rates: RatePolicy::new(),
@@ -192,9 +179,6 @@ proptest! {
             let JobVerdict::Reachable(ta_reach) = ta else {
                 panic!("ta job returned {ta:?}")
             };
-            let JobVerdict::Reachable(mctau_reach) = mctau else {
-                panic!("mctau job returned {mctau:?}")
-            };
             let JobVerdict::McptaValue(pmax) = mcpta else {
                 panic!("mcpta job returned {mcpta:?}")
             };
@@ -205,10 +189,6 @@ proptest! {
             assert_eq!(
                 ta_reach, case.reachable,
                 "ta engine disagrees with ground truth\n{}", case.source
-            );
-            assert_eq!(
-                mctau_reach, ta_reach,
-                "mctau disagrees with ta on reachability\n{}", case.source
             );
             // With no probabilistic branching Pmax is exactly 0 or 1 and
             // must match reachability ...
@@ -227,7 +207,6 @@ proptest! {
 
             rendered.push(vec![
                 JobVerdict::Reachable(ta_reach).render(),
-                JobVerdict::Reachable(mctau_reach).render(),
                 JobVerdict::McptaValue(pmax).render(),
                 smc.render(),
             ]);

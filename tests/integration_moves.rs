@@ -6,12 +6,14 @@
 //! one corner of that rule: the receivers of a broadcast in the deadlock
 //! check, a committed receiver of an uncommitted sender, a second
 //! receiving edge on one broadcast, a channel index past the end of its
-//! array, urgent channels, a reset that refuses its move, and a tie
-//! between urgent automata. Every engine must give the same answer.
+//! array, urgent channels (also one whose move the jump refuses), a
+//! reset that refuses its move, and a tie between urgent automata.
+//! Every engine must give the same answer.
 
 use tempo_core::cora::PricedNetwork;
 use tempo_core::expr::{Expr, Stmt};
 use tempo_core::lang::{build, parse, to_network};
+use tempo_core::modest::Mcpta;
 use tempo_core::obs::Budget;
 use tempo_core::smc::{ConcreteState, RatePolicy, Run, RunStep, StatisticalChecker};
 use tempo_core::ta::{
@@ -205,6 +207,48 @@ fn urgent_handshake() -> (Network, StateFormula) {
     let tid = t.done();
     let goal = StateFormula::and(vec![StateFormula::at(tid, t1), StateFormula::at(sid, s0)]);
     (b.build(), goal)
+}
+
+/// An urgent handshake that passes its guards stops time even when
+/// `moves::jump` refuses it: `S0 -u! {v := v + 2}-> S1` on `v: 0..1`
+/// with `R0 -u?-> R1`, and `T0 -(x >= 1)-> T1`. No move ever fires at
+/// time 0 and no time passes, so `T1` is unreachable in every engine,
+/// mcpta's `Pmax` included.
+#[test]
+fn a_refused_urgent_move_still_stops_time() {
+    let mut b = NetworkBuilder::new();
+    let x = b.clock("x");
+    let v = b.decls_mut().int("v", 0, 1);
+    let u = b.urgent_channel("u");
+    let mut s = b.automaton("S");
+    let s0 = s.location("S0");
+    let s1 = s.location("S1");
+    s.edge(s0, s1)
+        .send(u)
+        .update(Stmt::assign(v, Expr::var(v) + Expr::konst(2)))
+        .done();
+    s.done();
+    let mut r = b.automaton("R");
+    let r0 = r.location("R0");
+    let r1 = r.location("R1");
+    r.edge(r0, r1).recv(u).done();
+    r.done();
+    let mut t = b.automaton("T");
+    let t0 = t.location("T0");
+    let t1 = t.location("T1");
+    t.edge(t0, t1).guard_clock(ClockAtom::ge(x, 1)).done();
+    let tid = t.done();
+    let net = b.build();
+    let goal = StateFormula::at(tid, t1);
+    let v = verdicts(&net, &goal, 200, 12);
+    assert!(!v.zone);
+    assert_eq!(v.cost, None);
+    assert!(!v.winning);
+    assert_eq!(v.pr, 0.0);
+    let mc = Mcpta::try_build(&net, &[], &Budget::unlimited())
+        .into_value()
+        .expect("the initial state exists");
+    assert_eq!(mc.pmax(&goal), 0.0);
 }
 
 /// The handshake of [`urgent_handshake`] is enabled at time 0, so it
