@@ -916,6 +916,7 @@ pub struct ServiceStats {
     rejected: AtomicU64,
     cancelled: AtomicU64,
     engine_panics: AtomicU64,
+    models_reused: AtomicU64,
     queue_peak: AtomicU64,
 }
 
@@ -976,6 +977,12 @@ impl ServiceStats {
         self.engine_panics.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts an engine run that solved on a model an earlier run built
+    /// instead of building its own.
+    pub fn record_model_reused(&self) {
+        self.models_reused.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Raises the queue-depth high-water mark to `depth` if larger.
     pub fn observe_queue_depth(&self, depth: u64) {
         self.queue_peak.fetch_max(depth, Ordering::Relaxed);
@@ -994,6 +1001,7 @@ impl ServiceStats {
             rejected: self.rejected.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
             engine_panics: self.engine_panics.load(Ordering::Relaxed),
+            models_reused: self.models_reused.load(Ordering::Relaxed),
             queue_peak: self.queue_peak.load(Ordering::Relaxed),
         }
     }
@@ -1020,6 +1028,9 @@ pub struct ServiceCounters {
     pub cancelled: u64,
     /// Engine runs that panicked.
     pub engine_panics: u64,
+    /// Engine runs that solved on a model an earlier run built instead
+    /// of building their own (misses and disk hits both count).
+    pub models_reused: u64,
     /// Queue-depth high-water mark.
     pub queue_peak: u64,
 }
@@ -1028,7 +1039,7 @@ impl fmt::Display for ServiceCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "hits {} (disk {}, rejected {}, evicted {}), misses {}, coalesced {}, rejected {}, cancelled {}, engine panics {}, queue peak {}",
+            "hits {} (disk {}, rejected {}, evicted {}), misses {}, coalesced {}, rejected {}, cancelled {}, engine panics {}, models reused {}, queue peak {}",
             self.hits,
             self.disk_hits,
             self.disk_rejected,
@@ -1038,6 +1049,7 @@ impl fmt::Display for ServiceCounters {
             self.rejected,
             self.cancelled,
             self.engine_panics,
+            self.models_reused,
             self.queue_peak
         )
     }
@@ -1383,6 +1395,7 @@ mod tests {
         stats.record_rejected();
         stats.record_cancelled();
         stats.record_engine_panic();
+        stats.record_model_reused();
         stats.observe_queue_depth(7);
         stats.observe_queue_depth(3); // does not lower the peak
         let snap = stats.snapshot();
@@ -1394,8 +1407,9 @@ mod tests {
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.cancelled, 1);
         assert_eq!(snap.engine_panics, 1);
+        assert_eq!(snap.models_reused, 1);
         assert_eq!(snap.queue_peak, 7);
-        assert!(format!("{snap}").contains("queue peak 7"));
+        assert!(format!("{snap}").contains("models reused 1, queue peak 7"));
     }
 
     #[test]

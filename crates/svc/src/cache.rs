@@ -24,7 +24,7 @@ use tempo_conc::ShardedMap;
 use tempo_obs::{Budget, Fingerprint, RunReport};
 use tempo_witness::format;
 
-use crate::job::{JobKind, JobVerdict};
+use crate::job::{JobKind, JobVerdict, ModelSlot};
 
 /// Header line of a disk-tier cache file.
 const DISK_MAGIC: &str = "tempo-svc-cache v2";
@@ -121,12 +121,14 @@ impl VerdictCache {
     }
 
     /// Probes the disk tier for `key`, replaying any stored certificate
-    /// against the live model behind `kind` before trusting it.
+    /// against the live model behind `kind` before trusting it. An mcpta
+    /// replay takes its MDP from `slot` (see [`JobKind::execute`]).
     pub(crate) fn lookup_disk(
         &self,
         key: &Fingerprint,
         kind: &JobKind,
         budget: &Budget,
+        slot: &mut ModelSlot,
     ) -> DiskLookup {
         let Some(dir) = &self.disk else {
             return DiskLookup::Absent;
@@ -135,7 +137,7 @@ impl VerdictCache {
         let Ok(text) = fs::read_to_string(&path) else {
             return DiskLookup::Absent;
         };
-        match Self::revalidate(&text, kind, budget) {
+        match Self::revalidate(&text, kind, budget, slot) {
             Some(cached) => {
                 // Promote to the memory tier so the replay cost is paid
                 // once per process, not once per request.
@@ -154,7 +156,12 @@ impl VerdictCache {
 
     /// Parses and fully re-validates one disk entry. `None` on any
     /// defect — the entry is treated as corrupted.
-    fn revalidate(text: &str, kind: &JobKind, budget: &Budget) -> Option<CachedVerdict> {
+    fn revalidate(
+        text: &str,
+        kind: &JobKind,
+        budget: &Budget,
+        slot: &mut ModelSlot,
+    ) -> Option<CachedVerdict> {
         let mut lines = text.lines();
         if lines.next()?.trim() != DISK_MAGIC {
             return None;
@@ -172,7 +179,7 @@ impl VerdictCache {
         // kind the disk tier persists is network-independent to *parse*
         // (validation always runs against the live model).
         let cert = format::parse_standalone(&cert_text).ok()?;
-        kind.validate_cached(&verdict, &cert, budget).ok()?;
+        kind.validate_cached(&verdict, &cert, budget, slot).ok()?;
         Some(CachedVerdict {
             verdict,
             report,
@@ -294,14 +301,14 @@ mod tests {
         let key = Fingerprint::from_hex("ffeeddccbbaa99887766554433221100").unwrap();
         let path = cache.disk_path(&key).unwrap();
         fs::write(&path, "not a tempo-svc-cache file").unwrap();
-        match cache.lookup_disk(&key, &kind, &Budget::unlimited()) {
+        match cache.lookup_disk(&key, &kind, &Budget::unlimited(), &mut ModelSlot::default()) {
             DiskLookup::Rejected { evicted } => assert!(evicted, "dead entry must be deleted"),
             _ => panic!("garbage file must be rejected"),
         }
         assert!(!path.exists(), "rejected entry must be gone from disk");
         assert!(
             matches!(
-                cache.lookup_disk(&key, &kind, &Budget::unlimited()),
+                cache.lookup_disk(&key, &kind, &Budget::unlimited(), &mut ModelSlot::default()),
                 DiskLookup::Absent
             ),
             "second lookup must miss without re-replay"

@@ -4,6 +4,7 @@
 
 use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 
 use tempo_bip::BipSystem;
 use tempo_cora::PricedNetwork;
@@ -17,7 +18,7 @@ use tempo_obs::{
 };
 use tempo_rare::{certified_cost_probability, certified_splitting_probability, SplitConfig};
 use tempo_smc::{Estimate, RatePolicy};
-use tempo_ta::{DigitalExplorer, Network, StateFormula};
+use tempo_ta::{ClockAtom, DigitalExplorer, Network, StateFormula};
 use tempo_witness::certify::{self, Certificate, GameObjective};
 
 /// How many runs a probability job exports into its certificate: enough
@@ -146,8 +147,10 @@ pub enum JobKind {
     /// Probabilistic reachability on a network whose weighted choices
     /// are probabilistic (a compiled MODEST model, or any network from
     /// the `tempo-lang` frontend) via the digital-clocks MDP (mcpta).
-    /// The expensive MDP construction runs on every miss — which is
-    /// exactly what a warm cache hit skips.
+    /// A warm cache hit skips the expensive MDP construction; a miss or
+    /// a disk hit builds it, unless the service still holds the MDP the
+    /// previous engine run built for the same network and the same goal
+    /// clock atoms (see [`crate::AnalysisService`]).
     McptaReach {
         /// The network: its digest is the model part of the cache key.
         pta: Arc<Pta>,
@@ -223,7 +226,10 @@ impl JobKind {
     /// closedness, which its digital-clocks engine needs: a strict bound
     /// in a guard or invariant, or a goal that is open in the clocks, is
     /// a `DIGITAL` error. The network lint is not run there, since most
-    /// requests for a PTA are cache hits whose cost is this gate. A
+    /// requests for a PTA are cache hits whose cost is this gate. The
+    /// game and cost engines also run on digital clocks, so after their
+    /// network check a reachability goal, a safety game's bad set or a
+    /// cost goal that is open in the clocks is a `DIGITAL` error too. A
     /// leads-to whose formulas read clocks is refused with a `TL103`
     /// error, the code `tempo check` gives the same query: its engine
     /// supports only discrete predicates.
@@ -248,11 +254,13 @@ impl JobKind {
             | JobKind::DeadlockFree { net, .. } => {
                 tempo_lint::check_network_first(net, &config).map(drop)
             }
-            JobKind::MinCost { pnet, .. } | JobKind::PricedSmc { pnet, .. } => {
-                pnet.check_first(&config).map(drop)
-            }
-            JobKind::ReachGame { net, .. } | JobKind::SafetyGame { net, .. } => {
-                tempo_tiga::GameSolver::check_first(net, &config).map(drop)
+            JobKind::MinCost { pnet, goal } => pnet
+                .check_first(&config)
+                .and_then(|_| DigitalExplorer::check_goal(goal).map_err(LintError::from)),
+            JobKind::PricedSmc { pnet, .. } => pnet.check_first(&config).map(drop),
+            JobKind::ReachGame { net, goal } | JobKind::SafetyGame { net, bad: goal } => {
+                tempo_tiga::GameSolver::check_first(net, &config)
+                    .and_then(|_| DigitalExplorer::check_goal(goal).map_err(LintError::from))
             }
             JobKind::Probability { net, .. } | JobKind::RareEvent { net, .. } => {
                 tempo_smc::StatisticalChecker::check_first(net, &config).map(drop)
@@ -413,8 +421,13 @@ impl JobKind {
 
     /// Runs the engine behind this job under `budget`, returning the
     /// verdict, the work report, and — for verdicts that admit one — a
-    /// replayable certificate.
-    pub(crate) fn execute(&self, budget: &Budget) -> Result<Execution, JobError> {
+    /// replayable certificate. An mcpta run takes its MDP from `slot`
+    /// (see [`build_mcpta`]).
+    pub(crate) fn execute(
+        &self,
+        budget: &Budget,
+        slot: &mut ModelSlot,
+    ) -> Result<Execution, JobError> {
         match self {
             JobKind::Reach { net, goal, explore } => {
                 let (out, cert) =
@@ -594,11 +607,11 @@ impl JobKind {
                 goal,
                 epsilon,
             } => {
-                let (built, mut report) = split(build_mcpta(pta, goal, budget))?;
+                let (built, mut report) = split(build_mcpta(slot, pta, goal, budget))?;
                 let m = built.ok_or_else(|| {
                     JobError::Engine("digital-clocks MDP construction produced no model".to_owned())
                 })?;
-                let (out, cert) = certify::certified_mcpta_reach(&m, *opt, goal, *epsilon, budget)
+                let (out, cert) = certify::certified_mcpta_reach(m, *opt, goal, *epsilon, budget)
                     .map_err(engine_err)?;
                 let (q, reach_report) = split(out)?;
                 report.merge(&reach_report);
@@ -652,7 +665,8 @@ impl JobKind {
     /// kind, must replay successfully, and must pin the verdict's value.
     ///
     /// `budget` governs validation work that itself explores a state
-    /// space (rebuilding the digital-clocks MDP for mcpta verdicts).
+    /// space (the digital-clocks MDP of an mcpta verdict, which comes
+    /// from `slot` as in [`JobKind::execute`]).
     ///
     /// # Errors
     ///
@@ -663,6 +677,7 @@ impl JobKind {
         verdict: &JobVerdict,
         cert: &Certificate,
         budget: &Budget,
+        slot: &mut ModelSlot,
     ) -> Result<(), String> {
         match (self, verdict, cert) {
             (
@@ -729,7 +744,7 @@ impl JobKind {
                 if c.opt != *opt || c.value.to_bits() != v.to_bits() {
                     return Err("scheduler certificate does not pin the cached value".to_owned());
                 }
-                let m = match build_mcpta(pta, goal, budget) {
+                let m = match build_mcpta(slot, pta, goal, budget) {
                     Outcome::Complete { value: Some(m), .. } => m,
                     _ => return Err("could not rebuild the MDP within budget".to_owned()),
                 };
@@ -798,11 +813,90 @@ fn digest_budget_class(budget: &Budget, h: &mut StableHasher) {
     h.write_u64(class(budget.max_runs));
 }
 
-/// Builds a `McptaReach` job's MDP with the goal's clock atoms kept
-/// exact: the clock clamp and active-clock reduction only keep the atoms
-/// they are given.
-fn build_mcpta(pta: &Pta, goal: &StateFormula, budget: &Budget) -> Outcome<Option<Mcpta>> {
-    Mcpta::try_build(pta, &goal.clock_atoms(), budget)
+/// A digital-clocks MDP that one engine run built, held by the service
+/// for the next run.
+pub(crate) struct HeldModel {
+    /// Digest of the network and of the goal's clock atoms, the inputs
+    /// of [`Mcpta::try_build`] besides the budget.
+    key: Fingerprint,
+    mcpta: Mcpta,
+    /// The build's report, time included.
+    build: RunReport,
+}
+
+/// The service's held model as one engine run sees it: the run may
+/// solve on it, replace it with its own build, or leave it empty.
+#[derive(Default)]
+pub(crate) struct ModelSlot {
+    /// The last model built, if the service still holds it.
+    pub held: Option<HeldModel>,
+    /// Whether this run solved on a model an earlier run built.
+    pub reused: bool,
+}
+
+/// A `McptaReach` job's MDP, with the goal's clock atoms kept exact (the
+/// clock clamp and active-clock reduction only keep the atoms they are
+/// given), and the report of its build.
+///
+/// The model in `slot` serves when it was built from the same network
+/// and the same clock atoms and has no more states than `budget`
+/// allows; its report then carries the build's work but none of its
+/// time, which this run did not spend. Otherwise the held model is
+/// dropped before the build, and a complete build takes its place.
+fn build_mcpta<'s>(
+    slot: &'s mut ModelSlot,
+    pta: &Pta,
+    goal: &StateFormula,
+    budget: &Budget,
+) -> Outcome<Option<&'s Mcpta>> {
+    let atoms = goal.clock_atoms();
+    let key = model_key(pta, &atoms);
+    let reused = slot.held.as_ref().is_some_and(|h| {
+        h.key == key && budget.max_states.is_none_or(|n| h.build.states_stored <= n)
+    });
+    if reused {
+        slot.reused = true;
+    } else {
+        slot.held = None;
+        match Mcpta::try_build(pta, &atoms, budget) {
+            Outcome::Complete {
+                value: Some(mcpta),
+                report,
+            } => {
+                slot.held = Some(HeldModel {
+                    key,
+                    mcpta,
+                    build: report,
+                });
+            }
+            other => return other.map(|_| None),
+        }
+    }
+    let held = slot
+        .held
+        .as_ref()
+        .expect("the model was held or just built");
+    let wall_time = if reused {
+        Duration::ZERO
+    } else {
+        held.build.wall_time
+    };
+    Outcome::Complete {
+        value: Some(&held.mcpta),
+        report: RunReport {
+            wall_time,
+            ..held.build.clone()
+        },
+    }
+}
+
+/// The held-model key of a network and a goal's clock atoms, in order.
+fn model_key(pta: &Pta, atoms: &[ClockAtom]) -> Fingerprint {
+    let mut h = StableHasher::new();
+    h.write_tag("mcpta-model");
+    pta.digest(&mut h);
+    atoms.digest(&mut h);
+    h.finish()
 }
 
 fn engine_err(e: tempo_witness::WitnessError) -> JobError {

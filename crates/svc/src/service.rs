@@ -17,7 +17,9 @@ use tempo_obs::{Fingerprint, RunReport, ServiceCounters, ServiceStats};
 use tempo_witness::format;
 
 use crate::cache::{CachedVerdict, DiskLookup, VerdictCache};
-use crate::job::{JobError, JobKind, JobRequest, JobResult, Rejected, VerdictSource};
+use crate::job::{
+    HeldModel, JobError, JobKind, JobRequest, JobResult, ModelSlot, Rejected, VerdictSource,
+};
 
 /// Tuning knobs of an [`AnalysisService`].
 #[derive(Clone, Debug)]
@@ -140,6 +142,9 @@ struct Inner {
     tenants: Mutex<HashMap<String, usize>>,
     tenant_reports: Mutex<HashMap<String, RunReport>>,
     stats: ServiceStats,
+    /// The digital-clocks MDP the last mcpta run built, for the next
+    /// run to solve on.
+    held: Mutex<Option<HeldModel>>,
     shutting_down: AtomicBool,
     next_id: AtomicU64,
 }
@@ -235,18 +240,35 @@ impl Inner {
             return;
         }
         let budget = work.budget.clone().with_cancel(comp.clone());
-        match self.cache.lookup_disk(&work.key, &work.kind, &budget) {
+        let mut slot = self.take_model(&work.kind);
+        let result = match self.serve(&work, &budget, &mut slot) {
+            // Cancellation can stop an engine before it has any result
+            // (an estimate with no completed run), which it reports as
+            // an engine error: the job was cancelled, not faulty.
+            Err(JobError::Engine(_)) if comp.is_cancelled() => Err(JobError::Cancelled),
+            other => other,
+        };
+        // The model goes back before the waiters wake, so the job a
+        // client submits next finds it.
+        self.hold_model(slot);
+        self.complete(work.key, &result);
+    }
+
+    /// The disk tier, then the engine, for a job the memory tier missed.
+    fn serve(
+        &self,
+        work: &Work,
+        budget: &tempo_obs::Budget,
+        slot: &mut ModelSlot,
+    ) -> Result<JobResult, JobError> {
+        match self.cache.lookup_disk(&work.key, &work.kind, budget, slot) {
             DiskLookup::Hit(hit) => {
                 self.stats.record_disk_hit();
-                self.complete(
-                    work.key,
-                    &Ok(JobResult {
-                        verdict: hit.verdict,
-                        report: hit.report,
-                        source: VerdictSource::DiskHit,
-                    }),
-                );
-                return;
+                return Ok(JobResult {
+                    verdict: hit.verdict,
+                    report: hit.report,
+                    source: VerdictSource::DiskHit,
+                });
             }
             DiskLookup::Rejected { evicted } => {
                 self.stats.record_disk_rejected();
@@ -259,39 +281,54 @@ impl Inner {
         self.stats.record_miss();
         // A panicking engine resolves its job like any other engine
         // failure, and the worker goes on to the next job.
-        let executed = catch_unwind(AssertUnwindSafe(|| work.kind.execute(&budget)))
+        let exec = catch_unwind(AssertUnwindSafe(|| work.kind.execute(budget, slot)))
             .unwrap_or_else(|payload| {
                 self.stats.record_engine_panic();
                 Err(JobError::EnginePanic(panic_message(payload.as_ref())))
-            });
-        match executed {
-            Ok(exec) => {
-                let cert_text = exec
-                    .certificate
-                    .as_ref()
-                    .map(|c| Arc::new(format::render(c)));
-                let cached = CachedVerdict {
-                    verdict: exec.verdict.clone(),
-                    report: exec.report.clone(),
-                    certificate: cert_text,
-                };
-                self.cache.insert(work.key, &work.kind, &cached);
-                self.complete(
-                    work.key,
-                    &Ok(JobResult {
-                        verdict: exec.verdict,
-                        report: exec.report,
-                        source: VerdictSource::Computed,
-                    }),
-                );
-            }
-            // Cancellation can stop an engine before it has any result
-            // (an estimate with no completed run), which it reports as
-            // an engine error: the job was cancelled, not faulty.
-            Err(JobError::Engine(_)) if comp.is_cancelled() => {
-                self.complete(work.key, &Err(JobError::Cancelled));
-            }
-            Err(e) => self.complete(work.key, &Err(e)),
+            })?;
+        let cert_text = exec
+            .certificate
+            .as_ref()
+            .map(|c| Arc::new(format::render(c)));
+        let cached = CachedVerdict {
+            verdict: exec.verdict.clone(),
+            report: exec.report.clone(),
+            certificate: cert_text,
+        };
+        self.cache.insert(work.key, &work.kind, &cached);
+        Ok(JobResult {
+            verdict: exec.verdict,
+            report: exec.report,
+            source: VerdictSource::Computed,
+        })
+    }
+
+    /// Takes the held model out of the service for a run of `kind`. An
+    /// mcpta run may solve on it; any other run drops it before it
+    /// starts, so the model does not stay resident through that run.
+    fn take_model(&self, kind: &JobKind) -> ModelSlot {
+        let held = self.held.lock().expect("model slot poisoned").take();
+        ModelSlot {
+            held: held.filter(|_| matches!(kind, JobKind::McptaReach { .. })),
+            reused: false,
+        }
+    }
+
+    /// Hands the model a run leaves in `slot` on to the next run. It
+    /// replaces one that another worker handed on meanwhile, so the
+    /// service holds at most one.
+    fn hold_model(&self, slot: ModelSlot) {
+        if slot.reused {
+            self.stats.record_model_reused();
+        }
+        if let Some(model) = slot.held {
+            // Dropped after the lock is released.
+            let replaced = self
+                .held
+                .lock()
+                .expect("model slot poisoned")
+                .replace(model);
+            drop(replaced);
         }
     }
 }
@@ -371,6 +408,17 @@ impl JobHandle {
 
 /// The multi-tenant concurrent analysis service.
 ///
+/// The service holds the last digital-clocks MDP an mcpta run built,
+/// with its build's report. The next [`JobKind::McptaReach`] run, a miss
+/// or a disk hit's certificate replay, solves on it instead of building
+/// when the network digest and the goal's clock atoms are the same and
+/// the model's states fit the run's state budget; `Pmax` and `Pmin`
+/// of several goals on one model then cost one build. Any other engine
+/// run drops the held model before it starts, an mcpta run that cannot
+/// use it drops it before building, and [`AnalysisService::shutdown`]
+/// drops it. A run that solved on a held model counts in
+/// [`ServiceCounters::models_reused`].
+///
 /// ```
 /// use std::sync::Arc;
 /// use tempo_obs::{Budget, ExploreConfig};
@@ -418,6 +466,7 @@ impl AnalysisService {
             tenants: Mutex::new(HashMap::new()),
             tenant_reports: Mutex::new(HashMap::new()),
             stats: ServiceStats::new(),
+            held: Mutex::new(None),
             shutting_down: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
             config,
@@ -616,6 +665,8 @@ impl AnalysisService {
         for key in keys {
             inner.complete(key, &Err(JobError::Cancelled));
         }
+        // Handles keep `inner` alive; the model must not live with them.
+        drop(inner.held.lock().expect("model slot poisoned").take());
         inner.stats.snapshot()
     }
 }

@@ -389,7 +389,7 @@ fn states_close(a: &tempo_smc::ConcreteState, b: &tempo_smc::ConcreteState) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{random_network, Shapes};
+    use crate::oracle::{random_network, Choices, Shapes};
     use std::collections::{BTreeSet, HashSet, VecDeque};
     use std::ops::ControlFlow;
     use tempo_dbm::Federation;
@@ -486,7 +486,7 @@ mod tests {
         let mut refused = 0;
         let mut stuck = 0;
         for n in 0..550 {
-            let net = random_network(&mut rng);
+            let net = random_network(&mut rng, Choices::Dirac);
             let exp = DigitalExplorer::new(&net);
             let mut seen = HashSet::new();
             let mut queue = VecDeque::from([exp.initial_state()]);

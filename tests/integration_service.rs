@@ -11,10 +11,11 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use tempo_core::cora::PricedNetwork;
 use tempo_core::dbm::Clock;
 use tempo_core::mdp::Opt;
-use tempo_core::modest::{compile, parse_modest};
-use tempo_core::obs::{Budget, ExploreConfig, Severity};
+use tempo_core::modest::{compile, parse_modest, Mcpta};
+use tempo_core::obs::{Budget, CounterKind, ExhaustionReason, ExploreConfig, Severity};
 use tempo_core::svc::{
     AnalysisService, JobError, JobKind, JobRequest, JobVerdict, Rejected, ServiceConfig,
     VerdictSource,
@@ -645,6 +646,271 @@ fn clock_constrained_leads_to_is_rejected_at_admission() {
     }
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.misses, 0, "nothing was queued");
+}
+
+/// The game and cost engines run on digital clocks, so their admission
+/// gate refuses a goal that is open in the clocks, as mcpta's does. On
+/// one location with clock `x`, dense time passes through `x > 1 && x <
+/// 2` and the zone engine reaches it, but integer time never enters it:
+/// without the gate TIGA answered "not winning" and CORA "unreachable".
+/// The closed goal `x >= 1 && x <= 2` is admitted, and the verdicts
+/// agree with the zone engine.
+#[test]
+fn game_and_cost_goals_open_in_the_clocks_are_rejected_at_admission() {
+    let mut b = NetworkBuilder::new();
+    let x = b.clock("x");
+    let mut a = b.automaton("A");
+    a.location("L0");
+    a.done();
+    let net = Arc::new(b.build());
+    let pnet = Arc::new(PricedNetwork::new((*net).clone()));
+    let between = |lo: ClockAtom, hi: ClockAtom| {
+        StateFormula::and(vec![StateFormula::clock(lo), StateFormula::clock(hi)])
+    };
+    let jobs = |goal: StateFormula| {
+        vec![
+            JobKind::ReachGame {
+                net: Arc::clone(&net),
+                goal: goal.clone(),
+            },
+            JobKind::SafetyGame {
+                net: Arc::clone(&net),
+                bad: goal.clone(),
+            },
+            JobKind::MinCost {
+                pnet: Arc::clone(&pnet),
+                goal,
+            },
+        ]
+    };
+    let svc = AnalysisService::new(ServiceConfig::default());
+
+    for kind in jobs(between(ClockAtom::gt(x, 1), ClockAtom::lt(x, 2))) {
+        match svc.submit(request("t", kind.clone())).err() {
+            Some(Rejected::Lint(e)) => assert!(
+                !e.diagnostics.is_empty() && e.diagnostics.iter().all(|d| d.code == "DIGITAL"),
+                "{kind:?}: {e}"
+            ),
+            other => panic!("{kind:?}: expected Rejected::Lint, got {other:?}"),
+        }
+    }
+
+    let closed = between(ClockAtom::ge(x, 1), ClockAtom::le(x, 2));
+    let zone = ModelChecker::new(&net).reachable(&closed).reachable;
+    assert!(zone, "dense time reaches the closed goal");
+    let verdicts: Vec<JobVerdict> = jobs(closed)
+        .into_iter()
+        .map(|kind| svc.run(request("t", kind)).expect("admitted").verdict)
+        .collect();
+    assert_eq!(
+        verdicts,
+        [
+            JobVerdict::GameWinning(zone),
+            // Nothing the controller does stops time reaching the bad set.
+            JobVerdict::GameWinning(!zone),
+            JobVerdict::MinCost(Some(0)),
+        ]
+    );
+    let stats = svc.shutdown();
+    assert_eq!(stats.rejected, 3);
+    assert_eq!(stats.misses, 3);
+}
+
+/// A `Pmax` job of `goal` on the compiled BRP network `pta`.
+fn brp_job(pta: &Arc<Network>, goal: StateFormula) -> JobKind {
+    JobKind::McptaReach {
+        pta: Arc::clone(pta),
+        opt: Opt::Max,
+        goal,
+        epsilon: 1e-9,
+    }
+}
+
+/// A service with `workers` workers and a fresh disk tier.
+fn service_with_disk(workers: usize, tag: &str) -> (AnalysisService, PathBuf) {
+    let dir = unique_dir(tag);
+    let svc = AnalysisService::new(ServiceConfig {
+        workers,
+        disk_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    (svc, dir)
+}
+
+/// What the model hand-off must leave unchanged in a computed mcpta
+/// job: the value's bits, the certificate the disk tier stored and the
+/// report's work counters.
+fn computed_answer(
+    svc: &AnalysisService,
+    kind: &JobKind,
+) -> (u64, String, Vec<(&'static str, u64)>) {
+    let handle = svc.submit(request("t", kind.clone())).expect("admitted");
+    let result = handle.wait().expect("computed");
+    assert_eq!(result.source, VerdictSource::Computed);
+    let JobVerdict::McptaValue(value) = result.verdict else {
+        panic!("not an mcpta value: {}", result.verdict)
+    };
+    let path = svc.disk_entry_path(&handle.cache_key()).expect("disk tier");
+    let entry = std::fs::read_to_string(path).expect("entry persisted");
+    let (_, cert) = entry
+        .split_once("\n\n")
+        .expect("header, blank line, certificate");
+    let work = result
+        .report
+        .counters()
+        .filter(|&(_, _, kind)| kind == CounterKind::Work)
+        .map(|(name, v, _)| (name, v))
+        .collect();
+    (value.to_bits(), cert.to_owned(), work)
+}
+
+/// `Pmax(P1)` then `Pmax(P2)` on one network build its MDP once: the
+/// second job solves on the model the first built. Its value, its
+/// certificate and its report's work counters are those of the same
+/// job on a fresh service, at one worker and at two.
+#[test]
+fn consecutive_mcpta_jobs_on_one_network_share_the_built_model() {
+    let model = brp(8, 2, 2);
+    let pta = Arc::new(model.pta.clone());
+    let (p1, p2) = (
+        brp_job(&pta, model.p1_goal()),
+        brp_job(&pta, model.p2_goal()),
+    );
+    for workers in [1, 2] {
+        let (svc, dir) = service_with_disk(workers, "handoff");
+        computed_answer(&svc, &p1);
+        let shared = computed_answer(&svc, &p2);
+        let stats = svc.shutdown();
+        assert_eq!(
+            (stats.misses, stats.models_reused),
+            (2, 1),
+            "{workers} workers"
+        );
+
+        let (fresh_svc, fresh_dir) = service_with_disk(workers, "handoff-fresh");
+        let fresh = computed_answer(&fresh_svc, &p2);
+        assert_eq!(fresh_svc.shutdown().models_reused, 0);
+        assert_eq!(shared, fresh, "{workers} workers");
+        for d in [dir, fresh_dir] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+}
+
+/// The held model serves only a run whose MDP it is: a goal that reads
+/// other clock atoms, a run after a job of another kind, and a job on a
+/// new service each build their own.
+#[test]
+fn the_held_model_is_rebuilt_when_it_cannot_serve() {
+    let model = brp(8, 2, 2);
+    let pta = Arc::new(model.pta.clone());
+    let p1 = brp_job(&pta, model.p1_goal());
+    let p2 = brp_job(&pta, model.p2_goal());
+    let dmax = brp_job(&pta, model.dmax_goal(8));
+    let tg = train_gate(2);
+    let reach = JobKind::Reach {
+        net: Arc::new(tg.net.clone()),
+        goal: tg.cross(0),
+        explore: ExploreConfig::default(),
+    };
+    for workers in [1, 2] {
+        let config = ServiceConfig {
+            workers,
+            ..ServiceConfig::default()
+        };
+        for sequence in [
+            vec![p1.clone(), dmax.clone()],
+            vec![p1.clone(), reach.clone(), p2.clone()],
+        ] {
+            let svc = AnalysisService::new(config.clone());
+            for kind in &sequence {
+                let r = svc.run(request("t", kind.clone())).expect("computed");
+                assert_eq!(r.source, VerdictSource::Computed, "{kind:?}");
+            }
+            let stats = svc.shutdown();
+            assert_eq!(stats.misses, sequence.len() as u64);
+            assert_eq!(stats.models_reused, 0, "{workers} workers: {sequence:?}");
+        }
+        for kind in [&p1, &p2] {
+            let svc = AnalysisService::new(config.clone());
+            svc.run(request("t", kind.clone())).expect("computed");
+            assert_eq!(svc.shutdown().models_reused, 0);
+        }
+    }
+}
+
+/// The held model serves a run whose state budget it fits. After an
+/// unlimited job on a model of `S` states, a job with a budget of `S`
+/// states solves on it; one with `S - 1` ends `Exhausted(States)`, as
+/// on a fresh service, and drops the model, so the next job builds.
+#[test]
+fn the_held_model_serves_only_a_state_budget_it_fits() {
+    let model = brp(8, 2, 2);
+    let pta = Arc::new(model.pta.clone());
+    let states = Mcpta::build(&pta, &[], usize::MAX).stats().states as u64;
+    let p1 = brp_job(&pta, model.p1_goal());
+    let p2 = brp_job(&pta, model.p2_goal());
+    let with_states = |kind: &JobKind, n: u64| JobRequest {
+        budget: Budget::unlimited().with_max_states(n),
+        ..request("t", kind.clone())
+    };
+    let exhausted = Err(JobError::Exhausted(ExhaustionReason::States));
+    for workers in [1, 2] {
+        let config = ServiceConfig {
+            workers,
+            ..ServiceConfig::default()
+        };
+        let fresh = AnalysisService::new(config.clone());
+        assert_eq!(fresh.run(with_states(&p1, states - 1)), exhausted);
+        fresh.shutdown();
+
+        let svc = AnalysisService::new(config);
+        svc.run(request("t", p1.clone())).expect("unlimited");
+        let fits = svc.run(with_states(&p2, states)).expect("fits");
+        assert_eq!(fits.source, VerdictSource::Computed);
+        assert_eq!(svc.stats().models_reused, 1, "{workers} workers");
+        assert_eq!(svc.run(with_states(&p1, states - 1)), exhausted);
+        svc.run(request("t", p2.clone())).expect("unlimited");
+        let stats = svc.shutdown();
+        assert_eq!(
+            (stats.misses, stats.models_reused),
+            (4, 1),
+            "{workers} workers"
+        );
+    }
+}
+
+/// A disk hit's certificate replay builds the MDP it replays on, and
+/// hands it on: the next job, another goal on the same network, is
+/// computed on that model.
+#[test]
+fn a_disk_hit_hands_its_model_to_the_next_job() {
+    let model = brp(8, 2, 2);
+    let pta = Arc::new(model.pta.clone());
+    let p1 = brp_job(&pta, model.p1_goal());
+    let p2 = brp_job(&pta, model.p2_goal());
+    for workers in [1, 2] {
+        let (svc, dir) = service_with_disk(workers, "handoff-disk");
+        svc.run(request("t", p1.clone())).expect("computed");
+        svc.shutdown();
+
+        let svc = AnalysisService::new(ServiceConfig {
+            workers,
+            disk_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        });
+        let hit = svc.run(request("t", p1.clone())).expect("disk hit");
+        assert_eq!(hit.source, VerdictSource::DiskHit);
+        let computed = svc.run(request("t", p2.clone())).expect("computed");
+        assert_eq!(computed.source, VerdictSource::Computed);
+        let stats = svc.shutdown();
+        assert_eq!(
+            (stats.disk_hits, stats.misses, stats.models_reused),
+            (1, 1, 1),
+            "{workers} workers"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// A panicking engine resolves its job with `EnginePanic` instead of
