@@ -254,54 +254,6 @@ fn count_states(exp: &Explorer<'_>) -> usize {
     count
 }
 
-fn p1_parallel_reach(c: &mut Criterion) {
-    let mut group = c.benchmark_group("p1_parallel_reach");
-    group.sample_size(10);
-    // The tentpole speedup experiment: exhaustive safety search on the
-    // 4-train gate at increasing worker counts. Verdict and fixpoint size
-    // are thread-count independent (asserted in integration_parallel.rs);
-    // here only the wall clock varies.
-    let tg = train_gate(4);
-    for threads in [1_usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("safety_n4_threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let mut mc = ModelChecker::new(&tg.net).with_threads(threads);
-                    let (v, _) = mc.always(&tg.safety());
-                    assert!(v.holds());
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-fn p2_parallel_smc(c: &mut Criterion) {
-    let mut group = c.benchmark_group("p2_parallel_smc");
-    group.sample_size(10);
-    // Batch simulation on the 3-train gate with the trials split across
-    // workers in contiguous blocks (each trial seeded by its index, so
-    // the CDF is the same at every worker count).
-    let tg = train_gate(3);
-    for threads in [1_usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("cdf_2000_runs_threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let mut smc =
-                        StatisticalChecker::new(&tg.net, tg.rates(), 1).with_threads(threads);
-                    let cdf = smc.cdf(&tg.cross(0), 100.0, 2000);
-                    assert!(cdf.hits() > 0);
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn a2_ablation_mdp(c: &mut Criterion) {
     let mut group = c.benchmark_group("a2_ablation_mdp");
     group.sample_size(10);
@@ -509,20 +461,6 @@ fn p5_rare(c: &mut Criterion) {
             assert!(est.p_hat >= 0.0);
         });
     });
-    for threads in [1_usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("fixed_effort_chain16_threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let mut rc =
-                        RareChecker::new(&ch.net, RatePolicy::new(), 1).with_threads(threads);
-                    let est = rc.probability(&goal, bound, &SplitConfig::default());
-                    assert!(est.lower > 0.0);
-                });
-            },
-        );
-    }
     let small = chain(6);
     let mut pnet = PricedNetwork::new(small.net.clone());
     for li in 0..small.net.automata()[small.aut.index()].locations.len() {
@@ -558,8 +496,6 @@ criterion_group!(
     a1_ablation_extrapolation,
     a2_ablation_mdp,
     a3_ablation_smc,
-    p1_parallel_reach,
-    p2_parallel_smc,
     p3_svc,
     p4_flow,
     p5_rare,

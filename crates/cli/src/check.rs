@@ -325,9 +325,8 @@ fn error_json(code: &str, message: &str, span: Option<tempo_lang::Span>) -> Json
     Json::Obj(fields)
 }
 
-/// Every work counter, in declaration order. Timings and
-/// worker-dependent counters stay out, so the document is
-/// byte-identical across `--threads` and warm reruns.
+/// Every work counter, in declaration order. Timings stay out, so the
+/// document is byte-identical across `--threads` and warm reruns.
 fn report_json(r: &RunReport) -> Json {
     Json::Obj(
         r.counters()

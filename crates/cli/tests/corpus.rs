@@ -142,7 +142,7 @@ fn assert_schema(file: &Path, r: &RunResult) {
         .filter(|&(_, _, kind)| kind == CounterKind::Work)
         .map(|(counter, _, _)| counter)
         .collect();
-    for varies in ["wall_time", "certify_time", "spill_faults"] {
+    for varies in ["wall_time", "certify_time"] {
         assert!(!work.contains(&varies), "{varies} differs between runs");
     }
     for (i, a) in asserts.iter().enumerate() {

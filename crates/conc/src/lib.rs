@@ -1,24 +1,21 @@
-//! Concurrency substrate shared by the tempo analysis engines.
+//! Concurrency and determinism substrate of the tempo analysis service
+//! and engines.
 //!
-//! Everything here is built on `std::thread::scope` and `std::sync` only —
-//! no external dependencies. The pieces:
+//! Everything here is built on `std::sync` only — no external
+//! dependencies. The engines run on the thread that calls them; the one
+//! pool of threads is the analysis service's, one job per worker. The
+//! pieces:
 //!
-//! * [`run_workers`] — a scoped worker pool returning per-worker results in
-//!   worker order, so merges are deterministic;
 //! * [`PriorityWorkQueue`] — a bounded job queue with priorities, aging and
 //!   backpressure, for the analysis service's scheduler;
 //! * [`CancelToken`] — a shared flag for cooperative cancellation;
 //! * [`ShardedMap`] — a mutex-striped hash map, the analysis service's
 //!   in-memory verdict cache;
-//! * [`run_blocks`] — the index partitioner: contiguous [`split_budget`]
-//!   blocks of `0..n`, one per worker, joined in index order;
+//! * [`StateLog`] — the append-only spill log of the out-of-core state
+//!   store;
 //! * [`trial_seed`] / [`derive_stream_seed`] — RNG seeds derived from a
-//!   trial's index, never from the worker that runs it.
-//!
-//! Determinism contract: work is partitioned by index and joined in index
-//! order, and simulation trials are seeded by index, so an engine built on
-//! these helpers computes the same result at any thread count — the
-//! one-worker path is the same code with one block.
+//!   trial's index, so an estimate depends on the seed and the query
+//!   sequence only, and a certificate can regenerate one trial alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,80 +27,8 @@ pub use spill::{fnv64, RecordRef, SpillError, StateLog, SPILL_MAGIC};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// Run `threads` scoped workers and collect their results *in worker order*,
-/// so downstream merges are deterministic regardless of completion order.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn run_workers<R, F>(threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 {
-        return vec![f(0)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || f(w))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-}
-
-/// Split a total work budget into `parts` near-equal chunks, largest first.
-/// The split is deterministic and exhaustive: the chunks sum to `total`.
-#[must_use]
-pub fn split_budget(total: usize, parts: usize) -> Vec<usize> {
-    let parts = parts.max(1);
-    let base = total / parts;
-    let extra = total % parts;
-    (0..parts).map(|i| base + usize::from(i < extra)).collect()
-}
-
-/// Run `f` over the indices `0..n` on up to `threads` workers and return
-/// the outputs in index order.
-///
-/// `0..n` is cut into contiguous [`split_budget`] blocks, one per worker
-/// (never more workers than indices), and the per-block outputs are
-/// concatenated in block order. At one worker `f` sees all of `0..n` on
-/// the calling thread, so the sequential path is the same code. A block
-/// may stop early (say, at a deadline) and return fewer items than it
-/// holds; its items still land in index order.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn run_blocks<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> Vec<T> + Sync,
-{
-    let mut start = 0;
-    let blocks: Vec<Range<usize>> = split_budget(n, threads.min(n))
-        .into_iter()
-        .map(|len| {
-            start += len;
-            start - len..start
-        })
-        .collect();
-    run_workers(blocks.len(), |w| f(blocks[w].clone()))
-        .into_iter()
-        .flatten()
-        .collect()
-}
 
 /// Derive the seed of RNG stream `index` from a base seed.
 ///
@@ -123,9 +48,9 @@ pub fn derive_stream_seed(seed: u64, index: usize) -> u64 {
 /// The RNG seed of trial `trial` in query `epoch` of an experiment seeded
 /// with `seed`.
 ///
-/// Simulation engines seed every trial from its index, never from the
-/// worker that runs it, so any split of the trials over workers draws the
-/// same samples, and a certificate can regenerate trial `trial` alone.
+/// Simulation engines seed every trial from its index, so a trial draws
+/// the same samples wherever and whenever it runs, and a certificate can
+/// regenerate trial `trial` alone.
 #[must_use]
 pub fn trial_seed(seed: u64, epoch: u64, trial: usize) -> u64 {
     let epoch_seed = seed.wrapping_add(epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -416,48 +341,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn workers_return_in_worker_order() {
-        let results = run_workers(8, |w| {
-            // Finish in reverse order to prove ordering comes from the
-            // index, not completion time.
-            std::thread::sleep(std::time::Duration::from_millis((8 - w as u64) * 2));
-            w * 10
-        });
-        assert_eq!(results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-    }
-
-    #[test]
-    fn budget_split_is_exhaustive_and_balanced() {
-        assert_eq!(split_budget(10, 3), vec![4, 3, 3]);
-        assert_eq!(split_budget(2, 4), vec![1, 1, 0, 0]);
-        assert_eq!(split_budget(0, 3), vec![0, 0, 0]);
-        for (total, parts) in [(1000, 7), (13, 13), (5, 1)] {
-            let chunks = split_budget(total, parts);
-            assert_eq!(chunks.iter().sum::<usize>(), total);
-            assert_eq!(chunks.len(), parts);
-            assert!(chunks.iter().max().unwrap() - chunks.iter().min().unwrap() <= 1);
-        }
-    }
-
-    #[test]
-    fn blocks_join_in_index_order_at_any_worker_count() {
-        for threads in 1..=5 {
-            assert_eq!(
-                run_blocks(10, threads, |block| block.collect()),
-                (0..10).collect::<Vec<_>>()
-            );
-            assert!(run_blocks(0, threads, |block| block.collect::<Vec<_>>()).is_empty());
-            // A block that stops early keeps its prefix, in order.
-            let stopped = run_blocks(10, threads, |block| {
-                block.take_while(|i| i % 5 != 4).collect::<Vec<_>>()
-            });
-            assert!(stopped.windows(2).all(|w| w[0] < w[1]));
-            assert!(!stopped.contains(&4) && stopped.starts_with(&[0, 1, 2, 3]));
-        }
-        assert_eq!(run_blocks(3, 8, |block| vec![block.len()]), vec![1, 1, 1]);
-    }
-
-    #[test]
     fn trial_seeds_depend_on_seed_epoch_and_index_only() {
         assert_eq!(trial_seed(42, 3, 7), trial_seed(42, 3, 7));
         let seeds: std::collections::HashSet<u64> = (0..4)
@@ -545,11 +428,14 @@ mod tests {
     #[test]
     fn sharded_map_counts_across_shards() {
         let map: ShardedMap<u64, Vec<u64>> = ShardedMap::for_threads(4);
-        run_workers(4, |w| {
-            for i in 0..256u64 {
-                let key = i;
-                let mut shard = map.lock_shard(&key);
-                shard.entry(key).or_default().push(w as u64);
+        std::thread::scope(|scope| {
+            for w in 0..4u64 {
+                let map = &map;
+                scope.spawn(move || {
+                    for key in 0..256u64 {
+                        map.lock_shard(&key).entry(key).or_default().push(w);
+                    }
+                });
             }
         });
         assert_eq!(map.len(), 256);

@@ -296,12 +296,9 @@ impl std::error::Error for LintError {}
 /// between runs of the same input.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CounterKind {
-    /// Work performed: the same input gives the same value at any worker
-    /// count and on a warm rerun.
+    /// Work performed: the same input gives the same value on every run,
+    /// a warm rerun included.
     Work,
-    /// Work whose amount also depends on the worker count: a parallel
-    /// round may do work that a hit or a deadline then never needs.
-    WorkerDependent,
     /// Elapsed wall-clock time, which differs from run to run.
     Timing,
 }
@@ -437,7 +434,7 @@ run_report! {
         spill_bytes: u64, sum, Work;
         /// Full records faulted back in from the spill log (each fault is a
         /// disk read that the resident zone summary could not rule out).
-        spill_faults: u64, sum, WorkerDependent;
+        spill_faults: u64, sum, Work;
         /// `(location, clock)` pairs whose LU extrapolation bound is
         /// strictly tighter than the clock's global maximal constant (`0`
         /// when LU extrapolation was off or found nothing to tighten).
@@ -750,11 +747,12 @@ fn reason_of(code: u8) -> Option<ExhaustionReason> {
 
 /// Runtime meter for one analysis call.
 ///
-/// The governor is shared by reference across worker threads: all
-/// counters are atomic and the exhaustion latch is first-trip-wins, so
-/// every worker observes the same reason. Charging is wait-free; the
-/// wall clock is only consulted by [`Governor::check_time`] (engines
-/// call it once per popped state / sweep / run, not per instruction).
+/// An engine meters its run on the thread that calls it. The counters
+/// are atomic and the exhaustion latch is first-trip-wins, so threads
+/// that share one governor by reference still observe one reason.
+/// Charging is wait-free; the wall clock is only consulted by
+/// [`Governor::check_time`] (engines call it once per popped state /
+/// sweep / run, not per instruction).
 #[derive(Debug)]
 pub struct Governor {
     start: Instant,

@@ -25,9 +25,9 @@
 //!   exactly before the caller sees the estimate.
 //!
 //! Everything is governed by [`tempo_obs::Budget`] and deterministic:
-//! simulated segments are seeded from their index in the experiment, not
-//! from the worker that executes them, so every estimate is
-//! byte-identical at any thread count.
+//! simulated segments are seeded from their index in the experiment, so
+//! every estimate is a function of the model, the query and the seed,
+//! byte for byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

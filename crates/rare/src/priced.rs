@@ -104,12 +104,11 @@ fn priced_report(gov: &Governor, completed: usize, dim: usize) -> RunReport {
 /// A statistical checker over a priced network: estimates cost-bounded
 /// probabilities, expected costs, and cost distributions.
 ///
-/// Trials are seeded individually from `(seed, epoch, trial index)` —
-/// never from the worker that happens to run them — so every estimate is
-/// bitwise identical at any thread count. Cost-bounded probabilities and
-/// cost distributions end each trial at its first goal state, since
-/// [`first_hit_cost`] reads nothing after it; expected costs simulate to
-/// the horizon.
+/// Trials are seeded individually from `(seed, epoch, trial index)`, so
+/// every estimate is a function of the seed and the query sequence, bit
+/// for bit. Cost-bounded probabilities and cost distributions end each
+/// trial at its first goal state, since [`first_hit_cost`] reads nothing
+/// after it; expected costs simulate to the horizon.
 ///
 /// ```
 /// use tempo_cora::PricedNetwork;
@@ -147,14 +146,6 @@ impl<'n> PricedChecker<'n> {
             pnet,
             smc: StatisticalChecker::new(pnet.network(), rates, seed),
         }
-    }
-
-    /// Splits each batch across `threads` workers. Estimates do not
-    /// depend on the thread count (trials are seeded by index).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.smc = self.smc.with_threads(threads);
-        self
     }
 
     /// Caps the number of actions per simulated run.

@@ -25,12 +25,11 @@
 //!
 //! Determinism: every simulated segment is seeded from
 //! `(seed, epoch, stage, trial)` (fixed effort) or a per-replication
-//! seed counter (RESTART) — never from the worker that happens to run
-//! it — and partial results are merged in index order. Estimates are
-//! therefore byte-identical at any thread count.
+//! seed counter (RESTART), so an estimate is a function of the model,
+//! the query, the seed and the configuration, byte for byte.
 
 use crate::score::GoalScore;
-use tempo_conc::{derive_stream_seed, run_blocks, trial_seed};
+use tempo_conc::{derive_stream_seed, trial_seed};
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_smc::{
     estimate, estimate_mean, ConcreteState, RatePolicy, Run, RunStep, Simulator, StatsError,
@@ -167,7 +166,6 @@ pub struct RareChecker<'n> {
     net: &'n Network,
     rates: RatePolicy,
     seed: u64,
-    threads: usize,
     epoch: u64,
     max_steps: usize,
 }
@@ -180,18 +178,9 @@ impl<'n> RareChecker<'n> {
             net,
             rates,
             seed,
-            threads: 1,
             epoch: 0,
             max_steps: DEFAULT_MAX_STEPS,
         }
-    }
-
-    /// Splits trials across `threads` workers. The estimate does not
-    /// depend on the thread count (segments are seeded by index).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Caps the number of actions per simulated segment.
@@ -370,42 +359,36 @@ impl<'n> RareChecker<'n> {
         let z = z_quantile(config.confidence);
         for s in 0..stages {
             let stage_seed = trial_seed(self.seed, self.epoch, s);
-            let pool = &entries;
-            let (rates, max_steps) = (&self.rates, self.max_steps);
-            let merged: Vec<(bool, Option<Entry>)> = run_blocks(n, self.threads, |block| {
-                let mut out = Vec::with_capacity(block.len());
-                for trial in block {
-                    let e = &pool[trial % pool.len()];
-                    if crosses(s, &e.state) {
-                        // Entered this stage already past its level (or
-                        // at the goal): a certain crosser, no simulation
-                        // needed.
-                        out.push((false, Some(e.clone())));
-                        continue;
-                    }
-                    if !gov.check_time() || !gov.charge_run() {
-                        break;
-                    }
-                    let seed = derive_stream_seed(stage_seed, trial);
-                    let mut sim = Simulator::new(net, rates.clone(), seed);
-                    // The segment ends at its first crossing, if any.
-                    let run =
-                        sim.simulate_until(e.state.clone(), bound, max_steps, |st| crosses(s, st));
-                    let crossed = match run.steps.last() {
-                        Some(last) if crosses(s, &last.state) => {
-                            let state = last.state.clone();
-                            let mut prefix = e.prefix.clone();
-                            prefix.extend(run.steps);
-                            Some(Entry { state, prefix })
-                        }
-                        _ => None,
-                    };
-                    out.push((true, crossed));
+            let mut outcomes: Vec<(bool, Option<Entry>)> = Vec::with_capacity(n);
+            for trial in 0..n {
+                let e = &entries[trial % entries.len()];
+                if crosses(s, &e.state) {
+                    // Entered this stage already past its level (or at
+                    // the goal): a certain crosser, no simulation needed.
+                    outcomes.push((false, Some(e.clone())));
+                    continue;
                 }
-                out
-            });
-            let completed = merged.len();
-            for &(simulated, _) in &merged {
+                if !gov.check_time() || !gov.charge_run() {
+                    break;
+                }
+                let seed = derive_stream_seed(stage_seed, trial);
+                let mut sim = Simulator::new(net, self.rates.clone(), seed);
+                // The segment ends at its first crossing, if any.
+                let run =
+                    sim.simulate_until(e.state.clone(), bound, self.max_steps, |st| crosses(s, st));
+                let crossed = match run.steps.last() {
+                    Some(last) if crosses(s, &last.state) => {
+                        let state = last.state.clone();
+                        let mut prefix = e.prefix.clone();
+                        prefix.extend(run.steps);
+                        Some(Entry { state, prefix })
+                    }
+                    _ => None,
+                };
+                outcomes.push((true, crossed));
+            }
+            let completed = outcomes.len();
+            for &(simulated, _) in &outcomes {
                 if simulated {
                     runs_total += 1;
                     if s > 0 {
@@ -424,7 +407,7 @@ impl<'n> RareChecker<'n> {
                     stages_run: s + 1,
                 };
             }
-            let crossers: Vec<Entry> = merged.into_iter().filter_map(|(_, e)| e).collect();
+            let crossers: Vec<Entry> = outcomes.into_iter().filter_map(|(_, e)| e).collect();
             let c = crossers.len();
             levels.push(LevelStats {
                 threshold: thresholds.get(s).copied(),
@@ -493,9 +476,7 @@ impl<'n> RareChecker<'n> {
         let net = self.net;
         let k = config.branch;
         let r = config.replications;
-        let (seed, epoch) = (self.seed, self.epoch);
         let initial = Simulator::new(net, self.rates.clone(), 0).initial_state();
-        let (rates, max_steps) = (&self.rates, self.max_steps);
         /// One replication's contribution, with its work accounting.
         struct Rep {
             sum: f64,
@@ -504,79 +485,79 @@ impl<'n> RareChecker<'n> {
             crossings: Vec<usize>,
             complete: bool,
         }
-        let reps: Vec<Rep> = run_blocks(r, self.threads, |block| {
-            let mut out = Vec::with_capacity(block.len());
-            for rep_index in block {
-                let rep_seed = trial_seed(seed, epoch, rep_index);
-                let mut counter = 0_usize;
-                let mut rep = Rep {
-                    sum: 0.0,
-                    segments: 0,
-                    spawned: 0,
-                    crossings: vec![0; thresholds.len()],
-                    complete: true,
-                };
-                let mut particles = 1_usize;
-                let mut stack: Vec<(ConcreteState, usize)> = vec![(initial.clone(), 0)];
-                'particles: while let Some((state, mut lvl)) = stack.pop() {
-                    // Spawn-point processing: the particle may start at a
-                    // goal state (absorb) or past further thresholds (its
-                    // own lineage crosses them immediately).
-                    if state.satisfies(net, goal) {
-                        rep.sum += weight(k, lvl);
-                        continue;
+        let mut reps: Vec<Rep> = Vec::with_capacity(r);
+        for rep_index in 0..r {
+            let rep_seed = trial_seed(self.seed, self.epoch, rep_index);
+            let mut counter = 0_usize;
+            let mut rep = Rep {
+                sum: 0.0,
+                segments: 0,
+                spawned: 0,
+                crossings: vec![0; thresholds.len()],
+                complete: true,
+            };
+            let mut particles = 1_usize;
+            let mut stack: Vec<(ConcreteState, usize)> = vec![(initial.clone(), 0)];
+            'particles: while let Some((state, mut lvl)) = stack.pop() {
+                // Spawn-point processing: the particle may start at a
+                // goal state (absorb) or past further thresholds (its
+                // own lineage crosses them immediately).
+                if state.satisfies(net, goal) {
+                    rep.sum += weight(k, lvl);
+                    continue;
+                }
+                let sc = score.score(&state);
+                while lvl < thresholds.len() && sc >= thresholds[lvl] {
+                    rep.crossings[lvl] += 1;
+                    lvl += 1;
+                    if particles + (k - 1) <= config.max_particles {
+                        for _ in 0..k - 1 {
+                            stack.push((state.clone(), lvl));
+                        }
+                        particles += k - 1;
+                        rep.spawned += (k - 1) as u64;
                     }
-                    let sc = score.score(&state);
+                }
+                if !gov.check_time() || !gov.charge_run() {
+                    rep.complete = false;
+                    break;
+                }
+                let mut sim = Simulator::new(
+                    net,
+                    self.rates.clone(),
+                    derive_stream_seed(rep_seed, counter),
+                );
+                counter += 1;
+                // The segment ends at the goal; threshold crossings on
+                // the way still spawn particles.
+                let run =
+                    sim.simulate_until(state, bound, self.max_steps, |st| st.satisfies(net, goal));
+                rep.segments += 1;
+                for step in run.steps {
+                    if step.state.satisfies(net, goal) {
+                        rep.sum += weight(k, lvl);
+                        continue 'particles;
+                    }
+                    let sc = score.score(&step.state);
                     while lvl < thresholds.len() && sc >= thresholds[lvl] {
                         rep.crossings[lvl] += 1;
                         lvl += 1;
                         if particles + (k - 1) <= config.max_particles {
                             for _ in 0..k - 1 {
-                                stack.push((state.clone(), lvl));
+                                stack.push((step.state.clone(), lvl));
                             }
                             particles += k - 1;
                             rep.spawned += (k - 1) as u64;
                         }
                     }
-                    if !gov.check_time() || !gov.charge_run() {
-                        rep.complete = false;
-                        break;
-                    }
-                    let mut sim =
-                        Simulator::new(net, rates.clone(), derive_stream_seed(rep_seed, counter));
-                    counter += 1;
-                    // The segment ends at the goal; threshold crossings on
-                    // the way still spawn particles.
-                    let run =
-                        sim.simulate_until(state, bound, max_steps, |st| st.satisfies(net, goal));
-                    rep.segments += 1;
-                    for step in run.steps {
-                        if step.state.satisfies(net, goal) {
-                            rep.sum += weight(k, lvl);
-                            continue 'particles;
-                        }
-                        let sc = score.score(&step.state);
-                        while lvl < thresholds.len() && sc >= thresholds[lvl] {
-                            rep.crossings[lvl] += 1;
-                            lvl += 1;
-                            if particles + (k - 1) <= config.max_particles {
-                                for _ in 0..k - 1 {
-                                    stack.push((step.state.clone(), lvl));
-                                }
-                                particles += k - 1;
-                                rep.spawned += (k - 1) as u64;
-                            }
-                        }
-                    }
-                }
-                let complete = rep.complete;
-                out.push(rep);
-                if !complete {
-                    break;
                 }
             }
-            out
-        });
+            let complete = rep.complete;
+            reps.push(rep);
+            if !complete {
+                break;
+            }
+        }
         let runs_total: u64 = reps.iter().map(|r| r.segments).sum();
         let splits_spawned: u64 = reps.iter().map(|r| r.spawned).sum();
         let mut crossings = vec![0_usize; thresholds.len()];

@@ -6,7 +6,7 @@ use crate::sim::{RatePolicy, Run, Simulator};
 use crate::stats::{
     estimate, estimate_mean, EmpiricalCdf, Estimate, MeanEstimate, Sprt, StatsError, TestVerdict,
 };
-use tempo_conc::{run_blocks, trial_seed};
+use tempo_conc::trial_seed;
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_ta::flow::FlowMetrics;
 use tempo_ta::{ClockReduction, Network, StateFormula};
@@ -57,9 +57,9 @@ pub const DEFAULT_MAX_STEPS: usize = 100_000;
 ///
 /// Every query draws fresh trials: trial `t` of the checker's `epoch`-th
 /// query is simulated from its own seed
-/// [`trial_seed`](tempo_conc::trial_seed)`(seed, epoch, t)`, whichever
-/// worker runs it, so estimates and run reports do not depend on the
-/// worker count.
+/// [`trial_seed`](tempo_conc::trial_seed)`(seed, epoch, t)`, so
+/// estimates and run reports depend on the seed and the query sequence
+/// only, and one trial can be regenerated on its own.
 ///
 /// A trial ends at its decisive state: the first goal state for
 /// [`Self::probability`], [`Self::hypothesis`] and [`Self::cdf`], the
@@ -90,7 +90,6 @@ pub struct StatisticalChecker<'n> {
     net: &'n Network,
     rates: RatePolicy,
     seed: u64,
-    threads: usize,
     /// Query counter: each query draws its own trial seeds, so successive
     /// queries stay independent yet reproducible from the base seed.
     epoch: u64,
@@ -99,15 +98,13 @@ pub struct StatisticalChecker<'n> {
 }
 
 impl<'n> StatisticalChecker<'n> {
-    /// Creates a checker with the given rate policy and RNG seed,
-    /// simulating on one worker.
+    /// Creates a checker with the given rate policy and RNG seed.
     #[must_use]
     pub fn new(net: &'n Network, rates: RatePolicy, seed: u64) -> Self {
         StatisticalChecker {
             net,
             rates,
             seed,
-            threads: 1,
             epoch: 0,
             max_steps: DEFAULT_MAX_STEPS,
             flow: true,
@@ -185,25 +182,6 @@ impl<'n> StatisticalChecker<'n> {
         report.into_result(config)
     }
 
-    /// Splits each query's trials across `threads` workers, one
-    /// contiguous block of trial indices per worker.
-    ///
-    /// Trials are seeded by index, so the estimates and every run report
-    /// counter are identical at any worker count; only the wall time
-    /// changes. The sequential SPRT ([`Self::hypothesis`]) draws one
-    /// trial at a time on the calling thread.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured worker count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Simulates trial `trial` of query `epoch` on `net` up to `bound`,
     /// ending the run at its first state satisfying `stop`.
     fn trial(
@@ -225,36 +203,28 @@ impl<'n> StatisticalChecker<'n> {
     ///
     /// The run budget caps the batch upfront, so a fixed `(seed, query)`
     /// pair stays bitwise-reproducible; only the wall-clock deadline or
-    /// cancellation cuts a block short. A batch that completes fewer than
+    /// cancellation cuts it short. A batch that completes fewer than
     /// `runs` trials latches run-budget exhaustion unless another limit
     /// already tripped.
-    fn batch<T, F>(
+    fn batch<T>(
         &mut self,
         net: &Network,
         bound: f64,
         runs: usize,
         gov: &Governor,
         stop: &StateFormula,
-        eval: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Run) -> T + Sync,
-    {
+        eval: impl Fn(&Run) -> T,
+    ) -> Vec<T> {
         self.epoch += 1;
-        let (this, epoch) = (&*self, self.epoch);
         let effective = runs.min(usize::try_from(gov.runs_remaining()).unwrap_or(usize::MAX));
-        let out = run_blocks(effective, self.threads, |block| {
-            let mut out = Vec::with_capacity(block.len());
-            for t in block {
-                if !gov.check_time() {
-                    break;
-                }
-                out.push(eval(&this.trial(net, epoch, t, bound, stop)));
-                let _ = gov.charge_run();
+        let mut out = Vec::with_capacity(effective);
+        for t in 0..effective {
+            if !gov.check_time() {
+                break;
             }
-            out
-        });
+            out.push(eval(&self.trial(net, self.epoch, t, bound, stop)));
+            let _ = gov.charge_run();
+        }
         if out.len() < runs && !gov.is_exhausted() {
             let _ = gov.charge_run();
         }
@@ -272,18 +242,14 @@ impl<'n> StatisticalChecker<'n> {
     /// `stop` (see [`Simulator::simulate_until`]), so `eval` must read
     /// nothing after that state. Pass [`StateFormula::False`] for full
     /// runs up to the horizon.
-    pub fn trials<T, F>(
+    pub fn trials<T>(
         &mut self,
         bound: f64,
         runs: usize,
         gov: &Governor,
         stop: &StateFormula,
-        eval: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Run) -> T + Sync,
-    {
+        eval: impl Fn(&Run) -> T,
+    ) -> Vec<T> {
         let net = self.net;
         self.batch(net, bound, runs, gov, stop, eval)
     }
@@ -452,7 +418,7 @@ impl<'n> StatisticalChecker<'n> {
     /// non-panicking API.
     pub fn expected<F>(&mut self, bound: f64, runs: usize, value: F) -> MeanEstimate
     where
-        F: Fn(&Run) -> f64 + std::marker::Sync,
+        F: Fn(&Run) -> f64,
     {
         self.expected_governed(bound, runs, value, &Budget::unlimited())
             .unwrap_or_else(|e| panic!("{e}"))
@@ -477,7 +443,7 @@ impl<'n> StatisticalChecker<'n> {
         budget: &Budget,
     ) -> Result<Outcome<Option<MeanEstimate>>, StatsError>
     where
-        F: Fn(&Run) -> f64 + std::marker::Sync,
+        F: Fn(&Run) -> f64,
     {
         if runs == 0 {
             return Err(StatsError::NoRuns);
@@ -816,12 +782,6 @@ mod tests {
             .expected_governed(10.0, 100, |run| run.steps.len() as f64, &budget)
             .unwrap_err();
         assert_eq!(err, StatsError::Cancelled);
-        // Three workers take the same typed exit.
-        let mut par = StatisticalChecker::new(&net, RatePolicy::new(), 9).with_threads(3);
-        let err = par
-            .probability_governed(&goal, 10.0, 100, 0.95, &budget)
-            .unwrap_err();
-        assert_eq!(err, StatsError::Cancelled);
     }
 
     #[test]
@@ -854,8 +814,8 @@ mod tests {
     fn governed_unlimited_matches_legacy_probability() {
         let (net, aid, heads) = coin_net();
         let goal = StateFormula::at(aid, heads);
-        let mut a = StatisticalChecker::new(&net, RatePolicy::new(), 17).with_threads(3);
-        let mut b = StatisticalChecker::new(&net, RatePolicy::new(), 17).with_threads(3);
+        let mut a = StatisticalChecker::new(&net, RatePolicy::new(), 17);
+        let mut b = StatisticalChecker::new(&net, RatePolicy::new(), 17);
         let legacy = a.probability(&goal, 10.0, 300, 0.95);
         let governed = b
             .probability_governed(&goal, 10.0, 300, 0.95, &Budget::unlimited())

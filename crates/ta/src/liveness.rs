@@ -78,7 +78,7 @@ pub fn leads_to_governed(
 
     // Phase 1: collect all reachable states (inclusion-reduced), keeping
     // parent links for diagnostics.
-    let (nodes, run) = explore_all(net, &explorer, 1, &gov);
+    let (nodes, run) = explore_all(net, &explorer, &gov);
     let mut stats = run.stats;
 
     // Phase 2: from every reachable φ ∧ ¬ψ state, search the ψ-avoiding

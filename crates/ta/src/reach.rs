@@ -52,28 +52,6 @@ pub(crate) fn exploration_report(
     }
 }
 
-/// Waiting states one exploration round pops per worker. A round's
-/// successor generation is split across the workers, so it must hold
-/// enough states to keep each of them busy; one worker pops one state
-/// per round, which is plain BFS.
-const ROUND_PER_WORKER: usize = 64;
-
-/// Fewest states of a round worth a thread of their own: a round that
-/// finds a narrow BFS frontier expands on fewer workers (down to the
-/// calling thread alone) rather than pay a thread start per state.
-const MIN_STATES_PER_WORKER: usize = 16;
-
-/// The work [`explore`] hands to the workers for one popped state.
-struct Expansion {
-    /// Whether the hit predicate holds (nothing else is computed then).
-    hit: bool,
-    /// Whether partial-order reduction picked an ample set.
-    ample: bool,
-    /// The successors, symmetry-canonical, each with the index of the
-    /// permutation that canonicalized it.
-    succs: Vec<(Action, SymState, usize)>,
-}
-
 /// How an [`explore`] run ended.
 pub(crate) struct Explored {
     /// The node whose state satisfied the hit predicate, if one was
@@ -88,59 +66,24 @@ pub(crate) struct Explored {
 /// The zone-graph passed/waiting exploration behind every forward
 /// query: BFS over `store` from the initial state until a popped state
 /// satisfies `hit`, the inclusion-reduced fixpoint is reached, or the
-/// governor trips.
-///
-/// `workers` only parallelise successor generation. Each round pops the
-/// next waiting states in FIFO order and expands them on the workers
-/// (hit flag, ample or full successors, symmetry canonical forms). The
-/// calling thread then folds the expansions into the store in pop
-/// order, exactly as a single worker would. Expansion is a pure
-/// function of a state and a stored state never changes, so verdicts,
-/// traces and [`Stats`] are identical at every worker count.
-#[allow(clippy::too_many_arguments)]
+/// governor trips. Each popped state is expanded (ample or full
+/// successors, symmetry canonical forms) and folded into the store
+/// before the next one is popped.
 pub(crate) fn explore<H>(
     net: &Network,
     explorer: &Explorer<'_>,
     hit: H,
     por: Option<&Por>,
     sym: Option<&Symmetry>,
-    workers: usize,
     store: &mut StateStore<SymState, NodeMeta>,
     gov: &Governor,
 ) -> Result<Explored, SpillError>
 where
-    H: Fn(&SymState) -> bool + Sync,
+    H: Fn(&SymState) -> bool,
 {
     let canonical = |state: SymState| match sym {
         Some(s) => s.canonicalize(net, &state),
         None => (state, 0),
-    };
-    let canonical_all = |succs: Vec<(Action, SymState)>| -> Vec<_> {
-        succs
-            .into_iter()
-            .map(|(action, succ)| {
-                let (succ, perm) = canonical(succ);
-                (action, succ, perm)
-            })
-            .collect()
-    };
-    let expand = |state: &SymState| {
-        if hit(state) {
-            return Expansion {
-                hit: true,
-                ample: false,
-                succs: Vec::new(),
-            };
-        }
-        let (succs, ample) = match por.and_then(|p| p.ample(explorer, state)) {
-            Some(succs) => (succs, true),
-            None => (explorer.successors(state), false),
-        };
-        Expansion {
-            hit: false,
-            ample,
-            succs: canonical_all(succs),
-        }
     };
 
     let mut stats = Stats {
@@ -154,91 +97,60 @@ where
         peak = 1;
     }
 
-    let workers = workers.max(1);
-    let round = if workers == 1 {
-        1
-    } else {
-        ROUND_PER_WORKER * workers
-    };
-    let mut batch = Vec::with_capacity(round);
     let mut found = None;
-    'explore: loop {
-        batch.clear();
-        while batch.len() < round {
-            let Some(id) = store.pop_waiting() else { break };
-            batch.push((id, store.load(id)?));
-        }
-        if batch.is_empty() {
+    'explore: while let Some(id) = store.pop_waiting() {
+        let state = store.load(id)?;
+        if !gov.check_time() {
             break;
         }
-        // Worker `w` expands the `w`-th of `n` consecutive slices of the
-        // round, so the results concatenate back into pop order.
-        let n = workers.min(batch.len() / MIN_STATES_PER_WORKER).max(1);
-        let slice = batch.len().div_ceil(n);
-        let expansions = tempo_conc::run_workers(n, |w| {
-            batch
-                .iter()
-                .skip(w * slice)
-                .take(slice)
-                .map(|(_, state)| expand(state))
-                .collect::<Vec<_>>()
-        });
-        for (j, (&(id, ref state), expansion)) in batch
-            .iter()
-            .zip(expansions.into_iter().flatten())
-            .enumerate()
-        {
-            if !gov.check_time() {
-                break 'explore;
+        stats.explored += 1;
+        if hit(&state) {
+            found = Some(id);
+            break;
+        }
+        let (mut pending, mut ample) = match por.and_then(|p| p.ample(explorer, &state)) {
+            Some(succs) => (succs, true),
+            None => (explorer.successors(&state), false),
+        };
+        if por.is_some() {
+            if ample {
+                stats.por_ample += 1;
+            } else {
+                stats.por_fallback += 1;
             }
-            stats.explored += 1;
-            if expansion.hit {
-                found = Some(id);
-                break 'explore;
-            }
-            // The round's later states are still waiting, as far as a
-            // single worker's waiting list is concerned.
-            let later = batch.len() - j - 1;
-            let (mut pending, mut ample) = (expansion.succs, expansion.ample);
-            if por.is_some() {
-                if ample {
-                    stats.por_ample += 1;
-                } else {
-                    stats.por_fallback += 1;
-                }
-            }
-            loop {
-                let mut any_subsumed = false;
-                for (action, succ, perm) in pending {
-                    stats.transitions += 1;
-                    if store.is_subsumed(&succ)? {
-                        any_subsumed = true;
-                        if perm != 0 {
-                            stats.sym_avoided += 1;
-                        }
-                        continue;
+        }
+        loop {
+            let mut any_subsumed = false;
+            for (action, succ) in pending {
+                let (succ, perm) = canonical(succ);
+                stats.transitions += 1;
+                if store.is_subsumed(&succ)? {
+                    any_subsumed = true;
+                    if perm != 0 {
+                        stats.sym_avoided += 1;
                     }
-                    if !gov.charge_state() {
-                        break 'explore;
-                    }
-                    store.insert(succ, (Some((id, action)), perm))?;
-                    peak = peak.max(store.waiting_len() + later);
-                }
-                // C3 cycle proviso: an ample successor was subsumed by an
-                // already-stored state, i.e. the reduced expansion may
-                // close a cycle along which the deferred transitions
-                // would be ignored forever. Re-expand this state fully
-                // (already-inserted ample successors dedup via the
-                // inclusion check).
-                if ample && any_subsumed {
-                    pending = canonical_all(explorer.successors(state));
-                    ample = false;
-                    stats.por_ample -= 1;
-                    stats.por_fallback += 1;
                     continue;
                 }
-                break;
+                if !gov.charge_state() {
+                    break 'explore;
+                }
+                store.insert(succ, (Some((id, action)), perm))?;
+                peak = peak.max(store.waiting_len());
             }
+            // C3 cycle proviso: an ample successor was subsumed by an
+            // already-stored state, i.e. the reduced expansion may
+            // close a cycle along which the deferred transitions
+            // would be ignored forever. Re-expand this state fully
+            // (already-inserted ample successors dedup via the
+            // inclusion check).
+            if ample && any_subsumed {
+                pending = explorer.successors(&state);
+                ample = false;
+                stats.por_ample -= 1;
+                stats.por_fallback += 1;
+                continue;
+            }
+            break;
         }
     }
     stats.stored = store.stored();
@@ -256,7 +168,6 @@ where
 pub(crate) fn explore_all(
     net: &Network,
     explorer: &Explorer<'_>,
-    workers: usize,
     gov: &Governor,
 ) -> (Vec<(SymState, NodeMeta)>, Explored) {
     StateStore::create(None)
@@ -267,7 +178,6 @@ pub(crate) fn explore_all(
                 |_: &SymState| false,
                 None,
                 None,
-                workers,
                 &mut store,
                 gov,
             )?;
@@ -424,12 +334,6 @@ pub struct ReachResult {
 
 /// The symbolic model checker for a network of timed automata.
 ///
-/// By default the checker explores with one worker. Call
-/// [`ModelChecker::with_threads`] to generate successors on a worker
-/// pool: the exploration itself stays one BFS, so verdicts, the
-/// BFS-shortest witness traces and [`Stats`] are identical at any
-/// thread count.
-///
 /// ```
 /// use tempo_ta::{NetworkBuilder, ModelChecker, StateFormula};
 /// let mut b = NetworkBuilder::new();
@@ -446,20 +350,17 @@ pub struct ReachResult {
 #[derive(Debug)]
 pub struct ModelChecker<'n> {
     net: &'n Network,
-    threads: usize,
     reduce: bool,
     config: ExploreConfig,
 }
 
 impl<'n> ModelChecker<'n> {
-    /// Creates a checker for the network (one worker; active-clock
-    /// reduction, ample-set partial-order reduction and template-symmetry
+    /// Creates a checker for the network (active-clock reduction, ample-set partial-order reduction and template-symmetry
     /// reduction enabled).
     #[must_use]
     pub fn new(net: &'n Network) -> Self {
         ModelChecker {
             net,
-            threads: 1,
             reduce: true,
             config: ExploreConfig::default(),
         }
@@ -488,24 +389,6 @@ impl<'n> ModelChecker<'n> {
     #[must_use]
     pub fn config(&self) -> ExploreConfig {
         self.config.clone()
-    }
-
-    /// Use `threads` workers (`0` is treated as `1`) to generate the
-    /// successors of each exploration round. Only wall time depends on
-    /// the count: verdicts, traces, [`Stats`] and every [`RunReport`]
-    /// counter but `spill_faults` are the same as with one worker (a
-    /// round may fault spilled states that a hit or a deadline then
-    /// never reaches).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured worker count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The network under analysis.
@@ -623,7 +506,6 @@ impl<'n> ModelChecker<'n> {
             |state: &SymState| goal.holds_somewhere(net, state),
             por.as_ref(),
             sym.as_ref(),
-            self.threads,
             &mut store,
             gov,
         )?;
@@ -746,7 +628,6 @@ impl<'n> ModelChecker<'n> {
             |state: &SymState| !explorer.deadlock_federation(state).is_empty(),
             None,
             sym.as_ref(),
-            self.threads,
             &mut store,
             gov,
         )?;
@@ -786,7 +667,7 @@ impl<'n> ModelChecker<'n> {
     ) -> Outcome<(Vec<SymState>, Stats)> {
         let gov = budget.governor();
         let explorer = Explorer::new(self.net);
-        let (nodes, run) = explore_all(self.net, &explorer, self.threads, &gov);
+        let (nodes, run) = explore_all(self.net, &explorer, &gov);
         let states = nodes.into_iter().map(|(state, _)| state).collect();
         let report = exploration_report(
             &gov,

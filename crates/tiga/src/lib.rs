@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use tempo_conc::run_blocks;
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_ta::flow::FlowMetrics;
 use tempo_ta::{DigitalError, DigitalExplorer, DigitalMove, DigitalState, Network, StateFormula};
@@ -141,7 +140,6 @@ pub struct GameResult {
 #[derive(Debug)]
 pub struct GameSolver<'n> {
     exp: DigitalExplorer<'n>,
-    threads: usize,
     flow: bool,
 }
 
@@ -178,7 +176,6 @@ impl<'n> GameSolver<'n> {
     pub fn try_new(net: &'n Network) -> Result<Self, DigitalError> {
         Ok(GameSolver {
             exp: DigitalExplorer::try_new(net)?,
-            threads: 1,
             flow: true,
         })
     }
@@ -213,24 +210,6 @@ impl<'n> GameSolver<'n> {
             report.diagnostics.extend(lint.diagnostics);
         }
         report.into_result(config)
-    }
-
-    /// Sets the number of worker threads used by the fixpoint sweeps.
-    ///
-    /// Each sweep tests every state against the previous sweep's winning
-    /// region, one contiguous block of states per worker, so the verdict,
-    /// the strategy and every run report counter are identical at any
-    /// thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured number of worker threads.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Explores the game graph, charging the governor's state budget.
@@ -434,7 +413,7 @@ impl<'n> GameSolver<'n> {
             }
             sweeps += 1;
             round += 1;
-            let added = sweep(n, self.threads, |i| becomes_winning(i, &rank));
+            let added = sweep(n, |i| becomes_winning(i, &rank));
             if added.is_empty() {
                 break;
             }
@@ -553,9 +532,7 @@ impl<'n> GameSolver<'n> {
                 break;
             }
             sweeps += 1;
-            let removed = sweep(n, self.threads, |i| {
-                winning[i] && !stays_winning(i, &winning)
-            });
+            let removed = sweep(n, |i| winning[i] && !stays_winning(i, &winning));
             if removed.is_empty() {
                 break;
             }
@@ -655,10 +632,10 @@ impl<'n> GameSolver<'n> {
 
 /// One fixpoint sweep: the states of `0..n` passing `test`, in index
 /// order. `test` reads the previous sweep's values only — the caller
-/// applies the result afterwards — so splitting the scan over `threads`
-/// workers finds the same states as scanning it on one.
-fn sweep(n: usize, threads: usize, test: impl Fn(usize) -> bool + Sync) -> Vec<usize> {
-    run_blocks(n, threads, |block| block.filter(|&i| test(i)).collect())
+/// applies the result afterwards — so a state that changes during a
+/// sweep affects its neighbours only in the next one.
+fn sweep(n: usize, test: impl Fn(usize) -> bool) -> Vec<usize> {
+    (0..n).filter(|&i| test(i)).collect()
 }
 
 fn intern(

@@ -11,30 +11,23 @@
 //!
 //! Run with: `cargo run --release --example train_gate`
 
-use std::num::NonZeroUsize;
-
 use tempo_core::smc::StatisticalChecker;
 use tempo_core::ta::{check_query, ModelChecker};
 use tempo_core::tiga::GameSolver;
 use tempo_models::{train_gate, train_gate_game};
 
 fn main() {
-    // One worker count drives every engine: all available cores.
-    // Results are thread-count independent (see README "Parallel
-    // analysis"), so this only affects wall-clock time.
-    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    println!("worker threads: {threads} (results are identical at any count)\n");
-    verification(threads);
-    synthesis(threads);
-    performance(threads);
+    verification();
+    synthesis();
+    performance();
 }
 
 /// E1: the §II.A(a) verification queries.
-fn verification(threads: usize) {
+fn verification() {
     println!("== E1: verification of the Fig. 1 model ==");
     for n in 2..=4 {
         let tg = train_gate(n);
-        let mut mc = ModelChecker::new(&tg.net).with_threads(threads);
+        let mut mc = ModelChecker::new(&tg.net);
 
         // Safety: the paper's forall-forall query, built programmatically
         // (our query language has no binders).
@@ -60,10 +53,10 @@ fn verification(threads: usize) {
 }
 
 /// E2: the §II.A(b) synthesis with the timed game of Figs. 2–3.
-fn synthesis(threads: usize) {
+fn synthesis() {
     println!("== E2: controller synthesis (UPPAAL-TIGA, Figs. 2-3) ==");
     let g = train_gate_game(2);
-    let solver = GameSolver::new(&g.net).with_threads(threads);
+    let solver = GameSolver::new(&g.net);
     let result = solver.solve_safety(&g.collision());
     println!(
         "N=2: safety game (never two trains on the bridge): winning = {}, \
@@ -88,7 +81,7 @@ fn synthesis(threads: usize) {
 }
 
 /// E3: the §II.A(c) performance analysis — Fig. 4's CDF.
-fn performance(threads: usize) {
+fn performance() {
     println!("== E3: Pr[<=100](<> Train(i).Cross) — the Fig. 4 CDF ==");
     let n = 6;
     let tg = train_gate(n);
@@ -97,8 +90,7 @@ fn performance(threads: usize) {
 
     let mut series = Vec::new();
     for id in 0..n {
-        let mut smc =
-            StatisticalChecker::new(&tg.net, tg.rates(), 1000 + id as u64).with_threads(threads);
+        let mut smc = StatisticalChecker::new(&tg.net, tg.rates(), 1000 + id as u64);
         let cdf = smc.cdf(&tg.cross(id), 100.0, runs);
         series.push(cdf.series(&grid));
     }

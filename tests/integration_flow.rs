@@ -4,8 +4,8 @@
 //!
 //! The sweep mirrors `integration_reduction.rs`: for every seeded random
 //! network — including models with broadcast channels, urgent channels,
-//! and committed/urgent locations — and every worker count 1–4, the
-//! flow-enabled engines must return byte-identical verdicts to the
+//! and committed/urgent locations — the flow-enabled engines must
+//! return byte-identical verdicts to the
 //! unreduced oracle, every reachability witness must realize into a
 //! concrete run the independent replay validator accepts, and the run
 //! reports must show each analysis actually firing somewhere (so the
@@ -187,7 +187,7 @@ fn flow_fired(r: &RunReport) -> (u64, u64, u64, u64, u64) {
 }
 
 #[test]
-fn flow_verdicts_match_unreduced_across_seeds_and_workers() {
+fn flow_verdicts_match_unreduced_across_seeds() {
     let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
     for seed in 0..48u64 {
         let (net, goal) = random_model(seed);
@@ -210,52 +210,35 @@ fn flow_verdicts_match_unreduced_across_seeds_and_workers() {
             ExploreConfig::unreduced().with_lu(true).with_slice(true),
             ExploreConfig::default(),
         ];
-        let mut one_worker = Vec::new();
-        for workers in 1..=4 {
-            let mut stats = Vec::new();
-            for config in &configs {
-                let out = ModelChecker::new(&net)
-                    .with_config(config.clone())
-                    .with_threads(workers)
-                    .try_reachable_governed(&goal, &Budget::unlimited())
-                    .expect("in-memory store");
-                let (lu, nar, sc, sv, se) = flow_fired(out.report());
-                totals.0 += lu;
-                totals.1 += nar;
-                totals.2 += sc;
-                totals.3 += sv;
-                totals.4 += se;
-                let res = out.into_value();
-                assert_eq!(
-                    res.reachable, oracle.reachable,
-                    "seed={seed} workers={workers}: reachability verdict moved"
-                );
-                stats.push(res.stats);
-                if res.reachable {
-                    let trace = res.trace.as_ref().expect("reachable verdicts carry traces");
-                    let concrete = realize(&net, trace, &goal)
-                        .expect("witness from a flow-reduced run realizes");
-                    replay(&net, &concrete, Some(&goal)).expect("independent replay accepts");
-                }
-            }
-            let (dl, dl_stats) = ModelChecker::new(&net)
-                .with_threads(workers)
-                .deadlock_free();
+        for config in &configs {
+            let out = ModelChecker::new(&net)
+                .with_config(config.clone())
+                .try_reachable_governed(&goal, &Budget::unlimited())
+                .expect("in-memory store");
+            let (lu, nar, sc, sv, se) = flow_fired(out.report());
+            totals.0 += lu;
+            totals.1 += nar;
+            totals.2 += sc;
+            totals.3 += sv;
+            totals.4 += se;
+            let res = out.into_value();
             assert_eq!(
-                dl.holds(),
-                oracle_dl.holds(),
-                "seed={seed} workers={workers}: deadlock verdict moved"
+                res.reachable, oracle.reachable,
+                "seed={seed}: reachability verdict moved"
             );
-            stats.push(dl_stats);
-            if workers == 1 {
-                one_worker = stats;
-            } else {
-                assert_eq!(
-                    stats, one_worker,
-                    "seed={seed} workers={workers}: stats differ from the 1-worker run"
-                );
+            if res.reachable {
+                let trace = res.trace.as_ref().expect("reachable verdicts carry traces");
+                let concrete =
+                    realize(&net, trace, &goal).expect("witness from a flow-reduced run realizes");
+                replay(&net, &concrete, Some(&goal)).expect("independent replay accepts");
             }
         }
+        let (dl, _) = ModelChecker::new(&net).deadlock_free();
+        assert_eq!(
+            dl.holds(),
+            oracle_dl.holds(),
+            "seed={seed}: deadlock verdict moved"
+        );
     }
     assert!(totals.0 > 0, "LU tightening never fired across the sweep");
     assert!(totals.1 > 0, "range narrowing never fired across the sweep");
@@ -344,19 +327,15 @@ fn tiga_strategies_survive_slicing() {
 fn smc_estimates_are_bit_identical_under_slicing() {
     let tg = train_gate(2);
     let goal = tg.cross(0);
-    for threads in [1, 2, 4] {
-        let mut with = StatisticalChecker::new(&tg.net, tg.rates(), 99).with_threads(threads);
-        let mut without = StatisticalChecker::new(&tg.net, tg.rates(), 99)
-            .with_threads(threads)
-            .without_flow();
-        let a = with.probability(&goal, 50.0, 400, 0.95);
-        let b = without.probability(&goal, 50.0, 400, 0.95);
-        assert_eq!(
-            (a.mean, a.lower, a.upper, a.successes),
-            (b.mean, b.lower, b.upper, b.successes),
-            "threads={threads}: the estimate must be bit-identical"
-        );
-    }
+    let mut with = StatisticalChecker::new(&tg.net, tg.rates(), 99);
+    let mut without = StatisticalChecker::new(&tg.net, tg.rates(), 99).without_flow();
+    let a = with.probability(&goal, 50.0, 400, 0.95);
+    let b = without.probability(&goal, 50.0, 400, 0.95);
+    assert_eq!(
+        (a.mean, a.lower, a.upper, a.successes),
+        (b.mean, b.lower, b.upper, b.successes),
+        "the estimate must be bit-identical"
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Integration tests for `tempo-rare`: importance splitting against
 //! analytic and mcpta-exact rare-event probabilities, priced SMC,
-//! determinism across repeats and worker counts, certificate replay,
+//! determinism across repeats, certificate replay,
 //! and the naive-vs-splitting budget comparison that motivates the
 //! whole subsystem.
 
@@ -61,34 +61,24 @@ fn splitting_brackets_rare_chain_probability_at_a_fraction_of_naive_budget() {
 }
 
 /// Splitting is a deterministic function of `(model, query, seed,
-/// config)`: repeats are byte-identical and the worker count never
-/// changes a single bit of the estimate or its work counters.
+/// config)`: repeats are byte-identical, work counters included.
 #[test]
-fn splitting_is_byte_identical_across_repeats_and_worker_counts() {
+fn splitting_is_byte_identical_across_repeats() {
     let c = chain(12);
     let config = SplitConfig {
         effort: 64,
         ..SplitConfig::default()
     };
-    let run = |threads: usize| -> SplitEstimate {
-        let mut rc = RareChecker::new(&c.net, RatePolicy::new(), 7).with_threads(threads);
+    let run = || -> SplitEstimate {
+        let mut rc = RareChecker::new(&c.net, RatePolicy::new(), 7);
         rc.probability(&c.goal(), c.time_bound(), &config)
     };
-    let reference = run(1);
-    let repeat = run(1);
+    let (reference, repeat) = (run(), run());
     assert_eq!(reference.p_hat.to_bits(), repeat.p_hat.to_bits());
-    for threads in 2..=4 {
-        let est = run(threads);
-        assert_eq!(
-            reference.p_hat.to_bits(),
-            est.p_hat.to_bits(),
-            "p_hat differs at {threads} workers"
-        );
-        assert_eq!(reference.lower.to_bits(), est.lower.to_bits());
-        assert_eq!(reference.upper.to_bits(), est.upper.to_bits());
-        assert_eq!(reference.runs_total, est.runs_total);
-        assert_eq!(reference.splits_spawned, est.splits_spawned);
-    }
+    assert_eq!(reference.lower.to_bits(), repeat.lower.to_bits());
+    assert_eq!(reference.upper.to_bits(), repeat.upper.to_bits());
+    assert_eq!(reference.runs_total, repeat.runs_total);
+    assert_eq!(reference.splits_spawned, repeat.splits_spawned);
 }
 
 /// The RESTART estimator agrees with the analytic probability on a
@@ -144,7 +134,7 @@ fn splitting_matches_mcpta_exact_probability_on_brp() {
         max_levels: 4,
         ..SplitConfig::default()
     };
-    let mut rc = RareChecker::new(&b.net, RatePolicy::new(), 5).with_threads(4);
+    let mut rc = RareChecker::new(&b.net, RatePolicy::new(), 5);
     let est = rc.probability(&b.p1_goal(), b.time_bound(1), &config);
     assert!(est.lower > 0.0, "CI must exclude 0: {est:?}");
     assert!(
@@ -155,12 +145,10 @@ fn splitting_matches_mcpta_exact_probability_on_brp() {
     );
 }
 
-/// Differential test (satellite): on a BRP instance where naive SMC is
-/// viable, the SMC confidence interval brackets mcpta's exact Pmax at
-/// three seeds, and every worker count from 1 to 4 gives the same
-/// estimate.
+/// Differential test: on a BRP instance where naive SMC is viable, the
+/// SMC confidence interval brackets mcpta's exact Pmax at three seeds.
 #[test]
-fn smc_probability_brackets_mcpta_exact_p1_across_seeds_and_workers() {
+fn smc_probability_brackets_mcpta_exact_p1_across_seeds() {
     let b = brp_network(2, 1, 1);
     let exact = b.exact_p1(); // ≈ 3.13e-3
     let m = brp(2, 1, 1);
@@ -170,25 +158,14 @@ fn smc_probability_brackets_mcpta_exact_p1_across_seeds_and_workers() {
         "mcpta P1 = {mcpta_p1} vs analytic {exact}"
     );
     for seed in [3, 17, 91] {
-        let estimate = |workers: usize| {
-            let mut smc =
-                StatisticalChecker::new(&b.net, RatePolicy::new(), seed).with_threads(workers);
-            smc.probability(&b.p1_goal(), b.time_bound(1), 5_000, 0.99)
-        };
-        let est = estimate(1);
+        let mut smc = StatisticalChecker::new(&b.net, RatePolicy::new(), seed);
+        let est = smc.probability(&b.p1_goal(), b.time_bound(1), 5_000, 0.99);
         assert!(
             est.lower <= mcpta_p1 && mcpta_p1 <= est.upper,
             "seed {seed}: CI [{}, {}] misses {mcpta_p1}",
             est.lower,
             est.upper
         );
-        for workers in 2..=4 {
-            assert_eq!(
-                estimate(workers),
-                est,
-                "seed {seed}: {workers} workers must equal 1 worker"
-            );
-        }
     }
 }
 
@@ -204,7 +181,7 @@ fn priced_checker_estimates_cost_bounded_probability_and_expected_cost() {
         pnet.set_rate(aut, tempo_core::ta::LocationId(li), 1);
     }
     let exact = c.exact_probability(); // 2^-6
-    let mut chk = PricedChecker::new(&pnet, RatePolicy::new(), 9).with_threads(2);
+    let mut chk = PricedChecker::new(&pnet, RatePolicy::new(), 9);
 
     // Unconstrained cost: plain time-bounded reachability.
     let est = chk.cost_probability(&c.goal(), f64::INFINITY, c.time_bound(), 8_000, 0.99);
@@ -227,24 +204,6 @@ fn priced_checker_estimates_cost_bounded_probability_and_expected_cost() {
     let cdf = chk.cost_cdf(&c.goal(), c.time_bound(), 4_000);
     assert!(cdf.hits() > 0);
     assert!(cdf.at(c.time_bound()) <= 1.0);
-}
-
-/// Priced determinism: the same experiment is byte-identical at any
-/// worker count (trials are seeded by index, not by worker).
-#[test]
-fn priced_checker_is_byte_identical_across_worker_counts() {
-    let c = chain(4);
-    let pnet = PricedNetwork::new(c.net.clone());
-    let run = |threads: usize| {
-        let mut chk = PricedChecker::new(&pnet, RatePolicy::new(), 31).with_threads(threads);
-        chk.cost_probability(&c.goal(), f64::INFINITY, c.time_bound(), 500, 0.95)
-    };
-    let reference = run(1);
-    for threads in 2..=4 {
-        let est = run(threads);
-        assert_eq!(reference.mean.to_bits(), est.mean.to_bits());
-        assert_eq!(reference.successes, est.successes);
-    }
 }
 
 /// One priced (cost-bounded probability and cost CDF) and one

@@ -10,20 +10,17 @@
 
 use std::path::PathBuf;
 
-use proptest::prelude::*;
 use tempo_core::cora::PricedNetwork;
 use tempo_core::mdp::Opt;
 use tempo_core::obs::Budget;
-use tempo_core::ta::{
-    AutomatonId, ClockAtom, LocationId, ModelChecker, NetworkBuilder, StateFormula, Verdict,
-};
+use tempo_core::ta::{AutomatonId, ClockAtom, LocationId, NetworkBuilder, StateFormula, Verdict};
 use tempo_core::tiga::GameSolver;
 use tempo_core::witness::certify::{
     certified_leads_to, certified_mcpta_reach, certified_mdp_reachability, certified_min_cost,
     certified_probability, certified_reach_game, certified_reachable, certified_safety_game,
     Certificate,
 };
-use tempo_core::witness::{format, realize, replay, WitnessError};
+use tempo_core::witness::{format, WitnessError};
 use tempo_models::{brp, train_gate, train_gate_game, wcet_program};
 
 /// Compares `text` against the golden file `tests/golden/<name>`, or
@@ -403,31 +400,6 @@ fn mcpta_scheduler_certificate_on_brp() {
         unsound.validate(mc.mdp()),
         Err(WitnessError::PrescriptionUnsound { .. })
     ));
-}
-
-// ---------------------------------------------------------------------
-// Parallel exploration witnesses (satellite: property test)
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Every trace produced by the zone-graph engine — at any thread
-    /// count — is the 1-worker trace and realizes into a concrete run that
-    /// the independent replay validator accepts.
-    #[test]
-    fn parallel_traces_always_replay(threads in 1usize..=4, train in 0usize..2) {
-        let tg = train_gate(2);
-        let goal = tg.cross(train);
-        let mut mc = ModelChecker::new(&tg.net).with_threads(threads);
-        let res = mc.reachable(&goal);
-        prop_assert!(res.reachable);
-        let one = ModelChecker::new(&tg.net).reachable(&goal);
-        prop_assert_eq!(format!("{:?}", res.trace), format!("{:?}", one.trace));
-        let trace = res.trace.expect("reachable verdicts carry traces");
-        let concrete = realize(&tg.net, &trace, &goal).expect("realizable");
-        replay(&tg.net, &concrete, Some(&goal)).expect("independent replay accepts");
-    }
 }
 
 // ---------------------------------------------------------------------
