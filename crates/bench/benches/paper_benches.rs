@@ -15,10 +15,11 @@
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tempo_core::bip::{check_deadlock_freedom, synthesize_safety_controller};
+use tempo_core::bip::{check_deadlock_freedom_governed, synthesize_safety_controller};
 use tempo_core::ioco::{LtsIut, TestGenerator};
-use tempo_core::mdp::{bounded_reachability, reachability, Opt};
+use tempo_core::mdp::{bounded_reachability_governed, reachability_governed, Opt};
 use tempo_core::modest::{Mctau, Modes, Scheduler};
+use tempo_core::obs::Budget;
 use tempo_core::smc::StatisticalChecker;
 use tempo_core::ta::{Explorer, ModelChecker};
 use tempo_core::tiga::GameSolver;
@@ -35,7 +36,10 @@ fn e1_train_gate_verification(c: &mut Criterion) {
             b.iter(|| {
                 let tg = train_gate(n);
                 let mut mc = ModelChecker::new(&tg.net);
-                let (v, _) = mc.always(&tg.safety());
+                let (v, _) = mc
+                    .try_always_governed(&tg.safety(), &Budget::unlimited())
+                    .expect("in-memory state store")
+                    .into_value();
                 assert!(v.holds());
             });
         });
@@ -58,7 +62,9 @@ fn e2_tiga_synthesis(c: &mut Criterion) {
         b.iter(|| {
             let g = train_gate_game(2);
             let solver = GameSolver::new(&g.net);
-            let res = solver.solve_safety(&g.collision());
+            let res = solver
+                .solve_safety_governed(&g.collision(), &Budget::unlimited())
+                .into_value();
             assert!(res.winning);
         });
     });
@@ -73,7 +79,9 @@ fn e3_smc_cdf(c: &mut Criterion) {
             let tg = train_gate(3);
             b.iter(|| {
                 let mut smc = StatisticalChecker::new(&tg.net, tg.rates(), 1);
-                let cdf = smc.cdf(&tg.cross(0), 100.0, runs);
+                let cdf = smc
+                    .cdf_governed(&tg.cross(0), 100.0, runs, &Budget::unlimited())
+                    .into_value();
                 assert!(cdf.hits() > 0);
             });
         });
@@ -88,14 +96,19 @@ fn e4_brp_table1(c: &mut Criterion) {
         let model = brp(4, 2, 1);
         b.iter(|| {
             let mctau = Mctau::new(&model.pta);
-            assert!(mctau.check_invariant(&model.ta1()));
+            assert!(mctau
+                .check_invariant_governed(&model.ta1(), &Budget::unlimited())
+                .into_value());
         });
     });
     group.bench_function("mcpta_p1_n4", |b| {
         let model = brp(4, 2, 1);
         b.iter(|| {
             let mc = model.mcpta(0, 5_000_000);
-            let p1 = mc.pmax(&model.p1_goal());
+            let p1 = mc
+                .reach_quantitative(Opt::Max, &model.p1_goal(), &Budget::unlimited())
+                .into_value()
+                .initial_value;
             assert!(p1 > 0.0);
         });
     });
@@ -104,9 +117,15 @@ fn e4_brp_table1(c: &mut Criterion) {
         b.iter(|| {
             let mut modes = Modes::new(&model.pta, &[], Scheduler::Alap, 5);
             let done = model.done();
-            let obs = modes.observe(1000, 400, 100_000, |exp, run| {
-                run.first_hit(exp, &done).is_some()
-            });
+            let obs = modes
+                .observe_governed(
+                    1000,
+                    400,
+                    100_000,
+                    |exp, run| run.first_hit(exp, &done).is_some(),
+                    &Budget::unlimited(),
+                )
+                .into_value();
             assert_eq!(obs.observations, 1000);
         });
     });
@@ -118,13 +137,22 @@ fn e5_bip_engine(c: &mut Criterion) {
     group.bench_function("dala_reachability", |b| {
         let d = dala();
         b.iter(|| {
-            let states = d.sys.reachable_states(1_000_000);
+            let states = d
+                .sys
+                .reachable_states_governed(&Budget::unlimited().with_max_states(1_000_000))
+                .into_value();
             assert!(!states.is_empty());
         });
     });
     group.bench_function("dala_dfinder", |b| {
         let d = dala();
-        b.iter(|| check_deadlock_freedom(&d.sys, 1_000_000));
+        b.iter(|| {
+            check_deadlock_freedom_governed(
+                &d.sys,
+                &Budget::unlimited().with_max_iterations(1_000_000),
+            )
+            .into_value()
+        });
     });
     group.bench_function("dala_controller_synthesis", |b| {
         let d = dala();
@@ -161,7 +189,7 @@ fn e6_ioco_generation(c: &mut Criterion) {
 }
 
 fn e7_ecdar_and_parser(c: &mut Criterion) {
-    use tempo_core::ecdar::{refines, TioaAtom, TioaBuilder};
+    use tempo_core::ecdar::{refines_governed, TioaAtom, TioaBuilder};
     use tempo_core::modest::parse_modest;
     let mut group = c.benchmark_group("e7_ecdar_and_parser");
     group.bench_function("refinement_deadline_ladder", |b| {
@@ -177,8 +205,12 @@ fn e7_ecdar_and_parser(c: &mut Criterion) {
         let tight = contract(4);
         let loose = contract(16);
         b.iter(|| {
-            assert!(refines(&tight, &loose).is_ok());
-            assert!(refines(&loose, &tight).is_err());
+            assert!(refines_governed(&tight, &loose, &Budget::unlimited())
+                .into_value()
+                .is_ok());
+            assert!(refines_governed(&loose, &tight, &Budget::unlimited())
+                .into_value()
+                .is_err());
         });
     });
     group.bench_function("parse_fig5_channel", |b| {
@@ -262,19 +294,29 @@ fn a2_ablation_mdp(c: &mut Criterion) {
     let goal = mc.goal_mask(&model.p1_goal());
     group.bench_function("unbounded_scc", |b| {
         b.iter(|| {
-            let res = reachability(mc.mdp(), Opt::Max, &goal);
+            let res =
+                reachability_governed(mc.mdp(), Opt::Max, &goal, &Budget::unlimited()).into_value();
             assert!(res.initial_value > 0.0);
         });
     });
     group.bench_function("interval_iteration", |b| {
         b.iter(|| {
-            let res = tempo_core::mdp::interval_reachability(mc.mdp(), Opt::Max, &goal, 1e-8);
+            let res = tempo_core::mdp::interval_reachability_governed(
+                mc.mdp(),
+                Opt::Max,
+                &goal,
+                1e-8,
+                &Budget::unlimited(),
+            )
+            .into_value();
             assert!(res.initial_upper >= res.initial_lower);
         });
     });
     group.bench_function("bounded_vi_200", |b| {
         b.iter(|| {
-            let res = bounded_reachability(mc.mdp(), Opt::Max, &goal, 200);
+            let res =
+                bounded_reachability_governed(mc.mdp(), Opt::Max, &goal, 200, &Budget::unlimited())
+                    .into_value();
             assert!(res.initial_value >= 0.0);
         });
     });
@@ -289,7 +331,11 @@ fn a3_ablation_smc(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("estimate", runs), &runs, |b, &runs| {
             b.iter(|| {
                 let mut smc = StatisticalChecker::new(&tg.net, tg.rates(), 4);
-                let est = smc.probability(&tg.cross(0), 100.0, runs, 0.95);
+                let est = smc
+                    .probability_governed(&tg.cross(0), 100.0, runs, 0.95, &Budget::unlimited())
+                    .expect("valid parameters")
+                    .into_value()
+                    .expect("an unlimited budget completes");
                 assert!(est.mean > 0.0);
             });
         });
@@ -299,7 +345,6 @@ fn a3_ablation_smc(c: &mut Criterion) {
 
 fn p3_svc(c: &mut Criterion) {
     use std::sync::Arc;
-    use tempo_core::obs::Budget;
     use tempo_core::svc::{AnalysisService, JobKind, JobRequest, ServiceConfig, VerdictSource};
 
     let mut group = c.benchmark_group("p3_svc");
@@ -373,7 +418,7 @@ fn p3_svc(c: &mut Criterion) {
 }
 
 fn p4_flow(c: &mut Criterion) {
-    use tempo_core::obs::{Budget, ExploreConfig};
+    use tempo_core::obs::ExploreConfig;
 
     let mut group = c.benchmark_group("p4_flow");
     group.sample_size(10);
@@ -445,7 +490,11 @@ fn p5_rare(c: &mut Criterion) {
     group.bench_function("fixed_effort_chain16", |b| {
         b.iter(|| {
             let mut rc = RareChecker::new(&ch.net, RatePolicy::new(), 1);
-            let est = rc.probability(&goal, bound, &SplitConfig::default());
+            let est = rc
+                .probability_governed(&goal, bound, &SplitConfig::default(), &Budget::unlimited())
+                .expect("valid parameters")
+                .into_value()
+                .expect("an unlimited budget completes");
             assert!(est.lower > 0.0);
         });
     });
@@ -457,7 +506,11 @@ fn p5_rare(c: &mut Criterion) {
                 replications: 64,
                 ..SplitConfig::default()
             };
-            let est = rc.probability(&goal, bound, &config);
+            let est = rc
+                .probability_governed(&goal, bound, &config, &Budget::unlimited())
+                .expect("valid parameters")
+                .into_value()
+                .expect("an unlimited budget completes");
             assert!(est.p_hat >= 0.0);
         });
     });
@@ -469,15 +522,35 @@ fn p5_rare(c: &mut Criterion) {
     group.bench_function("priced_cost_probability_2000", |b| {
         b.iter(|| {
             let mut chk = PricedChecker::new(&pnet, RatePolicy::new(), 1);
-            let est =
-                chk.cost_probability(&small.goal(), f64::INFINITY, small.time_bound(), 2000, 0.95);
+            let est = chk
+                .cost_probability_governed(
+                    &small.goal(),
+                    f64::INFINITY,
+                    small.time_bound(),
+                    2000,
+                    0.95,
+                    &Budget::unlimited(),
+                )
+                .expect("valid parameters")
+                .into_value()
+                .expect("an unlimited budget completes");
             assert!(est.runs == 2000);
         });
     });
     group.bench_function("plain_probability_2000", |b| {
         b.iter(|| {
             let mut smc = StatisticalChecker::new(&small.net, RatePolicy::new(), 1);
-            let est = smc.probability(&small.goal(), small.time_bound(), 2000, 0.95);
+            let est = smc
+                .probability_governed(
+                    &small.goal(),
+                    small.time_bound(),
+                    2000,
+                    0.95,
+                    &Budget::unlimited(),
+                )
+                .expect("valid parameters")
+                .into_value()
+                .expect("an unlimited budget completes");
             assert!(est.runs == 2000);
         });
     });

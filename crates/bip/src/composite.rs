@@ -430,6 +430,7 @@ impl AtomBuilder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempo_obs::{Budget, ExploreConfig};
 
     /// A worker composite with an internal watchdog: the worker's start
     /// and finish are exported; internally, finish also resets the
@@ -481,9 +482,17 @@ mod tests {
         plant.interaction("both_finish", &[f1, f2], InteractionKind::Rendezvous);
         let flat = plant.flatten();
         // Lockstep: exactly two reachable states (both idle / both busy).
-        let states = flat.reachable_states(100);
+        let states = flat
+            .reachable_states_governed(&Budget::unlimited().with_max_states(100))
+            .into_value();
         assert_eq!(states.len(), 2);
-        assert!(flat.find_deadlock(100).is_none());
+        assert!(flat
+            .find_deadlock_with(
+                ExploreConfig::default(),
+                &Budget::unlimited().with_max_states(100)
+            )
+            .into_value()
+            .is_none());
     }
 
     #[test]

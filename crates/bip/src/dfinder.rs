@@ -47,24 +47,15 @@ struct Mode {
     puts: Vec<(usize, usize)>,
 }
 
-/// Runs the compositional deadlock-freedom check.
-///
-/// `max_candidates` bounds the candidate enumeration (the product of
-/// component invariants); exceeding it yields `Unknown` with no suspects
-/// listed.
-#[must_use]
-pub fn check_deadlock_freedom(sys: &BipSystem, max_candidates: usize) -> DfinderVerdict {
-    check_deadlock_freedom_governed(sys, max_candidates, &Budget::unlimited()).into_value()
-}
-
-/// Compositional deadlock-freedom check under a resource [`Budget`]:
-/// each enumeration step charges one iteration. On exhaustion the
-/// partial verdict is [`DfinderVerdict::Unknown`] with the suspects
+/// Runs the compositional deadlock-freedom check under a resource
+/// [`Budget`]: each step of the candidate enumeration (the product of
+/// component invariants) charges one iteration, so
+/// [`Budget::with_max_iterations`] bounds it. On exhaustion the partial
+/// verdict is [`DfinderVerdict::Unknown`] with the suspects
 /// found so far — the method is conservative, so an interrupted run
 /// never claims deadlock freedom.
 pub fn check_deadlock_freedom_governed(
     sys: &BipSystem,
-    max_candidates: usize,
     budget: &Budget,
 ) -> Outcome<DfinderVerdict> {
     let gov = budget.governor();
@@ -91,15 +82,6 @@ pub fn check_deadlock_freedom_governed(
             break;
         }
         work += 1;
-        if work > max_candidates {
-            let report = dfinder_report(&gov, candidates, work);
-            return gov.finish_complete(
-                DfinderVerdict::Unknown {
-                    suspects: Vec::new(),
-                },
-                report,
-            );
-        }
         if partial.len() == sys.components().len() {
             if surely_enabled_exists(sys, &partial) {
                 continue;
@@ -322,6 +304,7 @@ fn trap_refutes(
 mod tests {
     use super::*;
     use crate::system::BipSystemBuilder;
+    use tempo_obs::ExploreConfig;
 
     /// A token ring of `n` components: each passes a token to the next.
     /// Deadlock-free, and provable compositionally (pure control).
@@ -353,7 +336,11 @@ mod tests {
     #[test]
     fn token_ring_certified_deadlock_free() {
         let sys = token_ring(4);
-        let verdict = check_deadlock_freedom(&sys, 100_000);
+        let verdict = check_deadlock_freedom_governed(
+            &sys,
+            &Budget::unlimited().with_max_iterations(100_000),
+        )
+        .into_value();
         match verdict {
             DfinderVerdict::DeadlockFree { candidates, .. } => {
                 assert!(candidates > 0, "the all-idle configurations are candidates");
@@ -363,7 +350,13 @@ mod tests {
             }
         }
         // Cross-check with the explicit engine.
-        assert!(sys.find_deadlock(10_000).is_none());
+        assert!(sys
+            .find_deadlock_with(
+                ExploreConfig::default(),
+                &Budget::unlimited().with_max_states(10_000)
+            )
+            .into_value()
+            .is_none());
     }
 
     #[test]
@@ -391,9 +384,19 @@ mod tests {
         b.rendezvous("sync_b", &[pb, qb]);
         let sys = b.build();
         // (P0, Q0): sync_a needs Q at Q1; sync_b needs P at P1 → deadlock.
-        let verdict = check_deadlock_freedom(&sys, 10_000);
+        let verdict =
+            check_deadlock_freedom_governed(&sys, &Budget::unlimited().with_max_iterations(10_000))
+                .into_value();
         assert!(matches!(verdict, DfinderVerdict::Unknown { .. }));
-        assert!(sys.find_deadlock(100).is_some(), "explicit check agrees");
+        assert!(
+            sys.find_deadlock_with(
+                ExploreConfig::default(),
+                &Budget::unlimited().with_max_states(100)
+            )
+            .into_value()
+            .is_some(),
+            "explicit check agrees"
+        );
     }
 
     #[test]
@@ -417,7 +420,9 @@ mod tests {
         c.done();
         b.rendezvous("tick", &[p]);
         let sys = b.build();
-        match check_deadlock_freedom(&sys, 100) {
+        match check_deadlock_freedom_governed(&sys, &Budget::unlimited().with_max_iterations(100))
+            .into_value()
+        {
             DfinderVerdict::DeadlockFree { candidates, .. } => assert_eq!(candidates, 0),
             v => panic!("unexpected verdict {v:?}"),
         }

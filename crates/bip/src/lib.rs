@@ -9,7 +9,7 @@
 //!   semantics,
 //! * explicit-state exploration and deadlock search,
 //! * **D-Finder-style compositional deadlock detection**
-//!   ([`check_deadlock_freedom`]): component invariants + trap-based
+//!   ([`check_deadlock_freedom_governed`]): component invariants + trap-based
 //!   interaction invariants refute candidate deadlocks without composing
 //!   the state space,
 //! * **safety-controller synthesis** ([`synthesize_safety_controller`])
@@ -21,6 +21,7 @@
 //!
 //! ```
 //! use tempo_bip::BipSystemBuilder;
+//! use tempo_obs::{Budget, ExploreConfig};
 //! let mut b = BipSystemBuilder::new();
 //! let mut ping = b.component("Ping");
 //! let p0 = ping.state("P0");
@@ -34,7 +35,9 @@
 //! pong.done();
 //! b.rendezvous("greet", &[hello, world]);
 //! let sys = b.build();
-//! assert!(sys.find_deadlock(100).is_none());
+//! let budget = Budget::unlimited().with_max_states(100);
+//! let out = sys.find_deadlock_with(ExploreConfig::default(), &budget);
+//! assert!(out.into_value().is_none());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,9 +57,7 @@ pub use controller::{
     fault_injection_campaign, synthesize_safety_controller, FaultInjectionReport, SafetyController,
     SynthesisResult,
 };
-pub use dfinder::{
-    check_deadlock_freedom, check_deadlock_freedom_governed, component_invariants, DfinderVerdict,
-};
+pub use dfinder::{check_deadlock_freedom_governed, component_invariants, DfinderVerdict};
 pub use por::BipPor;
 pub use system::{
     BipState, BipSystem, BipSystemBuilder, ComponentBuilder, Engine, Interaction, InteractionId,

@@ -70,7 +70,7 @@ pub struct BipState {
 /// A composed BIP system.
 ///
 /// Build with [`BipSystemBuilder`]; execute with [`Engine`](crate::Engine)
-/// or explore with [`BipSystem::reachable_states`].
+/// or explore with [`BipSystem::reachable_states_governed`].
 #[derive(Debug, Clone)]
 pub struct BipSystem {
     pub(crate) decls: Decls,
@@ -219,18 +219,6 @@ impl BipSystem {
         Some(next)
     }
 
-    /// Explores all reachable global states; `limit` bounds the search.
-    ///
-    /// Exceeding `limit` is not an error: the returned vector is then
-    /// truncated at `limit` states. Use
-    /// [`BipSystem::reachable_states_governed`] to distinguish a complete
-    /// exploration from a truncated one.
-    #[must_use]
-    pub fn reachable_states(&self, limit: usize) -> Vec<BipState> {
-        self.reachable_states_governed(&Budget::unlimited().with_max_states(limit as u64))
-            .into_value()
-    }
-
     /// Explores the reachable global states under a resource [`Budget`].
     ///
     /// On exhaustion the partial answer is the (genuinely reachable)
@@ -242,28 +230,12 @@ impl BipSystem {
         gov.finish(out, report)
     }
 
-    /// Explicit-state deadlock check: a reachable state with no enabled
-    /// interaction. Returns a witness if one exists within the first
-    /// `limit` stored states ([`BipSystem::find_deadlock_governed`]
-    /// distinguishes "no deadlock" from "search truncated").
-    #[must_use]
-    pub fn find_deadlock(&self, limit: usize) -> Option<BipState> {
-        self.find_deadlock_governed(&Budget::unlimited().with_max_states(limit as u64))
-            .into_value()
-    }
-
-    /// Deadlock search under a resource [`Budget`]: a witness found
+    /// Explicit-state deadlock check under a resource [`Budget`]: a
+    /// reachable state with no enabled interaction. A witness found
     /// within the budget is definitive; exhaustion yields `None` as the
     /// partial answer ("no deadlock in the explored portion").
     ///
-    /// Applies the default [`ExploreConfig`] — see
-    /// [`BipSystem::find_deadlock_with`] for the knobs.
-    pub fn find_deadlock_governed(&self, budget: &Budget) -> Outcome<Option<BipState>> {
-        self.find_deadlock_with(ExploreConfig::default(), budget)
-    }
-
-    /// [`BipSystem::find_deadlock_governed`] with explicit reduction
-    /// knobs. The `por` knob enables the persistent-set reduction of
+    /// The `por` knob of `config` enables the persistent-set reduction of
     /// [`crate::BipPor`] — sound for deadlock search by Godefroid's
     /// theorem, and conservative: states where no persistent candidate
     /// shrinks the expansion are expanded in full. The `symmetry` knob
@@ -370,6 +342,7 @@ impl BipSystem {
 ///
 /// ```
 /// use tempo_bip::BipSystemBuilder;
+/// use tempo_obs::Budget;
 /// let mut b = BipSystemBuilder::new();
 /// let mut c = b.component("Worker");
 /// let idle = c.state("Idle");
@@ -382,7 +355,8 @@ impl BipSystem {
 /// b.rendezvous("go", &[start]);
 /// b.rendezvous("rest", &[finish]);
 /// let sys = b.build();
-/// assert_eq!(sys.reachable_states(100).len(), 2);
+/// let states = sys.reachable_states_governed(&Budget::unlimited());
+/// assert_eq!(states.into_value().len(), 2);
 /// ```
 #[derive(Debug, Default)]
 pub struct BipSystemBuilder {
@@ -693,9 +667,17 @@ mod tests {
     #[test]
     fn reachability_and_deadlock() {
         let (sys, _, _) = producer_consumer();
-        let states = sys.reachable_states(100);
+        let states = sys
+            .reachable_states_governed(&Budget::unlimited().with_max_states(100))
+            .into_value();
         assert_eq!(states.len(), 2, "full = 0 and full = 1");
-        assert!(sys.find_deadlock(100).is_none());
+        assert!(sys
+            .find_deadlock_with(
+                ExploreConfig::default(),
+                &Budget::unlimited().with_max_states(100)
+            )
+            .into_value()
+            .is_none());
     }
 
     #[test]
@@ -718,7 +700,13 @@ mod tests {
         let sys = b.build();
         let init = sys.initial_state();
         assert!(sys.enabled_interactions(&init).is_empty());
-        assert!(sys.find_deadlock(10).is_some());
+        assert!(sys
+            .find_deadlock_with(
+                ExploreConfig::default(),
+                &Budget::unlimited().with_max_states(10)
+            )
+            .into_value()
+            .is_some());
     }
 
     #[test]

@@ -291,13 +291,6 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         }
     }
 
-    /// The recommended stripe count for `threads` workers: enough stripes
-    /// that two random keys rarely collide on a lock.
-    #[must_use]
-    pub fn for_threads(threads: usize) -> Self {
-        Self::new((threads.max(1) * 16).next_power_of_two())
-    }
-
     fn shard_index(&self, key: &K) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
@@ -427,7 +420,7 @@ mod tests {
 
     #[test]
     fn sharded_map_counts_across_shards() {
-        let map: ShardedMap<u64, Vec<u64>> = ShardedMap::for_threads(4);
+        let map: ShardedMap<u64, Vec<u64>> = ShardedMap::new(64);
         std::thread::scope(|scope| {
             for w in 0..4u64 {
                 let map = &map;

@@ -16,6 +16,7 @@
 //! ```
 //! use tempo_ta::{NetworkBuilder, ClockAtom, StateFormula};
 //! use tempo_cora::PricedNetwork;
+//! use tempo_obs::Budget;
 //!
 //! // Stay in Wait (rate 2) until x >= 3, then pay 5 to finish.
 //! let mut b = NetworkBuilder::new();
@@ -30,7 +31,8 @@
 //! let mut priced = PricedNetwork::new(net);
 //! priced.set_rate(job, wait, 2);
 //! priced.set_edge_cost(job, 0, 5);
-//! let res = priced.min_cost_reach(&StateFormula::at(job, done)).expect("reachable");
+//! let out = priced.min_cost_reach_governed(&StateFormula::at(job, done), &Budget::unlimited());
+//! let res = out.into_value().expect("reachable");
 //! assert_eq!(res.cost, 2 * 3 + 5);
 //! ```
 
@@ -253,21 +255,12 @@ impl PricedNetwork {
             .sum()
     }
 
-    /// Minimum-cost reachability: the cheapest way to reach a state
-    /// satisfying `goal`, or `None` if the goal is unreachable.
+    /// Minimum-cost reachability under a resource [`Budget`]: the
+    /// cheapest way to reach a state satisfying `goal`, or `None` if the
+    /// goal is unreachable.
     ///
     /// Runs Dijkstra over the digital-clock graph; exact for closed
-    /// models with integer costs.
-    #[must_use]
-    pub fn min_cost_reach(&self, goal: &StateFormula) -> Option<MinCostResult> {
-        self.min_cost_reach_governed(goal, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// Minimum-cost reachability under a resource [`Budget`].
-    ///
-    /// With [`Budget::unlimited`] this is exactly
-    /// [`min_cost_reach`](Self::min_cost_reach). A goal found within the
+    /// models with integer costs. A goal found within the
     /// budget is definitive (`Complete` — Dijkstra settles states in cost
     /// order, so the first goal hit is optimal over the whole graph). On
     /// exhaustion the partial value is `None`: "not reached within the
@@ -464,15 +457,9 @@ impl PricedNetwork {
     /// Implemented as Bellman–Ford-style longest-path value iteration over
     /// the digital-clock graph: after `|S|` sweeps any further improvement
     /// proves a positive-cost cycle.
-    #[must_use]
-    pub fn max_cost_reach(&self, goal: &StateFormula) -> Option<MaxCost> {
-        self.max_cost_reach_governed(goal, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// Maximum-cost reachability under a resource [`Budget`]. The graph
-    /// build charges the state budget; each value-iteration sweep charges
-    /// the iteration budget. On exhaustion the partial value is `None`:
+    ///
+    /// Runs under a resource [`Budget`]. The graph build charges the state
+    /// budget; each value-iteration sweep charges the iteration budget. On exhaustion the partial value is `None`:
     /// no worst-case bound was established (an intermediate longest-path
     /// value is only a lower bound on the true WCET, so reporting it as a
     /// bound would be unsound).
@@ -656,14 +643,7 @@ impl PricedNetwork {
     }
 
     /// Maximum time to reach `goal` (worst-case completion time; WCET when
-    /// the goal is the program's final location).
-    #[must_use]
-    pub fn max_time_reach(&self, goal: &StateFormula) -> Option<MaxCost> {
-        self.max_time_reach_governed(goal, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// [`max_time_reach`](Self::max_time_reach) under a resource
+    /// the goal is the program's final location) under a resource
     /// [`Budget`]; same partial semantics as
     /// [`max_cost_reach_governed`](Self::max_cost_reach_governed).
     pub fn max_time_reach_governed(
@@ -684,15 +664,7 @@ impl PricedNetwork {
 
     /// Minimum time to reach `goal` (cost = elapsed time, edge costs 0):
     /// the classic "fastest reachability" query used in WCET-style
-    /// analyses.
-    #[must_use]
-    pub fn min_time_reach(&self, goal: &StateFormula) -> Option<i64> {
-        self.min_time_reach_governed(goal, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// [`min_time_reach`](Self::min_time_reach) under a resource
-    /// [`Budget`]; same partial semantics as
+    /// analyses, under a resource [`Budget`]; same partial semantics as
     /// [`min_cost_reach_governed`](Self::min_cost_reach_governed).
     pub fn min_time_reach_governed(
         &self,
@@ -771,7 +743,10 @@ mod tests {
         p.set_rate(job, LocationId(1), 1); // ViaA
         p.set_rate(job, LocationId(2), 1); // ViaB
         p.set_edge_cost(job, 3, 20); // ViaB -> Done costs 20
-        let res = p.min_cost_reach(&StateFormula::at(job, done)).unwrap();
+        let res = p
+            .min_cost_reach_governed(&StateFormula::at(job, done), &Budget::unlimited())
+            .into_value()
+            .unwrap();
         assert_eq!(res.cost, 10, "slow route: 10 time units at rate 1");
         // Make the slow route expensive instead.
         let (net, job, done) = two_routes();
@@ -779,7 +754,10 @@ mod tests {
         p.set_rate(job, LocationId(1), 5); // ViaA rate 5 → 50
         p.set_rate(job, LocationId(2), 1); // ViaB → 2 + 20 = 22
         p.set_edge_cost(job, 3, 20);
-        let res = p.min_cost_reach(&StateFormula::at(job, done)).unwrap();
+        let res = p
+            .min_cost_reach_governed(&StateFormula::at(job, done), &Budget::unlimited())
+            .into_value()
+            .unwrap();
         assert_eq!(res.cost, 22);
     }
 
@@ -787,7 +765,11 @@ mod tests {
     fn min_time_ignores_costs() {
         let (net, job, done) = two_routes();
         let p = PricedNetwork::new(net);
-        assert_eq!(p.min_time_reach(&StateFormula::at(job, done)), Some(2));
+        assert_eq!(
+            p.min_time_reach_governed(&StateFormula::at(job, done), &Budget::unlimited())
+                .into_value(),
+            Some(2)
+        );
     }
 
     #[test]
@@ -802,7 +784,8 @@ mod tests {
         let net = b.build();
         let p = PricedNetwork::new(net);
         assert!(p
-            .min_cost_reach(&StateFormula::at(aid, LocationId(1)))
+            .min_cost_reach_governed(&StateFormula::at(aid, LocationId(1)), &Budget::unlimited())
+            .into_value()
             .is_none());
     }
 
@@ -810,7 +793,10 @@ mod tests {
     fn zero_cost_paths() {
         let (net, job, done) = two_routes();
         let p = PricedNetwork::new(net);
-        let res = p.min_cost_reach(&StateFormula::at(job, done)).unwrap();
+        let res = p
+            .min_cost_reach_governed(&StateFormula::at(job, done), &Budget::unlimited())
+            .into_value()
+            .unwrap();
         assert_eq!(res.cost, 0, "no rates or edge costs set");
         assert!(!res.steps.is_empty());
         assert!(res.steps.iter().all(|s| s.cost == 0));
@@ -835,8 +821,16 @@ mod tests {
         let net = b.build();
         let p = PricedNetwork::new(net);
         let goal = StateFormula::at(prog, done);
-        assert_eq!(p.max_time_reach(&goal), Some(MaxCost::Bounded(5)));
-        assert_eq!(p.min_time_reach(&goal), Some(2));
+        assert_eq!(
+            p.max_time_reach_governed(&goal, &Budget::unlimited())
+                .into_value(),
+            Some(MaxCost::Bounded(5))
+        );
+        assert_eq!(
+            p.min_time_reach_governed(&goal, &Budget::unlimited())
+                .into_value(),
+            Some(2)
+        );
     }
 
     #[test]
@@ -856,7 +850,8 @@ mod tests {
         let net = b.build();
         let p = PricedNetwork::new(net);
         assert_eq!(
-            p.max_time_reach(&StateFormula::at(prog, done)),
+            p.max_time_reach_governed(&StateFormula::at(prog, done), &Budget::unlimited())
+                .into_value(),
             Some(MaxCost::Unbounded)
         );
     }
@@ -871,7 +866,8 @@ mod tests {
         let net = b.build();
         let p = PricedNetwork::new(net);
         assert_eq!(
-            p.max_cost_reach(&StateFormula::at(aid, LocationId(1))),
+            p.max_cost_reach_governed(&StateFormula::at(aid, LocationId(1)), &Budget::unlimited())
+                .into_value(),
             None
         );
     }
@@ -895,7 +891,8 @@ mod tests {
         // Only the final edge costs anything.
         p.set_edge_cost(aid, 1, 7);
         assert_eq!(
-            p.max_cost_reach(&StateFormula::at(aid, LocationId(1))),
+            p.max_cost_reach_governed(&StateFormula::at(aid, LocationId(1)), &Budget::unlimited())
+                .into_value(),
             Some(MaxCost::Bounded(7))
         );
     }
@@ -906,7 +903,10 @@ mod tests {
         let mut p = PricedNetwork::new(net);
         p.set_rate(job, LocationId(1), 1); // ViaA: 10 time units → 10
         p.set_rate(job, LocationId(2), 1); // ViaB: 2 time units → 2
-        let res = p.min_cost_reach(&StateFormula::at(job, done)).unwrap();
+        let res = p
+            .min_cost_reach_governed(&StateFormula::at(job, done), &Budget::unlimited())
+            .into_value()
+            .unwrap();
         // Optimal: Start → ViaB (tau), 2 delays, ViaB → Done (tau).
         let delays = res.steps.iter().filter(|s| s.action.is_none()).count();
         assert_eq!(delays, 2);
@@ -921,7 +921,10 @@ mod tests {
         p.set_rate(job, LocationId(1), 5);
         p.set_rate(job, LocationId(2), 1);
         p.set_edge_cost(job, 3, 20);
-        let res = p.min_cost_reach(&StateFormula::at(job, done)).unwrap();
+        let res = p
+            .min_cost_reach_governed(&StateFormula::at(job, done), &Budget::unlimited())
+            .into_value()
+            .unwrap();
         assert_eq!(res.cost, 22);
         let sum: i64 = res.steps.iter().map(|s| s.cost).sum();
         assert_eq!(sum, res.cost, "per-step costs must sum to the total");

@@ -52,9 +52,9 @@
 
 /// The BIP component framework, D-Finder and controller synthesis.
 pub use tempo_bip as bip;
-/// Worker-pool configuration and deterministic parallel helpers shared
-/// by the analysis engines (thread-count knob, budget splitting,
-/// seed-stream derivation).
+/// Concurrency substrate: the analysis service's job queue,
+/// cancellation, sharded cache map, spill log and index-derived trial
+/// seeds.
 pub use tempo_conc as conc;
 /// Priced timed automata and minimum-cost reachability (UPPAAL-CORA).
 pub use tempo_cora as cora;

@@ -238,8 +238,9 @@ fn product(a: &Tioa, b: &Tioa, policy: &SyncPolicy<'_>) -> Tioa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::refine::{find_inconsistency, refines};
+    use crate::refine::{find_inconsistency_governed, refines_governed};
     use crate::tioa::TioaBuilder;
+    use tempo_obs::Budget;
 
     /// A machine that accepts coin? and emits brew!.
     fn machine() -> Tioa {
@@ -275,7 +276,9 @@ mod tests {
         let coins = sys.edges().iter().filter(|e| e.action == "coin").count();
         assert_eq!(coins, logger().locations().len());
         assert_eq!(sys.dim(), 3, "clock sets are disjointly united");
-        assert!(find_inconsistency(&sys).is_none());
+        assert!(find_inconsistency_governed(&sys, &Budget::unlimited())
+            .into_value()
+            .is_none());
     }
 
     #[test]
@@ -300,11 +303,17 @@ mod tests {
         };
         let both = conjunction(&machine(), &spec_b).expect("same directions");
         // The conjunction allows brew only in [2, 4]: it refines both.
-        assert!(refines(&both, &machine()).is_ok());
-        assert!(refines(&both, &spec_b).is_ok());
+        assert!(refines_governed(&both, &machine(), &Budget::unlimited())
+            .into_value()
+            .is_ok());
+        assert!(refines_governed(&both, &spec_b, &Budget::unlimited())
+            .into_value()
+            .is_ok());
         // And neither original refines the conjunction (each allows
         // behaviour the other forbids).
-        assert!(refines(&machine(), &both).is_err());
+        assert!(refines_governed(&machine(), &both, &Budget::unlimited())
+            .into_value()
+            .is_err());
     }
 
     #[test]
@@ -329,7 +338,9 @@ mod tests {
         };
         let sys = parallel(&machine(), &logger()).expect("compatible");
         assert!(
-            refines(&sys, &contract).is_ok(),
+            refines_governed(&sys, &contract, &Budget::unlimited())
+                .into_value()
+                .is_ok(),
             "machine ∥ logger meets the end-to-end deadline contract"
         );
     }

@@ -8,16 +8,17 @@
 //!
 //! * [`Tioa`] — timed input/output automata (specifications with
 //!   input/output-partitioned alphabets), built with [`TioaBuilder`];
-//! * [`refines`] — alternating timed simulation `impl ≤ spec` with
-//!   counterexample traces;
-//! * [`find_inconsistency`] — consistency checking (no reachable state
-//!   where the invariant blocks time with no output available);
+//! * [`refines_governed`] — alternating timed simulation `impl ≤ spec`
+//!   with counterexample traces;
+//! * [`find_inconsistency_governed`] — consistency checking (no reachable
+//!   state where the invariant blocks time with no output available);
 //! * [`parallel`] / [`conjunction`] — structural and logical composition.
 //!
 //! ## Example: incremental development
 //!
 //! ```
-//! use tempo_ecdar::{TioaBuilder, TioaAtom, refines, parallel};
+//! use tempo_ecdar::{TioaBuilder, TioaAtom, refines_governed, parallel};
+//! use tempo_obs::Budget;
 //!
 //! // Abstract contract: respond within 10.
 //! let mut c = TioaBuilder::new("Contract");
@@ -37,7 +38,9 @@
 //! m.output(p, i, "resp").guard(TioaAtom::ge(x, 1)).done();
 //! let imp = m.build();
 //!
-//! assert!(refines(&imp, &contract).is_ok());
+//! assert!(refines_governed(&imp, &contract, &Budget::unlimited())
+//!     .into_value()
+//!     .is_ok());
 //! # let _ = parallel(&imp, &contract);
 //! ```
 
@@ -50,9 +53,7 @@ mod refine;
 mod tioa;
 
 pub use compose::{conjunction, parallel, ComposeError};
-pub use refine::{
-    find_inconsistency, find_inconsistency_governed, refines, refines_governed, RefinementError,
-};
+pub use refine::{find_inconsistency_governed, refines_governed, RefinementError};
 pub use tioa::{
     IoDir, Tioa, TioaAtom, TioaBuilder, TioaEdge, TioaEdgeBuilder, TioaExplorer, TioaLocation,
     TioaState,

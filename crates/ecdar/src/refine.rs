@@ -51,18 +51,9 @@ impl std::fmt::Display for RefinementError {
     }
 }
 
-/// Checks `imp ≤ spec` (alternating timed simulation on digital clocks).
-///
-/// Returns the shallowest failed obligation if refinement does not hold.
-///
-/// # Errors
-///
-/// Returns a [`RefinementError`] describing the violated obligation.
-pub fn refines(imp: &Tioa, spec: &Tioa) -> Result<(), RefinementError> {
-    refines_governed(imp, spec, &Budget::unlimited()).into_value()
-}
-
-/// Checks `imp ≤ spec` under a resource [`Budget`].
+/// Checks `imp ≤ spec` (alternating timed simulation on digital clocks)
+/// under a resource [`Budget`]. The value is `Err` with the shallowest
+/// failed obligation if refinement does not hold.
 ///
 /// Product pairs are charged against the state budget and the fixpoint
 /// rounds against the iteration budget. A refinement *error* found
@@ -330,13 +321,9 @@ fn trace_depth(trace_to: &[(Option<usize>, String)], mut i: usize) -> usize {
 /// *immediately inconsistent* — time blocked by the invariant with no
 /// enabled output to escape (the component would violate its own
 /// contract). Returns the offending state if any.
-#[must_use]
-pub fn find_inconsistency(spec: &Tioa) -> Option<TioaState> {
-    find_inconsistency_governed(spec, &Budget::unlimited()).into_value()
-}
-
-/// Consistency search under a resource [`Budget`]: an inconsistent state
-/// found within the budget is definitive; exhaustion yields `None` as
+///
+/// Runs under a resource [`Budget`]: an inconsistent state found within
+/// the budget is definitive; exhaustion yields `None` as
 /// the partial answer ("no inconsistency found in the explored part").
 pub fn find_inconsistency_governed(spec: &Tioa, budget: &Budget) -> Outcome<Option<TioaState>> {
     let gov = budget.governor();
@@ -444,43 +431,59 @@ mod tests {
 
     #[test]
     fn reflexive() {
-        assert!(refines(&spec(), &spec()).is_ok());
+        assert!(refines_governed(&spec(), &spec(), &Budget::unlimited())
+            .into_value()
+            .is_ok());
     }
 
     #[test]
     fn tighter_timing_refines() {
-        assert!(refines(&fast_impl(), &spec()).is_ok());
+        assert!(
+            refines_governed(&fast_impl(), &spec(), &Budget::unlimited())
+                .into_value()
+                .is_ok()
+        );
         // The converse fails: the spec may emit at 5, which Fast cannot
         // even reach (its invariant blocks delay at 3) — but outputs are
         // checked on the *implementation* side, so Spec ≤ Fast fails
         // because Spec can output at 4 while Fast no longer matches.
-        let err = refines(&spec(), &fast_impl()).unwrap_err();
+        let err = refines_governed(&spec(), &fast_impl(), &Budget::unlimited())
+            .into_value()
+            .unwrap_err();
         assert!(err.reason.contains("cannot match"), "{err}");
     }
 
     #[test]
     fn early_output_caught() {
-        let err = refines(&eager_impl(), &spec()).unwrap_err();
+        let err = refines_governed(&eager_impl(), &spec(), &Budget::unlimited())
+            .into_value()
+            .unwrap_err();
         assert!(err.reason.contains("coffee!"), "{err}");
         assert_eq!(err.trace, vec!["coin?"]);
     }
 
     #[test]
     fn missing_input_caught() {
-        let err = refines(&deaf_impl(), &spec()).unwrap_err();
+        let err = refines_governed(&deaf_impl(), &spec(), &Budget::unlimited())
+            .into_value()
+            .unwrap_err();
         assert!(err.reason.contains("coin?"), "{err}");
     }
 
     #[test]
     fn consistency() {
-        assert!(find_inconsistency(&spec()).is_none());
+        assert!(find_inconsistency_governed(&spec(), &Budget::unlimited())
+            .into_value()
+            .is_none());
         // Invariant forces time to stop with no output: inconsistent.
         let mut b = TioaBuilder::new("Stuck");
         let x = b.clock("x");
         let l = b.location_with_invariant("L", vec![TioaAtom::le(x, 1)]);
         let _ = l;
         let bad = b.build();
-        let s = find_inconsistency(&bad).expect("timelock with no output");
+        let s = find_inconsistency_governed(&bad, &Budget::unlimited())
+            .into_value()
+            .expect("timelock with no output");
         assert_eq!(s.clocks[1], 1);
     }
 
@@ -497,6 +500,8 @@ mod tests {
             .guard(TioaAtom::ge(x, 2))
             .done();
         let generous = b.build();
-        assert!(refines(&generous, &spec()).is_ok());
+        assert!(refines_governed(&generous, &spec(), &Budget::unlimited())
+            .into_value()
+            .is_ok());
     }
 }

@@ -576,7 +576,7 @@ mod tests {
     use super::*;
     use crate::machine::build;
     use crate::parser::parse;
-    use tempo_obs::Budget;
+    use tempo_obs::{Budget, ExploreConfig};
     use tempo_ta::ModelChecker;
 
     fn set_of(src: &str) -> MachineSet {
@@ -624,7 +624,7 @@ system P || {a, b} Q
         let set = set_of(src);
         let sys = to_bip(&set).expect("bip");
         let dead = sys
-            .find_deadlock_governed(&Budget::unlimited())
+            .find_deadlock_with(ExploreConfig::default(), &Budget::unlimited())
             .into_value();
         assert!(dead.is_some(), "cross-coupled rendezvous must deadlock");
     }

@@ -226,7 +226,8 @@ pub fn rules() -> &'static [Rule] {
 /// Lints a network of timed automata and refuses on blocking findings.
 ///
 /// This is the `check_first` entry point for the symbolic engines of
-/// `tempo-ta` ([`ModelChecker`](tempo_ta::ModelChecker), `leads_to`):
+/// `tempo-ta` ([`ModelChecker`](tempo_ta::ModelChecker),
+/// [`leads_to_governed`](tempo_ta::leads_to_governed)):
 /// call it before construction. Engines that additionally require
 /// digital-clocks-closed models (cora, tiga, smc) wrap this with
 /// [`DigitalExplorer::try_new`](tempo_ta::DigitalExplorer::try_new) in

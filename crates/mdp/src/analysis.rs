@@ -351,22 +351,13 @@ pub fn prob1_exists(mdp: &Mdp, goal: &[bool]) -> Vec<bool> {
     prob1e(mdp, &Index::new(mdp, goal), goal)
 }
 
-/// Unbounded probabilistic reachability `P{max,min}(◇ goal)`.
+/// Unbounded probabilistic reachability `P{max,min}(◇ goal)` under a
+/// resource [`Budget`].
 ///
 /// Performs qualitative precomputation (exact `0`/`1` states), then
 /// solves the remaining states one SCC at a time in reverse topological
 /// order: a one-state SCC in closed form, a larger one by Gauss–Seidel
 /// iteration over its own states.
-///
-/// # Panics
-///
-/// Panics if `goal.len() != mdp.num_states()`.
-#[must_use]
-pub fn reachability(mdp: &Mdp, opt: Opt, goal: &[bool]) -> Quantitative {
-    reachability_governed(mdp, opt, goal, &Budget::unlimited()).into_value()
-}
-
-/// Unbounded probabilistic reachability under a resource [`Budget`].
 ///
 /// A sweep is the unit the budget's iteration limit counts: the pass
 /// over the SCCs charges one, and each Gauss–Seidel sweep inside an SCC
@@ -436,17 +427,8 @@ fn capped_governor(budget: &Budget) -> Governor {
     .governor()
 }
 
-/// Step-bounded probabilistic reachability `P{max,min}(◇≤k goal)`.
-///
-/// # Panics
-///
-/// Panics if `goal.len() != mdp.num_states()`.
-#[must_use]
-pub fn bounded_reachability(mdp: &Mdp, opt: Opt, goal: &[bool], steps: usize) -> Quantitative {
-    bounded_reachability_governed(mdp, opt, goal, steps, &Budget::unlimited()).into_value()
-}
-
-/// Step-bounded probabilistic reachability under a resource [`Budget`]:
+/// Step-bounded probabilistic reachability `P{max,min}(◇≤k goal)` under
+/// a resource [`Budget`]:
 /// each of the `steps` backup sweeps charges one iteration. On
 /// exhaustion after `k < steps` sweeps the partial result is the exact
 /// `k`-step value (a lower bound on the `steps`-step value).
@@ -505,18 +487,9 @@ pub fn bounded_reachability_governed(
 /// handled yet: there, `Emin` may read low (a scheduler that stays in the
 /// component forever collects no reward).
 ///
-/// # Panics
-///
-/// Panics if `goal.len() != mdp.num_states()`.
-#[must_use]
-pub fn expected_reward(mdp: &Mdp, opt: Opt, goal: &[bool]) -> Quantitative {
-    expected_reward_governed(mdp, opt, goal, &Budget::unlimited()).into_value()
-}
-
-/// Expected total reward under a resource [`Budget`], with sweeps
-/// counted and capped as in [`reachability_governed`]. On exhaustion the
-/// partial values are the current (under-approximate for `Max`) reward
-/// vector.
+/// Runs under a resource [`Budget`], with sweeps counted and capped as
+/// in [`reachability_governed`]. On exhaustion the partial values are the
+/// current (under-approximate for `Max`) reward vector.
 ///
 /// # Panics
 ///
@@ -596,15 +569,7 @@ pub struct IntervalResult {
 /// iteration then stops on stagnation and the (sound but wider) enclosure
 /// is returned.
 ///
-/// # Panics
-///
-/// Panics if `goal.len() != mdp.num_states()` or `precision <= 0`.
-#[must_use]
-pub fn interval_reachability(mdp: &Mdp, opt: Opt, goal: &[bool], precision: f64) -> IntervalResult {
-    interval_reachability_governed(mdp, opt, goal, precision, &Budget::unlimited()).into_value()
-}
-
-/// Interval iteration under a resource [`Budget`]. Every intermediate
+/// Runs under a resource [`Budget`]. Every intermediate
 /// `[lower, upper]` pair is already a certified enclosure, so the
 /// partial result on exhaustion is sound — merely wider than requested.
 ///
@@ -919,9 +884,9 @@ mod tests {
     fn coin_probabilities() {
         let (mdp, heads, _) = coin();
         let goal = mask(mdp.num_states(), &[heads]);
-        let res = reachability(&mdp, Opt::Max, &goal);
+        let res = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
         assert!((res.initial_value - 0.5).abs() < 1e-9);
-        let res = reachability(&mdp, Opt::Min, &goal);
+        let res = reachability_governed(&mdp, Opt::Min, &goal, &Budget::unlimited()).into_value();
         assert!((res.initial_value - 0.5).abs() < 1e-9);
     }
 
@@ -935,10 +900,10 @@ mod tests {
             .unwrap();
         let mdp = b.build(s0).unwrap();
         let goal = mask(2, &[ok]);
-        let p = reachability(&mdp, Opt::Max, &goal);
+        let p = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
         assert!((p.initial_value - 1.0).abs() < 1e-9);
         // Expected number of trials = 10 (reward 1 per attempt).
-        let e = expected_reward(&mdp, Opt::Max, &goal);
+        let e = expected_reward_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
         assert!((e.initial_value - 10.0).abs() < 1e-6);
     }
 
@@ -956,8 +921,8 @@ mod tests {
             .unwrap();
         let mdp = b.build(s0).unwrap();
         let goal = mask(3, &[goal_s]);
-        let pmax = reachability(&mdp, Opt::Max, &goal);
-        let pmin = reachability(&mdp, Opt::Min, &goal);
+        let pmax = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
+        let pmin = reachability_governed(&mdp, Opt::Min, &goal, &Budget::unlimited()).into_value();
         assert!((pmax.initial_value - 1.0).abs() < 1e-9);
         assert!((pmin.initial_value - 0.3).abs() < 1e-9);
         assert_eq!(pmax.scheduler[0], Some(0));
@@ -997,11 +962,15 @@ mod tests {
         let mdp = b.build(s0).unwrap();
         let goal = mask(3, &[s2]);
         assert_eq!(
-            bounded_reachability(&mdp, Opt::Max, &goal, 1).initial_value,
+            bounded_reachability_governed(&mdp, Opt::Max, &goal, 1, &Budget::unlimited())
+                .into_value()
+                .initial_value,
             0.0
         );
         assert_eq!(
-            bounded_reachability(&mdp, Opt::Max, &goal, 2).initial_value,
+            bounded_reachability_governed(&mdp, Opt::Max, &goal, 2, &Budget::unlimited())
+                .into_value()
+                .initial_value,
             1.0
         );
     }
@@ -1018,10 +987,12 @@ mod tests {
         let mdp = b.build(s0).unwrap();
         let goal = mask(2, &[g]);
         // Max: the maximizing scheduler can avoid the goal ⇒ ∞.
-        let emax = expected_reward(&mdp, Opt::Max, &goal);
+        let emax =
+            expected_reward_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
         assert!(emax.initial_value.is_infinite());
         // Min: go directly ⇒ 1.
-        let emin = expected_reward(&mdp, Opt::Min, &goal);
+        let emin =
+            expected_reward_governed(&mdp, Opt::Min, &goal, &Budget::unlimited()).into_value();
         assert!((emin.initial_value - 1.0).abs() < 1e-9);
     }
 
@@ -1035,8 +1006,9 @@ mod tests {
             .unwrap();
         let mdp = b.build(s0).unwrap();
         let goal = mask(3, &[ok]);
-        let vi = reachability(&mdp, Opt::Max, &goal);
-        let ii = interval_reachability(&mdp, Opt::Max, &goal, 1e-8);
+        let vi = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
+        let ii = interval_reachability_governed(&mdp, Opt::Max, &goal, 1e-8, &Budget::unlimited())
+            .into_value();
         assert!(ii.initial_lower <= vi.initial_value + 1e-8);
         assert!(vi.initial_value <= ii.initial_upper + 1e-8);
         assert!(ii.initial_upper - ii.initial_lower <= 1e-8);
@@ -1056,7 +1028,8 @@ mod tests {
         b.add_action(s2, None, 0.0, vec![(s2, 1.0)]).unwrap();
         let mdp = b.build(s0).unwrap();
         let goal = mask(3, &[g]);
-        let ii = interval_reachability(&mdp, Opt::Max, &goal, 1e-6);
+        let ii = interval_reachability_governed(&mdp, Opt::Max, &goal, 1e-6, &Budget::unlimited())
+            .into_value();
         assert_eq!(ii.lower[s2.0], 0.0);
         assert_eq!(ii.upper[s2.0], 0.0);
         assert_eq!(ii.lower[s0.0], 1.0);
@@ -1078,8 +1051,9 @@ mod tests {
             .unwrap();
         let mdp = b.build(s0).unwrap();
         let goal = mask(3, &[g]);
-        let ii = interval_reachability(&mdp, Opt::Max, &goal, 1e-6);
-        let vi = reachability(&mdp, Opt::Max, &goal);
+        let ii = interval_reachability_governed(&mdp, Opt::Max, &goal, 1e-6, &Budget::unlimited())
+            .into_value();
+        let vi = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
         assert!(ii.initial_lower <= vi.initial_value + 1e-9);
         assert!(vi.initial_value <= ii.initial_upper + 1e-9);
         assert!((vi.initial_value - 0.5).abs() < 1e-9);
@@ -1111,7 +1085,7 @@ mod tests {
         coin(&mut b, 6, 2, 12); // back to 2 or outcome 6
         let mdp = b.build(states[0]).unwrap();
         let goal = mask(13, &[states[7]]);
-        let p = reachability(&mdp, Opt::Max, &goal);
+        let p = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
         assert!((p.initial_value - 1.0 / 6.0).abs() < 1e-9);
     }
 
@@ -1132,7 +1106,7 @@ mod tests {
         // 1 − 1/e; the closed form of the one-state SCC is exact.
         let (mdp, goal) = slow_retry(0.0);
         for opt in [Opt::Min, Opt::Max] {
-            let res = reachability(&mdp, opt, &goal);
+            let res = reachability_governed(&mdp, opt, &goal, &Budget::unlimited()).into_value();
             assert_eq!(res.initial_value, 1.0, "{opt:?}");
             assert_eq!(res.iterations, 1, "{opt:?}");
         }
@@ -1143,7 +1117,9 @@ mod tests {
         // One attempt costs 1, so the expected cost is 1 / 1e-6.
         let (mdp, goal) = slow_retry(1.0);
         for opt in [Opt::Max, Opt::Min] {
-            let e = expected_reward(&mdp, opt, &goal).initial_value;
+            let e = expected_reward_governed(&mdp, opt, &goal, &Budget::unlimited())
+                .into_value()
+                .initial_value;
             assert!(((e - 1e6) / 1e6).abs() < 1e-9, "{opt:?}: {e}");
         }
     }
@@ -1159,7 +1135,8 @@ mod tests {
             .unwrap();
         b.add_action(s0, Some("go"), 1.0, vec![(g, 1.0)]).unwrap();
         let mdp = b.build(s0).unwrap();
-        let emin = expected_reward(&mdp, Opt::Min, &mask(2, &[g]));
+        let emin = expected_reward_governed(&mdp, Opt::Min, &mask(2, &[g]), &Budget::unlimited())
+            .into_value();
         assert_eq!(emin.initial_value, 1.0);
         assert_eq!(emin.scheduler[s0.0], Some(1), "the scheduler leaves");
     }
@@ -1223,7 +1200,7 @@ mod tests {
         }
         let mdp = b.build(states[0]).unwrap();
         let goal = mask(mdp.num_states(), &[states[len]]);
-        let res = reachability(&mdp, Opt::Max, &goal);
+        let res = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
         let exact = 0.9999_f64.powi(len as i32);
         assert!(((res.initial_value - exact) / exact).abs() < 1e-9);
         assert_eq!(res.iterations, 1);

@@ -12,19 +12,24 @@
 //! automata to these MDPs with the digital clocks construction (Bozga et
 //! al., DATE 2012, §III).
 //!
-//! Supported queries:
+//! Supported queries, each under a resource budget
+//! ([`tempo_obs::Budget`]):
 //!
-//! * [`reachability`] — `Pmax` / `Pmin` of eventually reaching a goal set;
-//! * [`bounded_reachability`] — step-bounded variants;
-//! * [`expected_reward`] — `Emax` / `Emin` of the total reward accumulated
-//!   until the goal (e.g. expected completion time);
+//! * [`reachability_governed`] — `Pmax` / `Pmin` of eventually reaching a
+//!   goal set;
+//! * [`bounded_reachability_governed`] — step-bounded variants;
+//! * [`expected_reward_governed`] — `Emax` / `Emin` of the total reward
+//!   accumulated until the goal (e.g. expected completion time);
+//! * [`interval_reachability_governed`] — a certified `[lower, upper]`
+//!   enclosure of `Pmax` / `Pmin`;
 //! * qualitative sets: [`reach_exists`], [`reach_forall_positive`],
 //!   [`prob1_exists`].
 //!
 //! ## Example
 //!
 //! ```
-//! use tempo_mdp::{MdpBuilder, Opt, reachability};
+//! use tempo_mdp::{MdpBuilder, Opt, reachability_governed};
+//! use tempo_obs::Budget;
 //!
 //! let mut b = MdpBuilder::new();
 //! let s0 = b.add_state();
@@ -33,7 +38,7 @@
 //! b.add_action(s0, None, 0.0, vec![(win, 0.3), (lose, 0.7)])?;
 //! let mdp = b.build(s0)?;
 //! let goal = vec![false, true, false];
-//! let res = reachability(&mdp, Opt::Max, &goal);
+//! let res = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
 //! assert!((res.initial_value - 0.3).abs() < 1e-9);
 //! # Ok::<(), tempo_mdp::BuildError>(())
 //! ```
@@ -45,9 +50,8 @@ mod analysis;
 mod model;
 
 pub use analysis::{
-    bounded_reachability, bounded_reachability_governed, expected_reward, expected_reward_governed,
-    interval_reachability, interval_reachability_governed, prob1_exists, reach_exists,
-    reach_forall_positive, reachability, reachability_governed, IntervalResult, Opt, Quantitative,
-    EPSILON, MAX_ITERATIONS,
+    bounded_reachability_governed, expected_reward_governed, interval_reachability_governed,
+    prob1_exists, reach_exists, reach_forall_positive, reachability_governed, IntervalResult, Opt,
+    Quantitative, EPSILON, MAX_ITERATIONS,
 };
 pub use model::{BuildError, Mdp, MdpAction, MdpBuilder, StateId};

@@ -4,9 +4,10 @@
 
 use proptest::prelude::*;
 use tempo_mdp::{
-    bounded_reachability, expected_reward, prob1_exists, reach_exists, reach_forall_positive,
-    reachability, Mdp, MdpBuilder, Opt, StateId, EPSILON,
+    bounded_reachability_governed, expected_reward_governed, prob1_exists, reach_exists,
+    reach_forall_positive, reachability_governed, Mdp, MdpBuilder, Opt, StateId, EPSILON,
 };
+use tempo_obs::Budget;
 
 const N: usize = 6;
 
@@ -45,8 +46,8 @@ fn arb_goal() -> impl Strategy<Value = Vec<bool>> {
 proptest! {
     #[test]
     fn probabilities_are_within_bounds(mdp in arb_mdp(), goal in arb_goal()) {
-        let pmax = reachability(&mdp, Opt::Max, &goal);
-        let pmin = reachability(&mdp, Opt::Min, &goal);
+        let pmax = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
+        let pmin = reachability_governed(&mdp, Opt::Min, &goal, &Budget::unlimited()).into_value();
         for i in 0..N {
             prop_assert!((0.0..=1.0 + 1e-9).contains(&pmax.values[i]));
             prop_assert!((0.0..=1.0 + 1e-9).contains(&pmin.values[i]));
@@ -56,8 +57,8 @@ proptest! {
 
     #[test]
     fn goal_states_have_probability_one(mdp in arb_mdp(), goal in arb_goal()) {
-        let pmax = reachability(&mdp, Opt::Max, &goal);
-        let pmin = reachability(&mdp, Opt::Min, &goal);
+        let pmax = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
+        let pmin = reachability_governed(&mdp, Opt::Min, &goal, &Budget::unlimited()).into_value();
         for (i, &g) in goal.iter().enumerate() {
             if g {
                 prop_assert!((pmax.values[i] - 1.0).abs() < 1e-9);
@@ -68,10 +69,10 @@ proptest! {
 
     #[test]
     fn bounded_is_monotone_and_below_unbounded(mdp in arb_mdp(), goal in arb_goal()) {
-        let unbounded = reachability(&mdp, Opt::Max, &goal);
+        let unbounded = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
         let mut prev = 0.0;
         for k in [0, 1, 2, 5, 20] {
-            let bounded = bounded_reachability(&mdp, Opt::Max, &goal, k);
+            let bounded = bounded_reachability_governed(&mdp, Opt::Max, &goal, k, &Budget::unlimited()).into_value();
             prop_assert!(bounded.initial_value + 1e-9 >= prev, "monotone in k");
             prop_assert!(bounded.initial_value <= unbounded.initial_value + 1e-9);
             prev = bounded.initial_value;
@@ -80,7 +81,7 @@ proptest! {
 
     #[test]
     fn qualitative_sets_agree_with_quantitative(mdp in arb_mdp(), goal in arb_goal()) {
-        let pmax = reachability(&mdp, Opt::Max, &goal);
+        let pmax = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
         let can = reach_exists(&mdp, &goal);
         let one = prob1_exists(&mdp, &goal);
         for i in 0..N {
@@ -99,7 +100,7 @@ proptest! {
     fn scheduler_achieves_the_value(mdp in arb_mdp(), goal in arb_goal()) {
         // Evaluate the extracted max scheduler as a Markov chain and
         // compare to the reported value (the scheduler realizes Pmax).
-        let pmax = reachability(&mdp, Opt::Max, &goal);
+        let pmax = reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
         let mut b = MdpBuilder::new();
         let states: Vec<StateId> = (0..N).map(|_| b.add_state()).collect();
         for s in mdp.states() {
@@ -110,7 +111,7 @@ proptest! {
             }
         }
         let chain = b.build(states[mdp.initial().index()]).expect("valid");
-        let induced = reachability(&chain, Opt::Max, &goal);
+        let induced = reachability_governed(&chain, Opt::Max, &goal, &Budget::unlimited()).into_value();
         prop_assert!(
             (induced.initial_value - pmax.initial_value).abs() < 1e-6,
             "scheduler value {} vs Pmax {}",
@@ -121,8 +122,8 @@ proptest! {
 
     #[test]
     fn expected_reward_nonnegative_and_min_below_max(mdp in arb_mdp(), goal in arb_goal()) {
-        let emax = expected_reward(&mdp, Opt::Max, &goal);
-        let emin = expected_reward(&mdp, Opt::Min, &goal);
+        let emax = expected_reward_governed(&mdp, Opt::Max, &goal, &Budget::unlimited()).into_value();
+        let emin = expected_reward_governed(&mdp, Opt::Min, &goal, &Budget::unlimited()).into_value();
         for i in 0..N {
             prop_assert!(emax.values[i] >= -1e-9);
             prop_assert!(emin.values[i] >= -1e-9);
@@ -327,7 +328,7 @@ fn check_against_references(mdp: &Mdp, goal: &[bool]) {
     );
     assert_eq!(prob1_exists(mdp, goal), reference_prob1_exists(mdp, goal));
     for opt in [Opt::Max, Opt::Min] {
-        let res = reachability(mdp, opt, goal);
+        let res = reachability_governed(mdp, opt, goal, &Budget::unlimited()).into_value();
         if let Some(reference) = reference_reachability(mdp, opt, goal, 100_000) {
             for (i, (&v, &r)) in res.values.iter().zip(&reference).enumerate() {
                 assert!(

@@ -553,7 +553,16 @@ pub fn brp_network(n: i64, max_retries: i64, td: i64) -> BrpNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempo_mdp::Opt;
     use tempo_modest::{Modes, Scheduler};
+    use tempo_obs::Budget;
+
+    /// `Pmax` (`Opt::Max`) or `Pmin` of eventually reaching `goal`.
+    fn reach(mc: &Mcpta, opt: Opt, goal: &StateFormula) -> f64 {
+        mc.reach_quantitative(opt, goal, &Budget::unlimited())
+            .into_value()
+            .initial_value
+    }
 
     /// Small instance for fast exact tests.
     fn small() -> Brp {
@@ -572,16 +581,16 @@ mod tests {
     fn impossible_events_have_probability_zero() {
         let b = small();
         let mc = b.mcpta(0, 2_000_000);
-        assert_eq!(mc.pmax(&b.pa_goal()), 0.0);
-        assert_eq!(mc.pmax(&b.pb_goal()), 0.0);
+        assert_eq!(reach(&mc, Opt::Max, &b.pa_goal()), 0.0);
+        assert_eq!(reach(&mc, Opt::Max, &b.pb_goal()), 0.0);
     }
 
     #[test]
     fn failure_probabilities_small_and_ordered() {
         let b = small();
         let mc = b.mcpta(0, 2_000_000);
-        let p1 = mc.pmax(&b.p1_goal());
-        let p2 = mc.pmax(&b.p2_goal());
+        let p1 = reach(&mc, Opt::Max, &b.p1_goal());
+        let p2 = reach(&mc, Opt::Max, &b.p2_goal());
         assert!(p1 > 0.0 && p1 < 0.05, "P1 = {p1}");
         assert!(p2 > 0.0 && p2 <= p1, "P2 = {p2} vs P1 = {p1}");
         // With MAX = 1: a chunk aborts after 2 lost rounds. A round is
@@ -602,8 +611,8 @@ mod tests {
     fn success_is_almost_sure_complement() {
         let b = small();
         let mc = b.mcpta(0, 2_000_000);
-        let p1 = mc.pmax(&b.p1_goal());
-        let ps = mc.pmin(&b.success());
+        let p1 = reach(&mc, Opt::Max, &b.p1_goal());
+        let ps = reach(&mc, Opt::Min, &b.success());
         assert!((ps + p1 - 1.0).abs() < 1e-9, "success + failure = 1");
     }
 
@@ -611,10 +620,14 @@ mod tests {
     fn expected_time_finite_and_positive() {
         let b = small();
         let mc = b.mcpta(0, 2_000_000);
-        let emax = mc.emax_time(&b.done());
+        let emax = mc
+            .emax_time_governed(&b.done(), &Budget::unlimited())
+            .into_value();
         assert!(emax.is_finite(), "every scheduler finishes");
         assert!(emax > 0.0 && emax < 100.0, "Emax = {emax}");
-        let emin = mc.emin_time(&b.done());
+        let emin = mc
+            .emin_time_governed(&b.done(), &Budget::unlimited())
+            .into_value();
         assert!(emin <= emax);
     }
 
@@ -622,8 +635,8 @@ mod tests {
     fn dmax_increases_with_bound() {
         let b = small();
         let mc = b.mcpta(30, 4_000_000);
-        let d_small = mc.pmax(&b.dmax_goal(2));
-        let d_large = mc.pmax(&b.dmax_goal(30));
+        let d_small = reach(&mc, Opt::Max, &b.dmax_goal(2));
+        let d_large = reach(&mc, Opt::Max, &b.dmax_goal(30));
         assert!(d_small <= d_large);
         assert!(
             d_large > 0.9,
@@ -650,10 +663,25 @@ mod tests {
             full.stats().states
         );
         for goal in [b.p1_goal(), b.p2_goal(), b.pa_goal(), b.pb_goal()] {
-            assert!((compressed.pmax(&goal) - full.pmax(&goal)).abs() < 1e-12);
+            assert!(
+                (reach(&compressed, Opt::Max, &goal) - reach(&full, Opt::Max, &goal)).abs() < 1e-12
+            );
         }
-        assert!((compressed.pmin(&b.success()) - full.pmin(&b.success())).abs() < 1e-12);
-        assert!((compressed.emax_time(&b.done()) - full.emax_time(&b.done())).abs() < 1e-9);
+        assert!(
+            (reach(&compressed, Opt::Min, &b.success()) - reach(&full, Opt::Min, &b.success()))
+                .abs()
+                < 1e-12
+        );
+        assert!(
+            (compressed
+                .emax_time_governed(&b.done(), &Budget::unlimited())
+                .into_value()
+                - full
+                    .emax_time_governed(&b.done(), &Budget::unlimited())
+                    .into_value())
+            .abs()
+                < 1e-9
+        );
         assert!(compressed.check_invariant(&b.ta1()) && compressed.check_invariant(&b.ta2()));
     }
 
@@ -665,7 +693,17 @@ mod tests {
         // N = 2, MAX = 1 — large enough for plain Monte Carlo).
         let b = brp_network(2, 1, 1);
         let mut smc = tempo_smc::StatisticalChecker::new(&b.net, tempo_smc::RatePolicy::new(), 7);
-        let est = smc.probability(&b.p1_goal(), b.time_bound(1), 20_000, 0.99);
+        let est = smc
+            .probability_governed(
+                &b.p1_goal(),
+                b.time_bound(1),
+                20_000,
+                0.99,
+                &Budget::unlimited(),
+            )
+            .expect("valid parameters")
+            .into_value()
+            .expect("an unlimited budget completes");
         let exact = b.exact_p1();
         assert!(
             est.lower <= exact && exact <= est.upper,
@@ -681,15 +719,29 @@ mod tests {
         let b = small();
         let mut modes = Modes::new(&b.pta, &[], Scheduler::Alap, 11);
         let done = b.done();
-        let obs = modes.observe(500, 200, 10_000, |exp, run| {
-            run.first_hit(exp, &done).is_some()
-        });
+        let obs = modes
+            .observe_governed(
+                500,
+                200,
+                10_000,
+                |exp, run| run.first_hit(exp, &done).is_some(),
+                &Budget::unlimited(),
+            )
+            .into_value();
         assert_eq!(
             obs.observations, 500,
             "every run reports within the horizon"
         );
         let ta1 = b.ta1();
-        let safe = modes.observe(200, 200, 10_000, |exp, run| run.globally(exp, &ta1));
+        let safe = modes
+            .observe_governed(
+                200,
+                200,
+                10_000,
+                |exp, run| run.globally(exp, &ta1),
+                &Budget::unlimited(),
+            )
+            .into_value();
         assert_eq!(safe.observations, 200, "all runs satisfy TA1");
     }
 }

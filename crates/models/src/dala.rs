@@ -169,23 +169,39 @@ impl Dala {
 mod tests {
     use super::*;
     use tempo_bip::{
-        check_deadlock_freedom, fault_injection_campaign, synthesize_safety_controller,
+        check_deadlock_freedom_governed, fault_injection_campaign, synthesize_safety_controller,
         DfinderVerdict,
     };
+    use tempo_obs::{Budget, ExploreConfig};
 
     #[test]
     fn dala_is_deadlock_free() {
         let d = dala();
         // Explicit check.
-        assert!(d.sys.find_deadlock(100_000).is_none());
+        assert!(d
+            .sys
+            .find_deadlock_with(
+                ExploreConfig::default(),
+                &Budget::unlimited().with_max_states(100_000)
+            )
+            .into_value()
+            .is_none());
         // Compositional check at least terminates and never *wrongly*
         // certifies: if it proves freedom, the explicit check must agree.
-        match check_deadlock_freedom(&d.sys, 1_000_000) {
+        match check_deadlock_freedom_governed(
+            &d.sys,
+            &Budget::unlimited().with_max_iterations(1_000_000),
+        )
+        .into_value()
+        {
             DfinderVerdict::DeadlockFree { .. } => {}
             DfinderVerdict::Unknown { suspects } => {
                 // The data-guarded grant interaction may leave suspects;
                 // they must all be unreachable.
-                let reachable = d.sys.reachable_states(100_000);
+                let reachable = d
+                    .sys
+                    .reachable_states_governed(&Budget::unlimited().with_max_states(100_000))
+                    .into_value();
                 for s in suspects {
                     assert!(
                         !reachable

@@ -368,6 +368,7 @@ impl TrainGateGame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempo_obs::Budget;
     use tempo_ta::ModelChecker;
 
     #[test]
@@ -384,7 +385,10 @@ mod tests {
     fn two_trains_safety_holds() {
         let tg = train_gate(2);
         let mut mc = ModelChecker::new(&tg.net);
-        let (verdict, stats) = mc.always(&tg.safety());
+        let (verdict, stats) = mc
+            .try_always_governed(&tg.safety(), &Budget::unlimited())
+            .expect("in-memory state store")
+            .into_value();
         assert!(verdict.holds(), "at most one train crosses");
         assert!(stats.explored > 0);
     }
@@ -414,9 +418,15 @@ mod tests {
         let tg = train_gate(3);
         let safety = tg.safety();
         let mut full = ModelChecker::new(&tg.net).with_config(ExploreConfig::unreduced());
-        let (v_full, s_full) = full.always(&safety);
+        let (v_full, s_full) = full
+            .try_always_governed(&safety, &Budget::unlimited())
+            .expect("in-memory state store")
+            .into_value();
         let mut red = ModelChecker::new(&tg.net);
-        let (v_red, s_red) = red.always(&safety);
+        let (v_red, s_red) = red
+            .try_always_governed(&safety, &Budget::unlimited())
+            .expect("in-memory state store")
+            .into_value();
         assert_eq!(v_full.holds(), v_red.holds());
         assert!(v_red.holds());
         assert!(s_red.sym_orbits > 0, "train orbit detected");

@@ -11,6 +11,7 @@
 
 use tempo_cora::{MaxCost, PricedNetwork};
 use tempo_expr::{Expr, Stmt, VarId};
+use tempo_obs::Budget;
 use tempo_ta::{AutomatonId, ClockAtom, LocationId, Network, NetworkBuilder, StateFormula};
 
 /// Cycles for a cache hit.
@@ -147,8 +148,15 @@ impl WcetProgram {
     pub fn analyze(&self) -> (i64, i64) {
         let priced = PricedNetwork::new(self.net.clone());
         let goal = self.terminated();
-        let bcet = priced.min_time_reach(&goal).expect("program terminates");
-        let wcet = match priced.max_time_reach(&goal).expect("program terminates") {
+        let bcet = priced
+            .min_time_reach_governed(&goal, &Budget::unlimited())
+            .into_value()
+            .expect("program terminates");
+        let wcet = match priced
+            .max_time_reach_governed(&goal, &Budget::unlimited())
+            .into_value()
+            .expect("program terminates")
+        {
             MaxCost::Bounded(c) => c,
             MaxCost::Unbounded => panic!("bounded loop cannot diverge"),
         };
@@ -185,11 +193,13 @@ mod tests {
         let mut mc = tempo_ta::ModelChecker::new(&p.net);
         assert!(mc.reachable(&p.terminated()).reachable);
         // The paper's liveness operator applies: the program always exits.
-        let (live, _) = tempo_ta::leads_to(
+        let (live, _) = tempo_ta::leads_to_governed(
             &p.net,
             &StateFormula::at(p.cpu, LocationId(0)),
             &p.terminated(),
-        );
+            &Budget::unlimited(),
+        )
+        .into_value();
         assert!(live.holds());
     }
 }

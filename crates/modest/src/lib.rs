@@ -26,6 +26,8 @@
 //! use tempo_modest::{ModestModel, Process, PaltBranch, Assignment, compile,
 //!                    Mcpta, Mctau, Modes, Scheduler};
 //! use tempo_expr::Expr;
+//! use tempo_mdp::Opt;
+//! use tempo_obs::Budget;
 //! use tempo_ta::StateFormula;
 //!
 //! let mut m = ModestModel::new();
@@ -41,13 +43,17 @@
 //!
 //! let goal = StateFormula::data(Expr::var(heads).eq(Expr::konst(1)));
 //! // mctau: the goal is reachable, so only trivial bounds.
-//! assert_eq!(Mctau::new(&pta).probability_bounds(&goal).upper, 1.0);
+//! let unlimited = Budget::unlimited();
+//! let bounds = Mctau::new(&pta).probability_bounds_governed(&goal, &unlimited);
+//! assert_eq!(bounds.into_value().upper, 1.0);
 //! // mcpta: exact.
-//! let mc = Mcpta::build(&pta, &[], 10_000);
-//! assert!((mc.pmax(&goal) - 0.75).abs() < 1e-9);
+//! let mc = Mcpta::try_build(&pta, &[], &unlimited).into_value().expect("an MDP");
+//! let pmax = mc.reach_quantitative(Opt::Max, &goal, &unlimited).into_value();
+//! assert!((pmax.initial_value - 0.75).abs() < 1e-9);
 //! // modes: statistical.
 //! let mut sim = Modes::new(&pta, &[], Scheduler::Asap, 1);
-//! let obs = sim.observe(500, 10, 10, |exp, run| run.first_hit(exp, &goal).is_some());
+//! let hit = |exp: &_, run: &tempo_modest::ModesRun| run.first_hit(exp, &goal).is_some();
+//! let obs = sim.observe_governed(500, 10, 10, hit, &unlimited).into_value();
 //! assert!((obs.mean - 0.75).abs() < 0.1);
 //! ```
 

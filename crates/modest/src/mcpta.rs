@@ -7,10 +7,7 @@
 
 use crate::Pta;
 use std::collections::HashMap;
-use tempo_mdp::{
-    bounded_reachability, expected_reward, expected_reward_governed, reachability,
-    reachability_governed, Mdp, MdpBuilder, Opt, StateId,
-};
+use tempo_mdp::{expected_reward_governed, reachability_governed, Mdp, MdpBuilder, Opt, StateId};
 use tempo_obs::{Budget, Outcome, RunReport};
 use tempo_ta::flow::{FlowMetrics, NetworkLu};
 use tempo_ta::{ClockAtom, ClockReduction, DigitalExplorer, DigitalState, StateFormula};
@@ -52,13 +49,14 @@ pub struct McptaConfig {
     /// while its protected-atom truth vector matches the chain's start
     /// (locations and variables cannot change under tick), so every
     /// probability and expected time computed from the compressed MDP is
-    /// identical — under the same contract [`Mcpta::build`] already
+    /// identical — under the same contract [`Mcpta::try_build`] already
     /// imposes: `extra_atoms` covers every clock constraint later
     /// queries read.
     ///
     /// Off by default because *step*-bounded queries
-    /// ([`Mcpta::pmax_bounded`]) count MDP steps, and compression
-    /// changes how many steps a unit of time takes.
+    /// ([`tempo_mdp::bounded_reachability_governed`] on [`Mcpta::mdp`])
+    /// count MDP steps, and compression changes how many steps a unit of
+    /// time takes.
     pub compress_ticks: bool,
     /// Dataflow passes (on by default): query-directed slicing of
     /// provably dead edges and the per-location LU tick clamp. Both are
@@ -77,29 +75,9 @@ impl Default for McptaConfig {
 }
 
 impl Mcpta {
-    /// Builds the digital-clocks MDP for the PTA. `extra_atoms` must
-    /// cover every clock constraint used in later queries (so that the
-    /// clock clamp keeps them observable).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the PTA is not closed (strict bounds), has no initial
-    /// state, or its state space exceeds `max_states`;
-    /// [`Mcpta::try_build`] reports the last two gracefully.
-    #[must_use]
-    pub fn build(pta: &Pta, extra_atoms: &[ClockAtom], max_states: usize) -> Self {
-        Self::try_build(
-            pta,
-            extra_atoms,
-            &Budget::unlimited().with_max_states(max_states as u64),
-        )
-        .into_value()
-        .unwrap_or_else(|| {
-            panic!("digital-clocks MDP has no initial state or exceeds {max_states} states")
-        })
-    }
-
-    /// Builds the digital-clocks MDP under a resource [`Budget`].
+    /// Builds the digital-clocks MDP for the PTA under a resource
+    /// [`Budget`]. `extra_atoms` must cover every clock constraint used in
+    /// later queries (so that the clock clamp keeps them observable).
     ///
     /// A truncated MDP would silently distort every probability computed
     /// from it, so on exhaustion the partial answer is `None` — the
@@ -314,29 +292,13 @@ impl Mcpta {
             .collect()
     }
 
-    /// Maximum probability of eventually reaching `goal`.
-    #[must_use]
-    pub fn pmax(&self, goal: &StateFormula) -> f64 {
-        reachability(&self.mdp, Opt::Max, &self.goal_mask(goal)).initial_value
-    }
-
-    /// `Pmax` under a resource [`Budget`] (see
+    /// `Pmax` (`opt` = [`Opt::Max`]) or `Pmin` of eventually reaching
+    /// `goal` under a resource [`Budget`] (see
     /// [`tempo_mdp::reachability_governed`] for the partial semantics).
-    pub fn pmax_governed(&self, goal: &StateFormula, budget: &Budget) -> Outcome<f64> {
-        reachability_governed(&self.mdp, Opt::Max, &self.goal_mask(goal), budget)
-            .map(|q| q.initial_value)
-    }
-
-    /// `Pmin` under a resource [`Budget`].
-    pub fn pmin_governed(&self, goal: &StateFormula, budget: &Budget) -> Outcome<f64> {
-        reachability_governed(&self.mdp, Opt::Min, &self.goal_mask(goal), budget)
-            .map(|q| q.initial_value)
-    }
-
-    /// Full quantitative reachability result — per-state values plus the
-    /// memoryless scheduler realizing them — for certification: the
-    /// scheduler induces a Markov chain whose reach probability can be
-    /// recomputed independently of the solver.
+    /// The full result — per-state values plus the memoryless scheduler
+    /// realizing them — serves certification: the scheduler induces a
+    /// Markov chain whose reach probability can be recomputed
+    /// independently of the solver.
     pub fn reach_quantitative(
         &self,
         opt: Opt,
@@ -346,42 +308,18 @@ impl Mcpta {
         reachability_governed(&self.mdp, opt, &self.goal_mask(goal), budget)
     }
 
-    /// `Emax` (expected time) under a resource [`Budget`].
+    /// `Emax`, the maximum expected time until `goal` (infinite if some
+    /// scheduler can avoid it), under a resource [`Budget`].
     pub fn emax_time_governed(&self, goal: &StateFormula, budget: &Budget) -> Outcome<f64> {
         expected_reward_governed(&self.mdp, Opt::Max, &self.goal_mask(goal), budget)
             .map(|q| q.initial_value)
     }
 
-    /// `Emin` (expected time) under a resource [`Budget`].
+    /// `Emin`, the minimum expected time until `goal`, under a resource
+    /// [`Budget`].
     pub fn emin_time_governed(&self, goal: &StateFormula, budget: &Budget) -> Outcome<f64> {
         expected_reward_governed(&self.mdp, Opt::Min, &self.goal_mask(goal), budget)
             .map(|q| q.initial_value)
-    }
-
-    /// Minimum probability of eventually reaching `goal`.
-    #[must_use]
-    pub fn pmin(&self, goal: &StateFormula) -> f64 {
-        reachability(&self.mdp, Opt::Min, &self.goal_mask(goal)).initial_value
-    }
-
-    /// Maximum probability of reaching `goal` within `steps` MDP steps
-    /// (note: steps, not time — use a clock in the model for time bounds).
-    #[must_use]
-    pub fn pmax_bounded(&self, goal: &StateFormula, steps: usize) -> f64 {
-        bounded_reachability(&self.mdp, Opt::Max, &self.goal_mask(goal), steps).initial_value
-    }
-
-    /// Maximum expected time until `goal` (infinite if some scheduler can
-    /// avoid it).
-    #[must_use]
-    pub fn emax_time(&self, goal: &StateFormula) -> f64 {
-        expected_reward(&self.mdp, Opt::Max, &self.goal_mask(goal)).initial_value
-    }
-
-    /// Minimum expected time until `goal`.
-    #[must_use]
-    pub fn emin_time(&self, goal: &StateFormula) -> f64 {
-        expected_reward(&self.mdp, Opt::Min, &self.goal_mask(goal)).initial_value
     }
 
     /// Whether `invariant` holds in every reachable state (used for the
@@ -436,6 +374,13 @@ mod tests {
     use tempo_expr::Expr;
     use tempo_ta::{AutomatonId, ClockAtom, LocationId};
 
+    /// `Pmax` (`Opt::Max`) or `Pmin` of eventually reaching `goal`.
+    fn reach(mc: &Mcpta, opt: Opt, goal: &StateFormula) -> f64 {
+        mc.reach_quantitative(opt, goal, &Budget::unlimited())
+            .into_value()
+            .initial_value
+    }
+
     /// A retrying sender: each attempt succeeds with 0.75, fails with
     /// 0.25 and retries after 2 time units; at most 2 retries.
     fn retry_model() -> (Pta, tempo_expr::VarId) {
@@ -478,13 +423,15 @@ mod tests {
     #[test]
     fn pmax_of_retry_protocol() {
         let (pta, ok) = retry_model();
-        let mc = Mcpta::build(&pta, &[], 100_000);
+        let mc = Mcpta::try_build(&pta, &[], &Budget::unlimited().with_max_states(100_000))
+            .into_value()
+            .expect("the digital-clocks MDP fits the state budget");
         let goal = StateFormula::data(Expr::var(ok).eq(Expr::konst(1)));
         // Success prob = 1 - 0.25^3.
         let expected = 1.0 - 0.25_f64.powi(3);
-        assert!((mc.pmax(&goal) - expected).abs() < 1e-9);
+        assert!((reach(&mc, Opt::Max, &goal) - expected).abs() < 1e-9);
         assert!(
-            (mc.pmin(&goal) - 0.0).abs() < 1e-9,
+            (reach(&mc, Opt::Min, &goal) - 0.0).abs() < 1e-9,
             "never sending is allowed"
         );
     }
@@ -492,13 +439,18 @@ mod tests {
     #[test]
     fn emin_time_counts_ticks() {
         let (pta, ok) = retry_model();
-        let mc = Mcpta::build(&pta, &[], 100_000);
+        let mc = Mcpta::try_build(&pta, &[], &Budget::unlimited().with_max_states(100_000))
+            .into_value()
+            .expect("the digital-clocks MDP fits the state budget");
         let goal = StateFormula::data(Expr::var(ok).eq(Expr::konst(1)));
         // The fastest schedule sends at x = 2; expected time under the
         // *minimizing* scheduler: E = 2 + 0.25*(2 + 0.25*(2 + ...)); but
         // Emin is infinite-free only if Pmax = 1, which fails (the third
         // failure is terminal). So Emin must be infinite here.
-        assert!(mc.emin_time(&goal).is_infinite());
+        assert!(mc
+            .emin_time_governed(&goal, &Budget::unlimited())
+            .into_value()
+            .is_infinite());
     }
 
     #[test]
@@ -518,20 +470,26 @@ mod tests {
         );
         m.system(&["P"]);
         let pta = compile(&m);
-        let mc = Mcpta::build(&pta, &[], 10_000);
+        let mc = Mcpta::try_build(&pta, &[], &Budget::unlimited().with_max_states(10_000))
+            .into_value()
+            .expect("the digital-clocks MDP fits the state budget");
         // Location 1 of component 0 is the post-a location.
         let goal = StateFormula::at(AutomatonId(0), LocationId(1));
-        assert!((mc.pmax(&goal) - 1.0).abs() < 1e-9);
+        assert!((reach(&mc, Opt::Max, &goal) - 1.0).abs() < 1e-9);
         assert!(
-            (mc.pmin(&goal) - 1.0).abs() < 1e-9,
+            (reach(&mc, Opt::Min, &goal) - 1.0).abs() < 1e-9,
             "invariant forces the action"
         );
-        let emax = mc.emax_time(&goal);
+        let emax = mc
+            .emax_time_governed(&goal, &Budget::unlimited())
+            .into_value();
         assert!(
             (emax - 3.0).abs() < 1e-9,
             "wait until the invariant bound: {emax}"
         );
-        let emin = mc.emin_time(&goal);
+        let emin = mc
+            .emin_time_governed(&goal, &Budget::unlimited())
+            .into_value();
         assert!(
             (emin - 1.0).abs() < 1e-9,
             "move as soon as the guard allows: {emin}"
@@ -559,7 +517,9 @@ mod tests {
     fn tick_compression_preserves_values_on_fewer_states() {
         let (pta, ok) = retry_model();
         let goal = StateFormula::data(Expr::var(ok).eq(Expr::konst(1)));
-        let full = Mcpta::build(&pta, &[], 100_000);
+        let full = Mcpta::try_build(&pta, &[], &Budget::unlimited().with_max_states(100_000))
+            .into_value()
+            .expect("the digital-clocks MDP fits the state budget");
         let compressed = Mcpta::try_build_with(
             &pta,
             &[],
@@ -579,10 +539,21 @@ mod tests {
             compressed.stats().states,
             full.stats().states
         );
-        assert!((compressed.pmax(&goal) - full.pmax(&goal)).abs() < 1e-12);
-        assert!((compressed.pmin(&goal) - full.pmin(&goal)).abs() < 1e-12);
         assert!(
-            compressed.emin_time(&goal).is_infinite() && full.emin_time(&goal).is_infinite(),
+            (reach(&compressed, Opt::Max, &goal) - reach(&full, Opt::Max, &goal)).abs() < 1e-12
+        );
+        assert!(
+            (reach(&compressed, Opt::Min, &goal) - reach(&full, Opt::Min, &goal)).abs() < 1e-12
+        );
+        assert!(
+            compressed
+                .emin_time_governed(&goal, &Budget::unlimited())
+                .into_value()
+                .is_infinite()
+                && full
+                    .emin_time_governed(&goal, &Budget::unlimited())
+                    .into_value()
+                    .is_infinite(),
             "the third failure is terminal either way"
         );
     }
@@ -590,7 +561,9 @@ mod tests {
     #[test]
     fn invariant_check_on_states() {
         let (pta, ok) = retry_model();
-        let mc = Mcpta::build(&pta, &[], 100_000);
+        let mc = Mcpta::try_build(&pta, &[], &Budget::unlimited().with_max_states(100_000))
+            .into_value()
+            .expect("the digital-clocks MDP fits the state budget");
         let tries = pta.decls().lookup("tries").unwrap();
         assert!(mc.check_invariant(&StateFormula::data(Expr::var(tries).le(Expr::konst(3)))));
         assert!(!mc.check_invariant(&StateFormula::data(Expr::var(tries).le(Expr::konst(2)))));

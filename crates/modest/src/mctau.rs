@@ -62,16 +62,10 @@ impl<'n> Mctau<'n> {
     /// Checks an invariant (`A[] f`) on the over-approximation. `true`
     /// is exact (more behaviours were checked than exist); `false` may be
     /// spurious for properties that depend on probabilities.
-    #[must_use]
-    pub fn check_invariant(&self, f: &StateFormula) -> bool {
-        let mut mc = ModelChecker::new(self.net);
-        let (verdict, _) = mc.always(f);
-        matches!(verdict, Verdict::Satisfied)
-    }
-
-    /// Invariant check under a resource [`Budget`], delegating to the
-    /// governed timed-automata engine. A violation found within the
-    /// budget is definitive; on exhaustion the partial `true` means "no
+    ///
+    /// Runs under a resource [`Budget`], delegating to the governed
+    /// timed-automata engine. A violation found within the budget is
+    /// definitive; on exhaustion the partial `true` means "no
     /// violation found in the explored portion".
     pub fn check_invariant_governed(&self, f: &StateFormula, budget: &Budget) -> Outcome<bool> {
         let mut mc = ModelChecker::new(self.net);
@@ -82,14 +76,8 @@ impl<'n> Mctau<'n> {
 
     /// Bounds on `Pmax(◇ goal)`: exactly `0` if the goal is unreachable
     /// in the over-approximation, else the trivial `[0, 1]`.
-    #[must_use]
-    pub fn probability_bounds(&self, goal: &StateFormula) -> ProbabilityBounds {
-        self.probability_bounds_governed(goal, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// Probability bounds under a resource [`Budget`]. The exact-zero
-    /// answer requires a *complete* unreachability proof, so on
+    ///
+    /// Runs under a resource [`Budget`]. The exact-zero answer requires a *complete* unreachability proof, so on
     /// exhaustion the partial answer stays at the trivial `[0, 1]`.
     pub fn probability_bounds_governed(
         &self,
@@ -155,7 +143,9 @@ mod tests {
         let (pta, got) = lossy_pair();
         let mctau = Mctau::new(&pta);
         let rare = StateFormula::data(Expr::var(got).eq(Expr::konst(1)));
-        let bounds = mctau.probability_bounds(&rare);
+        let bounds = mctau
+            .probability_bounds_governed(&rare, &Budget::unlimited())
+            .into_value();
         assert_eq!((bounds.lower, bounds.upper), (0.0, 1.0));
         assert_eq!(bounds.to_string(), "[0, 1]");
     }
@@ -171,7 +161,9 @@ mod tests {
         ]);
         // P and Q synchronize on `a`, so they move together: P at entry
         // while Q has moved is unreachable.
-        let bounds = mctau.probability_bounds(&impossible);
+        let bounds = mctau
+            .probability_bounds_governed(&impossible, &Budget::unlimited())
+            .into_value();
         assert_eq!((bounds.lower, bounds.upper), (0.0, 0.0));
         assert_eq!(bounds.to_string(), "0");
     }
@@ -180,8 +172,18 @@ mod tests {
     fn invariants_check_exactly() {
         let (pta, got) = lossy_pair();
         let mctau = Mctau::new(&pta);
-        assert!(mctau.check_invariant(&StateFormula::data(Expr::var(got).le(Expr::konst(1)))));
-        assert!(!mctau.check_invariant(&StateFormula::data(Expr::var(got).eq(Expr::konst(0)))));
+        assert!(mctau
+            .check_invariant_governed(
+                &StateFormula::data(Expr::var(got).le(Expr::konst(1))),
+                &Budget::unlimited()
+            )
+            .into_value());
+        assert!(!mctau
+            .check_invariant_governed(
+                &StateFormula::data(Expr::var(got).eq(Expr::konst(0))),
+                &Budget::unlimited()
+            )
+            .into_value());
     }
 
     #[test]

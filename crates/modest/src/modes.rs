@@ -179,22 +179,9 @@ impl<'p> Modes<'p> {
 
     /// Runs a Bernoulli experiment: how many of `runs` simulations
     /// satisfy `property`?
-    pub fn observe<F>(
-        &mut self,
-        runs: usize,
-        time_bound: i64,
-        max_steps: usize,
-        property: F,
-    ) -> ModesObservation
-    where
-        F: FnMut(&DigitalExplorer<'p>, &ModesRun) -> bool,
-    {
-        self.observe_governed(runs, time_bound, max_steps, property, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// Bernoulli experiment under a resource [`Budget`]: on run-budget or
-    /// deadline exhaustion the partial observation covers the runs that
+    ///
+    /// Runs under a resource [`Budget`]: on run-budget or deadline
+    /// exhaustion the partial observation covers the runs that
     /// completed (its `runs` field is the completed count).
     pub fn observe_governed<F>(
         &mut self,
@@ -240,22 +227,9 @@ impl<'p> Modes<'p> {
 
     /// Estimates the mean and standard deviation of a run functional
     /// (e.g. completion time for the Emax row of Table I).
-    pub fn expected<F>(
-        &mut self,
-        runs: usize,
-        time_bound: i64,
-        max_steps: usize,
-        value: F,
-    ) -> ModesObservation
-    where
-        F: FnMut(&DigitalExplorer<'p>, &ModesRun) -> f64,
-    {
-        self.expected_governed(runs, time_bound, max_steps, value, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// Mean estimation under a resource [`Budget`]: on exhaustion the
-    /// partial observation covers the completed runs (mean `0` when no
+    ///
+    /// Runs under a resource [`Budget`]: on exhaustion the partial
+    /// observation covers the completed runs (mean `0` when no
     /// run completed).
     pub fn expected_governed<F>(
         &mut self,
@@ -340,9 +314,15 @@ mod tests {
         let (pta, heads) = coin_pta();
         let mut modes = Modes::new(&pta, &[], Scheduler::Asap, 42);
         let goal = StateFormula::data(Expr::var(heads).eq(Expr::konst(1)));
-        let obs = modes.observe(2000, 100, 100, |exp, run| {
-            run.first_hit(exp, &goal).is_some()
-        });
+        let obs = modes
+            .observe_governed(
+                2000,
+                100,
+                100,
+                |exp, run| run.first_hit(exp, &goal).is_some(),
+                &Budget::unlimited(),
+            )
+            .into_value();
         assert!((obs.mean - 0.5).abs() < 0.05, "observed {obs}");
     }
 
@@ -362,17 +342,29 @@ mod tests {
         let pta = compile(&m);
         let goal = StateFormula::at(tempo_ta::AutomatonId(0), tempo_ta::LocationId(1));
         let mut alap = Modes::new(&pta, &[], Scheduler::Alap, 1);
-        let obs = alap.expected(50, 100, 100, |exp, run| {
-            run.first_hit(exp, &goal).unwrap_or(100) as f64
-        });
+        let obs = alap
+            .expected_governed(
+                50,
+                100,
+                100,
+                |exp, run| run.first_hit(exp, &goal).unwrap_or(100) as f64,
+                &Budget::unlimited(),
+            )
+            .into_value();
         assert!(
             (obs.mean - 5.0).abs() < 1e-9,
             "ALAP hits at the invariant bound"
         );
         let mut asap = Modes::new(&pta, &[], Scheduler::Asap, 1);
-        let obs = asap.expected(50, 100, 100, |exp, run| {
-            run.first_hit(exp, &goal).unwrap_or(100) as f64
-        });
+        let obs = asap
+            .expected_governed(
+                50,
+                100,
+                100,
+                |exp, run| run.first_hit(exp, &goal).unwrap_or(100) as f64,
+                &Budget::unlimited(),
+            )
+            .into_value();
         assert!((obs.mean - 1.0).abs() < 1e-9, "ASAP acts at the guard");
     }
 
@@ -405,7 +397,15 @@ mod tests {
         let pta = compile(&m);
         let goal = StateFormula::data(Expr::var(rare).eq(Expr::konst(1)));
         let mut modes = Modes::new(&pta, &[], Scheduler::Asap, 7);
-        let obs = modes.observe(100, 10, 10, |exp, run| run.first_hit(exp, &goal).is_some());
+        let obs = modes
+            .observe_governed(
+                100,
+                10,
+                10,
+                |exp, run| run.first_hit(exp, &goal).is_some(),
+                &Budget::unlimited(),
+            )
+            .into_value();
         assert_eq!(obs.observations, 0);
         assert_eq!(obs.to_string(), "0 (no observations in 100 runs)");
     }

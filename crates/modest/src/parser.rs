@@ -806,6 +806,8 @@ mod tests {
     use super::*;
     use crate::compile::compile;
     use crate::mcpta::Mcpta;
+    use tempo_mdp::Opt;
+    use tempo_obs::Budget;
     use tempo_ta::StateFormula;
 
     /// The paper's Fig. 5 channel, verbatim modulo declarations.
@@ -856,10 +858,13 @@ mod tests {
         ";
         let model = parse_modest(src).expect("parses");
         let pta = compile(&model);
-        let mc = Mcpta::build(&pta, &[], 10_000);
+        let mc = Mcpta::try_build(&pta, &[], &Budget::unlimited().with_max_states(10_000))
+            .into_value()
+            .expect("the digital-clocks MDP fits the state budget");
         let heads = model.decls().lookup("heads").unwrap();
         let goal = StateFormula::data(Expr::var(heads).eq(Expr::konst(1)));
-        assert!((mc.pmax(&goal) - 0.75).abs() < 1e-9);
+        let pmax = mc.reach_quantitative(Opt::Max, &goal, &Budget::unlimited());
+        assert!((pmax.into_value().initial_value - 0.75).abs() < 1e-9);
     }
 
     #[test]

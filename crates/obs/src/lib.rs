@@ -14,10 +14,11 @@
 //!   with a *sound partial* answer (e.g. "no violation found within the
 //!   states explored so far").
 //!
-//! The contract every engine upholds: with [`Budget::unlimited`] the
-//! governed entry point behaves byte-identically to the ungoverned one;
-//! with any finite budget it terminates promptly, never panics, and the
-//! `Exhausted` wrapper marks the partial answer as non-definitive.
+//! Each analysis has one entry point, which takes a [`Budget`]. The
+//! contract every engine upholds: with [`Budget::unlimited`] every entry
+//! point completes; with any finite budget it terminates promptly, never
+//! panics, and the `Exhausted` wrapper marks the partial answer as
+//! non-definitive.
 //!
 //! ```
 //! use tempo_obs::{Budget, Outcome};
@@ -101,8 +102,8 @@ impl PartialEq for Budget {
 impl Eq for Budget {}
 
 impl Budget {
-    /// A budget with no limits: governed entry points behave exactly
-    /// like their ungoverned counterparts.
+    /// A budget with no limits: every entry point run under it returns
+    /// [`Outcome::Complete`].
     #[must_use]
     pub fn unlimited() -> Self {
         Self::default()

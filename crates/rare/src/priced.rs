@@ -112,6 +112,7 @@ fn priced_report(gov: &Governor, completed: usize, dim: usize) -> RunReport {
 ///
 /// ```
 /// use tempo_cora::PricedNetwork;
+/// use tempo_obs::Budget;
 /// use tempo_rare::PricedChecker;
 /// use tempo_smc::RatePolicy;
 /// use tempo_ta::{NetworkBuilder, StateFormula};
@@ -127,7 +128,9 @@ fn priced_report(gov: &Governor, completed: usize, dim: usize) -> RunReport {
 /// pnet.set_rate(aid, l0, 2); // cost accrues at rate 2 until the move
 ///
 /// let mut chk = PricedChecker::new(&pnet, RatePolicy::new(), 1);
-/// let est = chk.cost_probability(&StateFormula::at(aid, l1), 1_000.0, 100.0, 200, 0.95);
+/// let goal = StateFormula::at(aid, l1);
+/// let out = chk.cost_probability_governed(&goal, 1_000.0, 100.0, 200, 0.95, &Budget::unlimited());
+/// let est = out.expect("valid parameters").into_value().expect("all runs complete");
 /// assert!(est.mean > 0.9);
 /// ```
 #[derive(Debug)]
@@ -155,21 +158,6 @@ impl<'n> PricedChecker<'n> {
         self
     }
 
-    /// Pre-flight lint gate: structural diagnostics for the underlying
-    /// network plus the priced-specific rules (negative cost rates,
-    /// CORA001).
-    ///
-    /// # Errors
-    ///
-    /// A [`tempo_lint::LintError`] carrying every diagnostic at or above
-    /// the configured severity.
-    pub fn check_first(
-        &self,
-        config: &tempo_lint::LintConfig,
-    ) -> Result<tempo_lint::LintReport, tempo_lint::LintError> {
-        self.pnet.check_first(config)
-    }
-
     fn check_cancelled(gov: &Governor) -> Result<(), StatsError> {
         if gov.exhausted() == Some(tempo_obs::ExhaustionReason::Cancelled) {
             return Err(StatsError::Cancelled);
@@ -178,39 +166,12 @@ impl<'n> PricedChecker<'n> {
     }
 
     /// Estimates `Pr[cost <= cost_bound, time <= time_bound](<> goal)`
-    /// with a Wilson interval at level `confidence`.
+    /// with a Wilson interval at level `confidence`, under a resource
+    /// [`Budget`].
     ///
     /// A run counts as a success when its *first* goal state arrives
     /// with accumulated cost at most `cost_bound` and time at most
     /// `time_bound`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs == 0` or `confidence` is outside `(0, 1)`; use
-    /// [`Self::cost_probability_governed`] for the non-panicking API.
-    pub fn cost_probability(
-        &mut self,
-        goal: &StateFormula,
-        cost_bound: f64,
-        time_bound: f64,
-        runs: usize,
-        confidence: f64,
-    ) -> Estimate {
-        self.cost_probability_governed(
-            goal,
-            cost_bound,
-            time_bound,
-            runs,
-            confidence,
-            &Budget::unlimited(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-        .into_value()
-        .expect("an unlimited budget without a cancel token cannot stop short")
-    }
-
-    /// Estimates `Pr[cost <= cost_bound, time <= time_bound](<> goal)`
-    /// under a resource [`Budget`].
     ///
     /// # Errors
     ///
@@ -250,21 +211,8 @@ impl<'n> PricedChecker<'n> {
     }
 
     /// Estimates the expected total cost accumulated up to the time
-    /// horizon `bound` (UPPAAL-SMC's `E[<=bound](max: cost)` shape).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs == 0`; use [`Self::expected_cost_governed`] for
-    /// the non-panicking API.
-    pub fn expected_cost(&mut self, bound: f64, runs: usize) -> MeanEstimate {
-        self.expected_cost_governed(bound, runs, &Budget::unlimited())
-            .unwrap_or_else(|e| panic!("{e}"))
-            .into_value()
-            .expect("an unlimited budget without a cancel token cannot stop short")
-    }
-
-    /// Estimates the expected total cost at horizon `bound` under a
-    /// resource [`Budget`].
+    /// horizon `bound` (UPPAAL-SMC's `E[<=bound](max: cost)` shape) under
+    /// a resource [`Budget`].
     ///
     /// # Errors
     ///

@@ -152,12 +152,15 @@ struct EngineOutput {
 /// delay-rate policy.
 ///
 /// ```
+/// use tempo_obs::Budget;
 /// use tempo_rare::{RareChecker, SplitConfig};
 /// use tempo_smc::RatePolicy;
 ///
 /// let c = tempo_models::chain(8); // p = 2^-8
 /// let mut rc = RareChecker::new(&c.net, RatePolicy::new(), 42);
-/// let est = rc.probability(&c.goal(), c.time_bound(), &SplitConfig::default());
+/// let config = SplitConfig::default();
+/// let out = rc.probability_governed(&c.goal(), c.time_bound(), &config, &Budget::unlimited());
+/// let est = out.expect("valid parameters").into_value().expect("every level completes");
 /// assert!(est.lower > 0.0 && est.lower <= c.exact_probability());
 /// assert!(est.upper >= c.exact_probability());
 /// ```
@@ -188,37 +191,6 @@ impl<'n> RareChecker<'n> {
     pub fn with_max_steps(mut self, max_steps: usize) -> Self {
         self.max_steps = max_steps.max(1);
         self
-    }
-
-    /// Pre-flight lint gate, identical to the plain SMC engine's.
-    ///
-    /// # Errors
-    ///
-    /// A [`tempo_lint::LintError`] carrying every diagnostic at or above
-    /// the configured severity.
-    pub fn check_first(
-        net: &Network,
-        config: &tempo_lint::LintConfig,
-    ) -> Result<tempo_lint::LintReport, tempo_lint::LintError> {
-        tempo_smc::StatisticalChecker::check_first(net, config)
-    }
-
-    /// Estimates `Pr[<=bound](<> goal)` by importance splitting.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid configuration; use
-    /// [`Self::probability_governed`] for the non-panicking API.
-    pub fn probability(
-        &mut self,
-        goal: &StateFormula,
-        bound: f64,
-        config: &SplitConfig,
-    ) -> SplitEstimate {
-        self.probability_governed(goal, bound, config, &Budget::unlimited())
-            .unwrap_or_else(|e| panic!("{e}"))
-            .into_value()
-            .expect("an unlimited budget without a cancel token cannot stop short")
     }
 
     /// Estimates `Pr[<=bound](<> goal)` by importance splitting under a

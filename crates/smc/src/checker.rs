@@ -62,13 +62,15 @@ pub const DEFAULT_MAX_STEPS: usize = 100_000;
 /// only, and one trial can be regenerated on its own.
 ///
 /// A trial ends at its decisive state: the first goal state for
-/// [`Self::probability`], [`Self::hypothesis`] and [`Self::cdf`], the
-/// first unsafe state for [`Self::count_globally`]. Its seed fixes the
-/// run up to that state and none of these estimators reads past it, so
-/// stopping there changes no estimate. [`Self::expected`] and
-/// [`Self::compare`] simulate every trial to the horizon.
+/// [`Self::probability_governed`], [`Self::hypothesis_governed`] and
+/// [`Self::cdf_governed`], the first unsafe state for
+/// [`Self::count_globally_governed`]. Its seed fixes the run up to that
+/// state and none of these estimators reads past it, so stopping there
+/// changes no estimate. [`Self::expected_governed`] and
+/// [`Self::compare_governed`] simulate every trial to the horizon.
 ///
 /// ```
+/// use tempo_obs::Budget;
 /// use tempo_ta::NetworkBuilder;
 /// use tempo_smc::{RatePolicy, StatisticalChecker};
 /// use tempo_ta::StateFormula;
@@ -82,7 +84,9 @@ pub const DEFAULT_MAX_STEPS: usize = 100_000;
 /// let net = b.build();
 ///
 /// let mut smc = StatisticalChecker::new(&net, RatePolicy::new(), 1);
-/// let est = smc.probability(&StateFormula::at(aid, l1), 100.0, 200, 0.95);
+/// let goal = StateFormula::at(aid, l1);
+/// let out = smc.probability_governed(&goal, 100.0, 200, 0.95, &Budget::unlimited());
+/// let est = out.expect("valid parameters").into_value().expect("all runs complete");
 /// assert!(est.mean > 0.9); // the only move leads to L1
 /// ```
 #[derive(Debug)]
@@ -255,31 +259,12 @@ impl<'n> StatisticalChecker<'n> {
     }
 
     /// Estimates `Pr[<=bound](<> goal)` from `runs` simulations with a
-    /// Wilson confidence interval at level `confidence`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs == 0` or `confidence` is outside `(0, 1)`; use
-    /// [`Self::probability_governed`] for the non-panicking API.
-    pub fn probability(
-        &mut self,
-        goal: &StateFormula,
-        bound: f64,
-        runs: usize,
-        confidence: f64,
-    ) -> Estimate {
-        self.probability_governed(goal, bound, runs, confidence, &Budget::unlimited())
-            .unwrap_or_else(|e| panic!("{e}"))
-            .into_value()
-            .expect("an unlimited budget without a cancel token cannot stop short")
-    }
-
-    /// Estimates `Pr[<=bound](<> goal)` under a resource [`Budget`].
+    /// Wilson confidence interval at level `confidence`, under a resource
+    /// [`Budget`].
     ///
     /// On run-budget or deadline exhaustion the partial answer is the
     /// Wilson estimate over the runs that did complete, or `None` when no
-    /// run completed. With an unlimited budget the result is
-    /// bit-identical to [`Self::probability`].
+    /// run completed. With [`Budget::unlimited`] all `runs` complete.
     ///
     /// # Errors
     ///
@@ -338,32 +323,8 @@ impl<'n> StatisticalChecker<'n> {
     /// Sequential hypothesis test of `Pr[<=bound](<> goal) ≥ theta + delta`
     /// vs `≤ theta - delta` with strength `(alpha, beta)`; runs until a
     /// decision or `max_runs`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn hypothesis(
-        &mut self,
-        goal: &StateFormula,
-        bound: f64,
-        theta: f64,
-        delta: f64,
-        alpha: f64,
-        beta: f64,
-        max_runs: usize,
-    ) -> (TestVerdict, usize) {
-        self.hypothesis_governed(
-            goal,
-            bound,
-            theta,
-            delta,
-            alpha,
-            beta,
-            max_runs,
-            &Budget::unlimited(),
-        )
-        .into_value()
-    }
-
-    /// Sequential hypothesis test under a resource [`Budget`]: the SPRT
-    /// stops early when the run budget or deadline is exhausted, in which
+    ///
+    /// Runs under a resource [`Budget`]: the SPRT stops early when the run budget or deadline is exhausted, in which
     /// case the partial verdict is whatever the test had accumulated
     /// (usually [`TestVerdict::Undecided`]). A decision reached within
     /// the budget is definitive.
@@ -412,22 +373,8 @@ impl<'n> StatisticalChecker<'n> {
     /// Estimates the expected value of `value(run)` over `runs`
     /// simulations of horizon `bound` (e.g. completion time), as `modes`
     /// reports for `Emax` in Table I of the paper.
-    /// # Panics
     ///
-    /// Panics if `runs == 0`; use [`Self::expected_governed`] for the
-    /// non-panicking API.
-    pub fn expected<F>(&mut self, bound: f64, runs: usize, value: F) -> MeanEstimate
-    where
-        F: Fn(&Run) -> f64,
-    {
-        self.expected_governed(bound, runs, value, &Budget::unlimited())
-            .unwrap_or_else(|e| panic!("{e}"))
-            .into_value()
-            .expect("an unlimited budget without a cancel token cannot stop short")
-    }
-
-    /// Expected-value estimation under a resource [`Budget`]: on
-    /// exhaustion the partial answer is the mean over the completed runs,
+    /// Runs under a resource [`Budget`]: on exhaustion the partial answer is the mean over the completed runs,
     /// or `None` when no run completed.
     ///
     /// # Errors
@@ -466,13 +413,8 @@ impl<'n> StatisticalChecker<'n> {
     /// Builds the empirical CDF of the first time `goal` is reached, over
     /// `runs` simulations of horizon `bound` — the data behind Fig. 4 of
     /// the paper.
-    pub fn cdf(&mut self, goal: &StateFormula, bound: f64, runs: usize) -> EmpiricalCdf {
-        self.cdf_governed(goal, bound, runs, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// Empirical-CDF construction under a resource [`Budget`]: on
-    /// exhaustion the partial CDF covers the runs that completed (its
+    ///
+    /// Runs under a resource [`Budget`]: on exhaustion the partial CDF covers the runs that completed (its
     /// population is the completed-run count, so it stays a valid CDF).
     pub fn cdf_governed(
         &mut self,
@@ -506,27 +448,8 @@ impl<'n> StatisticalChecker<'n> {
     /// Returns `Ordering::Greater`/`Less` when the difference of the
     /// estimates exceeds the half-width `indifference`, `Ordering::Equal`
     /// otherwise.
-    pub fn compare(
-        &mut self,
-        goal_a: &StateFormula,
-        goal_b: &StateFormula,
-        bound: f64,
-        runs: usize,
-        indifference: f64,
-    ) -> (std::cmp::Ordering, f64, f64) {
-        self.compare_governed(
-            goal_a,
-            goal_b,
-            bound,
-            runs,
-            indifference,
-            &Budget::unlimited(),
-        )
-        .into_value()
-    }
-
-    /// Paired comparison under a resource [`Budget`]: on exhaustion the
-    /// partial ordering is computed over the completed runs (and is
+    ///
+    /// Runs under a resource [`Budget`]: on exhaustion the partial ordering is computed over the completed runs (and is
     /// `Equal` with zero estimates when no run completed).
     pub fn compare_governed(
         &mut self,
@@ -578,13 +501,8 @@ impl<'n> StatisticalChecker<'n> {
     /// Counts how many of `runs` simulations satisfy the *global*
     /// (safety) run predicate `[]≤bound safe` — used by the paper's
     /// Table I rows TA1/TA2 under `modes` ("all 10k runs satisfied TA1").
-    pub fn count_globally(&mut self, safe: &StateFormula, bound: f64, runs: usize) -> usize {
-        self.count_globally_governed(safe, bound, runs, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// Safe-run counting under a resource [`Budget`]: on exhaustion the
-    /// partial count covers the completed runs only.
+    ///
+    /// Runs under a resource [`Budget`]: on exhaustion the partial count covers the completed runs only.
     pub fn count_globally_governed(
         &mut self,
         safe: &StateFormula,
@@ -631,7 +549,17 @@ mod tests {
     fn coin_probability_near_half() {
         let (net, aid, heads) = coin_net();
         let mut smc = StatisticalChecker::new(&net, RatePolicy::new(), 11);
-        let est = smc.probability(&StateFormula::at(aid, heads), 10.0, 2000, 0.99);
+        let est = smc
+            .probability_governed(
+                &StateFormula::at(aid, heads),
+                10.0,
+                2000,
+                0.99,
+                &Budget::unlimited(),
+            )
+            .expect("valid parameters")
+            .into_value()
+            .expect("an unlimited budget completes");
         assert!(
             est.lower < 0.5 && 0.5 < est.upper,
             "99% CI {est} should contain 0.5"
@@ -643,26 +571,32 @@ mod tests {
         let (net, aid, heads) = coin_net();
         let mut smc = StatisticalChecker::new(&net, RatePolicy::new(), 11);
         // p = 0.5, test vs 0.1: accept H0 (p >= 0.2).
-        let (verdict, _) = smc.hypothesis(
-            &StateFormula::at(aid, heads),
-            10.0,
-            0.1,
-            0.05,
-            0.01,
-            0.01,
-            10_000,
-        );
+        let (verdict, _) = smc
+            .hypothesis_governed(
+                &StateFormula::at(aid, heads),
+                10.0,
+                0.1,
+                0.05,
+                0.01,
+                0.01,
+                10_000,
+                &Budget::unlimited(),
+            )
+            .into_value();
         assert_eq!(verdict, TestVerdict::AcceptH0);
         // p = 0.5, test vs 0.9: accept H1 (p <= 0.85).
-        let (verdict, _) = smc.hypothesis(
-            &StateFormula::at(aid, heads),
-            10.0,
-            0.9,
-            0.05,
-            0.01,
-            0.01,
-            10_000,
-        );
+        let (verdict, _) = smc
+            .hypothesis_governed(
+                &StateFormula::at(aid, heads),
+                10.0,
+                0.9,
+                0.05,
+                0.01,
+                0.01,
+                10_000,
+                &Budget::unlimited(),
+            )
+            .into_value();
         assert_eq!(verdict, TestVerdict::AcceptH1);
     }
 
@@ -670,7 +604,16 @@ mod tests {
     fn expected_duration_bounded_by_invariant() {
         let (net, _, _) = coin_net();
         let mut smc = StatisticalChecker::new(&net, RatePolicy::new(), 3);
-        let m = smc.expected(100.0, 500, |run| run.steps.first().map_or(0.0, |s| s.delay));
+        let m = smc
+            .expected_governed(
+                100.0,
+                500,
+                |run| run.steps.first().map_or(0.0, |s| s.delay),
+                &Budget::unlimited(),
+            )
+            .expect("valid parameters")
+            .into_value()
+            .expect("an unlimited budget completes");
         // First delay is uniform on [0,1]: mean 0.5.
         assert!((m.mean - 0.5).abs() < 0.08, "mean first delay {m}");
     }
@@ -684,7 +627,9 @@ mod tests {
             StateFormula::not(StateFormula::at(aid, heads)),
         ]);
         // Trivial property: CDF hits 1 at time 0.
-        let cdf = smc.cdf(&done, 5.0, 100);
+        let cdf = smc
+            .cdf_governed(&done, 5.0, 100, &Budget::unlimited())
+            .into_value();
         assert!((cdf.at(0.0) - 1.0).abs() < 1e-12);
     }
 
@@ -697,10 +642,21 @@ mod tests {
             StateFormula::at(aid, heads),
             StateFormula::at(aid, tempo_ta::LocationId(2)),
         ]);
-        let (ord, pa, pb) = smc.compare(&done, &StateFormula::at(aid, heads), 10.0, 600, 0.1);
+        let (ord, pa, pb) = smc
+            .compare_governed(
+                &done,
+                &StateFormula::at(aid, heads),
+                10.0,
+                600,
+                0.1,
+                &Budget::unlimited(),
+            )
+            .into_value();
         assert_eq!(ord, std::cmp::Ordering::Greater, "pa={pa} pb={pb}");
         // A property against itself is Equal.
-        let (ord, _, _) = smc.compare(&done, &done, 10.0, 200, 0.05);
+        let (ord, _, _) = smc
+            .compare_governed(&done, &done, 10.0, 200, 0.05, &Budget::unlimited())
+            .into_value();
         assert_eq!(ord, std::cmp::Ordering::Equal);
     }
 
@@ -811,26 +767,14 @@ mod tests {
     }
 
     #[test]
-    fn governed_unlimited_matches_legacy_probability() {
-        let (net, aid, heads) = coin_net();
-        let goal = StateFormula::at(aid, heads);
-        let mut a = StatisticalChecker::new(&net, RatePolicy::new(), 17);
-        let mut b = StatisticalChecker::new(&net, RatePolicy::new(), 17);
-        let legacy = a.probability(&goal, 10.0, 300, 0.95);
-        let governed = b
-            .probability_governed(&goal, 10.0, 300, 0.95, &Budget::unlimited())
-            .expect("inputs are valid");
-        assert!(!governed.is_exhausted());
-        assert_eq!(legacy, governed.value().expect("complete"));
-    }
-
-    #[test]
     fn globally_counts_safe_runs() {
         let (net, aid, heads) = coin_net();
         let mut smc = StatisticalChecker::new(&net, RatePolicy::new(), 5);
         // "Not heads" globally holds for about half of the runs.
         let safe = StateFormula::not(StateFormula::at(aid, heads));
-        let n = smc.count_globally(&safe, 10.0, 400);
+        let n = smc
+            .count_globally_governed(&safe, 10.0, 400, &Budget::unlimited())
+            .into_value();
         assert!((120..=280).contains(&n), "safe runs: {n}/400");
     }
 }

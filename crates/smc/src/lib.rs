@@ -6,12 +6,15 @@
 //! locations, uniform delays under invariants, shortest-delay race between
 //! components — and properties are settled by simulation:
 //!
-//! * [`StatisticalChecker::probability`] — estimate `Pr[<=T](<> φ)` with a
-//!   confidence interval;
-//! * [`StatisticalChecker::hypothesis`] — Wald SPRT hypothesis testing;
-//! * [`StatisticalChecker::expected`] — expected values of run functionals
-//!   (`µ`/`σ` as reported by `modes` in Table I of the paper);
-//! * [`StatisticalChecker::cdf`] — empirical CDFs such as Fig. 4.
+//! * [`StatisticalChecker::probability_governed`] — estimate
+//!   `Pr[<=T](<> φ)` with a confidence interval;
+//! * [`StatisticalChecker::hypothesis_governed`] — Wald SPRT hypothesis
+//!   testing;
+//! * [`StatisticalChecker::expected_governed`] — expected values of run
+//!   functionals (`µ`/`σ` as reported by `modes` in Table I of the paper);
+//! * [`StatisticalChecker::cdf_governed`] — empirical CDFs such as Fig. 4.
+//!
+//! Each takes a resource budget ([`tempo_obs::Budget`]).
 //!
 //! See the crate-level documentation of the items for examples.
 

@@ -622,7 +622,8 @@ impl JobKind {
                 })
             }
             JobKind::BipDeadlock { sys } => {
-                let (res, report) = split(sys.find_deadlock_governed(budget))?;
+                let (res, report) =
+                    split(sys.find_deadlock_with(ExploreConfig::default(), budget))?;
                 Ok(Execution {
                     verdict: JobVerdict::BipDeadlock(res.is_some()),
                     report,
@@ -969,14 +970,6 @@ pub enum JobVerdict {
     Ioco(bool),
 }
 
-fn hex64(v: f64) -> String {
-    Fingerprint::hex64(v)
-}
-
-fn parse_hex64(tok: &str) -> Option<f64> {
-    Fingerprint::parse_hex64(tok)
-}
-
 impl JobVerdict {
     /// Canonical single-line text form. Floats render as their exact bit
     /// pattern, so `parse(render(v))` reproduces `v` bit-for-bit — this
@@ -992,21 +985,21 @@ impl JobVerdict {
             JobVerdict::GameWinning(b) => format!("game-winning {b}"),
             JobVerdict::Probability(e) => format!(
                 "probability {} {} {} {} {} {}",
-                hex64(e.mean),
-                hex64(e.lower),
-                hex64(e.upper),
+                Fingerprint::hex64(e.mean),
+                Fingerprint::hex64(e.lower),
+                Fingerprint::hex64(e.upper),
                 e.runs,
                 e.successes,
-                hex64(e.confidence)
+                Fingerprint::hex64(e.confidence)
             ),
             JobVerdict::PricedProbability(e) => format!(
                 "priced-probability {} {} {} {} {} {}",
-                hex64(e.mean),
-                hex64(e.lower),
-                hex64(e.upper),
+                Fingerprint::hex64(e.mean),
+                Fingerprint::hex64(e.lower),
+                Fingerprint::hex64(e.upper),
                 e.runs,
                 e.successes,
-                hex64(e.confidence)
+                Fingerprint::hex64(e.confidence)
             ),
             JobVerdict::RareProbability {
                 p_hat,
@@ -1017,13 +1010,13 @@ impl JobVerdict {
                 splits_spawned,
             } => format!(
                 "rare-probability {} {} {} {} {runs_total} {splits_spawned}",
-                hex64(*p_hat),
-                hex64(*lower),
-                hex64(*upper),
-                hex64(*confidence)
+                Fingerprint::hex64(*p_hat),
+                Fingerprint::hex64(*lower),
+                Fingerprint::hex64(*upper),
+                Fingerprint::hex64(*confidence)
             ),
-            JobVerdict::MdpValue(v) => format!("mdp-value {}", hex64(*v)),
-            JobVerdict::McptaValue(v) => format!("mcpta-value {}", hex64(*v)),
+            JobVerdict::MdpValue(v) => format!("mdp-value {}", Fingerprint::hex64(*v)),
+            JobVerdict::McptaValue(v) => format!("mcpta-value {}", Fingerprint::hex64(*v)),
             JobVerdict::BipDeadlock(b) => format!("bip-deadlock {b}"),
             JobVerdict::DeadlockFree(b) => format!("deadlock-free {b}"),
             JobVerdict::Refines(b) => format!("refines {b}"),
@@ -1048,36 +1041,36 @@ impl JobVerdict {
             ["game-winning", b] => Some(JobVerdict::GameWinning(flag(b)?)),
             ["probability", mean, lower, upper, runs, successes, confidence] => {
                 Some(JobVerdict::Probability(Estimate {
-                    mean: parse_hex64(mean)?,
-                    lower: parse_hex64(lower)?,
-                    upper: parse_hex64(upper)?,
+                    mean: Fingerprint::parse_hex64(mean)?,
+                    lower: Fingerprint::parse_hex64(lower)?,
+                    upper: Fingerprint::parse_hex64(upper)?,
                     runs: runs.parse().ok()?,
                     successes: successes.parse().ok()?,
-                    confidence: parse_hex64(confidence)?,
+                    confidence: Fingerprint::parse_hex64(confidence)?,
                 }))
             }
             ["priced-probability", mean, lower, upper, runs, successes, confidence] => {
                 Some(JobVerdict::PricedProbability(Estimate {
-                    mean: parse_hex64(mean)?,
-                    lower: parse_hex64(lower)?,
-                    upper: parse_hex64(upper)?,
+                    mean: Fingerprint::parse_hex64(mean)?,
+                    lower: Fingerprint::parse_hex64(lower)?,
+                    upper: Fingerprint::parse_hex64(upper)?,
                     runs: runs.parse().ok()?,
                     successes: successes.parse().ok()?,
-                    confidence: parse_hex64(confidence)?,
+                    confidence: Fingerprint::parse_hex64(confidence)?,
                 }))
             }
             ["rare-probability", p_hat, lower, upper, confidence, runs_total, splits] => {
                 Some(JobVerdict::RareProbability {
-                    p_hat: parse_hex64(p_hat)?,
-                    lower: parse_hex64(lower)?,
-                    upper: parse_hex64(upper)?,
-                    confidence: parse_hex64(confidence)?,
+                    p_hat: Fingerprint::parse_hex64(p_hat)?,
+                    lower: Fingerprint::parse_hex64(lower)?,
+                    upper: Fingerprint::parse_hex64(upper)?,
+                    confidence: Fingerprint::parse_hex64(confidence)?,
                     runs_total: runs_total.parse().ok()?,
                     splits_spawned: splits.parse().ok()?,
                 })
             }
-            ["mdp-value", v] => Some(JobVerdict::MdpValue(parse_hex64(v)?)),
-            ["mcpta-value", v] => Some(JobVerdict::McptaValue(parse_hex64(v)?)),
+            ["mdp-value", v] => Some(JobVerdict::MdpValue(Fingerprint::parse_hex64(v)?)),
+            ["mcpta-value", v] => Some(JobVerdict::McptaValue(Fingerprint::parse_hex64(v)?)),
             ["bip-deadlock", b] => Some(JobVerdict::BipDeadlock(flag(b)?)),
             ["deadlock-free", b] => Some(JobVerdict::DeadlockFree(flag(b)?)),
             ["refines", b] => Some(JobVerdict::Refines(flag(b)?)),

@@ -45,7 +45,6 @@ mod liveness;
 mod model;
 pub mod moves;
 mod por;
-mod query;
 mod reach;
 mod reduce;
 pub mod slice;
@@ -56,15 +55,12 @@ pub use digital::{DigitalError, DigitalExplorer, DigitalMove, DigitalState};
 pub use explore::{Action, Explorer, SymState};
 pub use flow::NetworkLu;
 pub use formula::StateFormula;
-pub use liveness::{leads_to, leads_to_governed};
+pub use liveness::leads_to_governed;
 pub use model::{
     Automaton, AutomatonBuilder, AutomatonId, Channel, ChannelId, ChannelKind, ClockAtom, Edge,
     EdgeBuilder, Location, LocationId, LocationKind, Network, NetworkBuilder, Sync, SyncDir,
 };
 pub use por::Por;
-pub use query::{
-    check_query, check_query_governed, parse_formula, parse_query, Query, QueryError, QueryResult,
-};
 pub use reach::{ModelChecker, ReachResult, Stats, Trace, TraceStep, Verdict};
 pub use reduce::{live_clocks, ClockReduction};
 pub use slice::{slice, Slice};

@@ -32,18 +32,8 @@ use std::collections::HashSet;
 use tempo_expr::Store;
 use tempo_obs::{Budget, Governor, Outcome, SpillMetrics};
 
-/// Checks the leads-to property `phi --> psi` over the network.
-///
-/// # Panics
-///
-/// Panics if `phi` or `psi` contains clock atoms (only discrete
-/// predicates are supported; see the module documentation).
-#[must_use]
-pub fn leads_to(net: &Network, phi: &StateFormula, psi: &StateFormula) -> (Verdict, Stats) {
-    leads_to_governed(net, phi, psi, &Budget::unlimited()).into_value()
-}
-
-/// Checks `phi --> psi` under a resource [`Budget`].
+/// Checks the leads-to property `phi --> psi` over the network under a
+/// resource [`Budget`].
 ///
 /// A counterexample found within the budget is definitive (`Complete`).
 /// On exhaustion the partial verdict is `Satisfied`, to be read as "no
@@ -252,7 +242,13 @@ mod tests {
         a.edge(l1, l0).reset(x, 0).done();
         let aid = a.done();
         let net = b.build();
-        let (v, _) = leads_to(&net, &StateFormula::at(aid, l0), &StateFormula::at(aid, l1));
+        let (v, _) = leads_to_governed(
+            &net,
+            &StateFormula::at(aid, l0),
+            &StateFormula::at(aid, l1),
+            &Budget::unlimited(),
+        )
+        .into_value();
         assert!(v.holds());
     }
 
@@ -270,7 +266,13 @@ mod tests {
         a.edge(l2, l0).reset(x, 0).done();
         let aid = a.done();
         let net = b.build();
-        let (v, _) = leads_to(&net, &StateFormula::at(aid, l0), &StateFormula::at(aid, l1));
+        let (v, _) = leads_to_governed(
+            &net,
+            &StateFormula::at(aid, l0),
+            &StateFormula::at(aid, l1),
+            &Budget::unlimited(),
+        )
+        .into_value();
         assert!(!v.holds());
     }
 
@@ -287,7 +289,13 @@ mod tests {
         a.edge(l0, l1).guard_clock(ClockAtom::ge(x, 1)).done();
         let aid = a.done();
         let net = b.build();
-        let (v, _) = leads_to(&net, &StateFormula::at(aid, l0), &StateFormula::at(aid, l1));
+        let (v, _) = leads_to_governed(
+            &net,
+            &StateFormula::at(aid, l0),
+            &StateFormula::at(aid, l1),
+            &Budget::unlimited(),
+        )
+        .into_value();
         assert!(v.holds());
     }
 
@@ -304,7 +312,13 @@ mod tests {
         a.edge(l0, sink).reset(x, 0).done();
         let aid = a.done();
         let net = b.build();
-        let (v, _) = leads_to(&net, &StateFormula::at(aid, l0), &StateFormula::at(aid, l1));
+        let (v, _) = leads_to_governed(
+            &net,
+            &StateFormula::at(aid, l0),
+            &StateFormula::at(aid, l1),
+            &Budget::unlimited(),
+        )
+        .into_value();
         assert!(!v.holds());
         let _ = sink;
     }
@@ -319,10 +333,12 @@ mod tests {
         a.edge(l0, l0).done();
         a.done();
         let net = b.build();
-        let _ = leads_to(
+        let _ = leads_to_governed(
             &net,
             &StateFormula::clock(ClockAtom::le(x, 1)),
             &StateFormula::True,
-        );
+            &Budget::unlimited(),
+        )
+        .into_value();
     }
 }

@@ -534,22 +534,9 @@ impl<'n> ModelChecker<'n> {
         })
     }
 
-    /// `A[] safe`: does `safe` hold in every reachable state (and every
-    /// valuation of its zone)? Equivalent to `not E<> not safe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a state-store failure, which is only possible when
-    /// [`ExploreConfig::with_spill`] is set — use
-    /// [`ModelChecker::try_always_governed`] then.
-    #[must_use]
-    pub fn always(&mut self, safe: &StateFormula) -> (Verdict, Stats) {
-        self.try_always_governed(safe, &Budget::unlimited())
-            .expect("state store failed; use try_always_governed with ExploreConfig::with_spill")
-            .into_value()
-    }
-
-    /// `A[] safe` under a resource [`Budget`].
+    /// `A[] safe` under a resource [`Budget`]: does `safe` hold in every
+    /// reachable state (and every valuation of its zone)? Equivalent to
+    /// `not E<> not safe`.
     ///
     /// A violation is definitive (`Complete`) even if found on the last
     /// budgeted state. On exhaustion the partial verdict is
@@ -650,14 +637,8 @@ impl<'n> ModelChecker<'n> {
         })
     }
 
-    /// Enumerates all reachable symbolic states (inclusion-reduced).
-    #[must_use]
-    pub fn reachable_states(&mut self) -> (Vec<SymState>, Stats) {
-        self.reachable_states_governed(&Budget::unlimited())
-            .into_value()
-    }
-
-    /// Enumerates reachable symbolic states under a resource [`Budget`].
+    /// Enumerates the reachable symbolic states (inclusion-reduced) under
+    /// a resource [`Budget`].
     /// On exhaustion the partial value is the (inclusion-reduced) set of
     /// states collected so far — a sound under-approximation of the
     /// reachable set.
@@ -820,15 +801,72 @@ mod tests {
             StateFormula::not(StateFormula::at(aid, l1)),
             StateFormula::clock(ClockAtom::le(x, 4)),
         ]);
-        let (verdict, _) = mc.always(&safe);
+        let (verdict, _) = mc
+            .try_always_governed(&safe, &Budget::unlimited())
+            .expect("in-memory state store")
+            .into_value();
         assert!(verdict.holds());
         // But x <= 3 in L1 is violated.
         let tight = StateFormula::or(vec![
             StateFormula::not(StateFormula::at(aid, l1)),
             StateFormula::clock(ClockAtom::le(x, 3)),
         ]);
-        let (verdict, _) = mc.always(&tight);
+        let (verdict, _) = mc
+            .try_always_governed(&tight, &Budget::unlimited())
+            .expect("in-memory state store")
+            .into_value();
         assert!(!verdict.holds());
+    }
+
+    #[test]
+    fn data_and_clock_predicates_on_the_lamp() {
+        // Off -> On sets level := 2 and resets x; On (x <= 10) -> Off
+        // once x >= 1 sets level := 0.
+        let mut b = NetworkBuilder::new();
+        let x = b.clock("x");
+        let level = b.decls_mut().int("level", 0, 3);
+        let mut a = b.automaton("Lamp");
+        let off = a.location("Off");
+        let on = a.location_with_invariant("On", vec![ClockAtom::le(x, 10)]);
+        a.edge(off, on)
+            .reset(x, 0)
+            .update(tempo_expr::Stmt::assign(level, tempo_expr::Expr::konst(2)))
+            .done();
+        a.edge(on, off)
+            .guard_clock(ClockAtom::ge(x, 1))
+            .update(tempo_expr::Stmt::assign(level, tempo_expr::Expr::konst(0)))
+            .done();
+        let lamp = a.done();
+        let net = b.build();
+        let level_is =
+            |k| StateFormula::data(tempo_expr::Expr::var(level).eq(tempo_expr::Expr::konst(k)));
+        let (is_on, is_off) = (StateFormula::at(lamp, on), StateFormula::at(lamp, off));
+        let mut mc = ModelChecker::new(&net);
+        let reachable = |mc: &mut ModelChecker, goal: Vec<StateFormula>| {
+            mc.reachable(&StateFormula::and(goal)).reachable
+        };
+        assert!(reachable(&mut mc, vec![is_on.clone(), level_is(2)]));
+        assert!(!reachable(&mut mc, vec![is_off.clone(), level_is(3)]));
+        let mut always = |safe: StateFormula| {
+            let out = mc.try_always_governed(&safe, &Budget::unlimited());
+            out.expect("in-memory state store").into_value().0.holds()
+        };
+        let on_within = |k| {
+            StateFormula::or(vec![
+                StateFormula::not(is_on.clone()),
+                StateFormula::clock(ClockAtom::le(x, k)),
+            ])
+        };
+        assert!(always(StateFormula::data(
+            tempo_expr::Expr::var(level).le(tempo_expr::Expr::konst(2))
+        )));
+        assert!(always(StateFormula::not(StateFormula::and(vec![
+            is_on.clone(),
+            level_is(0)
+        ]))));
+        assert!(!always(is_off));
+        assert!(always(on_within(10)), "the invariant bounds x in On");
+        assert!(!always(on_within(9)));
     }
 
     #[test]
@@ -866,7 +904,9 @@ mod tests {
         a.done();
         let net = b.build();
         let mut mc = ModelChecker::new(&net);
-        let (states, stats) = mc.reachable_states();
+        let (states, stats) = mc
+            .reachable_states_governed(&Budget::unlimited())
+            .into_value();
         assert_eq!(states.len(), 2);
         assert!(stats.explored >= 2);
     }

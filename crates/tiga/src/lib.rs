@@ -330,15 +330,9 @@ impl<'n> GameSolver<'n> {
         }
     }
 
-    /// Solves the reachability game: the controller wins by eventually
-    /// reaching a state satisfying `goal`, whatever the environment does.
-    #[must_use]
-    pub fn solve_reachability(&self, goal: &StateFormula) -> GameResult {
-        self.solve_reachability_governed(goal, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// Solves the reachability game under a resource [`Budget`].
+    /// Solves the reachability game under a resource [`Budget`]: the
+    /// controller wins by eventually reaching a state satisfying `goal`,
+    /// whatever the environment does.
     ///
     /// The winning region grows monotonically from the goal (least
     /// fixpoint), so on iteration/wall-clock exhaustion the states ranked
@@ -461,15 +455,8 @@ impl<'n> GameSolver<'n> {
         }
     }
 
-    /// Solves the safety game: the controller wins by forever avoiding
-    /// states satisfying `bad`.
-    #[must_use]
-    pub fn solve_safety(&self, bad: &StateFormula) -> GameResult {
-        self.solve_safety_governed(bad, &Budget::unlimited())
-            .into_value()
-    }
-
-    /// Solves the safety game under a resource [`Budget`].
+    /// Solves the safety game under a resource [`Budget`]: the controller
+    /// wins by forever avoiding states satisfying `bad`.
     ///
     /// The safety fixpoint shrinks from above (greatest fixpoint), so an
     /// interrupted run only has an *over*-approximation of the winning
@@ -702,7 +689,9 @@ mod tests {
     fn reachability_game_winning() {
         let (net, aid, inside) = door_game();
         let solver = GameSolver::new(&net);
-        let res = solver.solve_reachability(&StateFormula::at(aid, inside));
+        let res = solver
+            .solve_reachability_governed(&StateFormula::at(aid, inside), &Budget::unlimited())
+            .into_value();
         assert!(
             res.winning,
             "controller can enter as soon as the door opens"
@@ -725,7 +714,9 @@ mod tests {
         let aid = a.done();
         let net = b.build();
         let solver = GameSolver::new(&net);
-        let res = solver.solve_reachability(&StateFormula::at(aid, inside));
+        let res = solver
+            .solve_reachability_governed(&StateFormula::at(aid, inside), &Budget::unlimited())
+            .into_value();
         assert!(!res.winning);
     }
 
@@ -750,7 +741,9 @@ mod tests {
         let aid = a.done();
         let net = b.build();
         let solver = GameSolver::new(&net);
-        let res = solver.solve_safety(&StateFormula::at(aid, bad));
+        let res = solver
+            .solve_safety_governed(&StateFormula::at(aid, bad), &Budget::unlimited())
+            .into_value();
         assert!(res.winning, "reset x before it reaches 2");
         // Without the reset edge the controller loses.
         let mut b = NetworkBuilder::new();
@@ -765,7 +758,9 @@ mod tests {
         let aid = a.done();
         let net = b.build();
         let solver = GameSolver::new(&net);
-        let res = solver.solve_safety(&StateFormula::at(aid, bad));
+        let res = solver
+            .solve_safety_governed(&StateFormula::at(aid, bad), &Budget::unlimited())
+            .into_value();
         assert!(!res.winning);
         let _ = x;
     }
@@ -774,7 +769,9 @@ mod tests {
     fn closed_loop_reaches_goal() {
         let (net, aid, inside) = door_game();
         let solver = GameSolver::new(&net);
-        let res = solver.solve_reachability(&StateFormula::at(aid, inside));
+        let res = solver
+            .solve_reachability_governed(&StateFormula::at(aid, inside), &Budget::unlimited())
+            .into_value();
         let visited = solver.closed_loop(&res.strategy, 100);
         assert!(
             visited.iter().any(|s| s.locs[aid.index()] == inside),

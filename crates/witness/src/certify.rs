@@ -778,24 +778,12 @@ fn stamp<T>(out: &mut Outcome<T>, cert: &Certificate, started: Instant) {
 }
 
 /// Reachability with a validated concrete witness: runs the symbolic
-/// engine, realizes the symbolic trace, replays it independently, and
-/// returns the certificate alongside the verdict. `None` when the goal
-/// is unreachable (or not proven reachable within the budget).
+/// engine with the given exploration knobs, realizes the symbolic trace,
+/// replays it independently, and returns the certificate alongside the
+/// verdict. `None` when the goal is unreachable (or not proven reachable
+/// within the budget).
 ///
-/// # Errors
-///
-/// A [`WitnessError`] if the engine's trace cannot be realized or fails
-/// validation — either indicates an engine bug.
-pub fn certified_reachable(
-    net: &Network,
-    goal: &StateFormula,
-    budget: &Budget,
-) -> Certified<ReachResult, Option<TraceCertificate>> {
-    certified_reachable_with(net, goal, ExploreConfig::default(), budget)
-}
-
-/// [`certified_reachable`] with explicit exploration knobs. The
-/// certificate pipeline is reduction-agnostic: a symmetry-folded engine
+/// The certificate pipeline is reduction-agnostic: a symmetry-folded engine
 /// trace is realized back through the orbit permutations into a
 /// concrete run of the *original* network, so validation never sees the
 /// reduced state space.
@@ -1063,7 +1051,8 @@ mod tests {
     #[test]
     fn scheduler_validation_solves_multi_state_components() {
         let (mdp, goal) = lossy_cycle();
-        let q = tempo_mdp::reachability(&mdp, Opt::Max, &goal);
+        let q = tempo_mdp::reachability_governed(&mdp, Opt::Max, &goal, &Budget::unlimited())
+            .into_value();
         assert!((q.initial_value - 0.5).abs() < 1e-9);
         assert_eq!(q.scheduler[0], Some(0), "the engine moves on");
         let cert = SchedulerCertificate::build_with_opt(&q, Opt::Max, goal, 1e-9);

@@ -14,6 +14,7 @@
 use crate::certify::certified_min_cost;
 use tempo_cora::PricedNetwork;
 use tempo_expr::{Expr, Stmt};
+use tempo_mdp::Opt;
 use tempo_modest::Mcpta;
 use tempo_obs::{Budget, ExploreConfig};
 use tempo_smc::{RatePolicy, Simulator};
@@ -225,7 +226,10 @@ fn mcpta_positive(net: &Network, goals: &[StateFormula]) -> Vec<bool> {
             } else {
                 &timed
             };
-            mc.pmax(g) > 0.0
+            mc.reach_quantitative(Opt::Max, g, &Budget::unlimited())
+                .into_value()
+                .initial_value
+                > 0.0
         })
         .collect()
 }
@@ -260,13 +264,22 @@ fn engines_agree_on_random_closed_networks() {
                 .reachable;
             assert_eq!(zone_plain, zone, "zone without reductions: {case}");
             assert_eq!(mcpta, zone, "mcpta Pmax > 0: {case}");
-            assert_eq!(game.solve_reachability(goal).winning, zone, "tiga: {case}");
+            assert_eq!(
+                game.solve_reachability_governed(goal, &Budget::unlimited())
+                    .into_value()
+                    .winning,
+                zone,
+                "tiga: {case}"
+            );
             let (cost, cert) = certified_min_cost(&pnet, goal, &Budget::unlimited())
                 .unwrap_or_else(|e| panic!("cora certificate: {e:?}: {case}"));
             assert_eq!(cost.value().is_some(), zone, "cora: {case}");
             assert_eq!(cert.is_some(), zone, "cora certificate: {case}");
             assert_eq!(
-                unsliced.min_cost_reach(goal).is_some(),
+                unsliced
+                    .min_cost_reach_governed(goal, &Budget::unlimited())
+                    .into_value()
+                    .is_some(),
                 zone,
                 "cora without flow: {case}"
             );
@@ -342,13 +355,22 @@ fn engines_agree_on_random_weighted_networks() {
                 );
                 refused_only += usize::from(zone && !mcpta);
             }
-            assert_eq!(game.solve_reachability(goal).winning, zone, "tiga: {case}");
+            assert_eq!(
+                game.solve_reachability_governed(goal, &Budget::unlimited())
+                    .into_value()
+                    .winning,
+                zone,
+                "tiga: {case}"
+            );
             let (cost, cert) = certified_min_cost(&pnet, goal, &Budget::unlimited())
                 .unwrap_or_else(|e| panic!("cora certificate: {e:?}: {case}"));
             assert_eq!(cost.value().is_some(), zone, "cora: {case}");
             assert_eq!(cert.is_some(), zone, "cora certificate: {case}");
             assert_eq!(
-                unsliced.min_cost_reach(goal).is_some(),
+                unsliced
+                    .min_cost_reach_governed(goal, &Budget::unlimited())
+                    .into_value()
+                    .is_some(),
                 zone,
                 "cora without flow: {case}"
             );

@@ -13,7 +13,9 @@
 //! Run with: `cargo run --release --example brp_modest`
 //! (set `BRP_N`, `BRP_MAX`, `BRP_TD` to vary the parameters).
 
+use tempo_core::mdp::Opt;
 use tempo_core::modest::{Mctau, Modes, Scheduler};
+use tempo_core::obs::Budget;
 use tempo_models::brp::brp;
 
 fn main() {
@@ -40,13 +42,27 @@ fn main() {
     // ---------------- mctau ----------------
     let t0 = std::time::Instant::now();
     let mctau = Mctau::new(&model.pta);
-    let m_ta1 = mctau.check_invariant(&model.ta1());
-    let m_ta2 = mctau.check_invariant(&model.ta2());
-    let m_pa = mctau.probability_bounds(&model.pa_goal());
-    let m_pb = mctau.probability_bounds(&model.pb_goal());
-    let m_p1 = mctau.probability_bounds(&model.p1_goal());
-    let m_p2 = mctau.probability_bounds(&model.p2_goal());
-    let m_dmax = mctau.probability_bounds(&model.success());
+    let m_ta1 = mctau
+        .check_invariant_governed(&model.ta1(), &Budget::unlimited())
+        .into_value();
+    let m_ta2 = mctau
+        .check_invariant_governed(&model.ta2(), &Budget::unlimited())
+        .into_value();
+    let m_pa = mctau
+        .probability_bounds_governed(&model.pa_goal(), &Budget::unlimited())
+        .into_value();
+    let m_pb = mctau
+        .probability_bounds_governed(&model.pb_goal(), &Budget::unlimited())
+        .into_value();
+    let m_p1 = mctau
+        .probability_bounds_governed(&model.p1_goal(), &Budget::unlimited())
+        .into_value();
+    let m_p2 = mctau
+        .probability_bounds_governed(&model.p2_goal(), &Budget::unlimited())
+        .into_value();
+    let m_dmax = mctau
+        .probability_bounds_governed(&model.success(), &Budget::unlimited())
+        .into_value();
     let mctau_time = t0.elapsed();
 
     // ---------------- mcpta ----------------
@@ -55,16 +71,33 @@ fn main() {
     let stats = mc.stats();
     let c_ta1 = mc.check_invariant(&model.ta1());
     let c_ta2 = mc.check_invariant(&model.ta2());
-    let c_pa = mc.pmax(&model.pa_goal());
-    let c_pb = mc.pmax(&model.pb_goal());
-    let c_p1 = mc.pmax(&model.p1_goal());
-    let c_p2 = mc.pmax(&model.p2_goal());
-    let c_emax = mc.emax_time(&model.done());
+    let c_pa = mc
+        .reach_quantitative(Opt::Max, &model.pa_goal(), &Budget::unlimited())
+        .into_value()
+        .initial_value;
+    let c_pb = mc
+        .reach_quantitative(Opt::Max, &model.pb_goal(), &Budget::unlimited())
+        .into_value()
+        .initial_value;
+    let c_p1 = mc
+        .reach_quantitative(Opt::Max, &model.p1_goal(), &Budget::unlimited())
+        .into_value()
+        .initial_value;
+    let c_p2 = mc
+        .reach_quantitative(Opt::Max, &model.p2_goal(), &Budget::unlimited())
+        .into_value()
+        .initial_value;
+    let c_emax = mc
+        .emax_time_governed(&model.done(), &Budget::unlimited())
+        .into_value();
     let mcpta_time = t0.elapsed();
     // Dmax needs the global clock tracked up to the bound: separate build.
     let t0 = std::time::Instant::now();
     let mc_timed = model.mcpta(dmax_bound, 200_000_000);
-    let c_dmax = mc_timed.pmax(&model.dmax_goal(dmax_bound));
+    let c_dmax = mc_timed
+        .reach_quantitative(Opt::Max, &model.dmax_goal(dmax_bound), &Budget::unlimited())
+        .into_value()
+        .initial_value;
     let dmax_time = t0.elapsed();
 
     // ---------------- modes ----------------

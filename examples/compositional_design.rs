@@ -13,12 +13,16 @@
 //!
 //! Run with: `cargo run --release --example compositional_design`
 
-use tempo_core::bip::{check_deadlock_freedom, Composite, DfinderVerdict, InteractionKind};
+use tempo_core::bip::{
+    check_deadlock_freedom_governed, Composite, DfinderVerdict, InteractionKind,
+};
 use tempo_core::ecdar::{
-    conjunction, find_inconsistency, parallel, refines, TioaAtom, TioaBuilder,
+    conjunction, find_inconsistency_governed, parallel, refines_governed, TioaAtom, TioaBuilder,
 };
 use tempo_core::expr::Expr;
+use tempo_core::mdp::Opt;
 use tempo_core::modest::{compile, parse_modest, Mcpta};
+use tempo_core::obs::{Budget, ExploreConfig};
 use tempo_core::ta::StateFormula;
 
 fn main() {
@@ -39,7 +43,9 @@ fn ecdar_flow() {
     let contract = c.build();
     println!(
         "contract consistent: {}",
-        find_inconsistency(&contract).is_none()
+        find_inconsistency_governed(&contract, &Budget::unlimited())
+            .into_value()
+            .is_none()
     );
 
     // Component A: respond within [2, 6]; Component-level requirement B:
@@ -52,7 +58,7 @@ fn ecdar_flow() {
     a.output(ap, ai, "resp").guard(TioaAtom::ge(x, 2)).done();
     let responder = a.build();
 
-    match refines(&responder, &contract) {
+    match refines_governed(&responder, &contract, &Budget::unlimited()).into_value() {
         Ok(()) => println!("Responder ≤ Contract: refinement holds"),
         Err(e) => println!("Responder ≤ Contract FAILS: {e}"),
     }
@@ -67,7 +73,7 @@ fn ecdar_flow() {
         .guard(TioaAtom::ge(y, 12))
         .done();
     let slow = slow.build();
-    match refines(&slow, &contract) {
+    match refines_governed(&slow, &contract, &Budget::unlimited()).into_value() {
         Ok(()) => println!("Slow ≤ Contract: refinement holds (unexpected!)"),
         Err(e) => println!("Slow ≤ Contract correctly rejected: {e}"),
     }
@@ -84,8 +90,12 @@ fn ecdar_flow() {
     let both = conjunction(&contract, &not_too_early).expect("compatible directions");
     println!(
         "Contract ∧ NotTooEarly refines each conjunct: {} / {}",
-        refines(&both, &contract).is_ok(),
-        refines(&both, &not_too_early).is_ok()
+        refines_governed(&both, &contract, &Budget::unlimited())
+            .into_value()
+            .is_ok(),
+        refines_governed(&both, &not_too_early, &Budget::unlimited())
+            .into_value()
+            .is_ok()
     );
 
     // Structural composition with a logger stays consistent.
@@ -99,7 +109,9 @@ fn ecdar_flow() {
     println!(
         "Responder ∥ Logger: {} locations, consistent: {}\n",
         sys.locations().len(),
-        find_inconsistency(&sys).is_none()
+        find_inconsistency_governed(&sys, &Budget::unlimited())
+            .into_value()
+            .is_none()
     );
 }
 
@@ -129,12 +141,16 @@ fn modest_flow() {
         2,
         pta.automata().len()
     );
-    let mc = Mcpta::build(&pta, &[], 100_000);
+    let mc = Mcpta::try_build(&pta, &[], &Budget::unlimited().with_max_states(100_000))
+        .into_value()
+        .expect("the digital-clocks MDP fits the state budget");
     let delivered = model.decls().lookup("delivered").unwrap();
     let goal = StateFormula::data(Expr::var(delivered).eq(Expr::konst(1)));
     println!(
         "Pmax(message eventually delivered) = {:.4} (one put, 2% loss)",
-        mc.pmax(&goal)
+        mc.reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+            .into_value()
+            .initial_value
     );
     println!();
 }
@@ -180,7 +196,9 @@ fn bip_flow() {
             .join(", "),
         flat.interactions().len()
     );
-    match check_deadlock_freedom(&flat, 100_000) {
+    match check_deadlock_freedom_governed(&flat, &Budget::unlimited().with_max_iterations(100_000))
+        .into_value()
+    {
         DfinderVerdict::DeadlockFree { candidates, .. } => println!(
             "D-Finder on the flattened system: DEADLOCK-FREE ({candidates} candidates examined)"
         ),
@@ -193,6 +211,11 @@ fn bip_flow() {
     }
     println!(
         "explicit check agrees: deadlock = {:?}",
-        flat.find_deadlock(100_000).map(|s| s.control)
+        flat.find_deadlock_with(
+            ExploreConfig::default(),
+            &Budget::unlimited().with_max_states(100_000)
+        )
+        .into_value()
+        .map(|s| s.control)
     );
 }

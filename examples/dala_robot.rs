@@ -15,8 +15,10 @@
 //! Run with: `cargo run --release --example dala_robot`
 
 use tempo_core::bip::{
-    check_deadlock_freedom, fault_injection_campaign, synthesize_safety_controller, DfinderVerdict,
+    check_deadlock_freedom_governed, fault_injection_campaign, synthesize_safety_controller,
+    DfinderVerdict,
 };
+use tempo_core::obs::{Budget, ExploreConfig};
 use tempo_models::dala::dala;
 
 fn main() {
@@ -50,8 +52,17 @@ fn main() {
 
     // ---------------- deadlock analysis ----------------
     let t0 = std::time::Instant::now();
-    let reachable = d.sys.reachable_states(1_000_000);
-    let explicit_dead = d.sys.find_deadlock(1_000_000);
+    let reachable = d
+        .sys
+        .reachable_states_governed(&Budget::unlimited().with_max_states(1_000_000))
+        .into_value();
+    let explicit_dead = d
+        .sys
+        .find_deadlock_with(
+            ExploreConfig::default(),
+            &Budget::unlimited().with_max_states(1_000_000),
+        )
+        .into_value();
     println!(
         "explicit exploration: {} reachable states, deadlock: {} ({:.2?})",
         reachable.len(),
@@ -63,7 +74,12 @@ fn main() {
         t0.elapsed()
     );
     let t0 = std::time::Instant::now();
-    match check_deadlock_freedom(&d.sys, 1_000_000) {
+    match check_deadlock_freedom_governed(
+        &d.sys,
+        &Budget::unlimited().with_max_iterations(1_000_000),
+    )
+    .into_value()
+    {
         DfinderVerdict::DeadlockFree {
             candidates,
             eliminated_by_traps,

@@ -6,6 +6,7 @@
 //! Run with `cargo run --release --example flow_report`.
 
 use std::time::Instant;
+use tempo_core::mdp::Opt;
 use tempo_core::modest::McptaConfig;
 use tempo_core::obs::{Budget, ExploreConfig};
 use tempo_core::ta::{ModelChecker, StateFormula};
@@ -83,7 +84,15 @@ fn main() {
         ("PA", model.pa_goal()),
         ("PB", model.pb_goal()),
     ] {
-        let (a, b) = (plain.pmax(&goal), flow.pmax(&goal));
+        let (a, b) = (
+            plain
+                .reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+                .into_value()
+                .initial_value,
+            flow.reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+                .into_value()
+                .initial_value,
+        );
         assert!((a - b).abs() < 1e-9, "{name}: {a} vs {b}");
         println!("Pmax({name}) = {b:.6e} (agrees within the 1e-9 VI tolerance)");
     }

@@ -9,7 +9,9 @@
 
 use tempo_core::cora::PricedNetwork;
 use tempo_core::expr::Expr;
+use tempo_core::mdp::Opt;
 use tempo_core::modest::{compile, Assignment, Mcpta, ModestModel, PaltBranch, Process};
+use tempo_core::obs::Budget;
 use tempo_core::smc::{RatePolicy, StatisticalChecker};
 use tempo_core::ta::{ClockAtom, ModelChecker, NetworkBuilder, StateFormula};
 
@@ -33,10 +35,16 @@ fn main() {
     let mut mc = ModelChecker::new(&net);
     let reach = mc.reachable(&StateFormula::at(lamp_id, on));
     println!("[ta]   E<> Lamp.On              : {}", reach.reachable);
-    let (safe, _) = mc.always(&StateFormula::or(vec![
-        StateFormula::not(StateFormula::at(lamp_id, on)),
-        StateFormula::clock(ClockAtom::le(x, 10)),
-    ]));
+    let (safe, _) = mc
+        .try_always_governed(
+            &StateFormula::or(vec![
+                StateFormula::not(StateFormula::at(lamp_id, on)),
+                StateFormula::clock(ClockAtom::le(x, 10)),
+            ]),
+            &Budget::unlimited(),
+        )
+        .expect("in-memory state store")
+        .into_value();
     println!("[ta]   A[] (On => x <= 10)      : {}", safe.holds());
     let (dl, _) = mc.deadlock_free();
     println!("[ta]   A[] not deadlock         : {}", dl.holds());
@@ -53,13 +61,19 @@ fn main() {
     priced.set_rate(lamp_id, on, 3);
     priced.set_edge_cost(lamp_id, 0, 2); // edge 0: Off -> On
     let lit_for_one = priced
-        .min_cost_reach(&StateFormula::and(vec![
-            StateFormula::at(lamp_id, on),
-            StateFormula::clock(ClockAtom::ge(x, 1)),
-        ]))
+        .min_cost_reach_governed(
+            &StateFormula::and(vec![
+                StateFormula::at(lamp_id, on),
+                StateFormula::clock(ClockAtom::ge(x, 1)),
+            ]),
+            &Budget::unlimited(),
+        )
+        .into_value()
         .expect("reachable");
     println!("[cora] min cost to be lit >=1tu : {}", lit_for_one.cost);
-    let min_time = priced.min_time_reach(&StateFormula::at(lamp_id, off));
+    let min_time = priced
+        .min_time_reach_governed(&StateFormula::at(lamp_id, off), &Budget::unlimited())
+        .into_value();
     println!("[cora] min time back to Off     : {min_time:?}");
 
     // -----------------------------------------------------------------
@@ -67,7 +81,17 @@ fn main() {
     //    probability that the lamp is On within 2 time units.
     // -----------------------------------------------------------------
     let mut smc = StatisticalChecker::new(&net, RatePolicy::new(), 42);
-    let est = smc.probability(&StateFormula::at(lamp_id, on), 2.0, 1000, 0.95);
+    let est = smc
+        .probability_governed(
+            &StateFormula::at(lamp_id, on),
+            2.0,
+            1000,
+            0.95,
+            &Budget::unlimited(),
+        )
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     println!("[smc]  Pr[<=2](<> Lamp.On)      : {est}");
 
     // -----------------------------------------------------------------
@@ -97,12 +121,23 @@ fn main() {
     );
     m.system(&["Switch"]);
     let pta = compile(&m);
-    let mcpta = Mcpta::build(&pta, &[], 10_000);
+    let mcpta = Mcpta::try_build(&pta, &[], &Budget::unlimited().with_max_states(10_000))
+        .into_value()
+        .expect("the digital-clocks MDP fits the state budget");
     let goal = StateFormula::data(Expr::var(lit).eq(Expr::konst(1)));
-    println!("[mcpta] Pmax(<> lit)            : {}", mcpta.pmax(&goal));
+    println!(
+        "[mcpta] Pmax(<> lit)            : {}",
+        mcpta
+            .reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+            .into_value()
+            .initial_value
+    );
     println!(
         "[mcpta] Pmin(<> lit)            : {} (a scheduler may retry forever)",
-        mcpta.pmin(&goal)
+        mcpta
+            .reach_quantitative(Opt::Min, &goal, &Budget::unlimited())
+            .into_value()
+            .initial_value
     );
 
     println!("\nSee the other examples (train_gate, brp_modest, dala_robot,");

@@ -11,6 +11,7 @@
 //! same* run budget, and how many runs naive MC would need for a CI of
 //! the same width. Run with `cargo run --release --example rare_event`.
 
+use tempo_core::obs::Budget;
 use tempo_core::rare::{RareChecker, SplitConfig};
 use tempo_core::smc::{RatePolicy, StatisticalChecker};
 use tempo_core::ta::{AutomatonId, ClockAtom, LocationId, Network, NetworkBuilder, StateFormula};
@@ -59,7 +60,11 @@ fn main() {
         let exact = 0.05_f64.powi(k as i32);
 
         let mut rc = RareChecker::new(&net, RatePolicy::new(), 42);
-        let est = rc.probability(&goal, bound, &SplitConfig::default());
+        let est = rc
+            .probability_governed(&goal, bound, &SplitConfig::default(), &Budget::unlimited())
+            .expect("valid parameters")
+            .into_value()
+            .expect("an unlimited budget completes");
         assert!(
             est.lower <= exact && exact <= est.upper,
             "k = {k}: splitting CI [{}, {}] misses exact p = {exact}",
@@ -70,7 +75,11 @@ fn main() {
         // Naive Monte Carlo, handed splitting's exact budget.
         let budget = usize::try_from(est.runs_total).expect("run count fits");
         let mut smc = StatisticalChecker::new(&net, RatePolicy::new(), 42);
-        let naive = smc.probability(&goal, bound, budget, est.confidence);
+        let naive = smc
+            .probability_governed(&goal, bound, budget, est.confidence, &Budget::unlimited())
+            .expect("valid parameters")
+            .into_value()
+            .expect("an unlimited budget completes");
 
         // Runs naive MC needs for a CI as tight as splitting's
         // (Wald width: n = z^2 p(1-p) / h^2 at half-width h).

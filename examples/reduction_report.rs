@@ -5,8 +5,9 @@
 //! compression. Run with `cargo run --release --example reduction_report`.
 
 use std::time::Instant;
+use tempo_core::mdp::Opt;
 use tempo_core::modest::McptaConfig;
-use tempo_core::obs::ExploreConfig;
+use tempo_core::obs::{Budget, ExploreConfig};
 use tempo_core::ta::ModelChecker;
 use tempo_models::{brp, train_gate};
 
@@ -22,10 +23,15 @@ fn main() {
         let t0 = Instant::now();
         let (v_full, s_full) = ModelChecker::new(&tg.net)
             .with_config(ExploreConfig::unreduced())
-            .always(&safety);
+            .try_always_governed(&safety, &Budget::unlimited())
+            .expect("in-memory state store")
+            .into_value();
         let full_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t0 = Instant::now();
-        let (v_red, s_red) = ModelChecker::new(&tg.net).always(&safety);
+        let (v_red, s_red) = ModelChecker::new(&tg.net)
+            .try_always_governed(&safety, &Budget::unlimited())
+            .expect("in-memory state store")
+            .into_value();
         let red_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(v_full.holds(), v_red.holds(), "N={n}: verdict moved");
         println!(
@@ -65,15 +71,29 @@ fn main() {
         ("PA", model.pa_goal()),
         ("PB", model.pb_goal()),
     ] {
-        let (a, b) = (full.pmax(&goal), compressed.pmax(&goal));
+        let (a, b) = (
+            full.reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+                .into_value()
+                .initial_value,
+            compressed
+                .reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+                .into_value()
+                .initial_value,
+        );
         assert!((a - b).abs() < 1e-9, "{name}: {a} vs {b}");
         println!("Pmax({name}) = {a:.6e} (agrees within the 1e-9 VI tolerance)");
     }
     let t0 = Instant::now();
-    let p_full = full.pmax(&model.p1_goal());
+    let p_full = full
+        .reach_quantitative(Opt::Max, &model.p1_goal(), &Budget::unlimited())
+        .into_value()
+        .initial_value;
     let q_full_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = Instant::now();
-    let p_comp = compressed.pmax(&model.p1_goal());
+    let p_comp = compressed
+        .reach_quantitative(Opt::Max, &model.p1_goal(), &Budget::unlimited())
+        .into_value()
+        .initial_value;
     let q_comp_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert!((p_full - p_comp).abs() < 1e-9);
     println!("Pmax(P1) query wall-clock: full {q_full_ms:.1} ms, compressed {q_comp_ms:.1} ms");

@@ -11,8 +11,9 @@
 //!
 //! Run with: `cargo run --release --example train_gate`
 
+use tempo_core::obs::Budget;
 use tempo_core::smc::StatisticalChecker;
-use tempo_core::ta::{check_query, ModelChecker};
+use tempo_core::ta::{leads_to_governed, ModelChecker};
 use tempo_core::tiga::GameSolver;
 use tempo_models::{train_gate, train_gate_game};
 
@@ -29,24 +30,30 @@ fn verification() {
         let tg = train_gate(n);
         let mut mc = ModelChecker::new(&tg.net);
 
-        // Safety: the paper's forall-forall query, built programmatically
-        // (our query language has no binders).
-        let (safety, stats) = mc.always(&tg.safety());
+        // Safety: the paper's forall-forall query, one conjunct per pair
+        // of trains.
+        let (safety, stats) = mc
+            .try_always_governed(&tg.safety(), &Budget::unlimited())
+            .expect("a checker without a spill config never fails")
+            .into_value();
         println!(
             "N={n}: A[] mutual exclusion on the bridge : {:5} ({} states)",
             safety.holds(),
             stats.explored
         );
-        // Deadlock-freedom and liveness via UPPAAL-style textual queries.
-        let dl = check_query(&tg.net, "A[] not deadlock").expect("query parses");
+        let (deadlock, _) = mc.deadlock_free();
         println!(
             "N={n}: A[] not deadlock                  : {:5}",
-            dl.satisfied
+            deadlock.holds()
         );
         for id in 0..n {
-            let q = format!("Train{id}.Appr --> Train{id}.Cross");
-            let live = check_query(&tg.net, &q).expect("query parses");
-            println!("N={n}: {q}    : {:5}", live.satisfied);
+            let (live, _) =
+                leads_to_governed(&tg.net, &tg.appr(id), &tg.cross(id), &Budget::unlimited())
+                    .into_value();
+            println!(
+                "N={n}: Train{id}.Appr --> Train{id}.Cross    : {:5}",
+                live.holds()
+            );
         }
     }
     println!();
@@ -57,7 +64,9 @@ fn synthesis() {
     println!("== E2: controller synthesis (UPPAAL-TIGA, Figs. 2-3) ==");
     let g = train_gate_game(2);
     let solver = GameSolver::new(&g.net);
-    let result = solver.solve_safety(&g.collision());
+    let result = solver
+        .solve_safety_governed(&g.collision(), &Budget::unlimited())
+        .into_value();
     println!(
         "N=2: safety game (never two trains on the bridge): winning = {}, \
          |game graph| = {} states, |strategy| = {} states",
@@ -91,7 +100,9 @@ fn performance() {
     let mut series = Vec::new();
     for id in 0..n {
         let mut smc = StatisticalChecker::new(&tg.net, tg.rates(), 1000 + id as u64);
-        let cdf = smc.cdf(&tg.cross(id), 100.0, runs);
+        let cdf = smc
+            .cdf_governed(&tg.cross(id), 100.0, runs, &Budget::unlimited())
+            .into_value();
         series.push(cdf.series(&grid));
     }
 

@@ -5,10 +5,10 @@
 
 use tempo_core::cora::PricedNetwork;
 use tempo_core::mdp::Opt;
-use tempo_core::obs::{Budget, RunReport};
+use tempo_core::obs::{Budget, ExploreConfig, RunReport};
 use tempo_core::ta::{AutomatonId, LocationId};
 use tempo_core::witness::certify::{
-    certified_mcpta_reach, certified_min_cost, certified_probability, certified_reachable,
+    certified_mcpta_reach, certified_min_cost, certified_probability, certified_reachable_with,
     certified_safety_game,
 };
 use tempo_models::{brp, train_gate, train_gate_game, wcet_program};
@@ -26,7 +26,8 @@ fn main() {
 
     // E1: train-gate reachability (UPPAAL) — realized concrete trace.
     let tg = train_gate(6);
-    let (out, cert) = certified_reachable(&tg.net, &tg.cross(0), &b).expect("certified");
+    let (out, cert) = certified_reachable_with(&tg.net, &tg.cross(0), ExploreConfig::default(), &b)
+        .expect("certified");
     assert!(cert.is_some());
     row("train-gate(6) E<> cross(0), trace", out.report());
 

@@ -4,9 +4,11 @@
 //! controller).
 
 use tempo_core::bip::{
-    check_deadlock_freedom, fault_injection_campaign, synthesize_safety_controller, DfinderVerdict,
+    check_deadlock_freedom_governed, fault_injection_campaign, synthesize_safety_controller,
+    DfinderVerdict,
 };
 use tempo_core::ioco::{check_ioco, LtsIut, TestGenerator, TimedTester};
+use tempo_core::obs::{Budget, ExploreConfig};
 use tempo_models::dala::dala;
 use tempo_models::vending::{
     controller_spec, dispenser_good, dispenser_mutant_output, dispenser_mutant_refund,
@@ -17,9 +19,20 @@ use tempo_models::vending::{
 fn e5_dala_full_chain() {
     let d = dala();
     // Deadlock-freedom: explicit and compositional agree.
-    assert!(d.sys.find_deadlock(500_000).is_none());
+    assert!(d
+        .sys
+        .find_deadlock_with(
+            ExploreConfig::default(),
+            &Budget::unlimited().with_max_states(500_000)
+        )
+        .into_value()
+        .is_none());
     assert!(matches!(
-        check_deadlock_freedom(&d.sys, 1_000_000),
+        check_deadlock_freedom_governed(
+            &d.sys,
+            &Budget::unlimited().with_max_iterations(1_000_000)
+        )
+        .into_value(),
         DfinderVerdict::DeadlockFree { .. }
     ));
     // Synthesis and fault injection.

@@ -2,8 +2,18 @@
 //! three MODEST backends on a small instance, checking the cross-backend
 //! consistency the paper demonstrates.
 
-use tempo_core::modest::{Mctau, Modes, Scheduler};
+use tempo_core::mdp::Opt;
+use tempo_core::modest::{Mcpta, Mctau, Modes, Scheduler};
+use tempo_core::obs::Budget;
+use tempo_core::ta::StateFormula;
 use tempo_models::brp::brp;
+
+/// `Pmax` (`Opt::Max`) or `Pmin` of eventually reaching `goal`.
+fn reach(mc: &Mcpta, opt: Opt, goal: &StateFormula) -> f64 {
+    mc.reach_quantitative(opt, goal, &Budget::unlimited())
+        .into_value()
+        .initial_value
+}
 
 #[test]
 fn table1_shape_on_small_instance() {
@@ -11,30 +21,59 @@ fn table1_shape_on_small_instance() {
     // mctau: exact invariants, exact zeros for unreachable goals,
     // trivial bounds otherwise.
     let mctau = Mctau::new(&model.pta);
-    assert!(mctau.check_invariant(&model.ta1()));
-    assert!(mctau.check_invariant(&model.ta2()));
-    assert_eq!(mctau.probability_bounds(&model.pa_goal()).upper, 0.0);
-    assert_eq!(mctau.probability_bounds(&model.pb_goal()).upper, 0.0);
-    assert_eq!(mctau.probability_bounds(&model.p1_goal()).upper, 1.0);
+    assert!(mctau
+        .check_invariant_governed(&model.ta1(), &Budget::unlimited())
+        .into_value());
+    assert!(mctau
+        .check_invariant_governed(&model.ta2(), &Budget::unlimited())
+        .into_value());
+    assert_eq!(
+        mctau
+            .probability_bounds_governed(&model.pa_goal(), &Budget::unlimited())
+            .into_value()
+            .upper,
+        0.0
+    );
+    assert_eq!(
+        mctau
+            .probability_bounds_governed(&model.pb_goal(), &Budget::unlimited())
+            .into_value()
+            .upper,
+        0.0
+    );
+    assert_eq!(
+        mctau
+            .probability_bounds_governed(&model.p1_goal(), &Budget::unlimited())
+            .into_value()
+            .upper,
+        1.0
+    );
 
     // mcpta: exact probabilities.
     let mc = model.mcpta(0, 5_000_000);
     assert!(mc.check_invariant(&model.ta1()));
     assert!(mc.check_invariant(&model.ta2()));
-    assert_eq!(mc.pmax(&model.pa_goal()), 0.0);
-    assert_eq!(mc.pmax(&model.pb_goal()), 0.0);
-    let p1 = mc.pmax(&model.p1_goal());
-    let p2 = mc.pmax(&model.p2_goal());
+    assert_eq!(reach(&mc, Opt::Max, &model.pa_goal()), 0.0);
+    assert_eq!(reach(&mc, Opt::Max, &model.pb_goal()), 0.0);
+    let p1 = reach(&mc, Opt::Max, &model.p1_goal());
+    let p2 = reach(&mc, Opt::Max, &model.p2_goal());
     assert!(p1 > 0.0 && p1 < 0.01, "P1 = {p1}");
     assert!(p2 > 0.0 && p2 < p1, "P2 = {p2}");
-    let emax = mc.emax_time(&model.done());
+    let emax = mc
+        .emax_time_governed(&model.done(), &Budget::unlimited())
+        .into_value();
     assert!(emax.is_finite() && emax > 0.0);
 
     // Consistency across backends: anything mctau reports unreachable
     // must have probability 0 in mcpta.
     for goal in [model.pa_goal(), model.pb_goal()] {
-        if mctau.probability_bounds(&goal).upper == 0.0 {
-            assert_eq!(mc.pmax(&goal), 0.0);
+        if mctau
+            .probability_bounds_governed(&goal, &Budget::unlimited())
+            .into_value()
+            .upper
+            == 0.0
+        {
+            assert_eq!(reach(&mc, Opt::Max, &goal), 0.0);
         }
     }
 }
@@ -89,12 +128,12 @@ fn mcpta_mdp_is_pinned_on_table1_and_benchmark_sizes() {
             "brp({n},{max},{td})"
         );
         assert_eq!(
-            mc.pmax(&model.p1_goal()).to_bits(),
+            reach(&mc, Opt::Max, &model.p1_goal()).to_bits(),
             p1,
             "brp({n},{max},{td}) P1"
         );
         assert_eq!(
-            mc.pmax(&model.p2_goal()).to_bits(),
+            reach(&mc, Opt::Max, &model.p2_goal()).to_bits(),
             p2,
             "brp({n},{max},{td}) P2"
         );
@@ -115,7 +154,7 @@ fn mcpta_matches_the_closed_form() {
     let p1 = 1.0 - (1.0 - c).powi(n as i32);
     let p2 = c * (1.0 - c).powi(n as i32 - 1);
     for (name, goal, exact) in [("P1", model.p1_goal(), p1), ("P2", model.p2_goal(), p2)] {
-        let value = mc.pmax(&goal);
+        let value = reach(&mc, Opt::Max, &goal);
         assert!(
             ((value - exact) / exact).abs() < 1e-9,
             "{name} = {value} vs closed form {exact}"
@@ -127,7 +166,9 @@ fn mcpta_matches_the_closed_form() {
 fn modes_rare_events_and_expectation() {
     let model = brp(4, 2, 1);
     let mc = model.mcpta(0, 5_000_000);
-    let emax = mc.emax_time(&model.done());
+    let emax = mc
+        .emax_time_governed(&model.done(), &Budget::unlimited())
+        .into_value();
 
     let mut modes = Modes::new(&model.pta, &[], Scheduler::Alap, 2024);
     let runs = 1000;
@@ -136,16 +177,28 @@ fn modes_rare_events_and_expectation() {
     // Rare events go unobserved with realistic sample sizes (the paper's
     // point about simulation vs rare events).
     let pa = model.pa_goal();
-    let obs = modes.observe(runs, horizon, 100_000, |exp, run| {
-        run.first_hit(exp, &pa).is_some()
-    });
+    let obs = modes
+        .observe_governed(
+            runs,
+            horizon,
+            100_000,
+            |exp, run| run.first_hit(exp, &pa).is_some(),
+            &Budget::unlimited(),
+        )
+        .into_value();
     assert_eq!(obs.observations, 0);
 
     // The ALAP scheduler's mean completion time approximates Emax.
     let done = model.done();
-    let est = modes.expected(runs, horizon, 100_000, |exp, run| {
-        run.first_hit(exp, &done).unwrap_or(horizon) as f64
-    });
+    let est = modes
+        .expected_governed(
+            runs,
+            horizon,
+            100_000,
+            |exp, run| run.first_hit(exp, &done).unwrap_or(horizon) as f64,
+            &Budget::unlimited(),
+        )
+        .into_value();
     assert!(
         (est.mean - emax).abs() < emax * 0.25,
         "modes µ = {} vs mcpta Emax = {emax}",
@@ -154,7 +207,15 @@ fn modes_rare_events_and_expectation() {
 
     // All simulated runs satisfy TA1 and TA2 (Table I's "all 10k runs").
     let ta1 = model.ta1();
-    let safe = modes.observe(200, horizon, 100_000, |exp, run| run.globally(exp, &ta1));
+    let safe = modes
+        .observe_governed(
+            200,
+            horizon,
+            100_000,
+            |exp, run| run.globally(exp, &ta1),
+            &Budget::unlimited(),
+        )
+        .into_value();
     assert_eq!(safe.observations, 200);
 }
 
@@ -162,9 +223,9 @@ fn modes_rare_events_and_expectation() {
 fn dmax_converges_to_total_success_probability() {
     let model = brp(2, 1, 1);
     let mc_plain = model.mcpta(0, 2_000_000);
-    let p_success = mc_plain.pmax(&model.success());
+    let p_success = reach(&mc_plain, Opt::Max, &model.success());
     let mc_timed = model.mcpta(60, 5_000_000);
-    let d_60 = mc_timed.pmax(&model.dmax_goal(60));
+    let d_60 = reach(&mc_timed, Opt::Max, &model.dmax_goal(60));
     // By t=60 a (2,1,1) transfer has certainly resolved, so Dmax(60)
     // equals the total success probability.
     assert!(
@@ -178,11 +239,11 @@ fn larger_files_fail_more_often() {
     // Monotonicity in N: more chunks, more opportunities to abort.
     let p1_small = {
         let m = brp(2, 1, 1);
-        m.mcpta(0, 2_000_000).pmax(&m.p1_goal())
+        reach(&m.mcpta(0, 2_000_000), Opt::Max, &m.p1_goal())
     };
     let p1_large = {
         let m = brp(6, 1, 1);
-        m.mcpta(0, 5_000_000).pmax(&m.p1_goal())
+        reach(&m.mcpta(0, 5_000_000), Opt::Max, &m.p1_goal())
     };
     assert!(p1_large > p1_small, "{p1_large} > {p1_small}");
 }
@@ -191,11 +252,11 @@ fn larger_files_fail_more_often() {
 fn more_retries_help() {
     let p1_few = {
         let m = brp(3, 1, 1);
-        m.mcpta(0, 2_000_000).pmax(&m.p1_goal())
+        reach(&m.mcpta(0, 2_000_000), Opt::Max, &m.p1_goal())
     };
     let p1_many = {
         let m = brp(3, 3, 1);
-        m.mcpta(0, 5_000_000).pmax(&m.p1_goal())
+        reach(&m.mcpta(0, 5_000_000), Opt::Max, &m.p1_goal())
     };
     assert!(p1_many < p1_few, "{p1_many} < {p1_few}");
 }
@@ -207,8 +268,7 @@ fn more_retries_help() {
 #[test]
 fn textual_brp_agrees_with_ast_brp() {
     use tempo_core::expr::Expr;
-    use tempo_core::modest::{compile, parse_modest, Mcpta};
-    use tempo_core::ta::StateFormula;
+    use tempo_core::modest::{compile, parse_modest};
 
     let source = r"
         const N = 2;
@@ -262,21 +322,38 @@ fn textual_brp_agrees_with_ast_brp() {
     ";
     let textual = parse_modest(source).expect("the textual BRP parses");
     let pta = compile(&textual);
-    let mc = Mcpta::build(&pta, &[], 5_000_000);
+    let mc = Mcpta::try_build(&pta, &[], &Budget::unlimited().with_max_states(5_000_000))
+        .into_value()
+        .expect("the digital-clocks MDP fits the state budget");
     let srep = textual.decls().lookup("srep").unwrap();
     let premature = textual.decls().lookup("premature").unwrap();
-    let p1_text = mc.pmax(&StateFormula::data(
-        Expr::var(srep).eq(Expr::konst(2)) | Expr::var(srep).eq(Expr::konst(3)),
-    ));
-    let p2_text = mc.pmax(&StateFormula::data(Expr::var(srep).eq(Expr::konst(3))));
-    let emax_text = mc.emax_time(&StateFormula::data(Expr::var(srep).ne(Expr::konst(0))));
+    let p1_text = reach(
+        &mc,
+        Opt::Max,
+        &StateFormula::data(
+            Expr::var(srep).eq(Expr::konst(2)) | Expr::var(srep).eq(Expr::konst(3)),
+        ),
+    );
+    let p2_text = reach(
+        &mc,
+        Opt::Max,
+        &StateFormula::data(Expr::var(srep).eq(Expr::konst(3))),
+    );
+    let emax_text = mc
+        .emax_time_governed(
+            &StateFormula::data(Expr::var(srep).ne(Expr::konst(0))),
+            &Budget::unlimited(),
+        )
+        .into_value();
     assert!(mc.check_invariant(&StateFormula::data(Expr::var(premature).eq(Expr::konst(0)))));
 
     let ast = brp(2, 1, 1);
     let mc_ast = ast.mcpta(0, 5_000_000);
-    let p1_ast = mc_ast.pmax(&ast.p1_goal());
-    let p2_ast = mc_ast.pmax(&ast.p2_goal());
-    let emax_ast = mc_ast.emax_time(&ast.done());
+    let p1_ast = reach(&mc_ast, Opt::Max, &ast.p1_goal());
+    let p2_ast = reach(&mc_ast, Opt::Max, &ast.p2_goal());
+    let emax_ast = mc_ast
+        .emax_time_governed(&ast.done(), &Budget::unlimited())
+        .into_value();
     assert!(
         (p1_text - p1_ast).abs() < 1e-9,
         "P1 text {p1_text} vs ast {p1_ast}"

@@ -6,6 +6,7 @@
 use tempo_core::cora::PricedNetwork;
 use tempo_core::expr::Expr;
 use tempo_core::lint::LintConfig;
+use tempo_core::mdp::Opt;
 use tempo_core::modest::{
     compile, Assignment, Mcpta, Mctau, Modes, ModestModel, PaltBranch, Process, Scheduler,
 };
@@ -45,7 +46,9 @@ fn symbolic_and_digital_reachability_agree() {
     let symbolic = mc.reachable(&goal).reachable;
     // Digital (via min-time search).
     let priced = PricedNetwork::new(net.clone());
-    let digital = priced.min_time_reach(&goal);
+    let digital = priced
+        .min_time_reach_governed(&goal, &Budget::unlimited())
+        .into_value();
     assert!(symbolic);
     assert_eq!(digital, Some(2), "earliest handshake at x = 2");
     // Digital explorer agrees on the initial state.
@@ -59,7 +62,11 @@ fn smc_estimates_match_exact_probability_one() {
     // probability ~1 with bound 10.
     let (net, goal) = handshake();
     let mut smc = StatisticalChecker::new(&net, RatePolicy::new(), 77);
-    let est = smc.probability(&goal, 10.0, 500, 0.99);
+    let est = smc
+        .probability_governed(&goal, 10.0, 500, 0.99, &Budget::unlimited())
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     assert!(est.mean > 0.97, "estimate {est}");
 }
 
@@ -101,14 +108,25 @@ fn retry_model() -> (tempo_core::modest::Pta, StateFormula) {
 #[test]
 fn mcpta_and_modes_agree_on_probability() {
     let (pta, goal) = retry_model();
-    let mc = Mcpta::build(&pta, &[], 10_000);
-    let exact = mc.pmax(&goal);
+    let mc = Mcpta::try_build(&pta, &[], &Budget::unlimited().with_max_states(10_000))
+        .into_value()
+        .expect("the digital-clocks MDP fits the state budget");
+    let exact = mc
+        .reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+        .into_value()
+        .initial_value;
     let expected = 1.0 - 0.3_f64.powi(2);
     assert!((exact - expected).abs() < 1e-9);
     let mut modes = Modes::new(&pta, &[], Scheduler::Asap, 3);
-    let obs = modes.observe(4000, 50, 100, |exp, run| {
-        run.first_hit(exp, &goal).is_some()
-    });
+    let obs = modes
+        .observe_governed(
+            4000,
+            50,
+            100,
+            |exp, run| run.first_hit(exp, &goal).is_some(),
+            &Budget::unlimited(),
+        )
+        .into_value();
     assert!(
         (obs.mean - exact).abs() < 0.03,
         "modes {} vs mcpta {exact}",
@@ -120,14 +138,32 @@ fn mcpta_and_modes_agree_on_probability() {
 fn mctau_bounds_contain_mcpta_value() {
     let (pta, goal) = retry_model();
     let mctau = Mctau::new(&pta);
-    let bounds = mctau.probability_bounds(&goal);
-    let mc = Mcpta::build(&pta, &[], 10_000);
-    let exact = mc.pmax(&goal);
+    let bounds = mctau
+        .probability_bounds_governed(&goal, &Budget::unlimited())
+        .into_value();
+    let mc = Mcpta::try_build(&pta, &[], &Budget::unlimited().with_max_states(10_000))
+        .into_value()
+        .expect("the digital-clocks MDP fits the state budget");
+    let exact = mc
+        .reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+        .into_value()
+        .initial_value;
     assert!(bounds.lower <= exact && exact <= bounds.upper);
     // And for an impossible goal, all engines give exactly zero.
     let impossible = StateFormula::data(Expr::konst(0));
-    assert_eq!(mctau.probability_bounds(&impossible).upper, 0.0);
-    assert_eq!(mc.pmax(&impossible), 0.0);
+    assert_eq!(
+        mctau
+            .probability_bounds_governed(&impossible, &Budget::unlimited())
+            .into_value()
+            .upper,
+        0.0
+    );
+    assert_eq!(
+        mc.reach_quantitative(Opt::Max, &impossible, &Budget::unlimited())
+            .into_value()
+            .initial_value,
+        0.0
+    );
 }
 
 #[test]
@@ -171,14 +207,24 @@ fn idle_clock() -> (tempo_core::ta::Network, StateFormula) {
 fn tiga_clamp_covers_the_goal_constant() {
     let (net, goal) = idle_clock();
     assert!(ModelChecker::new(&net).reachable(&goal).reachable);
-    assert!(GameSolver::new(&net).solve_reachability(&goal).winning);
+    assert!(
+        GameSolver::new(&net)
+            .solve_reachability_governed(&goal, &Budget::unlimited())
+            .into_value()
+            .winning
+    );
 }
 
 #[test]
 fn cora_without_flow_clamp_covers_the_goal_constant() {
     let (net, goal) = idle_clock();
-    let with_flow = PricedNetwork::new(net.clone()).min_cost_reach(&goal);
-    let without = PricedNetwork::new(net).without_flow().min_cost_reach(&goal);
+    let with_flow = PricedNetwork::new(net.clone())
+        .min_cost_reach_governed(&goal, &Budget::unlimited())
+        .into_value();
+    let without = PricedNetwork::new(net)
+        .without_flow()
+        .min_cost_reach_governed(&goal, &Budget::unlimited())
+        .into_value();
     assert_eq!(with_flow.map(|r| r.cost), Some(0));
     assert_eq!(without.map(|r| r.cost), Some(0));
 }

@@ -5,9 +5,11 @@
 //! contract exactly when online rtioco testing passes it.
 
 use tempo_core::ecdar::{
-    conjunction, find_inconsistency, parallel, refines, Tioa, TioaAtom, TioaBuilder,
+    conjunction, find_inconsistency_governed, parallel, refines_governed, Tioa, TioaAtom,
+    TioaBuilder,
 };
 use tempo_core::ioco::TimedTester;
+use tempo_core::obs::Budget;
 use tempo_models::vending::{controller_spec, FixedDelayController};
 
 /// TIOA model of the deadline-`d` request/response contract.
@@ -41,7 +43,9 @@ fn refinement_and_rtioco_agree_on_the_deadline() {
     for delay in 0..=6 {
         let should_conform = delay <= 3;
         // ECDAR view: alternating timed simulation.
-        let refine_ok = refines(&fixed_delay(delay), &spec_tioa).is_ok();
+        let refine_ok = refines_governed(&fixed_delay(delay), &spec_tioa, &Budget::unlimited())
+            .into_value()
+            .is_ok();
         assert_eq!(
             refine_ok, should_conform,
             "refinement verdict for delay {delay}"
@@ -64,13 +68,26 @@ fn refinement_is_a_preorder_on_the_ladder() {
     let d2 = contract(2);
     let d4 = contract(4);
     let d8 = contract(8);
-    assert!(refines(&d2, &d4).is_ok());
-    assert!(refines(&d4, &d8).is_ok());
-    assert!(refines(&d2, &d8).is_ok(), "transitivity on the ladder");
-    assert!(refines(&d8, &d4).is_err());
+    assert!(refines_governed(&d2, &d4, &Budget::unlimited())
+        .into_value()
+        .is_ok());
+    assert!(refines_governed(&d4, &d8, &Budget::unlimited())
+        .into_value()
+        .is_ok());
+    assert!(
+        refines_governed(&d2, &d8, &Budget::unlimited())
+            .into_value()
+            .is_ok(),
+        "transitivity on the ladder"
+    );
+    assert!(refines_governed(&d8, &d4, &Budget::unlimited())
+        .into_value()
+        .is_err());
     // Reflexivity.
     for c in [&d2, &d4, &d8] {
-        assert!(refines(c, c).is_ok());
+        assert!(refines_governed(c, c, &Budget::unlimited())
+            .into_value()
+            .is_ok());
     }
 }
 
@@ -90,13 +107,29 @@ fn conjunction_is_the_tightest_common_contract() {
     };
     let late = contract(5); // resp no later than 5.
     let band = conjunction(&early, &late).expect("same interface");
-    assert!(refines(&band, &early).is_ok());
-    assert!(refines(&band, &late).is_ok());
+    assert!(refines_governed(&band, &early, &Budget::unlimited())
+        .into_value()
+        .is_ok());
+    assert!(refines_governed(&band, &late, &Budget::unlimited())
+        .into_value()
+        .is_ok());
     // An implementation inside the band refines the conjunction …
-    assert!(refines(&fixed_delay(3), &band).is_ok());
+    assert!(
+        refines_governed(&fixed_delay(3), &band, &Budget::unlimited())
+            .into_value()
+            .is_ok()
+    );
     // … and ones outside it do not.
-    assert!(refines(&fixed_delay(1), &band).is_err());
-    assert!(refines(&fixed_delay(6), &band).is_err());
+    assert!(
+        refines_governed(&fixed_delay(1), &band, &Budget::unlimited())
+            .into_value()
+            .is_err()
+    );
+    assert!(
+        refines_governed(&fixed_delay(6), &band, &Budget::unlimited())
+            .into_value()
+            .is_err()
+    );
 }
 
 #[test]
@@ -115,7 +148,9 @@ fn composition_preserves_consistency_and_contracts() {
         b.build()
     };
     let sys = parallel(&responder, &logger).expect("compatible");
-    assert!(find_inconsistency(&sys).is_none());
+    assert!(find_inconsistency_governed(&sys, &Budget::unlimited())
+        .into_value()
+        .is_none());
     // End-to-end contract over the composite alphabet: after req, a log
     // eventually (within 12).
     let e2e = {
@@ -128,5 +163,7 @@ fn composition_preserves_consistency_and_contracts() {
         b.output(pending, idle, "log").done();
         b.build()
     };
-    assert!(refines(&sys, &e2e).is_ok());
+    assert!(refines_governed(&sys, &e2e, &Budget::unlimited())
+        .into_value()
+        .is_ok());
 }

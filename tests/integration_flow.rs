@@ -13,6 +13,7 @@
 
 use tempo_core::cora::PricedNetwork;
 use tempo_core::expr::{Expr, Stmt};
+use tempo_core::mdp::Opt;
 use tempo_core::modest::{Mcpta, McptaConfig};
 use tempo_core::obs::{Budget, ExploreConfig, RunReport};
 use tempo_core::smc::StatisticalChecker;
@@ -290,13 +291,19 @@ fn cora_costs_survive_lu_and_slicing() {
         let with = PricedNetwork::new(p.net.clone());
         let without = PricedNetwork::new(p.net.clone()).without_flow();
         assert_eq!(
-            with.min_time_reach(&goal),
-            without.min_time_reach(&goal),
+            with.min_time_reach_governed(&goal, &Budget::unlimited())
+                .into_value(),
+            without
+                .min_time_reach_governed(&goal, &Budget::unlimited())
+                .into_value(),
             "n={n}: BCET moved under flow"
         );
         assert_eq!(
-            with.max_time_reach(&goal),
-            without.max_time_reach(&goal),
+            with.max_time_reach_governed(&goal, &Budget::unlimited())
+                .into_value(),
+            without
+                .max_time_reach_governed(&goal, &Budget::unlimited())
+                .into_value(),
             "n={n}: WCET moved under flow"
         );
         let out = with.min_cost_reach_governed(&goal, &Budget::unlimited());
@@ -311,15 +318,21 @@ fn cora_costs_survive_lu_and_slicing() {
 #[test]
 fn tiga_strategies_survive_slicing() {
     let g = train_gate_game(2);
-    let with = GameSolver::new(&g.net).solve_safety(&g.collision());
+    let with = GameSolver::new(&g.net)
+        .solve_safety_governed(&g.collision(), &Budget::unlimited())
+        .into_value();
     let without = GameSolver::new(&g.net)
         .without_flow()
-        .solve_safety(&g.collision());
+        .solve_safety_governed(&g.collision(), &Budget::unlimited())
+        .into_value();
     assert_eq!(with.winning, without.winning, "safety verdict moved");
-    let with = GameSolver::new(&g.net).solve_reachability(&g.collision());
+    let with = GameSolver::new(&g.net)
+        .solve_reachability_governed(&g.collision(), &Budget::unlimited())
+        .into_value();
     let without = GameSolver::new(&g.net)
         .without_flow()
-        .solve_reachability(&g.collision());
+        .solve_reachability_governed(&g.collision(), &Budget::unlimited())
+        .into_value();
     assert_eq!(with.winning, without.winning, "reach verdict moved");
 }
 
@@ -329,8 +342,16 @@ fn smc_estimates_are_bit_identical_under_slicing() {
     let goal = tg.cross(0);
     let mut with = StatisticalChecker::new(&tg.net, tg.rates(), 99);
     let mut without = StatisticalChecker::new(&tg.net, tg.rates(), 99).without_flow();
-    let a = with.probability(&goal, 50.0, 400, 0.95);
-    let b = without.probability(&goal, 50.0, 400, 0.95);
+    let a = with
+        .probability_governed(&goal, 50.0, 400, 0.95, &Budget::unlimited())
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
+    let b = without
+        .probability_governed(&goal, 50.0, 400, 0.95, &Budget::unlimited())
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     assert_eq!(
         (a.mean, a.lower, a.upper, a.successes),
         (b.mean, b.lower, b.upper, b.successes),
@@ -364,8 +385,14 @@ fn mcpta_probabilities_survive_flow_and_the_mdp_never_grows() {
     let with = with.into_value().expect("unlimited budget");
     let without = without.into_value().expect("unlimited budget");
     for goal in [b.pa_goal(), b.pb_goal(), b.success()] {
-        let p_with = with.pmax(&goal);
-        let p_without = without.pmax(&goal);
+        let p_with = with
+            .reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+            .into_value()
+            .initial_value;
+        let p_without = without
+            .reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+            .into_value()
+            .initial_value;
         assert!(
             (p_with - p_without).abs() < 1e-12,
             "pmax diverged under flow: {p_with} vs {p_without}"

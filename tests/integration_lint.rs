@@ -16,6 +16,7 @@ use proptest::prelude::*;
 use tempo_core::bip::BipSystemBuilder;
 use tempo_core::expr::Expr;
 use tempo_core::lint::{self, LintConfig, LintReport};
+use tempo_core::mdp::Opt;
 use tempo_core::modest::{Assignment, Mcpta, ModestModel, Process};
 use tempo_core::obs::Budget;
 use tempo_core::ta::{
@@ -447,8 +448,14 @@ fn brp_run_report_shows_strictly_smaller_dbm_dimension() {
     let reduced = reduced.into_value().expect("unlimited budget");
     let full = full.into_value().expect("unlimited budget");
     for goal in [b.pa_goal(), b.pb_goal(), b.success()] {
-        let p_red = reduced.pmax(&goal);
-        let p_full = full.pmax(&goal);
+        let p_red = reduced
+            .reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+            .into_value()
+            .initial_value;
+        let p_full = full
+            .reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+            .into_value()
+            .initial_value;
         assert!(
             (p_red - p_full).abs() < 1e-9,
             "pmax diverged: {p_red} vs {p_full}"
@@ -469,8 +476,17 @@ fn train_gate_verdicts_identical_with_and_without_reduction() {
         );
     }
     assert_eq!(
-        reduced.always(&tg.safety()).0.holds(),
-        full.always(&tg.safety()).0.holds()
+        reduced
+            .try_always_governed(&tg.safety(), &Budget::unlimited())
+            .expect("in-memory state store")
+            .into_value()
+            .0
+            .holds(),
+        full.try_always_governed(&tg.safety(), &Budget::unlimited())
+            .expect("in-memory state store")
+            .into_value()
+            .0
+            .holds()
     );
     assert_eq!(
         reduced.deadlock_free().0.holds(),

@@ -13,6 +13,7 @@
 use tempo_core::cora::PricedNetwork;
 use tempo_core::expr::{Expr, Stmt};
 use tempo_core::lang::{build, parse, to_network};
+use tempo_core::mdp::Opt;
 use tempo_core::modest::Mcpta;
 use tempo_core::obs::Budget;
 use tempo_core::smc::{ConcreteState, RatePolicy, Run, RunStep, StatisticalChecker};
@@ -39,9 +40,15 @@ fn verdicts(net: &Network, goal: &StateFormula, runs: usize, seed: u64) -> Verdi
     let (out, _) = certified_min_cost(&pnet, goal, &Budget::unlimited())
         .expect("a minimum cost, if any, carries a valid certificate");
     let cost = out.value().as_ref().map(|r| r.cost);
-    let winning = GameSolver::new(net).solve_reachability(goal).winning;
+    let winning = GameSolver::new(net)
+        .solve_reachability_governed(goal, &Budget::unlimited())
+        .into_value()
+        .winning;
     let pr = StatisticalChecker::new(net, RatePolicy::new(), seed)
-        .probability(goal, 10.0, runs, 0.95)
+        .probability_governed(goal, 10.0, runs, 0.95, &Budget::unlimited())
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes")
         .mean;
     Verdicts {
         zone,
@@ -248,7 +255,12 @@ fn a_refused_urgent_move_still_stops_time() {
     let mc = Mcpta::try_build(&net, &[], &Budget::unlimited())
         .into_value()
         .expect("the initial state exists");
-    assert_eq!(mc.pmax(&goal), 0.0);
+    assert_eq!(
+        mc.reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+            .into_value()
+            .initial_value,
+        0.0
+    );
 }
 
 /// The handshake of [`urgent_handshake`] is enabled at time 0, so it
@@ -261,7 +273,10 @@ fn the_simulator_lets_no_time_pass_while_an_urgent_move_is_enabled() {
     assert!(!ModelChecker::new(&net).reachable(&goal).reachable);
     for seed in [7, 8, 9] {
         let est = StatisticalChecker::new(&net, RatePolicy::new(), seed)
-            .probability(&goal, 10.0, 400, 0.95);
+            .probability_governed(&goal, 10.0, 400, 0.95, &Budget::unlimited())
+            .expect("valid parameters")
+            .into_value()
+            .expect("an unlimited budget completes");
         assert_eq!(est.mean, 0.0, "seed {seed}: {est}");
     }
 }
@@ -405,7 +420,10 @@ fn urgent_automata_move_first_with_equal_chance() {
     assert!(ModelChecker::new(&net).reachable(&goal).reachable);
     let est = StatisticalChecker::new(&net, RatePolicy::new(), 17)
         .with_max_steps(1_000)
-        .probability(&goal, 10.0, 400, 0.95);
+        .probability_governed(&goal, 10.0, 400, 0.95, &Budget::unlimited())
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     assert!(
         est.mean > 0.4 && est.mean < 0.6,
         "B moves first in about half the runs: {est}"

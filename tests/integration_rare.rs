@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 use tempo_core::cora::PricedNetwork;
+use tempo_core::mdp::Opt;
 use tempo_core::obs::Budget;
 use tempo_core::rare::{
     certified_cost_probability, certified_splitting_probability, run_cost, PricedChecker,
@@ -29,7 +30,16 @@ fn splitting_brackets_rare_chain_probability_at_a_fraction_of_naive_budget() {
     assert!(exact < 1e-6);
 
     let mut rc = RareChecker::new(&c.net, RatePolicy::new(), 11);
-    let est = rc.probability(&c.goal(), c.time_bound(), &SplitConfig::default());
+    let est = rc
+        .probability_governed(
+            &c.goal(),
+            c.time_bound(),
+            &SplitConfig::default(),
+            &Budget::unlimited(),
+        )
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
 
     assert!(est.lower > 0.0, "CI must exclude 0: {est:?}");
     assert!(
@@ -47,12 +57,17 @@ fn splitting_brackets_rare_chain_probability_at_a_fraction_of_naive_budget() {
 
     // Equal budget, naive estimator: the event is invisible.
     let mut smc = StatisticalChecker::new(&c.net, RatePolicy::new(), 11);
-    let naive = smc.probability(
-        &c.goal(),
-        c.time_bound(),
-        usize::try_from(est.runs_total).unwrap(),
-        0.95,
-    );
+    let naive = smc
+        .probability_governed(
+            &c.goal(),
+            c.time_bound(),
+            usize::try_from(est.runs_total).unwrap(),
+            0.95,
+            &Budget::unlimited(),
+        )
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     assert_eq!(
         naive.successes, 0,
         "naive MC should see nothing at this budget"
@@ -71,7 +86,10 @@ fn splitting_is_byte_identical_across_repeats() {
     };
     let run = || -> SplitEstimate {
         let mut rc = RareChecker::new(&c.net, RatePolicy::new(), 7);
-        rc.probability(&c.goal(), c.time_bound(), &config)
+        rc.probability_governed(&c.goal(), c.time_bound(), &config, &Budget::unlimited())
+            .expect("valid parameters")
+            .into_value()
+            .expect("an unlimited budget completes")
     };
     let (reference, repeat) = (run(), run());
     assert_eq!(reference.p_hat.to_bits(), repeat.p_hat.to_bits());
@@ -95,7 +113,11 @@ fn restart_estimator_brackets_chain_probability() {
         ..SplitConfig::default()
     };
     let mut rc = RareChecker::new(&c.net, RatePolicy::new(), 23);
-    let est = rc.probability(&c.goal(), c.time_bound(), &config);
+    let est = rc
+        .probability_governed(&c.goal(), c.time_bound(), &config, &Budget::unlimited())
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     assert!(
         est.lower <= exact && exact <= est.upper,
         "RESTART CI [{}, {}] misses exact p = {exact}",
@@ -116,7 +138,11 @@ fn splitting_matches_mcpta_exact_probability_on_brp() {
     assert!(exact < 1e-6);
 
     let m = brp(2, 4, 1);
-    let mcpta_p1 = m.mcpta(0, 2_000_000).pmax(&m.p1_goal());
+    let mcpta_p1 = m
+        .mcpta(0, 2_000_000)
+        .reach_quantitative(Opt::Max, &m.p1_goal(), &Budget::unlimited())
+        .into_value()
+        .initial_value;
     // Every SCC of the digital-clocks MDP is a single state, so mcpta
     // solves it in closed form and the two values agree to rounding:
     // the closed form itself loses digits in `1 − (1 − c)^N` at p ≈ 2e-7.
@@ -135,7 +161,11 @@ fn splitting_matches_mcpta_exact_probability_on_brp() {
         ..SplitConfig::default()
     };
     let mut rc = RareChecker::new(&b.net, RatePolicy::new(), 5);
-    let est = rc.probability(&b.p1_goal(), b.time_bound(1), &config);
+    let est = rc
+        .probability_governed(&b.p1_goal(), b.time_bound(1), &config, &Budget::unlimited())
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     assert!(est.lower > 0.0, "CI must exclude 0: {est:?}");
     assert!(
         est.lower <= mcpta_p1 && mcpta_p1 <= est.upper,
@@ -152,14 +182,28 @@ fn smc_probability_brackets_mcpta_exact_p1_across_seeds() {
     let b = brp_network(2, 1, 1);
     let exact = b.exact_p1(); // ≈ 3.13e-3
     let m = brp(2, 1, 1);
-    let mcpta_p1 = m.mcpta(0, 2_000_000).pmax(&m.p1_goal());
+    let mcpta_p1 = m
+        .mcpta(0, 2_000_000)
+        .reach_quantitative(Opt::Max, &m.p1_goal(), &Budget::unlimited())
+        .into_value()
+        .initial_value;
     assert!(
         ((mcpta_p1 - exact) / exact).abs() < 1e-6,
         "mcpta P1 = {mcpta_p1} vs analytic {exact}"
     );
     for seed in [3, 17, 91] {
         let mut smc = StatisticalChecker::new(&b.net, RatePolicy::new(), seed);
-        let est = smc.probability(&b.p1_goal(), b.time_bound(1), 5_000, 0.99);
+        let est = smc
+            .probability_governed(
+                &b.p1_goal(),
+                b.time_bound(1),
+                5_000,
+                0.99,
+                &Budget::unlimited(),
+            )
+            .expect("valid parameters")
+            .into_value()
+            .expect("an unlimited budget completes");
         assert!(
             est.lower <= mcpta_p1 && mcpta_p1 <= est.upper,
             "seed {seed}: CI [{}, {}] misses {mcpta_p1}",
@@ -184,7 +228,18 @@ fn priced_checker_estimates_cost_bounded_probability_and_expected_cost() {
     let mut chk = PricedChecker::new(&pnet, RatePolicy::new(), 9);
 
     // Unconstrained cost: plain time-bounded reachability.
-    let est = chk.cost_probability(&c.goal(), f64::INFINITY, c.time_bound(), 8_000, 0.99);
+    let est = chk
+        .cost_probability_governed(
+            &c.goal(),
+            f64::INFINITY,
+            c.time_bound(),
+            8_000,
+            0.99,
+            &Budget::unlimited(),
+        )
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     assert!(
         est.lower <= exact && exact <= est.upper,
         "CI [{}, {}] misses exact p = {exact}",
@@ -193,11 +248,26 @@ fn priced_checker_estimates_cost_bounded_probability_and_expected_cost() {
     );
 
     // Cost bound 0: unreachable without spending (every delay accrues).
-    let zero = chk.cost_probability(&c.goal(), 0.0, c.time_bound(), 1_000, 0.95);
+    let zero = chk
+        .cost_probability_governed(
+            &c.goal(),
+            0.0,
+            c.time_bound(),
+            1_000,
+            0.95,
+            &Budget::unlimited(),
+        )
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     assert_eq!(zero.successes, 0);
 
     // Expected cost = expected elapsed time, within the horizon.
-    let mean = chk.expected_cost(c.time_bound(), 2_000);
+    let mean = chk
+        .expected_cost_governed(c.time_bound(), 2_000, &Budget::unlimited())
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     assert!(mean.mean > 0.0 && mean.mean <= c.time_bound() + 1.0);
 
     // Cost CDF of goal hits: monotone, bounded by the success fraction.
@@ -221,7 +291,18 @@ fn rare_estimates() -> Vec<String> {
         pnet.set_edge_cost(aut, ei, 1);
     }
     let mut chk = PricedChecker::new(&pnet, RatePolicy::new(), 29);
-    let cost_p = chk.cost_probability(&c.goal(), 4.5, c.time_bound(), 400, 0.95);
+    let cost_p = chk
+        .cost_probability_governed(
+            &c.goal(),
+            4.5,
+            c.time_bound(),
+            400,
+            0.95,
+            &Budget::unlimited(),
+        )
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     let cost_cdf = chk.cost_cdf(&c.goal(), c.time_bound(), 400);
     let fixed = SplitConfig {
         effort: 64,
@@ -235,16 +316,21 @@ fn rare_estimates() -> Vec<String> {
     };
     let c12 = chain(12);
     let c10 = chain(10);
-    let fe = RareChecker::new(&c12.net, RatePolicy::new(), 7).probability(
-        &c12.goal(),
-        c12.time_bound(),
-        &fixed,
-    );
-    let rs = RareChecker::new(&c10.net, RatePolicy::new(), 23).probability(
-        &c10.goal(),
-        c10.time_bound(),
-        &restart,
-    );
+    let fe = RareChecker::new(&c12.net, RatePolicy::new(), 7)
+        .probability_governed(&c12.goal(), c12.time_bound(), &fixed, &Budget::unlimited())
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
+    let rs = RareChecker::new(&c10.net, RatePolicy::new(), 23)
+        .probability_governed(
+            &c10.goal(),
+            c10.time_bound(),
+            &restart,
+            &Budget::unlimited(),
+        )
+        .expect("valid parameters")
+        .into_value()
+        .expect("an unlimited budget completes");
     vec![
         format!("{cost_p:?}"),
         format!("{cost_cdf:?}"),

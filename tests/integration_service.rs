@@ -847,7 +847,15 @@ fn the_held_model_is_rebuilt_when_it_cannot_serve() {
 fn the_held_model_serves_only_a_state_budget_it_fits() {
     let model = brp(8, 2, 2);
     let pta = Arc::new(model.pta.clone());
-    let states = Mcpta::build(&pta, &[], usize::MAX).stats().states as u64;
+    let states = Mcpta::try_build(
+        &pta,
+        &[],
+        &Budget::unlimited().with_max_states((usize::MAX) as u64),
+    )
+    .into_value()
+    .expect("the digital-clocks MDP fits the state budget")
+    .stats()
+    .states as u64;
     let p1 = brp_job(&pta, model.p1_goal());
     let p2 = brp_job(&pta, model.p2_goal());
     let with_states = |kind: &JobKind, n: u64| JobRequest {

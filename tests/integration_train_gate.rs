@@ -6,7 +6,7 @@
 use tempo_core::obs::{Budget, CounterKind, RunReport};
 use tempo_core::smc::StatisticalChecker;
 use tempo_core::ta::{
-    leads_to, DigitalExplorer, Explorer, ModelChecker, Network, StateFormula, Stats, Trace,
+    leads_to_governed, DigitalExplorer, Explorer, ModelChecker, Network, StateFormula, Stats, Trace,
 };
 use tempo_core::tiga::GameSolver;
 use tempo_models::{train_gate, train_gate_game, TrainGate};
@@ -16,12 +16,17 @@ fn e1_verification_properties_hold() {
     for n in 2..=3 {
         let tg = train_gate(n);
         let mut mc = ModelChecker::new(&tg.net);
-        let (safety, _) = mc.always(&tg.safety());
+        let (safety, _) = mc
+            .try_always_governed(&tg.safety(), &Budget::unlimited())
+            .expect("in-memory state store")
+            .into_value();
         assert!(safety.holds(), "N={n}: mutual exclusion");
         let (dl, _) = mc.deadlock_free();
         assert!(dl.holds(), "N={n}: deadlock-freedom");
         for id in 0..n {
-            let (live, _) = leads_to(&tg.net, &tg.appr(id), &tg.cross(id));
+            let (live, _) =
+                leads_to_governed(&tg.net, &tg.appr(id), &tg.cross(id), &Budget::unlimited())
+                    .into_value();
             assert!(live.holds(), "N={n}: Appr({id}) --> Cross({id})");
         }
     }
@@ -45,7 +50,9 @@ fn e1_all_interleavings_reachable() {
 fn e2_synthesized_strategy_is_safe() {
     let g = train_gate_game(2);
     let solver = GameSolver::new(&g.net);
-    let result = solver.solve_safety(&g.collision());
+    let result = solver
+        .solve_safety_governed(&g.collision(), &Budget::unlimited())
+        .into_value();
     assert!(result.winning, "the safety game is winnable");
     // Closed loop exercises the strategy against eager environment moves.
     let run = solver.closed_loop(&result.strategy, 300);
@@ -75,7 +82,9 @@ fn e3_cdf_shape_matches_fig4() {
     let mut at_40 = Vec::new();
     for id in 0..n {
         let mut smc = StatisticalChecker::new(&tg.net, tg.rates(), 500 + id as u64);
-        let cdf = smc.cdf(&tg.cross(id), 100.0, runs);
+        let cdf = smc
+            .cdf_governed(&tg.cross(id), 100.0, runs, &Budget::unlimited())
+            .into_value();
         let series = cdf.series(&grid);
         for w in series.windows(2) {
             assert!(w[0].1 <= w[1].1, "CDF must be monotone");
@@ -99,7 +108,9 @@ fn smc_safety_agrees_with_model_checker() {
     // observe a violation either.
     let tg = train_gate(3);
     let mut smc = StatisticalChecker::new(&tg.net, tg.rates(), 9);
-    let safe_runs = smc.count_globally(&tg.safety(), 150.0, 200);
+    let safe_runs = smc
+        .count_globally_governed(&tg.safety(), 150.0, 200, &Budget::unlimited())
+        .into_value();
     assert_eq!(
         safe_runs, 200,
         "no simulated run may violate mutual exclusion"
@@ -375,10 +386,13 @@ fn smc_estimates_match_pinned_values() {
     assert_eq!(smc_estimators(&tg), pinned);
     // Every run above is safe; here some runs reach the unsafe state
     // (train 0 crossing before t = 30) and end there.
-    let safe = StatisticalChecker::new(&tg.net, tg.rates(), 42).count_globally(
-        &StateFormula::not(tg.cross(0)),
-        30.0,
-        120,
-    );
+    let safe = StatisticalChecker::new(&tg.net, tg.rates(), 42)
+        .count_globally_governed(
+            &StateFormula::not(tg.cross(0)),
+            30.0,
+            120,
+            &Budget::unlimited(),
+        )
+        .into_value();
     assert_eq!(safe, 68);
 }

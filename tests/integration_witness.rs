@@ -12,12 +12,12 @@ use std::path::PathBuf;
 
 use tempo_core::cora::PricedNetwork;
 use tempo_core::mdp::Opt;
-use tempo_core::obs::Budget;
+use tempo_core::obs::{Budget, ExploreConfig};
 use tempo_core::ta::{AutomatonId, ClockAtom, LocationId, NetworkBuilder, StateFormula, Verdict};
 use tempo_core::tiga::GameSolver;
 use tempo_core::witness::certify::{
     certified_leads_to, certified_mcpta_reach, certified_mdp_reachability, certified_min_cost,
-    certified_probability, certified_reach_game, certified_reachable, certified_safety_game,
+    certified_probability, certified_reach_game, certified_reachable_with, certified_safety_game,
     Certificate,
 };
 use tempo_core::witness::{format, WitnessError};
@@ -55,8 +55,13 @@ fn round_trip(net: &tempo_core::ta::Network, cert: &Certificate) -> Certificate 
 fn reachability_certificate_on_train_gate() {
     let tg = train_gate(2);
     let goal = tg.cross(0);
-    let (out, cert) =
-        certified_reachable(&tg.net, &goal, &Budget::unlimited()).expect("certification");
+    let (out, cert) = certified_reachable_with(
+        &tg.net,
+        &goal,
+        ExploreConfig::default(),
+        &Budget::unlimited(),
+    )
+    .expect("certification");
     assert!(out.value().reachable, "train 0 can cross");
     let cert = cert.expect("reachable verdicts carry a witness");
     assert!(out.report().certificate_bytes > 0, "report records size");
@@ -354,7 +359,12 @@ fn mcpta_scheduler_certificate_on_brp() {
         .expect("certification");
     let reported = out.value().initial_value;
     assert!(
-        (reported - mc.pmax(&goal)).abs() < 1e-9,
+        (reported
+            - mc.reach_quantitative(Opt::Max, &goal, &Budget::unlimited())
+                .into_value()
+                .initial_value)
+            .abs()
+            < 1e-9,
         "certified entry point reports the engine's value"
     );
     assert!(out.report().certificate_bytes > 0);
@@ -472,7 +482,9 @@ fn golden_certificates_validate_from_disk() {
 fn certified_game_agrees_with_plain_solver() {
     let (net, aid, inside) = door_game();
     let goal = StateFormula::at(aid, inside);
-    let plain = GameSolver::new(&net).solve_reachability(&goal);
+    let plain = GameSolver::new(&net)
+        .solve_reachability_governed(&goal, &Budget::unlimited())
+        .into_value();
     let (out, _) = certified_reach_game(&net, &goal, &Budget::unlimited()).expect("certify");
     assert_eq!(plain.winning, out.value().winning);
 }
