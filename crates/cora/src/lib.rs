@@ -42,10 +42,9 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use tempo_obs::{Budget, Outcome, RunReport};
-use tempo_ta::flow::FlowMetrics;
 use tempo_ta::{
     AutomatonId, DigitalExplorer, DigitalMove, DigitalState, LocationId, Network, NetworkLu,
-    StateFormula,
+    QueryNetwork, StateFormula, StateIndex,
 };
 
 /// A timed-automata network annotated with location cost rates and edge
@@ -243,16 +242,43 @@ impl PricedNetwork {
         self.edge_costs.get(&(a, edge_index)).copied().unwrap_or(0)
     }
 
-    /// The cost rate of one tick in the given state: the sum of the rates
-    /// of all current locations.
+    /// The cost rate of the location vector `locs`: the sum of the rates
+    /// of all current locations, paid per time unit spent there.
     #[must_use]
-    pub fn tick_cost(&self, state: &DigitalState) -> i64 {
-        state
-            .locs
-            .iter()
+    pub fn rate_sum(&self, locs: &[LocationId]) -> i64 {
+        locs.iter()
             .enumerate()
-            .map(|(ai, &l)| self.rates.get(&(AutomatonId(ai), l)).copied().unwrap_or(0))
+            .map(|(ai, &l)| self.rate(AutomatonId(ai), l))
             .sum()
+    }
+
+    /// The cost of one joint move: the sum of the firing costs of its
+    /// participants, given as `(automaton index, edge index, selects)`.
+    #[must_use]
+    pub fn move_cost(&self, participants: &[(usize, usize, Vec<i64>)]) -> i64 {
+        participants
+            .iter()
+            .map(|&(ai, ei, _)| self.edge_cost(AutomatonId(ai), ei))
+            .sum()
+    }
+
+    /// Prepares one cost query: slicing when the dataflow passes are on,
+    /// and always active-clock reduction with the goal's atoms kept
+    /// alive. Clocks read by no guard, invariant, or goal atom cannot
+    /// influence enabledness or cost, so dropping them merges digital
+    /// states that differ only in dead-clock values; costs are per
+    /// location/edge (indices unchanged), so the optimum is preserved.
+    ///
+    /// With the dataflow passes on, the explorer also gets the
+    /// per-location LU tick clamp: sound for the cost searches because
+    /// clamp-merged states share their location vector (hence tick
+    /// rates) and are guard-equivalent, and the cost certificate replays
+    /// the recorded move list rather than comparing recorded states.
+    fn prepare(&self, goal: &StateFormula) -> (QueryNetwork, Option<NetworkLu>) {
+        let mut prep =
+            QueryNetwork::prepare(&self.net, std::slice::from_ref(goal), self.flow, true);
+        let lu = self.flow.then(|| prep.lu());
+        (prep, lu)
     }
 
     /// Minimum-cost reachability under a resource [`Budget`]: the
@@ -271,86 +297,57 @@ impl PricedNetwork {
         budget: &Budget,
     ) -> Outcome<Option<MinCostResult>> {
         let gov = budget.governor();
-        let (sliced, mut metrics) = self.run_slice();
-        let base: &Network = sliced.as_ref().map_or(&self.net, |s| &s.net);
-        // Active-clock reduction: clocks read by no guard, invariant, or
-        // goal atom cannot influence enabledness or cost, so dropping
-        // them merges digital states that differ only in dead-clock
-        // values. Costs are per location/edge (indices unchanged), so
-        // the optimum is preserved.
-        let reduction = base.reduced_with(&goal.clock_atoms());
-        if let Some(s) = &sliced {
-            if s.disabled_edges > 0 {
-                let plain = self.net.reduced_with(&goal.clock_atoms()).removed().len();
-                metrics.sliced_clocks = reduction.removed().len().saturating_sub(plain) as u64;
-            }
-        }
-        let (net, goal) = if reduction.is_reduced() {
-            let goal = reduction
-                .map_formula(goal)
-                .expect("goal atoms are kept alive by reduced_with");
-            (reduction.network(), goal)
-        } else {
-            (base, goal.clone())
-        };
+        let (prep, lu) = self.prepare(goal);
+        let (net, goal, metrics) = (prep.network(), prep.query(0), prep.metrics());
         // The clamp keeps the goal's clock constants observable, with
         // or without the LU tables.
         let mut exp =
-            DigitalExplorer::for_query(net, &goal.clock_atoms()).unwrap_or_else(|e| panic!("{e}"));
-        if self.flow {
-            // Per-location LU tick clamp: sound for the cost search
-            // because clamp-merged states share their location vector
-            // (hence tick rates) and are guard-equivalent, and the cost
-            // certificate replays the recorded move list rather than
-            // comparing recorded states.
-            let lu = NetworkLu::analyze(net, &goal.clock_atoms());
-            metrics.lu_tightened = lu.tightened(&net.max_constants());
+            DigitalExplorer::for_query(net, &prep.atoms()).unwrap_or_else(|e| panic!("{e}"));
+        if let Some(lu) = lu {
             exp = exp.with_lu(lu);
         }
-        let init = exp.initial_state();
 
-        let mut dist: HashMap<DigitalState, i64> = HashMap::new();
-        let mut pred: HashMap<DigitalState, (DigitalState, Option<DigitalMove>, i64)> =
-            HashMap::new();
-        let mut heap: BinaryHeap<Reverse<(i64, u64)>> = BinaryHeap::new();
-        let mut arena: Vec<DigitalState> = Vec::new();
+        // Heap entries carry their push order, which breaks cost ties:
+        // of two entries at one cost, the first pushed settles first.
+        // The heap orders the search, so the index's frontier goes unused.
+        let mut index = StateIndex::new();
+        let mut dist: Vec<Option<i64>> = Vec::new();
+        let mut pred: Vec<Option<(usize, Option<DigitalMove>, i64)>> = Vec::new();
+        let mut heap: BinaryHeap<Reverse<(i64, u64, usize)>> = BinaryHeap::new();
+        let mut pushes = 0u64;
         let mut peak = 0usize;
         let mut explored = 0;
 
-        if gov.charge_state() {
-            dist.insert(init.clone(), 0);
-            arena.push(init);
-            heap.push(Reverse((0, 0)));
+        if let Some(i) = index.intern(exp.initial_state(), &gov) {
+            dist.push(Some(0));
+            pred.push(None);
+            heap.push(Reverse((0, pushes, i)));
+            pushes += 1;
             peak = 1;
         }
 
-        'settle: while let Some(Reverse((d, idx))) = heap.pop() {
+        'settle: while let Some(Reverse((d, _, i))) = heap.pop() {
             if !gov.check_time() {
                 break;
             }
-            let state = arena[idx as usize].clone();
-            if dist.get(&state).copied() != Some(d) {
+            if dist[i] != Some(d) {
                 continue; // stale heap entry
             }
             explored += 1;
-            if exp.satisfies(&state, &goal) {
+            let state = index.state(i).clone();
+            if exp.satisfies(&state, goal) {
                 let mut steps = Vec::new();
-                let mut cur = state.clone();
-                while let Some((prev, action, cost)) = pred.get(&cur) {
+                let mut cur = i;
+                while let Some((prev, action, cost)) = &pred[cur] {
                     steps.push(CostStep {
                         action: action.clone(),
                         cost: *cost,
                     });
-                    cur = prev.clone();
+                    cur = *prev;
                 }
                 steps.reverse();
-                let report = metrics.stamp(self.dijkstra_report(
-                    &gov,
-                    explored,
-                    dist.len(),
-                    peak,
-                    net.dim(),
-                ));
+                let counts = (explored, index.len(), peak);
+                let report = metrics.stamp(self.report(&gov, counts, 0, net.dim()));
                 return gov.finish_complete(
                     Some(MinCostResult {
                         cost: d,
@@ -361,80 +358,56 @@ impl PricedNetwork {
                     report,
                 );
             }
+            // Relaxes the step to `next`; `false` when the state budget
+            // refuses a new state.
+            let mut relax = |next: DigitalState, cost: i64, action: Option<DigitalMove>| {
+                let Some(j) = index.intern(next, &gov) else {
+                    return false;
+                };
+                if j == dist.len() {
+                    dist.push(None);
+                    pred.push(None);
+                }
+                let nd = d + cost;
+                if dist[j].is_none_or(|old| nd < old) {
+                    dist[j] = Some(nd);
+                    pred[j] = Some((i, action, cost));
+                    heap.push(Reverse((nd, pushes, j)));
+                    pushes += 1;
+                    peak = peak.max(heap.len());
+                }
+                true
+            };
             // Tick successor.
             if let Some(next) = exp.tick(&state) {
-                let tick = self.tick_cost(&state);
-                let nd = d + tick;
-                let known = dist.contains_key(&next);
-                if dist.get(&next).is_none_or(|&old| nd < old) {
-                    if !known && !gov.charge_state() {
-                        break 'settle;
-                    }
-                    dist.insert(next.clone(), nd);
-                    pred.insert(next.clone(), (state.clone(), None, tick));
-                    arena.push(next);
-                    heap.push(Reverse((nd, (arena.len() - 1) as u64)));
-                    peak = peak.max(heap.len());
+                if !relax(next, self.rate_sum(&state.locs), None) {
+                    break 'settle;
                 }
             }
             // Action successors.
             for (mv, next) in exp.moves(&state) {
-                let edge_cost: i64 = mv
-                    .participants
-                    .iter()
-                    .map(|(ai, ei, _)| {
-                        self.edge_costs
-                            .get(&(AutomatonId(*ai), *ei))
-                            .copied()
-                            .unwrap_or(0)
-                    })
-                    .sum();
-                let nd = d + edge_cost;
-                let known = dist.contains_key(&next);
-                if dist.get(&next).is_none_or(|&old| nd < old) {
-                    if !known && !gov.charge_state() {
-                        break 'settle;
-                    }
-                    dist.insert(next.clone(), nd);
-                    pred.insert(next.clone(), (state.clone(), Some(mv.clone()), edge_cost));
-                    arena.push(next);
-                    heap.push(Reverse((nd, (arena.len() - 1) as u64)));
-                    peak = peak.max(heap.len());
+                let cost = self.move_cost(&mv.participants);
+                if !relax(next, cost, Some(mv)) {
+                    break 'settle;
                 }
             }
         }
-        let report =
-            metrics.stamp(self.dijkstra_report(&gov, explored, dist.len(), peak, net.dim()));
-        gov.finish(None, report)
+        let counts = (explored, index.len(), peak);
+        gov.finish(None, metrics.stamp(self.report(&gov, counts, 0, net.dim())))
     }
 
-    /// Runs query-directed slicing when the dataflow passes are enabled
-    /// and collects its run-report metrics.
-    fn run_slice(&self) -> (Option<tempo_ta::Slice>, FlowMetrics) {
-        let mut metrics = FlowMetrics::default();
-        let sliced = self.flow.then(|| tempo_ta::slice(&self.net));
-        if let Some(s) = &sliced {
-            metrics.sliced_edges = s.disabled_edges;
-            metrics.vars_narrowed = s.vars_narrowed;
-            metrics.sliced_vars = s.dead_vars.len() as u64;
-        }
-        (sliced, metrics)
-    }
-
-    fn dijkstra_report(
+    fn report(
         &self,
         gov: &tempo_obs::Governor,
-        explored: usize,
-        stored: usize,
-        peak: usize,
+        (explored, stored, peak): (usize, usize, usize),
+        sweeps: u64,
         dim: usize,
     ) -> RunReport {
         RunReport {
             states_explored: explored as u64,
             states_stored: stored as u64,
             peak_waiting: peak as u64,
-            sweeps: 0,
-            runs_simulated: 0,
+            sweeps,
             dbm_dim: dim as u64,
             dbm_dim_model: self.net.dim() as u64,
             wall_time: gov.elapsed(),
@@ -474,113 +447,60 @@ impl PricedNetwork {
         // both the finite worst case (clamp-merged states are
         // cost-bisimilar) and unboundedness (a positive-cost cycle
         // exists in the clamped graph iff one exists exactly).
-        let (sliced, mut metrics) = self.run_slice();
-        let base: &Network = sliced.as_ref().map_or(&self.net, |s| &s.net);
-        let reduction = base.reduced_with(&goal.clock_atoms());
-        if let Some(s) = &sliced {
-            if s.disabled_edges > 0 {
-                let plain = self.net.reduced_with(&goal.clock_atoms()).removed().len();
-                metrics.sliced_clocks = reduction.removed().len().saturating_sub(plain) as u64;
-            }
-        }
-        let (net, goal) = if reduction.is_reduced() {
-            let goal = reduction
-                .map_formula(goal)
-                .expect("goal atoms are kept alive by reduced_with");
-            (reduction.network(), goal)
-        } else {
-            (base, goal.clone())
-        };
+        let (prep, lu) = self.prepare(goal);
+        let (net, goal, metrics) = (prep.network(), prep.query(0), prep.metrics());
         // The clamp keeps the goal's clock constants observable, with
         // or without the LU tables.
         let mut exp =
-            DigitalExplorer::for_query(net, &goal.clock_atoms()).unwrap_or_else(|e| panic!("{e}"));
-        if self.flow {
-            let lu = NetworkLu::analyze(net, &goal.clock_atoms());
-            metrics.lu_tightened = lu.tightened(&net.max_constants());
+            DigitalExplorer::for_query(net, &prep.atoms()).unwrap_or_else(|e| panic!("{e}"));
+        if let Some(lu) = lu {
             exp = exp.with_lu(lu);
         }
         // Build the reachable graph.
-        let mut states: Vec<DigitalState> = Vec::new();
-        let mut index: HashMap<DigitalState, usize> = HashMap::new();
+        let mut index = StateIndex::new();
         let mut succs: Vec<Vec<(usize, i64)>> = Vec::new();
         let mut peak = 0usize;
-        let init = exp.initial_state();
-        if gov.charge_state() {
-            index.insert(init.clone(), 0);
-            states.push(init);
-            succs.push(Vec::new());
+        if index.intern(exp.initial_state(), &gov).is_some() {
             peak = 1;
         }
-        let mut frontier: Vec<usize> = if states.is_empty() { vec![] } else { vec![0] };
-        'build: while let Some(i) = frontier.pop() {
+        'build: while let Some(i) = index.pop() {
             if !gov.check_time() {
                 break;
             }
-            let state = states[i].clone();
+            let state = index.state(i).clone();
             let mut edges = Vec::new();
             if let Some(next) = exp.tick(&state) {
-                let cost = self.tick_cost(&state);
-                match index.get(&next) {
-                    Some(&j) => edges.push((j, cost)),
-                    None => {
-                        if !gov.charge_state() {
-                            break 'build;
-                        }
-                        let j = states.len();
-                        index.insert(next.clone(), j);
-                        states.push(next);
-                        succs.push(Vec::new());
-                        frontier.push(j);
-                        edges.push((j, cost));
-                    }
-                }
+                let Some(j) = index.intern(next, &gov) else {
+                    break 'build;
+                };
+                edges.push((j, self.rate_sum(&state.locs)));
             }
             for (mv, next) in exp.moves(&state) {
-                let cost: i64 = mv
-                    .participants
-                    .iter()
-                    .map(|(ai, ei, _)| {
-                        self.edge_costs
-                            .get(&(AutomatonId(*ai), *ei))
-                            .copied()
-                            .unwrap_or(0)
-                    })
-                    .sum();
-                match index.get(&next) {
-                    Some(&j) => edges.push((j, cost)),
-                    None => {
-                        if !gov.charge_state() {
-                            break 'build;
-                        }
-                        let j = states.len();
-                        index.insert(next.clone(), j);
-                        states.push(next);
-                        succs.push(Vec::new());
-                        frontier.push(j);
-                        edges.push((j, cost));
-                    }
-                }
+                let Some(j) = index.intern(next, &gov) else {
+                    break 'build;
+                };
+                edges.push((j, self.move_cost(&mv.participants)));
             }
-            peak = peak.max(frontier.len());
+            peak = peak.max(index.frontier_len());
+            succs.resize_with(index.len(), Vec::new);
             succs[i] = edges;
         }
+        let states = index.into_states();
         let n = states.len();
+        let report = |sweeps| metrics.stamp(self.report(&gov, (n, n, peak), sweeps, net.dim()));
         let mut sweeps = 0u64;
         if gov.is_exhausted() {
             // Incomplete graph: any fixpoint over it would be unsound.
-            let report = metrics.stamp(self.sweep_report(&gov, n, peak, sweeps, net.dim()));
-            return gov.finish(None, report);
+            return gov.finish(None, report(sweeps));
         }
         // value[s]: the max cost of reaching the goal from s (the goal
         // itself may be passed through; the run stops at the *last* goal
         // visit? No — WCET asks for first arrival, so goal states have
         // value 0 and are not expanded).
-        let goal_mask: Vec<bool> = states.iter().map(|s| exp.satisfies(s, &goal)).collect();
+        let goal_mask: Vec<bool> = states.iter().map(|s| exp.satisfies(s, goal)).collect();
         if !goal_mask.iter().any(|&g| g) {
             // The graph is complete here, so unreachability is definitive.
-            let report = metrics.stamp(self.sweep_report(&gov, n, peak, sweeps, net.dim()));
-            return gov.finish_complete(None, report);
+            return gov.finish_complete(None, report(sweeps));
         }
         const NEG_INF: i64 = i64::MIN / 4;
         let mut value: Vec<i64> = goal_mask
@@ -589,8 +509,7 @@ impl PricedNetwork {
             .collect();
         for sweep in 0..=n {
             if !gov.charge_iteration() || !gov.check_time() {
-                let report = metrics.stamp(self.sweep_report(&gov, n, peak, sweeps, net.dim()));
-                return gov.finish(None, report);
+                return gov.finish(None, report(sweeps));
             }
             sweeps += 1;
             let mut changed = false;
@@ -609,11 +528,10 @@ impl PricedNetwork {
                 break;
             }
             if sweep == n {
-                let report = metrics.stamp(self.sweep_report(&gov, n, peak, sweeps, net.dim()));
-                return gov.finish_complete(Some(MaxCost::Unbounded), report);
+                return gov.finish_complete(Some(MaxCost::Unbounded), report(sweeps));
             }
         }
-        let report = metrics.stamp(self.sweep_report(&gov, n, peak, sweeps, net.dim()));
+        let report = report(sweeps);
         if value[0] <= NEG_INF {
             // initial state cannot reach the goal
             return gov.finish_complete(None, report);
@@ -621,24 +539,17 @@ impl PricedNetwork {
         gov.finish_complete(Some(MaxCost::Bounded(value[0])), report)
     }
 
-    fn sweep_report(
-        &self,
-        gov: &tempo_obs::Governor,
-        stored: usize,
-        peak: usize,
-        sweeps: u64,
-        dim: usize,
-    ) -> RunReport {
-        RunReport {
-            states_explored: stored as u64,
-            states_stored: stored as u64,
-            peak_waiting: peak as u64,
-            sweeps,
-            runs_simulated: 0,
-            dbm_dim: dim as u64,
-            dbm_dim_model: self.net.dim() as u64,
-            wall_time: gov.elapsed(),
-            ..RunReport::default()
+    /// The same network with elapsed time as its cost: every automaton
+    /// is always in exactly one location, so rate 1 on the locations of
+    /// one automaton makes each tick cost exactly one time unit.
+    fn timed(&self) -> PricedNetwork {
+        PricedNetwork {
+            net: self.net.clone(),
+            rates: (0..self.net.automata()[0].locations.len())
+                .map(|li| ((AutomatonId(0), LocationId(li)), 1_i64))
+                .collect(),
+            edge_costs: HashMap::new(),
+            flow: self.flow,
         }
     }
 
@@ -651,15 +562,7 @@ impl PricedNetwork {
         goal: &StateFormula,
         budget: &Budget,
     ) -> Outcome<Option<MaxCost>> {
-        let timed = PricedNetwork {
-            net: self.net.clone(),
-            rates: (0..self.net.automata()[0].locations.len())
-                .map(|li| ((AutomatonId(0), LocationId(li)), 1_i64))
-                .collect(),
-            edge_costs: HashMap::new(),
-            flow: self.flow,
-        };
-        timed.max_cost_reach_governed(goal, budget)
+        self.timed().max_cost_reach_governed(goal, budget)
     }
 
     /// Minimum time to reach `goal` (cost = elapsed time, edge costs 0):
@@ -671,18 +574,7 @@ impl PricedNetwork {
         goal: &StateFormula,
         budget: &Budget,
     ) -> Outcome<Option<i64>> {
-        // Every automaton is always in exactly one location, so putting
-        // rate 1 on the locations of one automaton makes each tick cost
-        // exactly one time unit.
-        let timed = PricedNetwork {
-            net: self.net.clone(),
-            rates: (0..self.net.automata()[0].locations.len())
-                .map(|li| ((AutomatonId(0), LocationId(li)), 1_i64))
-                .collect(),
-            edge_costs: HashMap::new(),
-            flow: self.flow,
-        };
-        timed
+        self.timed()
             .min_cost_reach_governed(goal, budget)
             .map(|r| r.map(|r| r.cost))
     }

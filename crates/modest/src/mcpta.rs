@@ -6,11 +6,12 @@
 //! tick clamp.
 
 use crate::Pta;
-use std::collections::HashMap;
 use tempo_mdp::{expected_reward_governed, reachability_governed, Mdp, MdpBuilder, Opt, StateId};
 use tempo_obs::{Budget, Outcome, RunReport};
-use tempo_ta::flow::{FlowMetrics, NetworkLu};
-use tempo_ta::{ClockAtom, ClockReduction, DigitalExplorer, DigitalState, StateFormula};
+use tempo_ta::{
+    ClockAtom, ClockReduction, DigitalExplorer, DigitalState, QueryNetwork, StateFormula,
+    StateIndex,
+};
 
 /// The `mcpta` analyzer: explores the digital-clocks semantics of a PTA
 /// once and answers `Pmax` / `Pmin` / `Emax` / `Emin` queries against the
@@ -109,88 +110,59 @@ impl Mcpta {
         budget: &Budget,
     ) -> Outcome<Option<Self>> {
         let gov = budget.governor();
-        let mut metrics = FlowMetrics::default();
         // Query-directed slicing first: provably dead edges cannot carry
         // probability mass, and stranded handshake partners die with
         // them. The branches of one choice share guard and channel, so
-        // they die together.
-        let sliced = config.flow.then(|| tempo_ta::slice(pta));
-        let base: &Pta = sliced.as_ref().map_or(pta, |s| &s.net);
-        if let Some(s) = &sliced {
-            metrics.sliced_edges = s.disabled_edges;
-            metrics.vars_narrowed = s.vars_narrowed;
-            metrics.sliced_vars = s.dead_vars.len() as u64;
-        }
-        // Active-clock reduction: clocks read by no guard, invariant or
-        // protected atom cannot influence enabledness or branching, so
-        // the reduced MDP has identical probabilities over smaller (and
-        // fewer) states.
-        let reduction = base.reduced_with(extra_atoms);
-        if let Some(s) = &sliced {
-            if s.disabled_edges > 0 {
-                let plain = pta.reduced_with(extra_atoms).dim();
-                metrics.sliced_clocks = (plain as u64).saturating_sub(reduction.dim() as u64);
-            }
-        }
-        let net = reduction.network();
-        let extra_mapped: Vec<ClockAtom> = extra_atoms
+        // they die together. Then active-clock reduction: clocks read by
+        // no guard, invariant or protected atom cannot influence
+        // enabledness or branching, so the reduced MDP has identical
+        // probabilities over smaller (and fewer) states.
+        let protected: Vec<StateFormula> = extra_atoms
             .iter()
-            .map(|a| {
-                reduction
-                    .map_atom(a)
-                    .expect("protected atoms are kept alive by reduced_with")
-            })
+            .map(|&a| StateFormula::clock(a))
             .collect();
-        let mut exp =
-            DigitalExplorer::for_query(net, &extra_mapped).unwrap_or_else(|e| panic!("{e}"));
-        if config.flow {
-            // Per-location LU tick clamp: clamp-merged states share
-            // locations, stores and the truth of every still-observable
-            // clock constraint, so the quotient MDP is probabilistically
-            // bisimilar to the globally-clamped one.
-            let lu = NetworkLu::analyze(net, &extra_mapped);
-            metrics.lu_tightened = lu.tightened(&net.max_constants());
+        let mut prep = QueryNetwork::prepare(pta, &protected, config.flow, true);
+        // Per-location LU tick clamp: clamp-merged states share
+        // locations, stores and the truth of every still-observable
+        // clock constraint, so the quotient MDP is probabilistically
+        // bisimilar to the globally-clamped one.
+        let lu = config.flow.then(|| prep.lu());
+        let extra_mapped = prep.atoms();
+        let mut exp = DigitalExplorer::for_query(prep.network(), &extra_mapped)
+            .unwrap_or_else(|e| panic!("{e}"));
+        if let Some(lu) = lu {
             exp = exp.with_lu(lu);
         }
+        // MDP state `i` is index state `i`: the builder gains a state
+        // for every id the index hands out.
         let mut builder = MdpBuilder::new();
-        let mut index: HashMap<DigitalState, StateId> = HashMap::new();
-        let mut states: Vec<DigitalState> = Vec::new();
-        let mut frontier: Vec<StateId> = Vec::new();
+        let mut index = StateIndex::new();
         let mut peak = 0_usize;
         let mut explored = 0_usize;
-        let mut s0 = StateId(0);
 
         let init = exp.initial_state();
-        if exp.invariants_hold(&init.locs, &init.clocks) && gov.charge_state() {
-            s0 = builder.add_state();
-            index.insert(init.clone(), s0);
-            states.push(init);
-            frontier.push(s0);
+        if exp.invariants_hold(&init.locs, &init.clocks) && index.intern(init, &gov).is_some() {
+            builder.reserve_states(1);
             peak = 1;
         }
 
-        'build: while let Some(sid) = frontier.pop() {
+        'build: while let Some(i) = index.pop() {
             if !gov.check_time() {
                 break;
             }
             explored += 1;
-            let state = states[sid.index()].clone();
+            let sid = StateId(i);
+            let state = index.state(i).clone();
             // Action transitions (reward 0).
             for t in exp.transitions(&state) {
                 let mut dist: Vec<(StateId, f64)> = Vec::with_capacity(t.len());
                 for (p, next) in t {
-                    let Some(id) = intern(
-                        &mut builder,
-                        &mut index,
-                        &mut states,
-                        &mut frontier,
-                        next,
-                        &gov,
-                    ) else {
+                    let Some(id) = index.intern(next, &gov) else {
                         break 'build;
                     };
-                    dist.push((id, p));
+                    dist.push((StateId(id), p));
                 }
+                builder.reserve_states(index.len());
                 builder
                     .add_action(sid, None, 0.0, dist)
                     .expect("explorer produces valid distributions");
@@ -217,38 +189,34 @@ impl Mcpta {
                         waited += 1.0;
                     }
                 }
-                let Some(id) = intern(
-                    &mut builder,
-                    &mut index,
-                    &mut states,
-                    &mut frontier,
-                    next,
-                    &gov,
-                ) else {
+                let Some(id) = index.intern(next, &gov) else {
                     break 'build;
                 };
+                builder.reserve_states(index.len());
                 builder
-                    .add_action(sid, None, waited, vec![(id, 1.0)])
+                    .add_action(sid, None, waited, vec![(StateId(id), 1.0)])
                     .expect("tick distribution is valid");
             }
-            peak = peak.max(frontier.len());
+            peak = peak.max(index.frontier_len());
         }
+        let metrics = prep.metrics();
+        let reduction = prep.into_reduction();
         let report = metrics.stamp(RunReport {
             states_explored: explored as u64,
-            states_stored: states.len() as u64,
+            states_stored: index.len() as u64,
             peak_waiting: peak as u64,
             dbm_dim: reduction.dim() as u64,
             dbm_dim_model: reduction.original_dim() as u64,
             wall_time: gov.elapsed(),
             ..RunReport::default()
         });
-        if gov.is_exhausted() || states.is_empty() {
+        if gov.is_exhausted() || index.is_empty() {
             return gov.finish(None, report);
         }
         gov.finish(
             Some(Mcpta {
-                mdp: builder.build(s0).expect("initial state exists"),
-                states,
+                mdp: builder.build(StateId(0)).expect("initial state exists"),
+                states: index.into_states(),
                 reduction,
             }),
             report,
@@ -327,11 +295,7 @@ impl Mcpta {
     /// same MDP).
     #[must_use]
     pub fn check_invariant(&self, invariant: &StateFormula) -> bool {
-        let invariant = self.reduction.map_formula(invariant).expect(
-            "query reads a clock that was reduced away; list its atoms in `extra_atoms` at build time",
-        );
-        let exp = DigitalExplorer::new(self.reduction.network());
-        self.states.iter().all(|s| exp.satisfies(s, &invariant))
+        self.goal_mask(invariant).into_iter().all(|holds| holds)
     }
 }
 
@@ -343,27 +307,6 @@ fn atoms_agree(atoms: &[ClockAtom], a: &DigitalState, b: &DigitalState) -> bool 
     atoms
         .iter()
         .all(|atom| atom.holds_at(&a.clocks) == atom.holds_at(&b.clocks))
-}
-
-fn intern(
-    builder: &mut MdpBuilder,
-    index: &mut HashMap<DigitalState, StateId>,
-    states: &mut Vec<DigitalState>,
-    frontier: &mut Vec<StateId>,
-    state: DigitalState,
-    gov: &tempo_obs::Governor,
-) -> Option<StateId> {
-    if let Some(&id) = index.get(&state) {
-        return Some(id);
-    }
-    if !gov.charge_state() {
-        return None;
-    }
-    let id = builder.add_state();
-    index.insert(state.clone(), id);
-    states.push(state);
-    frontier.push(id);
-    Some(id)
 }
 
 #[cfg(test)]

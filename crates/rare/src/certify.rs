@@ -14,21 +14,11 @@ use crate::priced::{run_cost, PricedChecker};
 use crate::split::{RareChecker, SplitConfig, SplitEstimate};
 use tempo_conc::trial_seed;
 use tempo_cora::PricedNetwork;
-use tempo_obs::{Budget, Outcome};
+use tempo_obs::Budget;
 use tempo_smc::{Estimate, RatePolicy, Run, Simulator, DEFAULT_MAX_STEPS};
 use tempo_ta::StateFormula;
-use tempo_witness::certify::{Certificate, Certified, PricedRunCertificate};
+use tempo_witness::certify::{stamp, Certificate, Certified, PricedRunCertificate};
 use tempo_witness::WitnessError;
-
-/// Mirrors `tempo_witness`'s certificate accounting: records the
-/// serialized certificate size and the time spent producing and
-/// validating it on the outcome's report.
-fn stamp<T>(out: &mut Outcome<T>, cert: &Certificate, started: Instant) {
-    let bytes = tempo_witness::format::render(cert).len() as u64;
-    let (Outcome::Complete { report, .. } | Outcome::Exhausted { report, .. }) = out;
-    report.certificate_bytes = bytes;
-    report.certify_time = started.elapsed();
-}
 
 /// Cost-bounded probability estimation with exported, independently
 /// replayed priced runs: estimates

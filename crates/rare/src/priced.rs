@@ -19,27 +19,28 @@
 use tempo_cora::PricedNetwork;
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
 use tempo_smc::{
-    estimate, estimate_mean, EmpiricalCdf, Estimate, MeanEstimate, RatePolicy, Run,
+    estimate, estimate_mean, ConcreteState, EmpiricalCdf, Estimate, MeanEstimate, RatePolicy, Run,
     StatisticalChecker, StatsError,
 };
-use tempo_ta::{AutomatonId, StateFormula};
+use tempo_ta::StateFormula;
 
-/// Cost-rate sum of a concrete state: `Σ_a rate(a, loc_a)`.
-fn rate_sum(pnet: &PricedNetwork, state: &tempo_smc::ConcreteState) -> i64 {
-    state
-        .locs
-        .iter()
-        .enumerate()
-        .map(|(ai, &l)| pnet.rate(AutomatonId(ai), l))
-        .sum()
-}
-
-/// Edge-cost sum of one joint move.
-fn edge_sum(pnet: &PricedNetwork, participants: &[(usize, usize, Vec<i64>)]) -> i64 {
-    participants
-        .iter()
-        .map(|&(ai, ei, _)| pnet.edge_cost(AutomatonId(ai), ei))
-        .sum()
+/// The accumulated cost after each step of `run`, paired with the state
+/// the step reaches, in the canonical order shared with
+/// [`tempo_witness::replay_priced_run`]: per step, the delay times the
+/// pre-state's rate sum, then the participants' edge costs.
+fn step_costs<'r>(
+    pnet: &'r PricedNetwork,
+    run: &'r Run,
+) -> impl Iterator<Item = (&'r ConcreteState, f64)> + 'r {
+    let mut pre = &run.initial;
+    run.steps.iter().scan(0.0_f64, move |cost, step| {
+        *cost += step.delay * pnet.rate_sum(&pre.locs) as f64;
+        if !step.participants.is_empty() {
+            *cost += pnet.move_cost(&step.participants) as f64;
+        }
+        pre = &step.state;
+        Some((&step.state, *cost))
+    })
 }
 
 /// Total accumulated cost of a simulated run under the priced network's
@@ -51,16 +52,7 @@ fn edge_sum(pnet: &PricedNetwork, participants: &[(usize, usize, Vec<i64>)]) -> 
 /// identical `f64` totals for the same run.
 #[must_use]
 pub fn run_cost(pnet: &PricedNetwork, run: &Run) -> f64 {
-    let mut cost = 0.0_f64;
-    let mut pre = &run.initial;
-    for step in &run.steps {
-        cost += step.delay * rate_sum(pnet, pre) as f64;
-        if !step.participants.is_empty() {
-            cost += edge_sum(pnet, &step.participants) as f64;
-        }
-        pre = &step.state;
-    }
-    cost
+    step_costs(pnet, run).last().map_or(0.0, |(_, cost)| cost)
 }
 
 /// The accumulated cost and absolute time at the first state of `run`
@@ -74,19 +66,9 @@ pub fn first_hit_cost(pnet: &PricedNetwork, run: &Run, goal: &StateFormula) -> O
     if run.initial.satisfies(net, goal) {
         return Some((0.0, 0.0));
     }
-    let mut cost = 0.0_f64;
-    let mut pre = &run.initial;
-    for step in &run.steps {
-        cost += step.delay * rate_sum(pnet, pre) as f64;
-        if !step.participants.is_empty() {
-            cost += edge_sum(pnet, &step.participants) as f64;
-        }
-        if step.state.satisfies(net, goal) {
-            return Some((step.state.time, cost));
-        }
-        pre = &step.state;
-    }
-    None
+    step_costs(pnet, run)
+        .find(|(state, _)| state.satisfies(net, goal))
+        .map(|(state, cost)| (state.time, cost))
 }
 
 /// [`RunReport`] for a priced simulation batch.
@@ -246,19 +228,31 @@ impl<'n> PricedChecker<'n> {
     }
 
     /// The empirical distribution of the cost at the first goal hit over
-    /// `runs` simulations of horizon `bound` (runs that never reach the
-    /// goal contribute no sample; the population is still `runs`, so
-    /// [`EmpiricalCdf::at`] reads as a fraction of *all* runs).
-    pub fn cost_cdf(&mut self, goal: &StateFormula, bound: f64, runs: usize) -> EmpiricalCdf {
-        let gov = Budget::unlimited().governor();
+    /// `runs` simulations of horizon `bound`, under a resource
+    /// [`Budget`]. Runs that never reach the goal contribute no sample;
+    /// the population is every completed run, so [`EmpiricalCdf::at`]
+    /// reads as a fraction of all of them.
+    ///
+    /// On exhaustion the partial CDF covers the runs that completed, and
+    /// stays a valid CDF; with [`Budget::unlimited`] all `runs` complete.
+    pub fn cost_cdf_governed(
+        &mut self,
+        goal: &StateFormula,
+        bound: f64,
+        runs: usize,
+        budget: &Budget,
+    ) -> Outcome<EmpiricalCdf> {
+        let gov = budget.governor();
         let pnet = self.pnet;
         let hits = self.smc.trials(bound, runs, &gov, goal, |run| {
             first_hit_cost(pnet, run, goal).map(|(_, c)| c)
         });
-        let mut cdf = EmpiricalCdf::new(runs);
+        let completed = hits.len();
+        let mut cdf = EmpiricalCdf::new(completed);
         for c in hits.into_iter().flatten() {
             cdf.add(c);
         }
-        cdf
+        let report = priced_report(&gov, completed, self.pnet.network().dim());
+        gov.finish(cdf, report)
     }
 }

@@ -8,8 +8,7 @@ use crate::stats::{
 };
 use tempo_conc::trial_seed;
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
-use tempo_ta::flow::FlowMetrics;
-use tempo_ta::{ClockReduction, Network, StateFormula};
+use tempo_ta::{Network, QueryNetwork, StateFormula};
 
 /// [`RunReport`] for a simulation batch: the run counter, the clock-space
 /// dimensions and wall time are the meaningful fields for statistical
@@ -22,32 +21,6 @@ fn sim_report(gov: &Governor, completed: usize, dim: usize, model_dim: usize) ->
         wall_time: gov.elapsed(),
         ..RunReport::default()
     }
-}
-
-/// Resolves a per-query active-clock reduction: the network to simulate
-/// and the property mapped into its clock space.
-///
-/// Dead clocks gate no delay bound and no guard, so simulators driven by
-/// the same seeds produce identical discrete trajectories over the
-/// reduced network — estimates are byte-identical while each state
-/// carries fewer clocks.
-fn reduced_query<'a>(
-    reduction: &'a ClockReduction,
-    full: &'a Network,
-    prop: &StateFormula,
-) -> (&'a Network, StateFormula) {
-    if reduction.is_reduced() {
-        // `reduced_with` keeps every clock read by any template or by the
-        // atoms it was given, so a property mapped against the reduction
-        // computed from its own atoms always survives. A `None` here
-        // means the reduction was computed for a *different* atom set
-        // (caller mismatch); simulating the full network is always
-        // correct, so fall back instead of panicking.
-        if let Some(mapped) = reduction.map_formula(prop) {
-            return (reduction.network(), mapped);
-        }
-    }
-    (full, prop.clone())
 }
 
 /// Default cap on the number of actions per simulated run.
@@ -118,27 +91,15 @@ impl<'n> StatisticalChecker<'n> {
     /// Disables query-directed slicing, simulating the unsliced network
     /// (still reduced to the clocks the model and the query read).
     /// Estimates are byte-identical either way — this switch exists for
-    /// differential testing.
+    /// differential testing. Provably disabled edges are never enabled,
+    /// and removed clocks gate no delay bound and no guard, so a
+    /// simulator driven by the same seed enumerates the same enabled
+    /// moves, draws the same random numbers and produces the same
+    /// trajectory on the prepared network as on the model.
     #[must_use]
     pub fn without_flow(mut self) -> Self {
         self.flow = false;
         self
-    }
-
-    /// Query-directed slicing: provably disabled edges are never enabled,
-    /// so simulators on the sliced network enumerate identical
-    /// enabled-move lists, consume identical RNG streams and produce
-    /// byte-identical trajectories, while active-clock reduction gets to
-    /// remove the clocks those edges guarded.
-    fn sliced_base(&self) -> (Option<tempo_ta::Slice>, FlowMetrics) {
-        let mut metrics = FlowMetrics::default();
-        let sliced = self.flow.then(|| tempo_ta::slice(self.net));
-        if let Some(s) = &sliced {
-            metrics.sliced_edges = s.disabled_edges;
-            metrics.vars_narrowed = s.vars_narrowed;
-            metrics.sliced_vars = s.dead_vars.len() as u64;
-        }
-        (sliced, metrics)
     }
 
     /// Overrides the per-run step cap.
@@ -286,12 +247,10 @@ impl<'n> StatisticalChecker<'n> {
             return Err(StatsError::InvalidConfidence(confidence));
         }
         let gov = budget.governor();
-        let (sliced, metrics) = self.sliced_base();
-        let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
-        let reduction = base.reduced_with(&goal.clock_atoms());
-        let (net, goal) = reduced_query(&reduction, base, goal);
-        let hits = self.batch(net, bound, runs, &gov, &goal, |run| {
-            run.satisfies_eventually(net, &goal, bound)
+        let prep = QueryNetwork::prepare(self.net, std::slice::from_ref(goal), self.flow, true);
+        let (net, goal) = (prep.network(), prep.query(0));
+        let hits = self.batch(net, bound, runs, &gov, goal, |run| {
+            run.satisfies_eventually(net, goal, bound)
         });
         let completed = hits.len();
         let successes = hits.iter().filter(|&&hit| hit).count();
@@ -301,7 +260,9 @@ impl<'n> StatisticalChecker<'n> {
             Self::check_cancelled(&gov)?;
             None
         };
-        let report = metrics.stamp(sim_report(&gov, completed, net.dim(), self.net.dim()));
+        let report = prep
+            .metrics()
+            .stamp(sim_report(&gov, completed, net.dim(), self.net.dim()));
         Ok(gov.finish(est, report))
     }
 
@@ -341,21 +302,19 @@ impl<'n> StatisticalChecker<'n> {
         budget: &Budget,
     ) -> Outcome<(TestVerdict, usize)> {
         let gov = budget.governor();
-        let (sliced, metrics) = self.sliced_base();
-        let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
-        let reduction = base.reduced_with(&goal.clock_atoms());
-        let (net, goal) = reduced_query(&reduction, base, goal);
+        let prep = QueryNetwork::prepare(self.net, std::slice::from_ref(goal), self.flow, true);
+        let (net, goal) = (prep.network(), prep.query(0));
         self.epoch += 1;
         let mut sprt = Sprt::new(theta, delta, alpha, beta);
         while sprt.verdict() == TestVerdict::Undecided && sprt.observations() < max_runs {
             if !gov.check_time() || !gov.charge_run() {
                 break;
             }
-            let run = self.trial(net, self.epoch, sprt.observations(), bound, &goal);
-            sprt.observe(run.satisfies_eventually(net, &goal, bound));
+            let run = self.trial(net, self.epoch, sprt.observations(), bound, goal);
+            sprt.observe(run.satisfies_eventually(net, goal, bound));
         }
         let verdict = sprt.verdict();
-        let report = metrics.stamp(sim_report(
+        let report = prep.metrics().stamp(sim_report(
             &gov,
             sprt.observations(),
             net.dim(),
@@ -424,19 +383,19 @@ impl<'n> StatisticalChecker<'n> {
         budget: &Budget,
     ) -> Outcome<EmpiricalCdf> {
         let gov = budget.governor();
-        let (sliced, metrics) = self.sliced_base();
-        let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
-        let reduction = base.reduced_with(&goal.clock_atoms());
-        let (net, goal) = reduced_query(&reduction, base, goal);
-        let hit_times = self.batch(net, bound, runs, &gov, &goal, |run| {
-            run.first_hit(net, &goal).filter(|&t| t <= bound)
+        let prep = QueryNetwork::prepare(self.net, std::slice::from_ref(goal), self.flow, true);
+        let (net, goal) = (prep.network(), prep.query(0));
+        let hit_times = self.batch(net, bound, runs, &gov, goal, |run| {
+            run.first_hit(net, goal).filter(|&t| t <= bound)
         });
         let completed = hit_times.len();
         let mut cdf = EmpiricalCdf::new(completed);
         for t in hit_times.into_iter().flatten() {
             cdf.add(t);
         }
-        let report = metrics.stamp(sim_report(&gov, completed, net.dim(), self.net.dim()));
+        let report = prep
+            .metrics()
+            .stamp(sim_report(&gov, completed, net.dim(), self.net.dim()));
         gov.finish(cdf, report)
     }
 
@@ -461,19 +420,15 @@ impl<'n> StatisticalChecker<'n> {
         budget: &Budget,
     ) -> Outcome<(std::cmp::Ordering, f64, f64)> {
         let gov = budget.governor();
-        let mut atoms = goal_a.clock_atoms();
-        atoms.extend(goal_b.clock_atoms());
-        let (sliced, metrics) = self.sliced_base();
-        let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
-        let reduction = base.reduced_with(&atoms);
-        let (net, goal_a) = reduced_query(&reduction, base, goal_a);
-        let (_, goal_b) = reduced_query(&reduction, base, goal_b);
+        let prep =
+            QueryNetwork::prepare(self.net, &[goal_a.clone(), goal_b.clone()], self.flow, true);
+        let (net, goal_a, goal_b) = (prep.network(), prep.query(0), prep.query(1));
         // Full runs: a run must go on past the first goal it reaches to
         // decide the other one.
         let pairs = self.batch(net, bound, runs, &gov, &StateFormula::False, |run| {
             (
-                run.satisfies_eventually(net, &goal_a, bound),
-                run.satisfies_eventually(net, &goal_b, bound),
+                run.satisfies_eventually(net, goal_a, bound),
+                run.satisfies_eventually(net, goal_b, bound),
             )
         });
         let completed = pairs.len();
@@ -494,7 +449,9 @@ impl<'n> StatisticalChecker<'n> {
         } else {
             std::cmp::Ordering::Equal
         };
-        let report = metrics.stamp(sim_report(&gov, completed, net.dim(), self.net.dim()));
+        let report = prep
+            .metrics()
+            .stamp(sim_report(&gov, completed, net.dim(), self.net.dim()));
         gov.finish((ord, pa, pb), report)
     }
 
@@ -511,16 +468,16 @@ impl<'n> StatisticalChecker<'n> {
         budget: &Budget,
     ) -> Outcome<usize> {
         let gov = budget.governor();
-        let (sliced, metrics) = self.sliced_base();
-        let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
-        let reduction = base.reduced_with(&safe.clock_atoms());
-        let (net, safe) = reduced_query(&reduction, base, safe);
+        let prep = QueryNetwork::prepare(self.net, std::slice::from_ref(safe), self.flow, true);
+        let (net, safe) = (prep.network(), prep.query(0));
         let unsafe_state = StateFormula::not(safe.clone());
         let safe_runs = self.batch(net, bound, runs, &gov, &unsafe_state, |run| {
-            run.satisfies_globally(net, &safe, bound)
+            run.satisfies_globally(net, safe, bound)
         });
         let safe_count = safe_runs.iter().filter(|&&ok| ok).count();
-        let report = metrics.stamp(sim_report(&gov, safe_runs.len(), net.dim(), self.net.dim()));
+        let report =
+            prep.metrics()
+                .stamp(sim_report(&gov, safe_runs.len(), net.dim(), self.net.dim()));
         gov.finish(safe_count, report)
     }
 }
@@ -685,37 +642,6 @@ mod tests {
         let out = smc.hypothesis_governed(&goal, 10.0, 0.5, 0.1, 0.05, 0.05, 1000, &budget);
         assert!(out.is_exhausted());
         assert_eq!(out.value().0, TestVerdict::Undecided);
-    }
-
-    #[test]
-    fn mismatched_reduction_falls_back_to_full_network() {
-        // Regression: a property whose clock the reduction removed (the
-        // reduction was computed for a different query's atoms) used to
-        // panic in `reduced_query`. It now simulates the full network.
-        let mut b = NetworkBuilder::new();
-        let x = b.clock("x");
-        let d = b.clock("d");
-        let mut a = b.automaton("A");
-        let l0 = a.location_with_invariant("L0", vec![ClockAtom::le(x, 5)]);
-        let l1 = a.location("L1");
-        a.edge(l0, l1)
-            .guard_clock(ClockAtom::ge(x, 2))
-            .reset(d, 0)
-            .done();
-        a.done();
-        let net = b.build();
-        // Computed with no keep-alive atoms: `d` is gone.
-        let reduction = net.reduced();
-        assert!(reduction.is_reduced());
-        let prop = StateFormula::clock(ClockAtom::le(d, 10));
-        assert!(reduction.map_formula(&prop).is_none(), "d was removed");
-        let (sim_net, mapped) = reduced_query(&reduction, &net, &prop);
-        assert_eq!(sim_net.dim(), net.dim(), "fell back to the full network");
-        assert_eq!(mapped, prop);
-        // The matched pairing still uses the reduced network.
-        let matched = net.reduced_with(&prop.clock_atoms());
-        let (sim_net, _) = reduced_query(&matched, &net, &prop);
-        assert_eq!(sim_net.dim(), matched.dim());
     }
 
     #[test]

@@ -22,14 +22,22 @@
 //! [`DigitalExplorer::transitions`] groups them: one transition per
 //! joint move of first branches, a distribution over every combination
 //! of the participants' branches.
+//!
+//! [`StateIndex`] numbers the states that TIGA's game graph, CORA's cost
+//! searches and mcpta's MDP store. Every MDP, strategy and certificate
+//! depends on its contract: ids count up from `0` in first-seen order; a
+//! state is charged to the state budget before it gets an id, and a
+//! refused state gets none; the frontier pops last in, first out.
 
 use crate::explore::SymState;
 use crate::model::{raise_max_constants, ClockAtom, Edge, LocationId, LocationKind, Network};
 use crate::moves::{self, Participant};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::ControlFlow;
 use tempo_expr::Store;
-use tempo_obs::{Diagnostic, LintError};
+use tempo_obs::{Diagnostic, Governor, LintError};
 
 /// Typed rejection of a non-closed model or goal by the digital-clocks
 /// engines: one [`Diagnostic`] per strict clock bound found.
@@ -477,6 +485,84 @@ impl DigitalState {
     }
 }
 
+/// The numbering of the states a digital engine stores, and the
+/// frontier of those it has yet to expand (contract in the module
+/// documentation).
+#[derive(Debug, Default)]
+pub struct StateIndex {
+    ids: HashMap<DigitalState, usize>,
+    states: Vec<DigitalState>,
+    frontier: Vec<usize>,
+}
+
+impl StateIndex {
+    /// An empty index.
+    #[must_use]
+    pub fn new() -> Self {
+        StateIndex::default()
+    }
+
+    /// The id of `state`. An unseen state is first charged to `gov`'s
+    /// state budget, then numbered and pushed onto the frontier; `None`
+    /// when the budget refuses it.
+    pub fn intern(&mut self, state: DigitalState, gov: &Governor) -> Option<usize> {
+        match self.ids.entry(state) {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(e) => {
+                if !gov.charge_state() {
+                    return None;
+                }
+                let id = self.states.len();
+                self.states.push(e.key().clone());
+                e.insert(id);
+                self.frontier.push(id);
+                Some(id)
+            }
+        }
+    }
+
+    /// Pops the frontier: the latest interned state not popped yet.
+    pub fn pop(&mut self) -> Option<usize> {
+        self.frontier.pop()
+    }
+
+    /// How many states wait on the frontier.
+    #[must_use]
+    pub fn frontier_len(&self) -> usize {
+        self.frontier.len()
+    }
+
+    /// The state numbered `id`.
+    #[must_use]
+    pub fn state(&self, id: usize) -> &DigitalState {
+        &self.states[id]
+    }
+
+    /// Every state, by id.
+    #[must_use]
+    pub fn states(&self) -> &[DigitalState] {
+        &self.states
+    }
+
+    /// Every state, by id, by value.
+    #[must_use]
+    pub fn into_states(self) -> Vec<DigitalState> {
+        self.states
+    }
+
+    /// How many states are numbered.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Whether no state is numbered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,6 +595,43 @@ mod tests {
             exp.tick(&s).is_none(),
             "invariant x <= 3 blocks further delay"
         );
+    }
+
+    #[test]
+    fn state_index_numbers_first_seen_and_pops_last_in_first_out() {
+        let net = bounded_loop();
+        let exp = DigitalExplorer::new(&net);
+        let s0 = exp.initial_state();
+        let s1 = exp.tick(&s0).unwrap();
+        let s2 = exp.tick(&s1).unwrap();
+        let gov = tempo_obs::Budget::unlimited().with_max_states(3).governor();
+        let mut index = StateIndex::new();
+        assert_eq!(index.intern(s0.clone(), &gov), Some(0));
+        assert_eq!(index.intern(s1.clone(), &gov), Some(1));
+        assert_eq!(
+            index.intern(s0.clone(), &gov),
+            Some(0),
+            "a known state keeps its id"
+        );
+        assert_eq!(index.intern(s2.clone(), &gov), Some(2));
+        assert_eq!(index.frontier_len(), 3);
+        assert_eq!(
+            [index.pop(), index.pop(), index.pop(), index.pop()],
+            [Some(2), Some(1), Some(0), None]
+        );
+        let s3 = exp.tick(&s2).unwrap();
+        assert_eq!(
+            index.intern(s3, &gov),
+            None,
+            "the fourth state is over budget"
+        );
+        assert!(gov.is_exhausted());
+        assert_eq!(
+            index.intern(s1.clone(), &gov),
+            Some(1),
+            "known states need no budget"
+        );
+        assert_eq!(index.states(), [s0, s1, s2]);
     }
 
     #[test]

@@ -45,13 +45,14 @@ mod liveness;
 mod model;
 pub mod moves;
 mod por;
+mod prepare;
 mod reach;
 mod reduce;
 pub mod slice;
 mod symmetry;
 
 pub use codec::{decode_state, encode_state, ZoneSummary};
-pub use digital::{DigitalError, DigitalExplorer, DigitalMove, DigitalState};
+pub use digital::{DigitalError, DigitalExplorer, DigitalMove, DigitalState, StateIndex};
 pub use explore::{Action, Explorer, SymState};
 pub use flow::NetworkLu;
 pub use formula::StateFormula;
@@ -61,6 +62,7 @@ pub use model::{
     EdgeBuilder, Location, LocationId, LocationKind, Network, NetworkBuilder, Sync, SyncDir,
 };
 pub use por::Por;
+pub use prepare::QueryNetwork;
 pub use reach::{ModelChecker, ReachResult, Stats, Trace, TraceStep, Verdict};
 pub use reduce::{live_clocks, ClockReduction};
 pub use slice::{slice, Slice};

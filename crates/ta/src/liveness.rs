@@ -27,6 +27,7 @@
 use crate::explore::{Explorer, SymState};
 use crate::formula::StateFormula;
 use crate::model::{LocationId, Network};
+use crate::prepare::QueryNetwork;
 use crate::reach::{exploration_report, explore_all, Stats, Trace, TraceStep, Verdict};
 use std::collections::HashSet;
 use tempo_expr::Store;
@@ -58,12 +59,8 @@ pub fn leads_to_governed(
     // Discrete predicates read no clocks, so active-clock reduction is
     // always verdict-preserving here.
     let model_dim = net.dim();
-    let reduction = net.reduced();
-    let net = if reduction.is_reduced() {
-        reduction.network()
-    } else {
-        net
-    };
+    let prep = QueryNetwork::prepare(net, &[], false, true);
+    let net = prep.network();
     let explorer = Explorer::new(net);
 
     // Phase 1: collect all reachable states (inclusion-reduced), keeping

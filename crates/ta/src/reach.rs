@@ -9,6 +9,7 @@ use crate::explore::{Action, Explorer, SymState};
 use crate::formula::StateFormula;
 use crate::model::Network;
 use crate::por::Por;
+use crate::prepare::QueryNetwork;
 use crate::symmetry::Symmetry;
 use tempo_obs::{
     Budget, ExploreConfig, Governor, Outcome, RunReport, SpillError, SpillMetrics, StateStore,
@@ -433,40 +434,17 @@ impl<'n> ModelChecker<'n> {
         budget: &Budget,
     ) -> Result<Outcome<ReachResult>, SpillError> {
         let gov = &budget.governor();
-        let mut flow = crate::flow::FlowMetrics::default();
-        let atoms = goal.clock_atoms();
-        // Query-directed slicing: disable edges that provably never fire
-        // (empty data guards under the range fixpoint, partnerless
-        // synchronizations) before the clock analysis, so that clocks
-        // only those edges observed can be dropped as well.
-        let sliced = self.config.slice.then(|| crate::slice::slice(self.net));
-        let base: &Network = sliced.as_ref().map_or(self.net, |s| &s.net);
-        if let Some(s) = &sliced {
-            flow.sliced_edges = s.disabled_edges;
-            flow.vars_narrowed = s.vars_narrowed;
-            flow.sliced_vars = s.dead_vars.len() as u64;
-        }
-        // Active-clock reduction: drop clocks that neither the model nor
-        // the query reads, shrinking every DBM of the exploration. The
-        // query's atoms are kept alive, so verdicts are unchanged.
-        let reduction = self.reduce.then(|| base.reduced_with(&atoms));
-        if let (Some(s), Some(r)) = (&sliced, &reduction) {
-            if s.disabled_edges > 0 {
-                let plain = self.net.reduced_with(&atoms).removed().len();
-                flow.sliced_clocks = (r.removed().len().saturating_sub(plain)) as u64;
-            }
-        }
-        // Graceful fallback: if a property atom's clock was dropped
-        // anyway (a mapping bug or a degenerate model), explore the
-        // unreduced network instead of panicking — verdicts only.
-        let (net, goal) = match &reduction {
-            Some(r) if r.is_reduced() => match r.map_formula(goal) {
-                Some(g) => (r.network(), g),
-                None => (base, goal.clone()),
-            },
-            _ => (base, goal.clone()),
-        };
-        let goal = &goal;
+        // Query-directed slicing, then active-clock reduction with the
+        // query's atoms kept alive: verdicts are unchanged while every
+        // DBM of the exploration shrinks.
+        let mut prep = QueryNetwork::prepare(
+            self.net,
+            std::slice::from_ref(goal),
+            self.config.slice,
+            self.reduce,
+        );
+        let lu = self.config.lu.then(|| prep.lu());
+        let (net, goal) = (prep.network(), prep.query(0));
 
         // State-space reductions, each conservative by construction: the
         // analyses return nothing whenever their soundness conditions
@@ -494,9 +472,7 @@ impl<'n> ModelChecker<'n> {
             .lu
             .then(|| Explorer::with_extra_constants(net, &goal.clock_atoms()));
         let mut explorer = Explorer::with_extra_constants(net, &goal.clock_atoms());
-        if self.config.lu {
-            let lu = crate::flow::NetworkLu::analyze(net, &goal.clock_atoms());
-            flow.lu_tightened = lu.tightened(&net.max_constants());
+        if let Some(lu) = lu {
             explorer = explorer.with_lu(lu);
         }
         let mut store = StateStore::create(self.config.spill.as_ref())?;
@@ -514,7 +490,7 @@ impl<'n> ModelChecker<'n> {
             .map(|id| build_trace(&mut store, id, net, sym.as_ref()))
             .transpose()?
             .map(|t| renormalize_trace(replay.as_ref(), t));
-        let report = flow.stamp(exploration_report(
+        let report = prep.metrics().stamp(exploration_report(
             gov,
             &run.stats,
             run.peak,
@@ -591,11 +567,8 @@ impl<'n> ModelChecker<'n> {
         let gov = &budget.governor();
         // The deadlock condition only reads guards and invariants, so
         // active-clock reduction preserves it exactly.
-        let reduction = self.reduce.then(|| self.net.reduced());
-        let net = match &reduction {
-            Some(r) if r.is_reduced() => r.network(),
-            _ => self.net,
-        };
+        let prep = QueryNetwork::prepare(self.net, &[], false, self.reduce);
+        let net = prep.network();
         // The deadlock predicate is invariant under template automorphisms
         // (permuting identical components maps enabled transitions to
         // enabled transitions), so symmetry reduction is sound here.

@@ -206,8 +206,15 @@ impl Network {
     /// to non-negative constants, which never refuse a move.
     #[must_use]
     pub fn reduced_with(&self, extra: &[ClockAtom]) -> ClockReduction {
-        let dim = self.dim();
-        let mut read = vec![false; dim];
+        self.reduced_to(&self.read_clocks(extra))
+    }
+
+    /// The read pass of active-clock reduction: `read[c]` is `true` iff
+    /// clock `c` is the reference clock, is compared by a guard, an
+    /// invariant or one of the `extra` atoms, or is reset to a value
+    /// other than a non-negative constant.
+    pub(crate) fn read_clocks(&self, extra: &[ClockAtom]) -> Vec<bool> {
+        let mut read = vec![false; self.dim()];
         read[0] = true;
         for a in &self.automata {
             for l in &a.locations {
@@ -229,7 +236,13 @@ impl Network {
         for atom in extra {
             feed_atom(&mut read, atom);
         }
+        read
+    }
 
+    /// Removes every clock that `read` (from `read_clocks`)
+    /// marks unread, together with its resets.
+    pub(crate) fn reduced_to(&self, read: &[bool]) -> ClockReduction {
+        let dim = self.dim();
         let mut map: Vec<Option<Clock>> = vec![None; dim];
         map[0] = Some(Clock::REF);
         let mut clock_names = Vec::new();

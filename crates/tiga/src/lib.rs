@@ -28,8 +28,10 @@
 
 use std::collections::HashMap;
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
-use tempo_ta::flow::FlowMetrics;
-use tempo_ta::{DigitalError, DigitalExplorer, DigitalMove, DigitalState, Network, StateFormula};
+use tempo_ta::{
+    DigitalError, DigitalExplorer, DigitalMove, DigitalState, Network, QueryNetwork, StateFormula,
+    StateIndex,
+};
 
 /// What the synthesized controller prescribes in a state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,14 +145,40 @@ pub struct GameSolver<'n> {
     flow: bool,
 }
 
-/// Internal: the explored game graph.
+/// Internal: the game graph explored for one query.
 struct Graph {
-    states: Vec<DigitalState>,
-    index: HashMap<DigitalState, usize>,
-    /// Per state: (move, successor index, controllable).
+    index: StateIndex,
+    /// Per state: (move, successor index).
     moves: Vec<Vec<(DigitalMove, usize)>>,
     /// Per state: tick successor index.
     tick: Vec<Option<usize>>,
+    /// Per state: whether it satisfies the query's formula (empty when
+    /// the build was truncated).
+    hits: Vec<bool>,
+    /// The strategy's clock projection (see [`Strategy::projection`]).
+    proj: Option<Vec<usize>>,
+    /// The run report, but for the sweeps and the wall time.
+    report: RunReport,
+}
+
+impl Graph {
+    /// The run report after `sweeps` fixpoint sweeps.
+    fn report(&self, gov: &Governor, sweeps: u64) -> RunReport {
+        RunReport {
+            sweeps,
+            wall_time: gov.elapsed(),
+            ..self.report.clone()
+        }
+    }
+
+    /// The result when no winning strategy is proven.
+    fn unproven(&self) -> GameResult {
+        GameResult {
+            winning: false,
+            strategy: Strategy::default(),
+            states: self.index.len(),
+        }
+    }
 }
 
 impl<'n> GameSolver<'n> {
@@ -212,121 +240,87 @@ impl<'n> GameSolver<'n> {
         report.into_result(config)
     }
 
-    /// Explores the game graph, charging the governor's state budget.
-    /// Returns the (possibly truncated) graph and the frontier's
-    /// high-water mark; on truncation the governor is left exhausted.
-    fn build_graph(exp: &DigitalExplorer<'_>, gov: &Governor) -> (Graph, usize) {
-        let mut graph = Graph {
-            states: Vec::new(),
-            index: HashMap::new(),
-            moves: Vec::new(),
-            tick: Vec::new(),
-        };
-        let mut peak = 0usize;
-        if !gov.charge_state() {
-            return (graph, peak);
-        }
-        let init = exp.initial_state();
-        graph.index.insert(init.clone(), 0);
-        graph.states.push(init);
-        graph.moves.push(Vec::new());
-        graph.tick.push(None);
-        peak = 1;
-        let mut frontier = vec![0_usize];
-        'build: while let Some(i) = frontier.pop() {
-            if !gov.check_time() {
-                break;
-            }
-            let state = graph.states[i].clone();
-            if let Some(next) = exp.tick(&state) {
-                let Some(j) = intern(&mut graph, next, &mut frontier, gov) else {
-                    break 'build;
-                };
-                graph.tick[i] = Some(j);
-            }
-            for (mv, next) in exp.moves(&state) {
-                let Some(j) = intern(&mut graph, next, &mut frontier, gov) else {
-                    break 'build;
-                };
-                graph.moves[i].push((mv, j));
-            }
-            peak = peak.max(frontier.len());
-        }
-        (graph, peak)
-    }
-
-    /// Query-directed slicing followed by active-clock reduction for one
-    /// query: provably disabled edges change neither player's options
-    /// (their guards are false in every reachable store), and clocks read
-    /// by no remaining guard, invariant or property atom cannot influence
-    /// enabledness, so the reduced game is bisimilar to the full one
-    /// under clock projection. Returns the solving network, the mapped
-    /// property, the projection for the [`Strategy`] (if any reduction
-    /// happened) and the dataflow metrics.
+    /// Explores the game graph of one query, charging the governor's
+    /// state budget; on truncation the governor is left exhausted.
+    ///
+    /// The graph is built after query-directed slicing and active-clock
+    /// reduction: provably disabled edges change neither player's
+    /// options (their guards are false in every reachable store), and
+    /// clocks read by no remaining guard, invariant or property atom
+    /// cannot influence enabledness, so the reduced game is bisimilar to
+    /// the full one under clock projection.
     ///
     /// The per-location LU tick clamp of the cost engine is deliberately
     /// *not* used here: strategies are state-indexed artifacts that the
     /// independent witness checker replays against exact digital states,
     /// so coarsening the state abstraction would break the certificate's
     /// strategy lookups.
-    fn reduced_for(
-        &self,
-        prop: &StateFormula,
-    ) -> (
-        tempo_ta::ClockReduction,
-        StateFormula,
-        Option<Vec<usize>>,
-        FlowMetrics,
-    ) {
-        let mut metrics = FlowMetrics::default();
-        let sliced = self.flow.then(|| tempo_ta::slice(self.exp.network()));
-        let base: &Network = sliced.as_ref().map_or(self.exp.network(), |s| &s.net);
-        if let Some(s) = &sliced {
-            metrics.sliced_edges = s.disabled_edges;
-            metrics.vars_narrowed = s.vars_narrowed;
-            metrics.sliced_vars = s.dead_vars.len() as u64;
+    fn explore(&self, prop: &StateFormula, gov: &Governor) -> Graph {
+        let model = self.exp.network();
+        let prep = QueryNetwork::prepare(model, std::slice::from_ref(prop), self.flow, true);
+        let (net, prop) = (prep.network(), prep.query(0));
+        // The clamp keeps the query's clock constants observable.
+        let exp = DigitalExplorer::for_query(net, &prep.atoms())
+            .expect("closed: the solver was built from a closed network");
+        let mut index = StateIndex::new();
+        let (mut moves, mut tick) = (Vec::new(), Vec::new());
+        let mut peak = 0usize;
+        if index.intern(exp.initial_state(), gov).is_some() {
+            peak = 1;
         }
-        let reduction = base.reduced_with(&prop.clock_atoms());
-        if let Some(s) = &sliced {
-            if s.disabled_edges > 0 {
-                let plain = self
-                    .exp
-                    .network()
-                    .reduced_with(&prop.clock_atoms())
-                    .removed()
-                    .len();
-                metrics.sliced_clocks = reduction.removed().len().saturating_sub(plain) as u64;
+        'build: while let Some(i) = index.pop() {
+            if !gov.check_time() {
+                break;
             }
+            let state = index.state(i).clone();
+            let mut next_tick = None;
+            if let Some(next) = exp.tick(&state) {
+                let Some(j) = index.intern(next, gov) else {
+                    break 'build;
+                };
+                next_tick = Some(j);
+            }
+            let mut next_moves = Vec::new();
+            for (mv, next) in exp.moves(&state) {
+                let Some(j) = index.intern(next, gov) else {
+                    break 'build;
+                };
+                next_moves.push((mv, j));
+            }
+            moves.resize_with(index.len(), Vec::new);
+            tick.resize(index.len(), None);
+            moves[i] = next_moves;
+            tick[i] = next_tick;
+            peak = peak.max(index.frontier_len());
         }
-        if reduction.is_reduced() {
-            let mapped = reduction
-                .map_formula(prop)
-                .expect("property atoms are kept alive by reduced_with");
-            let proj = Some(reduction.kept());
-            (reduction, mapped, proj, metrics)
+        let hits = if gov.is_exhausted() {
+            Vec::new()
         } else {
-            (reduction, prop.clone(), None, metrics)
-        }
-    }
-
-    fn game_report(
-        &self,
-        gov: &Governor,
-        states: usize,
-        peak: usize,
-        sweeps: u64,
-        dim: usize,
-    ) -> RunReport {
-        RunReport {
-            states_explored: states as u64,
-            states_stored: states as u64,
+            index
+                .states()
+                .iter()
+                .map(|s| exp.satisfies(s, prop))
+                .collect()
+        };
+        let report = prep.metrics().stamp(RunReport {
+            states_explored: index.len() as u64,
+            states_stored: index.len() as u64,
             peak_waiting: peak as u64,
-            sweeps,
-            runs_simulated: 0,
-            dbm_dim: dim as u64,
-            dbm_dim_model: self.exp.network().dim() as u64,
-            wall_time: gov.elapsed(),
+            dbm_dim: net.dim() as u64,
+            dbm_dim_model: model.dim() as u64,
             ..RunReport::default()
+        });
+        let proj = prep
+            .reduction()
+            .is_reduced()
+            .then(|| prep.reduction().kept());
+        Graph {
+            index,
+            moves,
+            tick,
+            hits,
+            proj,
+            report,
         }
     }
 
@@ -346,30 +340,13 @@ impl<'n> GameSolver<'n> {
         budget: &Budget,
     ) -> Outcome<GameResult> {
         let gov = budget.governor();
-        let (reduction, goal, proj, metrics) = self.reduced_for(goal);
-        // The clamp keeps the query's clock constants observable.
-        let exp = DigitalExplorer::for_query(reduction.network(), &goal.clock_atoms())
-            .expect("closed: the solver was built from a closed network");
-        let dim = reduction.network().dim();
-        let (graph, peak) = Self::build_graph(&exp, &gov);
-        let n = graph.states.len();
+        let graph = self.explore(goal, &gov);
+        let n = graph.index.len();
         let mut sweeps = 0u64;
         if gov.is_exhausted() {
-            let report = metrics.stamp(self.game_report(&gov, n, peak, sweeps, dim));
-            return gov.finish(
-                GameResult {
-                    winning: false,
-                    strategy: Strategy::default(),
-                    states: n,
-                },
-                report,
-            );
+            return gov.finish(graph.unproven(), graph.report(&gov, sweeps));
         }
-        let is_goal: Vec<bool> = graph
-            .states
-            .iter()
-            .map(|s| exp.satisfies(s, &goal))
-            .collect();
+        let is_goal = &graph.hits;
         // Least fixpoint of the controllable predecessor, tracking the
         // round in which each state became winning (its *rank*); the
         // strategy moves to strictly smaller ranks, guaranteeing progress
@@ -417,14 +394,14 @@ impl<'n> GameSolver<'n> {
         }
         let mut strategy = Strategy {
             moves: HashMap::new(),
-            proj,
+            proj: graph.proj.clone(),
         };
         for i in 0..n {
             let Some(r) = rank[i] else { continue };
             if is_goal[i] {
                 strategy
                     .moves
-                    .insert(graph.states[i].clone(), StrategyMove::Wait);
+                    .insert(graph.index.state(i).clone(), StrategyMove::Wait);
                 continue;
             }
             // Progress: move to a strictly smaller rank if a controllable
@@ -437,7 +414,7 @@ impl<'n> GameSolver<'n> {
                 Some((m, _)) => StrategyMove::Act(m.clone()),
                 None => StrategyMove::Wait,
             };
-            strategy.moves.insert(graph.states[i].clone(), mv);
+            strategy.moves.insert(graph.index.state(i).clone(), mv);
         }
         let winning = rank.first().is_some_and(Option::is_some);
         let result = GameResult {
@@ -445,7 +422,7 @@ impl<'n> GameSolver<'n> {
             strategy,
             states: n,
         };
-        let report = metrics.stamp(self.game_report(&gov, n, peak, sweeps, dim));
+        let report = graph.report(&gov, sweeps);
         if winning {
             // Ranked states are winning even under an interrupted least
             // fixpoint, so a ranked initial state is a definitive verdict.
@@ -469,30 +446,13 @@ impl<'n> GameSolver<'n> {
         budget: &Budget,
     ) -> Outcome<GameResult> {
         let gov = budget.governor();
-        let (reduction, bad, proj, metrics) = self.reduced_for(bad);
-        // The clamp keeps the query's clock constants observable.
-        let exp = DigitalExplorer::for_query(reduction.network(), &bad.clock_atoms())
-            .expect("closed: the solver was built from a closed network");
-        let dim = reduction.network().dim();
-        let (graph, peak) = Self::build_graph(&exp, &gov);
-        let n = graph.states.len();
+        let graph = self.explore(bad, &gov);
+        let n = graph.index.len();
         let mut sweeps = 0u64;
         if gov.is_exhausted() {
-            let report = metrics.stamp(self.game_report(&gov, n, peak, sweeps, dim));
-            return gov.finish(
-                GameResult {
-                    winning: false,
-                    strategy: Strategy::default(),
-                    states: n,
-                },
-                report,
-            );
+            return gov.finish(graph.unproven(), graph.report(&gov, sweeps));
         }
-        let mut winning: Vec<bool> = graph
-            .states
-            .iter()
-            .map(|s| !exp.satisfies(s, &bad))
-            .collect();
+        let mut winning: Vec<bool> = graph.hits.iter().map(|&bad| !bad).collect();
         // Greatest fixpoint: remove states the environment can force out
         // of W or where the controller cannot stay in W.
         let stays_winning = |i: usize, winning: &[bool]| -> bool {
@@ -530,19 +490,11 @@ impl<'n> GameSolver<'n> {
         if gov.is_exhausted() {
             // Interrupted greatest fixpoint: `winning` is only an
             // over-approximation; claim nothing.
-            let report = metrics.stamp(self.game_report(&gov, n, peak, sweeps, dim));
-            return gov.finish(
-                GameResult {
-                    winning: false,
-                    strategy: Strategy::default(),
-                    states: n,
-                },
-                report,
-            );
+            return gov.finish(graph.unproven(), graph.report(&gov, sweeps));
         }
         let mut strategy = Strategy {
             moves: HashMap::new(),
-            proj,
+            proj: graph.proj.clone(),
         };
         for i in 0..n {
             if !winning[i] {
@@ -558,9 +510,9 @@ impl<'n> GameSolver<'n> {
             } else {
                 StrategyMove::Wait
             };
-            strategy.moves.insert(graph.states[i].clone(), mv);
+            strategy.moves.insert(graph.index.state(i).clone(), mv);
         }
-        let report = metrics.stamp(self.game_report(&gov, n, peak, sweeps, dim));
+        let report = graph.report(&gov, sweeps);
         gov.finish_complete(
             GameResult {
                 winning: winning.first().copied().unwrap_or(false),
@@ -623,27 +575,6 @@ impl<'n> GameSolver<'n> {
 /// sweep affects its neighbours only in the next one.
 fn sweep(n: usize, test: impl Fn(usize) -> bool) -> Vec<usize> {
     (0..n).filter(|&i| test(i)).collect()
-}
-
-fn intern(
-    graph: &mut Graph,
-    state: DigitalState,
-    frontier: &mut Vec<usize>,
-    gov: &Governor,
-) -> Option<usize> {
-    if let Some(&i) = graph.index.get(&state) {
-        return Some(i);
-    }
-    if !gov.charge_state() {
-        return None;
-    }
-    let i = graph.states.len();
-    graph.index.insert(state.clone(), i);
-    graph.states.push(state);
-    graph.moves.push(Vec::new());
-    graph.tick.push(None);
-    frontier.push(i);
-    Some(i)
 }
 
 impl tempo_obs::StableDigest for GameSolver<'_> {

@@ -767,10 +767,12 @@ impl PricedRunCertificate {
     }
 }
 
-/// Serializes a certificate, validates the stated invariant that it
-/// stays parseable, and stamps its size and the validation wall time
-/// into the outcome's report.
-fn stamp<T>(out: &mut Outcome<T>, cert: &Certificate, started: Instant) {
+/// Records a certificate's accounting on the outcome's report: its
+/// serialized size (`certificate_bytes`) and the time spent producing
+/// and validating it since `started` (`certify_time`). Every certified
+/// entry point stamps its outcome this way, in this crate and in the
+/// engines built on it.
+pub fn stamp<T>(out: &mut Outcome<T>, cert: &Certificate, started: Instant) {
     let bytes = crate::format::render(cert).len() as u64;
     let (Outcome::Complete { report, .. } | Outcome::Exhausted { report, .. }) = out;
     report.certificate_bytes = bytes;

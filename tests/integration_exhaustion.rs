@@ -406,6 +406,7 @@ const UNLIMITED_PINS: &[(&str, &str)] = &[
         "expected_cost",
         "(10.036324404521011, 1.8166728399149696, 100)",
     ),
+    ("cost_cdf", "(100, 0.34, 0.66)"),
     ("solve_reachability", "(true, 12, 8)"),
     ("solve_safety", "(true, 12, 8)"),
     ("reachability Max", "1.0"),
@@ -554,6 +555,11 @@ fn unlimited_budgets_always_complete() {
     got.push((
         "expected_cost",
         format!("{:?}", (m.mean, m.std_dev, m.runs)),
+    ));
+    let c = complete(pc().cost_cdf_governed(&finished, 10.0, 100, &unlimited));
+    got.push((
+        "cost_cdf",
+        format!("{:?}", (c.hits(), c.at(9.0), c.at(11.0))),
     ));
 
     // Games.

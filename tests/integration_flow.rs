@@ -15,9 +15,11 @@ use tempo_core::cora::PricedNetwork;
 use tempo_core::expr::{Expr, Stmt};
 use tempo_core::mdp::Opt;
 use tempo_core::modest::{Mcpta, McptaConfig};
-use tempo_core::obs::{Budget, ExploreConfig, RunReport};
-use tempo_core::smc::StatisticalChecker;
-use tempo_core::ta::{ChannelKind, ClockAtom, ModelChecker, Network, NetworkBuilder, StateFormula};
+use tempo_core::obs::{Budget, CounterKind, ExploreConfig, RunReport};
+use tempo_core::smc::{RatePolicy, StatisticalChecker};
+use tempo_core::ta::{
+    leads_to_governed, ChannelKind, ClockAtom, ModelChecker, Network, NetworkBuilder, StateFormula,
+};
 use tempo_core::tiga::GameSolver;
 use tempo_core::witness::{realize, replay};
 use tempo_models::{brp, train_gate, train_gate_game, wcet_program};
@@ -399,3 +401,300 @@ fn mcpta_probabilities_survive_flow_and_the_mdp_never_grows() {
         );
     }
 }
+
+/// The non-zero work counters of a run report, `name=value` in the
+/// report's declaration order: a counter missing here read 0.
+fn work_counters(r: &RunReport) -> String {
+    r.counters()
+        .filter(|&(_, v, kind)| kind == CounterKind::Work && v > 0)
+        .map(|(name, v, _)| format!("{name}={v}"))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Every engine that runs the per-query passes on one model:
+/// automaton `A` moves `L0 (x <= 3) -(x >= 1)-> L1`, and a `Ghost`
+/// self-loop guarded by `v >= 99` (`v` in `[0, 5]`, never written) and
+/// `z >= 1` resets `z`. Slicing disables the self-loop, which frees
+/// `z` for active-clock reduction: every engine must report one sliced
+/// edge, one sliced clock and a DBM dimension of 2 out of 3.
+#[test]
+fn every_engine_reports_the_same_flow_counters() {
+    let mut b = NetworkBuilder::new();
+    let x = b.clock("x");
+    let z = b.clock("z");
+    let v = b.decls_mut().int("v", 0, 5);
+    let mut a = b.automaton("A");
+    let l0 = a.location_with_invariant("L0", vec![ClockAtom::le(x, 3)]);
+    let l1 = a.location("L1");
+    a.edge(l0, l1).guard_clock(ClockAtom::ge(x, 1)).done();
+    let aid = a.done();
+    let mut g = b.automaton("Ghost");
+    let gl = g.location("G");
+    g.edge(gl, gl)
+        .guard_data(Expr::var(v).ge(Expr::konst(99)))
+        .guard_clock(ClockAtom::ge(z, 1))
+        .reset(z, 0)
+        .done();
+    g.done();
+    let net = b.build();
+    let goal = StateFormula::at(aid, l1);
+
+    let mut reports = zone_reports(&net, &goal, None);
+    reports.retain(|(name, _)| name == "zone_reach");
+    reports.extend(smc_reports(&net, RatePolicy::new(), &goal));
+    reports.extend(game_reports(&net, &goal));
+    reports.extend(cora_reports(PricedNetwork::new(net.clone()), &goal));
+    reports.extend(mcpta_reports(&net, &goal.clock_atoms()));
+    assert_eq!(reports.len(), 13);
+    for (name, r) in &reports {
+        assert_eq!(
+            (r.sliced_edges, r.sliced_clocks, r.dbm_dim, r.dbm_dim_model),
+            (1, 1, 2, 3),
+            "{name}: sliced_edges, sliced_clocks, dbm_dim, dbm_dim_model"
+        );
+    }
+}
+
+/// Zone reachability (default configuration), deadlock freedom and, when
+/// `leads` names `phi --> psi`, leads-to.
+fn zone_reports(
+    net: &Network,
+    goal: &StateFormula,
+    leads: Option<(&StateFormula, &StateFormula)>,
+) -> Vec<(String, RunReport)> {
+    let unlimited = Budget::unlimited();
+    let mut mc = ModelChecker::new(net);
+    let mut out = vec![
+        (
+            "zone_reach".to_owned(),
+            mc.try_reachable_governed(goal, &unlimited)
+                .expect("in-memory store")
+                .report()
+                .clone(),
+        ),
+        (
+            "zone_deadlock".to_owned(),
+            mc.try_deadlock_free_governed(&unlimited)
+                .expect("in-memory store")
+                .report()
+                .clone(),
+        ),
+    ];
+    if let Some((phi, psi)) = leads {
+        let r = leads_to_governed(net, phi, psi, &unlimited);
+        out.push(("leads_to".to_owned(), r.report().clone()));
+    }
+    out
+}
+
+/// The five estimators that slice, each on a fresh checker (seed 5).
+fn smc_reports(net: &Network, rates: RatePolicy, goal: &StateFormula) -> Vec<(String, RunReport)> {
+    let unlimited = Budget::unlimited();
+    let smc = || StatisticalChecker::new(net, rates.clone(), 5);
+    let not_goal = StateFormula::not(goal.clone());
+    let probability = smc()
+        .probability_governed(goal, 20.0, 40, 0.95, &unlimited)
+        .expect("valid parameters");
+    let hypothesis = smc().hypothesis_governed(goal, 20.0, 0.5, 0.1, 0.05, 0.05, 200, &unlimited);
+    let cdf = smc().cdf_governed(goal, 20.0, 40, &unlimited);
+    let compare = smc().compare_governed(goal, &not_goal, 20.0, 40, 0.1, &unlimited);
+    let globally = smc().count_globally_governed(&not_goal, 20.0, 40, &unlimited);
+    vec![
+        ("smc_probability".to_owned(), probability.report().clone()),
+        ("smc_hypothesis".to_owned(), hypothesis.report().clone()),
+        ("smc_cdf".to_owned(), cdf.report().clone()),
+        ("smc_compare".to_owned(), compare.report().clone()),
+        ("smc_count_globally".to_owned(), globally.report().clone()),
+    ]
+}
+
+/// Both timed games, with `goal` as the reachability goal and as the
+/// safety game's bad states.
+fn game_reports(net: &Network, goal: &StateFormula) -> Vec<(String, RunReport)> {
+    let unlimited = Budget::unlimited();
+    let solver = GameSolver::new(net);
+    vec![
+        (
+            "tiga_reach".to_owned(),
+            solver
+                .solve_reachability_governed(goal, &unlimited)
+                .report()
+                .clone(),
+        ),
+        (
+            "tiga_safety".to_owned(),
+            solver
+                .solve_safety_governed(goal, &unlimited)
+                .report()
+                .clone(),
+        ),
+    ]
+}
+
+/// The four cost queries.
+fn cora_reports(priced: PricedNetwork, goal: &StateFormula) -> Vec<(String, RunReport)> {
+    let unlimited = Budget::unlimited();
+    vec![
+        (
+            "cora_min_cost".to_owned(),
+            priced
+                .min_cost_reach_governed(goal, &unlimited)
+                .report()
+                .clone(),
+        ),
+        (
+            "cora_max_cost".to_owned(),
+            priced
+                .max_cost_reach_governed(goal, &unlimited)
+                .report()
+                .clone(),
+        ),
+        (
+            "cora_min_time".to_owned(),
+            priced
+                .min_time_reach_governed(goal, &unlimited)
+                .report()
+                .clone(),
+        ),
+        (
+            "cora_max_time".to_owned(),
+            priced
+                .max_time_reach_governed(goal, &unlimited)
+                .report()
+                .clone(),
+        ),
+    ]
+}
+
+/// The digital-clocks MDP build.
+fn mcpta_reports(pta: &Network, atoms: &[ClockAtom]) -> Vec<(String, RunReport)> {
+    let out = Mcpta::try_build(pta, atoms, &Budget::unlimited());
+    vec![("mcpta_build".to_owned(), out.report().clone())]
+}
+
+/// Random models on which slicing disables an edge and frees a clock.
+const SLICED_SEEDS: [u64; 3] = [7, 23, 38];
+
+/// The work counters of every engine that runs the per-query passes, on
+/// random models where slicing fires and on the bundled models, pinned
+/// so that a change to how a query's network is prepared, or to how the
+/// digital engines number their states, shows as a moved count.
+#[test]
+fn flow_counters_match_pinned_values() {
+    let mut got: Vec<String> = Vec::new();
+    let mut push = |model: &str, reports: Vec<(String, RunReport)>| {
+        for (engine, r) in reports {
+            got.push(format!("{model} {engine}: {}", work_counters(&r)));
+        }
+    };
+    for seed in SLICED_SEEDS {
+        let (net, goal) = random_model(seed);
+        let model = format!("random({seed})");
+        push(
+            &model,
+            zone_reports(&net, &goal, Some((&StateFormula::True, &goal))),
+        );
+        push(&model, smc_reports(&net, RatePolicy::new(), &goal));
+        push(&model, game_reports(&net, &goal));
+        push(&model, cora_reports(PricedNetwork::new(net.clone()), &goal));
+        push(&model, mcpta_reports(&net, &goal.clock_atoms()));
+    }
+    let tg = train_gate(2);
+    let leads = (&tg.appr(0), &tg.cross(0));
+    push(
+        "train_gate(2)",
+        zone_reports(&tg.net, &tg.cross(1), Some(leads)),
+    );
+    push(
+        "train_gate(2)",
+        smc_reports(&tg.net, tg.rates(), &tg.cross(0)),
+    );
+    let game = train_gate_game(2);
+    push(
+        "train_gate_game(2)",
+        game_reports(&game.net, &game.collision()),
+    );
+    let wcet = wcet_program(3);
+    let mut priced = PricedNetwork::new(wcet.net.clone());
+    for (ei, _) in wcet.net.automata()[wcet.cpu.index()]
+        .edges
+        .iter()
+        .enumerate()
+    {
+        priced.set_edge_cost(wcet.cpu, ei, 1 + (ei as i64) % 3);
+    }
+    push("wcet_program(3)", cora_reports(priced, &wcet.terminated()));
+    push("brp(2,2,1)", mcpta_reports(&brp(2, 2, 1).pta, &[]));
+    assert_eq!(got.len(), FLOW_PINS.len(), "one pin per engine run");
+    let moved: Vec<String> = got
+        .iter()
+        .zip(FLOW_PINS)
+        .filter(|(line, pin)| line != *pin)
+        .map(|(line, pin)| format!("got {line}\npin {pin}"))
+        .collect();
+    assert!(moved.is_empty(), "moved counters:\n{}", moved.join("\n"));
+}
+
+const FLOW_PINS: &[&str] = &[
+    "random(7) zone_reach: states_explored=5 states_stored=9 peak_waiting=5 dbm_dim=4 dbm_dim_model=5 sym_orbits=1 sym_states_avoided=1 lu_tightened=24 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) zone_deadlock: states_explored=709 states_stored=415 peak_waiting=72 dbm_dim=5 dbm_dim_model=5 sym_orbits=1 sym_states_avoided=1033",
+    "random(7) leads_to: states_explored=3103 states_stored=1539 peak_waiting=330 dbm_dim=5 dbm_dim_model=5",
+    "random(7) smc_probability: runs_simulated=40 dbm_dim=4 dbm_dim_model=5 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) smc_hypothesis: runs_simulated=8 dbm_dim=4 dbm_dim_model=5 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) smc_cdf: runs_simulated=40 dbm_dim=4 dbm_dim_model=5 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) smc_compare: runs_simulated=40 dbm_dim=4 dbm_dim_model=5 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) smc_count_globally: runs_simulated=40 dbm_dim=4 dbm_dim_model=5 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) tiga_reach: states_explored=6921 states_stored=6921 peak_waiting=88 sweeps=3 dbm_dim=4 dbm_dim_model=5 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) tiga_safety: states_explored=6921 states_stored=6921 peak_waiting=88 sweeps=14 dbm_dim=4 dbm_dim_model=5 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) cora_min_cost: states_explored=6 states_stored=12 peak_waiting=7 dbm_dim=4 dbm_dim_model=5 lu_tightened=24 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) cora_max_cost: states_explored=6921 states_stored=6921 peak_waiting=88 sweeps=3 dbm_dim=4 dbm_dim_model=5 lu_tightened=24 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) cora_min_time: states_explored=6 states_stored=12 peak_waiting=7 dbm_dim=4 dbm_dim_model=5 lu_tightened=24 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) cora_max_time: states_explored=6921 states_stored=6921 peak_waiting=88 sweeps=3 dbm_dim=4 dbm_dim_model=5 lu_tightened=24 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(7) mcpta_build: states_explored=6921 states_stored=6921 peak_waiting=173 dbm_dim=4 dbm_dim_model=5 lu_tightened=24 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) zone_reach: states_explored=25 states_stored=35 peak_waiting=11 dbm_dim=3 dbm_dim_model=4 sym_orbits=1 sym_states_avoided=14 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) zone_deadlock: states_explored=51 states_stored=67 peak_waiting=18 dbm_dim=4 dbm_dim_model=4 sym_orbits=1 sym_states_avoided=30",
+    "random(23) leads_to: states_explored=323 states_stored=279 peak_waiting=36 dbm_dim=4 dbm_dim_model=4",
+    "random(23) smc_probability: runs_simulated=40 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) smc_hypothesis: runs_simulated=8 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) smc_cdf: runs_simulated=40 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) smc_compare: runs_simulated=40 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) smc_count_globally: runs_simulated=40 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) tiga_reach: states_explored=1026 states_stored=1026 peak_waiting=26 sweeps=8 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) tiga_safety: states_explored=1026 states_stored=1026 peak_waiting=26 sweeps=19 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) cora_min_cost: states_explored=79 states_stored=126 peak_waiting=48 dbm_dim=3 dbm_dim_model=4 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) cora_max_cost: states_explored=909 states_stored=909 peak_waiting=25 sweeps=7 dbm_dim=3 dbm_dim_model=4 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) cora_min_time: states_explored=109 states_stored=144 peak_waiting=45 dbm_dim=3 dbm_dim_model=4 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) cora_max_time: states_explored=909 states_stored=909 peak_waiting=25 sweeps=9 dbm_dim=3 dbm_dim_model=4 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(23) mcpta_build: states_explored=909 states_stored=909 peak_waiting=29 dbm_dim=3 dbm_dim_model=4 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) zone_reach: states_explored=11 states_stored=16 peak_waiting=6 dbm_dim=3 dbm_dim_model=4 sym_orbits=1 sym_states_avoided=5 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) zone_deadlock: states_explored=179 states_stored=162 peak_waiting=20 dbm_dim=4 dbm_dim_model=4 sym_orbits=1 sym_states_avoided=106",
+    "random(38) leads_to: states_explored=322 states_stored=279 peak_waiting=36 dbm_dim=4 dbm_dim_model=4",
+    "random(38) smc_probability: runs_simulated=40 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) smc_hypothesis: runs_simulated=8 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) smc_cdf: runs_simulated=40 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) smc_compare: runs_simulated=40 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) smc_count_globally: runs_simulated=40 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) tiga_reach: states_explored=513 states_stored=513 peak_waiting=27 sweeps=6 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) tiga_safety: states_explored=513 states_stored=513 peak_waiting=27 sweeps=11 dbm_dim=3 dbm_dim_model=4 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) cora_min_cost: states_explored=25 states_stored=40 peak_waiting=16 dbm_dim=3 dbm_dim_model=4 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) cora_max_cost: states_explored=513 states_stored=513 peak_waiting=27 sweeps=6 dbm_dim=3 dbm_dim_model=4 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) cora_min_time: states_explored=64 states_stored=99 peak_waiting=36 dbm_dim=3 dbm_dim_model=4 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) cora_max_time: states_explored=513 states_stored=513 peak_waiting=27 sweeps=514 dbm_dim=3 dbm_dim_model=4 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "random(38) mcpta_build: states_explored=513 states_stored=513 peak_waiting=33 dbm_dim=3 dbm_dim_model=4 lu_tightened=12 vars_narrowed=1 sliced_clocks=1 sliced_vars=1 sliced_edges=1",
+    "train_gate(2) zone_reach: states_explored=7 states_stored=10 peak_waiting=4 dbm_dim=3 dbm_dim_model=3 lu_tightened=26",
+    "train_gate(2) zone_deadlock: states_explored=35 states_stored=35 peak_waiting=6 dbm_dim=3 dbm_dim_model=3",
+    "train_gate(2) leads_to: states_explored=35 states_stored=35 peak_waiting=6 dbm_dim=3 dbm_dim_model=3",
+    "train_gate(2) smc_probability: runs_simulated=40 dbm_dim=3 dbm_dim_model=3",
+    "train_gate(2) smc_hypothesis: runs_simulated=8 dbm_dim=3 dbm_dim_model=3",
+    "train_gate(2) smc_cdf: runs_simulated=40 dbm_dim=3 dbm_dim_model=3",
+    "train_gate(2) smc_compare: runs_simulated=40 dbm_dim=3 dbm_dim_model=3",
+    "train_gate(2) smc_count_globally: runs_simulated=40 dbm_dim=3 dbm_dim_model=3",
+    "train_gate_game(2) tiga_reach: states_explored=13035 states_stored=13035 peak_waiting=798 sweeps=5 dbm_dim=3 dbm_dim_model=3",
+    "train_gate_game(2) tiga_safety: states_explored=13035 states_stored=13035 peak_waiting=798 sweeps=10 dbm_dim=3 dbm_dim_model=3",
+    "wcet_program(3) cora_min_cost: states_explored=46 states_stored=46 peak_waiting=3 dbm_dim=2 dbm_dim_model=2 lu_tightened=1",
+    "wcet_program(3) cora_max_cost: states_explored=47 states_stored=47 peak_waiting=10 sweeps=29 dbm_dim=2 dbm_dim_model=2 lu_tightened=1",
+    "wcet_program(3) cora_min_time: states_explored=40 states_stored=43 peak_waiting=4 dbm_dim=2 dbm_dim_model=2 lu_tightened=1",
+    "wcet_program(3) cora_max_time: states_explored=47 states_stored=47 peak_waiting=10 sweeps=38 dbm_dim=2 dbm_dim_model=2 lu_tightened=1",
+    "brp(2,2,1) mcpta_build: states_explored=153 states_stored=153 peak_waiting=13 dbm_dim=5 dbm_dim_model=6 lu_tightened=47 sliced_vars=4",
+];

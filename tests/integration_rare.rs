@@ -271,7 +271,9 @@ fn priced_checker_estimates_cost_bounded_probability_and_expected_cost() {
     assert!(mean.mean > 0.0 && mean.mean <= c.time_bound() + 1.0);
 
     // Cost CDF of goal hits: monotone, bounded by the success fraction.
-    let cdf = chk.cost_cdf(&c.goal(), c.time_bound(), 4_000);
+    let cdf = chk
+        .cost_cdf_governed(&c.goal(), c.time_bound(), 4_000, &Budget::unlimited())
+        .into_value();
     assert!(cdf.hits() > 0);
     assert!(cdf.at(c.time_bound()) <= 1.0);
 }
@@ -303,7 +305,9 @@ fn rare_estimates() -> Vec<String> {
         .expect("valid parameters")
         .into_value()
         .expect("an unlimited budget completes");
-    let cost_cdf = chk.cost_cdf(&c.goal(), c.time_bound(), 400);
+    let cost_cdf = chk
+        .cost_cdf_governed(&c.goal(), c.time_bound(), 400, &Budget::unlimited())
+        .into_value();
     let fixed = SplitConfig {
         effort: 64,
         ..SplitConfig::default()
