@@ -318,7 +318,7 @@ impl PricedNetwork {
         let mut peak = 0usize;
         let mut explored = 0;
 
-        if let Some(i) = index.intern(exp.initial_state(), &gov) {
+        if let Some(i) = index.intern(&exp.initial_state(), &gov) {
             dist.push(Some(0));
             pred.push(None);
             heap.push(Reverse((0, pushes, i)));
@@ -334,7 +334,7 @@ impl PricedNetwork {
                 continue; // stale heap entry
             }
             explored += 1;
-            let state = index.state(i).clone();
+            let state = index.state(i);
             if exp.satisfies(&state, goal) {
                 let mut steps = Vec::new();
                 let mut cur = i;
@@ -361,7 +361,7 @@ impl PricedNetwork {
             // Relaxes the step to `next`; `false` when the state budget
             // refuses a new state.
             let mut relax = |next: DigitalState, cost: i64, action: Option<DigitalMove>| {
-                let Some(j) = index.intern(next, &gov) else {
+                let Some(j) = index.intern(&next, &gov) else {
                     return false;
                 };
                 if j == dist.len() {
@@ -460,23 +460,24 @@ impl PricedNetwork {
         let mut index = StateIndex::new();
         let mut succs: Vec<Vec<(usize, i64)>> = Vec::new();
         let mut peak = 0usize;
-        if index.intern(exp.initial_state(), &gov).is_some() {
+        let mut state = exp.initial_state();
+        if index.intern(&state, &gov).is_some() {
             peak = 1;
         }
         'build: while let Some(i) = index.pop() {
             if !gov.check_time() {
                 break;
             }
-            let state = index.state(i).clone();
+            index.load(i, &mut state);
             let mut edges = Vec::new();
             if let Some(next) = exp.tick(&state) {
-                let Some(j) = index.intern(next, &gov) else {
+                let Some(j) = index.intern(&next, &gov) else {
                     break 'build;
                 };
                 edges.push((j, self.rate_sum(&state.locs)));
             }
             for (mv, next) in exp.moves(&state) {
-                let Some(j) = index.intern(next, &gov) else {
+                let Some(j) = index.intern(&next, &gov) else {
                     break 'build;
                 };
                 edges.push((j, self.move_cost(&mv.participants)));
@@ -485,8 +486,7 @@ impl PricedNetwork {
             succs.resize_with(index.len(), Vec::new);
             succs[i] = edges;
         }
-        let states = index.into_states();
-        let n = states.len();
+        let n = index.len();
         let report = |sweeps| metrics.stamp(self.report(&gov, (n, n, peak), sweeps, net.dim()));
         let mut sweeps = 0u64;
         if gov.is_exhausted() {
@@ -497,7 +497,12 @@ impl PricedNetwork {
         // itself may be passed through; the run stops at the *last* goal
         // visit? No — WCET asks for first arrival, so goal states have
         // value 0 and are not expanded).
-        let goal_mask: Vec<bool> = states.iter().map(|s| exp.satisfies(s, goal)).collect();
+        let goal_mask: Vec<bool> = (0..n)
+            .map(|i| {
+                index.load(i, &mut state);
+                exp.satisfies(&state, goal)
+            })
+            .collect();
         if !goal_mask.iter().any(|&g| g) {
             // The graph is complete here, so unreachability is definitive.
             return gov.finish_complete(None, report(sweeps));

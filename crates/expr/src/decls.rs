@@ -199,7 +199,8 @@ impl Decls {
 
 /// A snapshot of all variable values: the discrete data part of a model
 /// state. Cheap to clone and hashable, so it can key passed/waiting lists.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// The default store holds no values.
+#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Store {
     values: Vec<i64>,
 }
@@ -283,6 +284,13 @@ impl Store {
     #[must_use]
     pub fn from_values(values: Vec<i64>) -> Self {
         Store { values }
+    }
+
+    /// Overwrites every value with `values`, keeping the allocation: the
+    /// in-place form of [`Store::from_values`], with the same caveat.
+    pub fn set_values(&mut self, values: &[i64]) {
+        self.values.clear();
+        self.values.extend_from_slice(values);
     }
 }
 

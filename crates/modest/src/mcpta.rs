@@ -3,14 +3,15 @@
 //! in [`tempo_mdp`] (Bozga et al., DATE 2012, §III). The MDP is built
 //! from [`DigitalExplorer`]'s grouped transitions on the compiled
 //! network, after tempo-ta's slicing, active-clock reduction and LU
-//! tick clamp.
+//! tick clamp. Its states are numbered and stored by a
+//! [`StateIndex`], one row each.
 
 use crate::Pta;
 use tempo_mdp::{expected_reward_governed, reachability_governed, Mdp, MdpBuilder, Opt, StateId};
 use tempo_obs::{Budget, Outcome, RunReport};
 use tempo_ta::{
     ClockAtom, ClockReduction, DigitalExplorer, DigitalState, QueryNetwork, StateFormula,
-    StateIndex,
+    StateIndex, Transitions,
 };
 
 /// The `mcpta` analyzer: explores the digital-clocks semantics of a PTA
@@ -19,11 +20,15 @@ use tempo_ta::{
 ///
 /// Tick transitions carry reward `1`, so expected *rewards* are expected
 /// *times* — exactly the `Emax` property of the paper's Table I.
+///
+/// MDP state `i` is the state the index numbers `i`. The index stores
+/// every state as one row of one array, so the model owns a handful of
+/// heap blocks besides the MDP's own.
 #[derive(Debug)]
 pub struct Mcpta {
     mdp: Mdp,
-    /// Explored states, in the reduced clock space.
-    states: Vec<DigitalState>,
+    /// The explored states, in the reduced clock space, by MDP state.
+    index: StateIndex,
     /// The active-clock reduction applied before exploration; queries are
     /// mapped through it.
     reduction: ClockReduction,
@@ -140,8 +145,11 @@ impl Mcpta {
         let mut peak = 0_usize;
         let mut explored = 0_usize;
 
-        let init = exp.initial_state();
-        if exp.invariants_hold(&init.locs, &init.clocks) && index.intern(init, &gov).is_some() {
+        // Each popped state is loaded into `state`, and its successors
+        // are written into `succ`: both keep their allocations.
+        let mut state = exp.initial_state();
+        let mut succ = Transitions::default();
+        if exp.invariants_hold(&state.locs, &state.clocks) && index.intern(&state, &gov).is_some() {
             builder.reserve_states(1);
             peak = 1;
         }
@@ -152,15 +160,16 @@ impl Mcpta {
             }
             explored += 1;
             let sid = StateId(i);
-            let state = index.state(i).clone();
+            index.load(i, &mut state);
             // Action transitions (reward 0).
-            for t in exp.transitions(&state) {
+            exp.transitions(&state, &mut succ);
+            for t in succ.iter() {
                 let mut dist: Vec<(StateId, f64)> = Vec::with_capacity(t.len());
                 for (p, next) in t {
                     let Some(id) = index.intern(next, &gov) else {
                         break 'build;
                     };
-                    dist.push((StateId(id), p));
+                    dist.push((StateId(id), *p));
                 }
                 builder.reserve_states(index.len());
                 builder
@@ -175,10 +184,14 @@ impl Mcpta {
                     // is a pure waiting point — no action transitions,
                     // and observationally identical to `state` (its
                     // protected-atom truth vector agrees; locations and
-                    // variables cannot change under tick).
-                    while atoms_agree(&extra_mapped, &state, &next)
-                        && exp.transitions(&next).is_empty()
-                    {
+                    // variables cannot change under tick). `state`'s
+                    // transitions are in the MDP already, so `succ` is
+                    // free to hold `next`'s.
+                    while atoms_agree(&extra_mapped, &state, &next) {
+                        exp.transitions(&next, &mut succ);
+                        if !succ.is_empty() {
+                            break;
+                        }
                         let Some(after) = exp.tick(&next) else { break };
                         if after == next {
                             // Every clock clamped: the tick fixpoint
@@ -189,7 +202,7 @@ impl Mcpta {
                         waited += 1.0;
                     }
                 }
-                let Some(id) = index.intern(next, &gov) else {
+                let Some(id) = index.intern(&next, &gov) else {
                     break 'build;
                 };
                 builder.reserve_states(index.len());
@@ -216,7 +229,7 @@ impl Mcpta {
         gov.finish(
             Some(Mcpta {
                 mdp: builder.build(StateId(0)).expect("initial state exists"),
-                states: index.into_states(),
+                index,
                 reduction,
             }),
             report,
@@ -254,9 +267,12 @@ impl Mcpta {
             "query reads a clock that was reduced away; list its atoms in `extra_atoms` at build time",
         );
         let exp = DigitalExplorer::new(self.reduction.network());
-        self.states
-            .iter()
-            .map(|s| exp.satisfies(s, &goal))
+        let mut state = DigitalState::default();
+        (0..self.index.len())
+            .map(|i| {
+                self.index.load(i, &mut state);
+                exp.satisfies(&state, &goal)
+            })
             .collect()
     }
 

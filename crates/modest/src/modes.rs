@@ -10,7 +10,7 @@ use crate::Pta;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tempo_obs::{Budget, Governor, Outcome, RunReport};
-use tempo_ta::{ClockAtom, DigitalExplorer, DigitalState, StateFormula};
+use tempo_ta::{ClockAtom, DigitalExplorer, DigitalState, StateFormula, Transitions};
 
 /// [`RunReport`] for the simulator: only runs and wall time apply.
 fn modes_report(gov: &Governor, completed: usize) -> RunReport {
@@ -136,11 +136,12 @@ impl<'p> Modes<'p> {
             times: vec![0],
             stuck: false,
         };
+        let mut transitions = Transitions::default();
         for _ in 0..max_steps {
             if time >= time_bound {
                 break;
             }
-            let transitions = self.exp.transitions(&state);
+            self.exp.transitions(&state, &mut transitions);
             let tick = self.exp.tick(&state);
             let take_tick = match (self.scheduler, tick.is_some(), transitions.is_empty()) {
                 (_, false, true) => {

@@ -21,21 +21,24 @@
 //! branches of a probabilistic choice included.
 //! [`DigitalExplorer::transitions`] groups them: one transition per
 //! joint move of first branches, a distribution over every combination
-//! of the participants' branches.
+//! of the participants' branches. It fills a caller's [`Transitions`]
+//! buffer, whose successor slots keep their allocations from one state
+//! to the next.
 //!
 //! [`StateIndex`] numbers the states that TIGA's game graph, CORA's cost
 //! searches and mcpta's MDP store. Every MDP, strategy and certificate
 //! depends on its contract: ids count up from `0` in first-seen order; a
 //! state is charged to the state budget before it gets an id, and a
-//! refused state gets none; the frontier pops last in, first out.
+//! refused state gets none; the frontier pops last in, first out. Each
+//! state is stored once, as one fixed-width row of `i64`s in one shared
+//! array, and found through a hash of its row; since ids count up in
+//! first-seen order, no id depends on the hash.
 
 use crate::explore::SymState;
 use crate::model::{raise_max_constants, ClockAtom, Edge, LocationId, LocationKind, Network};
 use crate::moves::{self, Participant};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Index};
 use tempo_expr::Store;
 use tempo_obs::{Diagnostic, Governor, LintError};
 
@@ -70,8 +73,9 @@ impl From<DigitalError> for LintError {
     }
 }
 
-/// A concrete integer-time state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A concrete integer-time state. The default state has no automata,
+/// variables or clocks: an empty buffer for [`StateIndex::load`].
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DigitalState {
     /// Location of each automaton.
     pub locs: Vec<LocationId>,
@@ -331,7 +335,8 @@ impl<'n> DigitalExplorer<'n> {
             &state.store,
             |e, _| clock_guards_hold(e, &state.clocks),
             |mv| {
-                if let Some(next) = self.apply(state, mv.participants) {
+                let mut next = DigitalState::default();
+                if self.apply(state, mv.participants, &mut next) {
                     let edge = |&(ai, ei, _): &Participant| &self.net.automata()[ai].edges[ei];
                     let digital = DigitalMove {
                         label: moves::label(self.net, mv.sync),
@@ -346,8 +351,8 @@ impl<'n> DigitalExplorer<'n> {
         out
     }
 
-    /// All probabilistic transitions enabled in the state, each a
-    /// distribution over successors (the tick is
+    /// Fills `out` with the probabilistic transitions enabled in the
+    /// state, each a distribution over successors (the tick is
     /// [`DigitalExplorer::tick`]): one per joint move of first branches
     /// (see [`Edge::continues_choice`]) of [`moves::for_each_move`], in
     /// its order. A transition fires every combination of the
@@ -355,35 +360,37 @@ impl<'n> DigitalExplorer<'n> {
     /// reaches each combination's successor with the product of the
     /// participants' normalised branch weights. It is dropped whole
     /// when [`moves::jump`] refuses one combination or a target
-    /// invariant fails after it.
-    #[must_use]
-    pub fn transitions(&self, state: &DigitalState) -> Vec<Vec<(f64, DigitalState)>> {
-        let mut out = Vec::new();
+    /// invariant fails after it, and leaves nothing in `out`.
+    ///
+    /// Whatever `out` held before is replaced; its successor slots keep
+    /// their allocations, so one buffer serves a whole exploration.
+    pub fn transitions(&self, state: &DigitalState, out: &mut Transitions) {
+        out.ends.clear();
         let _ = moves::for_each_move(
             self.net,
             &state.locs,
             &state.store,
             |e, _| !e.continues_choice && clock_guards_hold(e, &state.clocks),
             |mv| {
-                out.extend(self.distribution(state, mv.participants));
+                self.distribution(state, mv.participants, out);
                 ControlFlow::Continue(())
             },
         );
-        out
     }
 
-    /// The distribution of the transition whose participants fire
-    /// their first branches `firsts` (see [`DigitalExplorer::transitions`]).
-    fn distribution(
-        &self,
-        state: &DigitalState,
-        firsts: &[Participant],
-    ) -> Option<Vec<(f64, DigitalState)>> {
+    /// Appends to `out` the distribution of the transition whose
+    /// participants fire their first branches `firsts` (see
+    /// [`DigitalExplorer::transitions`]), or nothing if it is refused.
+    fn distribution(&self, state: &DigitalState, firsts: &[Participant], out: &mut Transitions) {
         let edges = |ai: usize| &self.net.automata()[ai].edges;
         let has_siblings =
             |&(ai, ei, _): &Participant| edges(ai).get(ei + 1).is_some_and(|e| e.continues_choice);
+        out.open();
         if !firsts.iter().any(has_siblings) {
-            return Some(vec![(1.0, self.apply(state, firsts)?)]);
+            if !self.apply(state, firsts, out.push(1.0)) {
+                out.discard();
+            }
+            return;
         }
         // Per participant: one past its last branch, and the choice's
         // total weight.
@@ -401,7 +408,6 @@ impl<'n> DigitalExplorer<'n> {
             })
             .collect();
         let mut pick = firsts.to_vec();
-        let mut out = Vec::new();
         loop {
             let p = pick
                 .iter()
@@ -409,12 +415,15 @@ impl<'n> DigitalExplorer<'n> {
                 .fold(1.0, |p, (&(ai, ei, _), &(_, total))| {
                     p * (edges(ai)[ei].weight as f64 / total as f64)
                 });
-            out.push((p, self.apply(state, &pick)?));
+            if !self.apply(state, &pick, out.push(p)) {
+                out.discard();
+                return;
+            }
             // The last participant's branch varies fastest.
             let mut k = pick.len();
             loop {
                 if k == 0 {
-                    return Some(out);
+                    return;
                 }
                 k -= 1;
                 pick[k].1 += 1;
@@ -426,21 +435,26 @@ impl<'n> DigitalExplorer<'n> {
         }
     }
 
-    /// Applies a joint move (participants in order), returning the
-    /// successor or `None` if [`moves::jump`] refuses it or a target
-    /// invariant fails. Reset clocks are clamped like ticked ones.
-    fn apply(&self, state: &DigitalState, participants: &[Participant]) -> Option<DigitalState> {
-        let jump = moves::jump(self.net, &state.locs, &state.store, participants)?;
-        let mut clocks = state.clocks.clone();
+    /// Applies a joint move (participants in order), writing the
+    /// successor into `next`; `false` if [`moves::jump`] refuses it or a
+    /// target invariant fails, and `next` is then not a state. Reset
+    /// clocks are clamped like ticked ones.
+    fn apply(
+        &self,
+        state: &DigitalState,
+        participants: &[Participant],
+        next: &mut DigitalState,
+    ) -> bool {
+        let Some(jump) = moves::jump(self.net, &state.locs, &state.store, participants) else {
+            return false;
+        };
+        next.locs = jump.locs;
+        next.store = jump.store;
+        next.clocks.clone_from(&state.clocks);
         for (clock, v) in jump.resets {
-            clocks[clock.index()] = v.min(self.clamp[clock.index()]);
+            next.clocks[clock.index()] = v.min(self.clamp[clock.index()]);
         }
-        self.invariants_hold(&jump.locs, &clocks)
-            .then_some(DigitalState {
-                locs: jump.locs,
-                store: jump.store,
-                clocks,
-            })
+        self.invariants_hold(&next.locs, &next.clocks)
     }
 
     /// Lifts a digital state to a (point) symbolic state, for reuse of
@@ -485,15 +499,97 @@ impl DigitalState {
     }
 }
 
+/// The successor buffer of [`DigitalExplorer::transitions`]: the
+/// distributions of one state's transitions, in order, each a slice of
+/// `(probability, successor)` slots (`buffer[t]` is transition `t`).
+/// Refilling it keeps every slot's allocations.
+#[derive(Debug, Default)]
+pub struct Transitions {
+    /// The successor slots; those past the last end are spare.
+    slots: Vec<(f64, DigitalState)>,
+    /// Per transition: one past its last slot.
+    ends: Vec<usize>,
+}
+
+impl Transitions {
+    /// How many transitions the buffer holds.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the buffer holds no transition.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The transitions, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[(f64, DigitalState)]> {
+        (0..self.len()).map(|t| &self[t])
+    }
+
+    /// Opens an empty transition after the last one.
+    fn open(&mut self) {
+        let end = self.ends.last().copied().unwrap_or(0);
+        self.ends.push(end);
+    }
+
+    /// Adds a branch of probability `p` to the open transition and
+    /// returns its successor slot, which the caller overwrites.
+    fn push(&mut self, p: f64) -> &mut DigitalState {
+        let end = self.ends.last_mut().expect("a transition is open");
+        let slot = *end;
+        *end += 1;
+        if slot == self.slots.len() {
+            self.slots.push((p, DigitalState::default()));
+        }
+        self.slots[slot].0 = p;
+        &mut self.slots[slot].1
+    }
+
+    /// Rolls back the open transition: a refused transition leaves
+    /// nothing behind.
+    fn discard(&mut self) {
+        self.ends.pop();
+    }
+}
+
+impl Index<usize> for Transitions {
+    type Output = [(f64, DigitalState)];
+
+    /// The distribution of transition `t`.
+    fn index(&self, t: usize) -> &Self::Output {
+        let start = if t == 0 { 0 } else { self.ends[t - 1] };
+        &self.slots[start..self.ends[t]]
+    }
+}
+
 /// The numbering of the states a digital engine stores, and the
 /// frontier of those it has yet to expand (contract in the module
 /// documentation).
+///
+/// Each state is one row of `i64`s in one array: its locations, then its
+/// store values, then its clocks. The first interned state sets how many
+/// of each a row holds; every later state must have the same. An
+/// open-addressing table of ids, kept at most half full, finds a row by
+/// a multiplicative hash of all its words.
 #[derive(Debug, Default)]
 pub struct StateIndex {
-    ids: HashMap<DigitalState, usize>,
-    states: Vec<DigitalState>,
+    /// How many locations, store values and clocks a row holds.
+    layout: [usize; 3],
+    /// Every state's row, by id, back to back.
+    rows: Vec<i64>,
+    /// How many states are numbered.
+    len: usize,
+    /// Ids by hash, [`VACANT`] where none is; the length is zero or a
+    /// power of two.
+    table: Vec<usize>,
     frontier: Vec<usize>,
 }
+
+/// A free slot of [`StateIndex`]'s table.
+const VACANT: usize = usize::MAX;
 
 impl StateIndex {
     /// An empty index.
@@ -503,22 +599,80 @@ impl StateIndex {
     }
 
     /// The id of `state`. An unseen state is first charged to `gov`'s
-    /// state budget, then numbered and pushed onto the frontier; `None`
-    /// when the budget refuses it.
-    pub fn intern(&mut self, state: DigitalState, gov: &Governor) -> Option<usize> {
-        match self.ids.entry(state) {
-            Entry::Occupied(e) => Some(*e.get()),
-            Entry::Vacant(e) => {
+    /// state budget, then copied in, numbered and pushed onto the
+    /// frontier; `None` when the budget refuses it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state`'s row width differs from the first interned
+    /// state's: it has another number of automata, variables or clocks.
+    pub fn intern(&mut self, state: &DigitalState, gov: &Governor) -> Option<usize> {
+        let layout = [
+            state.locs.len(),
+            state.store.as_slice().len(),
+            state.clocks.len(),
+        ];
+        if self.len == 0 {
+            self.layout = layout;
+        }
+        assert_eq!(
+            layout, self.layout,
+            "every state of one index has the same row width (locations, variables, clocks)"
+        );
+        if 2 * (self.len + 1) > self.table.len() {
+            self.grow();
+        }
+        // Write the row where a new state's row goes, and take it back
+        // unless it is new and the budget admits it.
+        let start = self.rows.len();
+        self.rows.extend(state.locs.iter().map(|l| l.0 as i64));
+        self.rows.extend_from_slice(state.store.as_slice());
+        self.rows.extend_from_slice(&state.clocks);
+        match self.find(&self.rows[start..]) {
+            Ok(id) => {
+                self.rows.truncate(start);
+                Some(id)
+            }
+            Err(slot) => {
                 if !gov.charge_state() {
+                    self.rows.truncate(start);
                     return None;
                 }
-                let id = self.states.len();
-                self.states.push(e.key().clone());
-                e.insert(id);
+                let id = self.len;
+                self.table[slot] = id;
+                self.len += 1;
                 self.frontier.push(id);
                 Some(id)
             }
         }
+    }
+
+    /// The id whose row is `row`, or the vacant slot where it would go.
+    fn find(&self, row: &[i64]) -> Result<usize, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = bucket(row, self.table.len());
+        loop {
+            match self.table[slot] {
+                VACANT => return Err(slot),
+                id if self.row(id) == row => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Doubles the table (to 16 slots at first) and re-enters every id.
+    fn grow(&mut self) {
+        self.table = vec![VACANT; (2 * self.table.len()).max(16)];
+        for id in 0..self.len {
+            let slot = self.find(self.row(id)).expect_err("rows are distinct");
+            self.table[slot] = id;
+        }
+    }
+
+    /// The row of the state numbered `id`.
+    fn row(&self, id: usize) -> &[i64] {
+        let width = self.layout.iter().sum::<usize>();
+        &self.rows[id * width..(id + 1) * width]
     }
 
     /// Pops the frontier: the latest interned state not popped yet.
@@ -532,35 +686,49 @@ impl StateIndex {
         self.frontier.len()
     }
 
-    /// The state numbered `id`.
-    #[must_use]
-    pub fn state(&self, id: usize) -> &DigitalState {
-        &self.states[id]
+    /// Overwrites `state` with the state numbered `id`, keeping its
+    /// buffers' allocations.
+    pub fn load(&self, id: usize, state: &mut DigitalState) {
+        let [locs, vars, _] = self.layout;
+        let (l, rest) = self.row(id).split_at(locs);
+        let (v, c) = rest.split_at(vars);
+        state.locs.clear();
+        state.locs.extend(l.iter().map(|&l| LocationId(l as usize)));
+        state.store.set_values(v);
+        state.clocks.clear();
+        state.clocks.extend_from_slice(c);
     }
 
-    /// Every state, by id.
+    /// The state numbered `id`, by value.
     #[must_use]
-    pub fn states(&self) -> &[DigitalState] {
-        &self.states
-    }
-
-    /// Every state, by id, by value.
-    #[must_use]
-    pub fn into_states(self) -> Vec<DigitalState> {
-        self.states
+    pub fn state(&self, id: usize) -> DigitalState {
+        let mut state = DigitalState::default();
+        self.load(id, &mut state);
+        state
     }
 
     /// How many states are numbered.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.len
     }
 
     /// Whether no state is numbered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.len == 0
     }
+}
+
+/// The table slot where the search for `row` starts, in a table of
+/// `size` slots (a power of two): the high bits of a multiplicative
+/// hash, which every word of the row enters.
+fn bucket(row: &[i64], size: usize) -> usize {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let hash = row
+        .iter()
+        .fold(0_u64, |h, &w| (h.rotate_left(5) ^ w as u64).wrapping_mul(K));
+    (hash >> (64 - size.trailing_zeros())) as usize
 }
 
 #[cfg(test)]
@@ -606,14 +774,14 @@ mod tests {
         let s2 = exp.tick(&s1).unwrap();
         let gov = tempo_obs::Budget::unlimited().with_max_states(3).governor();
         let mut index = StateIndex::new();
-        assert_eq!(index.intern(s0.clone(), &gov), Some(0));
-        assert_eq!(index.intern(s1.clone(), &gov), Some(1));
+        assert_eq!(index.intern(&s0, &gov), Some(0));
+        assert_eq!(index.intern(&s1, &gov), Some(1));
         assert_eq!(
-            index.intern(s0.clone(), &gov),
+            index.intern(&s0, &gov),
             Some(0),
             "a known state keeps its id"
         );
-        assert_eq!(index.intern(s2.clone(), &gov), Some(2));
+        assert_eq!(index.intern(&s2, &gov), Some(2));
         assert_eq!(index.frontier_len(), 3);
         assert_eq!(
             [index.pop(), index.pop(), index.pop(), index.pop()],
@@ -621,17 +789,116 @@ mod tests {
         );
         let s3 = exp.tick(&s2).unwrap();
         assert_eq!(
-            index.intern(s3, &gov),
+            index.intern(&s3, &gov),
             None,
             "the fourth state is over budget"
         );
         assert!(gov.is_exhausted());
         assert_eq!(
-            index.intern(s1.clone(), &gov),
+            index.intern(&s1, &gov),
             Some(1),
             "known states need no budget"
         );
-        assert_eq!(index.states(), [s0, s1, s2]);
+        assert_eq!(
+            [index.state(0), index.state(1), index.state(2)],
+            [s0, s1, s2]
+        );
+    }
+
+    /// Three automata of three locations each, two clocks and three
+    /// variables: the shape of the states the row tests intern.
+    fn three_automata() -> Network {
+        let mut b = NetworkBuilder::new();
+        let x = b.clock("x");
+        let y = b.clock("y");
+        for v in ["u", "v", "w"] {
+            b.decls_mut().int(v, i64::MIN, i64::MAX);
+        }
+        for name in ["A", "B", "C"] {
+            let mut a = b.automaton(name);
+            let l0 = a.location("L0");
+            let l1 = a.location("L1");
+            let l2 = a.location("L2");
+            a.edge(l0, l1).guard_clock(ClockAtom::ge(x, 1)).done();
+            a.edge(l1, l2).reset(y, 0).done();
+            a.done();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn rows_round_trip_and_tell_apart_states_one_field_apart() {
+        let net = three_automata();
+        let big = i64::from(i32::MAX) + 7;
+        let mut s = DigitalExplorer::new(&net).initial_state();
+        assert_eq!(
+            [s.locs.len(), s.store.as_slice().len(), s.clocks.len()],
+            [3, 3, 3]
+        );
+        s.locs = vec![LocationId(0), LocationId(1), LocationId(2)];
+        s.store = Store::from_values(vec![-1, big, -big]);
+        s.clocks = vec![0, 3, 1];
+        // `s`, then states that differ from it in one location, one
+        // store value or one clock, each once.
+        let mut states = vec![s.clone()];
+        for a in 0..3 {
+            for l in (0..3).filter(|&l| l != s.locs[a].0) {
+                let mut t = s.clone();
+                t.locs[a] = LocationId(l);
+                states.push(t);
+            }
+        }
+        for v in 0..3 {
+            for value in [0, 1, -2, big << 20, -big - 1, i64::MIN, i64::MAX] {
+                let mut values = s.store.as_slice().to_vec();
+                values[v] = value;
+                let mut t = s.clone();
+                t.store = Store::from_values(values);
+                states.push(t);
+            }
+        }
+        for c in 1..3 {
+            for value in (0..4).chain([big]).filter(|&value| value != s.clocks[c]) {
+                let mut t = s.clone();
+                t.clocks[c] = value;
+                states.push(t);
+            }
+        }
+        let gov = tempo_obs::Budget::unlimited()
+            .with_max_states(states.len() as u64)
+            .governor();
+        let mut index = StateIndex::new();
+        for (id, t) in states.iter().enumerate() {
+            assert_eq!(index.intern(t, &gov), Some(id), "{t:?} is new");
+        }
+        let mut buffer = DigitalState::default();
+        for (id, t) in states.iter().enumerate() {
+            assert_eq!(&index.state(id), t);
+            index.load(id, &mut buffer);
+            assert_eq!(&buffer, t, "a loaded buffer holds the state");
+            // The budget is spent, so a charge would refuse the state.
+            let again = DigitalState {
+                locs: t.locs.iter().map(|l| LocationId(l.0)).collect(),
+                store: Store::from_values(t.store.as_slice().to_vec()),
+                clocks: t.clocks.clone(),
+            };
+            assert_eq!(index.intern(&again, &gov), Some(id), "{t:?} keeps its id");
+        }
+        assert!(!gov.is_exhausted(), "known states are charged no budget");
+        assert_eq!(index.len(), states.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "row width")]
+    fn a_state_of_another_width_is_refused() {
+        let net = three_automata();
+        let s = DigitalExplorer::new(&net).initial_state();
+        let gov = tempo_obs::Budget::unlimited().governor();
+        let mut index = StateIndex::new();
+        assert_eq!(index.intern(&s, &gov), Some(0));
+        let mut wider = s;
+        wider.clocks.push(0);
+        let _ = index.intern(&wider, &gov);
     }
 
     #[test]

@@ -52,7 +52,9 @@ pub mod slice;
 mod symmetry;
 
 pub use codec::{decode_state, encode_state, ZoneSummary};
-pub use digital::{DigitalError, DigitalExplorer, DigitalMove, DigitalState, StateIndex};
+pub use digital::{
+    DigitalError, DigitalExplorer, DigitalMove, DigitalState, StateIndex, Transitions,
+};
 pub use explore::{Action, Explorer, SymState};
 pub use flow::NetworkLu;
 pub use formula::StateFormula;
@@ -64,7 +66,7 @@ pub use model::{
 pub use por::Por;
 pub use prepare::QueryNetwork;
 pub use reach::{ModelChecker, ReachResult, Stats, Trace, TraceStep, Verdict};
-pub use reduce::{live_clocks, ClockReduction};
+pub use reduce::ClockReduction;
 pub use slice::{slice, Slice};
 pub use symmetry::{near_miss_orbits, NearMiss, Perm, Symmetry};
 pub use tempo_obs::{ExploreConfig, SpillConfig, SpillError, SpillMetrics};

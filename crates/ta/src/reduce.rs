@@ -4,19 +4,14 @@
 //! The paper's tools run this analysis before touching a zone graph:
 //! UPPAAL's *active-clock reduction* computes, for every location, the
 //! set of clocks whose value can still influence the future behaviour,
-//! and projects the rest away. This module provides both layers:
-//!
-//! * [`live_clocks`] — the per-location live-clock sets, computed as a
-//!   backward fixpoint over resets, guards and invariants
-//!   (`live(l) = reads(inv(l)) ∪ ⋃_{e: l→l'} reads(guard(e)) ∪
-//!   (live(l') ∖ resets(e))`);
-//! * [`Network::reduced`] / [`Network::reduced_with`] — a *globally*
-//!   dead clock (live in no location, read by no property atom) whose
-//!   resets are all non-negative constants is removed from the network
-//!   outright, shrinking every DBM the engines manipulate. Its value is
-//!   never observed and its resets never refuse a move (`x := v - 1`
-//!   would at `v = 0`), so every verdict is identical by construction;
-//!   only the zone dimension (and thus time/memory per state) changes.
+//! and projects the rest away. This module does it globally:
+//! [`Network::reduced`] / [`Network::reduced_with`] remove a clock that
+//! no guard, invariant or property atom reads and whose resets are all
+//! non-negative constants from the network outright, shrinking every
+//! DBM the engines manipulate. Its value is never observed and its
+//! resets never refuse a move (`x := v - 1` would at `v = 0`), so every
+//! verdict is identical by construction; only the zone dimension (and
+//! thus time/memory per state) changes.
 
 use crate::formula::StateFormula;
 use crate::model::{Automaton, ClockAtom, Edge, Location, Network};
@@ -27,54 +22,6 @@ use tempo_expr::Expr;
 fn feed_atom(read: &mut [bool], atom: &ClockAtom) {
     read[atom.i.index()] = true;
     read[atom.j.index()] = true;
-}
-
-/// Per-location live-clock sets of every automaton: `result[a][l][c]` is
-/// `true` iff clock `c` is live at location `l` of automaton `a`.
-///
-/// A clock is live at a location when its current value may still be
-/// read (by an invariant or a guard) before it is next reset. The sets
-/// are the least fixpoint of the standard backward equations; clocks
-/// shared between automata are handled conservatively by each automaton
-/// seeing only its own resets.
-#[must_use]
-pub fn live_clocks(net: &Network) -> Vec<Vec<Vec<bool>>> {
-    let dim = net.dim();
-    net.automata()
-        .iter()
-        .map(|a| {
-            let mut live = vec![vec![false; dim]; a.locations.len()];
-            // Base: invariants read their clocks wherever time can pass.
-            for (li, l) in a.locations.iter().enumerate() {
-                for atom in &l.invariant {
-                    feed_atom(&mut live[li], atom);
-                }
-            }
-            // Iterate edges until the sets stabilise.
-            let mut changed = true;
-            while changed {
-                changed = false;
-                for e in &a.edges {
-                    let (from, to) = (e.from.index(), e.to.index());
-                    let mut add = vec![false; dim];
-                    for atom in &e.guard_clocks {
-                        feed_atom(&mut add, atom);
-                    }
-                    let resets: Vec<bool> = (0..dim)
-                        .map(|c| e.resets.iter().any(|(clk, _)| clk.index() == c))
-                        .collect();
-                    for c in 0..dim {
-                        let flows = add[c] || (live[to][c] && !resets[c]);
-                        if flows && !live[from][c] {
-                            live[from][c] = true;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            live
-        })
-        .collect()
 }
 
 /// The result of active-clock reduction: a network with dead clocks
@@ -411,39 +358,5 @@ mod tests {
         let (v1, _) = ModelChecker::new(&net).deadlock_free();
         let (v2, _) = ModelChecker::new(red.network()).deadlock_free();
         assert_eq!(v1.holds(), v2.holds());
-    }
-
-    #[test]
-    fn live_sets_follow_resets_backward() {
-        // x is read by the guard of the edge leaving L1; it is reset on
-        // the edge into L1, so it is live at L1 but dead at L0.
-        let mut b = NetworkBuilder::new();
-        let x = b.clock("x");
-        let mut a = b.automaton("A");
-        let l0 = a.location("L0");
-        let l1 = a.location("L1");
-        let l2 = a.location("L2");
-        a.edge(l0, l1).reset(x, 0).done();
-        a.edge(l1, l2).guard_clock(ClockAtom::ge(x, 3)).done();
-        a.done();
-        let net = b.build();
-        let live = live_clocks(&net);
-        let xi = x.index();
-        assert!(!live[0][0][xi], "x dead at L0: reset before next read");
-        assert!(live[0][1][xi], "x live at L1: guard reads it");
-        assert!(!live[0][2][xi], "x dead at L2: never read again");
-    }
-
-    #[test]
-    fn live_sets_include_invariants() {
-        let mut b = NetworkBuilder::new();
-        let x = b.clock("x");
-        let mut a = b.automaton("A");
-        let l0 = a.location_with_invariant("L0", vec![ClockAtom::le(x, 4)]);
-        a.edge(l0, l0).reset(x, 0).done();
-        a.done();
-        let net = b.build();
-        let live = live_clocks(&net);
-        assert!(live[0][0][x.index()]);
     }
 }

@@ -265,24 +265,25 @@ impl<'n> GameSolver<'n> {
         let mut index = StateIndex::new();
         let (mut moves, mut tick) = (Vec::new(), Vec::new());
         let mut peak = 0usize;
-        if index.intern(exp.initial_state(), gov).is_some() {
+        let mut state = exp.initial_state();
+        if index.intern(&state, gov).is_some() {
             peak = 1;
         }
         'build: while let Some(i) = index.pop() {
             if !gov.check_time() {
                 break;
             }
-            let state = index.state(i).clone();
+            index.load(i, &mut state);
             let mut next_tick = None;
             if let Some(next) = exp.tick(&state) {
-                let Some(j) = index.intern(next, gov) else {
+                let Some(j) = index.intern(&next, gov) else {
                     break 'build;
                 };
                 next_tick = Some(j);
             }
             let mut next_moves = Vec::new();
             for (mv, next) in exp.moves(&state) {
-                let Some(j) = index.intern(next, gov) else {
+                let Some(j) = index.intern(&next, gov) else {
                     break 'build;
                 };
                 next_moves.push((mv, j));
@@ -296,10 +297,11 @@ impl<'n> GameSolver<'n> {
         let hits = if gov.is_exhausted() {
             Vec::new()
         } else {
-            index
-                .states()
-                .iter()
-                .map(|s| exp.satisfies(s, prop))
+            (0..index.len())
+                .map(|i| {
+                    index.load(i, &mut state);
+                    exp.satisfies(&state, prop)
+                })
                 .collect()
         };
         let report = prep.metrics().stamp(RunReport {
@@ -401,7 +403,7 @@ impl<'n> GameSolver<'n> {
             if is_goal[i] {
                 strategy
                     .moves
-                    .insert(graph.index.state(i).clone(), StrategyMove::Wait);
+                    .insert(graph.index.state(i), StrategyMove::Wait);
                 continue;
             }
             // Progress: move to a strictly smaller rank if a controllable
@@ -414,7 +416,7 @@ impl<'n> GameSolver<'n> {
                 Some((m, _)) => StrategyMove::Act(m.clone()),
                 None => StrategyMove::Wait,
             };
-            strategy.moves.insert(graph.index.state(i).clone(), mv);
+            strategy.moves.insert(graph.index.state(i), mv);
         }
         let winning = rank.first().is_some_and(Option::is_some);
         let result = GameResult {
@@ -510,7 +512,7 @@ impl<'n> GameSolver<'n> {
             } else {
                 StrategyMove::Wait
             };
-            strategy.moves.insert(graph.index.state(i).clone(), mv);
+            strategy.moves.insert(graph.index.state(i), mv);
         }
         let report = graph.report(&gov, sweeps);
         gov.finish_complete(

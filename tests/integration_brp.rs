@@ -2,10 +2,13 @@
 //! three MODEST backends on a small instance, checking the cross-backend
 //! consistency the paper demonstrates.
 
+use tempo_core::expr::Expr;
 use tempo_core::mdp::Opt;
-use tempo_core::modest::{Mcpta, Mctau, Modes, Scheduler};
+use tempo_core::modest::{
+    compile, Assignment, Mcpta, Mctau, Modes, ModestModel, PaltBranch, Process, Scheduler,
+};
 use tempo_core::obs::Budget;
-use tempo_core::ta::StateFormula;
+use tempo_core::ta::{DigitalExplorer, DigitalState, StateFormula, StateIndex, Transitions};
 use tempo_models::brp::brp;
 
 /// `Pmax` (`Opt::Max`) or `Pmin` of eventually reaching `goal`.
@@ -366,4 +369,76 @@ fn textual_brp_agrees_with_ast_brp() {
         (emax_text - emax_ast).abs() < 1e-6,
         "Emax text {emax_text} vs ast {emax_ast}"
     );
+}
+
+/// A coin whose heavier branch overflows `v`: the jump refuses it, so
+/// the toss is no transition at all.
+fn refused_toss() -> tempo_core::modest::Pta {
+    let mut m = ModestModel::new();
+    let toss = m.action("toss");
+    let v = m.decls_mut().int("v", 0, 1);
+    m.define(
+        "P",
+        Process::palt(
+            toss,
+            vec![
+                PaltBranch {
+                    weight: 1,
+                    assignments: vec![],
+                    then: Process::stop(),
+                },
+                PaltBranch {
+                    weight: 9,
+                    assignments: vec![Assignment::Var(v, Expr::konst(5))],
+                    then: Process::stop(),
+                },
+            ],
+        ),
+    );
+    m.system(&["P"]);
+    compile(&m)
+}
+
+/// The transitions a buffer holds, with each probability's bits.
+fn contents(ts: &Transitions) -> Vec<Vec<(u64, DigitalState)>> {
+    ts.iter()
+        .map(|t| t.iter().map(|(p, s)| (p.to_bits(), s.clone())).collect())
+        .collect()
+}
+
+#[test]
+fn a_refilled_successor_buffer_equals_a_fresh_one() {
+    // One buffer for every reachable state of both models, in
+    // exploration order: the refused toss comes last, when the slots it
+    // writes still hold BRP successors.
+    let mut reused = Transitions::default();
+    let mut widest = 0;
+    let brp = brp(2, 1, 1);
+    for (net, states) in [(&brp.pta, None), (&refused_toss(), Some(1))] {
+        let exp = DigitalExplorer::new(net);
+        let gov = Budget::unlimited().governor();
+        let mut index = StateIndex::new();
+        let mut state = exp.initial_state();
+        index.intern(&state, &gov);
+        while let Some(i) = index.pop() {
+            index.load(i, &mut state);
+            exp.transitions(&state, &mut reused);
+            let mut fresh = Transitions::default();
+            exp.transitions(&state, &mut fresh);
+            assert_eq!(contents(&reused), contents(&fresh), "state {state:?}");
+            for t in fresh.iter() {
+                widest = widest.max(t.len());
+                for (_, next) in t {
+                    index.intern(next, &gov);
+                }
+            }
+            if let Some(next) = exp.tick(&state) {
+                index.intern(&next, &gov);
+            }
+        }
+        if let Some(n) = states {
+            assert_eq!(index.len(), n, "the refused toss never fires");
+        }
+    }
+    assert_eq!(widest, 2, "the lossy channels draw between two successors");
 }
